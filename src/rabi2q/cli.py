@@ -35,7 +35,7 @@ def _fmt(value) -> str:
 
 
 def _config_hash(command: str, resolved: dict) -> str:
-    skip = {"out", "svg", "config", "jobs"}
+    skip = {"out", "svg", "config", "jobs", "func"}
     parts = [f"{k}={_fmt(v)}" for k, v in sorted(resolved.items())
              if k not in skip and v is not None]
     digest = hashlib.sha256(";".join(parts).encode()).hexdigest()

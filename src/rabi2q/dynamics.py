@@ -20,8 +20,7 @@ from .errors import (DegenerateResolvent, InvalidDensityMatrix,
 from .hamiltonian import (build_parity_matrix, build_rwa_excitation_block,
                           build_rwa_full)
 from .model import (ModelParams, Parity, QubitLevel, TruncationConfig,
-                    chain_index_of, chain_state, full_basis_index,
-                    full_basis_state)
+                    basis_table)
 from .numerics import eigh, propagate_spectral
 
 EDGE_WEIGHT_TOL = 1e-6
@@ -61,21 +60,18 @@ class ParityDecomposedState:
     def to_full(self) -> np.ndarray:
         """Amplitudes in the product basis |n>|q1>|q2>."""
         out = np.zeros(self.trunc.full_dim, dtype=complex)
-        for parity, amps in ((Parity.EVEN, self.c_even),
-                             (Parity.ODD, self.c_odd)):
-            for j in range(self.trunc.chain_dim):
-                out[full_basis_index(*chain_state(parity, j))] = amps[j]
+        full_index = basis_table(self.trunc).full_index
+        out[full_index[Parity.EVEN]] = self.c_even
+        out[full_index[Parity.ODD]] = self.c_odd
         return out
 
 
 def state_from_full(psi: np.ndarray, trunc: TruncationConfig
                     ) -> ParityDecomposedState:
-    c = {Parity.EVEN: np.zeros(trunc.chain_dim, dtype=complex),
-         Parity.ODD: np.zeros(trunc.chain_dim, dtype=complex)}
-    for i, amp in enumerate(psi):
-        parity, j = chain_index_of(*full_basis_state(i))
-        c[parity][j] = amp
-    return ParityDecomposedState(c[Parity.EVEN], c[Parity.ODD], trunc)
+    psi = np.asarray(psi, dtype=complex)
+    full_index = basis_table(trunc).full_index
+    return ParityDecomposedState(psi[full_index[Parity.EVEN]],
+                                 psi[full_index[Parity.ODD]], trunc)
 
 
 def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
@@ -117,13 +113,13 @@ def decompose_initial_state(field, q1: QubitLevel, q2: QubitLevel,
                 f"Fock level {n_fock} above n_max={trunc.n_max}")
         amps = np.zeros(trunc.n_max + 1, dtype=complex)
         amps[n_fock] = 1.0
-    c = {Parity.EVEN: np.zeros(trunc.chain_dim, dtype=complex),
-         Parity.ODD: np.zeros(trunc.chain_dim, dtype=complex)}
-    for n in range(trunc.n_max + 1):
-        if amps[n] == 0:
-            continue
-        parity, j = chain_index_of(n, q1, q2)
-        c[parity][j] = amps[n]
+    table = basis_table(trunc)
+    c = {}
+    for parity in (Parity.EVEN, Parity.ODD):
+        c[parity] = np.zeros(trunc.chain_dim, dtype=complex)
+        slots = ((table.sz1[parity] == q1.sz)
+                 & (table.sz2[parity] == q2.sz))
+        c[parity][slots] = amps[table.photon[parity][slots]]
     norm = math.hypot(np.linalg.norm(c[Parity.EVEN]),
                       np.linalg.norm(c[Parity.ODD]))
     return ParityDecomposedState(c[Parity.EVEN] / norm, c[Parity.ODD] / norm,
@@ -134,28 +130,17 @@ def decompose_initial_state(field, q1: QubitLevel, q2: QubitLevel,
 # observables
 # ---------------------------------------------------------------------------
 
-def _chain_photon_numbers(trunc: TruncationConfig) -> np.ndarray:
-    return np.arange(trunc.chain_dim) // 2
-
-
-def _chain_sz_sum(parity: Parity, trunc: TruncationConfig) -> np.ndarray:
-    out = np.empty(trunc.chain_dim)
-    for j in range(trunc.chain_dim):
-        _, q1, q2 = chain_state(parity, j)
-        out[j] = 0.5 * (q1.sz + q2.sz)
-    return out
-
-
 def mean_photon_number(state: ParityDecomposedState) -> float:
-    n = _chain_photon_numbers(state.trunc)
-    return float(n @ np.abs(state.c_even) ** 2
-                 + n @ np.abs(state.c_odd) ** 2)
+    n = basis_table(state.trunc).photon
+    return float(n[Parity.EVEN] @ np.abs(state.c_even) ** 2
+                 + n[Parity.ODD] @ np.abs(state.c_odd) ** 2)
 
 
 def population_inversion(state: ParityDecomposedState) -> float:
+    table = basis_table(state.trunc)
     total = 0.0
     for parity in (Parity.EVEN, Parity.ODD):
-        sz = _chain_sz_sum(parity, state.trunc)
+        sz = 0.5 * (table.sz1[parity] + table.sz2[parity])
         total += sz @ np.abs(state.chain(parity)) ** 2
     return float(total)
 
@@ -268,10 +253,21 @@ class Trajectory:
     states: list | None = None
 
 
-def _observables_over_time(states: list[ParityDecomposedState],
-                           times: np.ndarray, energies: np.ndarray,
-                           store_states: int,
-                           max_edge: float) -> Trajectory:
+def _expectation(h: np.ndarray, psi_t: np.ndarray) -> np.ndarray:
+    """<psi|H|psi> for every column of psi_t, applying H directly.
+
+    H is real symmetric, so the real and imaginary parts of psi contribute
+    separately and no complex copy of H is needed.
+    """
+    return sum(np.sum(part * (h @ part), axis=0)
+               for part in (psi_t.real, psi_t.imag))
+
+
+def _trajectory(c_even_t: np.ndarray, c_odd_t: np.ndarray,
+                trunc: TruncationConfig, times: np.ndarray,
+                energies: np.ndarray, store_states: int, guard_tol: float,
+                on_guard: str) -> Trajectory:
+    """Observables of the chain amplitudes held one column per time."""
     n_t = len(times)
     mean_n = np.empty(n_t)
     s_z = np.empty(n_t)
@@ -280,7 +276,16 @@ def _observables_over_time(states: list[ParityDecomposedState],
     norms = np.empty(n_t)
     w_even = np.empty(n_t)
     w_odd = np.empty(n_t)
-    for i, st in enumerate(states):
+    max_edge = 0.0
+    kept = [] if store_states else None
+    for i, t in enumerate(times):
+        st = ParityDecomposedState(c_even_t[:, i], c_odd_t[:, i], trunc)
+        edge = st.edge_weight()
+        max_edge = max(max_edge, edge)
+        if edge > guard_tol and on_guard == "raise":
+            raise TruncationInsufficient(
+                f"weight {edge:.2e} on the top two photon levels at "
+                f"t={t:g}; raise n_max")
         mean_n[i] = mean_photon_number(st)
         s_z[i] = population_inversion(st)
         rho = reduced_density_matrix(st)
@@ -288,9 +293,8 @@ def _observables_over_time(states: list[ParityDecomposedState],
         conc[i] = concurrence(rho)
         norms[i] = st.norm
         w_even[i], w_odd[i] = st.parity_weights()
-    kept = None
-    if store_states:
-        kept = [(i, states[i]) for i in range(0, n_t, store_states)]
+        if store_states and i % store_states == 0:
+            kept.append((i, st))
     return Trajectory(times, mean_n, s_z, ent, conc, energies, norms,
                       w_even, w_odd, max_edge, kept)
 
@@ -304,41 +308,23 @@ def evolve_parity(state: ParityDecomposedState, params: ModelParams, times,
     state weight on the top two photon levels exceeds guard_tol at any
     output time the run raises TruncationInsufficient (on_guard="raise") or
     completes and records the violation in max_edge_weight
-    (on_guard="record").
+    (on_guard="record").  The energy is <psi(t)|H|psi(t)> with the chain
+    matrices applied directly, so it does not rely on the decomposition
+    that propagated the state.
     """
     if on_guard not in ("raise", "record"):
         raise ValueError("on_guard must be 'raise' or 'record'")
     times = np.atleast_1d(np.asarray(times, dtype=float))
     trunc = state.trunc
     evolved = {}
-    decomps = {}
+    energies = np.zeros(len(times))
     for parity in (Parity.EVEN, Parity.ODD):
         h = build_parity_matrix(params, parity, trunc)
-        decomps[parity] = eigh(h)
-        evolved[parity] = propagate_spectral(decomps[parity],
-                                             state.chain(parity), times)
-    energies = np.empty(len(times))
-    states = []
-    max_edge = 0.0
-    for i, t in enumerate(times):
-        st = ParityDecomposedState(evolved[Parity.EVEN][:, i],
-                                   evolved[Parity.ODD][:, i], trunc)
-        edge = st.edge_weight()
-        max_edge = max(max_edge, edge)
-        if edge > guard_tol and on_guard == "raise":
-            raise TruncationInsufficient(
-                f"weight {edge:.2e} on the top two photon levels at "
-                f"t={t:g}; raise n_max")
-        energy = 0.0
-        for parity in (Parity.EVEN, Parity.ODD):
-            h_c = st.chain(parity)
-            vals, vecs = decomps[parity]
-            proj = vecs.T.conj() @ h_c
-            energy += float(np.real(np.sum(vals * np.abs(proj) ** 2)))
-        energies[i] = energy
-        states.append(st)
-    return _observables_over_time(states, times, energies, store_states,
-                                  max_edge)
+        evolved[parity] = propagate_spectral(eigh(h), state.chain(parity),
+                                             times)
+        energies += _expectation(h, evolved[parity])
+    return _trajectory(evolved[Parity.EVEN], evolved[Parity.ODD], trunc,
+                       times, energies, store_states, guard_tol, on_guard)
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +408,6 @@ def quartic_roots(qc: QuarticCoefficients) -> np.ndarray:
     return np.sort(lam.real)
 
 
-def _sector_of(n: int, q1: QubitLevel, q2: QubitLevel) -> int:
-    return n + (q1.sz + q2.sz) // 2 + 1
-
-
 def evolve_rwa_closed_form(state: ParityDecomposedState, params: ModelParams,
                            times, store_states: int = 0,
                            backend: str = "eigh") -> Trajectory:
@@ -444,18 +426,21 @@ def evolve_rwa_closed_form(state: ParityDecomposedState, params: ModelParams,
     trunc = state.trunc
     psi0 = state.to_full()
 
-    sectors = {_sector_of(*full_basis_state(i))
-               for i in np.nonzero(np.abs(psi0) > 0)[0]}
+    sectors = sorted(set(
+        basis_table(trunc).excitation[np.abs(psi0) > 0].tolist()))
     # photon range needed to close every occupied sector
     needed_nmax = max(sectors, default=0)
     out_trunc = (trunc if needed_nmax <= trunc.n_max
                  else TruncationConfig(needed_nmax))
+    table = basis_table(out_trunc)
+    psi0 = np.pad(psi0, (0, out_trunc.full_dim - trunc.full_dim))
 
     evolved = np.zeros((out_trunc.full_dim, len(times)), dtype=complex)
-    for sector in sorted(sectors):
+    for sector in sectors:
         block = build_rwa_excitation_block(params, sector)
-        idx = [full_basis_index(n, q1, q2) for (n, q1, q2) in block.basis]
-        amps0 = np.array([psi0[i] if i < len(psi0) else 0.0 for i in idx])
+        # the sector's full-basis rows, ascending, are the block.basis order
+        idx = np.flatnonzero(table.excitation == sector)
+        amps0 = psi0[idx]
         vals, vecs = eigh(block.matrix)
         if backend == "quartic" and block.matrix.shape[0] == 4:
             try:
@@ -467,19 +452,10 @@ def evolve_rwa_closed_form(state: ParityDecomposedState, params: ModelParams,
         proj = vecs.T @ amps0
         frame = np.exp(-1j * params.omega_f * (sector - 1) * times)
         phases = np.exp(-1j * np.outer(vals, times)) * proj[:, None]
-        sector_t = (vecs @ phases) * frame[None, :]
-        for row, i in enumerate(idx):
-            evolved[i, :] += sector_t[row, :]
+        evolved[idx] += (vecs @ phases) * frame[None, :]
 
-    energies = np.empty(len(times))
-    states = []
-    max_edge = 0.0
-    h_rwa = build_rwa_full(params, out_trunc)
-    for i, t in enumerate(times):
-        st = state_from_full(evolved[:, i], out_trunc)
-        max_edge = max(max_edge, st.edge_weight())
-        psi = evolved[:, i]
-        energies[i] = float(np.real(np.conj(psi) @ (h_rwa @ psi)))
-        states.append(st)
-    return _observables_over_time(states, times, energies, store_states,
-                                  max_edge)
+    energies = _expectation(build_rwa_full(params, out_trunc), evolved)
+    return _trajectory(evolved[table.full_index[Parity.EVEN]],
+                       evolved[table.full_index[Parity.ODD]], out_trunc,
+                       times, energies, store_states, EDGE_WEIGHT_TOL,
+                       "record")

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import OverflowDetected, SingularCoupling, StepSingular
 from .hamiltonian import build_parity_matrix
 from .model import (ModelParams, Parity, QubitLevel, TruncationConfig,
-                    chain_index_of, chain_state)
+                    basis_table)
 from .numerics import eigh
 
 OVERFLOW_LIMIT = 1e300
@@ -67,14 +67,12 @@ def _mp_chain_diagonal(params: ModelParams, parity: Parity, n_max: int):
     """Diagonal block entries computed in mp arithmetic."""
     w1, w2 = mp.mpf(params.omega_1), mp.mpf(params.omega_2)
     wf = mp.mpf(params.omega_f)
-    out = []
-    for j in range(n_max + 1):
-        row = []
-        for slot in range(2):
-            n, q1, q2 = chain_state(parity, 2 * j + slot)
-            row.append(n * wf + (q1.sz * w1 + q2.sz * w2) / 2)
-        out.append(row)
-    return out
+    table = basis_table(TruncationConfig(max(n_max, 1)))
+    diag = [n * wf + (s1 * w1 + s2 * w2) / 2
+            for n, s1, s2 in zip(table.photon[parity].tolist(),
+                                 table.sz1[parity].tolist(),
+                                 table.sz2[parity].tolist())]
+    return [diag[2 * j:2 * j + 2] for j in range(n_max + 1)]
 
 
 def _recurrence_blocks_mp(params: ModelParams, parity: Parity, xi, v0,
@@ -553,6 +551,7 @@ def bargmann_to_chain(params: ModelParams, parity: Parity, chi: float,
     cut = int(np.argmin(finite))
     levels = (QubitLevel.E, QubitLevel.G)
     trunc = TruncationConfig(max(n_max, 1))
+    table = basis_table(trunc)
     chains = {Parity.EVEN: np.zeros(trunc.chain_dim),
               Parity.ODD: np.zeros(trunc.chain_dim)}
     for (iu, iv), arr in psi.items():
@@ -561,9 +560,12 @@ def bargmann_to_chain(params: ModelParams, parity: Parity, chi: float,
                 weight = _ROTATION[ia, iu] * _ROTATION[ib, iv]
                 if weight == 0.0:
                     continue
-                for n in range(min(cut, n_max) + 1):
-                    par, j = chain_index_of(n, levels[ia], levels[ib])
-                    chains[par][j] += weight * arr[n]
+                for par, chain in chains.items():
+                    n = table.photon[par]
+                    slots = ((table.sz1[par] == levels[ia].sz)
+                             & (table.sz2[par] == levels[ib].sz)
+                             & (n <= min(cut, n_max)))
+                    chain[slots] += weight * arr[n[slots]]
     own = np.linalg.norm(chains[parity])
     other = Parity.ODD if parity is Parity.EVEN else Parity.EVEN
     total = math.hypot(own, np.linalg.norm(chains[other]))

@@ -2,8 +2,10 @@
 
 Builds the full truncated Hamiltonian in the product basis, its parity-block
 form (block tridiagonal with 2x2 blocks), the parity operator, the full-basis
-RWA Hamiltonian, and the per-excitation-sector RWA blocks.  All matrices are
-real symmetric by construction (complex arithmetic enters only in dynamics).
+RWA Hamiltonian, and the per-excitation-sector RWA blocks.  Matrix elements
+are written once, in the parity blocks; the full-basis matrices are scattered
+from them through the basis table.  All matrices are real symmetric by
+construction (complex arithmetic enters only in dynamics).
 """
 
 from __future__ import annotations
@@ -13,14 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (ModelParams, Parity, QubitLevel, TruncationConfig,
-                    chain_state, chain_to_full_indices, full_basis_index)
-
-
-def diag_energy(params: ModelParams, n: int, q1: QubitLevel,
-                q2: QubitLevel) -> float:
-    """Free energy n*omega_f + (sz1*omega_1 + sz2*omega_2)/2."""
-    return n * params.omega_f + 0.5 * (q1.sz * params.omega_1
-                                       + q2.sz * params.omega_2)
+                    basis_table)
 
 
 @dataclass(frozen=True)
@@ -47,16 +42,19 @@ class BlockTridiagonal:
 
 def build_parity_blocks(params: ModelParams, parity: Parity,
                         trunc: TruncationConfig) -> BlockTridiagonal:
-    """Block-tridiagonal form of the Hamiltonian in one parity chain."""
-    n_blocks = trunc.n_max + 1
-    d = np.empty((n_blocks, 2))
-    for j in range(n_blocks):
-        for slot in range(2):
-            n, q1, q2 = chain_state(parity, 2 * j + slot)
-            d[j, slot] = diag_energy(params, n, q1, q2)
+    """Block-tridiagonal form of the Hamiltonian in one parity chain.
+
+    D_j holds the free energies n*omega_f + (sz1*omega_1 + sz2*omega_2)/2
+    of its two chain slots.  Every full-basis matrix below is assembled
+    from these blocks.
+    """
+    table = basis_table(trunc)
+    d = (table.photon[parity] * params.omega_f
+         + 0.5 * (table.sz1[parity] * params.omega_1
+                  + table.sz2[parity] * params.omega_2))
     coupling = np.array([[params.g_1, params.g_2], [params.g_2, params.g_1]])
-    o = np.sqrt(np.arange(1, n_blocks))[:, None, None] * coupling
-    return BlockTridiagonal(parity, d, o)
+    o = np.sqrt(np.arange(1, trunc.n_max + 1))[:, None, None] * coupling
+    return BlockTridiagonal(parity, d.reshape(-1, 2), o)
 
 
 def expand_dense(blocks: BlockTridiagonal) -> np.ndarray:
@@ -78,35 +76,23 @@ def build_parity_matrix(params: ModelParams, parity: Parity,
 
 
 def build_full(params: ModelParams, trunc: TruncationConfig) -> np.ndarray:
-    """Hamiltonian in the product basis |n>|q1>|q2>, photon cutoff n_max."""
-    dim = trunc.full_dim
-    h = np.zeros((dim, dim))
-    levels = (QubitLevel.E, QubitLevel.G)
-    for n in range(trunc.n_max + 1):
-        for q1 in levels:
-            for q2 in levels:
-                i = full_basis_index(n, q1, q2)
-                h[i, i] = diag_energy(params, n, q1, q2)
-                if n < trunc.n_max:
-                    # (a + a+) matrix element between |n> and |n+1>
-                    amp = np.sqrt(n + 1.0)
-                    j1 = full_basis_index(n + 1, q1.flipped(), q2)
-                    h[i, j1] = h[j1, i] = params.g_1 * amp
-                    j2 = full_basis_index(n + 1, q1, q2.flipped())
-                    h[i, j2] = h[j2, i] = params.g_2 * amp
+    """Hamiltonian in the product basis |n>|q1>|q2>, photon cutoff n_max.
+
+    The two parity-chain matrices scattered to their full-basis rows; no
+    element couples the two parities.
+    """
+    h = np.zeros((trunc.full_dim, trunc.full_dim))
+    for parity in (Parity.EVEN, Parity.ODD):
+        idx = basis_table(trunc).full_index[parity]
+        h[np.ix_(idx, idx)] = build_parity_matrix(params, parity, trunc)
     return h
 
 
 def build_parity_operator(trunc: TruncationConfig) -> np.ndarray:
     """Diagonal +-1 matrix of sz(1)*sz(2)*(-1)^(a+a) in the product basis."""
-    dim = trunc.full_dim
-    diag = np.empty(dim)
-    levels = (QubitLevel.E, QubitLevel.G)
-    for n in range(trunc.n_max + 1):
-        for q1 in levels:
-            for q2 in levels:
-                sign = q1.sz * q2.sz * (-1) ** n
-                diag[full_basis_index(n, q1, q2)] = sign
+    diag = np.empty(trunc.full_dim)
+    for parity in (Parity.EVEN, Parity.ODD):
+        diag[basis_table(trunc).full_index[parity]] = parity.sign
     return np.diag(diag)
 
 
@@ -114,38 +100,19 @@ def build_rwa_full(params: ModelParams, trunc: TruncationConfig) -> np.ndarray:
     """Full-basis Hamiltonian with counter-rotating coupling terms dropped.
 
     Keeps the free terms and the excitation-conserving couplings
-    g_j (a sigma+^j + a+ sigma-^j).
+    g_j (a sigma+^j + a+ sigma-^j): the counter-rotating terms are exactly
+    the entries of build_full that join rows of different excitation
+    number.
     """
-    dim = trunc.full_dim
-    h = np.zeros((dim, dim))
-    levels = (QubitLevel.E, QubitLevel.G)
-    for n in range(trunc.n_max + 1):
-        for q1 in levels:
-            for q2 in levels:
-                i = full_basis_index(n, q1, q2)
-                h[i, i] = diag_energy(params, n, q1, q2)
-                if n < trunc.n_max:
-                    amp = np.sqrt(n + 1.0)
-                    # a+ sigma-^j: photon up, qubit j de-excited
-                    if q1 is QubitLevel.E:
-                        j1 = full_basis_index(n + 1, QubitLevel.G, q2)
-                        h[i, j1] = h[j1, i] = params.g_1 * amp
-                    if q2 is QubitLevel.E:
-                        j2 = full_basis_index(n + 1, q1, QubitLevel.G)
-                        h[i, j2] = h[j2, i] = params.g_2 * amp
+    h = build_full(params, trunc)
+    n_exc = basis_table(trunc).excitation
+    h[n_exc[:, None] != n_exc] = 0.0
     return h
 
 
 def excitation_number_operator(trunc: TruncationConfig) -> np.ndarray:
     """Diagonal of N = a+a + (sz1+sz2)/2 + 1 in the product basis."""
-    dim = trunc.full_dim
-    diag = np.empty(dim)
-    levels = (QubitLevel.E, QubitLevel.G)
-    for n in range(trunc.n_max + 1):
-        for q1 in levels:
-            for q2 in levels:
-                diag[full_basis_index(n, q1, q2)] = n + (q1.sz + q2.sz) / 2 + 1
-    return np.diag(diag)
+    return np.diag(basis_table(trunc).excitation.astype(float))
 
 
 @dataclass(frozen=True)
@@ -190,9 +157,3 @@ def build_rwa_excitation_block(params: ModelParams, n: int) -> RwaExcitationBloc
     sub = m[np.ix_(keep, keep)]
     basis = tuple(full_basis[i] for i in keep)
     return RwaExcitationBlock(n, sub, basis)
-
-
-def parity_permutation(trunc: TruncationConfig) -> tuple[list[int], list[int]]:
-    """Full-basis indices of the even chain then the odd chain, in order."""
-    return (chain_to_full_indices(Parity.EVEN, trunc),
-            chain_to_full_indices(Parity.ODD, trunc))

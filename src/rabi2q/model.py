@@ -3,16 +3,22 @@
 The Hilbert space of a single boson mode coupled to two qubits splits into
 two invariant subspaces under the parity operator sz(1)*sz(2)*(-1)^n.  Each
 subspace is spanned by an ordered chain of product states in which the
-Hamiltonian is block tridiagonal.  This module owns the chain orderings and
-the maps between chain positions and product states.
+Hamiltonian is block tridiagonal.  This module owns the chain orderings.
+``basis_table`` derives from them, once per cutoff, the integer labels of
+every chain position and full-basis row; every other module reads the
+layout through that table.  The scalar maps (``chain_state``,
+``chain_index_of``, ``full_basis_index``, ...) label single states.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
+
+import numpy as np
 
 
 class QubitLevel(Enum):
@@ -24,9 +30,6 @@ class QubitLevel(Enum):
     @property
     def sz(self) -> int:
         return 1 if self is QubitLevel.E else -1
-
-    def flipped(self) -> "QubitLevel":
-        return QubitLevel.E if self is QubitLevel.G else QubitLevel.G
 
 
 class Parity(Enum):
@@ -153,7 +156,46 @@ def full_basis_state(i: int) -> tuple[int, QubitLevel, QubitLevel]:
     return i // 4, q1, q2
 
 
-def chain_to_full_indices(parity: Parity, trunc: TruncationConfig) -> list[int]:
-    """Full-basis index of every chain position, in chain order."""
-    return [full_basis_index(*chain_state(parity, j))
-            for j in range(trunc.chain_dim)]
+_PAIR_SZ = np.array([(q1.sz, q2.sz) for q1, q2 in _PAIR_ORDER])
+
+
+@dataclass(frozen=True)
+class BasisTable:
+    """Integer labels of every basis position at one photon cutoff.
+
+    photon, sz1, sz2 and full_index map a parity to an array over its chain
+    positions: the photon number, the two qubit sz values and the row of
+    that product state in the full basis.  excitation holds the RWA
+    excitation number N = n + (sz1 + sz2)/2 + 1 of every full-basis row.
+    """
+
+    photon: dict
+    sz1: dict
+    sz2: dict
+    full_index: dict
+    excitation: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def basis_table(trunc: TruncationConfig) -> BasisTable:
+    """Index arrays of the chain layout, derived from the pair orders."""
+    j = np.arange(trunc.chain_dim)
+    n = j // 2
+    photon, sz1, sz2, full_index = {}, {}, {}, {}
+    for parity in Parity:
+        # _PAIR_ORDER position of each chain slot, by (n % 2, j % 2)
+        slots = np.array([[_PAIR_ORDER.index(pair)
+                           for pair in _BLOCK_PAIRS[(parity, r)]]
+                          for r in (0, 1)])
+        pair = slots[n % 2, j % 2]
+        photon[parity] = n
+        sz1[parity] = _PAIR_SZ[pair, 0]
+        sz2[parity] = _PAIR_SZ[pair, 1]
+        full_index[parity] = 4 * n + pair
+    rows = np.arange(trunc.full_dim)
+    excitation = rows // 4 + _PAIR_SZ[rows % 4].sum(axis=1) // 2 + 1
+    table = BasisTable(photon, sz1, sz2, full_index, excitation)
+    for arr in (n, excitation, *sz1.values(), *sz2.values(),
+                *full_index.values()):
+        arr.flags.writeable = False
+    return table

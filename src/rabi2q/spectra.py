@@ -40,14 +40,13 @@ def converged_parity_eigensystem(params: ModelParams, parity: Parity,
                                  tol: float = GUARD_TOL):
     """k lowest converged eigenpairs of one parity block."""
     decomp = eigh(build_parity_matrix(params, parity, trunc))
-    mask = converged_mask(decomp.vectors, 4, tol)
-    if np.count_nonzero(mask) < k:
+    keep = np.flatnonzero(converged_mask(decomp.vectors, 4, tol))
+    if len(keep) < k:
         raise TruncationInsufficient(
-            f"only {np.count_nonzero(mask)} of {k} requested eigenvalues "
+            f"only {len(keep)} of {k} requested eigenvalues "
             f"converged at n_max={trunc.n_max} ({parity.value} parity)")
-    values = decomp.values[mask][:k]
-    vectors = decomp.vectors[:, mask][:, :k]
-    return values, vectors
+    # index the kept columns directly so the result owns only its data
+    return decomp.values[keep[:k]], decomp.vectors[:, keep[:k]]
 
 
 @dataclass(frozen=True)
@@ -324,9 +323,9 @@ def doubling_check(params: ModelParams, parity: Parity,
     vals, _ = converged_parity_eigensystem(params, parity, trunc, k)
     big = TruncationConfig(2 * trunc.n_max)
     vals2, _ = converged_parity_eigensystem(params, parity, big, k)
-    drift = np.abs(vals - vals2)
-    if np.any(drift > tol * params.omega_f):
+    moved = np.abs(vals - vals2) > tol * params.omega_f
+    if np.any(moved):
         raise TruncationInsufficient(
-            f"{int(np.sum(drift > tol))} of {k} branches move more than "
+            f"{np.count_nonzero(moved)} of {k} branches move more than "
             f"{tol} omega_f when n_max doubles from {trunc.n_max}")
     return vals

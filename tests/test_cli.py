@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import rabi2q
 from rabi2q.cli import main
 
 
@@ -182,3 +188,21 @@ def test_omega_f_rescales_output(tmp_path):
     assert float(rows_b[0][1]) == pytest.approx(2 * float(rows_a[0][1]))
     # relative errors are dimensionless
     assert rows_b[0][3] == rows_a[0][3]
+
+
+def test_rerun_in_fresh_interpreter_is_byte_identical(tmp_path):
+    # the header hash must not depend on anything of the process, such as
+    # the address of the command function
+    env = dict(os.environ)
+    src = str(Path(rabi2q.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    outs = []
+    for name in ("a.csv", "b.csv"):
+        out = tmp_path / name
+        subprocess.run([sys.executable, "-m", "rabi2q.cli", "perturb",
+                        "--omega1", "1.3", "--omega2", "0.7", "--g1", "2",
+                        "--g2", "1.5", "--mmax", "2", "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]

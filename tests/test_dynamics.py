@@ -5,7 +5,7 @@ from rabi2q import dynamics as dyn
 from rabi2q.errors import InvalidDensityMatrix, TruncationInsufficient
 from rabi2q.hamiltonian import build_rwa_full
 from rabi2q.model import ModelParams, Parity, QubitLevel, TruncationConfig
-from rabi2q.numerics import eigh, propagate_spectral
+from rabi2q.numerics import EigenDecomposition, eigh, propagate_spectral
 
 G, E = QubitLevel.G, QubitLevel.E
 T40 = TruncationConfig(40)
@@ -23,6 +23,13 @@ def random_state(rng, trunc=T40):
 # ---------------------------------------------------------------------------
 # initial states
 # ---------------------------------------------------------------------------
+
+def test_state_from_full_inverts_to_full():
+    st = random_state(np.random.default_rng(5))
+    back = dyn.state_from_full(st.to_full(), T40)
+    assert np.array_equal(back.c_even, st.c_even)
+    assert np.array_equal(back.c_odd, st.c_odd)
+
 
 def test_fock_vacuum_goes_to_even_origin():
     st = dyn.decompose_initial_state(0, G, G, T40)
@@ -172,6 +179,27 @@ def test_conservation_suite_short():
     assert np.all(traj.concurrence <= 1.0 + 1e-12)
     assert np.all(traj.mean_n >= 0.0)
     assert np.all(np.abs(traj.s_z) <= 1.0 + 1e-12)
+
+
+def test_energy_drift_detects_wrong_eigenvectors(monkeypatch):
+    # mixing eigenvectors 0 and 1 by pi/4 keeps an orthonormal basis and
+    # the eigenvalues, but the propagator no longer solves H: the energy
+    # diagnostic must see it with the bound of the conservation suite
+    def rotated_eigh(h):
+        vals, vecs = eigh(h)
+        vecs = vecs.copy()
+        v0, v1 = vecs[:, 0].copy(), vecs[:, 1].copy()
+        vecs[:, 0] = (v0 - v1) / np.sqrt(2.0)
+        vecs[:, 1] = (v0 + v1) / np.sqrt(2.0)
+        return EigenDecomposition(vals, vecs)
+
+    monkeypatch.setattr(dyn, "eigh", rotated_eigh)
+    st = dyn.decompose_initial_state(("coherent", np.sqrt(2)), G, G,
+                                     TruncationConfig(60))
+    traj = dyn.evolve_parity(st, ModelParams(1.1, 0.3, 0.3, 0.4),
+                             np.linspace(0, 25, 101))
+    drift = np.max(np.abs(traj.energy - traj.energy[0]))
+    assert drift > 1e-8 * abs(traj.energy[0])
 
 
 def test_truncation_guard_raises_and_records():

@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rabi2q.hamiltonian import (BlockTridiagonal, build_full,
                                 build_parity_blocks, build_parity_matrix,
                                 build_parity_operator,
                                 build_rwa_excitation_block, build_rwa_full,
-                                diag_energy, excitation_number_operator,
-                                expand_dense, parity_permutation)
+                                excitation_number_operator, expand_dense)
 from rabi2q.model import (ModelParams, Parity, QubitLevel, TruncationConfig,
-                          full_basis_index)
+                          basis_table, full_basis_index)
 
 G, E = QubitLevel.G, QubitLevel.E
 P = ModelParams(1.3, 0.7, 0.3, 0.4)
 T4 = TruncationConfig(4)
+
+
+def diag_energy(params, n, q1, q2):
+    """Free energy n*omega_f + (sz1*omega_1 + sz2*omega_2)/2 of one state."""
+    return n * params.omega_f + 0.5 * (q1.sz * params.omega_1
+                                       + q2.sz * params.omega_2)
 
 
 def test_even_j0_block():
@@ -106,7 +112,8 @@ def test_parity_commutes_exactly():
 
 def test_block_permutation_reproduces_parity_matrices_entrywise():
     h = build_full(P, T4)
-    even_idx, odd_idx = parity_permutation(T4)
+    even_idx = basis_table(T4).full_index[Parity.EVEN]
+    odd_idx = basis_table(T4).full_index[Parity.ODD]
     assert np.array_equal(h[np.ix_(even_idx, even_idx)],
                           build_parity_matrix(P, Parity.EVEN, T4))
     assert np.array_equal(h[np.ix_(odd_idx, odd_idx)],
@@ -166,6 +173,9 @@ def test_rwa_block_matches_full_rwa_sector():
     for sector in (0, 1, 2, 5, 9):
         blk = build_rwa_excitation_block(P, sector)
         idx = [full_basis_index(*s) for s in blk.basis]
+        # the sector's full-basis rows, ascending, are the block.basis order
+        assert np.flatnonzero(
+            basis_table(trunc).excitation == sector).tolist() == idx
         sub = h_rwa[np.ix_(idx, idx)]
         offset = P.omega_f * (sector - 1)
         assert np.allclose(sub, blk.matrix + offset * np.eye(len(idx)),
@@ -175,3 +185,51 @@ def test_rwa_block_matches_full_rwa_sector():
 def test_rwa_block_negative_sector_rejected():
     with pytest.raises(ValueError):
         build_rwa_excitation_block(P, -1)
+
+
+def kronecker_reference(params, trunc, rwa=False):
+    """Hamiltonian from Kronecker products of the field and qubit operators.
+
+    Basis |n> x |q1> x |q2> with each qubit ordered (e, g), which gives the
+    pair order (ee, eg, ge, gg).  rwa=True keeps only the couplings
+    g_j (a sigma+_j + a+ sigma-_j).
+    """
+    dim_f = trunc.n_max + 1
+    a = np.diag(np.sqrt(np.arange(1.0, dim_f)), 1)
+    i2 = np.eye(2)
+    sz = np.diag([1.0, -1.0])
+    sp = np.array([[0.0, 1.0], [0.0, 0.0]])     # |e><g|
+    sz1, sz2 = np.kron(sz, i2), np.kron(i2, sz)
+    sp1, sp2 = np.kron(sp, i2), np.kron(i2, sp)
+    h = params.omega_f * np.kron(a.T @ a, np.eye(4))
+    h += 0.5 * np.kron(np.eye(dim_f),
+                       params.omega_1 * sz1 + params.omega_2 * sz2)
+    for g, s_plus in ((params.g_1, sp1), (params.g_2, sp2)):
+        if rwa:
+            h += g * (np.kron(a, s_plus) + np.kron(a.T, s_plus.T))
+        else:
+            h += g * np.kron(a + a.T, s_plus + s_plus.T)
+    return h
+
+
+FREQ = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_max=st.integers(1, 12), omega_1=FREQ, omega_2=FREQ,
+       g_1=st.floats(-2.0, 2.0), g_2=st.floats(-2.0, 2.0),
+       tie=st.sampled_from([None, 1.0, -1.0]),
+       omega_f=st.one_of(st.just(1.0), st.floats(0.25, 4.0)))
+@example(n_max=6, omega_1=0.0, omega_2=0.9, g_1=0.5, g_2=0.0, tie=-1.0,
+         omega_f=1.7)
+@example(n_max=5, omega_1=1.3, omega_2=0.0, g_1=0.3, g_2=0.0, tie=1.0,
+         omega_f=1.0)
+def test_full_and_rwa_match_kronecker_reference(n_max, omega_1, omega_2,
+                                                g_1, g_2, tie, omega_f):
+    p = ModelParams(omega_1, omega_2, g_1, g_2 if tie is None else tie * g_1,
+                    omega_f)
+    trunc = TruncationConfig(n_max)
+    assert np.max(np.abs(build_full(p, trunc)
+                         - kronecker_reference(p, trunc))) <= 1e-12
+    assert np.max(np.abs(build_rwa_full(p, trunc)
+                         - kronecker_reference(p, trunc, rwa=True))) <= 1e-12

@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rabi2q.model import (ModelParams, Parity, QubitLevel, TruncationConfig,
-                          chain_index_of, chain_state, chain_to_full_indices,
-                          full_basis_index, parity_of_product_state)
+                          basis_table, chain_index_of, chain_state,
+                          full_basis_index, full_basis_state,
+                          parity_of_product_state)
 
 G, E = QubitLevel.G, QubitLevel.E
 
@@ -48,10 +49,29 @@ def test_chains_enumerate_all_product_states_once():
     trunc = TruncationConfig(40)
     seen = set()
     for parity in Parity:
-        for idx in chain_to_full_indices(parity, trunc):
+        for idx in basis_table(trunc).full_index[parity].tolist():
             assert idx not in seen
             seen.add(idx)
     assert seen == set(range(trunc.full_dim))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 80))
+def test_basis_table_agrees_with_scalar_maps(n_max):
+    trunc = TruncationConfig(n_max)
+    table = basis_table(trunc)
+    level = {1: E, -1: G}
+    for parity in Parity:
+        for j in range(trunc.chain_dim):
+            n, q1, q2 = chain_state(parity, j)
+            assert table.photon[parity][j] == n
+            assert level[int(table.sz1[parity][j])] is q1
+            assert level[int(table.sz2[parity][j])] is q2
+            assert chain_index_of(n, q1, q2) == (parity, j)
+            assert table.full_index[parity][j] == full_basis_index(n, q1, q2)
+    for i in range(trunc.full_dim):
+        n, q1, q2 = full_basis_state(i)
+        assert table.excitation[i] == n + (q1.sz + q2.sz) // 2 + 1
 
 
 def test_full_basis_pair_order():

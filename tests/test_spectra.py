@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from rabi2q import spectra
 from rabi2q.errors import SmallDenominator, TruncationInsufficient
 from rabi2q.hamiltonian import build_parity_matrix
 from rabi2q.model import ModelParams, Parity, TruncationConfig, chain_state
 from rabi2q.numerics import eigh
-from rabi2q.spectra import (CrossingKind, SpectrumSweep, detect_crossings,
+from rabi2q.spectra import (CrossingKind, SpectrumSweep,
+                            converged_parity_eigensystem, detect_crossings,
                             doubling_check, dsc_perturbative_spectrum,
                             rwa_relative_error, sweep_spectrum)
 
@@ -181,3 +183,25 @@ def test_doubling_check_rejects_underresolved():
     p = ModelParams(1.3, 0.7, 1.8, 1.8)
     with pytest.raises(TruncationInsufficient):
         doubling_check(p, Parity.EVEN, TruncationConfig(14), k=12)
+
+
+def test_doubling_check_counts_against_scaled_tolerance(monkeypatch):
+    # with omega_f = 4 the bound is 4e-6: the 5e-6 drift moves, the 2e-6
+    # drift (above tol, below tol * omega_f) does not
+    drifts = iter([np.zeros(3), np.array([0.0, 2e-6, 5e-6])])
+    monkeypatch.setattr(spectra, "converged_parity_eigensystem",
+                        lambda *args, **kwargs: (next(drifts), None))
+    p = ModelParams(1.3, 0.7, 0.3, 0.4, omega_f=4.0)
+    with pytest.raises(TruncationInsufficient, match=r"^1 of 3 branches"):
+        doubling_check(p, Parity.EVEN, TruncationConfig(10), k=3, tol=1e-6)
+
+
+def test_converged_eigenvectors_own_only_their_columns():
+    p = ModelParams(1.3, 0.7, 0.3, 0.4)
+    trunc = TruncationConfig(60)
+    vals, vecs = converged_parity_eigensystem(p, Parity.EVEN, trunc, 5)
+    assert vecs.shape == (trunc.chain_dim, 5)
+    assert vecs.base is None or vecs.base.nbytes == vecs.nbytes
+    direct = eigh(build_parity_matrix(p, Parity.EVEN, trunc))
+    assert np.array_equal(vals, direct.values[:5])
+    assert np.array_equal(vecs, direct.vectors[:, :5])
