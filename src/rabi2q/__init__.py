@@ -14,9 +14,8 @@ from .eigenstates import (BargmannCoefficients, RecurrenceState,
                           recurrence_eigenstate_la, residual)
 from .hamiltonian import (BlockTridiagonal, RwaExcitationBlock,
                           build_full, build_parity_blocks,
-                          build_parity_matrix, build_parity_operator,
-                          build_rwa_excitation_block, build_rwa_full,
-                          expand_dense)
+                          build_parity_matrix, build_rwa_excitation_block,
+                          build_rwa_full, expand_dense)
 from .model import (ModelParams, Parity, ParityChainIndex, QubitLevel,
                     TruncationConfig, chain_index_of, chain_state,
                     parity_of_product_state)
@@ -37,7 +36,7 @@ __all__ = [
     "TruncationConfig",
     "bargmann_coefficients", "bargmann_identical_coefficients",
     "build_full", "build_parity_blocks", "build_parity_matrix",
-    "build_parity_operator", "build_rwa_excitation_block", "build_rwa_full",
+    "build_rwa_excitation_block", "build_rwa_full",
     "chain_index_of", "chain_state", "concurrence",
     "decompose_initial_state", "detect_crossings", "displacement_element",
     "dsc_perturbative_spectrum", "eigh", "evolve_parity",

@@ -35,7 +35,7 @@ def _fmt(value) -> str:
 
 
 def _config_hash(command: str, resolved: dict) -> str:
-    skip = {"out", "svg", "config", "jobs", "func"}
+    skip = {"out", "svg", "config", "func"}
     parts = [f"{k}={_fmt(v)}" for k, v in sorted(resolved.items())
              if k not in skip and v is not None]
     digest = hashlib.sha256(";".join(parts).encode()).hexdigest()
@@ -154,8 +154,7 @@ def cmd_spectrum(args) -> int:
         trunc = TruncationConfig(args.nmax)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    sweep = spectra.sweep_spectrum(template, g1, g2, trunc, args.k,
-                                   n_jobs=args.jobs)
+    sweep = spectra.sweep_spectrum(template, g1, g2, trunc, args.k)
     resolved = dict(vars(args))
     cfg_hash = _config_hash("spectrum", resolved)
     w = args.omega_f
@@ -298,15 +297,19 @@ def cmd_rwa_compare(args) -> int:
 def cmd_eigenstate(args) -> int:
     _reject_seed(args)
     params = _model(args)
+    try:
+        trunc = TruncationConfig(args.nmax)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     parities = ([Parity.EVEN, Parity.ODD] if args.parity == "both"
                 else [Parity.EVEN if args.parity == "even" else Parity.ODD])
     rows = []
     for parity in parities:
-        trunc = TruncationConfig(args.nmax)
         decomp = eigh(build_parity_matrix(params, parity, trunc))
         for index in range(args.count):
             state = eigenstates.eigenstate_recurrence(params, parity, index,
-                                                      args.nmax)
+                                                      args.nmax,
+                                                      decomp=decomp)
             res_rec = eigenstates.residual(params, parity, state)
             res_barg = ""
             if args.bargmann:
@@ -347,8 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gap-tol", type=float, default=0.05, dest="gap_tol")
     sp.add_argument("--overlap-tol", type=float, default=0.2,
                     dest="overlap_tol")
-    sp.add_argument("--jobs", type=int, default=None,
-                    help="parallel sweep workers")
     sp.set_defaults(func=cmd_spectrum)
 
     dy = sub.add_parser("dynamics", help="time evolution of observables")

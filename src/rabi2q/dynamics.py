@@ -191,13 +191,6 @@ def reduced_density_matrix(state: ParityDecomposedState) -> np.ndarray:
     return rho
 
 
-def reduced_density_matrix_partial_trace(state: ParityDecomposedState
-                                         ) -> np.ndarray:
-    """Generic partial trace over the field; oracle for the direct assembly."""
-    psi = state.to_full().reshape(-1, 4)
-    return psi.T @ np.conj(psi)
-
-
 def _check_density_matrix(rho: np.ndarray) -> np.ndarray:
     evals = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
     if np.min(evals) < -1e-8:

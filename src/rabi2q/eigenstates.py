@@ -26,7 +26,7 @@ from .errors import OverflowDetected, SingularCoupling, StepSingular
 from .hamiltonian import build_parity_matrix
 from .model import (ModelParams, Parity, QubitLevel, TruncationConfig,
                     basis_table)
-from .numerics import eigh
+from .numerics import EigenDecomposition, eigh
 
 OVERFLOW_LIMIT = 1e300
 RESCALE_EVERY = 32
@@ -261,15 +261,21 @@ def refine_eigenpair(params: ModelParams, parity: Parity, xi0: float,
 
 
 def eigenstate_recurrence(params: ModelParams, parity: Parity, index: int,
-                          n_max: int, dps: int = 60) -> RecurrenceState:
+                          n_max: int, dps: int = 60,
+                          decomp: EigenDecomposition | None = None
+                          ) -> RecurrenceState:
     """Recurrence state for the index-th lowest eigenvalue of one parity.
 
     Convenience pipeline: dense diagonalization, mp refinement of the
     eigenpair, then the four-term recurrence seeded by the refined first
-    block.
+    block.  A caller that already holds the dense decomposition of this
+    chain at this cutoff passes it as decomp and skips the
+    diagonalization.
     """
     _check_couplings(params)
-    decomp = eigh(build_parity_matrix(params, parity, TruncationConfig(n_max)))
+    if decomp is None:
+        decomp = eigh(build_parity_matrix(params, parity,
+                                          TruncationConfig(n_max)))
     xi, x = refine_eigenpair(params, parity, decomp.values[index],
                              decomp.vectors[:, index], n_max, dps=dps)
     return recurrence_eigenstate_la(params, parity, xi, (x[0], x[1]),

@@ -1,10 +1,11 @@
 """Hamiltonian construction.
 
 Builds the full truncated Hamiltonian in the product basis, its parity-block
-form (block tridiagonal with 2x2 blocks), the parity operator, the full-basis
-RWA Hamiltonian, and the per-excitation-sector RWA blocks.  Matrix elements
-are written once, in the parity blocks; the full-basis matrices are scattered
-from them through the basis table.  All matrices are real symmetric by
+form (block tridiagonal with 2x2 blocks, also as a LAPACK band), the
+full-basis RWA Hamiltonian, and the per-excitation-sector RWA blocks.  Matrix
+elements are written once, in the parity blocks; the dense chain matrix is
+scattered from their band, the full-basis matrices from the chain matrices
+through the basis table.  All matrices are real symmetric by
 construction (complex arithmetic enters only in dynamics).
 """
 
@@ -39,6 +40,23 @@ class BlockTridiagonal:
     def dim(self) -> int:
         return 2 * self.d_blocks.shape[0]
 
+    def lower_band(self) -> np.ndarray:
+        """The chain matrix in LAPACK lower band storage, shape (4, dim).
+
+        band[d, c] = H[c + d, c].  The transpose of O_j sits in rows
+        r + 2, r + 3 and columns r, r + 1 (r = 2j - 2), so the entries
+        [0, 0], [0, 1], [1, 0] and [1, 1] of O_j land on diagonals 2, 3, 1
+        and 2; the unused tail of each diagonal is zero.
+        """
+        o = self.o_blocks
+        band = np.zeros((4, self.dim))
+        band[0] = self.d_blocks.ravel()
+        band[2, 0:-2:2] = o[:, 0, 0]
+        band[3, 0:-2:2] = o[:, 0, 1]
+        band[1, 1:-2:2] = o[:, 1, 0]
+        band[2, 1:-2:2] = o[:, 1, 1]
+        return band
+
 
 def build_parity_blocks(params: ModelParams, parity: Parity,
                         trunc: TruncationConfig) -> BlockTridiagonal:
@@ -59,14 +77,12 @@ def build_parity_blocks(params: ModelParams, parity: Parity,
 
 def expand_dense(blocks: BlockTridiagonal) -> np.ndarray:
     """Dense symmetric matrix with D_j on the diagonal and O_j off it."""
+    band = blocks.lower_band()
     dim = blocks.dim
     h = np.zeros((dim, dim))
-    h[np.arange(dim), np.arange(dim)] = blocks.d_blocks.ravel()
-    for j in range(1, blocks.n_max + 1):
-        r = 2 * (j - 1)
-        block = blocks.o_blocks[j - 1]
-        h[r:r + 2, r + 2:r + 4] = block
-        h[r + 2:r + 4, r:r + 2] = block.T
+    for d in range(band.shape[0]):
+        col = np.arange(dim - d)
+        h[col + d, col] = h[col, col + d] = band[d, :dim - d]
     return h
 
 
@@ -88,14 +104,6 @@ def build_full(params: ModelParams, trunc: TruncationConfig) -> np.ndarray:
     return h
 
 
-def build_parity_operator(trunc: TruncationConfig) -> np.ndarray:
-    """Diagonal +-1 matrix of sz(1)*sz(2)*(-1)^(a+a) in the product basis."""
-    diag = np.empty(trunc.full_dim)
-    for parity in (Parity.EVEN, Parity.ODD):
-        diag[basis_table(trunc).full_index[parity]] = parity.sign
-    return np.diag(diag)
-
-
 def build_rwa_full(params: ModelParams, trunc: TruncationConfig) -> np.ndarray:
     """Full-basis Hamiltonian with counter-rotating coupling terms dropped.
 
@@ -108,11 +116,6 @@ def build_rwa_full(params: ModelParams, trunc: TruncationConfig) -> np.ndarray:
     n_exc = basis_table(trunc).excitation
     h[n_exc[:, None] != n_exc] = 0.0
     return h
-
-
-def excitation_number_operator(trunc: TruncationConfig) -> np.ndarray:
-    """Diagonal of N = a+a + (sz1+sz2)/2 + 1 in the product basis."""
-    return np.diag(basis_table(trunc).excitation.astype(float))
 
 
 @dataclass(frozen=True)

@@ -1,25 +1,27 @@
 """Parity-resolved spectra: coupling sweeps, crossing detection, the
 deep-strong-coupling perturbative branches, and RWA error metrics.
 
-Sweep points are independent and are evaluated in a thread pool (LAPACK
-releases the GIL).  Reported eigenvalues pass a truncation guard: the
-eigenvector must carry less than ``GUARD_TOL`` weight on the top two photon
-levels, otherwise the level is considered unconverged at this cutoff.
+Sweep points are evaluated one after another.  Each parity chain gives its
+lowest levels from the chain's band (``numerics.eigh_banded_lowest``), with
+dense ``eigh`` as the fallback when the banded solve fails its checks.
+Reported eigenvalues pass a truncation guard: the eigenvector must carry
+less than ``GUARD_TOL`` weight on the top two photon levels, otherwise the
+level is considered unconverged at this cutoff.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
-from .errors import SmallDenominator, TruncationInsufficient
-from .hamiltonian import build_full, build_parity_matrix, build_rwa_full
+from .errors import (ConvergenceFailure, SmallDenominator,
+                     TruncationInsufficient)
+from .hamiltonian import (build_full, build_parity_blocks,
+                          build_parity_matrix, build_rwa_full)
 from .model import ModelParams, Parity, TruncationConfig
-from .numerics import displacement_element, eigh
+from .numerics import displacement_element, eigh, eigh_banded_lowest
 
 GUARD_TOL = 1e-8
 
@@ -35,18 +37,41 @@ def converged_mask(vectors: np.ndarray, edge_dim: int,
     return edge_weight < tol
 
 
+# levels solved beyond the k requested, so that a few unconverged levels
+# among the lowest do not force a second solve
+LEVEL_MARGIN = 8
+
+
 def converged_parity_eigensystem(params: ModelParams, parity: Parity,
                                  trunc: TruncationConfig, k: int,
                                  tol: float = GUARD_TOL):
-    """k lowest converged eigenpairs of one parity block."""
-    decomp = eigh(build_parity_matrix(params, parity, trunc))
-    keep = np.flatnonzero(converged_mask(decomp.vectors, 4, tol))
+    """k lowest converged eigenpairs of one parity block.
+
+    Solves the k + LEVEL_MARGIN lowest levels from the chain's band and
+    doubles that count, up to the chain dimension, while fewer than k of
+    them pass the guard, so the result is the first k converged levels of
+    the whole spectrum.  A banded solve that fails its checks falls back to
+    dense ``eigh`` of the whole chain.
+    """
+    band = build_parity_blocks(params, parity, trunc).lower_band()
+    dim = trunc.chain_dim
+    count = min(k + LEVEL_MARGIN, dim)
+    while True:
+        try:
+            values, vectors = eigh_banded_lowest(band, count)
+        except ConvergenceFailure:
+            values, vectors = eigh(build_parity_matrix(params, parity, trunc))
+            count = dim
+        keep = np.flatnonzero(converged_mask(vectors, 4, tol))[:k]
+        if len(keep) == k or count == dim:
+            break
+        count = min(2 * count, dim)
     if len(keep) < k:
         raise TruncationInsufficient(
             f"only {len(keep)} of {k} requested eigenvalues "
             f"converged at n_max={trunc.n_max} ({parity.value} parity)")
     # index the kept columns directly so the result owns only its data
-    return decomp.values[keep[:k]], decomp.vectors[:, keep[:k]]
+    return values[keep], vectors[:, keep]
 
 
 @dataclass(frozen=True)
@@ -79,8 +104,7 @@ class SpectrumSweep:
 
 
 def sweep_spectrum(template: ModelParams, g1_values, g2_values,
-                   trunc: TruncationConfig, k: int,
-                   n_jobs: int | None = None) -> SpectrumSweep:
+                   trunc: TruncationConfig, k: int) -> SpectrumSweep:
     """Diagonalize both parity blocks at every point of a coupling schedule.
 
     g1_values and g2_values must have equal length; pass a constant array to
@@ -94,27 +118,14 @@ def sweep_spectrum(template: ModelParams, g1_values, g2_values,
     if k < 1 or k > trunc.chain_dim:
         raise ValueError("k must be in [1, chain dimension]")
 
-    def point(args):
-        g1, g2 = args
-        params = replace(template, g_1=float(g1), g_2=float(g2))
-        out = {}
-        for parity in (Parity.EVEN, Parity.ODD):
-            out[parity] = converged_parity_eigensystem(params, parity,
-                                                       trunc, k)
-        return out
-
-    if n_jobs is None:
-        n_jobs = min(os.cpu_count() or 1, 8)
-    if n_jobs > 1 and len(g1_values) > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(point, zip(g1_values, g2_values)))
-    else:
-        results = [point(args) for args in zip(g1_values, g2_values)]
-
-    energies = {p: np.array([r[p][0] for r in results])
-                for p in (Parity.EVEN, Parity.ODD)}
-    vectors = {p: [r[p][1] for r in results]
-               for p in (Parity.EVEN, Parity.ODD)}
+    energies, vectors = {}, {}
+    for parity in (Parity.EVEN, Parity.ODD):
+        pairs = [converged_parity_eigensystem(
+                     replace(template, g_1=float(g1), g_2=float(g2)),
+                     parity, trunc, k)
+                 for g1, g2 in zip(g1_values, g2_values)]
+        energies[parity] = np.array([values for values, _ in pairs])
+        vectors[parity] = [vecs for _, vecs in pairs]
     return SpectrumSweep(template, trunc, k, g1_values, g2_values,
                          energies, vectors)
 

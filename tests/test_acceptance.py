@@ -27,6 +27,8 @@ from rabi2q.spectra import (CrossingKind, converged_mask, detect_crossings,
                             dsc_perturbative_spectrum, rwa_relative_error,
                             sweep_spectrum)
 
+from oracles import reduced_density_matrix_partial_trace
+
 G = QubitLevel.G
 
 
@@ -290,7 +292,7 @@ def test_criterion_12_rho_q_formula_equivalence():
         norm = np.sqrt(np.sum(np.abs(ce) ** 2) + np.sum(np.abs(co) ** 2))
         st = dyn.ParityDecomposedState(ce / norm, co / norm, trunc)
         direct = dyn.reduced_density_matrix(st)
-        oracle = dyn.reduced_density_matrix_partial_trace(st)
+        oracle = reduced_density_matrix_partial_trace(st)
         worst = max(worst, float(np.max(np.abs(direct - oracle))))
     elapsed = time.time() - t0
     report(12, worst <= 1e-12 and elapsed < 2,

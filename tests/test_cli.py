@@ -163,6 +163,34 @@ def test_eigenstate_singular_coupling_exits_3(tmp_path):
     assert code == 3
 
 
+def test_eigenstate_invalid_nmax_exits_2(tmp_path):
+    code = run(["eigenstate", "--nmax", "0", "--g1", "0.3", "--g2", "0.4",
+                "--count", "1", "--out", str(tmp_path / "e.csv")])
+    assert code == 2
+
+
+def test_eigenstate_diagonalizes_each_chain_once(tmp_path, monkeypatch):
+    from rabi2q import cli, eigenstates
+    calls = []
+
+    def counting(name, fn):
+        return lambda h: calls.append(name) or fn(h)
+
+    monkeypatch.setattr(cli, "eigh", counting("cli", cli.eigh))
+    monkeypatch.setattr(eigenstates, "eigh",
+                        counting("eigenstates", eigenstates.eigh))
+    assert run(["eigenstate", "--omega1", "1.3", "--omega2", "0.7",
+                "--g1", "0.3", "--g2", "0.4", "--count", "3",
+                "--nmax", "60", "--out", str(tmp_path / "e.csv")]) == 0
+    assert calls == ["cli", "cli"]
+
+
+def test_spectrum_has_no_jobs_flag():
+    with pytest.raises(SystemExit) as info:
+        run(["spectrum", "--jobs", "2"])
+    assert info.value.code == 2
+
+
 def test_dynamics_rwa_engine(tmp_path):
     out = tmp_path / "d.csv"
     code = run(["dynamics", "--omega1", "1.0", "--omega2", "1.0",
@@ -206,3 +234,42 @@ def test_rerun_in_fresh_interpreter_is_byte_identical(tmp_path):
                        env=env, check=True, capture_output=True)
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+_IMPORT_PROBE = """
+import sys
+from rabi2q.cli import main
+
+out = sys.argv[1]
+common = ["--omega1", "1.3", "--omega2", "0.7", "--g1", "0.3", "--g2", "0.4"]
+commands = [
+    ["dynamics", "--alpha", "1", "--nmax", "20", "--tmax", "2",
+     "--steps", "4"],
+    ["dynamics", "--alpha", "1", "--nmax", "20", "--tmax", "2",
+     "--steps", "4", "--engine", "rwa"],
+    ["perturb", "--mmax", "2"],
+    ["rwa-compare", "--k", "4", "--nmax", "20"],
+    ["eigenstate", "--bargmann", "--count", "2", "--nmax", "40",
+     "--jmax", "40"],
+]
+for i, argv in enumerate(commands):
+    assert main(argv + common + ["--out", f"{out}/{i}.csv"]) == 0, argv
+assert "scipy" not in sys.modules
+# the probe can see an import: the sweep loads scipy
+assert main(["spectrum", "--nmax", "30", "--k", "2"] + common
+            + ["--out", f"{out}/spectrum.csv"]) == 0
+assert "scipy" in sys.modules
+"""
+
+
+def test_commands_without_a_sweep_do_not_import_scipy(tmp_path):
+    # scipy costs about 0.3 s and 23 MB at import; only the banded
+    # eigensolver of the sweep may load it
+    env = dict(os.environ)
+    src = str(Path(rabi2q.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
+                           str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -7,6 +7,8 @@ from rabi2q.hamiltonian import build_rwa_full
 from rabi2q.model import ModelParams, Parity, QubitLevel, TruncationConfig
 from rabi2q.numerics import EigenDecomposition, eigh, propagate_spectral
 
+from oracles import reduced_density_matrix_partial_trace
+
 G, E = QubitLevel.G, QubitLevel.E
 T40 = TruncationConfig(40)
 
@@ -104,7 +106,7 @@ def test_rho_q_matches_partial_trace_on_random_states():
     for _ in range(25):
         st = random_state(rng)
         direct = dyn.reduced_density_matrix(st)
-        oracle = dyn.reduced_density_matrix_partial_trace(st)
+        oracle = reduced_density_matrix_partial_trace(st)
         assert np.max(np.abs(direct - oracle)) < 1e-12
         assert np.trace(direct).real == pytest.approx(1.0, abs=1e-10)
 

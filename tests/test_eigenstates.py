@@ -24,6 +24,16 @@ def test_refined_recurrence_hits_eigenstate():
     assert np.linalg.norm(state.v) == pytest.approx(1.0)
 
 
+def test_recurrence_reuses_a_given_decomposition(monkeypatch):
+    import rabi2q.eigenstates as eig_mod
+    decomp = eigh(build_parity_matrix(P, Parity.ODD, TruncationConfig(60)))
+    fresh = eigenstate_recurrence(P, Parity.ODD, 2, 60)
+    monkeypatch.setattr(eig_mod, "eigh", None)      # must not be called
+    reused = eigenstate_recurrence(P, Parity.ODD, 2, 60, decomp=decomp)
+    assert reused.xi == fresh.xi
+    assert np.array_equal(reused.v, fresh.v)
+
+
 def test_float_inputs_are_accuracy_limited_but_sane():
     # with a double-precision eigenpair the growing solution caps the
     # achievable residual; the state must still clearly resemble the target

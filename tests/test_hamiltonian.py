@@ -4,11 +4,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from rabi2q.hamiltonian import (BlockTridiagonal, build_full,
                                 build_parity_blocks, build_parity_matrix,
-                                build_parity_operator,
                                 build_rwa_excitation_block, build_rwa_full,
-                                excitation_number_operator, expand_dense)
+                                expand_dense)
 from rabi2q.model import (ModelParams, Parity, QubitLevel, TruncationConfig,
                           basis_table, full_basis_index)
+
+from oracles import build_parity_operator, excitation_number_operator
 
 G, E = QubitLevel.G, QubitLevel.E
 P = ModelParams(1.3, 0.7, 0.3, 0.4)
@@ -64,6 +65,30 @@ def test_expand_dense_two_blocks():
     assert np.array_equal(h[:2, :2], np.diag(blocks.d_blocks[0]))
     assert np.array_equal(h[2:, 2:], np.diag(blocks.d_blocks[1]))
     assert np.array_equal(h[:2, 2:], blocks.o_blocks[0])
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 4, 9])
+def test_lower_band_holds_the_lower_triangle(n_max):
+    if n_max == 0:
+        blocks = BlockTridiagonal(Parity.ODD, np.array([[-1.0, 1.0]]),
+                                  np.zeros((0, 2, 2)))
+    else:
+        blocks = build_parity_blocks(ModelParams(1.3, 0.7, 0.3, -0.4),
+                                     Parity.ODD, TruncationConfig(n_max))
+    band = blocks.lower_band()
+    dim = blocks.dim
+    # reference: the block layout written out entry by entry
+    h = np.diag(blocks.d_blocks.ravel())
+    for j in range(1, n_max + 1):
+        r = 2 * (j - 1)
+        h[r:r + 2, r + 2:r + 4] = blocks.o_blocks[j - 1]
+        h[r + 2:r + 4, r:r + 2] = blocks.o_blocks[j - 1].T
+    assert band.shape == (4, dim)
+    for d in range(4):
+        assert np.array_equal(band[d, :max(dim - d, 0)], np.diagonal(h, -d))
+        assert not np.any(band[d, dim - d:])
+    assert not np.any(np.tril(h, -4))
+    assert np.array_equal(expand_dense(blocks), h)
 
 
 def test_expand_dense_exactly_symmetric():

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from rabi2q.hamiltonian import build_parity_matrix
+from rabi2q import numerics
+from rabi2q.errors import ConvergenceFailure
+from rabi2q.hamiltonian import build_parity_blocks, build_parity_matrix
 from rabi2q.model import ModelParams, Parity, TruncationConfig
-from rabi2q.numerics import (EigenDecomposition, displacement_element, eigh,
+from rabi2q.numerics import (EigenDecomposition, band_matvec,
+                             displacement_element, eigh, eigh_banded_lowest,
                              laguerre_assoc, propagate_spectral)
 
 
@@ -47,6 +50,93 @@ def test_eigh_reconstruction_and_orthonormality(order):
 def test_eigh_rejects_nonsymmetric():
     with pytest.raises(ValueError):
         eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def random_band(rng, dim, kd=3):
+    band = rng.normal(size=(kd + 1, dim))
+    for d in range(1, kd + 1):
+        band[d, dim - d:] = 0.0
+    return band
+
+
+def dense_from_band(band):
+    dim = band.shape[1]
+    h = np.zeros((dim, dim))
+    for d in range(band.shape[0]):
+        for c in range(dim - d):
+            h[c + d, c] = h[c, c + d] = band[d, c]
+    return h
+
+
+def test_band_matvec_matches_dense():
+    rng = np.random.default_rng(5)
+    band = random_band(rng, 9)
+    x = rng.normal(size=(9, 3))
+    assert np.allclose(band_matvec(band, x), dense_from_band(band) @ x,
+                       atol=1e-14)
+
+
+@pytest.mark.parametrize("dim,count", [(1, 1), (7, 3), (7, 7), (300, 28)])
+def test_banded_lowest_matches_dense_on_random_bands(dim, count):
+    rng = np.random.default_rng(dim)
+    band = random_band(rng, dim)
+    vals, vecs = eigh_banded_lowest(band, count)
+    ref = eigh(dense_from_band(band))
+    norm = np.max(np.abs(ref.values))
+    assert vecs.shape == (dim, count)
+    assert np.max(np.abs(vals - ref.values[:count])) <= 1e-12 * norm
+    overlaps = np.abs(np.sum(vecs * ref.vectors[:, :count], axis=0))
+    assert np.all(overlaps > 1 - 1e-10)
+
+
+def test_banded_lowest_resolves_a_close_pair():
+    # two levels 1e-7 apart: one cluster, but not a tie, so each level
+    # keeps a vector of its own; without the Gram-Schmidt step their
+    # overlap comes out near 2e-10 and fails the orthogonality check
+    rng = np.random.default_rng(8)
+    q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    h = q @ np.diag([0.0, 1e-7, 1.0, 2.0, 3.0, 4.0]) @ q.T
+    band = np.zeros((6, 6))
+    for d in range(6):
+        band[d, :6 - d] = np.diagonal(h, -d)
+    vals, vecs = eigh_banded_lowest(band, 3)
+    assert np.allclose(vals, [0.0, 1e-7, 1.0], atol=1e-13)
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(3))) < 1e-10
+    pair = q[:, :2]
+    assert np.max(np.abs(vecs[:, :2] @ vecs[:, :2].T - pair @ pair.T)) < 1e-8
+
+
+def test_banded_lowest_rejects_tied_levels():
+    band = np.zeros((4, 6))
+    band[0] = [3.0, 1.0, 2.0, 1.0, 5.0, 4.0]
+    # a tie with the first level above the requested ones counts too
+    for count in (1, 3):
+        with pytest.raises(ConvergenceFailure, match="tie"):
+            eigh_banded_lowest(band, count)
+    band[0, 3] = 1.5
+    assert np.allclose(eigh_banded_lowest(band, 1).values, [1.0], atol=1e-15)
+
+
+def test_banded_lowest_checks_can_fail(monkeypatch):
+    band = build_parity_blocks(ModelParams(1.3, 0.7, 0.3, 0.4), Parity.EVEN,
+                               TruncationConfig(30)).lower_band()
+    eigh_banded_lowest(band, 10)
+    with monkeypatch.context() as m:
+        m.setattr(numerics, "RESIDUAL_TOL", 0.0)
+        with pytest.raises(ConvergenceFailure, match="residual"):
+            eigh_banded_lowest(band, 10)
+    with monkeypatch.context() as m:
+        m.setattr(numerics, "ORTHOGONALITY_TOL", 0.0)
+        with pytest.raises(ConvergenceFailure, match="orthogonality"):
+            eigh_banded_lowest(band, 10)
+
+
+def test_banded_lowest_repeats_exactly():
+    band = build_parity_blocks(ModelParams(1.3, 0.7, 0.3, 0.4), Parity.ODD,
+                               TruncationConfig(40)).lower_band()
+    a, b = eigh_banded_lowest(band, 12), eigh_banded_lowest(band, 12)
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.vectors, b.vectors)
 
 
 def laguerre_sum(n, k, z):

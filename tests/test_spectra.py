@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rabi2q import spectra
 from rabi2q.errors import SmallDenominator, TruncationInsufficient
 from rabi2q.hamiltonian import build_parity_matrix
 from rabi2q.model import ModelParams, Parity, TruncationConfig, chain_state
-from rabi2q.numerics import eigh
+from rabi2q.numerics import eigh, eigh_banded_lowest
 from rabi2q.spectra import (CrossingKind, SpectrumSweep,
                             converged_parity_eigensystem, detect_crossings,
                             doubling_check, dsc_perturbative_spectrum,
@@ -202,6 +203,121 @@ def test_converged_eigenvectors_own_only_their_columns():
     vals, vecs = converged_parity_eigensystem(p, Parity.EVEN, trunc, 5)
     assert vecs.shape == (trunc.chain_dim, 5)
     assert vecs.base is None or vecs.base.nbytes == vecs.nbytes
+    _assert_matches_dense(vals, vecs, p, Parity.EVEN, trunc, 5)
+
+
+# levels of the dense spectrum closer than this (times ||H||) are compared
+# as one degenerate cluster, by their subspace projector
+CLUSTER_TOL = 1e-8
+
+
+def _assert_matches_dense(vals, vecs, params, parity, trunc, k):
+    """The k converged pairs agree with dense eigh of the whole chain."""
+    dense = eigh(build_parity_matrix(params, parity, trunc))
+    keep = np.flatnonzero(spectra.converged_mask(dense.vectors, 4))[:k]
+    assert len(keep) == k
+    norm = np.max(np.abs(dense.values))
+    assert np.max(np.abs(vals - dense.values[keep])) <= 1e-12 * norm
+    cluster = np.concatenate(
+        [[0], np.cumsum(np.diff(dense.values) > CLUSTER_TOL * norm)])
+    for label in np.unique(cluster[keep]):
+        members = np.flatnonzero(cluster == label)
+        mine = vecs[:, cluster[keep] == label]
+        ref = dense.vectors[:, members]
+        if len(members) == 1:
+            assert abs(mine[:, 0] @ ref[:, 0]) > 1 - 1e-10
+        elif mine.shape[1] == len(members):
+            assert np.max(np.abs(mine @ mine.T - ref @ ref.T)) <= 1e-10
+        else:       # a cluster cut by the k-th level or by the guard
+            assert np.max(np.abs(mine - ref @ (ref.T @ mine))) <= 1e-10
+
+
+# the even-parity crossing of the criterion-05 sweep (omega = 1.3, 0.7,
+# g1 = g2, n_max = 300) between branches 3 and 4, located by minimizing the
+# gap of dense eigh
+G_CROSS = 0.5125573063872774
+
+
+@settings(max_examples=40, deadline=None)
+@given(omega_1=st.floats(0.0, 2.0), omega_2=st.floats(0.0, 2.0),
+       g_1=st.floats(-1.5, 1.5), g_2=st.floats(-1.5, 1.5),
+       parity=st.sampled_from(Parity), n_max=st.integers(1, 120),
+       k=st.integers(1, 24))
+@example(omega_1=1.3, omega_2=0.7, g_1=0.0, g_2=0.0, parity=Parity.EVEN,
+         n_max=40, k=20)
+@example(omega_1=1.0, omega_2=1.0, g_1=0.0, g_2=0.0, parity=Parity.ODD,
+         n_max=6, k=10)
+@example(omega_1=1.3, omega_2=0.7, g_1=0.45, g_2=0.45, parity=Parity.EVEN,
+         n_max=80, k=20)
+@example(omega_1=1.3, omega_2=0.7, g_1=0.45, g_2=-0.45, parity=Parity.ODD,
+         n_max=80, k=20)
+@example(omega_1=0.0, omega_2=0.7, g_1=0.3, g_2=0.4, parity=Parity.EVEN,
+         n_max=60, k=12)
+@example(omega_1=0.0, omega_2=0.0, g_1=0.5, g_2=0.5, parity=Parity.EVEN,
+         n_max=60, k=16)
+@example(omega_1=1.3, omega_2=0.7, g_1=0.51, g_2=0.51, parity=Parity.EVEN,
+         n_max=300, k=20)
+@example(omega_1=1.3, omega_2=0.7, g_1=G_CROSS, g_2=G_CROSS,
+         parity=Parity.EVEN, n_max=300, k=20)
+@example(omega_1=1.3, omega_2=0.7, g_1=G_CROSS + 1e-6, g_2=G_CROSS + 1e-6,
+         parity=Parity.EVEN, n_max=300, k=20)
+@example(omega_1=1.3, omega_2=0.7, g_1=G_CROSS + 1e-5, g_2=G_CROSS + 1e-5,
+         parity=Parity.EVEN, n_max=300, k=20)
+@example(omega_1=1.3, omega_2=0.7, g_1=1.5, g_2=1.5, parity=Parity.EVEN,
+         n_max=24, k=1)
+@example(omega_1=1.3, omega_2=0.7, g_1=1.5, g_2=1.5, parity=Parity.EVEN,
+         n_max=24, k=2)
+def test_banded_path_matches_dense(omega_1, omega_2, g_1, g_2, parity,
+                                   n_max, k):
+    params = ModelParams(omega_1, omega_2, g_1, g_2)
+    trunc = TruncationConfig(n_max)
+    k = min(k, trunc.chain_dim)
+    dense = eigh(build_parity_matrix(params, parity, trunc))
+    if np.count_nonzero(spectra.converged_mask(dense.vectors, 4)) < k:
+        with pytest.raises(TruncationInsufficient):
+            converged_parity_eigensystem(params, parity, trunc, k)
+        return
+    vals, vecs = converged_parity_eigensystem(params, parity, trunc, k)
+    assert vecs.base is None or vecs.base.nbytes == vecs.nbytes
+    _assert_matches_dense(vals, vecs, params, parity, trunc, k)
+
+
+def test_widening_reaches_chain_dimension(monkeypatch):
+    # for g1 = g2 and omega_1 + omega_2 = 2 the level E = 1 decouples and
+    # passes the guard, while at n_max = 24 the nine levels below it fail it
+    counts = []
+
+    def spy(band, count):
+        counts.append(count)
+        return eigh_banded_lowest(band, count)
+
+    monkeypatch.setattr(spectra, "eigh_banded_lowest", spy)
+    p = ModelParams(1.3, 0.7, 1.5, 1.5)
+    trunc = TruncationConfig(24)
+    vals, vecs = converged_parity_eigensystem(p, Parity.EVEN, trunc, 1)
+    assert counts == [9, 18]
+    assert vals[0] == pytest.approx(1.0, abs=1e-12)
+    _assert_matches_dense(vals, vecs, p, Parity.EVEN, trunc, 1)
+    counts.clear()
+    with pytest.raises(TruncationInsufficient, match=r"^only 1 of 2"):
+        converged_parity_eigensystem(p, Parity.EVEN, trunc, 2)
+    assert counts == [10, 20, 40, trunc.chain_dim]
+
+
+def test_tied_levels_fall_back_to_dense(monkeypatch):
+    # at zero coupling the chain is diagonal with exactly degenerate pairs;
+    # the result is then dense eigh's, bit for bit
+    calls = []
+    monkeypatch.setattr(spectra, "eigh",
+                        lambda h: calls.append(h.shape) or eigh(h))
+    p = ModelParams(1.3, 0.7, 0.0, 0.0)
+    trunc = TruncationConfig(40)
+    vals, vecs = converged_parity_eigensystem(p, Parity.EVEN, trunc, 10)
+    assert calls == [(trunc.chain_dim, trunc.chain_dim)]
     direct = eigh(build_parity_matrix(p, Parity.EVEN, trunc))
-    assert np.array_equal(vals, direct.values[:5])
-    assert np.array_equal(vecs, direct.vectors[:, :5])
+    assert np.array_equal(vals, direct.values[:10])
+    assert np.array_equal(vecs, direct.vectors[:, :10])
+    calls.clear()
+    converged_parity_eigensystem(ModelParams(1.3, 0.7, 0.3, 0.4),
+                                 Parity.EVEN, trunc, 10)
+    assert calls == []
