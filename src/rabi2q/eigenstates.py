@@ -5,28 +5,31 @@ chain blocks, and the five-term (three-term for identical qubits) recurrence
 for the power-series coefficients of the parity-projected Bargmann functions.
 
 Both recurrences are dominated by growing solutions, so they serve as
-verification and structure-exposing tools; the production eigensolver is the
-dense symmetric diagonalization in ``numerics``.  The four-term route runs in
-extended precision (mpmath) because the achievable residual is limited by the
-accuracy of the eigenvalue and seed fed to it: a double-precision eigenpair
-is amplified to ~1e-4 within a dozen steps.  ``refine_eigenpair`` sharpens an
-eigh pair far past double precision with a banded inverse iteration so the
-recurrence can track the decaying solution deep into its tail.
+verification and structure-exposing tools; the production eigensolvers are
+in ``numerics`` (dense diagonalization, and the banded k-lowest solver of the
+spectrum sweeps).  The four-term route runs in extended precision (mpmath)
+because the achievable residual is limited by the accuracy of the eigenvalue
+and seed fed to it: a double-precision eigenpair is amplified to ~1e-4
+within a dozen steps.  ``refine_eigenpair`` sharpens a float eigenpair far
+past double precision by mixed-precision Newton (residual in mpmath,
+corrections in float64) so the recurrence can track the decaying solution
+deep into its tail.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath as mp
 import numpy as np
 
-from .errors import OverflowDetected, SingularCoupling, StepSingular
-from .hamiltonian import build_parity_matrix
+from .errors import (ConvergenceFailure, OverflowDetected, SingularCoupling,
+                     StepSingular)
+from .hamiltonian import build_parity_blocks, build_parity_matrix
 from .model import (ModelParams, Parity, QubitLevel, TruncationConfig,
                     basis_table)
-from .numerics import EigenDecomposition, eigh
+from .numerics import EigenDecomposition, band_matvec, eigh
 
 OVERFLOW_LIMIT = 1e300
 RESCALE_EVERY = 32
@@ -44,7 +47,8 @@ class RecurrenceState:
     v is the flattened parity-chain vector, normalized; blocks past
     cut_index are zeroed (the recurrence tail is dominated by the growing
     solution beyond the minimum-norm block).  scale_log10 accumulates the
-    rescalings applied while iterating.
+    rescalings applied while iterating.  refine_residual is the mp residual
+    ||(H - xi) x||_2 of the refined pair behind the seed, if there was one.
     """
 
     parity: Parity
@@ -53,6 +57,7 @@ class RecurrenceState:
     norm: float
     cut_index: int
     scale_log10: float
+    refine_residual: float | None = None
 
 
 def _check_couplings(params: ModelParams):
@@ -89,7 +94,7 @@ def _recurrence_blocks_mp(params: ModelParams, parity: Parity, xi, v0,
     d = _mp_chain_diagonal(params, parity, n_max)
     g1, g2 = mp.mpf(params.g_1), mp.mpf(params.g_2)
     det = g1 * g1 - g2 * g2
-    xi = mp.mpf(xi) if not isinstance(xi, mp.mpf) else xi
+    xi = mp.mpf(xi)
     v = [[mp.mpf(v0[0]), mp.mpf(v0[1])]]
     scale_log10 = 0.0
     run_max = mp.mpf(1)
@@ -185,79 +190,135 @@ def residual(params: ModelParams, parity: Parity,
 
 
 # ---------------------------------------------------------------------------
-# banded inverse-iteration refinement (block Thomas in mp arithmetic)
+# eigenpair refinement: mixed-precision Newton on the bordered system
 # ---------------------------------------------------------------------------
 
-def _mp_off_blocks(params: ModelParams, n_max: int):
-    g1, g2 = mp.mpf(params.g_1), mp.mpf(params.g_2)
-    base = mp.matrix([[g1, g2], [g2, g1]])
-    return [None] + [mp.sqrt(j) * base for j in range(1, n_max + 1)]
+# Newton steps refine_eigenpair takes at most; each gains about
+# log10(gap / (eps ||H||)) digits: 13-15 at the README configuration (14
+# steps reach dps = 200 there), 4-5 at the criterion-05 crossing.  The
+# GUARD_DIGITS past dps put the stopping tolerance ||H|| 10^-(dps + 3) well
+# above the rounding floor of the residual
+NEWTON_STEPS = 16
+GUARD_DIGITS = 3
 
 
-def _inv2(m):
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return mp.matrix([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
+def _band_lu(band: np.ndarray, shift: float, tiny: float):
+    """LU with partial pivoting of H - shift, band[d, c] = H[c + d, c].
+
+    LAPACK dgbtf2 in scalar float64 arithmetic: cols[c][2k + i - c] holds
+    entry (i, c) of L (below the diagonal) or U (bandwidth 2k).  Where the
+    whole pivot column is below tiny in magnitude, the diagonal entry is
+    raised to tiny without a row swap, a shift of the matrix by at most
+    tiny as in LAPACK dstein.  Returns (k, cols, piv).
+    """
+    k, n = band.shape[0] - 1, band.shape[1]
+    kv = 2 * k
+    ab = np.zeros((n, 3 * k + 1))
+    for d in range(k + 1):
+        ab[:n - d, kv + d] = ab[d:, kv - d] = band[d, :n - d]
+    ab[:, kv] -= shift
+    cols, piv = ab.tolist(), []
+    for j, cj in enumerate(cols):
+        below = range(1, min(k, n - 1 - j) + 1)
+        jp = max((0, *below), key=lambda t: abs(cj[kv + t]))
+        jp = jp if abs(cj[kv + jp]) >= tiny else 0
+        piv.append(j + jp)
+        right = cols[j:j + kv + 1]
+        for c, col in enumerate(right):
+            col[kv - c], col[kv + jp - c] = col[kv + jp - c], col[kv - c]
+        if abs(cj[kv]) < tiny:
+            cj[kv] = math.copysign(tiny, cj[kv])
+        for t in below:
+            cj[kv + t] /= cj[kv]
+        for c, col in enumerate(right[1:], start=1):
+            for t in below:
+                col[kv + t - c] -= cj[kv + t] * col[kv - c]
+    return k, cols, piv
 
 
-def _block_thomas_solve(d, o, xi, b):
-    """Solve (H - xi) x = b for the block-tridiagonal chain matrix."""
-    n = len(d)
-    s_inv, y = [], []
-    for j in range(n):
-        a = mp.matrix([[d[j][0] - xi, 0], [0, d[j][1] - xi]])
-        rhs = mp.matrix([b[2 * j], b[2 * j + 1]])
-        if j > 0:
-            t = o[j] * s_inv[j - 1]
-            a -= t * o[j]
-            rhs -= t * y[j - 1]
-        s_inv.append(_inv2(a))
-        y.append(rhs)
-    x = [None] * n
-    x[n - 1] = s_inv[n - 1] * y[n - 1]
-    for j in range(n - 2, -1, -1):
-        x[j] = s_inv[j] * (y[j] - o[j + 1] * x[j + 1])
+def _band_solve(factors, rhs: np.ndarray) -> np.ndarray:
+    """Solve (H - shift) y = rhs with the factors from _band_lu."""
+    k, cols, piv = factors
+    y, n = rhs.tolist(), len(cols)
+    for j, (cj, p) in enumerate(zip(cols, piv)):
+        y[j], y[p] = y[p], y[j]
+        for t in range(1, min(k, n - 1 - j) + 1):
+            y[j + t] -= cj[2 * k + t] * y[j]
+    for j in range(n - 1, -1, -1):
+        y[j] /= cols[j][2 * k]
+        for t in range(1, min(2 * k, j) + 1):
+            y[j - t] -= cols[j][2 * k - t] * y[j]
+    return np.array(y)
+
+
+def _mp_residual(d, a, b, xi, x):
+    """(H - xi) x in mp, one exact dot product per row; d holds the
+    diagonal blocks, a[j] and b[j] the entries of O_j (zero past the ends).
+    """
+    pad, nxi = [mp.mpf(0)], -xi
+    p, q = pad + x[0::2] + pad, pad + x[1::2] + pad
     out = []
-    for blk in x:
-        out.extend([blk[0], blk[1]])
-    return out
-
-
-def _apply_chain(d, o, v):
-    n = len(d)
-    out = [mp.mpf(0)] * (2 * n)
-    for j in range(n):
-        out[2 * j] += d[j][0] * v[2 * j]
-        out[2 * j + 1] += d[j][1] * v[2 * j + 1]
-        if j > 0:
-            m = o[j]
-            out[2 * j] += m[0, 0] * v[2 * j - 2] + m[1, 0] * v[2 * j - 1]
-            out[2 * j + 1] += m[0, 1] * v[2 * j - 2] + m[1, 1] * v[2 * j - 1]
-            out[2 * j - 2] += m[0, 0] * v[2 * j] + m[0, 1] * v[2 * j + 1]
-            out[2 * j - 1] += m[1, 0] * v[2 * j] + m[1, 1] * v[2 * j + 1]
+    for j, (d0, d1) in enumerate(d):
+        lo, hi = (a[j], b[j]), (a[j + 1], b[j + 1])
+        near = (p[j], q[j], p[j + 2], q[j + 2])
+        out.append(mp.fdot((d0, nxi, *lo, *hi), (p[j + 1], p[j + 1], *near)))
+        out.append(mp.fdot((d1, nxi, *lo[::-1], *hi[::-1]),
+                           (q[j + 1], q[j + 1], *near)))
     return out
 
 
 def refine_eigenpair(params: ModelParams, parity: Parity, xi0: float,
-                     vec0: np.ndarray, n_max: int, dps: int = 60,
-                     iters: int = 3):
-    """Sharpen an eigh eigenpair of the chain matrix to mp precision.
+                     vec0: np.ndarray, n_max: int, dps: int = 60):
+    """Sharpen a float eigenpair of the chain matrix to mp precision.
 
-    Inverse iteration with the block-tridiagonal solve, Rayleigh-quotient
-    update each pass.  Returns (xi, vector) as mpmath values; converges to
-    the eigenvalue of the exact-arithmetic chain matrix nearest xi0.
+    Newton on F(x, xi) = [(H - xi) x; (x^T x - 1)/2] with the Jacobian
+    frozen at the start (Dongarra, Moler & Wilkinson, SIAM J. Numer. Anal.
+    20 (1983) 23): F in mp at dps + GUARD_DIGITS digits, the correction in
+    float64 from one banded LU of H - xi0.  H - xi0 is singular to double
+    precision, so the border is eliminated with deflation: the x0 part of F
+    is split off before the solve and the near-null direction enters only
+    as u = w / (x0^T w), w = (H - xi0)^-1 x0.  The float arithmetic is
+    scalar or elementwise, so no result depends on the BLAS thread count.
+
+    Returns (xi, x, residual), xi and the list x in mp, once residual =
+    ||(H - xi) x||_2 and ||H|| |x^T x - 1| / 2 are at most
+    tol = ||H||_inf 10^-(dps + GUARD_DIGITS); raises ConvergenceFailure,
+    with the residual reached, if NEWTON_STEPS steps do not get there or
+    the iteration leaves the float range.
     """
-    with mp.workdps(dps):
+    band = build_parity_blocks(params, parity,
+                               TruncationConfig(n_max)).lower_band()
+    x0 = np.asarray(vec0, dtype=float)
+    hnorm = float(np.max(band_matvec(np.abs(band), np.ones((len(x0), 1)))))
+    factors = _band_lu(band, float(xi0), np.finfo(float).eps * hnorm)
+    w = _band_solve(factors, x0)
+    xw = math.fsum(x0 * w)
+    if not (xw and math.isfinite(xw)):
+        raise ConvergenceFailure("bordered Newton system is singular")
+    u = w / xw
+    digits = dps + GUARD_DIGITS
+    tol = hnorm * 10.0 ** -digits
+    with mp.workdps(digits):
         d = _mp_chain_diagonal(params, parity, n_max)
-        o = _mp_off_blocks(params, n_max)
-        x = [mp.mpf(float(c)) for c in vec0]
-        xi = mp.mpf(float(xi0))
-        for _ in range(iters):
-            x = _block_thomas_solve(d, o, xi, x)
-            nrm = mp.sqrt(mp.fsum(c * c for c in x))
-            x = [c / nrm for c in x]
-            hx = _apply_chain(d, o, x)
-            xi = mp.fsum(a * b for a, b in zip(x, hx))
-        return xi, x
+        s = [mp.sqrt(j) for j in range(n_max + 1)] + [mp.mpf(0)]
+        a, b = ([c * mp.mpf(g) for c in s] for g in (params.g_1, params.g_2))
+        xi, x = mp.mpf(float(xi0)), [mp.mpf(c) for c in x0.tolist()]
+        for step in range(NEWTON_STEPS + 1):
+            f = -np.array([float(c) for c in _mp_residual(d, a, b, xi, x)])
+            h = float((1 - mp.fdot(x, x)) / 2)
+            res = math.hypot(*f)
+            if res <= tol and abs(h) * hnorm <= tol:
+                return xi, x, res
+            if step == NEWTON_STEPS or not math.isfinite(res + h):
+                break
+            c = math.fsum(x0 * f)
+            z = _band_solve(factors, f - c * x0)
+            t = h - math.fsum(x0 * z)
+            x = [xk + dk for xk, dk in zip(x, (z + t * u).tolist())]
+            xi += t / xw - c
+    raise ConvergenceFailure(
+        f"eigenpair refinement stopped at residual {res:.3e} after "
+        f"{step} Newton steps (tolerance {tol:.3e})")
 
 
 def eigenstate_recurrence(params: ModelParams, parity: Parity, index: int,
@@ -268,18 +329,19 @@ def eigenstate_recurrence(params: ModelParams, parity: Parity, index: int,
 
     Convenience pipeline: dense diagonalization, mp refinement of the
     eigenpair, then the four-term recurrence seeded by the refined first
-    block.  A caller that already holds the dense decomposition of this
-    chain at this cutoff passes it as decomp and skips the
-    diagonalization.
+    block; the state records the refined pair's mp residual.  A caller
+    that already holds the dense decomposition of this chain at this
+    cutoff passes it as decomp and skips the diagonalization.
     """
     _check_couplings(params)
     if decomp is None:
         decomp = eigh(build_parity_matrix(params, parity,
                                           TruncationConfig(n_max)))
-    xi, x = refine_eigenpair(params, parity, decomp.values[index],
-                             decomp.vectors[:, index], n_max, dps=dps)
-    return recurrence_eigenstate_la(params, parity, xi, (x[0], x[1]),
-                                    n_max, dps=dps)
+    xi, x, res = refine_eigenpair(params, parity, decomp.values[index],
+                                  decomp.vectors[:, index], n_max, dps=dps)
+    state = recurrence_eigenstate_la(params, parity, xi, (x[0], x[1]),
+                                     n_max, dps=dps)
+    return replace(state, refine_residual=res)
 
 
 def best_seed_recurrence_state(params: ModelParams, parity: Parity, xi,

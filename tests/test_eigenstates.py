@@ -1,6 +1,17 @@
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import rabi2q
+import rabi2q.eigenstates as eig_mod
 from rabi2q.eigenstates import (bargmann_coefficients,
                                 bargmann_identical_coefficients,
                                 bargmann_minimal_coefficients,
@@ -9,10 +20,13 @@ from rabi2q.eigenstates import (bargmann_coefficients,
                                 chain_residual, eigenstate_recurrence,
                                 recurrence_eigenstate_la, refine_eigenpair,
                                 residual, _bargmann_alphas)
-from rabi2q.errors import OverflowDetected, SingularCoupling, StepSingular
+from rabi2q.errors import (ConvergenceFailure, OverflowDetected,
+                           SingularCoupling, StepSingular)
 from rabi2q.hamiltonian import build_parity_matrix
 from rabi2q.model import ModelParams, Parity, TruncationConfig
 from rabi2q.numerics import eigh
+
+from oracles import G_CROSS, mp_chain_residual
 
 P = ModelParams(1.3, 0.7, 0.3, 0.4)
 NMAX = 200
@@ -22,10 +36,14 @@ def test_refined_recurrence_hits_eigenstate():
     state = eigenstate_recurrence(P, Parity.EVEN, 1, NMAX)
     assert residual(P, Parity.EVEN, state) < 1e-10
     assert np.linalg.norm(state.v) == pytest.approx(1.0)
+    tol = _refine_tolerance(P, Parity.EVEN, NMAX)
+    assert 0.0 <= state.refine_residual <= tol
+    seeded = recurrence_eigenstate_la(P, Parity.EVEN, state.xi, (1.0, 0.0),
+                                      NMAX)
+    assert seeded.refine_residual is None
 
 
 def test_recurrence_reuses_a_given_decomposition(monkeypatch):
-    import rabi2q.eigenstates as eig_mod
     decomp = eigh(build_parity_matrix(P, Parity.ODD, TruncationConfig(60)))
     fresh = eigenstate_recurrence(P, Parity.ODD, 2, 60)
     monkeypatch.setattr(eig_mod, "eigh", None)      # must not be called
@@ -92,7 +110,8 @@ def test_residual_decreases_toward_eigenvalue():
 
 
 def test_seed_invariance_of_least_residual_state():
-    xi, _ = refine_eigenpair(P, Parity.EVEN, *_pair(Parity.EVEN, 2), NMAX)
+    xi, _, _ = refine_eigenpair(P, Parity.EVEN, *_pair(Parity.EVEN, 2),
+                                NMAX)
     states = []
     for seeds in (((1.0, 0.0), (0.0, 1.0)),
                   ((0.6, 0.8), (0.8, -0.6))):
@@ -108,6 +127,142 @@ def test_seed_invariance_of_least_residual_state():
 def _pair(parity, index):
     decomp = eigh(build_parity_matrix(P, parity, TruncationConfig(NMAX)))
     return decomp.values[index], decomp.vectors[:, index]
+
+
+# ---------------------------------------------------------------------------
+# mixed-precision eigenpair refinement
+# ---------------------------------------------------------------------------
+
+def _refine_tolerance(params, parity, n_max, dps=60):
+    """The stopping tolerance ||H||_inf 10^-(dps + GUARD_DIGITS)."""
+    h = build_parity_matrix(params, parity, TruncationConfig(n_max))
+    digits = dps + eig_mod.GUARD_DIGITS
+    return float(np.max(np.abs(h).sum(axis=1))) * 10.0 ** -digits
+
+
+def _check_refined(params, parity, n_max, index):
+    """Refine dense eigh's index-th pair and compare with eigh.
+
+    The refiner may decline with ConvergenceFailure only inside a cluster
+    of levels closer than 1e-10 ||H||.
+    """
+    h = build_parity_matrix(params, parity, TruncationConfig(n_max))
+    dense = eigh(h)
+    norm = float(np.max(np.abs(h).sum(axis=1)))
+    gaps = np.abs(dense.values - dense.values[index])
+    gaps[index] = np.inf
+    try:
+        xi, x, res = refine_eigenpair(params, parity, dense.values[index],
+                                      dense.vectors[:, index], n_max)
+    except ConvergenceFailure:
+        assert np.min(gaps) < 1e-10 * norm
+        return
+    tol = _refine_tolerance(params, parity, n_max)
+    assert res <= tol
+    assert mp_chain_residual(params, parity, xi, x, n_max) <= 1.1 * tol
+    with mp.workdps(90):
+        assert abs(mp.fdot(x, x) - 1) * norm <= 2 * tol
+    assert abs(float(xi) - dense.values[index]) <= 1e-12 * norm
+    v = np.array([float(c) for c in x])
+    cluster = dense.vectors[:, gaps < 1e-8 * norm]
+    if cluster.shape[1] == 0:
+        assert abs(v @ dense.vectors[:, index]) > 1 - 1e-10
+    else:       # a near-degenerate level: x lies in the cluster's span
+        span = np.column_stack([dense.vectors[:, index], cluster])
+        assert np.linalg.norm(span.T @ v) > 1 - 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(omega_1=st.floats(0.0, 2.0), omega_2=st.floats(0.0, 2.0),
+       g_1=st.floats(-1.5, 1.5), g_2=st.floats(-1.5, 1.5),
+       parity=st.sampled_from(Parity), n_max=st.integers(20, 80),
+       level=st.floats(0.0, 1.0))
+@example(omega_1=1.3, omega_2=0.7, g_1=0.45, g_2=0.45, parity=Parity.EVEN,
+         n_max=40, level=0.1)
+@example(omega_1=1.3, omega_2=0.7, g_1=0.45, g_2=-0.45, parity=Parity.ODD,
+         n_max=40, level=0.1)
+@example(omega_1=1.3, omega_2=0.7, g_1=0.3, g_2=0.3, parity=Parity.EVEN,
+         n_max=20, level=3 / 41)
+@example(omega_1=0.5321017284505121, omega_2=0.5262230788044269,
+         g_1=1e-300, g_2=1e-300, parity=Parity.EVEN, n_max=80,
+         level=15 / 161)
+@example(omega_1=0.0, omega_2=0.7, g_1=0.3, g_2=0.4, parity=Parity.EVEN,
+         n_max=30, level=0.2)
+@example(omega_1=1.3, omega_2=0.0, g_1=0.3, g_2=0.4, parity=Parity.ODD,
+         n_max=30, level=0.2)
+@example(omega_1=0.0, omega_2=0.0, g_1=0.5, g_2=0.5, parity=Parity.EVEN,
+         n_max=30, level=0.5)
+@example(omega_1=1.3, omega_2=0.7, g_1=0.3, g_2=0.4, parity=Parity.EVEN,
+         n_max=20, level=1.0)
+@example(omega_1=1.3, omega_2=0.7, g_1=1.2, g_2=1.2, parity=Parity.ODD,
+         n_max=20, level=0.98)
+@example(omega_1=1.3, omega_2=0.7, g_1=0.0, g_2=0.0, parity=Parity.EVEN,
+         n_max=20, level=0.3)
+def test_refined_pair_matches_dense(omega_1, omega_2, g_1, g_2, parity,
+                                    n_max, level):
+    params = ModelParams(omega_1, omega_2, g_1, g_2)
+    index = round(level * (TruncationConfig(n_max).chain_dim - 1))
+    _check_refined(params, parity, n_max, index)
+
+
+@pytest.mark.parametrize("g", [0.51, G_CROSS, G_CROSS + 1e-6])
+@pytest.mark.parametrize("index", [3, 4])
+def test_refiner_at_the_criterion_05_crossing(g, index):
+    # levels 3 and 4 of the even chain lie 6.8e-3 apart at g = 0.51 and
+    # 1.1e-9 apart at G_CROSS, where the refiner either meets its tolerance
+    # or raises, never returns an unconverged pair
+    _check_refined(ModelParams(1.3, 0.7, g, g), Parity.EVEN, 300, index)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2])
+def test_starved_refiner_raises_with_its_residual(monkeypatch, steps):
+    monkeypatch.setattr(eig_mod, "NEWTON_STEPS", steps)
+    tol = _refine_tolerance(P, Parity.EVEN, NMAX)
+    with pytest.raises(ConvergenceFailure) as info:
+        refine_eigenpair(P, Parity.EVEN, *_pair(Parity.EVEN, 2), NMAX)
+    reached = float(re.search(r"residual (\S+) after", str(info.value))[1])
+    assert reached > tol
+    # each step gains at least ten digits here
+    assert reached < 1e-12 * 1e-10 ** steps
+
+
+_REFINE_PROBE = """
+import json, sys
+import mpmath as mp
+import numpy as np
+from rabi2q.eigenstates import refine_eigenpair
+from rabi2q.model import ModelParams, Parity
+start = json.load(open(sys.argv[1]))
+xi, x, _ = refine_eigenpair(ModelParams(1.3, 0.7, 0.3, 0.4), Parity.ODD,
+                            float.fromhex(start["xi"]),
+                            np.array([float.fromhex(c) for c in start["v"]]),
+                            start["n_max"])
+print(mp.nstr(xi, 60))
+print(" ".join(mp.nstr(c, 60) for c in x))
+"""
+
+
+def test_refinement_does_not_depend_on_blas_threads(tmp_path):
+    n_max = 60
+    decomp = eigh(build_parity_matrix(P, Parity.ODD, TruncationConfig(n_max)))
+    start = tmp_path / "start.json"
+    start.write_text(json.dumps({
+        "n_max": n_max, "xi": float(decomp.values[5]).hex(),
+        "v": [float(c).hex() for c in decomp.vectors[:, 5]]}))
+    src = str(Path(rabi2q.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", _REFINE_PROBE,
+                               str(start)], env=env, capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert len(outs[0].split()) == 1 + 2 * (n_max + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from rabi2q.spectra import (CrossingKind, SpectrumSweep,
                             doubling_check, dsc_perturbative_spectrum,
                             rwa_relative_error, sweep_spectrum)
 
+from oracles import G_CROSS
+
 TEMPLATE = ModelParams(1.3, 0.7, 0.0, 0.0)
 
 
@@ -230,12 +232,6 @@ def _assert_matches_dense(vals, vecs, params, parity, trunc, k):
             assert np.max(np.abs(mine @ mine.T - ref @ ref.T)) <= 1e-10
         else:       # a cluster cut by the k-th level or by the guard
             assert np.max(np.abs(mine - ref @ (ref.T @ mine))) <= 1e-10
-
-
-# the even-parity crossing of the criterion-05 sweep (omega = 1.3, 0.7,
-# g1 = g2, n_max = 300) between branches 3 and 4, located by minimizing the
-# gap of dense eigh
-G_CROSS = 0.5125573063872774
 
 
 @settings(max_examples=40, deadline=None)
