@@ -16,9 +16,7 @@ from .hamiltonian import (BlockTridiagonal, RwaExcitationBlock,
                           build_full, build_parity_blocks,
                           build_parity_matrix, build_rwa_excitation_block,
                           build_rwa_full, expand_dense)
-from .model import (ModelParams, Parity, ParityChainIndex, QubitLevel,
-                    TruncationConfig, chain_index_of, chain_state,
-                    parity_of_product_state)
+from .model import ModelParams, Parity, QubitLevel, TruncationConfig
 from .numerics import (EigenDecomposition, displacement_element, eigh,
                        laguerre_assoc, propagate_spectral)
 from .spectra import (CrossingKind, CrossingRecord, PerturbativeSpectrum,
@@ -30,18 +28,18 @@ __all__ = [
     "__version__",
     "BargmannCoefficients", "BlockTridiagonal", "CrossingKind",
     "CrossingRecord", "EigenDecomposition", "ModelParams", "Parity",
-    "ParityChainIndex", "ParityDecomposedState", "PerturbativeSpectrum",
+    "ParityDecomposedState", "PerturbativeSpectrum",
     "QuarticCoefficients", "QubitLevel", "RecurrenceState",
     "RwaErrorReport", "RwaExcitationBlock", "SpectrumSweep", "Trajectory",
     "TruncationConfig",
     "bargmann_coefficients", "bargmann_identical_coefficients",
     "build_full", "build_parity_blocks", "build_parity_matrix",
     "build_rwa_excitation_block", "build_rwa_full",
-    "chain_index_of", "chain_state", "concurrence",
+    "concurrence",
     "decompose_initial_state", "detect_crossings", "displacement_element",
     "dsc_perturbative_spectrum", "eigh", "evolve_parity",
     "evolve_rwa_closed_form", "expand_dense", "laguerre_assoc",
-    "mean_photon_number", "parity_of_product_state", "population_inversion",
+    "mean_photon_number", "population_inversion",
     "propagate_spectral", "quartic_coefficients", "quartic_roots",
     "recurrence_eigenstate_la", "reduced_density_matrix", "residual",
     "rwa_relative_error", "sweep_spectrum", "von_neumann_entropy",

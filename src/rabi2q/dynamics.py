@@ -5,7 +5,9 @@ Two propagation routes: numerically exact evolution of the two parity chains
 closed-form RWA evolution assembled from excitation-sector blocks.  The
 observables of interest are the mean photon number, the population inversion,
 the two-qubit reduced density matrix and the entanglement measures derived
-from it (von Neumann entropy, Wootters concurrence).
+from it (von Neumann entropy, Wootters concurrence).  A state may hold one
+column of amplitudes per output time, and every observable broadcasts over
+that axis, so a trajectory takes one call per observable.
 """
 
 from __future__ import annotations
@@ -29,37 +31,44 @@ COHERENT_LEAKAGE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ParityDecomposedState:
-    """Pure system state as complex amplitudes over the two parity chains."""
+    """Pure system state as complex amplitudes over the two parity chains.
+
+    The amplitudes have shape (chain_dim,) for one state, or (chain_dim, T)
+    for T states held one column per time.  Every property below and every
+    observable of this module broadcasts over that trailing axis: a single
+    state gives scalars, a stack gives one value per column.
+    """
 
     c_even: np.ndarray
     c_odd: np.ndarray
     trunc: TruncationConfig
 
     def __post_init__(self):
-        if (self.c_even.shape[0] != self.trunc.chain_dim
-                or self.c_odd.shape[0] != self.trunc.chain_dim):
+        if (self.c_even.shape != self.c_odd.shape
+                or self.c_even.shape[0] != self.trunc.chain_dim):
             raise ValueError("chain amplitude length does not match trunc")
 
     def chain(self, parity: Parity) -> np.ndarray:
         return self.c_even if parity is Parity.EVEN else self.c_odd
 
     @property
-    def norm(self) -> float:
-        return math.hypot(np.linalg.norm(self.c_even),
-                          np.linalg.norm(self.c_odd))
+    def norm(self):
+        return np.hypot(np.linalg.norm(self.c_even, axis=0),
+                        np.linalg.norm(self.c_odd, axis=0))
 
-    def parity_weights(self) -> tuple[float, float]:
-        return (float(np.sum(np.abs(self.c_even) ** 2)),
-                float(np.sum(np.abs(self.c_odd) ** 2)))
+    def parity_weights(self):
+        return (np.sum(np.abs(self.c_even) ** 2, axis=0),
+                np.sum(np.abs(self.c_odd) ** 2, axis=0))
 
-    def edge_weight(self) -> float:
+    def edge_weight(self):
         """Probability on the top two photon levels (last 4 chain slots)."""
-        return float(np.sum(np.abs(self.c_even[-4:]) ** 2)
-                     + np.sum(np.abs(self.c_odd[-4:]) ** 2))
+        return (np.sum(np.abs(self.c_even[-4:]) ** 2, axis=0)
+                + np.sum(np.abs(self.c_odd[-4:]) ** 2, axis=0))
 
     def to_full(self) -> np.ndarray:
         """Amplitudes in the product basis |n>|q1>|q2>."""
-        out = np.zeros(self.trunc.full_dim, dtype=complex)
+        out = np.zeros((self.trunc.full_dim,) + self.c_even.shape[1:],
+                       dtype=complex)
         full_index = basis_table(self.trunc).full_index
         out[full_index[Parity.EVEN]] = self.c_even
         out[full_index[Parity.ODD]] = self.c_odd
@@ -68,6 +77,7 @@ class ParityDecomposedState:
 
 def state_from_full(psi: np.ndarray, trunc: TruncationConfig
                     ) -> ParityDecomposedState:
+    """Inverse of to_full; psi has shape (full_dim,) or (full_dim, T)."""
     psi = np.asarray(psi, dtype=complex)
     full_index = basis_table(trunc).full_index
     return ParityDecomposedState(psi[full_index[Parity.EVEN]],
@@ -130,80 +140,65 @@ def decompose_initial_state(field, q1: QubitLevel, q2: QubitLevel,
 # observables
 # ---------------------------------------------------------------------------
 
-def mean_photon_number(state: ParityDecomposedState) -> float:
-    n = basis_table(state.trunc).photon
-    return float(n[Parity.EVEN] @ np.abs(state.c_even) ** 2
-                 + n[Parity.ODD] @ np.abs(state.c_odd) ** 2)
+def _chain_sum(state: ParityDecomposedState, values: dict):
+    """sum_j values[parity][j] |c_j|^2 over both chains, for each column.
 
-
-def population_inversion(state: ParityDecomposedState) -> float:
-    table = basis_table(state.trunc)
+    Each column is reduced by one (1 x n)(n x 1) product of contiguous rows,
+    the dot product a single state takes, so a stack gives the values of
+    its columns bit for bit.
+    """
     total = 0.0
     for parity in (Parity.EVEN, Parity.ODD):
-        sz = 0.5 * (table.sz1[parity] + table.sz2[parity])
-        total += sz @ np.abs(state.chain(parity)) ** 2
-    return float(total)
+        prob = np.abs(state.chain(parity).T, order="C") ** 2
+        total += (prob[..., None, :] @ values[parity][:, None])[..., 0, 0]
+    return total
 
 
-def _padded_quads(c: np.ndarray) -> np.ndarray:
-    """Chain amplitudes grouped in fours, zero-padded at the tail."""
-    pad = (-len(c)) % 4
-    if pad:
-        c = np.concatenate([c, np.zeros(pad, dtype=complex)])
-    return c.reshape(-1, 4)
+def mean_photon_number(state: ParityDecomposedState):
+    return _chain_sum(state, basis_table(state.trunc).photon)
+
+
+def population_inversion(state: ParityDecomposedState):
+    table = basis_table(state.trunc)
+    return _chain_sum(state, {p: 0.5 * (table.sz1[p] + table.sz2[p])
+                              for p in Parity})
 
 
 def reduced_density_matrix(state: ParityDecomposedState) -> np.ndarray:
     """Two-qubit reduced density matrix, basis order (ee, eg, ge, gg).
 
-    Assembled directly from the parity-chain amplitudes: within each group
-    of four chain slots the even chain holds (gg, ee) at photon 2n and
-    (eg, ge) at photon 2n+1, the odd chain (eg, ge) then (gg, ee), which
-    fixes which amplitude products feed each matrix entry.
+    The partial trace over the field, rho_ij = sum_n psi_ni psi_nj^*, of the
+    full-basis amplitudes reshaped to (n_max+1, 4, ...).  The real and
+    imaginary parts enter separately, so no conjugate copy is made.  A
+    stack of states gives a stack of shape (T, 4, 4).
     """
-    p = _padded_quads(state.c_even)
-    m = _padded_quads(state.c_odd)
-    n_blocks = max(p.shape[0], m.shape[0])
-    if p.shape[0] < n_blocks:
-        p = np.vstack([p, np.zeros((n_blocks - p.shape[0], 4), complex)])
-    if m.shape[0] < n_blocks:
-        m = np.vstack([m, np.zeros((n_blocks - m.shape[0], 4), complex)])
-    p0, p1, p2, p3 = p.T
-    m0, m1, m2, m3 = m.T
+    psi = state.to_full().reshape((state.trunc.n_max + 1, 4)
+                                  + state.c_even.shape[1:])
+    re, im = psi.real, psi.imag
 
-    def dot(a, b):
-        return np.sum(a * np.conj(b))
+    def trace(a, b):
+        return np.einsum("ni...,nj...->...ij", a, b)
 
-    rho = np.empty((4, 4), dtype=complex)
-    rho[0, 0] = dot(p1, p1) + dot(m3, m3)
-    rho[0, 1] = dot(p1, m0) + dot(m3, p2)
-    rho[0, 2] = dot(p1, m1) + dot(m3, p3)
-    rho[0, 3] = dot(p1, p0) + dot(m3, m2)
-    rho[1, 1] = dot(p2, p2) + dot(m0, m0)
-    rho[1, 2] = dot(p2, p3) + dot(m0, m1)
-    rho[1, 3] = dot(p2, m2) + dot(m0, p0)
-    rho[2, 2] = dot(p3, p3) + dot(m1, m1)
-    rho[2, 3] = dot(p3, m2) + dot(m1, p0)
-    rho[3, 3] = dot(p0, p0) + dot(m2, m2)
-    for i in range(4):
-        for j in range(i):
-            rho[i, j] = np.conj(rho[j, i])
-    return rho
+    cross = trace(im, re)
+    return (trace(re, re) + trace(im, im)
+            + 1j * (cross - np.swapaxes(cross, -1, -2)))
 
 
 def _check_density_matrix(rho: np.ndarray) -> np.ndarray:
-    evals = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if np.min(evals) < -1e-8:
+    """Clipped eigenvalues of each matrix; raises if one is below -1e-8."""
+    evals = np.linalg.eigvalsh(0.5 * (rho + np.swapaxes(rho.conj(), -1, -2)))
+    low = np.min(evals, axis=-1)
+    bad = low[low < -1e-8]
+    if bad.size:
         raise InvalidDensityMatrix(
-            f"density matrix has eigenvalue {np.min(evals):.3e}")
+            f"density matrix has eigenvalue {bad[0]:.3e}")
     return np.clip(evals, 0.0, None)
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Entropy -sum l ln l in nats, with 0 ln 0 = 0."""
+def von_neumann_entropy(rho: np.ndarray):
+    """Entropy -sum l ln l in nats, with 0 ln 0 = 0, of each matrix."""
     evals = _check_density_matrix(rho)
-    nz = evals[evals > 0]
-    return float(-np.sum(nz * np.log(nz)))
+    return -np.sum(evals * np.log(np.where(evals > 0, evals, 1.0)), axis=-1)
 
 
 _SPIN_FLIP = np.zeros((4, 4))
@@ -211,13 +206,16 @@ _SPIN_FLIP[0, 3] = _SPIN_FLIP[3, 0] = -1.0
 _SPIN_FLIP[1, 2] = _SPIN_FLIP[2, 1] = 1.0
 
 
-def concurrence(rho: np.ndarray) -> float:
-    """Wootters concurrence in the fixed (ee, eg, ge, gg) basis."""
+def concurrence(rho: np.ndarray):
+    """Wootters concurrence in the fixed (ee, eg, ge, gg) basis, of each
+    matrix of a (..., 4, 4) stack."""
     _check_density_matrix(rho)
     rho_tilde = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
     evals = np.linalg.eigvals(rho @ rho_tilde)
-    lam = np.sqrt(np.clip(np.sort(evals.real)[::-1], 0.0, None))
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    lam = np.sqrt(np.clip(np.sort(evals.real, axis=-1)[..., ::-1], 0.0,
+                          None))
+    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2]
+                      - lam[..., 3])
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +224,10 @@ def concurrence(rho: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Observables along an evolution; optionally the states themselves.
+    """Observables along an evolution, and the evolved state.
 
-    energy, norms and parity weights are retained as conservation
+    state holds the chain amplitudes at every output time, one column per
+    time.  energy, norms and parity weights are retained as conservation
     diagnostics; max_edge_weight records the largest truncation-edge
     probability seen at any output time.
     """
@@ -243,7 +242,7 @@ class Trajectory:
     weight_even: np.ndarray
     weight_odd: np.ndarray
     max_edge_weight: float
-    states: list | None = None
+    state: ParityDecomposedState
 
 
 def _expectation(h: np.ndarray, psi_t: np.ndarray) -> np.ndarray:
@@ -256,54 +255,35 @@ def _expectation(h: np.ndarray, psi_t: np.ndarray) -> np.ndarray:
                for part in (psi_t.real, psi_t.imag))
 
 
-def _trajectory(c_even_t: np.ndarray, c_odd_t: np.ndarray,
-                trunc: TruncationConfig, times: np.ndarray,
-                energies: np.ndarray, store_states: int, guard_tol: float,
-                on_guard: str) -> Trajectory:
-    """Observables of the chain amplitudes held one column per time."""
-    n_t = len(times)
-    mean_n = np.empty(n_t)
-    s_z = np.empty(n_t)
-    ent = np.empty(n_t)
-    conc = np.empty(n_t)
-    norms = np.empty(n_t)
-    w_even = np.empty(n_t)
-    w_odd = np.empty(n_t)
-    max_edge = 0.0
-    kept = [] if store_states else None
-    for i, t in enumerate(times):
-        st = ParityDecomposedState(c_even_t[:, i], c_odd_t[:, i], trunc)
-        edge = st.edge_weight()
-        max_edge = max(max_edge, edge)
-        if edge > guard_tol and on_guard == "raise":
-            raise TruncationInsufficient(
-                f"weight {edge:.2e} on the top two photon levels at "
-                f"t={t:g}; raise n_max")
-        mean_n[i] = mean_photon_number(st)
-        s_z[i] = population_inversion(st)
-        rho = reduced_density_matrix(st)
-        ent[i] = von_neumann_entropy(rho)
-        conc[i] = concurrence(rho)
-        norms[i] = st.norm
-        w_even[i], w_odd[i] = st.parity_weights()
-        if store_states and i % store_states == 0:
-            kept.append((i, st))
-    return Trajectory(times, mean_n, s_z, ent, conc, energies, norms,
-                      w_even, w_odd, max_edge, kept)
+def _trajectory(state: ParityDecomposedState, times: np.ndarray,
+                energies: np.ndarray, on_guard: str) -> Trajectory:
+    """Observables of a state held one column per output time."""
+    edge = state.edge_weight()
+    over = np.flatnonzero(edge > EDGE_WEIGHT_TOL)
+    if over.size and on_guard == "raise":
+        i = over[0]
+        raise TruncationInsufficient(
+            f"weight {edge[i]:.2e} on the top two photon levels at "
+            f"t={times[i]:g}; raise n_max")
+    rho = reduced_density_matrix(state)
+    w_even, w_odd = state.parity_weights()
+    return Trajectory(times, mean_photon_number(state),
+                      population_inversion(state), von_neumann_entropy(rho),
+                      concurrence(rho), energies, state.norm, w_even, w_odd,
+                      float(np.max(edge)), state)
 
 
 def evolve_parity(state: ParityDecomposedState, params: ModelParams, times,
-                  store_states: int = 0, guard_tol: float = EDGE_WEIGHT_TOL,
                   on_guard: str = "raise") -> Trajectory:
     """Exact evolution of both parity chains by spectral decomposition.
 
     One eigendecomposition per chain serves every output time.  If the
-    state weight on the top two photon levels exceeds guard_tol at any
-    output time the run raises TruncationInsufficient (on_guard="raise") or
-    completes and records the violation in max_edge_weight
-    (on_guard="record").  The energy is <psi(t)|H|psi(t)> with the chain
-    matrices applied directly, so it does not rely on the decomposition
-    that propagated the state.
+    state weight on the top two photon levels exceeds EDGE_WEIGHT_TOL at
+    any output time the run raises TruncationInsufficient, naming the first
+    such time (on_guard="raise"), or completes and records the violation in
+    max_edge_weight (on_guard="record").  The energy is <psi(t)|H|psi(t)>
+    with the chain matrices applied directly, so it does not rely on the
+    decomposition that propagated the state.
     """
     if on_guard not in ("raise", "record"):
         raise ValueError("on_guard must be 'raise' or 'record'")
@@ -316,8 +296,9 @@ def evolve_parity(state: ParityDecomposedState, params: ModelParams, times,
         evolved[parity] = propagate_spectral(eigh(h), state.chain(parity),
                                              times)
         energies += _expectation(h, evolved[parity])
-    return _trajectory(evolved[Parity.EVEN], evolved[Parity.ODD], trunc,
-                       times, energies, store_states, guard_tol, on_guard)
+    return _trajectory(ParityDecomposedState(evolved[Parity.EVEN],
+                                             evolved[Parity.ODD], trunc),
+                       times, energies, on_guard)
 
 
 # ---------------------------------------------------------------------------
@@ -402,19 +383,13 @@ def quartic_roots(qc: QuarticCoefficients) -> np.ndarray:
 
 
 def evolve_rwa_closed_form(state: ParityDecomposedState, params: ModelParams,
-                           times, store_states: int = 0,
-                           backend: str = "eigh") -> Trajectory:
+                           times) -> Trajectory:
     """Closed-form RWA evolution assembled from excitation sectors.
 
     The RWA Hamiltonian is block diagonal in the excitation number; each
-    occupied sector block is diagonalized once (backend "eigh") or through
-    the closed-form quartic roots of its characteristic polynomial
-    (backend "quartic", full 4x4 sectors only, with eigh handling the
-    degenerate cases) and the lab-frame phase exp(-i omega_f (N-1) t) is
-    restored when reassembling.
+    occupied sector block is diagonalized once and the lab-frame phase
+    exp(-i omega_f (N-1) t) is restored when reassembling.
     """
-    if backend not in ("eigh", "quartic"):
-        raise ValueError("backend must be 'eigh' or 'quartic'")
     times = np.atleast_1d(np.asarray(times, dtype=float))
     trunc = state.trunc
     psi0 = state.to_full()
@@ -435,20 +410,11 @@ def evolve_rwa_closed_form(state: ParityDecomposedState, params: ModelParams,
         idx = np.flatnonzero(table.excitation == sector)
         amps0 = psi0[idx]
         vals, vecs = eigh(block.matrix)
-        if backend == "quartic" and block.matrix.shape[0] == 4:
-            try:
-                # same spectrum, ascending in both routes
-                vals = quartic_roots(quartic_coefficients_from_block(
-                    params, sector))
-            except DegenerateResolvent:
-                pass
         proj = vecs.T @ amps0
         frame = np.exp(-1j * params.omega_f * (sector - 1) * times)
         phases = np.exp(-1j * np.outer(vals, times)) * proj[:, None]
         evolved[idx] += (vecs @ phases) * frame[None, :]
 
     energies = _expectation(build_rwa_full(params, out_trunc), evolved)
-    return _trajectory(evolved[table.full_index[Parity.EVEN]],
-                       evolved[table.full_index[Parity.ODD]], out_trunc,
-                       times, energies, store_states, EDGE_WEIGHT_TOL,
+    return _trajectory(state_from_full(evolved, out_trunc), times, energies,
                        "record")

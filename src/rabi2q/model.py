@@ -6,8 +6,7 @@ subspace is spanned by an ordered chain of product states in which the
 Hamiltonian is block tridiagonal.  This module owns the chain orderings.
 ``basis_table`` derives from them, once per cutoff, the integer labels of
 every chain position and full-basis row; every other module reads the
-layout through that table.  The scalar maps (``chain_state``,
-``chain_index_of``, ``full_basis_index``, ...) label single states.
+layout through that table.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -39,11 +37,6 @@ class Parity(Enum):
     @property
     def sign(self) -> int:
         return 1 if self is Parity.EVEN else -1
-
-
-class ParityChainIndex(NamedTuple):
-    parity: Parity
-    j: int
 
 
 @dataclass(frozen=True)
@@ -115,47 +108,8 @@ _BLOCK_PAIRS = {
     (Parity.ODD, 1): ((_G, _G), (_E, _E)),
 }
 
-
-def chain_state(parity: Parity, j: int) -> tuple[int, QubitLevel, QubitLevel]:
-    """Product state (n, q1, q2) at position j of the given parity chain."""
-    if j < 0:
-        raise ValueError("chain position must be >= 0")
-    n = j // 2
-    q1, q2 = _BLOCK_PAIRS[(parity, n % 2)][j % 2]
-    return n, q1, q2
-
-
-def parity_of_product_state(n: int, q1: QubitLevel, q2: QubitLevel) -> Parity:
-    """Parity eigenvalue of |n, q1, q2>: even iff sz1*sz2*(-1)^n = +1."""
-    if n < 0:
-        raise ValueError("photon number must be >= 0")
-    sign = q1.sz * q2.sz * (-1) ** n
-    return Parity.EVEN if sign == 1 else Parity.ODD
-
-
-def chain_index_of(n: int, q1: QubitLevel, q2: QubitLevel) -> ParityChainIndex:
-    """Inverse of chain_state: chain position of the product state."""
-    parity = parity_of_product_state(n, q1, q2)
-    pair = _BLOCK_PAIRS[(parity, n % 2)]
-    return ParityChainIndex(parity, 2 * n + pair.index((q1, q2)))
-
-
 # Full product basis |n> x |q1> x |q2>, qubit-pair order (ee, eg, ge, gg).
 _PAIR_ORDER = ((_E, _E), (_E, _G), (_G, _E), (_G, _G))
-
-
-def full_basis_index(n: int, q1: QubitLevel, q2: QubitLevel) -> int:
-    """Row index of |n, q1, q2> in the full product basis."""
-    if n < 0:
-        raise ValueError("photon number must be >= 0")
-    return 4 * n + _PAIR_ORDER.index((q1, q2))
-
-
-def full_basis_state(i: int) -> tuple[int, QubitLevel, QubitLevel]:
-    q1, q2 = _PAIR_ORDER[i % 4]
-    return i // 4, q1, q2
-
-
 _PAIR_SZ = np.array([(q1.sz, q2.sz) for q1, q2 in _PAIR_ORDER])
 
 

@@ -4,16 +4,83 @@ Each one builds its result the slow, generic way, so that the package's
 direct assemblies can be checked against it.
 """
 
+from typing import NamedTuple
+
 import mpmath as mp
 import numpy as np
 
-from rabi2q.model import Parity, TruncationConfig, basis_table
+from rabi2q.model import Parity, QubitLevel, TruncationConfig, basis_table
 
 # the even-parity crossing of the criterion-05 sweep (omega = 1.3, 0.7,
 # g1 = g2, n_max = 300) between branches 3 and 4, located by minimizing the
 # gap of dense eigh
 G_CROSS = 0.5125573063872774
 
+
+# ---------------------------------------------------------------------------
+# scalar basis maps: one product state at a time, from literal pair tables
+# written out here rather than read from the package, so that checks of
+# basis_table compare two independent derivations of the layout
+# ---------------------------------------------------------------------------
+
+_G, _E = QubitLevel.G, QubitLevel.E
+
+# chain pair order within photon level n, by (parity, n % 2)
+CHAIN_PAIRS = {
+    (Parity.EVEN, 0): ((_G, _G), (_E, _E)),
+    (Parity.EVEN, 1): ((_E, _G), (_G, _E)),
+    (Parity.ODD, 0): ((_E, _G), (_G, _E)),
+    (Parity.ODD, 1): ((_G, _G), (_E, _E)),
+}
+
+# full product basis |n> x |q1> x |q2>, pair order (ee, eg, ge, gg)
+FULL_PAIRS = ((_E, _E), (_E, _G), (_G, _E), (_G, _G))
+
+
+class ParityChainIndex(NamedTuple):
+    parity: Parity
+    j: int
+
+
+def chain_state(parity: Parity, j: int) -> tuple[int, QubitLevel, QubitLevel]:
+    """Product state (n, q1, q2) at position j of the given parity chain."""
+    if j < 0:
+        raise ValueError("chain position must be >= 0")
+    n = j // 2
+    q1, q2 = CHAIN_PAIRS[(parity, n % 2)][j % 2]
+    return n, q1, q2
+
+
+def parity_of_product_state(n: int, q1: QubitLevel, q2: QubitLevel) -> Parity:
+    """Parity eigenvalue of |n, q1, q2>: even iff sz1*sz2*(-1)^n = +1."""
+    if n < 0:
+        raise ValueError("photon number must be >= 0")
+    sign = q1.sz * q2.sz * (-1) ** n
+    return Parity.EVEN if sign == 1 else Parity.ODD
+
+
+def chain_index_of(n: int, q1: QubitLevel, q2: QubitLevel) -> ParityChainIndex:
+    """Inverse of chain_state: chain position of the product state."""
+    parity = parity_of_product_state(n, q1, q2)
+    pair = CHAIN_PAIRS[(parity, n % 2)]
+    return ParityChainIndex(parity, 2 * n + pair.index((q1, q2)))
+
+
+def full_basis_index(n: int, q1: QubitLevel, q2: QubitLevel) -> int:
+    """Row index of |n, q1, q2> in the full product basis."""
+    if n < 0:
+        raise ValueError("photon number must be >= 0")
+    return 4 * n + FULL_PAIRS.index((q1, q2))
+
+
+def full_basis_state(i: int) -> tuple[int, QubitLevel, QubitLevel]:
+    q1, q2 = FULL_PAIRS[i % 4]
+    return i // 4, q1, q2
+
+
+# ---------------------------------------------------------------------------
+# operators and observables
+# ---------------------------------------------------------------------------
 
 def build_parity_operator(trunc: TruncationConfig) -> np.ndarray:
     """Diagonal +-1 matrix of sz(1)*sz(2)*(-1)^(a+a) in the product basis."""
@@ -29,8 +96,16 @@ def excitation_number_operator(trunc: TruncationConfig) -> np.ndarray:
 
 
 def reduced_density_matrix_partial_trace(state) -> np.ndarray:
-    """Generic partial trace over the field; oracle for the direct assembly."""
-    psi = state.to_full().reshape(-1, 4)
+    """Generic partial trace over the field of a single state.
+
+    Each chain amplitude is placed with the scalar maps above, so neither
+    the package's table scatter (to_full) nor its einsum is involved.
+    """
+    psi = np.zeros((state.trunc.n_max + 1, 4), dtype=complex)
+    for parity in (Parity.EVEN, Parity.ODD):
+        for j, amp in enumerate(state.chain(parity)):
+            n, pair = divmod(full_basis_index(*chain_state(parity, j)), 4)
+            psi[n, pair] = amp
     return psi.T @ np.conj(psi)
 
 

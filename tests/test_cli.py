@@ -218,21 +218,40 @@ def test_omega_f_rescales_output(tmp_path):
     assert rows_b[0][3] == rows_a[0][3]
 
 
+_RERUN = """
+import sys
+from rabi2q.cli import main
+
+out = sys.argv[1]
+dynamics = ["dynamics", "--omega1", "1.3", "--omega2", "0.7", "--g1", "0.3",
+            "--g2", "0.4", "--alpha", "1", "--nmax", "30", "--tmax", "10",
+            "--steps", "100"]
+commands = [
+    ["perturb", "--omega1", "1.3", "--omega2", "0.7", "--g1", "2", "--g2",
+     "1.5", "--mmax", "2"],
+    dynamics + ["--engine", "full"],
+    dynamics + ["--engine", "rwa"],
+]
+for i, argv in enumerate(commands):
+    assert main(argv + ["--out", f"{out}/{i}.csv"]) == 0, argv
+"""
+
+
 def test_rerun_in_fresh_interpreter_is_byte_identical(tmp_path):
     # the header hash must not depend on anything of the process, such as
-    # the address of the command function
+    # the address of the command function; the dynamics runs of both
+    # engines show that the batched observables repeat bit for bit
     env = dict(os.environ)
     src = str(Path(rabi2q.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     outs = []
-    for name in ("a.csv", "b.csv"):
+    for name in ("a", "b"):
         out = tmp_path / name
-        subprocess.run([sys.executable, "-m", "rabi2q.cli", "perturb",
-                        "--omega1", "1.3", "--omega2", "0.7", "--g1", "2",
-                        "--g2", "1.5", "--mmax", "2", "--out", str(out)],
+        out.mkdir()
+        subprocess.run([sys.executable, "-c", _RERUN, str(out)],
                        env=env, check=True, capture_output=True)
-        outs.append(out.read_bytes())
+        outs.append([(out / f"{i}.csv").read_bytes() for i in range(3)])
     assert outs[0] == outs[1]
 
 

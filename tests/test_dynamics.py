@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies
 
 from rabi2q import dynamics as dyn
 from rabi2q.errors import InvalidDensityMatrix, TruncationInsufficient
-from rabi2q.hamiltonian import build_rwa_full
+from rabi2q.hamiltonian import build_parity_matrix, build_rwa_full
 from rabi2q.model import ModelParams, Parity, QubitLevel, TruncationConfig
 from rabi2q.numerics import EigenDecomposition, eigh, propagate_spectral
 
@@ -122,10 +123,12 @@ def test_entropy_examples():
 
 def test_invalid_density_matrix_raises():
     bad = np.diag([1.1, -0.1, 0.0, 0.0])
-    with pytest.raises(InvalidDensityMatrix):
-        dyn.von_neumann_entropy(bad)
-    with pytest.raises(InvalidDensityMatrix):
-        dyn.concurrence(bad)
+    good = np.eye(4) / 4
+    for rho in (bad, np.array([good, bad, good])):
+        with pytest.raises(InvalidDensityMatrix, match="-1.000e-01"):
+            dyn.von_neumann_entropy(rho)
+        with pytest.raises(InvalidDensityMatrix):
+            dyn.concurrence(rho)
 
 
 def test_concurrence_product_state_and_werner():
@@ -215,11 +218,122 @@ def test_truncation_guard_raises_and_records():
     assert traj.max_edge_weight > dyn.EDGE_WEIGHT_TOL
 
 
-def test_store_states_stride():
-    st = dyn.decompose_initial_state(0, G, G, TruncationConfig(10))
-    traj = dyn.evolve_parity(st, ModelParams(1.0, 1.0, 0.1, 0.2),
-                             np.linspace(0, 5, 11), store_states=5)
-    assert [i for i, _ in traj.states] == [0, 5, 10]
+def test_guard_names_first_offending_time():
+    # the vacuum spreads up a short chain: the edge weight starts at zero
+    # and crosses the tolerance part way through the run
+    trunc = TruncationConfig(6)
+    st = dyn.decompose_initial_state(0, G, G, trunc)
+    params = ModelParams(1.0, 1.0, 0.4, 0.3)
+    times = np.linspace(0.0, 10.0, 41)
+    traj = dyn.evolve_parity(st, params, times, on_guard="record")
+    edge = traj.state.edge_weight()
+    assert traj.max_edge_weight == max(
+        dyn.ParityDecomposedState(traj.state.c_even[:, k],
+                                  traj.state.c_odd[:, k], trunc).edge_weight()
+        for k in range(len(times)))
+    first = int(np.argmax(edge > dyn.EDGE_WEIGHT_TOL))
+    assert 0 < first < len(times) - 1
+    with pytest.raises(TruncationInsufficient,
+                       match=f"{edge[first]:.2e} .* at t={times[first]:g};"):
+        dyn.evolve_parity(st, params, times)
+
+
+def test_trajectory_state_columns_are_the_propagated_states():
+    trunc = TruncationConfig(30)
+    params = ModelParams(1.1, 0.3, 0.3, 0.4)
+    st = dyn.decompose_initial_state(("coherent", 1.0), G, E, trunc)
+    times = np.linspace(0.0, 5.0, 6)
+    traj = dyn.evolve_parity(st, params, times)
+    assert traj.state.trunc == trunc
+    for parity in Parity:
+        decomp = eigh(build_parity_matrix(params, parity, trunc))
+        got = traj.state.chain(parity)
+        assert np.array_equal(
+            got, propagate_spectral(decomp, st.chain(parity), times))
+        for k, t in enumerate(times):
+            ref = propagate_spectral(decomp, st.chain(parity), t)
+            assert np.max(np.abs(got[:, k] - ref)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# stacked states: every observable broadcasts over a trailing time axis
+# ---------------------------------------------------------------------------
+
+def random_stack(rng, trunc, n_t):
+    shape = (trunc.chain_dim, n_t)
+    ce = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    co = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    norm = np.sqrt(np.sum(np.abs(ce) ** 2 + np.abs(co) ** 2, axis=0))
+    return dyn.ParityDecomposedState(ce / norm, co / norm, trunc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(strategies.integers(1, 60), strategies.integers(1, 5),
+       strategies.integers(0, 2 ** 32 - 1))
+@example(1, 1, 0)     # chain_dim 4
+@example(2, 3, 1)     # chain_dim % 4 == 2
+@example(60, 5, 2)
+def test_stack_matches_its_columns(n_max, n_t, seed):
+    trunc = TruncationConfig(n_max)
+    stack = random_stack(np.random.default_rng(seed), trunc, n_t)
+    rho = dyn.reduced_density_matrix(stack)
+    assert rho.shape == (n_t, 4, 4)
+    back = dyn.state_from_full(stack.to_full(), trunc)
+    assert np.array_equal(back.c_even, stack.c_even)
+    assert np.array_equal(back.c_odd, stack.c_odd)
+    batched = {
+        "mean_n": dyn.mean_photon_number(stack),
+        "s_z": dyn.population_inversion(stack),
+        "entropy": dyn.von_neumann_entropy(rho),
+        "concurrence": dyn.concurrence(rho),
+        "norm": stack.norm,
+        "weights": np.array(stack.parity_weights()),
+        "edge": stack.edge_weight(),
+    }
+    for k in range(n_t):
+        col = dyn.ParityDecomposedState(stack.c_even[:, k], stack.c_odd[:, k],
+                                        trunc)
+        rho_k = dyn.reduced_density_matrix(col)
+        assert rho_k.shape == (4, 4)
+        assert np.max(np.abs(rho[k] - rho_k)) < 1e-14
+        assert np.max(np.abs(
+            rho_k - reduced_density_matrix_partial_trace(col))) < 1e-12
+        single = {
+            "mean_n": dyn.mean_photon_number(col),
+            "s_z": dyn.population_inversion(col),
+            "entropy": dyn.von_neumann_entropy(rho_k),
+            "concurrence": dyn.concurrence(rho_k),
+            "norm": col.norm,
+            "weights": np.array(col.parity_weights()),
+            "edge": col.edge_weight(),
+        }
+        for name, value in single.items():
+            assert np.ndim(value) == np.ndim(batched[name]) - 1, name
+            assert np.max(np.abs(batched[name][..., k] - value)) < 1e-14, name
+        # a stack reduces each column by the same dot product
+        assert batched["mean_n"][k] == single["mean_n"]
+        assert batched["s_z"][k] == single["s_z"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(strategies.lists(strategies.integers(1, 4), min_size=1, max_size=5),
+       strategies.integers(0, 2 ** 32 - 1))
+def test_entropy_and_concurrence_of_a_stack(ranks, seed):
+    # mixed states of every rank, so zero eigenvalues occur too
+    rng = np.random.default_rng(seed)
+    stack = []
+    for rank in ranks:
+        b = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        rho = b @ b.conj().T
+        stack.append(rho / np.trace(rho).real)
+    stack = np.array(stack)
+    entropy = dyn.von_neumann_entropy(stack)
+    conc = dyn.concurrence(stack)
+    assert entropy.shape == conc.shape == (len(ranks),)
+    for k, rho in enumerate(stack):
+        assert abs(entropy[k] - dyn.von_neumann_entropy(rho)) < 1e-12
+        assert abs(conc[k] - dyn.concurrence(rho)) < 1e-12
+
 
 
 # ---------------------------------------------------------------------------
@@ -313,33 +427,19 @@ def test_rwa_sector_evolution_matches_full_rwa_matrix():
     trunc = TruncationConfig(30)
     st = dyn.decompose_initial_state(("coherent", 1.2), E, G, trunc)
     times = np.linspace(0.0, 30.0, 16)
-    traj = dyn.evolve_rwa_closed_form(st, p, times, store_states=1)
-    out_trunc = traj.states[0][1].trunc
+    traj = dyn.evolve_rwa_closed_form(st, p, times)
+    out_trunc = traj.state.trunc
     pad = out_trunc.chain_dim - trunc.chain_dim
     psi0 = dyn.ParityDecomposedState(np.pad(st.c_even, (0, pad)),
                                      np.pad(st.c_odd, (0, pad)),
                                      out_trunc).to_full()
     decomp = eigh(build_rwa_full(p, out_trunc))
+    got = traj.state.to_full()
     worst = 0.0
     for i, t in enumerate(times):
         ref = propagate_spectral(decomp, psi0, t)
-        got = traj.states[i][1].to_full()
-        worst = max(worst, float(np.linalg.norm(ref - got)))
+        worst = max(worst, float(np.linalg.norm(ref - got[:, i])))
     assert worst < 1e-8
-
-
-def test_rwa_quartic_backend_agrees_with_eigh_backend():
-    p = ModelParams(0.9, 1.2, 0.08, 0.05)
-    st = dyn.decompose_initial_state(("coherent", 1.2), E, G,
-                                     TruncationConfig(30))
-    times = np.linspace(0.0, 12.0, 7)
-    a = dyn.evolve_rwa_closed_form(st, p, times, store_states=1)
-    b = dyn.evolve_rwa_closed_form(st, p, times, store_states=1,
-                                   backend="quartic")
-    worst = max(np.linalg.norm(a.states[i][1].to_full()
-                               - b.states[i][1].to_full())
-                for i in range(len(times)))
-    assert worst < 1e-9
 
 
 def test_rwa_matches_full_model_at_weak_coupling():

@@ -7,9 +7,10 @@ from rabi2q.hamiltonian import (BlockTridiagonal, build_full,
                                 build_rwa_excitation_block, build_rwa_full,
                                 expand_dense)
 from rabi2q.model import (ModelParams, Parity, QubitLevel, TruncationConfig,
-                          basis_table, full_basis_index)
+                          basis_table)
 
-from oracles import build_parity_operator, excitation_number_operator
+from oracles import (build_parity_operator, excitation_number_operator,
+                     full_basis_index)
 
 G, E = QubitLevel.G, QubitLevel.E
 P = ModelParams(1.3, 0.7, 0.3, 0.4)

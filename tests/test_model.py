@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rabi2q.model import (ModelParams, Parity, QubitLevel, TruncationConfig,
-                          basis_table, chain_index_of, chain_state,
-                          full_basis_index, full_basis_state,
-                          parity_of_product_state)
+                          basis_table)
+
+from oracles import (chain_index_of, chain_state, full_basis_index,
+                     full_basis_state, parity_of_product_state)
 
 G, E = QubitLevel.G, QubitLevel.E
 

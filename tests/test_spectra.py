@@ -5,14 +5,14 @@ from hypothesis import example, given, settings, strategies as st
 from rabi2q import spectra
 from rabi2q.errors import SmallDenominator, TruncationInsufficient
 from rabi2q.hamiltonian import build_parity_matrix
-from rabi2q.model import ModelParams, Parity, TruncationConfig, chain_state
+from rabi2q.model import ModelParams, Parity, TruncationConfig
 from rabi2q.numerics import eigh, eigh_banded_lowest
 from rabi2q.spectra import (CrossingKind, SpectrumSweep,
                             converged_parity_eigensystem, detect_crossings,
                             doubling_check, dsc_perturbative_spectrum,
                             rwa_relative_error, sweep_spectrum)
 
-from oracles import G_CROSS
+from oracles import G_CROSS, chain_state
 
 TEMPLATE = ModelParams(1.3, 0.7, 0.0, 0.0)
 
