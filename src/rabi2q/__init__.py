@@ -12,10 +12,9 @@ from .eigenstates import (BargmannCoefficients, RecurrenceState,
                           bargmann_coefficients,
                           bargmann_identical_coefficients,
                           recurrence_eigenstate_la, residual)
-from .hamiltonian import (BlockTridiagonal, RwaExcitationBlock,
-                          build_full, build_parity_blocks,
-                          build_parity_matrix, build_rwa_excitation_block,
-                          build_rwa_full, expand_dense)
+from .hamiltonian import (RwaExcitationBlock, build_full, build_parity_band,
+                          build_parity_matrix, build_rwa_band,
+                          build_rwa_excitation_block, expand_dense)
 from .model import ModelParams, Parity, QubitLevel, TruncationConfig
 from .numerics import (EigenDecomposition, displacement_element, eigh,
                        laguerre_assoc, propagate_spectral)
@@ -26,15 +25,15 @@ from .spectra import (CrossingKind, CrossingRecord, PerturbativeSpectrum,
 
 __all__ = [
     "__version__",
-    "BargmannCoefficients", "BlockTridiagonal", "CrossingKind",
+    "BargmannCoefficients", "CrossingKind",
     "CrossingRecord", "EigenDecomposition", "ModelParams", "Parity",
     "ParityDecomposedState", "PerturbativeSpectrum",
     "QuarticCoefficients", "QubitLevel", "RecurrenceState",
     "RwaErrorReport", "RwaExcitationBlock", "SpectrumSweep", "Trajectory",
     "TruncationConfig",
     "bargmann_coefficients", "bargmann_identical_coefficients",
-    "build_full", "build_parity_blocks", "build_parity_matrix",
-    "build_rwa_excitation_block", "build_rwa_full",
+    "build_full", "build_parity_band", "build_parity_matrix",
+    "build_rwa_band", "build_rwa_excitation_block",
     "concurrence",
     "decompose_initial_state", "detect_crossings", "displacement_element",
     "dsc_perturbative_spectrum", "eigh", "evolve_parity",

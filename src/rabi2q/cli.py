@@ -6,7 +6,8 @@ win), energies are in units of the field frequency, and every CSV starts
 with a comment line carrying the tool version, the command and a hash of the
 resolved configuration so identical configs produce byte-identical files.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical/truncation
+Exit codes: 0 success, 2 configuration error (a ConfigError, raised by the
+front end and by the input checks of the library), 3 numerical/truncation
 failure.
 """
 
@@ -118,14 +119,6 @@ def _reject_seed(args):
                           "and accepts no random seed")
 
 
-def _model(args) -> ModelParams:
-    try:
-        return ModelParams(args.omega1, args.omega2,
-                           float(args.g1), float(args.g2))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -149,12 +142,9 @@ def cmd_spectrum(args) -> int:
             g2 = np.full_like(g1, g2[0])
         else:
             raise ConfigError("g1 and g2 ranges must have equal length")
-    try:
-        template = ModelParams(args.omega1, args.omega2, 0.0, 0.0)
-        trunc = TruncationConfig(args.nmax)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    sweep = spectra.sweep_spectrum(template, g1, g2, trunc, args.k)
+    template = ModelParams(args.omega1, args.omega2, 0.0, 0.0)
+    sweep = spectra.sweep_spectrum(template, g1, g2,
+                                   TruncationConfig(args.nmax), args.k)
     resolved = dict(vars(args))
     cfg_hash = _config_hash("spectrum", resolved)
     w = args.omega_f
@@ -211,11 +201,8 @@ def _initial_state(args, trunc):
 
 def cmd_dynamics(args) -> int:
     _reject_seed(args)
-    params = _model(args)
-    try:
-        trunc = TruncationConfig(args.nmax)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    params = ModelParams(args.omega1, args.omega2, args.g1, args.g2)
+    trunc = TruncationConfig(args.nmax)
     if args.steps < 1 or args.tmax <= 0:
         raise ConfigError("--steps must be >= 1 and --tmax positive")
     times = np.linspace(0.0, args.tmax, args.steps + 1)
@@ -246,7 +233,7 @@ def cmd_dynamics(args) -> int:
 
 def cmd_perturb(args) -> int:
     _reject_seed(args)
-    params = _model(args)
+    params = ModelParams(args.omega1, args.omega2, args.g1, args.g2)
     spectrum = spectra.dsc_perturbative_spectrum(params, args.mmax,
                                                  n_cut=args.ncut)
     if spectrum.resonant:
@@ -277,12 +264,9 @@ def cmd_perturb(args) -> int:
 
 def cmd_rwa_compare(args) -> int:
     _reject_seed(args)
-    params = _model(args)
-    try:
-        trunc = TruncationConfig(args.nmax)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    report = spectra.rwa_relative_error(params, trunc, args.k)
+    params = ModelParams(args.omega1, args.omega2, args.g1, args.g2)
+    report = spectra.rwa_relative_error(params, TruncationConfig(args.nmax),
+                                        args.k)
     w = args.omega_f
     rows = [(i, report.e_full[i] * w, report.e_rwa[i] * w, report.errors[i])
             for i in range(args.k)]
@@ -296,11 +280,8 @@ def cmd_rwa_compare(args) -> int:
 
 def cmd_eigenstate(args) -> int:
     _reject_seed(args)
-    params = _model(args)
-    try:
-        trunc = TruncationConfig(args.nmax)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    params = ModelParams(args.omega1, args.omega2, args.g1, args.g2)
+    trunc = TruncationConfig(args.nmax)
     parities = ([Parity.EVEN, Parity.ODD] if args.parity == "both"
                 else [Parity.EVEN if args.parity == "even" else Parity.ODD])
     rows = []
@@ -317,6 +298,8 @@ def cmd_eigenstate(args) -> int:
                     res_barg = eigenstates.bargmann_reconstruction_residual(
                         params, parity, float(decomp.values[index]),
                         j_max=args.jmax, n_max=args.nmax)
+                except ConfigError:
+                    raise
                 except Rabi2qError as exc:
                     print(f"eigenstate: bargmann route unavailable for "
                           f"{parity.value} #{index}: {exc}", file=sys.stderr)

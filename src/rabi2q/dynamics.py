@@ -17,13 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateResolvent, InvalidDensityMatrix,
+from .errors import (ConfigError, DegenerateResolvent, InvalidDensityMatrix,
                      TruncationInsufficient)
-from .hamiltonian import (build_parity_matrix, build_rwa_excitation_block,
-                          build_rwa_full)
+from .hamiltonian import (build_parity_band, build_parity_matrix,
+                          build_rwa_band, build_rwa_excitation_block)
 from .model import (ModelParams, Parity, QubitLevel, TruncationConfig,
                     basis_table)
-from .numerics import eigh, propagate_spectral
+from .numerics import band_matvec, eigh, propagate_spectral
 
 EDGE_WEIGHT_TOL = 1e-6
 COHERENT_LEAKAGE_TOL = 1e-12
@@ -118,6 +118,8 @@ def decompose_initial_state(field, q1: QubitLevel, q2: QubitLevel,
                 f"{trunc.n_max}")
     else:
         n_fock = int(field)
+        if n_fock < 0:
+            raise ConfigError(f"Fock level must be >= 0, got {n_fock}")
         if n_fock > trunc.n_max:
             raise TruncationInsufficient(
                 f"Fock level {n_fock} above n_max={trunc.n_max}")
@@ -245,14 +247,20 @@ class Trajectory:
     state: ParityDecomposedState
 
 
-def _expectation(h: np.ndarray, psi_t: np.ndarray) -> np.ndarray:
-    """<psi|H|psi> for every column of psi_t, applying H directly.
+def _energy(state: ParityDecomposedState, params: ModelParams,
+            build_band) -> np.ndarray:
+    """<psi|H|psi> of every column, H applied on each chain's band.
 
     H is real symmetric, so the real and imaginary parts of psi contribute
     separately and no complex copy of H is needed.
     """
-    return sum(np.sum(part * (h @ part), axis=0)
-               for part in (psi_t.real, psi_t.imag))
+    total = 0.0
+    for parity in (Parity.EVEN, Parity.ODD):
+        band = build_band(params, parity, state.trunc)
+        psi = state.chain(parity)
+        for part in (psi.real, psi.imag):
+            total += np.sum(part * band_matvec(band, part), axis=0)
+    return total
 
 
 def _trajectory(state: ParityDecomposedState, times: np.ndarray,
@@ -282,23 +290,21 @@ def evolve_parity(state: ParityDecomposedState, params: ModelParams, times,
     any output time the run raises TruncationInsufficient, naming the first
     such time (on_guard="raise"), or completes and records the violation in
     max_edge_weight (on_guard="record").  The energy is <psi(t)|H|psi(t)>
-    with the chain matrices applied directly, so it does not rely on the
+    with the chain bands applied directly, so it does not rely on the
     decomposition that propagated the state.
     """
     if on_guard not in ("raise", "record"):
         raise ValueError("on_guard must be 'raise' or 'record'")
     times = np.atleast_1d(np.asarray(times, dtype=float))
     trunc = state.trunc
-    evolved = {}
-    energies = np.zeros(len(times))
-    for parity in (Parity.EVEN, Parity.ODD):
-        h = build_parity_matrix(params, parity, trunc)
-        evolved[parity] = propagate_spectral(eigh(h), state.chain(parity),
-                                             times)
-        energies += _expectation(h, evolved[parity])
-    return _trajectory(ParityDecomposedState(evolved[Parity.EVEN],
-                                             evolved[Parity.ODD], trunc),
-                       times, energies, on_guard)
+    evolved = {parity: propagate_spectral(
+                   eigh(build_parity_matrix(params, parity, trunc)),
+                   state.chain(parity), times)
+               for parity in (Parity.EVEN, Parity.ODD)}
+    out = ParityDecomposedState(evolved[Parity.EVEN], evolved[Parity.ODD],
+                                trunc)
+    return _trajectory(out, times, _energy(out, params, build_parity_band),
+                       on_guard)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +394,9 @@ def evolve_rwa_closed_form(state: ParityDecomposedState, params: ModelParams,
 
     The RWA Hamiltonian is block diagonal in the excitation number; each
     occupied sector block is diagonalized once and the lab-frame phase
-    exp(-i omega_f (N-1) t) is restored when reassembling.
+    exp(-i omega_f (N-1) t) is restored when reassembling.  The energy is
+    <psi(t)|H_RWA|psi(t)> on the RWA chain bands, not on the sector blocks
+    that propagated the state.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     trunc = state.trunc
@@ -415,6 +423,7 @@ def evolve_rwa_closed_form(state: ParityDecomposedState, params: ModelParams,
         phases = np.exp(-1j * np.outer(vals, times)) * proj[:, None]
         evolved[idx] += (vecs @ phases) * frame[None, :]
 
-    energies = _expectation(build_rwa_full(params, out_trunc), evolved)
-    return _trajectory(state_from_full(evolved, out_trunc), times, energies,
+    out = state_from_full(evolved, out_trunc)
+    del evolved  # free the full-basis copy before the energy's temporaries
+    return _trajectory(out, times, _energy(out, params, build_rwa_band),
                        "record")

@@ -13,7 +13,8 @@ and seed fed to it: a double-precision eigenpair is amplified to ~1e-4
 within a dozen steps.  ``refine_eigenpair`` sharpens a float eigenpair far
 past double precision by mixed-precision Newton (residual in mpmath,
 corrections in float64) so the recurrence can track the decaying solution
-deep into its tail.
+deep into its tail.  The four-term route works at ``DPS`` decimal digits
+(the refiner's residual at ``DPS + GUARD_DIGITS``).
 """
 
 from __future__ import annotations
@@ -24,13 +25,16 @@ from dataclasses import dataclass, replace
 import mpmath as mp
 import numpy as np
 
-from .errors import (ConvergenceFailure, OverflowDetected, SingularCoupling,
-                     StepSingular)
-from .hamiltonian import build_parity_blocks, build_parity_matrix
+from .errors import (ConfigError, ConvergenceFailure, OverflowDetected,
+                     SingularCoupling, StepSingular)
+from .hamiltonian import build_parity_band, build_parity_matrix
 from .model import (ModelParams, Parity, QubitLevel, TruncationConfig,
                     basis_table)
-from .numerics import EigenDecomposition, band_matvec, eigh
+from .numerics import (EigenDecomposition, band_matvec, band_norm, eigh,
+                       general_band)
 
+# decimal digits of the mp recurrences and of the refined eigenpairs
+DPS = 60
 OVERFLOW_LIMIT = 1e300
 RESCALE_EVERY = 32
 RESCALE_TRIGGER = 1e150
@@ -129,15 +133,15 @@ def _recurrence_blocks_mp(params: ModelParams, parity: Parity, xi, v0,
     return v, scale_log10
 
 
-def _cut_normalize(parity: Parity, xi, blocks, scale_log10, n_max: int,
-                   dps: int) -> RecurrenceState:
+def _cut_normalize(parity: Parity, xi, blocks, scale_log10,
+                   n_max: int) -> RecurrenceState:
     """Zero the growing tail past the minimum-norm block and normalize.
 
     Normalization happens in mp arithmetic first: the running rescales may
     have pushed the kept prefix far outside the double-precision exponent
     range even though its shape is perfectly finite.
     """
-    with mp.workdps(dps):
+    with mp.workdps(DPS):
         norms = [mp.sqrt(b[0] ** 2 + b[1] ** 2) for b in blocks]
         positive = [i for i, nm in enumerate(norms) if nm > 0]
         if not positive:
@@ -158,30 +162,34 @@ def _cut_normalize(parity: Parity, xi, blocks, scale_log10, n_max: int,
 
 
 def recurrence_eigenstate_la(params: ModelParams, parity: Parity, xi, v0,
-                             n_max: int, dps: int = 60) -> RecurrenceState:
+                             n_max: int) -> RecurrenceState:
     """Run the four-term recurrence from seed block v0 at energy xi.
 
     xi and the two components of v0 may be floats or mpmath values; the
-    iteration runs at dps decimal digits.  The residual of the result is
+    iteration runs at DPS decimal digits.  The residual of the result is
     limited by the accuracy of (xi, v0): feed values from refine_eigenpair
     to resolve the decaying solution below double precision.
     """
     _check_couplings(params)
     if float(abs(v0[0])) == 0.0 and float(abs(v0[1])) == 0.0:
         raise ValueError("seed block v0 must be nonzero")
-    with mp.workdps(dps):
+    with mp.workdps(DPS):
         blocks, scale_log10 = _recurrence_blocks_mp(params, parity, xi, v0,
                                                     n_max)
-    return _cut_normalize(parity, xi, blocks, scale_log10, n_max, dps)
+    return _cut_normalize(parity, xi, blocks, scale_log10, n_max)
+
+
+def _band_residual(band: np.ndarray, xi: float, v: np.ndarray) -> float:
+    """||(H - xi) v|| / ||v|| for H in lower band storage."""
+    hv = band_matvec(band, v[:, None])[:, 0]
+    return float(np.linalg.norm(hv - xi * v) / np.linalg.norm(v))
 
 
 def chain_residual(params: ModelParams, parity: Parity, xi: float,
                    v: np.ndarray) -> float:
     """Relative residual ||(H - xi) v|| / ||v|| on the truncated chain."""
-    n_max = len(v) // 2 - 1
-    h = build_parity_matrix(params, parity, TruncationConfig(n_max))
-    nrm = np.linalg.norm(v)
-    return float(np.linalg.norm(h @ v - xi * v) / nrm)
+    trunc = TruncationConfig(len(v) // 2 - 1)
+    return _band_residual(build_parity_band(params, parity, trunc), xi, v)
 
 
 def residual(params: ModelParams, parity: Parity,
@@ -195,8 +203,8 @@ def residual(params: ModelParams, parity: Parity,
 
 # Newton steps refine_eigenpair takes at most; each gains about
 # log10(gap / (eps ||H||)) digits: 13-15 at the README configuration (14
-# steps reach dps = 200 there), 4-5 at the criterion-05 crossing.  The
-# GUARD_DIGITS past dps put the stopping tolerance ||H|| 10^-(dps + 3) well
+# steps reach 200 digits there), 4-5 at the criterion-05 crossing.  The
+# GUARD_DIGITS past DPS put the stopping tolerance ||H|| 10^-(DPS + 3) well
 # above the rounding floor of the residual
 NEWTON_STEPS = 16
 GUARD_DIGITS = 3
@@ -213,11 +221,9 @@ def _band_lu(band: np.ndarray, shift: float, tiny: float):
     """
     k, n = band.shape[0] - 1, band.shape[1]
     kv = 2 * k
-    ab = np.zeros((n, 3 * k + 1))
-    for d in range(k + 1):
-        ab[:n - d, kv + d] = ab[d:, kv - d] = band[d, :n - d]
-    ab[:, kv] -= shift
-    cols, piv = ab.tolist(), []
+    ab = general_band(band)
+    ab[kv] -= shift
+    cols, piv = ab.T.tolist(), []
     for j, cj in enumerate(cols):
         below = range(1, min(k, n - 1 - j) + 1)
         jp = max((0, *below), key=lambda t: abs(cj[kv + t]))
@@ -268,12 +274,12 @@ def _mp_residual(d, a, b, xi, x):
 
 
 def refine_eigenpair(params: ModelParams, parity: Parity, xi0: float,
-                     vec0: np.ndarray, n_max: int, dps: int = 60):
+                     vec0: np.ndarray, n_max: int):
     """Sharpen a float eigenpair of the chain matrix to mp precision.
 
     Newton on F(x, xi) = [(H - xi) x; (x^T x - 1)/2] with the Jacobian
     frozen at the start (Dongarra, Moler & Wilkinson, SIAM J. Numer. Anal.
-    20 (1983) 23): F in mp at dps + GUARD_DIGITS digits, the correction in
+    20 (1983) 23): F in mp at DPS + GUARD_DIGITS digits, the correction in
     float64 from one banded LU of H - xi0.  H - xi0 is singular to double
     precision, so the border is eliminated with deflation: the x0 part of F
     is split off before the solve and the near-null direction enters only
@@ -282,21 +288,20 @@ def refine_eigenpair(params: ModelParams, parity: Parity, xi0: float,
 
     Returns (xi, x, residual), xi and the list x in mp, once residual =
     ||(H - xi) x||_2 and ||H|| |x^T x - 1| / 2 are at most
-    tol = ||H||_inf 10^-(dps + GUARD_DIGITS); raises ConvergenceFailure,
+    tol = ||H||_inf 10^-(DPS + GUARD_DIGITS); raises ConvergenceFailure,
     with the residual reached, if NEWTON_STEPS steps do not get there or
     the iteration leaves the float range.
     """
-    band = build_parity_blocks(params, parity,
-                               TruncationConfig(n_max)).lower_band()
+    band = build_parity_band(params, parity, TruncationConfig(n_max))
     x0 = np.asarray(vec0, dtype=float)
-    hnorm = float(np.max(band_matvec(np.abs(band), np.ones((len(x0), 1)))))
+    hnorm = band_norm(band)
     factors = _band_lu(band, float(xi0), np.finfo(float).eps * hnorm)
     w = _band_solve(factors, x0)
     xw = math.fsum(x0 * w)
     if not (xw and math.isfinite(xw)):
         raise ConvergenceFailure("bordered Newton system is singular")
     u = w / xw
-    digits = dps + GUARD_DIGITS
+    digits = DPS + GUARD_DIGITS
     tol = hnorm * 10.0 ** -digits
     with mp.workdps(digits):
         d = _mp_chain_diagonal(params, parity, n_max)
@@ -322,7 +327,7 @@ def refine_eigenpair(params: ModelParams, parity: Parity, xi0: float,
 
 
 def eigenstate_recurrence(params: ModelParams, parity: Parity, index: int,
-                          n_max: int, dps: int = 60,
+                          n_max: int,
                           decomp: EigenDecomposition | None = None
                           ) -> RecurrenceState:
     """Recurrence state for the index-th lowest eigenvalue of one parity.
@@ -331,22 +336,26 @@ def eigenstate_recurrence(params: ModelParams, parity: Parity, index: int,
     eigenpair, then the four-term recurrence seeded by the refined first
     block; the state records the refined pair's mp residual.  A caller
     that already holds the dense decomposition of this chain at this
-    cutoff passes it as decomp and skips the diagonalization.
+    cutoff passes it as decomp and skips the diagonalization.  index must
+    lie in [0, chain dimension).
     """
     _check_couplings(params)
+    if not 0 <= index < 2 * (n_max + 1):
+        raise ConfigError(f"eigenstate index {index} is outside the "
+                          f"{2 * (n_max + 1)} levels of the chain")
     if decomp is None:
         decomp = eigh(build_parity_matrix(params, parity,
                                           TruncationConfig(n_max)))
     xi, x, res = refine_eigenpair(params, parity, decomp.values[index],
-                                  decomp.vectors[:, index], n_max, dps=dps)
+                                  decomp.vectors[:, index], n_max)
     state = recurrence_eigenstate_la(params, parity, xi, (x[0], x[1]),
-                                     n_max, dps=dps)
+                                     n_max)
     return replace(state, refine_residual=res)
 
 
 def best_seed_recurrence_state(params: ModelParams, parity: Parity, xi,
                                n_max: int, seeds=((1.0, 0.0), (0.0, 1.0)),
-                               n_coarse: int = 60, dps: int = 60):
+                               n_coarse: int = 60):
     """Least-residual state over mixtures of two independent seed blocks.
 
     The recurrence is linear in the seed, so the two basis runs are formed
@@ -358,9 +367,8 @@ def best_seed_recurrence_state(params: ModelParams, parity: Parity, xi,
     (e.g. xi far from any eigenvalue).  Returns (state, angle, residual).
     """
     _check_couplings(params)
-    h = build_parity_matrix(params, parity, TruncationConfig(n_max))
-    xi_f = float(xi)
-    with mp.workdps(dps):
+    band = build_parity_band(params, parity, TruncationConfig(n_max))
+    with mp.workdps(DPS):
         runs = []
         for seed in seeds:
             blocks, _ = _recurrence_blocks_mp(params, parity, xi, seed,
@@ -372,14 +380,13 @@ def best_seed_recurrence_state(params: ModelParams, parity: Parity, xi,
             ct, st = mp.cos(theta), mp.sin(theta)
             mixed = [[ct * a[0] + st * b[0], ct * a[1] + st * b[1]]
                      for a, b in zip(runs[0], runs[1])]
-            return _cut_normalize(parity, xi, mixed, 0.0, n_max, dps)
+            return _cut_normalize(parity, xi, mixed, 0.0, n_max)
 
         def score(theta):
             try:
-                v = state_at(theta).v
+                return _band_residual(band, float(xi), state_at(theta).v)
             except OverflowDetected:
                 return np.inf
-            return float(np.linalg.norm(h @ v - xi_f * v))
 
         u_end, w_end = runs[0][-1], runs[1][-1]
         comp = 0 if (abs(u_end[0]) + abs(w_end[0])
@@ -489,7 +496,7 @@ def bargmann_coefficients(params: ModelParams, parity: Parity, chi: float,
     reconstructable solution.
     """
     if j_max < 4:
-        raise ValueError("j_max must be >= 4")
+        raise ConfigError("j_max must be >= 4")
     if params.g_plus * params.g_minus == 0.0:
         raise StepSingular("g_plus * g_minus = 0: alpha_0 vanishes "
                            "identically")
@@ -540,7 +547,7 @@ def bargmann_minimal_coefficients(params: ModelParams, parity: Parity,
     O(1e-15) when chi is an eigenvalue and O(1e-2) away from one.
     """
     if j_max < 8:
-        raise ValueError("j_max must be >= 8")
+        raise ConfigError("j_max must be >= 8")
     rows = []
     for j in range(2, j_max + 5):
         a = _bargmann_alphas(params, parity, chi, j)
@@ -690,7 +697,7 @@ def bargmann_identical_coefficients(omega0: float, g_plus: float,
     chi hits the bare ladder (j-1) wf (the exceptional points).
     """
     if j_max < 2:
-        raise ValueError("j_max must be >= 2")
+        raise ConfigError("j_max must be >= 2")
     if g_plus == 0.0:
         raise StepSingular("g_plus = 0: alpha_j undefined")
     omega0_on_even_j = parity is Parity.ODD

@@ -5,8 +5,9 @@ class Rabi2qError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ConfigError(Rabi2qError):
-    """Invalid run configuration (CLI exit code 2)."""
+class ConfigError(Rabi2qError, ValueError):
+    """Invalid input: a run configuration or an argument out of range
+    (CLI exit code 2)."""
 
 
 class ConvergenceFailure(Rabi2qError):

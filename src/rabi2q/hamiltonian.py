@@ -1,11 +1,13 @@
 """Hamiltonian construction.
 
-Builds the full truncated Hamiltonian in the product basis, its parity-block
-form (block tridiagonal with 2x2 blocks, also as a LAPACK band), the
-full-basis RWA Hamiltonian, and the per-excitation-sector RWA blocks.  Matrix
-elements are written once, in the parity blocks; the dense chain matrix is
-scattered from their band, the full-basis matrices from the chain matrices
-through the basis table.  All matrices are real symmetric by
+Each parity chain's Hamiltonian is written once, straight into LAPACK lower
+band storage (bandwidth 3: the 2x2 diagonal blocks D_j and the coupling
+blocks O_j between photon numbers j - 1 and j).  The RWA chain band is that
+band with the counter-rotating entries zeroed.  Every chain matvec runs on
+the band; a dense chain matrix is expanded from it only to feed dense
+``eigh``, and the full-basis matrix is scattered from the two dense chains
+through the basis table.  The per-excitation-sector RWA blocks are written
+from their own printed entries.  All matrices are real symmetric by
 construction (complex arithmetic enters only in dynamics).
 """
 
@@ -19,66 +21,47 @@ from .model import (ModelParams, Parity, QubitLevel, TruncationConfig,
                     basis_table)
 
 
-@dataclass(frozen=True)
-class BlockTridiagonal:
-    """Parity-block Hamiltonian: diagonal blocks D_j and off blocks O_j.
+def build_parity_band(params: ModelParams, parity: Parity,
+                      trunc: TruncationConfig) -> np.ndarray:
+    """One parity chain's Hamiltonian in LAPACK lower band storage.
 
-    d_blocks[j] holds the two diagonal entries of D_j for 0 <= j <= n_max;
-    o_blocks[j-1] is the symmetric 2x2 block O_j = sqrt(j)*[[g1,g2],[g2,g1]]
-    coupling photon numbers j-1 and j.
-    """
-
-    parity: Parity
-    d_blocks: np.ndarray
-    o_blocks: np.ndarray
-
-    @property
-    def n_max(self) -> int:
-        return self.d_blocks.shape[0] - 1
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.d_blocks.shape[0]
-
-    def lower_band(self) -> np.ndarray:
-        """The chain matrix in LAPACK lower band storage, shape (4, dim).
-
-        band[d, c] = H[c + d, c].  The transpose of O_j sits in rows
-        r + 2, r + 3 and columns r, r + 1 (r = 2j - 2), so the entries
-        [0, 0], [0, 1], [1, 0] and [1, 1] of O_j land on diagonals 2, 3, 1
-        and 2; the unused tail of each diagonal is zero.
-        """
-        o = self.o_blocks
-        band = np.zeros((4, self.dim))
-        band[0] = self.d_blocks.ravel()
-        band[2, 0:-2:2] = o[:, 0, 0]
-        band[3, 0:-2:2] = o[:, 0, 1]
-        band[1, 1:-2:2] = o[:, 1, 0]
-        band[2, 1:-2:2] = o[:, 1, 1]
-        return band
-
-
-def build_parity_blocks(params: ModelParams, parity: Parity,
-                        trunc: TruncationConfig) -> BlockTridiagonal:
-    """Block-tridiagonal form of the Hamiltonian in one parity chain.
-
-    D_j holds the free energies n*omega_f + (sz1*omega_1 + sz2*omega_2)/2
-    of its two chain slots.  Every full-basis matrix below is assembled
-    from these blocks.
+    band[d, c] = H[c + d, c], shape (4, chain_dim); the unused tail of each
+    diagonal is zero.  The diagonal holds the free energies
+    n*omega_f + (sz1*omega_1 + sz2*omega_2)/2 of the chain slots.  The
+    transpose of O_j = sqrt(j)*[[g1, g2], [g2, g1]] sits in rows r + 2,
+    r + 3 and columns r, r + 1 (r = 2j - 2), so the entries [0, 0], [0, 1],
+    [1, 0] and [1, 1] of O_j land on diagonals 2, 3, 1 and 2.
     """
     table = basis_table(trunc)
-    d = (table.photon[parity] * params.omega_f
-         + 0.5 * (table.sz1[parity] * params.omega_1
-                  + table.sz2[parity] * params.omega_2))
-    coupling = np.array([[params.g_1, params.g_2], [params.g_2, params.g_1]])
-    o = np.sqrt(np.arange(1, trunc.n_max + 1))[:, None, None] * coupling
-    return BlockTridiagonal(parity, d.reshape(-1, 2), o)
+    band = np.zeros((4, trunc.chain_dim))
+    band[0] = (table.photon[parity] * params.omega_f
+               + 0.5 * (table.sz1[parity] * params.omega_1
+                        + table.sz2[parity] * params.omega_2))
+    root = np.sqrt(np.arange(1, trunc.n_max + 1))
+    band[2, 0:-2:2] = band[2, 1:-2:2] = root * params.g_1
+    band[3, 0:-2:2] = band[1, 1:-2:2] = root * params.g_2
+    return band
 
 
-def expand_dense(blocks: BlockTridiagonal) -> np.ndarray:
-    """Dense symmetric matrix with D_j on the diagonal and O_j off it."""
-    band = blocks.lower_band()
-    dim = blocks.dim
+def build_rwa_band(params: ModelParams, parity: Parity,
+                   trunc: TruncationConfig) -> np.ndarray:
+    """The chain band with counter-rotating coupling terms dropped.
+
+    Keeps the free terms and the excitation-conserving couplings
+    g_j (a sigma+^j + a+ sigma-^j): the counter-rotating terms are exactly
+    the entries that join chain positions of different excitation number.
+    """
+    band = build_parity_band(params, parity, trunc)
+    table = basis_table(trunc)
+    n_exc = table.excitation[table.full_index[parity]]
+    for d in range(1, band.shape[0]):
+        band[d, :-d][n_exc[d:] != n_exc[:-d]] = 0.0
+    return band
+
+
+def expand_dense(band: np.ndarray) -> np.ndarray:
+    """Dense symmetric matrix of a lower band, band[d, c] = H[c + d, c]."""
+    dim = band.shape[1]
     h = np.zeros((dim, dim))
     for d in range(band.shape[0]):
         col = np.arange(dim - d)
@@ -88,7 +71,7 @@ def expand_dense(blocks: BlockTridiagonal) -> np.ndarray:
 
 def build_parity_matrix(params: ModelParams, parity: Parity,
                         trunc: TruncationConfig) -> np.ndarray:
-    return expand_dense(build_parity_blocks(params, parity, trunc))
+    return expand_dense(build_parity_band(params, parity, trunc))
 
 
 def build_full(params: ModelParams, trunc: TruncationConfig) -> np.ndarray:
@@ -101,20 +84,6 @@ def build_full(params: ModelParams, trunc: TruncationConfig) -> np.ndarray:
     for parity in (Parity.EVEN, Parity.ODD):
         idx = basis_table(trunc).full_index[parity]
         h[np.ix_(idx, idx)] = build_parity_matrix(params, parity, trunc)
-    return h
-
-
-def build_rwa_full(params: ModelParams, trunc: TruncationConfig) -> np.ndarray:
-    """Full-basis Hamiltonian with counter-rotating coupling terms dropped.
-
-    Keeps the free terms and the excitation-conserving couplings
-    g_j (a sigma+^j + a+ sigma-^j): the counter-rotating terms are exactly
-    the entries of build_full that join rows of different excitation
-    number.
-    """
-    h = build_full(params, trunc)
-    n_exc = basis_table(trunc).excitation
-    h[n_exc[:, None] != n_exc] = 0.0
     return h
 
 

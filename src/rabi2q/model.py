@@ -18,6 +18,8 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 class QubitLevel(Enum):
     """Two-level state label; sz convention: e -> +1, g -> -1."""
@@ -58,11 +60,11 @@ class ModelParams:
     def __post_init__(self):
         for name in ("omega_1", "omega_2", "g_1", "g_2", "omega_f"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+                raise ConfigError(f"{name} must be finite")
         if self.omega_f <= 0:
-            raise ValueError("omega_f must be positive")
+            raise ConfigError("omega_f must be positive")
         if self.omega_1 < 0 or self.omega_2 < 0:
-            raise ValueError("qubit frequencies must be non-negative")
+            raise ConfigError("qubit frequencies must be non-negative")
 
     @property
     def g_plus(self) -> float:
@@ -87,7 +89,7 @@ class TruncationConfig:
 
     def __post_init__(self):
         if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
+            raise ConfigError("n_max must be >= 1")
 
     @property
     def chain_dim(self) -> int:

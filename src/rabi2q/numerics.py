@@ -59,11 +59,28 @@ def band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     """H @ x for H in LAPACK lower band storage, band[d, c] = H[c + d, c]."""
     dim = band.shape[1]
     y = band[0][:, None] * x
-    for d in range(1, band.shape[0]):
+    for d in range(1, min(band.shape[0], dim)):
         diagonal = band[d, :dim - d, None]
         y[d:] += diagonal * x[:dim - d]
         y[:dim - d] += diagonal * x[d:]
     return y
+
+
+def band_norm(band: np.ndarray) -> float:
+    """||H||_inf, the largest absolute row sum, of a lower band."""
+    return float(np.max(band_matvec(np.abs(band),
+                                    np.ones((band.shape[1], 1)))))
+
+
+def general_band(band: np.ndarray) -> np.ndarray:
+    """A lower band in LAPACK general band storage with room for the fill
+    of a pivoted LU: H[i, j] at [2 kd + i - j, j], shape (3 kd + 1, dim)."""
+    kd, dim = band.shape[0] - 1, band.shape[1]
+    full = np.zeros((3 * kd + 1, dim))
+    for d in range(min(kd + 1, dim)):
+        full[2 * kd + d, :dim - d] = band[d, :dim - d]
+        full[2 * kd - d, d:] = band[d, :dim - d]
+    return full
 
 
 def eigh_banded_lowest(band: np.ndarray, count: int) -> EigenDecomposition:
@@ -98,8 +115,7 @@ def eigh_banded_lowest(band: np.ndarray, count: int) -> EigenDecomposition:
                                 select_range=(0, min(count, dim - 1)))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    # ||H|| as the largest absolute row sum
-    norm = float(np.max(band_matvec(np.abs(band), np.ones((dim, 1))))) or 1.0
+    norm = band_norm(band) or 1.0
     ties = np.flatnonzero(np.diff(values) <= TIE_GAP * norm)
     if len(ties):
         raise ConvergenceFailure(
@@ -107,11 +123,7 @@ def eigh_banded_lowest(band: np.ndarray, count: int) -> EigenDecomposition:
             f"{TIE_GAP:g} * ||H||")
     values = values[:count]
     eps = np.finfo(float).eps
-    # general band storage for the LU: H[i, j] at row 2 kd + i - j
-    full = np.zeros((3 * kd + 1, dim))
-    for d in range(kd + 1):
-        full[2 * kd + d, :dim - d] = band[d, :dim - d]
-        full[2 * kd - d, d:] = band[d, :dim - d]
+    full = general_band(band)
     starts = np.random.default_rng(0).uniform(-1.0, 1.0, (count, dim))
     vectors = np.empty((dim, count))
     first = 0                       # first level of the current cluster

@@ -16,25 +16,24 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (ConvergenceFailure, SmallDenominator,
+from .errors import (ConfigError, ConvergenceFailure, SmallDenominator,
                      TruncationInsufficient)
-from .hamiltonian import (build_full, build_parity_blocks,
-                          build_parity_matrix, build_rwa_full)
+from .hamiltonian import (build_parity_band, build_parity_matrix,
+                          build_rwa_band, expand_dense)
 from .model import ModelParams, Parity, TruncationConfig
 from .numerics import displacement_element, eigh, eigh_banded_lowest
 
 GUARD_TOL = 1e-8
 
 
-def converged_mask(vectors: np.ndarray, edge_dim: int,
-                   tol: float = GUARD_TOL) -> np.ndarray:
-    """True for columns with < tol weight on the last edge_dim rows.
+def converged_mask(vectors: np.ndarray, edge_dim: int) -> np.ndarray:
+    """True for columns with < GUARD_TOL weight on the last edge_dim rows.
 
     edge_dim is 4 for a parity chain and 8 for the full product basis
     (two qubit pairs per photon level vs four).
     """
     edge_weight = np.sum(vectors[-edge_dim:, :] ** 2, axis=0)
-    return edge_weight < tol
+    return edge_weight < GUARD_TOL
 
 
 # levels solved beyond the k requested, so that a few unconverged levels
@@ -43,8 +42,7 @@ LEVEL_MARGIN = 8
 
 
 def converged_parity_eigensystem(params: ModelParams, parity: Parity,
-                                 trunc: TruncationConfig, k: int,
-                                 tol: float = GUARD_TOL):
+                                 trunc: TruncationConfig, k: int):
     """k lowest converged eigenpairs of one parity block.
 
     Solves the k + LEVEL_MARGIN lowest levels from the chain's band and
@@ -53,7 +51,7 @@ def converged_parity_eigensystem(params: ModelParams, parity: Parity,
     the whole spectrum.  A banded solve that fails its checks falls back to
     dense ``eigh`` of the whole chain.
     """
-    band = build_parity_blocks(params, parity, trunc).lower_band()
+    band = build_parity_band(params, parity, trunc)
     dim = trunc.chain_dim
     count = min(k + LEVEL_MARGIN, dim)
     while True:
@@ -62,7 +60,7 @@ def converged_parity_eigensystem(params: ModelParams, parity: Parity,
         except ConvergenceFailure:
             values, vectors = eigh(build_parity_matrix(params, parity, trunc))
             count = dim
-        keep = np.flatnonzero(converged_mask(vectors, 4, tol))[:k]
+        keep = np.flatnonzero(converged_mask(vectors, 4))[:k]
         if len(keep) == k or count == dim:
             break
         count = min(2 * count, dim)
@@ -116,7 +114,7 @@ def sweep_spectrum(template: ModelParams, g1_values, g2_values,
     if g1_values.shape != g2_values.shape:
         raise ValueError("coupling schedules must have equal length")
     if k < 1 or k > trunc.chain_dim:
-        raise ValueError("k must be in [1, chain dimension]")
+        raise ConfigError("k must be in [1, chain dimension]")
 
     energies, vectors = {}, {}
     for parity in (Parity.EVEN, Parity.ODD):
@@ -267,7 +265,9 @@ def dsc_perturbative_spectrum(params: ModelParams, m_max: int,
     first one raises SmallDenominator instead.
     """
     if m_max < 0:
-        raise ValueError("m_max must be >= 0")
+        raise ConfigError("m_max must be >= 0")
+    if n_cut is not None and n_cut < 0:
+        raise ConfigError("n_cut must be >= 0")
     wf = params.omega_f
     m_values = np.arange(m_max + 1)
     z1 = m_values * wf - params.g_plus ** 2 / wf
@@ -304,16 +304,26 @@ class RwaErrorReport:
 
 def rwa_relative_error(params: ModelParams, trunc: TruncationConfig,
                        k: int) -> RwaErrorReport:
-    """|E_RWA,i - E_full,i| / |E_full,i| for the k lowest converged levels."""
+    """|E_RWA,i - E_full,i| / |E_full,i| for the k lowest converged levels.
+
+    Neither Hamiltonian couples the two parities, so each spectrum is the
+    merged converged levels of its two chains, each solved by dense eigh.
+    """
+    if k < 1:
+        raise ConfigError("k must be >= 1")
     results = []
-    for builder in (build_full, build_rwa_full):
-        decomp = eigh(builder(params, trunc))
-        mask = converged_mask(decomp.vectors, 8)
-        if np.count_nonzero(mask) < k:
+    for builder in (build_parity_band, build_rwa_band):
+        levels = []
+        for parity in (Parity.EVEN, Parity.ODD):
+            values, vectors = eigh(expand_dense(builder(params, parity,
+                                                        trunc)))
+            levels.append(values[converged_mask(vectors, 4)])
+        levels = np.sort(np.concatenate(levels))
+        if len(levels) < k:
             raise TruncationInsufficient(
-                f"only {np.count_nonzero(mask)} of {k} eigenvalues converged "
+                f"only {len(levels)} of {k} eigenvalues converged "
                 f"at n_max={trunc.n_max}")
-        results.append(decomp.values[mask][:k])
+        results.append(levels[:k])
     e_full, e_rwa = results
     diff = np.abs(e_rwa - e_full)
     with np.errstate(divide="ignore", invalid="ignore"):

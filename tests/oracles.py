@@ -95,6 +95,31 @@ def excitation_number_operator(trunc: TruncationConfig) -> np.ndarray:
     return np.diag(basis_table(trunc).excitation.astype(float))
 
 
+def kronecker_reference(params, trunc, rwa=False):
+    """Hamiltonian from Kronecker products of the field and qubit operators.
+
+    Basis |n> x |q1> x |q2> with each qubit ordered (e, g), which gives the
+    pair order (ee, eg, ge, gg).  rwa=True keeps only the couplings
+    g_j (a sigma+_j + a+ sigma-_j).
+    """
+    dim_f = trunc.n_max + 1
+    a = np.diag(np.sqrt(np.arange(1.0, dim_f)), 1)
+    i2 = np.eye(2)
+    sz = np.diag([1.0, -1.0])
+    sp = np.array([[0.0, 1.0], [0.0, 0.0]])     # |e><g|
+    sz1, sz2 = np.kron(sz, i2), np.kron(i2, sz)
+    sp1, sp2 = np.kron(sp, i2), np.kron(i2, sp)
+    h = params.omega_f * np.kron(a.T @ a, np.eye(4))
+    h += 0.5 * np.kron(np.eye(dim_f),
+                       params.omega_1 * sz1 + params.omega_2 * sz2)
+    for g, s_plus in ((params.g_1, sp1), (params.g_2, sp2)):
+        if rwa:
+            h += g * (np.kron(a, s_plus) + np.kron(a.T, s_plus.T))
+        else:
+            h += g * np.kron(a + a.T, s_plus + s_plus.T)
+    return h
+
+
 def reduced_density_matrix_partial_trace(state) -> np.ndarray:
     """Generic partial trace over the field of a single state.
 

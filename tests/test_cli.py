@@ -169,6 +169,36 @@ def test_eigenstate_invalid_nmax_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--k", "0"],
+    ["perturb", "--mmax", "-1"],
+    ["eigenstate", "--bargmann", "--jmax", "5", "--count", "1"],
+    ["rwa-compare", "--k", "0"],
+    ["eigenstate", "--count", "50"],
+    ["dynamics", "--fock", "-1", "--steps", "2"],
+    ["perturb", "--ncut", "-5", "--mmax", "1"],
+], ids=["spectrum-k", "perturb-mmax", "eigenstate-jmax", "rwa-compare-k",
+        "eigenstate-count", "dynamics-fock", "perturb-ncut"])
+def test_out_of_range_input_exits_2(argv, tmp_path, capsys):
+    code = run(argv + ["--g1", "0.3", "--g2", "0.4", "--nmax", "20",
+                       "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert any(line.startswith("error: ") for line in err), err
+
+
+def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
+    # a ValueError from a broken invariant must surface, not read as exit 2
+    from rabi2q import cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("state dimension does not match decomposition")
+
+    monkeypatch.setattr(cli.spectra, "rwa_relative_error", broken)
+    with pytest.raises(ValueError, match="state dimension"):
+        run(["rwa-compare", "--nmax", "20", "--out", str(tmp_path / "r.csv")])
+
+
 def test_eigenstate_diagonalizes_each_chain_once(tmp_path, monkeypatch):
     from rabi2q import cli, eigenstates
     calls = []

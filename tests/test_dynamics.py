@@ -4,11 +4,11 @@ from hypothesis import example, given, settings, strategies
 
 from rabi2q import dynamics as dyn
 from rabi2q.errors import InvalidDensityMatrix, TruncationInsufficient
-from rabi2q.hamiltonian import build_parity_matrix, build_rwa_full
+from rabi2q.hamiltonian import build_parity_matrix
 from rabi2q.model import ModelParams, Parity, QubitLevel, TruncationConfig
 from rabi2q.numerics import EigenDecomposition, eigh, propagate_spectral
 
-from oracles import reduced_density_matrix_partial_trace
+from oracles import kronecker_reference, reduced_density_matrix_partial_trace
 
 G, E = QubitLevel.G, QubitLevel.E
 T40 = TruncationConfig(40)
@@ -51,6 +51,12 @@ def test_coherent_parity_weights():
     we, _ = st.parity_weights()
     assert we == pytest.approx((1 + np.exp(-4)) / 2, abs=1e-12)
     assert st.norm == pytest.approx(1.0, abs=1e-12)
+
+
+def test_negative_fock_level_rejected():
+    # a negative level would index the amplitudes from the top
+    with pytest.raises(ValueError, match="Fock level"):
+        dyn.decompose_initial_state(-1, G, G, T40)
 
 
 def test_coherent_leakage_guard():
@@ -189,22 +195,32 @@ def test_conservation_suite_short():
 def test_energy_drift_detects_wrong_eigenvectors(monkeypatch):
     # mixing eigenvectors 0 and 1 by pi/4 keeps an orthonormal basis and
     # the eigenvalues, but the propagator no longer solves H: the energy
-    # diagnostic must see it with the bound of the conservation suite
+    # diagnostic must see it with the bound of the conservation suite, for
+    # the chain eigenvectors of the full engine and for the sector
+    # eigenvectors of the RWA engine (the 1x1 ground sector stays as it is)
     def rotated_eigh(h):
         vals, vecs = eigh(h)
+        if len(vals) < 2:
+            return EigenDecomposition(vals, vecs)
         vecs = vecs.copy()
         v0, v1 = vecs[:, 0].copy(), vecs[:, 1].copy()
         vecs[:, 0] = (v0 - v1) / np.sqrt(2.0)
         vecs[:, 1] = (v0 + v1) / np.sqrt(2.0)
         return EigenDecomposition(vals, vecs)
 
-    monkeypatch.setattr(dyn, "eigh", rotated_eigh)
     st = dyn.decompose_initial_state(("coherent", np.sqrt(2)), G, G,
                                      TruncationConfig(60))
-    traj = dyn.evolve_parity(st, ModelParams(1.1, 0.3, 0.3, 0.4),
-                             np.linspace(0, 25, 101))
-    drift = np.max(np.abs(traj.energy - traj.energy[0]))
-    assert drift > 1e-8 * abs(traj.energy[0])
+    params = ModelParams(1.1, 0.3, 0.3, 0.4)
+    times = np.linspace(0, 25, 101)
+
+    def drift(evolve):
+        energy = evolve(st, params, times).energy
+        return np.max(np.abs(energy - energy[0])) / abs(energy[0])
+
+    assert drift(dyn.evolve_rwa_closed_form) < 1e-8
+    monkeypatch.setattr(dyn, "eigh", rotated_eigh)
+    for evolve in (dyn.evolve_parity, dyn.evolve_rwa_closed_form):
+        assert drift(evolve) > 1e-8, evolve.__name__
 
 
 def test_truncation_guard_raises_and_records():
@@ -433,7 +449,7 @@ def test_rwa_sector_evolution_matches_full_rwa_matrix():
     psi0 = dyn.ParityDecomposedState(np.pad(st.c_even, (0, pad)),
                                      np.pad(st.c_odd, (0, pad)),
                                      out_trunc).to_full()
-    decomp = eigh(build_rwa_full(p, out_trunc))
+    decomp = eigh(kronecker_reference(p, out_trunc, rwa=True))
     got = traj.state.to_full()
     worst = 0.0
     for i, t in enumerate(times):

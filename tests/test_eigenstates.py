@@ -87,6 +87,12 @@ def test_zero_seed_rejected():
         recurrence_eigenstate_la(P, Parity.EVEN, -1.0, (0.0, 0.0), 50)
 
 
+def test_index_outside_the_chain_rejected():
+    for index in (-1, 2 * (20 + 1)):
+        with pytest.raises(ValueError, match="outside"):
+            eigenstate_recurrence(P, Parity.EVEN, index, 20)
+
+
 def test_residual_of_exact_pair_and_random_vector():
     trunc = TruncationConfig(NMAX)
     h = build_parity_matrix(P, Parity.EVEN, trunc)
@@ -133,10 +139,10 @@ def _pair(parity, index):
 # mixed-precision eigenpair refinement
 # ---------------------------------------------------------------------------
 
-def _refine_tolerance(params, parity, n_max, dps=60):
-    """The stopping tolerance ||H||_inf 10^-(dps + GUARD_DIGITS)."""
+def _refine_tolerance(params, parity, n_max):
+    """The stopping tolerance ||H||_inf 10^-(DPS + GUARD_DIGITS)."""
     h = build_parity_matrix(params, parity, TruncationConfig(n_max))
-    digits = dps + eig_mod.GUARD_DIGITS
+    digits = eig_mod.DPS + eig_mod.GUARD_DIGITS
     return float(np.max(np.abs(h).sum(axis=1))) * 10.0 ** -digits
 
 

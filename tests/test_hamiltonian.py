@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rabi2q.hamiltonian import (BlockTridiagonal, build_full,
-                                build_parity_blocks, build_parity_matrix,
-                                build_rwa_excitation_block, build_rwa_full,
-                                expand_dense)
+from rabi2q.hamiltonian import (build_full, build_parity_band,
+                                build_parity_matrix, build_rwa_band,
+                                build_rwa_excitation_block, expand_dense)
 from rabi2q.model import (ModelParams, Parity, QubitLevel, TruncationConfig,
                           basis_table)
 
 from oracles import (build_parity_operator, excitation_number_operator,
-                     full_basis_index)
+                     full_basis_index, kronecker_reference)
 
 G, E = QubitLevel.G, QubitLevel.E
 P = ModelParams(1.3, 0.7, 0.3, 0.4)
@@ -23,73 +22,90 @@ def diag_energy(params, n, q1, q2):
                                        + q2.sz * params.omega_2)
 
 
+def printed_d(params, parity, j):
+    """Diagonal entries of D_j, d-+ = j wf -+ [(-1)^j w1 +- w2]/2 (upper
+    sign = even parity)."""
+    sgn = 1 if parity is Parity.EVEN else -1
+    bracket = ((-1) ** j * params.omega_1 + sgn * params.omega_2) / 2
+    return [j * params.omega_f - sgn * bracket,
+            j * params.omega_f + sgn * bracket]
+
+
+def o_block(band, j):
+    """O_j read back from the band: its entries [0, 0], [0, 1], [1, 0] and
+    [1, 1] sit on diagonals 2, 3, 1 and 2 of columns r, r, r + 1, r + 1
+    (r = 2j - 2)."""
+    r = 2 * (j - 1)
+    return np.array([[band[2, r], band[3, r]],
+                     [band[1, r + 1], band[2, r + 1]]])
+
+
 def test_even_j0_block():
-    blocks = build_parity_blocks(P, Parity.EVEN, T4)
-    assert blocks.d_blocks[0].tolist() == [-1.0, 1.0]
+    band = build_parity_band(P, Parity.EVEN, T4)
+    assert band[0, :2].tolist() == [-1.0, 1.0]
 
 
 def test_odd_j0_block():
-    blocks = build_parity_blocks(P, Parity.ODD, T4)
-    assert blocks.d_blocks[0] == pytest.approx([0.3, -0.3], abs=1e-15)
+    band = build_parity_band(P, Parity.ODD, T4)
+    assert band[0, :2] == pytest.approx([0.3, -0.3], abs=1e-15)
 
 
 def test_o1_block():
     for parity in Parity:
-        blocks = build_parity_blocks(P, parity, T4)
-        assert blocks.o_blocks[0].tolist() == [[0.3, 0.4], [0.4, 0.3]]
+        band = build_parity_band(P, parity, T4)
+        assert o_block(band, 1).tolist() == [[0.3, 0.4], [0.4, 0.3]]
         # O_j = sqrt(j) [[g1,g2],[g2,g1]]
-        assert np.allclose(blocks.o_blocks[2],
+        assert np.allclose(o_block(band, 3),
                            np.sqrt(3) * np.array([[0.3, 0.4], [0.4, 0.3]]))
 
 
 def test_diagonal_formula_against_printed_form():
-    # d+- = j wf -+ [(-1)^j w1 +- w2]/2 (upper sign = even parity)
-    for parity, sgn in ((Parity.EVEN, 1), (Parity.ODD, -1)):
-        blocks = build_parity_blocks(P, parity, T4)
+    for parity in Parity:
+        band = build_parity_band(P, parity, T4)
         for j in range(5):
-            bracket = ((-1) ** j * P.omega_1 + sgn * P.omega_2) / 2
-            assert blocks.d_blocks[j, 0] == pytest.approx(j - sgn * bracket)
-            assert blocks.d_blocks[j, 1] == pytest.approx(j + sgn * bracket)
+            assert band[0, 2 * j:2 * j + 2] == pytest.approx(
+                printed_d(P, parity, j))
 
 
 def test_expand_dense_single_block():
-    single = BlockTridiagonal(Parity.EVEN, np.array([[-1.0, 1.0]]),
-                              np.zeros((0, 2, 2)))
-    assert expand_dense(single).tolist() == [[-1.0, 0.0], [0.0, 1.0]]
+    band = np.zeros((4, 2))
+    band[0] = [-1.0, 1.0]
+    assert expand_dense(band).tolist() == [[-1.0, 0.0], [0.0, 1.0]]
 
 
 def test_expand_dense_two_blocks():
-    t1 = TruncationConfig(1)
-    blocks = build_parity_blocks(P, Parity.EVEN, t1)
-    h = expand_dense(blocks)
+    band = build_parity_band(P, Parity.EVEN, TruncationConfig(1))
+    h = expand_dense(band)
     assert h.shape == (4, 4)
-    assert np.array_equal(h[:2, :2], np.diag(blocks.d_blocks[0]))
-    assert np.array_equal(h[2:, 2:], np.diag(blocks.d_blocks[1]))
-    assert np.array_equal(h[:2, 2:], blocks.o_blocks[0])
+    assert np.array_equal(h[:2, :2], np.diag(band[0, :2]))
+    assert np.array_equal(h[2:, 2:], np.diag(band[0, 2:]))
+    assert np.array_equal(h[:2, 2:], o_block(band, 1))
 
 
 @pytest.mark.parametrize("n_max", [0, 1, 4, 9])
 def test_lower_band_holds_the_lower_triangle(n_max):
-    if n_max == 0:
-        blocks = BlockTridiagonal(Parity.ODD, np.array([[-1.0, 1.0]]),
-                                  np.zeros((0, 2, 2)))
-    else:
-        blocks = build_parity_blocks(ModelParams(1.3, 0.7, 0.3, -0.4),
-                                     Parity.ODD, TruncationConfig(n_max))
-    band = blocks.lower_band()
-    dim = blocks.dim
-    # reference: the block layout written out entry by entry
-    h = np.diag(blocks.d_blocks.ravel())
+    p = ModelParams(1.3, 0.7, 0.3, -0.4)
+    # reference: the printed D_j and O_j written out entry by entry
+    h = np.diag(np.concatenate([printed_d(p, Parity.ODD, j)
+                                for j in range(n_max + 1)]))
+    coupling = np.array([[p.g_1, p.g_2], [p.g_2, p.g_1]])
     for j in range(1, n_max + 1):
         r = 2 * (j - 1)
-        h[r:r + 2, r + 2:r + 4] = blocks.o_blocks[j - 1]
-        h[r + 2:r + 4, r:r + 2] = blocks.o_blocks[j - 1].T
+        h[r:r + 2, r + 2:r + 4] = np.sqrt(j) * coupling
+        h[r + 2:r + 4, r:r + 2] = np.sqrt(j) * coupling.T
+    if n_max == 0:      # below the smallest cutoff: a hand-made band
+        band = np.zeros((4, 2))
+        band[0] = np.diagonal(h)
+    else:
+        band = build_parity_band(p, Parity.ODD, TruncationConfig(n_max))
+    dim = h.shape[0]
     assert band.shape == (4, dim)
     for d in range(4):
-        assert np.array_equal(band[d, :max(dim - d, 0)], np.diagonal(h, -d))
+        assert np.max(np.abs(band[d, :max(dim - d, 0)]
+                             - np.diagonal(h, -d)), initial=0.0) <= 1e-15
         assert not np.any(band[d, dim - d:])
     assert not np.any(np.tril(h, -4))
-    assert np.array_equal(expand_dense(blocks), h)
+    assert np.max(np.abs(expand_dense(band) - h)) <= 1e-15
 
 
 def test_expand_dense_exactly_symmetric():
@@ -148,24 +164,51 @@ def test_block_permutation_reproduces_parity_matrices_entrywise():
 
 
 def test_rwa_rotating_term_and_counter_rotating_removed():
-    h_rwa = build_rwa_full(P, T4)
+    h_rwa = kronecker_reference(P, T4, rwa=True)
     h = build_full(P, T4)
     assert h_rwa[full_basis_index(0, E, G), full_basis_index(1, G, G)] == P.g_1
     # counter-rotating: photon and excitation both raised
     i, j = full_basis_index(1, E, E), full_basis_index(0, E, G)
     assert h_rwa[i, j] == 0.0
     assert h[i, j] == P.g_2
+    # the same two entries read from the odd-chain bands
+    pos = {int(f): c for c, f in
+           enumerate(basis_table(T4).full_index[Parity.ODD])}
+
+    def band_entry(band, a, b):
+        lo, hi = sorted((pos[a], pos[b]))
+        return band[hi - lo, lo]
+
+    rwa_band = build_rwa_band(P, Parity.ODD, T4)
+    full_band = build_parity_band(P, Parity.ODD, T4)
+    assert band_entry(rwa_band, full_basis_index(0, E, G),
+                      full_basis_index(1, G, G)) == P.g_1
+    assert band_entry(rwa_band, i, j) == 0.0
+    assert band_entry(full_band, i, j) == P.g_2
 
 
 def test_rwa_equals_full_when_decoupled():
     p0 = ModelParams(1.3, 0.7, 0.0, 0.0)
-    assert np.array_equal(build_rwa_full(p0, T4), build_full(p0, T4))
+    assert np.array_equal(kronecker_reference(p0, T4, rwa=True),
+                          kronecker_reference(p0, T4))
+    for parity in Parity:
+        assert np.array_equal(build_rwa_band(p0, parity, T4),
+                              build_parity_band(p0, parity, T4))
 
 
 def test_rwa_conserves_excitation_number_exactly():
-    h_rwa = build_rwa_full(P, T4)
+    h_rwa = kronecker_reference(P, T4, rwa=True)
     n_op = excitation_number_operator(T4)
     assert np.max(np.abs(h_rwa @ n_op - n_op @ h_rwa)) == 0.0
+    # every coupling left in an RWA band joins equal excitation numbers
+    table = basis_table(T4)
+    for parity in Parity:
+        n_exc = table.excitation[table.full_index[parity]]
+        band = build_rwa_band(P, parity, T4)
+        assert np.any(band[1:])
+        for d in range(1, 4):
+            kept = np.flatnonzero(band[d, :-d])
+            assert np.array_equal(n_exc[kept], n_exc[kept + d])
 
 
 def test_rwa_block_ground_sector():
@@ -195,7 +238,7 @@ def test_rwa_block_matches_full_rwa_sector():
     # restricting the lab-frame RWA matrix to one excitation sector must
     # reproduce the block up to the rotating-frame offset omega_f (N - 1)
     trunc = TruncationConfig(12)
-    h_rwa = build_rwa_full(P, trunc)
+    h_rwa = kronecker_reference(P, trunc, rwa=True)
     for sector in (0, 1, 2, 5, 9):
         blk = build_rwa_excitation_block(P, sector)
         idx = [full_basis_index(*s) for s in blk.basis]
@@ -213,31 +256,6 @@ def test_rwa_block_negative_sector_rejected():
         build_rwa_excitation_block(P, -1)
 
 
-def kronecker_reference(params, trunc, rwa=False):
-    """Hamiltonian from Kronecker products of the field and qubit operators.
-
-    Basis |n> x |q1> x |q2> with each qubit ordered (e, g), which gives the
-    pair order (ee, eg, ge, gg).  rwa=True keeps only the couplings
-    g_j (a sigma+_j + a+ sigma-_j).
-    """
-    dim_f = trunc.n_max + 1
-    a = np.diag(np.sqrt(np.arange(1.0, dim_f)), 1)
-    i2 = np.eye(2)
-    sz = np.diag([1.0, -1.0])
-    sp = np.array([[0.0, 1.0], [0.0, 0.0]])     # |e><g|
-    sz1, sz2 = np.kron(sz, i2), np.kron(i2, sz)
-    sp1, sp2 = np.kron(sp, i2), np.kron(i2, sp)
-    h = params.omega_f * np.kron(a.T @ a, np.eye(4))
-    h += 0.5 * np.kron(np.eye(dim_f),
-                       params.omega_1 * sz1 + params.omega_2 * sz2)
-    for g, s_plus in ((params.g_1, sp1), (params.g_2, sp2)):
-        if rwa:
-            h += g * (np.kron(a, s_plus) + np.kron(a.T, s_plus.T))
-        else:
-            h += g * np.kron(a + a.T, s_plus + s_plus.T)
-    return h
-
-
 FREQ = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
 
 
@@ -252,10 +270,26 @@ FREQ = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
          omega_f=1.0)
 def test_full_and_rwa_match_kronecker_reference(n_max, omega_1, omega_2,
                                                 g_1, g_2, tie, omega_f):
+    # each chain band, full and RWA, holds the Kronecker matrix restricted
+    # to that chain's rows; nothing joins the two chains
     p = ModelParams(omega_1, omega_2, g_1, g_2 if tie is None else tie * g_1,
                     omega_f)
     trunc = TruncationConfig(n_max)
-    assert np.max(np.abs(build_full(p, trunc)
-                         - kronecker_reference(p, trunc))) <= 1e-12
-    assert np.max(np.abs(build_rwa_full(p, trunc)
-                         - kronecker_reference(p, trunc, rwa=True))) <= 1e-12
+    full_index = basis_table(trunc).full_index
+    cross = np.ix_(full_index[Parity.EVEN], full_index[Parity.ODD])
+    h = build_full(p, trunc)
+    assert np.max(np.abs(h - kronecker_reference(p, trunc))) <= 1e-12
+    assert not np.any(h[cross])
+    for rwa, builder in ((False, build_parity_band), (True, build_rwa_band)):
+        kron = kronecker_reference(p, trunc, rwa=rwa)
+        assert not np.any(kron[cross])
+        for parity in Parity:
+            idx = full_index[parity]
+            chain = kron[np.ix_(idx, idx)]
+            band = builder(p, parity, trunc)
+            dim = trunc.chain_dim
+            for d in range(4):
+                assert np.max(np.abs(band[d, :dim - d]
+                                     - np.diagonal(chain, -d))) <= 1e-12
+                assert not np.any(band[d, dim - d:])
+            assert not np.any(np.tril(chain, -4))

@@ -6,11 +6,11 @@ from scipy.linalg import expm
 
 from rabi2q import numerics
 from rabi2q.errors import ConvergenceFailure
-from rabi2q.hamiltonian import build_parity_blocks, build_parity_matrix
+from rabi2q.hamiltonian import build_parity_band, build_parity_matrix
 from rabi2q.model import ModelParams, Parity, TruncationConfig
-from rabi2q.numerics import (EigenDecomposition, band_matvec,
+from rabi2q.numerics import (EigenDecomposition, band_matvec, band_norm,
                              displacement_element, eigh, eigh_banded_lowest,
-                             laguerre_assoc, propagate_spectral)
+                             general_band, laguerre_assoc, propagate_spectral)
 
 
 def test_eigh_diagonal():
@@ -76,6 +76,23 @@ def test_band_matvec_matches_dense():
                        atol=1e-14)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 9])
+def test_band_norm_and_general_band_match_dense(dim):
+    rng = np.random.default_rng(dim)
+    band = random_band(rng, dim)
+    h = dense_from_band(band)
+    assert band_norm(band) == pytest.approx(np.max(np.abs(h).sum(axis=1)),
+                                            rel=1e-15)
+    full = general_band(band)
+    assert full.shape == (10, dim)
+    for i in range(dim):
+        for j in range(max(i - 3, 0), min(i + 4, dim)):
+            assert full[6 + i - j, j] == h[i, j]
+            full[6 + i - j, j] = 0.0
+    # everything else, the three fill rows included, is zero
+    assert not np.any(full)
+
+
 @pytest.mark.parametrize("dim,count", [(1, 1), (7, 3), (7, 7), (300, 28)])
 def test_banded_lowest_matches_dense_on_random_bands(dim, count):
     rng = np.random.default_rng(dim)
@@ -118,8 +135,8 @@ def test_banded_lowest_rejects_tied_levels():
 
 
 def test_banded_lowest_checks_can_fail(monkeypatch):
-    band = build_parity_blocks(ModelParams(1.3, 0.7, 0.3, 0.4), Parity.EVEN,
-                               TruncationConfig(30)).lower_band()
+    band = build_parity_band(ModelParams(1.3, 0.7, 0.3, 0.4), Parity.EVEN,
+                             TruncationConfig(30))
     eigh_banded_lowest(band, 10)
     with monkeypatch.context() as m:
         m.setattr(numerics, "RESIDUAL_TOL", 0.0)
@@ -132,8 +149,8 @@ def test_banded_lowest_checks_can_fail(monkeypatch):
 
 
 def test_banded_lowest_repeats_exactly():
-    band = build_parity_blocks(ModelParams(1.3, 0.7, 0.3, 0.4), Parity.ODD,
-                               TruncationConfig(40)).lower_band()
+    band = build_parity_band(ModelParams(1.3, 0.7, 0.3, 0.4), Parity.ODD,
+                             TruncationConfig(40))
     a, b = eigh_banded_lowest(band, 12), eigh_banded_lowest(band, 12)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.vectors, b.vectors)

@@ -12,7 +12,7 @@ from rabi2q.spectra import (CrossingKind, SpectrumSweep,
                             doubling_check, dsc_perturbative_spectrum,
                             rwa_relative_error, sweep_spectrum)
 
-from oracles import G_CROSS, chain_state
+from oracles import G_CROSS, chain_state, kronecker_reference
 
 TEMPLATE = ModelParams(1.3, 0.7, 0.0, 0.0)
 
@@ -172,6 +172,68 @@ def test_rwa_error_raises_when_unconverged():
     with pytest.raises(TruncationInsufficient):
         rwa_relative_error(ModelParams(1.0, 1.0, 2.5, 2.5),
                            TruncationConfig(8), k=16)
+
+
+def test_out_of_range_inputs_raise_value_error():
+    p = ModelParams(1.3, 0.7, 0.3, 0.4)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        rwa_relative_error(p, TruncationConfig(10), k=0)
+    with pytest.raises(ValueError, match="n_cut must be >= 0"):
+        dsc_perturbative_spectrum(p, 2, n_cut=-5)
+    assert dsc_perturbative_spectrum(p, 2, n_cut=0).n_cut == 0
+
+
+def rwa_levels_full_basis(params, trunc, k):
+    """k lowest converged levels of the full and the RWA Hamiltonian, from
+    dense eigh of the Kronecker matrices and the 8-row edge mask of the
+    product basis (two photon levels of four qubit pairs)."""
+    out = []
+    for rwa in (False, True):
+        vals, vecs = np.linalg.eigh(kronecker_reference(params, trunc, rwa))
+        out.append(vals[np.sum(vecs[-8:] ** 2, axis=0)
+                        < spectra.GUARD_TOL][:k])
+    return out
+
+
+FREQ = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(omega_1=FREQ, omega_2=FREQ, g_1=st.floats(-1.0, 1.0),
+       g_2=st.floats(-1.0, 1.0), tie=st.sampled_from([None, 1.0, -1.0]),
+       omega_f=st.one_of(st.just(1.0), st.floats(0.5, 2.0)),
+       n_max=st.integers(16, 40), k=st.integers(1, 10))
+@example(omega_1=1.3, omega_2=0.7, g_1=0.0, g_2=0.0, tie=None, omega_f=1.0,
+         n_max=20, k=10)                                # cross-parity ties
+@example(omega_1=1.0, omega_2=1.0, g_1=0.0, g_2=0.0, tie=None, omega_f=1.0,
+         n_max=16, k=10)
+@example(omega_1=0.9, omega_2=1.1, g_1=0.4, g_2=0.0, tie=1.0, omega_f=1.0,
+         n_max=30, k=10)                                # g2 = g1
+@example(omega_1=0.9, omega_2=1.1, g_1=0.4, g_2=0.0, tie=-1.0, omega_f=1.0,
+         n_max=30, k=10)                                # g2 = -g1
+@example(omega_1=0.0, omega_2=0.8, g_1=0.3, g_2=0.5, tie=None, omega_f=1.0,
+         n_max=30, k=8)                                 # omega_1 = 0
+@example(omega_1=1.7, omega_2=1.7, g_1=0.2, g_2=0.6, tie=None, omega_f=1.7,
+         n_max=30, k=8)                                 # omega_j = omega_f
+def test_rwa_error_matches_full_basis_oracle(omega_1, omega_2, g_1, g_2,
+                                             tie, omega_f, n_max, k):
+    p = ModelParams(omega_1, omega_2, g_1, g_2 if tie is None else tie * g_1,
+                    omega_f)
+    trunc = TruncationConfig(n_max)
+    e_full, e_rwa = rwa_levels_full_basis(p, trunc, k)
+    if min(len(e_full), len(e_rwa)) < k:
+        with pytest.raises(TruncationInsufficient):
+            rwa_relative_error(p, trunc, k)
+        return
+    report = rwa_relative_error(p, trunc, k)
+    scale = max(1.0, float(np.max(np.abs(e_full))))
+    assert np.max(np.abs(report.e_full - e_full)) <= 1e-12 * scale
+    assert np.max(np.abs(report.e_rwa - e_rwa)) <= 1e-12 * scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ref = np.abs(e_rwa - e_full) / np.abs(e_full)
+    sure = np.abs(e_full) > 1e-3 * scale
+    assert np.max(np.abs(report.errors - ref)[sure], initial=0.0) <= 1e-8
+    assert report.ground_error == report.errors[0]
 
 
 def test_doubling_check_accepts_converged_branches():
