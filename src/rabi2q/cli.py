@@ -35,7 +35,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _config_hash(command: str, resolved: dict) -> str:
+def _config_hash(resolved: dict) -> str:
     skip = {"out", "svg", "config", "func"}
     parts = [f"{k}={_fmt(v)}" for k, v in sorted(resolved.items())
              if k not in skip and v is not None]
@@ -113,18 +113,11 @@ def _add_common(parser: argparse.ArgumentParser, couplings: str = "value"):
                         help=argparse.SUPPRESS)
 
 
-def _reject_seed(args):
-    if args.seed is not None:
-        raise ConfigError("--seed is rejected: this tool is deterministic "
-                          "and accepts no random seed")
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(args) -> int:
-    _reject_seed(args)
     g1 = _parse_range(args.g1)
     g2 = _parse_range(args.g2)
     if args.lock:
@@ -145,8 +138,7 @@ def cmd_spectrum(args) -> int:
     template = ModelParams(args.omega1, args.omega2, 0.0, 0.0)
     sweep = spectra.sweep_spectrum(template, g1, g2,
                                    TruncationConfig(args.nmax), args.k)
-    resolved = dict(vars(args))
-    cfg_hash = _config_hash("spectrum", resolved)
+    cfg_hash = _config_hash(vars(args))
     w = args.omega_f
     rows = []
     for i in range(sweep.n_points):
@@ -164,7 +156,7 @@ def cmd_spectrum(args) -> int:
                                             args.overlap_tol):
             crossing_rows.append((rec.parity.value, rec.branch_lo,
                                   rec.g_lo, rec.g_hi, rec.kind.value))
-    sibling = (args.out.replace(".csv", ".crossings.csv")
+    sibling = (args.out.removesuffix(".csv") + ".crossings.csv"
                if args.out and args.out.endswith(".csv")
                else (args.out + ".crossings" if args.out else None))
     _write_csv(sibling, "spectrum-crossings", cfg_hash,
@@ -200,7 +192,6 @@ def _initial_state(args, trunc):
 
 
 def cmd_dynamics(args) -> int:
-    _reject_seed(args)
     params = ModelParams(args.omega1, args.omega2, args.g1, args.g2)
     trunc = TruncationConfig(args.nmax)
     if args.steps < 1 or args.tmax <= 0:
@@ -211,8 +202,7 @@ def cmd_dynamics(args) -> int:
         traj = dynamics.evolve_parity(state, params, times)
     else:
         traj = dynamics.evolve_rwa_closed_form(state, params, times)
-    resolved = dict(vars(args))
-    cfg_hash = _config_hash("dynamics", resolved)
+    cfg_hash = _config_hash(vars(args))
     w = args.omega_f
     rows = [(t / w, mn, sz, ent, con) for t, mn, sz, ent, con
             in zip(traj.times, traj.mean_n, traj.s_z, traj.entropy,
@@ -232,7 +222,6 @@ def cmd_dynamics(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    _reject_seed(args)
     params = ModelParams(args.omega1, args.omega2, args.g1, args.g2)
     spectrum = spectra.dsc_perturbative_spectrum(params, args.mmax,
                                                  n_cut=args.ncut)
@@ -255,7 +244,7 @@ def cmd_perturb(args) -> int:
     if not rows:
         raise SmallDenominator("every requested branch value sits on a "
                                "near-resonant denominator")
-    cfg_hash = _config_hash("perturb", dict(vars(args)))
+    cfg_hash = _config_hash(vars(args))
     _write_csv(args.out, "perturb", cfg_hash,
                ("m", "branch", "energy_zeroth", "correction_second",
                 "energy_total"), rows)
@@ -263,7 +252,6 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_rwa_compare(args) -> int:
-    _reject_seed(args)
     params = ModelParams(args.omega1, args.omega2, args.g1, args.g2)
     report = spectra.rwa_relative_error(params, TruncationConfig(args.nmax),
                                         args.k)
@@ -272,14 +260,13 @@ def cmd_rwa_compare(args) -> int:
             for i in range(args.k)]
     rows.append(("mean", "", "", report.mean_error))
     rows.append(("ground", "", "", report.ground_error))
-    cfg_hash = _config_hash("rwa-compare", dict(vars(args)))
+    cfg_hash = _config_hash(vars(args))
     _write_csv(args.out, "rwa-compare", cfg_hash,
                ("index", "e_full", "e_rwa", "rel_error"), rows)
     return EXIT_OK
 
 
 def cmd_eigenstate(args) -> int:
-    _reject_seed(args)
     params = ModelParams(args.omega1, args.omega2, args.g1, args.g2)
     trunc = TruncationConfig(args.nmax)
     parities = ([Parity.EVEN, Parity.ODD] if args.parity == "both"
@@ -306,7 +293,7 @@ def cmd_eigenstate(args) -> int:
             rows.append((parity.value, index,
                          float(decomp.values[index]) * args.omega_f,
                          res_rec, res_barg))
-    cfg_hash = _config_hash("eigenstate", dict(vars(args)))
+    cfg_hash = _config_hash(vars(args))
     _write_csv(args.out, "eigenstate", cfg_hash,
                ("parity", "index", "energy", "residual_recurrence",
                 "residual_bargmann"), rows)
@@ -379,15 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(argv: list[str]) -> list[str]:
-    """Prepend key=value file entries as flags so explicit flags win."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise ConfigError("--config requires a path")
-    path = argv[idx + 1]
-    injected = []
+def _config_flags(path: str) -> list[str]:
+    """The key=value entries of a config file as command-line flags."""
+    flags = []
     try:
         with open(path, encoding="utf-8") as fh:
             for line in fh:
@@ -398,23 +379,27 @@ def _apply_config_file(argv: list[str]) -> list[str]:
                     raise ConfigError(f"config line {line!r} is not "
                                       f"key=value")
                 key, value = line.split("=", 1)
-                injected.extend([f"--{key.strip().replace('_', '-')}",
-                                 value.strip()])
+                flags.extend([f"--{key.strip().replace('_', '-')}",
+                              value.strip()])
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    # insert after the subcommand so explicit flags (later) win
-    for i in range(1, len(argv)):
-        if not argv[i].startswith("-"):
-            return argv[:i + 1] + injected + argv[i + 1:]
-    return argv + injected
+    return flags
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv if argv is None else ["rabi2q"] + list(argv))
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config_file(argv)
         parser = build_parser()
-        args = parser.parse_args(argv[1:])
+        args = parser.parse_args(argv)
+        if args.config is not None:
+            # the file's flags go right after the subcommand, so explicit
+            # flags (later) win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_flags(args.config)
+                                     + argv[at:])
+        if args.seed is not None:
+            raise ConfigError("--seed is rejected: this tool is "
+                              "deterministic and accepts no random seed")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,8 +21,8 @@ from .errors import (ConfigError, DegenerateResolvent, InvalidDensityMatrix,
                      TruncationInsufficient)
 from .hamiltonian import (build_parity_band, build_parity_matrix,
                           build_rwa_band, build_rwa_excitation_block)
-from .model import (ModelParams, Parity, QubitLevel, TruncationConfig,
-                    basis_table)
+from .model import (PAIR_ORDER, ModelParams, Parity, QubitLevel,
+                    TruncationConfig, basis_table)
 from .numerics import band_matvec, eigh, propagate_spectral
 
 EDGE_WEIGHT_TOL = 1e-6
@@ -125,16 +125,12 @@ def decompose_initial_state(field, q1: QubitLevel, q2: QubitLevel,
                 f"Fock level {n_fock} above n_max={trunc.n_max}")
         amps = np.zeros(trunc.n_max + 1, dtype=complex)
         amps[n_fock] = 1.0
-    table = basis_table(trunc)
-    c = {}
-    for parity in (Parity.EVEN, Parity.ODD):
-        c[parity] = np.zeros(trunc.chain_dim, dtype=complex)
-        slots = ((table.sz1[parity] == q1.sz)
-                 & (table.sz2[parity] == q2.sz))
-        c[parity][slots] = amps[table.photon[parity][slots]]
-    norm = math.hypot(np.linalg.norm(c[Parity.EVEN]),
-                      np.linalg.norm(c[Parity.ODD]))
-    return ParityDecomposedState(c[Parity.EVEN] / norm, c[Parity.ODD] / norm,
+    psi = np.zeros((trunc.n_max + 1, len(PAIR_ORDER)), dtype=complex)
+    psi[:, PAIR_ORDER.index((q1, q2))] = amps
+    state = state_from_full(psi.ravel(), trunc)
+    norm = math.hypot(np.linalg.norm(state.c_even),
+                      np.linalg.norm(state.c_odd))
+    return ParityDecomposedState(state.c_even / norm, state.c_odd / norm,
                                  trunc)
 
 

@@ -28,8 +28,7 @@ import numpy as np
 from .errors import (ConfigError, ConvergenceFailure, OverflowDetected,
                      SingularCoupling, StepSingular)
 from .hamiltonian import build_parity_band, build_parity_matrix
-from .model import (ModelParams, Parity, QubitLevel, TruncationConfig,
-                    basis_table)
+from .model import ModelParams, Parity, TruncationConfig, basis_table
 from .numerics import (EigenDecomposition, band_matvec, band_norm, eigh,
                        general_band)
 
@@ -48,19 +47,17 @@ RESCALE_TRIGGER = 1e150
 class RecurrenceState:
     """Candidate eigenstate from the four-term recurrence.
 
-    v is the flattened parity-chain vector, normalized; blocks past
-    cut_index are zeroed (the recurrence tail is dominated by the growing
-    solution beyond the minimum-norm block).  scale_log10 accumulates the
-    rescalings applied while iterating.  refine_residual is the mp residual
-    ||(H - xi) x||_2 of the refined pair behind the seed, if there was one.
+    v is the flattened parity-chain vector of the given parity at energy
+    xi, normalized; blocks past cut_index are zeroed (the recurrence tail is
+    dominated by the growing solution beyond the minimum-norm block).
+    refine_residual is the mp residual ||(H - xi) x||_2 of the refined pair
+    behind the seed, if there was one.
     """
 
     parity: Parity
     xi: float
     v: np.ndarray
-    norm: float
     cut_index: int
-    scale_log10: float
     refine_residual: float | None = None
 
 
@@ -89,8 +86,9 @@ def _recurrence_blocks_mp(params: ModelParams, parity: Parity, xi, v0,
                           overflow_limit: float = OVERFLOW_LIMIT):
     """Raw mp block sequence of the four-term recurrence (no cut).
 
-    Returns (blocks, scale_log10).  Blocks are rescaled whenever the running
-    maximum grows past RESCALE_TRIGGER (checked every RESCALE_EVERY steps);
+    Blocks are rescaled whenever the running maximum grows past
+    RESCALE_TRIGGER (checked every RESCALE_EVERY steps), which keeps them
+    inside the float exponent range the overflow guard compares against;
     a block exceeding overflow_limit between rescale checkpoints raises
     OverflowDetected.  rescale=False keeps the sequence a literal solution
     of the recurrence so independent runs can be mixed linearly.
@@ -100,7 +98,6 @@ def _recurrence_blocks_mp(params: ModelParams, parity: Parity, xi, v0,
     det = g1 * g1 - g2 * g2
     xi = mp.mpf(xi)
     v = [[mp.mpf(v0[0]), mp.mpf(v0[1])]]
-    scale_log10 = 0.0
     run_max = mp.mpf(1)
 
     def step(j, w):
@@ -128,13 +125,11 @@ def _recurrence_blocks_mp(params: ModelParams, parity: Parity, xi, v0,
             for blk in v:
                 blk[0] *= inv
                 blk[1] *= inv
-            scale_log10 += float(mp.log10(run_max))
             run_max = mp.mpf(1)
-    return v, scale_log10
+    return v
 
 
-def _cut_normalize(parity: Parity, xi, blocks, scale_log10,
-                   n_max: int) -> RecurrenceState:
+def _cut_normalize(parity: Parity, xi, blocks, n_max: int) -> RecurrenceState:
     """Zero the growing tail past the minimum-norm block and normalize.
 
     Normalization happens in mp arithmetic first: the running rescales may
@@ -157,8 +152,7 @@ def _cut_normalize(parity: Parity, xi, blocks, scale_log10,
     norm = float(np.linalg.norm(flat))
     if norm == 0.0:
         raise OverflowDetected("recurrence produced a null vector")
-    return RecurrenceState(parity, float(xi), flat / norm, norm, cut,
-                           scale_log10)
+    return RecurrenceState(parity, float(xi), flat / norm, cut)
 
 
 def recurrence_eigenstate_la(params: ModelParams, parity: Parity, xi, v0,
@@ -174,9 +168,8 @@ def recurrence_eigenstate_la(params: ModelParams, parity: Parity, xi, v0,
     if float(abs(v0[0])) == 0.0 and float(abs(v0[1])) == 0.0:
         raise ValueError("seed block v0 must be nonzero")
     with mp.workdps(DPS):
-        blocks, scale_log10 = _recurrence_blocks_mp(params, parity, xi, v0,
-                                                    n_max)
-    return _cut_normalize(parity, xi, blocks, scale_log10, n_max)
+        blocks = _recurrence_blocks_mp(params, parity, xi, v0, n_max)
+    return _cut_normalize(parity, xi, blocks, n_max)
 
 
 def _band_residual(band: np.ndarray, xi: float, v: np.ndarray) -> float:
@@ -369,18 +362,15 @@ def best_seed_recurrence_state(params: ModelParams, parity: Parity, xi,
     _check_couplings(params)
     band = build_parity_band(params, parity, TruncationConfig(n_max))
     with mp.workdps(DPS):
-        runs = []
-        for seed in seeds:
-            blocks, _ = _recurrence_blocks_mp(params, parity, xi, seed,
-                                              n_max, rescale=False,
-                                              overflow_limit=1e600)
-            runs.append(blocks)
+        runs = [_recurrence_blocks_mp(params, parity, xi, seed, n_max,
+                                      rescale=False, overflow_limit=1e600)
+                for seed in seeds]
 
         def state_at(theta):
             ct, st = mp.cos(theta), mp.sin(theta)
             mixed = [[ct * a[0] + st * b[0], ct * a[1] + st * b[1]]
                      for a, b in zip(runs[0], runs[1])]
-            return _cut_normalize(parity, xi, mixed, 0.0, n_max)
+            return _cut_normalize(parity, xi, mixed, n_max)
 
         def score(theta):
             try:
@@ -411,7 +401,7 @@ def best_seed_recurrence_state(params: ModelParams, parity: Parity, xi,
 # ---------------------------------------------------------------------------
 
 # The parity label selects the branch of the printed coefficient formulas.
-# Under the rotation conventions fixed in _bargmann_to_spinors (qubit basis
+# Under the rotation conventions fixed in bargmann_to_chain (qubit basis
 # rotated so couplings become diagonal, reflection symmetry realized as
 # sigma_x sigma_x P_z), the even chain pairs with branch sign -1 and the odd
 # chain with +1; the pairing is pinned by the reconstruction oracle.
@@ -446,20 +436,18 @@ def _alpha0_scale(params: ModelParams, j: int) -> float:
 
 @dataclass(frozen=True)
 class BargmannCoefficients:
-    """Power-series coefficients of the parity-projected Bargmann functions.
+    """Power-series coefficients of the parity-projected Bargmann functions
+    of one parity at energy chi.
 
     c interleaves the even-power series (slots 0, 2, ...) and the odd-power
     series (slots 1, 3, ...); phi2 holds the companion function derived from
-    the same series.  alpha_table[j] stores the five coefficients used at
-    step j (rows 0, 1 are unused).
+    the same series.
     """
 
     parity: Parity
     chi: float
     c: np.ndarray
-    alpha_table: np.ndarray
     phi2: np.ndarray
-    scale_log10: float
 
 
 def _phi2_series(params: ModelParams, parity: Parity, chi: float,
@@ -472,17 +460,12 @@ def _phi2_series(params: ModelParams, parity: Parity, chi: float,
     s = _BRANCH_SIGN[parity]
     w1, w2, wf = params.omega_1, params.omega_2, params.omega_f
     gp = params.g_plus
-    div_even = 0.5 * (w2 - s * w1)
-    div_odd = 0.5 * (w2 + s * w1)
-    jm = len(c) - 1
-    out = np.empty(jm + 1)
-    for k in range(jm + 1):
-        t = (k * wf - chi) * c[k] + gp * ((c[k - 1] if k >= 1 else 0.0)
-                                          + ((k + 1) * c[k + 1]
-                                             if k + 1 <= jm else 0.0))
-        div = div_even if k % 2 == 0 else div_odd
-        out[k] = t / div if div != 0.0 else np.nan
-    return out
+    k = np.arange(len(c))
+    below = np.concatenate(([0.0], c[:-1]))
+    above = np.concatenate((k[1:] * c[1:], [0.0]))
+    div = np.where(k % 2 == 0, 0.5 * (w2 - s * w1), 0.5 * (w2 + s * w1))
+    div[div == 0.0] = np.nan
+    return ((k * wf - chi) * c + gp * (below + above)) / div
 
 
 def bargmann_coefficients(params: ModelParams, parity: Parity, chi: float,
@@ -502,12 +485,9 @@ def bargmann_coefficients(params: ModelParams, parity: Parity, chi: float,
                            "identically")
     c = np.zeros(j_max + 1)
     c[0], c[1] = 1.0, c1
-    table = np.zeros((j_max + 1, 5))
-    scale_log10 = 0.0
 
     def leading(j):
         a = _bargmann_alphas(params, parity, chi, j)
-        table[j] = a
         if abs(a[0]) <= 1e-14 * _alpha0_scale(params, j):
             raise StepSingular(
                 f"alpha_0 vanishes at step j={j} "
@@ -529,10 +509,9 @@ def bargmann_coefficients(params: ModelParams, parity: Parity, chi: float,
         run_max = max(run_max, abs(c[j]))
         if j % RESCALE_EVERY == 0 and run_max > RESCALE_TRIGGER:
             c[:j + 1] /= run_max
-            scale_log10 += math.log10(run_max)
             run_max = 1.0
     phi2 = _phi2_series(params, parity, chi, c)
-    return BargmannCoefficients(parity, chi, c, table, phi2, scale_log10)
+    return BargmannCoefficients(parity, chi, c, phi2)
 
 
 def bargmann_minimal_coefficients(params: ModelParams, parity: Parity,
@@ -565,47 +544,30 @@ def bargmann_minimal_coefficients(params: ModelParams, parity: Parity,
     if c[0] < 0:
         c = -c
     phi2 = _phi2_series(params, parity, chi, c)
-    coeffs = BargmannCoefficients(parity, chi, c,
-                                  np.zeros((j_max + 1, 5)), phi2, 0.0)
-    return coeffs, float(sv[-1])
+    return BargmannCoefficients(parity, chi, c, phi2), float(sv[-1])
 
 
 @dataclass(frozen=True)
 class BargmannChainState:
-    """Parity-chain vector reconstructed from Bargmann coefficients."""
+    """Parity-chain vector reconstructed from Bargmann coefficients.
+
+    v is the normalized chain vector of the given parity at energy xi;
+    other_chain_weight is the fraction of the reconstructed norm that fell
+    on the other parity chain, and cut_index the photon level past which
+    the growing tail of the series was dropped.
+    """
 
     parity: Parity
-    chi: float
+    xi: float
     v: np.ndarray
     other_chain_weight: float
     cut_index: int
 
-    @property
-    def xi(self) -> float:
-        return self.chi
 
-
+# rotated-to-lab weights of the qubit pairs, rows and columns in the
+# product-basis pair order (ee, eg, ge, gg) of model.PAIR_ORDER
 _ROTATION = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
-
-
-def _bargmann_to_spinors(params: ModelParams, parity: Parity, chi: float,
-                         c: np.ndarray, phi2: np.ndarray):
-    """Fock-space amplitudes of the four rotated spinor components.
-
-    The first function carries the diagonal coupling g_plus, the companion
-    g_minus; the remaining two components follow from the reflection
-    symmetry with the parity-dependent sign.
-    """
-    sigma = _SPINOR_SIGN[parity]
-    jm = len(c) - 1
-    signs = (-1.0) ** np.arange(jm + 1)
-    sq = np.array([math.exp(0.5 * math.lgamma(n + 1)) for n in range(jm + 1)])
-    return {
-        (0, 0): c * sq,
-        (0, 1): phi2 * sq,
-        (1, 0): sigma * signs * phi2 * sq,
-        (1, 1): sigma * signs * c * sq,
-    }
+_PAIR_ROTATION = np.kron(_ROTATION, _ROTATION)
 
 
 def bargmann_to_chain(params: ModelParams, parity: Parity, chi: float,
@@ -613,34 +575,33 @@ def bargmann_to_chain(params: ModelParams, parity: Parity, chi: float,
                       n_max: int | None = None) -> BargmannChainState:
     """Convert coefficient series to a normalized parity-chain vector.
 
-    Uses z^k <-> sqrt(k!) |k> and rotates the spinor components back to the
-    lab qubit basis; the growing tail past the minimum-magnitude photon
-    level is dropped before normalization.
+    Uses z^k <-> sqrt(k!) |k>.  The first function carries the diagonal
+    coupling g_plus, the companion g_minus, and the remaining two rotated
+    components follow from the reflection symmetry with the
+    parity-dependent sign.  The components are rotated back to the lab
+    qubit basis, the growing tail past the minimum-magnitude photon level
+    is dropped, and each chain is gathered from the product basis before
+    normalization.
     """
-    psi = _bargmann_to_spinors(params, parity, chi, coeffs.c, coeffs.phi2)
-    jm = len(coeffs.c) - 1
+    sigma = _SPINOR_SIGN[parity]
+    c, phi2 = coeffs.c, coeffs.phi2
+    jm = len(c) - 1
     if n_max is None:
         n_max = jm
-    norms = np.sqrt(sum(np.abs(a) ** 2 for a in psi.values()))
+    signs = (-1.0) ** np.arange(jm + 1)
+    sq = np.array([math.exp(0.5 * math.lgamma(n + 1)) for n in range(jm + 1)])
+    rotated = (c * sq, phi2 * sq, sigma * signs * phi2 * sq,
+               sigma * signs * c * sq)
+    norms = np.sqrt(sum(np.abs(a) ** 2 for a in rotated))
     finite = np.where(np.isfinite(norms) & (norms > 0), norms, np.inf)
     cut = int(np.argmin(finite))
-    levels = (QubitLevel.E, QubitLevel.G)
+    keep = min(cut, n_max) + 1
     trunc = TruncationConfig(max(n_max, 1))
-    table = basis_table(trunc)
-    chains = {Parity.EVEN: np.zeros(trunc.chain_dim),
-              Parity.ODD: np.zeros(trunc.chain_dim)}
-    for (iu, iv), arr in psi.items():
-        for ia in range(2):
-            for ib in range(2):
-                weight = _ROTATION[ia, iu] * _ROTATION[ib, iv]
-                if weight == 0.0:
-                    continue
-                for par, chain in chains.items():
-                    n = table.photon[par]
-                    slots = ((table.sz1[par] == levels[ia].sz)
-                             & (table.sz2[par] == levels[ib].sz)
-                             & (n <= min(cut, n_max)))
-                    chain[slots] += weight * arr[n[slots]]
+    full = np.zeros((trunc.n_max + 1, 4))
+    full[:keep] = sum(a[:keep, None] * w
+                      for a, w in zip(rotated, _PAIR_ROTATION.T))
+    chains = {par: full.ravel()[idx]
+              for par, idx in basis_table(trunc).full_index.items()}
     own = np.linalg.norm(chains[parity])
     other = Parity.ODD if parity is Parity.EVEN else Parity.EVEN
     total = math.hypot(own, np.linalg.norm(chains[other]))

@@ -111,8 +111,8 @@ _BLOCK_PAIRS = {
 }
 
 # Full product basis |n> x |q1> x |q2>, qubit-pair order (ee, eg, ge, gg).
-_PAIR_ORDER = ((_E, _E), (_E, _G), (_G, _E), (_G, _G))
-_PAIR_SZ = np.array([(q1.sz, q2.sz) for q1, q2 in _PAIR_ORDER])
+PAIR_ORDER = ((_E, _E), (_E, _G), (_G, _E), (_G, _G))
+_PAIR_SZ = np.array([(q1.sz, q2.sz) for q1, q2 in PAIR_ORDER])
 
 
 @dataclass(frozen=True)
@@ -139,8 +139,8 @@ def basis_table(trunc: TruncationConfig) -> BasisTable:
     n = j // 2
     photon, sz1, sz2, full_index = {}, {}, {}, {}
     for parity in Parity:
-        # _PAIR_ORDER position of each chain slot, by (n % 2, j % 2)
-        slots = np.array([[_PAIR_ORDER.index(pair)
+        # PAIR_ORDER position of each chain slot, by (n % 2, j % 2)
+        slots = np.array([[PAIR_ORDER.index(pair)
                            for pair in _BLOCK_PAIRS[(parity, r)]]
                           for r in (0, 1)])
         pair = slots[n % 2, j % 2]

@@ -4,6 +4,7 @@ Each one builds its result the slow, generic way, so that the package's
 direct assemblies can be checked against it.
 """
 
+import math
 from typing import NamedTuple
 
 import mpmath as mp
@@ -132,6 +133,52 @@ def reduced_density_matrix_partial_trace(state) -> np.ndarray:
             n, pair = divmod(full_basis_index(*chain_state(parity, j)), 4)
             psi[n, pair] = amp
     return psi.T @ np.conj(psi)
+
+
+# Bargmann spinor rotation: rows are the lab qubit levels in the order
+# (e, g), columns the two rotated components
+_ROTATION = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
+_LEVELS = (_E, _G)
+
+
+def bargmann_chain_reference(coeffs, n_max):
+    """(v, other_chain_weight, cut_index) of bargmann_to_chain, built one
+    amplitude at a time.
+
+    The rotated components at photon level n are (c_n, phi2_n) sqrt(n!)
+    and f (phi2_n, c_n) sqrt(n!), with f = s (-1)^n and s = +1 for even
+    coeffs.parity, -1 for odd.  Qubit pair (a, b) takes sum_uv R[a, u] R[b, v] times
+    component (u, v), in the package's term order, up to the level of least
+    component norm (capped at n_max); each chain position is then read at
+    the row the scalar maps above give it, not through basis_table.
+    """
+    sigma = 1 if coeffs.parity is Parity.EVEN else -1
+    comps, norms = [], []
+    for n, (c, phi2) in enumerate(zip(coeffs.c, coeffs.phi2)):
+        sq = math.exp(0.5 * math.lgamma(n + 1))
+        flip = sigma * (-1.0) ** n
+        comp = ((c * sq, phi2 * sq), (flip * phi2 * sq, flip * c * sq))
+        norm = np.sqrt(sum(abs(x) ** 2 for row in comp for x in row))
+        comps.append(comp)
+        norms.append(norm if np.isfinite(norm) and norm > 0 else math.inf)
+    cut = min(range(len(norms)), key=norms.__getitem__)
+    trunc = TruncationConfig(max(n_max, 1))
+    lab = np.zeros((trunc.n_max + 1, 4))
+    for n in range(min(cut, n_max) + 1):
+        for pair, (q1, q2) in enumerate(FULL_PAIRS):
+            a, b = _LEVELS.index(q1), _LEVELS.index(q2)
+            for u in range(2):
+                for v in range(2):
+                    lab[n, pair] += (_ROTATION[a, u] * _ROTATION[b, v]
+                                     * comps[n][u][v])
+    chains = {parity: np.array([lab.flat[full_basis_index(
+                  *chain_state(parity, j))] for j in range(trunc.chain_dim)])
+              for parity in Parity}
+    own = np.linalg.norm(chains[coeffs.parity])
+    other = np.linalg.norm(chains[Parity.ODD if coeffs.parity is Parity.EVEN
+                                  else Parity.EVEN])
+    return (chains[coeffs.parity] / own,
+            float(other / math.hypot(own, other)), cut)
 
 
 def mp_chain_residual(params, parity, xi, x, n_max, dps=90):

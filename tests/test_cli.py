@@ -33,11 +33,14 @@ def test_missing_command_exits_2():
     assert info.value.code == 2
 
 
-def test_seed_rejected(tmp_path):
-    code = run(["dynamics", "--seed", "7", "--g1", "0", "--g2", "0",
-                "--nmax", "4", "--steps", "2",
+@pytest.mark.parametrize("command", ["spectrum", "dynamics", "perturb",
+                                     "rwa-compare", "eigenstate"])
+def test_seed_rejected(command, tmp_path, capsys):
+    code = run([command, "--seed", "7", "--nmax", "4",
                 "--out", str(tmp_path / "x.csv")])
     assert code == 2
+    assert "--seed is rejected" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_dynamics_decoupled_constant_columns(tmp_path):
@@ -88,6 +91,15 @@ def test_spectrum_single_point_decoupled(tmp_path):
     assert (tmp_path / "spec.crossings.csv").exists()
 
 
+def test_crossings_path_replaces_only_the_trailing_suffix(tmp_path):
+    out = tmp_path / "run.csv_dir" / "s.csv"
+    out.parent.mkdir()
+    assert run(["spectrum", "--g1", "0:0.2:0.1", "--nmax", "20", "--k", "2",
+                "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.parent.iterdir()) == [
+        "s.crossings.csv", "s.csv"]
+
+
 def test_spectrum_finds_crossing_in_small_window(tmp_path):
     out = tmp_path / "spec.csv"
     code = run(["spectrum", "--omega1", "1.3", "--omega2", "0.7",
@@ -125,16 +137,19 @@ def test_rwa_compare_zero_coupling(tmp_path):
     assert footer == {"mean": "0", "ground": "0"}
 
 
-def test_config_file_flags_win(tmp_path):
+@pytest.mark.parametrize("spelling", ["separate", "equals"])
+def test_config_file_flags_win(spelling, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("omega1=1.3\nomega2=0.7\ng1=0\ng2=0\nnmax=8\n"
-                   "steps=4\ntmax=2\nfock=2\n")
+                   "steps=4\ntmax=2\nfock=2\nqubits=ee\n")
+    config = (["--config", str(cfg)] if spelling == "separate"
+              else [f"--config={cfg}"])
     out = tmp_path / "d.csv"
-    code = run(["dynamics", "--config", str(cfg), "--fock", "1",
-                "--out", str(out)])
+    code = run(["dynamics", *config, "--fock", "1", "--out", str(out)])
     assert code == 0
     _, rows = read_rows(out)
     assert rows[0][1] == "1"  # flag beat the config file's fock=2
+    assert rows[0][2] == "1"  # the file's qubits=ee was applied
 
 
 def test_config_file_bad_line(tmp_path):
@@ -261,6 +276,8 @@ commands = [
      "1.5", "--mmax", "2"],
     dynamics + ["--engine", "full"],
     dynamics + ["--engine", "rwa"],
+    ["eigenstate", "--omega1", "1.3", "--omega2", "0.7", "--g1", "0.3",
+     "--g2", "0.4", "--count", "2", "--nmax", "40", "--bargmann"],
 ]
 for i, argv in enumerate(commands):
     assert main(argv + ["--out", f"{out}/{i}.csv"]) == 0, argv
@@ -270,7 +287,8 @@ for i, argv in enumerate(commands):
 def test_rerun_in_fresh_interpreter_is_byte_identical(tmp_path):
     # the header hash must not depend on anything of the process, such as
     # the address of the command function; the dynamics runs of both
-    # engines show that the batched observables repeat bit for bit
+    # engines show that the batched observables repeat bit for bit, and the
+    # eigenstate run that the refiner and the Bargmann gather do
     env = dict(os.environ)
     src = str(Path(rabi2q.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
@@ -281,7 +299,7 @@ def test_rerun_in_fresh_interpreter_is_byte_identical(tmp_path):
         out.mkdir()
         subprocess.run([sys.executable, "-c", _RERUN, str(out)],
                        env=env, check=True, capture_output=True)
-        outs.append([(out / f"{i}.csv").read_bytes() for i in range(3)])
+        outs.append([(out / f"{i}.csv").read_bytes() for i in range(4)])
     assert outs[0] == outs[1]
 
 

@@ -26,7 +26,7 @@ from rabi2q.hamiltonian import build_parity_matrix
 from rabi2q.model import ModelParams, Parity, TruncationConfig
 from rabi2q.numerics import eigh
 
-from oracles import G_CROSS, mp_chain_residual
+from oracles import G_CROSS, bargmann_chain_reference, mp_chain_residual
 
 P = ModelParams(1.3, 0.7, 0.3, 0.4)
 NMAX = 200
@@ -36,6 +36,9 @@ def test_refined_recurrence_hits_eigenstate():
     state = eigenstate_recurrence(P, Parity.EVEN, 1, NMAX)
     assert residual(P, Parity.EVEN, state) < 1e-10
     assert np.linalg.norm(state.v) == pytest.approx(1.0)
+    # the growing tail past the minimum-norm block is zeroed
+    assert state.parity is Parity.EVEN and state.cut_index < NMAX
+    assert not state.v[2 * state.cut_index + 2:].any()
     tol = _refine_tolerance(P, Parity.EVEN, NMAX)
     assert 0.0 <= state.refine_residual <= tol
     seeded = recurrence_eigenstate_la(P, Parity.EVEN, state.xi, (1.0, 0.0),
@@ -347,6 +350,27 @@ def test_reconstruction_stays_in_claimed_parity():
                               n_max=NMAX)
     assert state.other_chain_weight < 1e-12
     assert s_min < 1e-12
+
+
+@pytest.mark.parametrize("parity", list(Parity))
+@pytest.mark.parametrize("n_max, case", [
+    (10, "n_max below the cut"), (30, "cut below n_max <= j_max"),
+    (50, "n_max above j_max")])
+def test_bargmann_to_chain_matches_scalar_oracle(parity, n_max, case):
+    j_max = 40
+    chi = float(eigh(build_parity_matrix(PB, parity,
+                                         TruncationConfig(60))).values[1])
+    coeffs, _ = bargmann_minimal_coefficients(PB, parity, chi, j_max)
+    assert (coeffs.parity, coeffs.chi) == (parity, chi)
+    got = bargmann_to_chain(PB, parity, chi, coeffs, n_max=n_max)
+    v, other, cut = bargmann_chain_reference(coeffs, n_max)
+    assert (got.parity, got.xi) == (parity, chi)
+    assert np.array_equal(got.v, v)
+    assert got.other_chain_weight == other
+    assert got.cut_index == cut
+    assert {"n_max below the cut": n_max < cut,
+            "cut below n_max <= j_max": cut < n_max <= j_max,
+            "n_max above j_max": n_max > j_max}[case]
 
 
 # ---------------------------------------------------------------------------
