@@ -570,8 +570,13 @@ _ROTATION = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
 _PAIR_ROTATION = np.kron(_ROTATION, _ROTATION)
 
 
-def bargmann_to_chain(params: ModelParams, parity: Parity, chi: float,
-                      coeffs: BargmannCoefficients,
+# sqrt(n!) passes the largest float from n = 301 on; amplitudes are formed
+# with the factor exp(0.5 lgamma(n + 1) - shift), the shift (zero unless
+# the kept levels reach that far) keeping the factor below exp(700)
+_LOG_FACTOR_MAX = 700.0
+
+
+def bargmann_to_chain(coeffs: BargmannCoefficients,
                       n_max: int | None = None) -> BargmannChainState:
     """Convert coefficient series to a normalized parity-chain vector.
 
@@ -581,24 +586,31 @@ def bargmann_to_chain(params: ModelParams, parity: Parity, chi: float,
     parity-dependent sign.  The components are rotated back to the lab
     qubit basis, the growing tail past the minimum-magnitude photon level
     is dropped, and each chain is gathered from the product basis before
-    normalization.
+    normalization.  The minimum is taken over the logarithms of the
+    component norms, so levels whose sqrt(k!) overflows a float take part;
+    levels whose coefficients are zero or not finite never hold it.
     """
+    parity = coeffs.parity
     sigma = _SPINOR_SIGN[parity]
     c, phi2 = coeffs.c, coeffs.phi2
     jm = len(c) - 1
     if n_max is None:
         n_max = jm
-    signs = (-1.0) ** np.arange(jm + 1)
-    sq = np.array([math.exp(0.5 * math.lgamma(n + 1)) for n in range(jm + 1)])
+    half_log_fact = [0.5 * math.lgamma(n + 1) for n in range(jm + 1)]
+    norm = np.hypot(c, phi2)
+    log_norm = np.full(jm + 1, np.inf)
+    np.log(norm, out=log_norm, where=(norm > 0) & np.isfinite(norm))
+    cut = int(np.argmin(log_norm + half_log_fact))
+    keep = min(cut, n_max) + 1
+    shift = max(0.0, half_log_fact[keep - 1] - _LOG_FACTOR_MAX)
+    sq = np.array([math.exp(h - shift) for h in half_log_fact[:keep]])
+    signs = (-1.0) ** np.arange(keep)
+    c, phi2 = c[:keep], phi2[:keep]
     rotated = (c * sq, phi2 * sq, sigma * signs * phi2 * sq,
                sigma * signs * c * sq)
-    norms = np.sqrt(sum(np.abs(a) ** 2 for a in rotated))
-    finite = np.where(np.isfinite(norms) & (norms > 0), norms, np.inf)
-    cut = int(np.argmin(finite))
-    keep = min(cut, n_max) + 1
     trunc = TruncationConfig(max(n_max, 1))
     full = np.zeros((trunc.n_max + 1, 4))
-    full[:keep] = sum(a[:keep, None] * w
+    full[:keep] = sum(a[:, None] * w
                       for a, w in zip(rotated, _PAIR_ROTATION.T))
     chains = {par: full.ravel()[idx]
               for par, idx in basis_table(trunc).full_index.items()}
@@ -607,7 +619,7 @@ def bargmann_to_chain(params: ModelParams, parity: Parity, chi: float,
     total = math.hypot(own, np.linalg.norm(chains[other]))
     if own == 0.0:
         raise OverflowDetected("reconstruction produced a null vector")
-    return BargmannChainState(parity, chi, chains[parity] / own,
+    return BargmannChainState(parity, coeffs.chi, chains[parity] / own,
                               float(np.linalg.norm(chains[other]) / total),
                               cut)
 
@@ -621,7 +633,7 @@ def bargmann_reconstruction_residual(params: ModelParams, parity: Parity,
     block; the minimal-solution path is used for numerical stability.
     """
     coeffs, _ = bargmann_minimal_coefficients(params, parity, chi, j_max)
-    state = bargmann_to_chain(params, parity, chi, coeffs, n_max=n_max)
+    state = bargmann_to_chain(coeffs, n_max=n_max)
     return chain_residual(params, parity, chi, state.v)
 
 

@@ -4,13 +4,23 @@ deep-strong-coupling perturbative branches, and RWA error metrics.
 Sweep points are evaluated one after another.  Each parity chain gives its
 lowest levels from the chain's band (``numerics.eigh_banded_lowest``), with
 dense ``eigh`` as the fallback when the banded solve fails its checks.
-Reported eigenvalues pass a truncation guard: the eigenvector must carry
-less than ``GUARD_TOL`` weight on the top two photon levels, otherwise the
-level is considered unconverged at this cutoff.
+A sweep first solves each point on a photon window 0..n_w of the chain,
+starting from a displaced-oscillator estimate.  The window is certified
+when the residual of its zero-padded vectors against the whole chain,
+which past the window is sqrt(n_w + 1) ||[[g1, g2], [g2, g1]] v_top||
+(v_top: the window's last two entries), is within the banded kernel's own
+bound, and when an inertia count shows that the whole chain has no more
+levels below the window's top solved level than the window has; otherwise
+it widens.  At n_max, or when a window's solve fails its checks, the point
+is solved on the whole chain.  Reported eigenvalues of a whole-chain solve
+pass a truncation guard: the eigenvector must carry less than
+``GUARD_TOL`` weight on the top two photon levels, otherwise the level is
+considered unconverged at this cutoff.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -21,7 +31,9 @@ from .errors import (ConfigError, ConvergenceFailure, SmallDenominator,
 from .hamiltonian import (build_parity_band, build_parity_matrix,
                           build_rwa_band, expand_dense)
 from .model import ModelParams, Parity, TruncationConfig
-from .numerics import displacement_element, eigh, eigh_banded_lowest
+from .numerics import (RESIDUAL_TOL, TIE_GAP, band_matvec, band_norm,
+                       displacement_element, eigh, eigh_banded_lowest,
+                       general_band)
 
 GUARD_TOL = 1e-8
 
@@ -39,13 +51,112 @@ def converged_mask(vectors: np.ndarray, edge_dim: int) -> np.ndarray:
 # levels solved beyond the k requested, so that a few unconverged levels
 # among the lowest do not force a second solve
 LEVEL_MARGIN = 8
+# factor by which an uncertified photon window widens
+WINDOW_GROWTH = 1.5
+
+
+def _no_level_below(band: np.ndarray, window_dim: int, x: float) -> bool:
+    """True when the chain has no more levels below x than its leading
+    window_dim rows and columns A.
+
+    By Haynsworth's inertia additivity, H - x has as many negative
+    eigenvalues as A - x plus its Schur complement S = C - x - B^T (A - x)^-1 B
+    (C the tail block past the window, B the entries joining the two), so
+    this holds when S has a Cholesky factor.  B reaches only the first kd
+    rows of the tail, so S is the tail band with its leading kd x kd block
+    changed.
+    """
+    from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf
+
+    kd = band.shape[0] - 1
+    tail_dim = band.shape[1] - window_dim
+    shifted = general_band(band[:, :window_dim])
+    shifted[2 * kd] -= x
+    lu, pivots, info = dgbtrf(shifted, kd, kd, overwrite_ab=True)
+    if info != 0:
+        return False
+    reach = min(kd, tail_dim)
+    coupling = np.zeros((window_dim, reach))      # B, its nonzero columns
+    for j in range(reach):
+        for d in range(j + 1, min(kd, window_dim + j) + 1):
+            coupling[window_dim + j - d, j] = band[d, window_dim + j - d]
+    pull, info = dgbtrs(lu, kd, kd, coupling, pivots)
+    pull = coupling.T @ pull
+    schur = band[:, window_dim:].copy()
+    schur[0] -= x
+    for d in range(reach):
+        schur[d, :reach - d] -= np.diagonal(pull, -d)
+    _, info = dpbtrf(schur, lower=1)
+    return info == 0
+
+
+def _certified_window(band: np.ndarray, count: int, n_window: int):
+    """The count lowest pairs of a chain band, solved on photons 0..n_w.
+
+    The window is the leading 2 (n_w + 1) rows and columns of the band with
+    the entries that reach past it zeroed; it widens by WINDOW_GROWTH until
+    its pairs pass the certificate of ``converged_parity_eigensystem``.
+    Returns the values and the window's vectors, or None when the window
+    reaches n_max or its banded solve fails its checks (such as levels that
+    tie).
+    """
+    dim = band.shape[1]
+    n_max = dim // 2 - 1
+    tol = RESIDUAL_TOL * band_norm(band)
+    # one row beyond count, so the kernel sees a tie across the cut
+    n_window = max(n_window, count // 2)
+    while n_window < n_max:
+        window_dim = 2 * (n_window + 1)
+        window = band[:, :window_dim].copy()
+        for d in range(1, band.shape[0]):
+            window[d, window_dim - d:] = 0.0
+        try:
+            values, window_vectors = eigh_banded_lowest(window, count)
+        except ConvergenceFailure:
+            return None
+        # H v vanishes past the rows the window's last column reaches
+        rows = min(window_dim + band.shape[0] - 1, dim)
+        vectors = np.zeros((rows, count))
+        vectors[:window_dim] = window_vectors
+        residual = np.linalg.norm(band_matvec(band[:, :rows], vectors)
+                                  - vectors * values, axis=0)
+        # the kernel's tie check puts the window's next level above x
+        margin = 0.5 * TIE_GAP * (band_norm(window) or 1.0)
+        if (np.max(residual) <= tol and np.linalg.norm(residual) < margin
+                and _no_level_below(band, window_dim, values[-1] + margin)):
+            return values, window_vectors
+        n_window = min(int(WINDOW_GROWTH * n_window) + 1, n_max)
+    return None
 
 
 def converged_parity_eigensystem(params: ModelParams, parity: Parity,
-                                 trunc: TruncationConfig, k: int):
+                                 trunc: TruncationConfig, k: int,
+                                 window: int | None = None):
     """k lowest converged eigenpairs of one parity block.
 
-    Solves the k + LEVEL_MARGIN lowest levels from the chain's band and
+    With a start window n_w, first solves the k + LEVEL_MARGIN lowest
+    levels theta_i on photons 0..n_w only (the leading block A of H).  The
+    window is accepted when
+    - every vector, zero-padded to the chain dimension, has a residual
+      ||H v - theta v|| against the whole chain of at most
+      RESIDUAL_TOL * ||H||, the banded kernel's own bound (past the window
+      that residual is sqrt(n_w + 1) ||[[g1, g2], [g2, g1]] v_top||, with
+      v_top the window's last two entries), and the residuals' joint norm
+      is below x - theta_top, for x = theta_top + TIE_GAP * ||A|| / 2;
+    - the whole chain has no more levels below x than A has
+      (``_no_level_below``).  The kernel's tie check puts A's next level
+      above x, so the chain has exactly k + LEVEL_MARGIN levels below x.
+    Each residual puts a distinct chain level within the residuals' joint
+    norm of its theta (Kahan's bound for orthonormal vectors), all of them
+    below x, so these are the chain's lowest levels, and Cauchy
+    interlacing keeps each at or below its theta.  A residual alone would
+    not do: at g1 = g2 = 0 every window has zero residual, yet its first
+    cuts can miss low levels that live at higher photon numbers.
+    Otherwise the window widens by WINDOW_GROWTH.  The vectors come back
+    zero-padded.
+
+    Without a window, or when no window below n_max certifies, solves the
+    k + LEVEL_MARGIN lowest levels of the whole chain from its band and
     doubles that count, up to the chain dimension, while fewer than k of
     them pass the guard, so the result is the first k converged levels of
     the whole spectrum.  A banded solve that fails its checks falls back to
@@ -54,6 +165,13 @@ def converged_parity_eigensystem(params: ModelParams, parity: Parity,
     band = build_parity_band(params, parity, trunc)
     dim = trunc.chain_dim
     count = min(k + LEVEL_MARGIN, dim)
+    solved = None if window is None else _certified_window(band, count,
+                                                           window)
+    if solved is not None:
+        values, window_vectors = solved
+        vectors = np.zeros((dim, k))
+        vectors[:len(window_vectors)] = window_vectors[:, :k]
+        return values[:k], vectors
     while True:
         try:
             values, vectors = eigh_banded_lowest(band, count)
@@ -70,6 +188,22 @@ def converged_parity_eigensystem(params: ModelParams, parity: Parity,
             f"converged at n_max={trunc.n_max} ({parity.value} parity)")
     # index the kept columns directly so the result owns only its data
     return values[keep], vectors[:, keep]
+
+
+def _start_window(params: ModelParams, k: int) -> int:
+    """Photon window that about holds the k + LEVEL_MARGIN lowest levels.
+
+    The chain holds two ladders, so those levels fill about (k + 8) / 2
+    levels of each.  Deep in strong coupling the ladders are oscillators
+    displaced by g_pm / omega_f, and level m of one spreads to about
+    (sqrt(m) + g_pm / omega_f)^2 photons; the factor 1.5 on the
+    displacement and the 1.5 added to the root cover the decay of the
+    vectors to the residual bound (fitted to the smallest certifying
+    windows at k = 5..60, omega_f = 0.5 and 1, g_pm / omega_f up to 8).
+    """
+    shift = max(abs(params.g_plus), abs(params.g_minus)) / params.omega_f
+    return math.ceil((math.sqrt((k + LEVEL_MARGIN) / 2) + 1.5 * shift
+                      + 1.5) ** 2)
 
 
 @dataclass(frozen=True)
@@ -118,12 +252,14 @@ def sweep_spectrum(template: ModelParams, g1_values, g2_values,
 
     energies, vectors = {}, {}
     for parity in (Parity.EVEN, Parity.ODD):
-        pairs = [converged_parity_eigensystem(
-                     replace(template, g_1=float(g1), g_2=float(g2)),
-                     parity, trunc, k)
-                 for g1, g2 in zip(g1_values, g2_values)]
-        energies[parity] = np.array([values for values, _ in pairs])
-        vectors[parity] = [vecs for _, vecs in pairs]
+        energies[parity], vectors[parity] = [], []
+        for g1, g2 in zip(g1_values, g2_values):
+            params = replace(template, g_1=float(g1), g_2=float(g2))
+            values, vecs = converged_parity_eigensystem(
+                params, parity, trunc, k, window=_start_window(params, k))
+            energies[parity].append(values)
+            vectors[parity].append(vecs)
+        energies[parity] = np.array(energies[parity])
     return SpectrumSweep(template, trunc, k, g1_values, g2_values,
                          energies, vectors)
 

@@ -154,13 +154,17 @@ def bargmann_chain_reference(coeffs, n_max):
     """
     sigma = 1 if coeffs.parity is Parity.EVEN else -1
     comps, norms = [], []
-    for n, (c, phi2) in enumerate(zip(coeffs.c, coeffs.phi2)):
-        sq = math.exp(0.5 * math.lgamma(n + 1))
+    # Python floats, so products past the largest float are inf (and 0 inf
+    # is nan) without a numpy warning; sqrt(n!) is inf from n = 301 on
+    for n, (c, phi2) in enumerate(zip(coeffs.c.tolist(),
+                                      coeffs.phi2.tolist())):
+        half_log_fact = 0.5 * math.lgamma(n + 1)
+        sq = math.exp(half_log_fact) if half_log_fact < 709 else math.inf
         flip = sigma * (-1.0) ** n
         comp = ((c * sq, phi2 * sq), (flip * phi2 * sq, flip * c * sq))
-        norm = np.sqrt(sum(abs(x) ** 2 for row in comp for x in row))
+        norm = math.sqrt(sum(x * x for row in comp for x in row))
         comps.append(comp)
-        norms.append(norm if np.isfinite(norm) and norm > 0 else math.inf)
+        norms.append(norm if math.isfinite(norm) and norm > 0 else math.inf)
     cut = min(range(len(norms)), key=norms.__getitem__)
     trunc = TruncationConfig(max(n_max, 1))
     lab = np.zeros((trunc.n_max + 1, 4))

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -168,6 +169,21 @@ def test_eigenstate_command(tmp_path):
     _, rows = read_rows(out)
     assert len(rows) == 2
     assert all(float(row[3]) < 1e-8 for row in rows)
+    assert all(float(row[4]) < 1e-3 for row in rows)
+
+
+def test_eigenstate_bargmann_past_factorial_overflow(tmp_path):
+    # sqrt(j!) passes the largest float from j = 301 on
+    out = tmp_path / "e.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["eigenstate", "--omega1", "1.3", "--omega2", "0.7",
+                    "--g1", "0.3", "--g2", "0.4", "--parity", "both",
+                    "--count", "2", "--nmax", "60", "--jmax", "400",
+                    "--bargmann", "--out", str(out)])
+    assert code == 0
+    _, rows = read_rows(out)
+    assert len(rows) == 4
     assert all(float(row[4]) < 1e-3 for row in rows)
 
 

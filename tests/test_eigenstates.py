@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import rabi2q
 import rabi2q.eigenstates as eig_mod
-from rabi2q.eigenstates import (bargmann_coefficients,
+from rabi2q.eigenstates import (BargmannCoefficients, bargmann_coefficients,
                                 bargmann_identical_coefficients,
                                 bargmann_minimal_coefficients,
                                 bargmann_reconstruction_residual,
@@ -346,8 +347,7 @@ def test_reconstruction_stays_in_claimed_parity():
     vals, _ = eigh(build_parity_matrix(PB, Parity.ODD, trunc))
     coeffs, s_min = bargmann_minimal_coefficients(PB, Parity.ODD,
                                                   float(vals[1]), 120)
-    state = bargmann_to_chain(PB, Parity.ODD, float(vals[1]), coeffs,
-                              n_max=NMAX)
+    state = bargmann_to_chain(coeffs, n_max=NMAX)
     assert state.other_chain_weight < 1e-12
     assert s_min < 1e-12
 
@@ -355,14 +355,14 @@ def test_reconstruction_stays_in_claimed_parity():
 @pytest.mark.parametrize("parity", list(Parity))
 @pytest.mark.parametrize("n_max, case", [
     (10, "n_max below the cut"), (30, "cut below n_max <= j_max"),
-    (50, "n_max above j_max")])
+    (50, "n_max above j_max"), (60, "sqrt(j_max!) overflows")])
 def test_bargmann_to_chain_matches_scalar_oracle(parity, n_max, case):
-    j_max = 40
+    j_max = 400 if case == "sqrt(j_max!) overflows" else 40
     chi = float(eigh(build_parity_matrix(PB, parity,
                                          TruncationConfig(60))).values[1])
     coeffs, _ = bargmann_minimal_coefficients(PB, parity, chi, j_max)
     assert (coeffs.parity, coeffs.chi) == (parity, chi)
-    got = bargmann_to_chain(PB, parity, chi, coeffs, n_max=n_max)
+    got = bargmann_to_chain(coeffs, n_max=n_max)
     v, other, cut = bargmann_chain_reference(coeffs, n_max)
     assert (got.parity, got.xi) == (parity, chi)
     assert np.array_equal(got.v, v)
@@ -370,7 +370,33 @@ def test_bargmann_to_chain_matches_scalar_oracle(parity, n_max, case):
     assert got.cut_index == cut
     assert {"n_max below the cut": n_max < cut,
             "cut below n_max <= j_max": cut < n_max <= j_max,
-            "n_max above j_max": n_max > j_max}[case]
+            "n_max above j_max": n_max > j_max,
+            "sqrt(j_max!) overflows": cut < n_max < 301 <= j_max}[case]
+
+
+def test_bargmann_to_chain_keeps_levels_past_factorial_overflow():
+    # amplitudes exp(400 - (n - 170)^2 / 7200) fall below their n = 0 value
+    # past n = 340 and keep falling until the coefficients underflow near
+    # n = 445, so the kept levels pass n = 300, where sqrt(n!) overflows a
+    # float; phi2 = 0 puts each amplitude on both even-chain slots of its
+    # photon level
+    j_max = 450
+    n = np.arange(j_max + 1)
+    log_amp = 400.0 - (n - 170.0) ** 2 / 7200.0
+    half_log_fact = 0.5 * np.array([math.lgamma(m + 1) for m in n])
+    c = np.exp(log_amp - half_log_fact)
+    coeffs = BargmannCoefficients(Parity.EVEN, 0.0, c, np.zeros(j_max + 1))
+    state = bargmann_to_chain(coeffs, n_max=j_max)
+    assert 400 < state.cut_index < j_max
+    # from the stored coefficients, some of which are subnormal
+    kept = slice(state.cut_index + 1)
+    log_kept = np.log(c[kept]) + half_log_fact[kept]
+    amp = np.exp(log_kept - log_kept.max())
+    expected = np.zeros(2 * (j_max + 1))
+    expected[:2 * len(amp)] = np.repeat(amp, 2) / (math.sqrt(2) *
+                                                   np.linalg.norm(amp))
+    assert np.max(np.abs(state.v - expected)) <= 1e-12
+    assert state.other_chain_weight == 0.0
 
 
 # ---------------------------------------------------------------------------

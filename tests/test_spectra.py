@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rabi2q import spectra
 from rabi2q.errors import SmallDenominator, TruncationInsufficient
-from rabi2q.hamiltonian import build_parity_matrix
+from rabi2q.hamiltonian import build_parity_band, build_parity_matrix
 from rabi2q.model import ModelParams, Parity, TruncationConfig
 from rabi2q.numerics import eigh, eigh_banded_lowest
 from rabi2q.spectra import (CrossingKind, SpectrumSweep,
@@ -296,46 +298,65 @@ def _assert_matches_dense(vals, vecs, params, parity, trunc, k):
             assert np.max(np.abs(mine - ref @ (ref.T @ mine))) <= 1e-10
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(omega_1=st.floats(0.0, 2.0), omega_2=st.floats(0.0, 2.0),
        g_1=st.floats(-1.5, 1.5), g_2=st.floats(-1.5, 1.5),
        parity=st.sampled_from(Parity), n_max=st.integers(1, 120),
-       k=st.integers(1, 24))
+       k=st.integers(1, 24),
+       window=st.one_of(st.none(), st.integers(0, 130)))
 @example(omega_1=1.3, omega_2=0.7, g_1=0.0, g_2=0.0, parity=Parity.EVEN,
-         n_max=40, k=20)
+         n_max=40, k=20, window=None)
 @example(omega_1=1.0, omega_2=1.0, g_1=0.0, g_2=0.0, parity=Parity.ODD,
-         n_max=6, k=10)
+         n_max=6, k=10, window=None)
 @example(omega_1=1.3, omega_2=0.7, g_1=0.45, g_2=0.45, parity=Parity.EVEN,
-         n_max=80, k=20)
+         n_max=80, k=20, window=None)
 @example(omega_1=1.3, omega_2=0.7, g_1=0.45, g_2=-0.45, parity=Parity.ODD,
-         n_max=80, k=20)
+         n_max=80, k=20, window=None)
 @example(omega_1=0.0, omega_2=0.7, g_1=0.3, g_2=0.4, parity=Parity.EVEN,
-         n_max=60, k=12)
+         n_max=60, k=12, window=None)
 @example(omega_1=0.0, omega_2=0.0, g_1=0.5, g_2=0.5, parity=Parity.EVEN,
-         n_max=60, k=16)
+         n_max=60, k=16, window=None)
 @example(omega_1=1.3, omega_2=0.7, g_1=0.51, g_2=0.51, parity=Parity.EVEN,
-         n_max=300, k=20)
+         n_max=300, k=20, window=None)
 @example(omega_1=1.3, omega_2=0.7, g_1=G_CROSS, g_2=G_CROSS,
-         parity=Parity.EVEN, n_max=300, k=20)
+         parity=Parity.EVEN, n_max=300, k=20, window=None)
 @example(omega_1=1.3, omega_2=0.7, g_1=G_CROSS + 1e-6, g_2=G_CROSS + 1e-6,
-         parity=Parity.EVEN, n_max=300, k=20)
+         parity=Parity.EVEN, n_max=300, k=20, window=None)
 @example(omega_1=1.3, omega_2=0.7, g_1=G_CROSS + 1e-5, g_2=G_CROSS + 1e-5,
-         parity=Parity.EVEN, n_max=300, k=20)
+         parity=Parity.EVEN, n_max=300, k=20, window=None)
 @example(omega_1=1.3, omega_2=0.7, g_1=1.5, g_2=1.5, parity=Parity.EVEN,
-         n_max=24, k=1)
+         n_max=24, k=1, window=None)
 @example(omega_1=1.3, omega_2=0.7, g_1=1.5, g_2=1.5, parity=Parity.EVEN,
-         n_max=24, k=2)
+         n_max=24, k=2, window=None)
+@example(omega_1=1.3, omega_2=0.7, g_1=0.3, g_2=0.4, parity=Parity.EVEN,
+         n_max=120, k=10, window=60)                    # accepted at once
+@example(omega_1=1.3, omega_2=0.7, g_1=1.2, g_2=0.5, parity=Parity.ODD,
+         n_max=120, k=20, window=0)                     # widens
+@example(omega_1=1.3, omega_2=0.7, g_1=0.8, g_2=-0.8, parity=Parity.EVEN,
+         n_max=100, k=16, window=0)                     # g_plus = 0
+@example(omega_1=1.3, omega_2=0.7, g_1=1.5, g_2=1.5, parity=Parity.EVEN,
+         n_max=24, k=2, window=3)                       # reaches n_max
+@example(omega_1=1.3, omega_2=0.7, g_1=0.2, g_2=0.1, parity=Parity.ODD,
+         n_max=20, k=31, window=0)                      # k near chain_dim
+@example(omega_1=1.3, omega_2=0.7, g_1=G_CROSS, g_2=G_CROSS,
+         parity=Parity.EVEN, n_max=300, k=20, window=40)
+# the window's residual is zero, but its first cuts miss low gg levels
+@example(omega_1=30.06, omega_2=29.94, g_1=0.0, g_2=0.0, parity=Parity.EVEN,
+         n_max=60, k=12, window=0)
+@example(omega_1=30.06, omega_2=29.94, g_1=1e-11, g_2=1e-11,
+         parity=Parity.EVEN, n_max=60, k=12, window=0)
 def test_banded_path_matches_dense(omega_1, omega_2, g_1, g_2, parity,
-                                   n_max, k):
+                                   n_max, k, window):
     params = ModelParams(omega_1, omega_2, g_1, g_2)
     trunc = TruncationConfig(n_max)
     k = min(k, trunc.chain_dim)
     dense = eigh(build_parity_matrix(params, parity, trunc))
     if np.count_nonzero(spectra.converged_mask(dense.vectors, 4)) < k:
         with pytest.raises(TruncationInsufficient):
-            converged_parity_eigensystem(params, parity, trunc, k)
+            converged_parity_eigensystem(params, parity, trunc, k, window)
         return
-    vals, vecs = converged_parity_eigensystem(params, parity, trunc, k)
+    vals, vecs = converged_parity_eigensystem(params, parity, trunc, k,
+                                              window)
     assert vecs.base is None or vecs.base.nbytes == vecs.nbytes
     _assert_matches_dense(vals, vecs, params, parity, trunc, k)
 
@@ -379,3 +400,101 @@ def test_tied_levels_fall_back_to_dense(monkeypatch):
     converged_parity_eigensystem(ModelParams(1.3, 0.7, 0.3, 0.4),
                                  Parity.EVEN, trunc, 10)
     assert calls == []
+
+
+def _window_dims(monkeypatch):
+    """Dimensions of the bands the banded kernel is called on, in order."""
+    dims = []
+
+    def spy(band, count):
+        dims.append(band.shape[1])
+        return eigh_banded_lowest(band, count)
+
+    monkeypatch.setattr(spectra, "eigh_banded_lowest", spy)
+    return dims
+
+
+def test_window_accepts_widens_or_reaches_chain_dimension(monkeypatch):
+    dims = _window_dims(monkeypatch)
+    p = ModelParams(1.3, 0.7, 0.3, 0.4)
+    trunc = TruncationConfig(120)
+    vals, vecs = converged_parity_eigensystem(p, Parity.EVEN, trunc, 10, 60)
+    assert dims == [122]
+    assert not np.any(vecs[122:])
+    _assert_matches_dense(vals, vecs, p, Parity.EVEN, trunc, 10)
+
+    dims.clear()
+    p = ModelParams(1.3, 0.7, 1.2, 0.5)
+    vals, vecs = converged_parity_eigensystem(p, Parity.ODD, trunc, 20, 0)
+    assert len(dims) > 1 and dims == sorted(dims) and dims[-1] < 242
+    assert not np.any(vecs[dims[-1]:])
+    _assert_matches_dense(vals, vecs, p, Parity.ODD, trunc, 20)
+
+    # no window below n_max certifies: the whole-chain path, bit for bit
+    dims.clear()
+    p = ModelParams(1.3, 0.7, 1.5, 1.5)
+    trunc = TruncationConfig(24)
+    vals, vecs = converged_parity_eigensystem(p, Parity.EVEN, trunc, 1, 3)
+    assert dims == [10, 16, 24, 36, 50, 50]
+    ref = converged_parity_eigensystem(p, Parity.EVEN, trunc, 1)
+    assert np.array_equal(vals, ref[0]) and np.array_equal(vecs, ref[1])
+
+
+def test_window_with_tied_levels_solves_whole_chain(monkeypatch):
+    dims = _window_dims(monkeypatch)
+    p = ModelParams(1.3, 0.7, 0.0, 0.0)
+    trunc = TruncationConfig(40)
+    vals, vecs = converged_parity_eigensystem(p, Parity.EVEN, trunc, 10, 20)
+    assert dims == [42, 82]
+    ref = converged_parity_eigensystem(p, Parity.EVEN, trunc, 10)
+    assert np.array_equal(vals, ref[0]) and np.array_equal(vecs, ref[1])
+
+
+# at n_max = 50 no window certifies at part of the points, so the sweep
+# mixes window and whole-chain solves
+@pytest.mark.parametrize("n_max", [120, 50])
+@pytest.mark.parametrize("order", [1, -1], ids=["increasing", "decreasing"])
+def test_windowed_sweep_matches_whole_chain_solves(order, n_max):
+    trunc = TruncationConfig(n_max)
+    gs = np.arange(0.30, 0.9001, 0.01)[::order]
+    sweep = sweep_spectrum(TEMPLATE, gs, gs, trunc, k=12)
+    pairs = {parity: [converged_parity_eigensystem(
+                 ModelParams(1.3, 0.7, g, g), parity, trunc, 12)
+                 for g in gs] for parity in Parity}
+    ref = SpectrumSweep(TEMPLATE, trunc, 12, gs, gs,
+                        {par: np.array([v for v, _ in pairs[par]])
+                         for par in Parity},
+                        {par: [w for _, w in pairs[par]] for par in Parity})
+    for parity in Parity:
+        assert np.max(np.abs(sweep.energies[parity]
+                             - ref.energies[parity])) <= 1e-12
+        got = detect_crossings(sweep, parity)
+        want = detect_crossings(ref, parity)
+        assert [replace(r, min_gap=0.0) for r in got] == \
+            [replace(r, min_gap=0.0) for r in want]
+        assert np.allclose([r.min_gap for r in got],
+                           [r.min_gap for r in want], rtol=0, atol=1e-12)
+    assert any(r.kind is CrossingKind.CROSSING
+               for r in detect_crossings(sweep, Parity.EVEN))
+
+
+@settings(max_examples=80, deadline=None)
+@given(omega_1=st.floats(0.0, 40.0), omega_2=st.floats(0.0, 40.0),
+       g_1=st.floats(-2.0, 2.0), g_2=st.floats(-2.0, 2.0),
+       parity=st.sampled_from(Parity), n_max=st.integers(1, 40),
+       cut=st.floats(0.0, 1.0), where=st.floats(0.0, 1.0))
+@example(omega_1=30.06, omega_2=29.94, g_1=0.0, g_2=0.0, parity=Parity.EVEN,
+         n_max=40, cut=0.5, where=0.2)
+def test_no_level_below_counts_like_dense(omega_1, omega_2, g_1, g_2, parity,
+                                          n_max, cut, where):
+    params = ModelParams(omega_1, omega_2, g_1, g_2)
+    trunc = TruncationConfig(n_max)
+    h = build_parity_matrix(params, parity, trunc)
+    window_dim = 2 * (1 + int(cut * (n_max - 1)))
+    whole = np.linalg.eigvalsh(h)
+    window = np.linalg.eigvalsh(h[:window_dim, :window_dim])
+    x = whole[0] - 1.0 + where * (whole[-1] - whole[0] + 1.0)
+    assume(min(np.min(np.abs(whole - x)), np.min(np.abs(window - x))) > 1e-8)
+    band = build_parity_band(params, parity, trunc)
+    assert spectra._no_level_below(band, window_dim, x) == \
+        (np.sum(whole < x) == np.sum(window < x))
