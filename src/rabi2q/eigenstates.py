@@ -14,16 +14,22 @@ within a dozen steps.  ``refine_eigenpair`` sharpens a float eigenpair far
 past double precision by mixed-precision Newton (residual in mpmath,
 corrections in float64) so the recurrence can track the decaying solution
 deep into its tail.  The four-term route works at ``DPS`` decimal digits
-(the refiner's residual at ``DPS + GUARD_DIGITS``).
+(the refiner's residual at ``DPS + GUARD_DIGITS``) on raw mpf tuples via
+``mpmath.libmp``, the operations, and so the bits, of the mpf operators and
+``mp.fdot``, from mp tables built once per chain and precision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache, partial
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import (fone, from_float, from_int, fzero, mpf_abs,
+                          mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_neg,
+                          mpf_rdiv_int, mpf_sub, mpf_sum, to_float)
 
 from .errors import (ConfigError, ConvergenceFailure, OverflowDetected,
                      SingularCoupling, StepSingular)
@@ -69,16 +75,33 @@ def _check_couplings(params: ModelParams):
             "use the dense eigensolver for this case")
 
 
-def _mp_chain_diagonal(params: ModelParams, parity: Parity, n_max: int):
-    """Diagonal block entries computed in mp arithmetic."""
-    w1, w2 = mp.mpf(params.omega_1), mp.mpf(params.omega_2)
-    wf = mp.mpf(params.omega_f)
-    table = basis_table(TruncationConfig(max(n_max, 1)))
-    diag = [n * wf + (s1 * w1 + s2 * w2) / 2
-            for n, s1, s2 in zip(table.photon[parity].tolist(),
-                                 table.sz1[parity].tolist(),
-                                 table.sz2[parity].tolist())]
-    return [diag[2 * j:2 * j + 2] for j in range(n_max + 1)]
+@lru_cache(maxsize=8)
+def _chain_tables(params: ModelParams, parity: Parity, n_max: int,
+                  prec: int):
+    """Raw mpf tables of one chain, each entry formed once by the mpf
+    operators at prec bits: the diagonal blocks (d0, d1) of photon levels
+    0..n_max; the entries g1 sqrt(j) and g2 sqrt(j) of O_j for
+    j = 0..n_max + 1 (zero past the chain); per recurrence step
+    j = 1..n_max, 1 / (sqrt(j) det) and sqrt((j - 1) / j), det = g1^2 - g2^2
+    (no steps when det vanishes); and (g1, g2, -g2)."""
+    with mp.workprec(prec):
+        w1, w2 = mp.mpf(params.omega_1), mp.mpf(params.omega_2)
+        wf = mp.mpf(params.omega_f)
+        g1, g2 = mp.mpf(params.g_1), mp.mpf(params.g_2)
+        det = g1 * g1 - g2 * g2
+        table = basis_table(TruncationConfig(max(n_max, 1)))
+        diag = [(n * wf + (s1 * w1 + s2 * w2) / 2)._mpf_
+                for n, s1, s2 in zip(table.photon[parity].tolist(),
+                                     table.sz1[parity].tolist(),
+                                     table.sz2[parity].tolist())]
+        root = [mp.sqrt(j) for j in range(n_max + 1)] + [mp.mpf(0)]
+        step = tuple(((1 / (root[j] * det))._mpf_,
+                      mp.sqrt(mp.mpf(j - 1) / j)._mpf_)
+                     for j in range(1, n_max + 1)) if det else ()
+        return (tuple(zip(diag[0::2], diag[1::2]))[:n_max + 1],
+                tuple((r * g1)._mpf_ for r in root),
+                tuple((r * g2)._mpf_ for r in root), step,
+                (g1._mpf_, g2._mpf_, (-g2)._mpf_))
 
 
 def _recurrence_blocks_mp(params: ModelParams, parity: Parity, xi, v0,
@@ -86,47 +109,48 @@ def _recurrence_blocks_mp(params: ModelParams, parity: Parity, xi, v0,
                           overflow_limit: float = OVERFLOW_LIMIT):
     """Raw mp block sequence of the four-term recurrence (no cut).
 
-    Blocks are rescaled whenever the running maximum grows past
-    RESCALE_TRIGGER (checked every RESCALE_EVERY steps), which keeps them
-    inside the float exponent range the overflow guard compares against;
-    a block exceeding overflow_limit between rescale checkpoints raises
-    OverflowDetected.  rescale=False keeps the sequence a literal solution
-    of the recurrence so independent runs can be mixed linearly.
+    Each step is the mpf operators' arithmetic at the context's (prec,
+    rounding), done on raw mpf tuples.  Blocks are rescaled whenever the
+    running maximum grows past RESCALE_TRIGGER (checked every RESCALE_EVERY
+    steps), which keeps them inside the float exponent range the overflow
+    guard compares against; a block exceeding overflow_limit between
+    rescale checkpoints raises OverflowDetected (compared in mp, so an
+    infinite limit never trips).  rescale=False keeps the sequence a
+    literal solution of the recurrence so independent runs can be mixed
+    linearly.
     """
-    d = _mp_chain_diagonal(params, parity, n_max)
-    g1, g2 = mp.mpf(params.g_1), mp.mpf(params.g_2)
-    det = g1 * g1 - g2 * g2
-    xi = mp.mpf(xi)
-    v = [[mp.mpf(v0[0]), mp.mpf(v0[1])]]
-    run_max = mp.mpf(1)
-
-    def step(j, w):
-        dp = d[j - 1][0] - xi
-        dm = d[j - 1][1] - xi
-        f = 1 / (mp.sqrt(j) * det)
-        return [-(f * (g1 * dp * w[0] - g2 * dm * w[1])),
-                -(f * (-g2 * dp * w[0] + g1 * dm * w[1]))]
-
+    prec, rnd = mp.mp._prec_rounding
+    diag, _, _, steps, (g1, g2, ng2) = _chain_tables(params, parity, n_max,
+                                                     prec)
+    mul, add, sub = (partial(op, prec=prec, rnd=rnd)
+                     for op in (mpf_mul, mpf_add, mpf_sub))
+    xi, v = mp.mpf(xi)._mpf_, [tuple(mp.mpf(c)._mpf_ for c in v0[:2])]
+    limit, trigger = mp.mpf(overflow_limit)._mpf_, from_float(RESCALE_TRIGGER)
+    run_max = fone
     for j in range(1, n_max + 1):
-        nxt = step(j, v[j - 1])
+        (d0, d1), (f, s) = diag[j - 1], steps[j - 1]
+        (w0, w1), dp, dm = v[j - 1], sub(d0, xi), sub(d1, xi)
+        nxt0 = mpf_neg(mul(f, sub(mul(mul(g1, dp), w0),
+                                  mul(mul(g2, dm), w1))), prec, rnd)
+        nxt1 = mpf_neg(mul(f, add(mul(mul(ng2, dp), w0),
+                                  mul(mul(g1, dm), w1))), prec, rnd)
         if j >= 2:
-            s = mp.sqrt(mp.mpf(j - 1) / j)
-            nxt[0] -= s * v[j - 2][0]
-            nxt[1] -= s * v[j - 2][1]
-        v.append(nxt)
-        mag = max(abs(nxt[0]), abs(nxt[1]))
-        if mag > overflow_limit:
+            u0, u1 = v[j - 2]
+            nxt0, nxt1 = sub(nxt0, mul(s, u0)), sub(nxt1, mul(s, u1))
+        v.append((nxt0, nxt1))
+        a0, a1 = mpf_abs(nxt0), mpf_abs(nxt1)
+        mag = a1 if mpf_gt(a1, a0) else a0
+        if mpf_gt(mag, limit):
             raise OverflowDetected(
                 f"block magnitude exceeded {overflow_limit:g} at j={j} "
                 f"(xi far from the spectrum)")
-        run_max = max(run_max, mag)
-        if rescale and j % RESCALE_EVERY == 0 and run_max > RESCALE_TRIGGER:
-            inv = 1 / run_max
-            for blk in v:
-                blk[0] *= inv
-                blk[1] *= inv
-            run_max = mp.mpf(1)
-    return v
+        if mpf_gt(mag, run_max):
+            run_max = mag
+        if rescale and j % RESCALE_EVERY == 0 and mpf_gt(run_max, trigger):
+            inv = mpf_rdiv_int(1, run_max, prec, rnd)
+            v = [(mul(b0, inv), mul(b1, inv)) for b0, b1 in v]
+            run_max = fone
+    return [[mp.make_mpf(b0), mp.make_mpf(b1)] for b0, b1 in v]
 
 
 def _cut_normalize(parity: Parity, xi, blocks, n_max: int) -> RecurrenceState:
@@ -250,20 +274,21 @@ def _band_solve(factors, rhs: np.ndarray) -> np.ndarray:
     return np.array(y)
 
 
-def _mp_residual(d, a, b, xi, x):
-    """(H - xi) x in mp, one exact dot product per row; d holds the
-    diagonal blocks, a[j] and b[j] the entries of O_j (zero past the ends).
-    """
-    pad, nxi = [mp.mpf(0)], -xi
-    p, q = pad + x[0::2] + pad, pad + x[1::2] + pad
+def _mp_residual(tables, xi, x, prec: int, rnd) -> list:
+    """-(H - xi) x rounded to floats: per row, the exact products of the
+    raw mpf entries summed and rounded once at prec, as mp.fdot does."""
+    (diag, a, b, *_), nxi = tables, mpf_neg(xi, prec, rnd)
+    p, q = [fzero, *x[0::2], fzero], [fzero, *x[1::2], fzero]
     out = []
-    for j, (d0, d1) in enumerate(d):
-        lo, hi = (a[j], b[j]), (a[j + 1], b[j + 1])
-        near = (p[j], q[j], p[j + 2], q[j + 2])
-        out.append(mp.fdot((d0, nxi, *lo, *hi), (p[j + 1], p[j + 1], *near)))
-        out.append(mp.fdot((d1, nxi, *lo[::-1], *hi[::-1]),
-                           (q[j + 1], q[j + 1], *near)))
-    return out
+    for (d0, d1), pl, pc, ph, ql, qc, qh, al, ah, bl, bh in zip(
+            diag, p, p[1:], p[2:], q, q[1:], q[2:], a, a[1:], b, b[1:]):
+        out.append(mpf_sum([mpf_mul(d0, pc), mpf_mul(nxi, pc),
+                            mpf_mul(al, pl), mpf_mul(bl, ql),
+                            mpf_mul(ah, ph), mpf_mul(bh, qh)], prec, rnd))
+        out.append(mpf_sum([mpf_mul(d1, qc), mpf_mul(nxi, qc),
+                            mpf_mul(bl, pl), mpf_mul(al, ql),
+                            mpf_mul(bh, ph), mpf_mul(ah, qh)], prec, rnd))
+    return [-to_float(r, rnd=rnd) for r in out]
 
 
 def refine_eigenpair(params: ModelParams, parity: Parity, xi0: float,
@@ -279,7 +304,11 @@ def refine_eigenpair(params: ModelParams, parity: Parity, xi0: float,
     as u = w / (x0^T w), w = (H - xi0)^-1 x0.  The float arithmetic is
     scalar or elementwise, so no result depends on the BLAS thread count.
 
-    Returns (xi, x, residual), xi and the list x in mp, once residual =
+    F runs on raw mpf tuples with the chain's cached ``_chain_tables``:
+    each row of (H - xi) x, and x^T x, is an exact dot product rounded
+    once at the context's (prec, rounding), bit for bit mp.fdot.
+
+    Returns (xi, x, residual), xi and the list x as mpf, once residual =
     ||(H - xi) x||_2 and ||H|| |x^T x - 1| / 2 are at most
     tol = ||H||_inf 10^-(DPS + GUARD_DIGITS); raises ConvergenceFailure,
     with the residual reached, if NEWTON_STEPS steps do not get there or
@@ -297,23 +326,25 @@ def refine_eigenpair(params: ModelParams, parity: Parity, xi0: float,
     digits = DPS + GUARD_DIGITS
     tol = hnorm * 10.0 ** -digits
     with mp.workdps(digits):
-        d = _mp_chain_diagonal(params, parity, n_max)
-        s = [mp.sqrt(j) for j in range(n_max + 1)] + [mp.mpf(0)]
-        a, b = ([c * mp.mpf(g) for c in s] for g in (params.g_1, params.g_2))
-        xi, x = mp.mpf(float(xi0)), [mp.mpf(c) for c in x0.tolist()]
+        prec, rnd = mp.mp._prec_rounding
+        tables = _chain_tables(params, parity, n_max, prec)
+        xi, x = from_float(float(xi0)), [from_float(c) for c in x0.tolist()]
         for step in range(NEWTON_STEPS + 1):
-            f = -np.array([float(c) for c in _mp_residual(d, a, b, xi, x)])
-            h = float((1 - mp.fdot(x, x)) / 2)
+            f = np.array(_mp_residual(tables, xi, x, prec, rnd))
+            xx = mpf_sum([mpf_mul(c, c) for c in x], prec, rnd)
+            h = to_float(mpf_div(mpf_sub(fone, xx, prec, rnd), from_int(2),
+                                 prec, rnd), rnd=rnd)
             res = math.hypot(*f)
             if res <= tol and abs(h) * hnorm <= tol:
-                return xi, x, res
+                return mp.make_mpf(xi), [mp.make_mpf(c) for c in x], res
             if step == NEWTON_STEPS or not math.isfinite(res + h):
                 break
             c = math.fsum(x0 * f)
             z = _band_solve(factors, f - c * x0)
             t = h - math.fsum(x0 * z)
-            x = [xk + dk for xk, dk in zip(x, (z + t * u).tolist())]
-            xi += t / xw - c
+            x = [mpf_add(xk, from_float(dk), prec, rnd)
+                 for xk, dk in zip(x, (z + t * u).tolist())]
+            xi = mpf_add(xi, from_float(t / xw - c), prec, rnd)
     raise ConvergenceFailure(
         f"eigenpair refinement stopped at residual {res:.3e} after "
         f"{step} Newton steps (tolerance {tol:.3e})")

@@ -127,21 +127,27 @@ def eigh_banded_lowest(band: np.ndarray, count: int) -> EigenDecomposition:
     starts = np.random.default_rng(0).uniform(-1.0, 1.0, (count, dim))
     vectors = np.empty((dim, count))
     first = 0                       # first level of the current cluster
-    for i, value in enumerate(values):
-        if i and value - values[i - 1] >= CLUSTER_GAP * norm:
-            first = i
-        shifted = full.copy()
-        shifted[2 * kd] -= value + eps * norm
-        lu, pivots, info = dgbtrf(shifted, kd, kd, overwrite_ab=True)
-        if info != 0:
-            raise ConvergenceFailure(f"singular shifted band at level {i}")
-        x = starts[i, :, None]
-        cluster = vectors[:, first:i]
-        for _ in range(2):
-            x, info = dgbtrs(lu, kd, kd, x, pivots)
-            x -= cluster @ (cluster.T @ x)
-            x /= np.linalg.norm(x)
-        vectors[:, i] = x[:, 0]
+    # a near-tied level can push a solve past the float range: rescale by
+    # the largest entry; inf or nan entries fail the residual check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, value in enumerate(values):
+            if i and value - values[i - 1] >= CLUSTER_GAP * norm:
+                first = i
+            shifted = full.copy()
+            shifted[2 * kd] -= value + eps * norm
+            lu, pivots, info = dgbtrf(shifted, kd, kd, overwrite_ab=True)
+            if info != 0:
+                raise ConvergenceFailure(f"singular shifted band at level {i}")
+            x = starts[i, :, None]
+            cluster = vectors[:, first:i]
+            for _ in range(2):
+                x, info = dgbtrs(lu, kd, kd, x, pivots)
+                x -= cluster @ (cluster.T @ x)
+                if not np.isfinite(scale := np.linalg.norm(x)):
+                    x /= np.max(np.abs(x))
+                    scale = np.linalg.norm(x)
+                x /= scale
+            vectors[:, i] = x[:, 0]
     residual = np.linalg.norm(band_matvec(band, vectors) - vectors * values,
                               axis=0)
     if not np.max(residual) <= RESIDUAL_TOL * norm:

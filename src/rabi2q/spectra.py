@@ -94,11 +94,11 @@ def _certified_window(band: np.ndarray, count: int, n_window: int):
     """The count lowest pairs of a chain band, solved on photons 0..n_w.
 
     The window is the leading 2 (n_w + 1) rows and columns of the band with
-    the entries that reach past it zeroed; it widens by WINDOW_GROWTH until
-    its pairs pass the certificate of ``converged_parity_eigensystem``.
-    Returns the values and the window's vectors, or None when the window
-    reaches n_max or its banded solve fails its checks (such as levels that
-    tie).
+    the entries that reach past it zeroed; it widens by WINDOW_GROWTH, the
+    last step capped at n_max - 1, until its pairs pass the certificate of
+    ``converged_parity_eigensystem``.  Returns the values and the window's
+    vectors, or None when no window up to n_max - 1 passes or a banded
+    solve fails its checks (such as levels that tie).
     """
     dim = band.shape[1]
     n_max = dim // 2 - 1
@@ -125,7 +125,8 @@ def _certified_window(band: np.ndarray, count: int, n_window: int):
         if (np.max(residual) <= tol and np.linalg.norm(residual) < margin
                 and _no_level_below(band, window_dim, values[-1] + margin)):
             return values, window_vectors
-        n_window = min(int(WINDOW_GROWTH * n_window) + 1, n_max)
+        n_window = (min(int(WINDOW_GROWTH * n_window) + 1, n_max - 1)
+                    if n_window < n_max - 1 else n_max)
     return None
 
 

@@ -10,7 +10,11 @@ from typing import NamedTuple
 import mpmath as mp
 import numpy as np
 
+from rabi2q import eigenstates as eig
+from rabi2q.errors import ConvergenceFailure, OverflowDetected
+from rabi2q.hamiltonian import build_parity_band
 from rabi2q.model import Parity, QubitLevel, TruncationConfig, basis_table
+from rabi2q.numerics import band_norm
 
 # the even-parity crossing of the criterion-05 sweep (omega = 1.3, 0.7,
 # g1 = g2, n_max = 300) between branches 3 and 4, located by minimizing the
@@ -208,3 +212,116 @@ def mp_chain_residual(params, parity, xi, x, n_max, dps=90):
                                                  + g2 * x[2 * m + 1 - k])
             total += row * row
         return mp.sqrt(total)
+
+
+# ---------------------------------------------------------------------------
+# mp eigenpair refinement and four-term recurrence on mpf objects
+# ---------------------------------------------------------------------------
+# The package runs both on raw mpf tuples; these are the same computations
+# written with the mpf operators and mp.fdot, so the two must agree bit for
+# bit in every _mpf_ tuple.
+
+def mp_chain_diagonal(params, parity, n_max):
+    """Diagonal blocks [d0, d1] of photon levels 0..n_max, in mpf."""
+    w1, w2 = mp.mpf(params.omega_1), mp.mpf(params.omega_2)
+    wf = mp.mpf(params.omega_f)
+    table = basis_table(TruncationConfig(max(n_max, 1)))
+    diag = [n * wf + (s1 * w1 + s2 * w2) / 2
+            for n, s1, s2 in zip(table.photon[parity].tolist(),
+                                 table.sz1[parity].tolist(),
+                                 table.sz2[parity].tolist())]
+    return [diag[2 * j:2 * j + 2] for j in range(n_max + 1)]
+
+
+def recurrence_blocks_reference(params, parity, xi, v0, n_max,
+                                rescale=True, overflow_limit=1e300):
+    """eigenstates._recurrence_blocks_mp with mpf objects, at the caller's
+    mp precision."""
+    d = mp_chain_diagonal(params, parity, n_max)
+    g1, g2 = mp.mpf(params.g_1), mp.mpf(params.g_2)
+    det = g1 * g1 - g2 * g2
+    xi = mp.mpf(xi)
+    v = [[mp.mpf(v0[0]), mp.mpf(v0[1])]]
+    run_max = mp.mpf(1)
+
+    def step(j, w):
+        dp = d[j - 1][0] - xi
+        dm = d[j - 1][1] - xi
+        f = 1 / (mp.sqrt(j) * det)
+        return [-(f * (g1 * dp * w[0] - g2 * dm * w[1])),
+                -(f * (-g2 * dp * w[0] + g1 * dm * w[1]))]
+
+    for j in range(1, n_max + 1):
+        nxt = step(j, v[j - 1])
+        if j >= 2:
+            s = mp.sqrt(mp.mpf(j - 1) / j)
+            nxt[0] -= s * v[j - 2][0]
+            nxt[1] -= s * v[j - 2][1]
+        v.append(nxt)
+        mag = max(abs(nxt[0]), abs(nxt[1]))
+        if mag > overflow_limit:
+            raise OverflowDetected(
+                f"block magnitude exceeded {overflow_limit:g} at j={j} "
+                f"(xi far from the spectrum)")
+        run_max = max(run_max, mag)
+        if (rescale and j % eig.RESCALE_EVERY == 0
+                and run_max > eig.RESCALE_TRIGGER):
+            inv = 1 / run_max
+            for blk in v:
+                blk[0] *= inv
+                blk[1] *= inv
+            run_max = mp.mpf(1)
+    return v
+
+
+def mp_residual_reference(d, a, b, xi, x):
+    """(H - xi) x in mpf, one mp.fdot per row; d holds the diagonal
+    blocks, a[j] and b[j] the entries of O_j (zero past the ends)."""
+    pad, nxi = [mp.mpf(0)], -xi
+    p, q = pad + x[0::2] + pad, pad + x[1::2] + pad
+    out = []
+    for j, (d0, d1) in enumerate(d):
+        lo, hi = (a[j], b[j]), (a[j + 1], b[j + 1])
+        near = (p[j], q[j], p[j + 2], q[j + 2])
+        out.append(mp.fdot((d0, nxi, *lo, *hi), (p[j + 1], p[j + 1], *near)))
+        out.append(mp.fdot((d1, nxi, *lo[::-1], *hi[::-1]),
+                           (q[j + 1], q[j + 1], *near)))
+    return out
+
+
+def refine_eigenpair_reference(params, parity, xi0, vec0, n_max):
+    """eigenstates.refine_eigenpair with the mp side in mpf objects; the
+    float side (band LU, solves, sums) is the package's own."""
+    band = build_parity_band(params, parity, TruncationConfig(n_max))
+    x0 = np.asarray(vec0, dtype=float)
+    hnorm = band_norm(band)
+    factors = eig._band_lu(band, float(xi0), np.finfo(float).eps * hnorm)
+    w = eig._band_solve(factors, x0)
+    xw = math.fsum(x0 * w)
+    if not (xw and math.isfinite(xw)):
+        raise ConvergenceFailure("bordered Newton system is singular")
+    u = w / xw
+    digits = eig.DPS + eig.GUARD_DIGITS
+    tol = hnorm * 10.0 ** -digits
+    with mp.workdps(digits):
+        d = mp_chain_diagonal(params, parity, n_max)
+        s = [mp.sqrt(j) for j in range(n_max + 1)] + [mp.mpf(0)]
+        a, b = ([c * mp.mpf(g) for c in s] for g in (params.g_1, params.g_2))
+        xi, x = mp.mpf(float(xi0)), [mp.mpf(c) for c in x0.tolist()]
+        for step in range(eig.NEWTON_STEPS + 1):
+            f = -np.array([float(c)
+                           for c in mp_residual_reference(d, a, b, xi, x)])
+            h = float((1 - mp.fdot(x, x)) / 2)
+            res = math.hypot(*f)
+            if res <= tol and abs(h) * hnorm <= tol:
+                return xi, x, res
+            if step == eig.NEWTON_STEPS or not math.isfinite(res + h):
+                break
+            c = math.fsum(x0 * f)
+            z = eig._band_solve(factors, f - c * x0)
+            t = h - math.fsum(x0 * z)
+            x = [xk + dk for xk, dk in zip(x, (z + t * u).tolist())]
+            xi += t / xw - c
+    raise ConvergenceFailure(
+        f"eigenpair refinement stopped at residual {res:.3e} after "
+        f"{step} Newton steps (tolerance {tol:.3e})")

@@ -27,7 +27,8 @@ from rabi2q.hamiltonian import build_parity_matrix
 from rabi2q.model import ModelParams, Parity, TruncationConfig
 from rabi2q.numerics import eigh
 
-from oracles import G_CROSS, bargmann_chain_reference, mp_chain_residual
+from oracles import (G_CROSS, bargmann_chain_reference, mp_chain_residual,
+                     recurrence_blocks_reference, refine_eigenpair_reference)
 
 P = ModelParams(1.3, 0.7, 0.3, 0.4)
 NMAX = 200
@@ -234,6 +235,103 @@ def test_starved_refiner_raises_with_its_residual(monkeypatch, steps):
     assert reached > tol
     # each step gains at least ten digits here
     assert reached < 1e-12 * 1e-10 ** steps
+
+
+# ---------------------------------------------------------------------------
+# raw-tuple kernels against their mpf-object forms
+# ---------------------------------------------------------------------------
+
+def _raw_blocks(blocks_fn, *args, **kwargs):
+    """The _mpf_ tuples of a block run at DPS, or the overflow it raised."""
+    try:
+        with mp.workdps(eig_mod.DPS):
+            return [(u._mpf_, w._mpf_) for u, w in blocks_fn(*args, **kwargs)]
+    except OverflowDetected as exc:
+        return str(exc)
+
+
+def _best_seed_outcome(params, parity, xi, n_max):
+    try:
+        state, theta, res = best_seed_recurrence_state(params, parity, xi,
+                                                       n_max)
+    except OverflowDetected as exc:
+        return str(exc)
+    return state.v.tobytes(), state.cut_index, state.xi, theta, res
+
+
+@settings(max_examples=15, deadline=None)
+@given(omega_1=st.floats(0.0, 2.0), omega_2=st.floats(0.0, 2.0),
+       g_1=st.floats(-1.5, 1.5), g_2=st.floats(-1.5, 1.5),
+       parity=st.sampled_from(Parity), n_max=st.integers(2, 60),
+       level=st.floats(0.0, 1.0), offset=st.floats(-5.0, 5.0))
+# n_max 200: every run rescales, and the unrescaled ones pass 1e300
+@example(omega_1=1.3, omega_2=0.7, g_1=0.3, g_2=0.4, parity=Parity.EVEN,
+         n_max=200, level=1 / 401, offset=0.5)
+# far from the spectrum: the rescaled run raises OverflowDetected
+@example(omega_1=1.3, omega_2=0.7, g_1=0.3, g_2=0.4, parity=Parity.ODD,
+         n_max=50, level=0.0, offset=1e200)
+@example(omega_1=0.0, omega_2=0.7, g_1=0.3, g_2=0.4, parity=Parity.EVEN,
+         n_max=40, level=0.1, offset=0.5)
+@example(omega_1=1.3, omega_2=0.0, g_1=-0.5, g_2=0.2, parity=Parity.ODD,
+         n_max=40, level=0.3, offset=-2.0)
+@example(omega_1=0.0, omega_2=0.0, g_1=0.5, g_2=0.5, parity=Parity.EVEN,
+         n_max=30, level=0.5, offset=0.0)
+def test_raw_tuple_kernels_match_mpf_oracle(omega_1, omega_2, g_1, g_2,
+                                            parity, n_max, level, offset):
+    params = ModelParams(omega_1, omega_2, g_1, g_2)
+    dense = eigh(build_parity_matrix(params, parity, TruncationConfig(n_max)))
+    index = round(level * (len(dense.values) - 1))
+    args = (params, parity, dense.values[index], dense.vectors[:, index],
+            n_max)
+    try:
+        want = refine_eigenpair_reference(*args)
+    except ConvergenceFailure as exc:
+        with pytest.raises(ConvergenceFailure, match=re.escape(str(exc))):
+            refine_eigenpair(*args)
+        xi, seed = mp.mpf(float(dense.values[index])), (1.0, 0.0)
+    else:
+        got = refine_eigenpair(*args)
+        assert got[0]._mpf_ == want[0]._mpf_ and got[2] == want[2]
+        assert [c._mpf_ for c in got[1]] == [c._mpf_ for c in want[1]]
+        xi, seed = got[0], got[1][:2]
+    try:
+        eig_mod._check_couplings(params)
+    except SingularCoupling:
+        return
+    far = xi + offset
+    for run, kwargs in (((xi, seed), {}), ((far, (1.0, 0.0)), {}),
+                        ((far, (0.6, 0.8)),
+                         dict(rescale=False, overflow_limit=1e600))):
+        assert (_raw_blocks(eig_mod._recurrence_blocks_mp, params, parity,
+                            *run, n_max, **kwargs)
+                == _raw_blocks(recurrence_blocks_reference, params, parity,
+                               *run, n_max, **kwargs))
+    # 1e200 away the best-seed scores are all inf, so score at xi there
+    at = far if abs(offset) <= 5.0 else xi
+    got = _best_seed_outcome(params, parity, at, n_max)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(eig_mod, "_recurrence_blocks_mp",
+                  recurrence_blocks_reference)
+        assert got == _best_seed_outcome(params, parity, at, n_max)
+
+
+def test_oracle_examples_reach_their_corners():
+    # the explicit examples above rescale, pass 1e300 unrescaled, and
+    # overflow, so the comparisons cover those branches
+    p = ModelParams(1.3, 0.7, 0.3, 0.4)
+    xi, x, _ = refine_eigenpair(p, Parity.EVEN, *_pair(Parity.EVEN, 1), NMAX)
+    with mp.workdps(eig_mod.DPS):
+        kept = eig_mod._recurrence_blocks_mp(p, Parity.EVEN, xi + 0.5,
+                                             (1.0, 0.0), NMAX)
+        raw = eig_mod._recurrence_blocks_mp(p, Parity.EVEN, xi + 0.5,
+                                            (1.0, 0.0), NMAX, rescale=False,
+                                            overflow_limit=1e600)
+    assert kept[1] != raw[1]
+    assert max(abs(b[0]) for b in raw) > 1e300
+    decomp = eigh(build_parity_matrix(p, Parity.ODD, TruncationConfig(50)))
+    assert isinstance(_raw_blocks(eig_mod._recurrence_blocks_mp, p,
+                                  Parity.ODD, decomp.values[0] + 1e200,
+                                  (1.0, 0.0), 50), str)
 
 
 _REFINE_PROBE = """

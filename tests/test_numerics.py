@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,22 @@ def test_banded_lowest_checks_can_fail(monkeypatch):
         m.setattr(numerics, "ORTHOGONALITY_TOL", 0.0)
         with pytest.raises(ConvergenceFailure, match="orthogonality"):
             eigh_banded_lowest(band, 10)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-250])
+def test_banded_lowest_rescales_vectors_past_the_float_range(scale):
+    # on a band scaled by 1e-150 the shifted solves return entries near
+    # 1e165, whose squares pass the largest float: the vectors are rescaled
+    # by their largest entry, with no warning, and match the unscaled ones
+    band = build_parity_band(ModelParams(1.3, 0.7, 0.3, 0.4), Parity.EVEN,
+                             TruncationConfig(20))
+    ref = eigh_banded_lowest(band, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = eigh_banded_lowest(scale * band, 5)
+    assert np.allclose(got.values / scale, ref.values, rtol=0, atol=1e-13)
+    overlaps = np.abs(np.sum(got.vectors * ref.vectors, axis=0))
+    assert np.all(overlaps > 1 - 1e-12)
 
 
 def test_banded_lowest_repeats_exactly():

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -402,6 +403,18 @@ def test_tied_levels_fall_back_to_dense(monkeypatch):
     assert calls == []
 
 
+def test_overflowing_banded_solve_falls_back_without_warning():
+    # levels about 1e-167 apart blow the inverse-iteration solves past the
+    # float range (inf and nan entries): the banded kernel fails its
+    # residual check, silently, and the point goes to dense eigh
+    g = 8.183430930081774e-168
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, _ = converged_parity_eigensystem(
+            ModelParams(0.0, 0.5, g, g), Parity.EVEN, TruncationConfig(7), 1)
+    assert vals.tolist() == [-0.25]
+
+
 def _window_dims(monkeypatch):
     """Dimensions of the bands the banded kernel is called on, in order."""
     dims = []
@@ -430,12 +443,13 @@ def test_window_accepts_widens_or_reaches_chain_dimension(monkeypatch):
     assert not np.any(vecs[dims[-1]:])
     _assert_matches_dense(vals, vecs, p, Parity.ODD, trunc, 20)
 
-    # no window below n_max certifies: the whole-chain path, bit for bit
+    # no window below n_max certifies, the last one capped at n_max - 1
+    # (48 rows): the whole-chain path, bit for bit
     dims.clear()
     p = ModelParams(1.3, 0.7, 1.5, 1.5)
     trunc = TruncationConfig(24)
     vals, vecs = converged_parity_eigensystem(p, Parity.EVEN, trunc, 1, 3)
-    assert dims == [10, 16, 24, 36, 50, 50]
+    assert dims == [10, 16, 24, 36, 48, 50, 50]
     ref = converged_parity_eigensystem(p, Parity.EVEN, trunc, 1)
     assert np.array_equal(vals, ref[0]) and np.array_equal(vecs, ref[1])
 
@@ -448,6 +462,24 @@ def test_window_with_tied_levels_solves_whole_chain(monkeypatch):
     assert dims == [42, 82]
     ref = converged_parity_eigensystem(p, Parity.EVEN, trunc, 10)
     assert np.array_equal(vals, ref[0]) and np.array_equal(vecs, ref[1])
+
+
+@pytest.mark.parametrize("parity", list(Parity))
+@pytest.mark.parametrize("g", [0.55, 0.58])
+def test_window_ladder_tries_n_max_minus_one(monkeypatch, parity, g):
+    # omega 1.3/0.7, g1 = g2, k = 12, n_max = 60: the start window (40 or 41
+    # photons) fails and x1.5 would pass n_max, so the ladder tries 59
+    # photons, which certifies, instead of going to the whole chain
+    dims = _window_dims(monkeypatch)
+    p = ModelParams(1.3, 0.7, g, g)
+    trunc = TruncationConfig(60)
+    vals, vecs = converged_parity_eigensystem(
+        p, parity, trunc, 12, spectra._start_window(p, 12))
+    assert len(dims) == 2 and dims[0] < 120 and dims[1] == 120
+    assert not np.any(vecs[120:])
+    _assert_matches_dense(vals, vecs, p, parity, trunc, 12)
+    whole, _ = converged_parity_eigensystem(p, parity, trunc, 12)
+    assert np.max(np.abs(vals - whole)) <= 1e-13
 
 
 # at n_max = 50 no window certifies at part of the points, so the sweep
