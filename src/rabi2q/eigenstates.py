@@ -117,8 +117,9 @@ def _recurrence_blocks_mp(params: ModelParams, parity: Parity, xi, v0,
     rescale checkpoints raises OverflowDetected (compared in mp, so an
     infinite limit never trips).  rescale=False keeps the sequence a
     literal solution of the recurrence so independent runs can be mixed
-    linearly.
+    linearly.  |g1| = |g2| raises SingularCoupling.
     """
+    _check_couplings(params)
     prec, rnd = mp.mp._prec_rounding
     diag, _, _, steps, (g1, g2, ng2) = _chain_tables(params, parity, n_max,
                                                      prec)
@@ -197,9 +198,14 @@ def recurrence_eigenstate_la(params: ModelParams, parity: Parity, xi, v0,
 
 
 def _band_residual(band: np.ndarray, xi: float, v: np.ndarray) -> float:
-    """||(H - xi) v|| / ||v|| for H in lower band storage."""
-    hv = band_matvec(band, v[:, None])[:, 0]
-    return float(np.linalg.norm(hv - xi * v) / np.linalg.norm(v))
+    """||(H - xi) v|| / ||v|| for H in lower band storage.
+
+    The residual is scaled by its largest entry before the norm, so that
+    its squares stay finite when xi is far from the spectrum.
+    """
+    r = band_matvec(band, v[:, None])[:, 0] - xi * v
+    scale = np.max(np.abs(r)) or 1.0
+    return float(scale * np.linalg.norm(r / scale) / np.linalg.norm(v))
 
 
 def chain_residual(params: ModelParams, parity: Parity, xi: float,

@@ -1,9 +1,9 @@
 """Shared numerical kernels.
 
-Dense symmetric eigendecomposition (LAPACK via numpy), the lowest eigenpairs
-of a banded symmetric matrix (LAPACK via scipy), associated Laguerre
-polynomials, displacement-operator matrix elements, and spectral-decomposition
-time propagation.  Everything here is pure.
+Dense symmetric eigendecomposition (LAPACK via numpy), the lowest
+eigenpairs of a banded symmetric matrix (LAPACK ``dsbevx`` via scipy),
+associated Laguerre polynomials, displacement-operator matrix elements, and
+spectral-decomposition time propagation.  Everything here is pure.
 """
 
 from __future__ import annotations
@@ -44,12 +44,9 @@ def eigh(h: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(values, vectors)
 
 
-# inverse-iteration vectors: levels closer than CLUSTER_GAP * ||H|| are
-# orthogonalized against each other (the LAPACK dstein choice), levels
-# closer than TIE_GAP * ||H|| count as one degenerate level, and the result
-# must have residuals below RESIDUAL_TOL * ||H|| and max |V^T V - I| below
-# ORTHOGONALITY_TOL
-CLUSTER_GAP = 1e-3
+# levels closer than TIE_GAP * ||H|| count as one degenerate level, and the
+# result must have residuals below RESIDUAL_TOL * ||H|| and max |V^T V - I|
+# below ORTHOGONALITY_TOL
 TIE_GAP = 1e-10
 RESIDUAL_TOL = 1e-12
 ORTHOGONALITY_TOL = 1e-10
@@ -86,33 +83,29 @@ def general_band(band: np.ndarray) -> np.ndarray:
 def eigh_banded_lowest(band: np.ndarray, count: int) -> EigenDecomposition:
     """The count lowest eigenpairs of a real symmetric banded matrix.
 
-    band is LAPACK lower band storage, band[d, c] = H[c + d, c].  The
-    eigenvalues come from scipy's ``eigvals_banded``, the vectors from two
-    steps of inverse iteration with a banded LU, as in LAPACK dstein: each
-    shift sits eps ||H|| above its eigenvalue, each level starts from its
-    own pseudo-random vector (fixed seed, so runs repeat exactly), and
-    levels of one cluster are Gram-Schmidt orthogonalized against each
-    other.
+    band is LAPACK lower band storage, band[d, c] = H[c + d, c].  The pairs
+    come from one call of LAPACK ``dsbevx`` through scipy's ``eig_banded``:
+    reduction to tridiagonal form, bisection for the eigenvalues and
+    inverse iteration (``dstein``) for the vectors.  It solves one pair more
+    than asked for, to see a tie across the cut.
 
     Raises ConvergenceFailure, so the caller can fall back to ``eigh``, when
-    two levels tie (their eigenspace has no preferred basis, and inverse
-    iteration would return one drawn from its start vectors), when a
-    shifted band is exactly singular, or when a residual ||Hv - lambda v||
-    or the orthogonality of the vectors misses its bound.  scipy is imported
-    here, not at module level, so code that never calls this kernel never
-    loads it.
+    LAPACK does not converge, when two levels tie (their eigenspace has no
+    preferred basis, and ``dstein`` would return an arbitrary one), or when
+    a residual ||Hv - lambda v|| or the orthogonality of the vectors misses
+    its bound (``dstein`` can lose orthogonality in tight clusters).  scipy
+    is imported here, not at module level, so code that never calls this
+    kernel never loads it.
     """
-    from scipy.linalg import eigvals_banded
-    from scipy.linalg.lapack import dgbtrf, dgbtrs
+    from scipy.linalg import eig_banded
 
     band = np.asarray(band, dtype=float)
-    kd, dim = band.shape[0] - 1, band.shape[1]
+    dim = band.shape[1]
     if not 1 <= count <= dim:
         raise ValueError("count must be in [1, matrix dimension]")
     try:
-        # one level more than asked for, to see a tie across the cut
-        values = eigvals_banded(band, lower=True, select="i",
-                                select_range=(0, min(count, dim - 1)))
+        values, vectors = eig_banded(band, lower=True, select="i",
+                                     select_range=(0, min(count, dim - 1)))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     norm = band_norm(band) or 1.0
@@ -121,43 +114,18 @@ def eigh_banded_lowest(band: np.ndarray, count: int) -> EigenDecomposition:
         raise ConvergenceFailure(
             f"levels {ties[0]} and {ties[0] + 1} tie within "
             f"{TIE_GAP:g} * ||H||")
-    values = values[:count]
-    eps = np.finfo(float).eps
-    full = general_band(band)
-    starts = np.random.default_rng(0).uniform(-1.0, 1.0, (count, dim))
-    vectors = np.empty((dim, count))
-    first = 0                       # first level of the current cluster
-    # a near-tied level can push a solve past the float range: rescale by
-    # the largest entry; inf or nan entries fail the residual check below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, value in enumerate(values):
-            if i and value - values[i - 1] >= CLUSTER_GAP * norm:
-                first = i
-            shifted = full.copy()
-            shifted[2 * kd] -= value + eps * norm
-            lu, pivots, info = dgbtrf(shifted, kd, kd, overwrite_ab=True)
-            if info != 0:
-                raise ConvergenceFailure(f"singular shifted band at level {i}")
-            x = starts[i, :, None]
-            cluster = vectors[:, first:i]
-            for _ in range(2):
-                x, info = dgbtrs(lu, kd, kd, x, pivots)
-                x -= cluster @ (cluster.T @ x)
-                if not np.isfinite(scale := np.linalg.norm(x)):
-                    x /= np.max(np.abs(x))
-                    scale = np.linalg.norm(x)
-                x /= scale
-            vectors[:, i] = x[:, 0]
+    # a copy, so the result owns only the count columns it returns
+    values, vectors = values[:count], vectors[:, :count].copy()
     residual = np.linalg.norm(band_matvec(band, vectors) - vectors * values,
                               axis=0)
     if not np.max(residual) <= RESIDUAL_TOL * norm:
         raise ConvergenceFailure(
-            f"inverse iteration residual {np.max(residual):.2e} exceeds "
+            f"banded eigenvector residual {np.max(residual):.2e} exceeds "
             f"{RESIDUAL_TOL:g} * ||H|| = {RESIDUAL_TOL * norm:.2e}")
     loss = np.max(np.abs(vectors.T @ vectors - np.eye(count)))
     if not loss <= ORTHOGONALITY_TOL:
         raise ConvergenceFailure(
-            f"inverse iteration vectors lose orthogonality: max "
+            f"banded eigenvectors lose orthogonality: max "
             f"|V^T V - I| = {loss:.2e} > {ORTHOGONALITY_TOL:g}")
     return EigenDecomposition(values, vectors)
 

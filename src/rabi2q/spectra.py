@@ -11,11 +11,12 @@ which past the window is sqrt(n_w + 1) ||[[g1, g2], [g2, g1]] v_top||
 (v_top: the window's last two entries), is within the banded kernel's own
 bound, and when an inertia count shows that the whole chain has no more
 levels below the window's top solved level than the window has; otherwise
-it widens.  At n_max, or when a window's solve fails its checks, the point
-is solved on the whole chain.  Reported eigenvalues of a whole-chain solve
-pass a truncation guard: the eigenvector must carry less than
-``GUARD_TOL`` weight on the top two photon levels, otherwise the level is
-considered unconverged at this cutoff.
+it widens.  A window solves only the k requested levels and keeps only
+its own rows of their vectors.  At n_max, or when a window's solve fails
+its checks, the point is solved on the whole chain.  Reported eigenvalues
+of a whole-chain solve pass a truncation guard: the eigenvector must carry
+less than ``GUARD_TOL`` weight on the top two photon levels, otherwise the
+level is considered unconverged at this cutoff.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ def converged_mask(vectors: np.ndarray, edge_dim: int) -> np.ndarray:
     return edge_weight < GUARD_TOL
 
 
-# levels solved beyond the k requested, so that a few unconverged levels
-# among the lowest do not force a second solve
+# levels solved beyond the k requested on the whole chain, so that a few
+# unconverged levels among the lowest do not force a second solve
 LEVEL_MARGIN = 8
 # factor by which an uncertified photon window widens
 WINDOW_GROWTH = 1.5
@@ -96,9 +97,10 @@ def _certified_window(band: np.ndarray, count: int, n_window: int):
     The window is the leading 2 (n_w + 1) rows and columns of the band with
     the entries that reach past it zeroed; it widens by WINDOW_GROWTH, the
     last step capped at n_max - 1, until its pairs pass the certificate of
-    ``converged_parity_eigensystem``.  Returns the values and the window's
-    vectors, or None when no window up to n_max - 1 passes or a banded
-    solve fails its checks (such as levels that tie).
+    ``converged_parity_eigensystem``.  Returns the values and the window
+    rows of the vectors (the rows past the window are zeros), or None when
+    no window up to n_max - 1 passes or a banded solve fails its checks
+    (such as levels that tie).
     """
     dim = band.shape[1]
     n_max = dim // 2 - 1
@@ -135,9 +137,9 @@ def converged_parity_eigensystem(params: ModelParams, parity: Parity,
                                  window: int | None = None):
     """k lowest converged eigenpairs of one parity block.
 
-    With a start window n_w, first solves the k + LEVEL_MARGIN lowest
-    levels theta_i on photons 0..n_w only (the leading block A of H).  The
-    window is accepted when
+    With a start window n_w, first solves the k lowest levels theta_i on
+    photons 0..n_w only (the leading block A of H).  The window is
+    accepted when
     - every vector, zero-padded to the chain dimension, has a residual
       ||H v - theta v|| against the whole chain of at most
       RESIDUAL_TOL * ||H||, the banded kernel's own bound (past the window
@@ -146,33 +148,30 @@ def converged_parity_eigensystem(params: ModelParams, parity: Parity,
       is below x - theta_top, for x = theta_top + TIE_GAP * ||A|| / 2;
     - the whole chain has no more levels below x than A has
       (``_no_level_below``).  The kernel's tie check puts A's next level
-      above x, so the chain has exactly k + LEVEL_MARGIN levels below x.
+      above x, so the chain has exactly k levels below x.
     Each residual puts a distinct chain level within the residuals' joint
     norm of its theta (Kahan's bound for orthonormal vectors), all of them
     below x, so these are the chain's lowest levels, and Cauchy
     interlacing keeps each at or below its theta.  A residual alone would
     not do: at g1 = g2 = 0 every window has zero residual, yet its first
     cuts can miss low levels that live at higher photon numbers.
-    Otherwise the window widens by WINDOW_GROWTH.  The vectors come back
-    zero-padded.
+    Otherwise the window widens by WINDOW_GROWTH.  An accepted window
+    returns only its own rows of the vectors; the chain rows past them are
+    exact zeros.
 
     Without a window, or when no window below n_max certifies, solves the
     k + LEVEL_MARGIN lowest levels of the whole chain from its band and
     doubles that count, up to the chain dimension, while fewer than k of
     them pass the guard, so the result is the first k converged levels of
-    the whole spectrum.  A banded solve that fails its checks falls back to
-    dense ``eigh`` of the whole chain.
+    the whole spectrum, with vectors over the whole chain.  A banded solve
+    that fails its checks falls back to dense ``eigh`` of the whole chain.
     """
     band = build_parity_band(params, parity, trunc)
     dim = trunc.chain_dim
-    count = min(k + LEVEL_MARGIN, dim)
-    solved = None if window is None else _certified_window(band, count,
-                                                           window)
+    solved = None if window is None else _certified_window(band, k, window)
     if solved is not None:
-        values, window_vectors = solved
-        vectors = np.zeros((dim, k))
-        vectors[:len(window_vectors)] = window_vectors[:, :k]
-        return values[:k], vectors
+        return solved
+    count = min(k + LEVEL_MARGIN, dim)
     while True:
         try:
             values, vectors = eigh_banded_lowest(band, count)
@@ -192,19 +191,18 @@ def converged_parity_eigensystem(params: ModelParams, parity: Parity,
 
 
 def _start_window(params: ModelParams, k: int) -> int:
-    """Photon window that about holds the k + LEVEL_MARGIN lowest levels.
+    """Photon window that about holds the k lowest levels.
 
-    The chain holds two ladders, so those levels fill about (k + 8) / 2
-    levels of each.  Deep in strong coupling the ladders are oscillators
+    The chain holds two ladders, so those levels fill about k / 2 levels
+    of each.  Deep in strong coupling the ladders are oscillators
     displaced by g_pm / omega_f, and level m of one spreads to about
     (sqrt(m) + g_pm / omega_f)^2 photons; the factor 1.5 on the
     displacement and the 1.5 added to the root cover the decay of the
-    vectors to the residual bound (fitted to the smallest certifying
-    windows at k = 5..60, omega_f = 0.5 and 1, g_pm / omega_f up to 8).
+    vectors to the residual bound (fitted to the smallest windows that
+    certify 13 to 68 levels, omega_f = 0.5 and 1, g_pm / omega_f up to 8).
     """
     shift = max(abs(params.g_plus), abs(params.g_minus)) / params.omega_f
-    return math.ceil((math.sqrt((k + LEVEL_MARGIN) / 2) + 1.5 * shift
-                      + 1.5) ** 2)
+    return math.ceil((math.sqrt(k / 2) + 1.5 * shift + 1.5) ** 2)
 
 
 @dataclass(frozen=True)
@@ -212,7 +210,9 @@ class SpectrumSweep:
     """Converged low-lying spectra along a coupling schedule.
 
     energies[parity] has shape (n_points, k); vectors[parity] is a list of
-    (dim, k) eigenvector sets retained for crossing analysis.
+    (rows, k) eigenvector sets retained for crossing analysis, each holding
+    the leading rows of the chain that its solve covered (the rows past
+    them are zeros).
     """
 
     params_template: ModelParams
@@ -291,7 +291,8 @@ def detect_crossings(sweep: SpectrumSweep, parity: Parity,
     |<v_i(before)|v_{i+1}(after)>| > 1 - overlap_tol while
     |<v_i(before)|v_i(after)>| < overlap_tol.  Anything else (including
     dips at the sweep boundary, which cannot be bracketed) is reported as
-    AvoidedOrUnresolved.
+    AvoidedOrUnresolved.  The overlaps run over the rows that both vector
+    sets hold.
     """
     energies = sweep.energies[parity]
     vectors = sweep.vectors[parity]
@@ -311,7 +312,10 @@ def detect_crossings(sweep: SpectrumSweep, parity: Parity,
                 end += 1
             t_min = t + int(np.argmin(gap[t:end + 1]))
             if 0 < t_min < n_pts - 1:
-                before, after = vectors[t_min - 1], vectors[t_min + 1]
+                # the shorter set is zero past its rows
+                rows = min(len(vectors[t_min - 1]), len(vectors[t_min + 1]))
+                before = vectors[t_min - 1][:rows]
+                after = vectors[t_min + 1][:rows]
                 swap = abs(before[:, i] @ after[:, i + 1])
                 stay = abs(before[:, i] @ after[:, i])
                 kind = (CrossingKind.CROSSING

@@ -345,14 +345,23 @@ assert "scipy" in sys.modules
 """
 
 
-def test_commands_without_a_sweep_do_not_import_scipy(tmp_path):
-    # scipy costs about 0.3 s and 23 MB at import; only the banded
-    # eigensolver of the sweep may load it
+def _run_probe(*args):
     env = dict(os.environ)
     src = str(Path(rabi2q.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
-                           str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", *args],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_commands_without_a_sweep_do_not_import_scipy(tmp_path):
+    # scipy costs about 0.3 s and 23 MB at import; only the banded
+    # eigensolver of the sweep may load it
+    _run_probe(_IMPORT_PROBE, str(tmp_path))
+
+
+def test_importing_the_cli_does_not_import_scipy():
+    # the scipy imports sit inside the banded kernels, so a command's
+    # setup does not pay for them
+    _run_probe("import sys, rabi2q.cli; assert 'scipy' not in sys.modules")

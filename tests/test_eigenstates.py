@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath as mp
@@ -23,7 +24,7 @@ from rabi2q.eigenstates import (BargmannCoefficients, bargmann_coefficients,
                                 residual, _bargmann_alphas)
 from rabi2q.errors import (ConvergenceFailure, OverflowDetected,
                            SingularCoupling, StepSingular)
-from rabi2q.hamiltonian import build_parity_matrix
+from rabi2q.hamiltonian import build_parity_band, build_parity_matrix
 from rabi2q.model import ModelParams, Parity, TruncationConfig
 from rabi2q.numerics import eigh
 
@@ -80,6 +81,30 @@ def test_singular_coupling_raises():
     p = ModelParams(1.3, 0.7, 0.3, -0.3)
     with pytest.raises(SingularCoupling):
         recurrence_eigenstate_la(p, Parity.EVEN, -1.0, (1.0, 0.0), 50)
+
+
+def test_recurrence_kernel_rejects_singular_coupling():
+    # the private kernel checks the couplings itself: with det = 0 it has
+    # no step table to run
+    for g_2 in (0.3, -0.3):
+        p = ModelParams(1.3, 0.7, 0.3, g_2)
+        with mp.workdps(eig_mod.DPS), pytest.raises(SingularCoupling):
+            eig_mod._recurrence_blocks_mp(p, Parity.EVEN, -1.0, (1.0, 0.0),
+                                          50)
+
+
+def test_band_residual_stays_finite_far_from_spectrum():
+    # 1e200 away the residual's squares pass the float range; the scaled
+    # norm still gives its size, so best-seed scores can be ranked
+    band = build_parity_band(P, Parity.ODD, TruncationConfig(50))
+    decomp = eigh(build_parity_matrix(P, Parity.ODD, TruncationConfig(50)))
+    v = decomp.vectors[:, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = eig_mod._band_residual(band, decomp.values[0] + 1e200, v)
+        near = eig_mod._band_residual(band, decomp.values[0], v)
+    assert far == pytest.approx(1e200, rel=1e-12)
+    assert near < 1e-12
 
 
 def test_overflow_detected_far_from_spectrum():
@@ -306,13 +331,11 @@ def test_raw_tuple_kernels_match_mpf_oracle(omega_1, omega_2, g_1, g_2,
                             *run, n_max, **kwargs)
                 == _raw_blocks(recurrence_blocks_reference, params, parity,
                                *run, n_max, **kwargs))
-    # 1e200 away the best-seed scores are all inf, so score at xi there
-    at = far if abs(offset) <= 5.0 else xi
-    got = _best_seed_outcome(params, parity, at, n_max)
+    got = _best_seed_outcome(params, parity, far, n_max)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(eig_mod, "_recurrence_blocks_mp",
                   recurrence_blocks_reference)
-        assert got == _best_seed_outcome(params, parity, at, n_max)
+        assert got == _best_seed_outcome(params, parity, far, n_max)
 
 
 def test_oracle_examples_reach_their_corners():

@@ -108,9 +108,8 @@ def test_banded_lowest_matches_dense_on_random_bands(dim, count):
 
 
 def test_banded_lowest_resolves_a_close_pair():
-    # two levels 1e-7 apart: one cluster, but not a tie, so each level
-    # keeps a vector of its own; without the Gram-Schmidt step their
-    # overlap comes out near 2e-10 and fails the orthogonality check
+    # two levels 1e-7 apart: close, but not a tie, so each level keeps a
+    # vector of its own, orthogonal to the other's
     rng = np.random.default_rng(8)
     q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
     h = q @ np.diag([0.0, 1e-7, 1.0, 2.0, 3.0, 4.0]) @ q.T
@@ -151,9 +150,9 @@ def test_banded_lowest_checks_can_fail(monkeypatch):
 
 @pytest.mark.parametrize("scale", [1e-150, 1e-250])
 def test_banded_lowest_rescales_vectors_past_the_float_range(scale):
-    # on a band scaled by 1e-150 the shifted solves return entries near
-    # 1e165, whose squares pass the largest float: the vectors are rescaled
-    # by their largest entry, with no warning, and match the unscaled ones
+    # a band scaled by 1e-150 or 1e-250 is solved without a warning
+    # (LAPACK scales it into a safe range), and its vectors match the
+    # unscaled band's
     band = build_parity_band(ModelParams(1.3, 0.7, 0.3, 0.4), Parity.EVEN,
                              TruncationConfig(20))
     ref = eigh_banded_lowest(band, 5)

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from rabi2q import spectra
-from rabi2q.errors import SmallDenominator, TruncationInsufficient
-from rabi2q.hamiltonian import build_parity_band, build_parity_matrix
+from rabi2q.errors import (ConvergenceFailure, SmallDenominator,
+                           TruncationInsufficient)
+from rabi2q.hamiltonian import (build_parity_band, build_parity_matrix,
+                                expand_dense)
 from rabi2q.model import ModelParams, Parity, TruncationConfig
-from rabi2q.numerics import eigh, eigh_banded_lowest
+from rabi2q.numerics import TIE_GAP, band_norm, eigh, eigh_banded_lowest
 from rabi2q.spectra import (CrossingKind, SpectrumSweep,
                             converged_parity_eigensystem, detect_crossings,
                             doubling_check, dsc_perturbative_spectrum,
@@ -283,6 +285,14 @@ def _assert_matches_dense(vals, vecs, params, parity, trunc, k):
     dense = eigh(build_parity_matrix(params, parity, trunc))
     keep = np.flatnonzero(spectra.converged_mask(dense.vectors, 4))[:k]
     assert len(keep) == k
+    # a window solve returns only its own rows: the rest are zeros
+    assert len(vecs) <= trunc.chain_dim
+    vecs = np.pad(vecs, ((0, trunc.chain_dim - len(vecs)), (0, 0)))
+    _assert_pairs_match(vals, vecs, dense, keep)
+
+
+def _assert_pairs_match(vals, vecs, dense, keep):
+    """vals and vecs are the pairs keep of the dense decomposition."""
     norm = np.max(np.abs(dense.values))
     assert np.max(np.abs(vals - dense.values[keep])) <= 1e-12 * norm
     cluster = np.concatenate(
@@ -297,6 +307,50 @@ def _assert_matches_dense(vals, vecs, params, parity, trunc, k):
             assert np.max(np.abs(mine @ mine.T - ref @ ref.T)) <= 1e-10
         else:       # a cluster cut by the k-th level or by the guard
             assert np.max(np.abs(mine - ref @ (ref.T @ mine))) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(omega_1=FREQ, omega_2=FREQ, g_1=st.floats(-2.0, 2.0),
+       g_2=st.floats(-2.0, 2.0), tie=st.sampled_from([None, 1.0, -1.0]),
+       parity=st.sampled_from(Parity), n_max=st.integers(1, 60),
+       count=st.integers(1, 40))
+@example(omega_1=0.9, omega_2=1.1, g_1=0.4, g_2=0.0, tie=1.0,
+         parity=Parity.EVEN, n_max=30, count=12)        # g2 = g1
+@example(omega_1=0.9, omega_2=1.1, g_1=0.4, g_2=0.0, tie=-1.0,
+         parity=Parity.ODD, n_max=30, count=12)         # g2 = -g1
+@example(omega_1=0.0, omega_2=0.8, g_1=0.3, g_2=0.5, tie=None,
+         parity=Parity.EVEN, n_max=30, count=12)        # omega_1 = 0
+@example(omega_1=0.0, omega_2=0.0, g_1=0.5, g_2=0.0, tie=1.0,
+         parity=Parity.ODD, n_max=30, count=16)         # omega_1 = omega_2 = 0
+@example(omega_1=1.3, omega_2=0.7, g_1=G_CROSS, g_2=0.0, tie=1.0,
+         parity=Parity.EVEN, n_max=60, count=10)        # in-parity crossing
+@example(omega_1=1.3, omega_2=0.7, g_1=G_CROSS + 1e-8, g_2=0.0, tie=1.0,
+         parity=Parity.EVEN, n_max=60, count=10)        # 3.4 tie gaps apart
+@example(omega_1=1.3, omega_2=0.7, g_1=G_CROSS + 1e-6, g_2=0.0, tie=1.0,
+         parity=Parity.EVEN, n_max=60, count=10)        # close pair
+@example(omega_1=1.3, omega_2=0.7, g_1=1.5, g_2=0.0, tie=1.0,
+         parity=Parity.EVEN, n_max=24, count=50)        # truncation edge
+@example(omega_1=1.3, omega_2=0.7, g_1=1.5, g_2=-0.5, tie=None,
+         parity=Parity.ODD, n_max=8, count=17)
+def test_banded_kernel_matches_dense_on_chains(omega_1, omega_2, g_1, g_2,
+                                               tie, parity, n_max, count):
+    params = ModelParams(omega_1, omega_2, g_1,
+                         g_2 if tie is None else tie * g_1)
+    band = build_parity_band(params, parity, TruncationConfig(n_max))
+    dim = band.shape[1]
+    count = min(count, dim)
+    dense = eigh(expand_dense(band))
+    tie_gap = TIE_GAP * band_norm(band)
+    gap = np.min(np.diff(dense.values[:count + 1]), initial=np.inf)
+    try:
+        vals, vecs = eigh_banded_lowest(band, count)
+    except ConvergenceFailure:
+        # only a tie among the count + 1 lowest levels stops the kernel
+        assert gap <= 2 * tie_gap
+        return
+    assert gap > 0.5 * tie_gap
+    assert vecs.shape == (dim, count)
+    _assert_pairs_match(vals, vecs, dense, np.arange(count))
 
 
 @settings(max_examples=60, deadline=None)
@@ -404,9 +458,9 @@ def test_tied_levels_fall_back_to_dense(monkeypatch):
 
 
 def test_overflowing_banded_solve_falls_back_without_warning():
-    # levels about 1e-167 apart blow the inverse-iteration solves past the
-    # float range (inf and nan entries): the banded kernel fails its
-    # residual check, silently, and the point goes to dense eigh
+    # couplings of 8e-168 put entries near the float underflow into the
+    # banded solve; the point is solved without a warning, by the banded
+    # kernel or, should its checks fail, by dense eigh
     g = 8.183430930081774e-168
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -433,14 +487,14 @@ def test_window_accepts_widens_or_reaches_chain_dimension(monkeypatch):
     trunc = TruncationConfig(120)
     vals, vecs = converged_parity_eigensystem(p, Parity.EVEN, trunc, 10, 60)
     assert dims == [122]
-    assert not np.any(vecs[122:])
+    assert vecs.shape == (122, 10)
     _assert_matches_dense(vals, vecs, p, Parity.EVEN, trunc, 10)
 
     dims.clear()
     p = ModelParams(1.3, 0.7, 1.2, 0.5)
     vals, vecs = converged_parity_eigensystem(p, Parity.ODD, trunc, 20, 0)
     assert len(dims) > 1 and dims == sorted(dims) and dims[-1] < 242
-    assert not np.any(vecs[dims[-1]:])
+    assert vecs.shape == (dims[-1], 20)
     _assert_matches_dense(vals, vecs, p, Parity.ODD, trunc, 20)
 
     # no window below n_max certifies, the last one capped at n_max - 1
@@ -449,7 +503,7 @@ def test_window_accepts_widens_or_reaches_chain_dimension(monkeypatch):
     p = ModelParams(1.3, 0.7, 1.5, 1.5)
     trunc = TruncationConfig(24)
     vals, vecs = converged_parity_eigensystem(p, Parity.EVEN, trunc, 1, 3)
-    assert dims == [10, 16, 24, 36, 48, 50, 50]
+    assert dims == [8, 12, 18, 28, 42, 48, 50, 50]
     ref = converged_parity_eigensystem(p, Parity.EVEN, trunc, 1)
     assert np.array_equal(vals, ref[0]) and np.array_equal(vecs, ref[1])
 
@@ -464,19 +518,36 @@ def test_window_with_tied_levels_solves_whole_chain(monkeypatch):
     assert np.array_equal(vals, ref[0]) and np.array_equal(vecs, ref[1])
 
 
+def test_crossings_on_window_rows_match_zero_padded_vectors():
+    trunc = TruncationConfig(80)
+    gs = np.arange(0.30, 0.9001, 0.01)
+    sweep = sweep_spectrum(TEMPLATE, gs, gs, trunc, k=12)
+    rows = {len(v) for parity in Parity for v in sweep.vectors[parity]}
+    assert len(rows) > 1 and max(rows) < trunc.chain_dim
+    padded = replace(sweep, vectors={
+        parity: [np.pad(v, ((0, trunc.chain_dim - len(v)), (0, 0)))
+                 for v in sweep.vectors[parity]] for parity in Parity})
+    for parity in Parity:
+        assert detect_crossings(sweep, parity) == \
+            detect_crossings(padded, parity)
+    assert any(r.kind is CrossingKind.CROSSING
+               for r in detect_crossings(sweep, Parity.EVEN))
+
+
 @pytest.mark.parametrize("parity", list(Parity))
 @pytest.mark.parametrize("g", [0.55, 0.58])
 def test_window_ladder_tries_n_max_minus_one(monkeypatch, parity, g):
-    # omega 1.3/0.7, g1 = g2, k = 12, n_max = 60: the start window (40 or 41
-    # photons) fails and x1.5 would pass n_max, so the ladder tries 59
+    # omega 1.3/0.7, g1 = g2, k = 12, n_max = 44: the start window (32 or 33
+    # photons) fails and x1.5 would pass n_max, so the ladder tries 43
     # photons, which certifies, instead of going to the whole chain
     dims = _window_dims(monkeypatch)
     p = ModelParams(1.3, 0.7, g, g)
-    trunc = TruncationConfig(60)
+    trunc = TruncationConfig(44)
     vals, vecs = converged_parity_eigensystem(
         p, parity, trunc, 12, spectra._start_window(p, 12))
-    assert len(dims) == 2 and dims[0] < 120 and dims[1] == 120
-    assert not np.any(vecs[120:])
+    assert spectra._start_window(p, 12) in (32, 33)
+    assert len(dims) == 2 and dims[0] < 88 and dims[1] == 88
+    assert vecs.shape == (88, 12)
     _assert_matches_dense(vals, vecs, p, parity, trunc, 12)
     whole, _ = converged_parity_eigensystem(p, parity, trunc, 12)
     assert np.max(np.abs(vals - whole)) <= 1e-13
