@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 
 import numpy as np
@@ -59,18 +60,25 @@ def _write_csv(path, command, cfg_hash, header, rows):
 def _parse_range(text: str) -> np.ndarray:
     """Coupling value or start:stop:step range."""
     parts = text.split(":")
-    if len(parts) == 1:
-        return np.array([float(parts[0])])
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise ConfigError(f"expected VALUE or START:STOP:STEP, got {text!r}")
-    start, stop, step = (float(p) for p in parts)
+    try:
+        values = [float(p) for p in parts]
+    except ValueError as exc:
+        raise ConfigError(f"expected numbers in {text!r}") from exc
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"coupling values must be finite, got {text!r}")
+    if len(values) == 1:
+        return np.array(values)
+    start, stop, step = values
     if stop < start:
         raise ConfigError("range STOP must be >= START")
     if stop == start:
         return np.array([start])
     if step <= 0:
         raise ConfigError("range STEP must be positive")
-    count = int(round((stop - start) / step)) + 1
+    # the last point is at most STOP, give or take rounding in the ratio
+    count = math.floor((stop - start) / step + 1e-9) + 1
     return np.round(start + step * np.arange(count), 12)
 
 
@@ -186,16 +194,19 @@ def _initial_state(args, trunc):
     if args.fock is not None:
         field = int(args.fock)
     else:
-        field = ("coherent", float(args.alpha if args.alpha is not None
-                                   else 0.0))
+        alpha = args.alpha if args.alpha is not None else 0.0
+        if not math.isfinite(alpha):
+            raise ConfigError("--alpha must be finite")
+        field = ("coherent", float(alpha))
     return dynamics.decompose_initial_state(field, q1, q2, trunc)
 
 
 def cmd_dynamics(args) -> int:
     params = ModelParams(args.omega1, args.omega2, args.g1, args.g2)
     trunc = TruncationConfig(args.nmax)
-    if args.steps < 1 or args.tmax <= 0:
-        raise ConfigError("--steps must be >= 1 and --tmax positive")
+    if args.steps < 1 or not 0 < args.tmax < math.inf:
+        raise ConfigError("--steps must be >= 1 and --tmax positive and "
+                          "finite")
     times = np.linspace(0.0, args.tmax, args.steps + 1)
     state = _initial_state(args, trunc)
     if args.engine == "full":
@@ -269,6 +280,8 @@ def cmd_rwa_compare(args) -> int:
 def cmd_eigenstate(args) -> int:
     params = ModelParams(args.omega1, args.omega2, args.g1, args.g2)
     trunc = TruncationConfig(args.nmax)
+    if args.count < 1:
+        raise ConfigError("--count must be >= 1")
     parities = ([Parity.EVEN, Parity.ODD] if args.parity == "both"
                 else [Parity.EVEN if args.parity == "even" else Parity.ODD])
     rows = []
@@ -400,6 +413,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             raise ConfigError("--seed is rejected: this tool is "
                               "deterministic and accepts no random seed")
+        if not 0 < args.omega_f < math.inf:
+            raise ConfigError("--omega-f must be positive and finite")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

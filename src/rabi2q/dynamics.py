@@ -331,22 +331,6 @@ def quartic_coefficients(params: ModelParams, n: int) -> QuarticCoefficients:
     return QuarticCoefficients(c0, c1, c2, n)
 
 
-def quartic_coefficients_from_block(params: ModelParams,
-                                    n: int) -> QuarticCoefficients:
-    """Same coefficients recomputed from the sector matrix via trace powers."""
-    if n < 2:
-        raise ValueError("the full 4x4 sector requires n >= 2")
-    h = build_rwa_excitation_block(params, n).matrix
-    h2 = h @ h
-    p2 = float(np.trace(h2))
-    p3 = float(np.trace(h2 @ h))
-    p4 = float(np.trace(h2 @ h2))
-    c2 = -p2 / 2.0
-    c1 = -p3 / 3.0
-    c0 = -(p4 + c2 * p2) / 4.0
-    return QuarticCoefficients(c0, c1, c2, n)
-
-
 def quartic_roots(qc: QuarticCoefficients) -> np.ndarray:
     """Closed-form real roots of the depressed quartic, ascending.
 

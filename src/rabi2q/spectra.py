@@ -2,21 +2,21 @@
 deep-strong-coupling perturbative branches, and RWA error metrics.
 
 Sweep points are evaluated one after another.  Each parity chain gives its
-lowest levels from the chain's band (``numerics.eigh_banded_lowest``), with
-dense ``eigh`` as the fallback when the banded solve fails its checks.
-A sweep first solves each point on a photon window 0..n_w of the chain,
-starting from a displaced-oscillator estimate.  The window is certified
-when the residual of its zero-padded vectors against the whole chain,
-which past the window is sqrt(n_w + 1) ||[[g1, g2], [g2, g1]] v_top||
-(v_top: the window's last two entries), is within the banded kernel's own
-bound, and when an inertia count shows that the whole chain has no more
-levels below the window's top solved level than the window has; otherwise
-it widens.  A window solves only the k requested levels and keeps only
-its own rows of their vectors.  At n_max, or when a window's solve fails
-its checks, the point is solved on the whole chain.  Reported eigenvalues
-of a whole-chain solve pass a truncation guard: the eigenvector must carry
-less than ``GUARD_TOL`` weight on the top two photon levels, otherwise the
-level is considered unconverged at this cutoff.
+lowest levels from the chain's band on a photon window 0..n_w of the
+chain, starting from a displaced-oscillator estimate.  The window's levels
+come from the banded kernel (``numerics.eigh_banded_lowest``); the window
+is certified when the residual of its zero-padded vectors against the
+whole chain, which past the window is
+sqrt(n_w + 1) ||[[g1, g2], [g2, g1]] v_top|| (v_top: the window's last two
+entries), is within the banded kernel's own bound, and when an inertia
+count shows that the whole chain has no more levels below the window's
+top solved level than the window has; otherwise it widens.  A window
+solves only the k requested levels and keeps only its own rows of their
+vectors.  When no window below n_max certifies, or a window's solve fails
+its checks, the point is solved by dense ``eigh`` of the whole chain,
+whose reported eigenvalues pass a truncation guard: the eigenvector must
+carry less than ``GUARD_TOL`` weight on the top two photon levels,
+otherwise the level is considered unconverged at this cutoff.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ import numpy as np
 
 from .errors import (ConfigError, ConvergenceFailure, SmallDenominator,
                      TruncationInsufficient)
-from .hamiltonian import (build_parity_band, build_parity_matrix,
-                          build_rwa_band, expand_dense)
+from .hamiltonian import build_parity_band, build_rwa_band, expand_dense
 from .model import ModelParams, Parity, TruncationConfig
 from .numerics import (RESIDUAL_TOL, TIE_GAP, band_matvec, band_norm,
                        displacement_element, eigh, eigh_banded_lowest,
@@ -49,9 +48,6 @@ def converged_mask(vectors: np.ndarray, edge_dim: int) -> np.ndarray:
     return edge_weight < GUARD_TOL
 
 
-# levels solved beyond the k requested on the whole chain, so that a few
-# unconverged levels among the lowest do not force a second solve
-LEVEL_MARGIN = 8
 # factor by which an uncertified photon window widens
 WINDOW_GROWTH = 1.5
 
@@ -133,13 +129,12 @@ def _certified_window(band: np.ndarray, count: int, n_window: int):
 
 
 def converged_parity_eigensystem(params: ModelParams, parity: Parity,
-                                 trunc: TruncationConfig, k: int,
-                                 window: int | None = None):
+                                 trunc: TruncationConfig, k: int):
     """k lowest converged eigenpairs of one parity block.
 
-    With a start window n_w, first solves the k lowest levels theta_i on
-    photons 0..n_w only (the leading block A of H).  The window is
-    accepted when
+    First solves the k lowest levels theta_i on photons 0..n_w only (the
+    leading block A of H), from the window ``_start_window(params, k)``.
+    The window is accepted when
     - every vector, zero-padded to the chain dimension, has a residual
       ||H v - theta v|| against the whole chain of at most
       RESIDUAL_TOL * ||H||, the banded kernel's own bound (past the window
@@ -159,29 +154,17 @@ def converged_parity_eigensystem(params: ModelParams, parity: Parity,
     returns only its own rows of the vectors; the chain rows past them are
     exact zeros.
 
-    Without a window, or when no window below n_max certifies, solves the
-    k + LEVEL_MARGIN lowest levels of the whole chain from its band and
-    doubles that count, up to the chain dimension, while fewer than k of
-    them pass the guard, so the result is the first k converged levels of
-    the whole spectrum, with vectors over the whole chain.  A banded solve
-    that fails its checks falls back to dense ``eigh`` of the whole chain.
+    When no window below n_max certifies, or a window's banded solve fails
+    its checks (such as tied levels at g1 = g2 = 0), solves the whole
+    chain by dense ``eigh`` and returns the first k levels of its spectrum
+    that pass the guard, with vectors over the whole chain.
     """
     band = build_parity_band(params, parity, trunc)
-    dim = trunc.chain_dim
-    solved = None if window is None else _certified_window(band, k, window)
+    solved = _certified_window(band, k, _start_window(params, k))
     if solved is not None:
         return solved
-    count = min(k + LEVEL_MARGIN, dim)
-    while True:
-        try:
-            values, vectors = eigh_banded_lowest(band, count)
-        except ConvergenceFailure:
-            values, vectors = eigh(build_parity_matrix(params, parity, trunc))
-            count = dim
-        keep = np.flatnonzero(converged_mask(vectors, 4))[:k]
-        if len(keep) == k or count == dim:
-            break
-        count = min(2 * count, dim)
+    values, vectors = eigh(expand_dense(band))
+    keep = np.flatnonzero(converged_mask(vectors, 4))[:k]
     if len(keep) < k:
         raise TruncationInsufficient(
             f"only {len(keep)} of {k} requested eigenvalues "
@@ -202,7 +185,8 @@ def _start_window(params: ModelParams, k: int) -> int:
     certify 13 to 68 levels, omega_f = 0.5 and 1, g_pm / omega_f up to 8).
     """
     shift = max(abs(params.g_plus), abs(params.g_minus)) / params.omega_f
-    return math.ceil((math.sqrt(k / 2) + 1.5 * shift + 1.5) ** 2)
+    # capped, so a huge coupling gives a window past n_max, not an overflow
+    return math.ceil(min(math.sqrt(k / 2) + 1.5 * shift + 1.5, 1e8) ** 2)
 
 
 @dataclass(frozen=True)
@@ -256,8 +240,8 @@ def sweep_spectrum(template: ModelParams, g1_values, g2_values,
         energies[parity], vectors[parity] = [], []
         for g1, g2 in zip(g1_values, g2_values):
             params = replace(template, g_1=float(g1), g_2=float(g2))
-            values, vecs = converged_parity_eigensystem(
-                params, parity, trunc, k, window=_start_window(params, k))
+            values, vecs = converged_parity_eigensystem(params, parity,
+                                                        trunc, k)
             energies[parity].append(values)
             vectors[parity].append(vecs)
         energies[parity] = np.array(energies[parity])

@@ -11,8 +11,9 @@ import mpmath as mp
 import numpy as np
 
 from rabi2q import eigenstates as eig
+from rabi2q.dynamics import QuarticCoefficients
 from rabi2q.errors import ConvergenceFailure, OverflowDetected
-from rabi2q.hamiltonian import build_parity_band
+from rabi2q.hamiltonian import build_parity_band, build_rwa_excitation_block
 from rabi2q.model import Parity, QubitLevel, TruncationConfig, basis_table
 from rabi2q.numerics import band_norm
 
@@ -325,3 +326,19 @@ def refine_eigenpair_reference(params, parity, xi0, vec0, n_max):
     raise ConvergenceFailure(
         f"eigenpair refinement stopped at residual {res:.3e} after "
         f"{step} Newton steps (tolerance {tol:.3e})")
+
+
+def quartic_coefficients_from_block(params, n):
+    """The coefficients of ``dynamics.quartic_coefficients`` recomputed from
+    the RWA sector matrix via trace powers (Newton's identities)."""
+    if n < 2:
+        raise ValueError("the full 4x4 sector requires n >= 2")
+    h = build_rwa_excitation_block(params, n).matrix
+    h2 = h @ h
+    p2 = float(np.trace(h2))
+    p3 = float(np.trace(h2 @ h))
+    p4 = float(np.trace(h2 @ h2))
+    c2 = -p2 / 2.0
+    c1 = -p3 / 3.0
+    c0 = -(p4 + c2 * p2) / 4.0
+    return QuarticCoefficients(c0, c1, c2, n)

@@ -27,7 +27,8 @@ from rabi2q.spectra import (CrossingKind, converged_mask, detect_crossings,
                             dsc_perturbative_spectrum, rwa_relative_error,
                             sweep_spectrum)
 
-from oracles import reduced_density_matrix_partial_trace
+from oracles import (quartic_coefficients_from_block,
+                     reduced_density_matrix_partial_trace)
 
 G = QubitLevel.G
 
@@ -198,7 +199,7 @@ def test_criterion_09_quartic_root_oracle():
         p = ModelParams(rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0),
                         rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
         n = int(rng.integers(2, 50))
-        qc = dyn.quartic_coefficients_from_block(p, n)
+        qc = quartic_coefficients_from_block(p, n)
         roots = dyn.quartic_roots(qc)
         vals = np.linalg.eigvalsh(build_rwa_excitation_block(p, n).matrix)
         scale = max(1.0, float(np.max(np.abs(vals))))

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import rabi2q
+from rabi2q import cli
 from rabi2q.cli import main
 
 
@@ -208,20 +209,51 @@ def test_eigenstate_invalid_nmax_exits_2(tmp_path):
     ["eigenstate", "--count", "50"],
     ["dynamics", "--fock", "-1", "--steps", "2"],
     ["perturb", "--ncut", "-5", "--mmax", "1"],
+    ["dynamics", "--tmax", "nan", "--steps", "2"],
+    ["dynamics", "--tmax", "inf", "--steps", "2"],
+    ["dynamics", "--alpha", "nan", "--steps", "2"],
+    ["spectrum", "--g1", "0:nan:0.1"],
+    ["spectrum", "--g1", "0:1:nan"],
+    ["spectrum", "--g1", "0:one:0.1"],
+    ["dynamics", "--omega-f", "0", "--steps", "2"],
+    ["dynamics", "--omega-f", "-1", "--steps", "2"],
+    ["dynamics", "--omega-f", "nan", "--steps", "2"],
+    ["rwa-compare", "--omega-f", "0"],
+    ["rwa-compare", "--omega-f", "-1"],
+    ["rwa-compare", "--omega-f", "nan"],
+    ["eigenstate", "--count", "0"],
+    ["eigenstate", "--count", "-2"],
 ], ids=["spectrum-k", "perturb-mmax", "eigenstate-jmax", "rwa-compare-k",
-        "eigenstate-count", "dynamics-fock", "perturb-ncut"])
+        "eigenstate-count", "dynamics-fock", "perturb-ncut",
+        "dynamics-tmax-nan", "dynamics-tmax-inf", "dynamics-alpha-nan",
+        "spectrum-stop-nan", "spectrum-step-nan", "spectrum-not-a-number",
+        "dynamics-omega-f-0",
+        "dynamics-omega-f-negative", "dynamics-omega-f-nan",
+        "rwa-compare-omega-f-0", "rwa-compare-omega-f-negative",
+        "rwa-compare-omega-f-nan", "eigenstate-count-0",
+        "eigenstate-count-negative"])
 def test_out_of_range_input_exits_2(argv, tmp_path, capsys):
-    code = run(argv + ["--g1", "0.3", "--g2", "0.4", "--nmax", "20",
-                       "--out", str(tmp_path / "x.csv")])
+    # the flags of argv come last, so they win over the defaults here
+    code = run(argv[:1] + ["--g1", "0.3", "--g2", "0.4", "--nmax", "20",
+                           "--out", str(tmp_path / "x.csv")] + argv[1:])
     assert code == 2
     err = capsys.readouterr().err.splitlines()
-    assert any(line.startswith("error: ") for line in err), err
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("text, points", [
+    ("0:1:0.35", [0.0, 0.35, 0.7]),
+    ("0:0.3:0.1", [0.0, 0.1, 0.2, 0.3]),
+    ("0:2:0.01", [0.01 * i for i in range(201)]),
+])
+def test_range_ends_at_or_below_stop(text, points):
+    assert cli._parse_range(text).tolist() == pytest.approx(points,
+                                                            abs=1e-12)
 
 
 def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
     # a ValueError from a broken invariant must surface, not read as exit 2
-    from rabi2q import cli
-
     def broken(*args, **kwargs):
         raise ValueError("state dimension does not match decomposition")
 
@@ -231,7 +263,7 @@ def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
 
 
 def test_eigenstate_diagonalizes_each_chain_once(tmp_path, monkeypatch):
-    from rabi2q import cli, eigenstates
+    from rabi2q import eigenstates
     calls = []
 
     def counting(name, fn):

@@ -8,7 +8,8 @@ from rabi2q.hamiltonian import build_parity_matrix
 from rabi2q.model import ModelParams, Parity, QubitLevel, TruncationConfig
 from rabi2q.numerics import EigenDecomposition, eigh, propagate_spectral
 
-from oracles import kronecker_reference, reduced_density_matrix_partial_trace
+from oracles import (kronecker_reference, quartic_coefficients_from_block,
+                     reduced_density_matrix_partial_trace)
 
 G, E = QubitLevel.G, QubitLevel.E
 T40 = TruncationConfig(40)
@@ -387,7 +388,7 @@ def test_quartic_printed_equals_matrix_coefficients():
                         rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
         n = int(rng.integers(2, 30))
         a = dyn.quartic_coefficients(p, n)
-        b = dyn.quartic_coefficients_from_block(p, n)
+        b = quartic_coefficients_from_block(p, n)
         scale = max(1.0, abs(b.c0), abs(b.c1), abs(b.c2))
         assert abs(a.c0 - b.c0) < 1e-10 * scale
         assert abs(a.c1 - b.c1) < 1e-10 * scale
@@ -401,7 +402,7 @@ def test_quartic_roots_match_eigensolver_and_polynomial():
         p = ModelParams(rng.uniform(0, 2), rng.uniform(0, 2),
                         rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
         n = int(rng.integers(2, 40))
-        qc = dyn.quartic_coefficients_from_block(p, n)
+        qc = quartic_coefficients_from_block(p, n)
         roots = dyn.quartic_roots(qc)
         vals = np.linalg.eigvalsh(build_rwa_excitation_block(p, n).matrix)
         scale = max(1.0, np.max(np.abs(vals)))

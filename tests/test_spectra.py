@@ -267,12 +267,15 @@ def test_doubling_check_counts_against_scaled_tolerance(monkeypatch):
 
 
 def test_converged_eigenvectors_own_only_their_columns():
-    p = ModelParams(1.3, 0.7, 0.3, 0.4)
+    # g = 0.3/0.4 certifies a window of 28 photons; at g = 0 the window's
+    # levels tie, so dense eigh of the whole chain answers
     trunc = TruncationConfig(60)
-    vals, vecs = converged_parity_eigensystem(p, Parity.EVEN, trunc, 5)
-    assert vecs.shape == (trunc.chain_dim, 5)
-    assert vecs.base is None or vecs.base.nbytes == vecs.nbytes
-    _assert_matches_dense(vals, vecs, p, Parity.EVEN, trunc, 5)
+    for p, rows in ((ModelParams(1.3, 0.7, 0.3, 0.4), 58),
+                    (ModelParams(1.3, 0.7, 0.0, 0.0), trunc.chain_dim)):
+        vals, vecs = converged_parity_eigensystem(p, Parity.EVEN, trunc, 5)
+        assert vecs.shape == (rows, 5)
+        assert vecs.base is None or vecs.base.nbytes == vecs.nbytes
+        _assert_matches_dense(vals, vecs, p, Parity.EVEN, trunc, 5)
 
 
 # levels of the dense spectrum closer than this (times ||H||) are compared
@@ -280,10 +283,16 @@ def test_converged_eigenvectors_own_only_their_columns():
 CLUSTER_TOL = 1e-8
 
 
-def _assert_matches_dense(vals, vecs, params, parity, trunc, k):
-    """The k converged pairs agree with dense eigh of the whole chain."""
+def _dense_converged(params, parity, trunc, k):
+    """The first k guard-passing pairs of dense eigh of the whole chain."""
     dense = eigh(build_parity_matrix(params, parity, trunc))
     keep = np.flatnonzero(spectra.converged_mask(dense.vectors, 4))[:k]
+    return dense, keep
+
+
+def _assert_matches_dense(vals, vecs, params, parity, trunc, k):
+    """The k converged pairs agree with dense eigh of the whole chain."""
+    dense, keep = _dense_converged(params, parity, trunc, k)
     assert len(keep) == k
     # a window solve returns only its own rows: the rest are zeros
     assert len(vecs) <= trunc.chain_dim
@@ -402,40 +411,53 @@ def test_banded_kernel_matches_dense_on_chains(omega_1, omega_2, g_1, g_2,
          parity=Parity.EVEN, n_max=60, k=12, window=0)
 def test_banded_path_matches_dense(omega_1, omega_2, g_1, g_2, parity,
                                    n_max, k, window):
+    # window, when given, is also tried as the start of the window ladder
     params = ModelParams(omega_1, omega_2, g_1, g_2)
     trunc = TruncationConfig(n_max)
     k = min(k, trunc.chain_dim)
-    dense = eigh(build_parity_matrix(params, parity, trunc))
-    if np.count_nonzero(spectra.converged_mask(dense.vectors, 4)) < k:
+    solved = None if window is None else spectra._certified_window(
+        build_parity_band(params, parity, trunc), k, window)
+    _, keep = _dense_converged(params, parity, trunc, k)
+    if len(keep) < k:
+        assert solved is None
         with pytest.raises(TruncationInsufficient):
-            converged_parity_eigensystem(params, parity, trunc, k, window)
+            converged_parity_eigensystem(params, parity, trunc, k)
         return
-    vals, vecs = converged_parity_eigensystem(params, parity, trunc, k,
-                                              window)
-    assert vecs.base is None or vecs.base.nbytes == vecs.nbytes
-    _assert_matches_dense(vals, vecs, params, parity, trunc, k)
+    for vals, vecs in filter(None, [
+            solved, converged_parity_eigensystem(params, parity, trunc, k)]):
+        assert vecs.base is None or vecs.base.nbytes == vecs.nbytes
+        _assert_matches_dense(vals, vecs, params, parity, trunc, k)
 
 
-def test_widening_reaches_chain_dimension(monkeypatch):
+def test_widening_reaches_chain_dimension():
     # for g1 = g2 and omega_1 + omega_2 = 2 the level E = 1 decouples and
-    # passes the guard, while at n_max = 24 the nine levels below it fail it
-    counts = []
-
-    def spy(band, count):
-        counts.append(count)
-        return eigh_banded_lowest(band, count)
-
-    monkeypatch.setattr(spectra, "eigh_banded_lowest", spy)
+    # passes the guard, while at n_max = 24 the nine levels below it fail
+    # it: the dense route returns the first converged level of the chain
     p = ModelParams(1.3, 0.7, 1.5, 1.5)
     trunc = TruncationConfig(24)
     vals, vecs = converged_parity_eigensystem(p, Parity.EVEN, trunc, 1)
-    assert counts == [9, 18]
     assert vals[0] == pytest.approx(1.0, abs=1e-12)
     _assert_matches_dense(vals, vecs, p, Parity.EVEN, trunc, 1)
-    counts.clear()
     with pytest.raises(TruncationInsufficient, match=r"^only 1 of 2"):
         converged_parity_eigensystem(p, Parity.EVEN, trunc, 2)
-    assert counts == [10, 20, 40, trunc.chain_dim]
+
+
+@settings(max_examples=60, deadline=None)
+@given(omega_2=st.floats(0.0, 2.0), g=st.floats(0.0, 2.0),
+       n_max=st.integers(20, 120), k=st.integers(1, 24))
+# a second level lies 1.06e-9 away: the window ties and dense eigh answers
+@example(omega_2=0.7, g=G_CROSS, n_max=60, k=10)
+def test_dark_like_level_at_omega_f(omega_2, g, n_max, k):
+    # for omega_1 + omega_2 = 2 omega_f and g1 = g2 the even chain has a
+    # level at exactly E = omega_f for every g
+    params = ModelParams(2.0 - omega_2, omega_2, g, g)
+    trunc = TruncationConfig(n_max)
+    tol = 1e-12 * band_norm(build_parity_band(params, Parity.EVEN, trunc))
+    dense, keep = _dense_converged(params, Parity.EVEN, trunc, k)
+    assume(len(keep) == k
+           and np.min(np.abs(dense.values[keep] - 1.0)) <= tol)
+    vals, _ = converged_parity_eigensystem(params, Parity.EVEN, trunc, k)
+    assert np.min(np.abs(vals - 1.0)) <= tol
 
 
 def test_tied_levels_fall_back_to_dense(monkeypatch):
@@ -469,6 +491,15 @@ def test_overflowing_banded_solve_falls_back_without_warning():
     assert vals.tolist() == [-0.25]
 
 
+def test_huge_coupling_goes_to_dense_without_overflow():
+    # the start window's square would overflow a float at this coupling
+    p = ModelParams(1.0, 1.0, 1e160, 1e160)
+    trunc = TruncationConfig(20)
+    assert spectra._start_window(p, 2) >= trunc.n_max
+    vals, vecs = converged_parity_eigensystem(p, Parity.EVEN, trunc, 2)
+    _assert_matches_dense(vals, vecs, p, Parity.EVEN, trunc, 2)
+
+
 def _window_dims(monkeypatch):
     """Dimensions of the bands the banded kernel is called on, in order."""
     dims = []
@@ -481,41 +512,58 @@ def _window_dims(monkeypatch):
     return dims
 
 
+def _window(params, parity, trunc, k, n_window):
+    return spectra._certified_window(build_parity_band(params, parity, trunc),
+                                     k, n_window)
+
+
 def test_window_accepts_widens_or_reaches_chain_dimension(monkeypatch):
     dims = _window_dims(monkeypatch)
     p = ModelParams(1.3, 0.7, 0.3, 0.4)
     trunc = TruncationConfig(120)
-    vals, vecs = converged_parity_eigensystem(p, Parity.EVEN, trunc, 10, 60)
+    vals, vecs = _window(p, Parity.EVEN, trunc, 10, 60)
     assert dims == [122]
     assert vecs.shape == (122, 10)
     _assert_matches_dense(vals, vecs, p, Parity.EVEN, trunc, 10)
 
     dims.clear()
     p = ModelParams(1.3, 0.7, 1.2, 0.5)
-    vals, vecs = converged_parity_eigensystem(p, Parity.ODD, trunc, 20, 0)
+    vals, vecs = _window(p, Parity.ODD, trunc, 20, 0)
     assert len(dims) > 1 and dims == sorted(dims) and dims[-1] < 242
     assert vecs.shape == (dims[-1], 20)
     _assert_matches_dense(vals, vecs, p, Parity.ODD, trunc, 20)
 
     # no window below n_max certifies, the last one capped at n_max - 1
-    # (48 rows): the whole-chain path, bit for bit
+    # (48 rows), so the point goes to dense eigh of the whole chain
     dims.clear()
     p = ModelParams(1.3, 0.7, 1.5, 1.5)
     trunc = TruncationConfig(24)
-    vals, vecs = converged_parity_eigensystem(p, Parity.EVEN, trunc, 1, 3)
-    assert dims == [8, 12, 18, 28, 42, 48, 50, 50]
-    ref = converged_parity_eigensystem(p, Parity.EVEN, trunc, 1)
-    assert np.array_equal(vals, ref[0]) and np.array_equal(vecs, ref[1])
+    assert _window(p, Parity.EVEN, trunc, 1, 3) is None
+    assert dims == [8, 12, 18, 28, 42, 48]
+    vals, vecs = converged_parity_eigensystem(p, Parity.EVEN, trunc, 1)
+    dense, keep = _dense_converged(p, Parity.EVEN, trunc, 1)
+    assert np.array_equal(vals, dense.values[keep])
+    assert np.array_equal(vecs, dense.vectors[:, keep])
 
 
 def test_window_with_tied_levels_solves_whole_chain(monkeypatch):
+    # at g = 0 the window's levels tie: one dense eigh of the whole chain
+    # answers, with no banded solve of the whole chain
     dims = _window_dims(monkeypatch)
     p = ModelParams(1.3, 0.7, 0.0, 0.0)
     trunc = TruncationConfig(40)
-    vals, vecs = converged_parity_eigensystem(p, Parity.EVEN, trunc, 10, 20)
-    assert dims == [42, 82]
-    ref = converged_parity_eigensystem(p, Parity.EVEN, trunc, 10)
-    assert np.array_equal(vals, ref[0]) and np.array_equal(vecs, ref[1])
+    assert _window(p, Parity.EVEN, trunc, 10, 20) is None
+    assert dims == [42]
+    dims.clear()
+    calls = []
+    monkeypatch.setattr(spectra, "eigh",
+                        lambda h: calls.append(h.shape) or eigh(h))
+    vals, vecs = converged_parity_eigensystem(p, Parity.EVEN, trunc, 10)
+    assert len(dims) == 1 and dims[0] < trunc.chain_dim
+    assert calls == [(trunc.chain_dim, trunc.chain_dim)]
+    dense, keep = _dense_converged(p, Parity.EVEN, trunc, 10)
+    assert np.array_equal(vals, dense.values[keep])
+    assert np.array_equal(vecs, dense.vectors[:, keep])
 
 
 def test_crossings_on_window_rows_match_zero_padded_vectors():
@@ -543,27 +591,30 @@ def test_window_ladder_tries_n_max_minus_one(monkeypatch, parity, g):
     dims = _window_dims(monkeypatch)
     p = ModelParams(1.3, 0.7, g, g)
     trunc = TruncationConfig(44)
-    vals, vecs = converged_parity_eigensystem(
-        p, parity, trunc, 12, spectra._start_window(p, 12))
+    vals, vecs = _window(p, parity, trunc, 12, spectra._start_window(p, 12))
     assert spectra._start_window(p, 12) in (32, 33)
     assert len(dims) == 2 and dims[0] < 88 and dims[1] == 88
     assert vecs.shape == (88, 12)
     _assert_matches_dense(vals, vecs, p, parity, trunc, 12)
-    whole, _ = converged_parity_eigensystem(p, parity, trunc, 12)
-    assert np.max(np.abs(vals - whole)) <= 1e-13
+    dense, keep = _dense_converged(p, parity, trunc, 12)
+    assert np.max(np.abs(vals - dense.values[keep])) <= 1e-13
 
 
 # at n_max = 50 no window certifies at part of the points, so the sweep
-# mixes window and whole-chain solves
+# mixes window and dense solves
 @pytest.mark.parametrize("n_max", [120, 50])
 @pytest.mark.parametrize("order", [1, -1], ids=["increasing", "decreasing"])
 def test_windowed_sweep_matches_whole_chain_solves(order, n_max):
     trunc = TruncationConfig(n_max)
     gs = np.arange(0.30, 0.9001, 0.01)[::order]
     sweep = sweep_spectrum(TEMPLATE, gs, gs, trunc, k=12)
-    pairs = {parity: [converged_parity_eigensystem(
-                 ModelParams(1.3, 0.7, g, g), parity, trunc, 12)
-                 for g in gs] for parity in Parity}
+    pairs = {parity: [] for parity in Parity}
+    for parity in Parity:
+        for g in gs:
+            dense, keep = _dense_converged(ModelParams(1.3, 0.7, g, g),
+                                           parity, trunc, 12)
+            pairs[parity].append((dense.values[keep],
+                                  dense.vectors[:, keep]))
     ref = SpectrumSweep(TEMPLATE, trunc, 12, gs, gs,
                         {par: np.array([v for v, _ in pairs[par]])
                          for par in Parity},
