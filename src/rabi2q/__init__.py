@@ -9,7 +9,6 @@ from .dynamics import (ParityDecomposedState, QuarticCoefficients,
                        quartic_coefficients, quartic_roots,
                        reduced_density_matrix, von_neumann_entropy)
 from .eigenstates import (BargmannCoefficients, RecurrenceState,
-                          bargmann_coefficients,
                           bargmann_identical_coefficients,
                           recurrence_eigenstate_la, residual)
 from .hamiltonian import (RwaExcitationBlock, build_full, build_parity_band,
@@ -31,7 +30,7 @@ __all__ = [
     "QuarticCoefficients", "QubitLevel", "RecurrenceState",
     "RwaErrorReport", "RwaExcitationBlock", "SpectrumSweep", "Trajectory",
     "TruncationConfig",
-    "bargmann_coefficients", "bargmann_identical_coefficients",
+    "bargmann_identical_coefficients",
     "build_full", "build_parity_band", "build_parity_matrix",
     "build_rwa_band", "build_rwa_excitation_block",
     "concurrence",

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, dynamics, eigenstates, spectra
 from ._svg import Panel, Series, render
-from .errors import ConfigError, Rabi2qError, SmallDenominator
+from .errors import ConfigError, Rabi2qError
 from .model import ModelParams, Parity, QubitLevel, TruncationConfig
 from .numerics import eigh
 from .hamiltonian import build_parity_matrix
@@ -243,18 +243,19 @@ def cmd_perturb(args) -> int:
                   file=sys.stderr)
     w = args.omega_f
     rows = []
-    for m in range(args.mmax + 1):
-        for branch, zeroth, shift in ((1, spectrum.branch1_zeroth,
-                                       spectrum.branch1_shift),
-                                      (2, spectrum.branch2_zeroth,
-                                       spectrum.branch2_shift)):
-            if np.isnan(shift[m]):
-                continue
-            rows.append((m, branch, zeroth[m] * w, -shift[m] * w,
-                         (zeroth[m] - shift[m]) * w))
-    if not rows:
-        raise SmallDenominator("every requested branch value sits on a "
-                               "near-resonant denominator")
+    with np.errstate(over="ignore"):
+        for m in range(args.mmax + 1):
+            for branch, zeroth, shift in ((1, spectrum.branch1_zeroth,
+                                           spectrum.branch1_shift),
+                                          (2, spectrum.branch2_zeroth,
+                                           spectrum.branch2_shift)):
+                if np.isnan(shift[m]):
+                    continue
+                rows.append((m, branch, zeroth[m] * w, -shift[m] * w,
+                             (zeroth[m] - shift[m]) * w))
+    if not np.isfinite([row[2:] for row in rows]).all():
+        raise ConfigError("perturbative energies in units of --omega-f "
+                          "pass the float range")
     cfg_hash = _config_hash(vars(args))
     _write_csv(args.out, "perturb", cfg_hash,
                ("m", "branch", "energy_zeroth", "correction_second",

@@ -91,7 +91,9 @@ def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
         out[0] = 1.0
         return out
     n = np.arange(n_max + 1)
-    log_mag = (n * math.log(abs(alpha)) - abs(alpha) ** 2 / 2.0
+    # past |alpha| = 1e150 every amplitude underflows to 0 anyway; the cap
+    # keeps the square finite, so such a state shows leakage 1
+    log_mag = (n * math.log(abs(alpha)) - min(abs(alpha), 1e150) ** 2 / 2.0
                - 0.5 * np.array([math.lgamma(k + 1) for k in n]))
     phase = np.exp(1j * np.angle(alpha) * n)
     return np.exp(log_mag) * phase

@@ -1,8 +1,12 @@
 """Eigenstate construction by recurrence relations.
 
-Two routes are implemented: the four-term vector recurrence over the parity
-chain blocks, and the five-term (three-term for identical qubits) recurrence
-for the power-series coefficients of the parity-projected Bargmann functions.
+One route per representation: the four-term vector recurrence over the
+parity chain blocks, and the five-term recurrence for the power-series
+coefficients of the parity-projected Bargmann functions, solved for its
+minimal solution by least squares (no forward iteration: minimal solutions
+cannot come from forward recursion).  Where alpha_0 vanishes (identical
+qubits) the five-term route raises StepSingular; a three-term recurrence
+covers that case.
 
 Both recurrences are dominated by growing solutions, so they serve as
 verification and structure-exposing tools; the production eigensolvers are
@@ -105,19 +109,16 @@ def _chain_tables(params: ModelParams, parity: Parity, n_max: int,
 
 
 def _recurrence_blocks_mp(params: ModelParams, parity: Parity, xi, v0,
-                          n_max: int, rescale: bool = True,
-                          overflow_limit: float = OVERFLOW_LIMIT):
+                          n_max: int):
     """Raw mp block sequence of the four-term recurrence (no cut).
 
     Each step is the mpf operators' arithmetic at the context's (prec,
     rounding), done on raw mpf tuples.  Blocks are rescaled whenever the
     running maximum grows past RESCALE_TRIGGER (checked every RESCALE_EVERY
     steps), which keeps them inside the float exponent range the overflow
-    guard compares against; a block exceeding overflow_limit between
-    rescale checkpoints raises OverflowDetected (compared in mp, so an
-    infinite limit never trips).  rescale=False keeps the sequence a
-    literal solution of the recurrence so independent runs can be mixed
-    linearly.  |g1| = |g2| raises SingularCoupling.
+    guard compares against; a block exceeding OVERFLOW_LIMIT between
+    rescale checkpoints raises OverflowDetected.  |g1| = |g2| raises
+    SingularCoupling.
     """
     _check_couplings(params)
     prec, rnd = mp.mp._prec_rounding
@@ -126,7 +127,7 @@ def _recurrence_blocks_mp(params: ModelParams, parity: Parity, xi, v0,
     mul, add, sub = (partial(op, prec=prec, rnd=rnd)
                      for op in (mpf_mul, mpf_add, mpf_sub))
     xi, v = mp.mpf(xi)._mpf_, [tuple(mp.mpf(c)._mpf_ for c in v0[:2])]
-    limit, trigger = mp.mpf(overflow_limit)._mpf_, from_float(RESCALE_TRIGGER)
+    limit, trigger = from_float(OVERFLOW_LIMIT), from_float(RESCALE_TRIGGER)
     run_max = fone
     for j in range(1, n_max + 1):
         (d0, d1), (f, s) = diag[j - 1], steps[j - 1]
@@ -143,11 +144,11 @@ def _recurrence_blocks_mp(params: ModelParams, parity: Parity, xi, v0,
         mag = a1 if mpf_gt(a1, a0) else a0
         if mpf_gt(mag, limit):
             raise OverflowDetected(
-                f"block magnitude exceeded {overflow_limit:g} at j={j} "
+                f"block magnitude exceeded {OVERFLOW_LIMIT:g} at j={j} "
                 f"(xi far from the spectrum)")
         if mpf_gt(mag, run_max):
             run_max = mag
-        if rescale and j % RESCALE_EVERY == 0 and mpf_gt(run_max, trigger):
+        if j % RESCALE_EVERY == 0 and mpf_gt(run_max, trigger):
             inv = mpf_rdiv_int(1, run_max, prec, rnd)
             v = [(mul(b0, inv), mul(b1, inv)) for b0, b1 in v]
             run_max = fone
@@ -174,10 +175,8 @@ def _cut_normalize(parity: Parity, xi, blocks, n_max: int) -> RecurrenceState:
             out[j] = [float(blocks[j][0] / prefix_norm),
                       float(blocks[j][1] / prefix_norm)]
     flat = out.ravel()
-    norm = float(np.linalg.norm(flat))
-    if norm == 0.0:
-        raise OverflowDetected("recurrence produced a null vector")
-    return RecurrenceState(parity, float(xi), flat / norm, cut)
+    return RecurrenceState(parity, float(xi),
+                           flat / float(np.linalg.norm(flat)), cut)
 
 
 def recurrence_eigenstate_la(params: ModelParams, parity: Parity, xi, v0,
@@ -189,7 +188,6 @@ def recurrence_eigenstate_la(params: ModelParams, parity: Parity, xi, v0,
     limited by the accuracy of (xi, v0): feed values from refine_eigenpair
     to resolve the decaying solution below double precision.
     """
-    _check_couplings(params)
     if float(abs(v0[0])) == 0.0 and float(abs(v0[1])) == 0.0:
         raise ValueError("seed block v0 must be nonzero")
     with mp.workdps(DPS):
@@ -197,22 +195,17 @@ def recurrence_eigenstate_la(params: ModelParams, parity: Parity, xi, v0,
     return _cut_normalize(parity, xi, blocks, n_max)
 
 
-def _band_residual(band: np.ndarray, xi: float, v: np.ndarray) -> float:
-    """||(H - xi) v|| / ||v|| for H in lower band storage.
+def chain_residual(params: ModelParams, parity: Parity, xi: float,
+                   v: np.ndarray) -> float:
+    """Relative residual ||(H - xi) v|| / ||v|| on the truncated chain.
 
     The residual is scaled by its largest entry before the norm, so that
     its squares stay finite when xi is far from the spectrum.
     """
+    band = build_parity_band(params, parity, TruncationConfig(len(v) // 2 - 1))
     r = band_matvec(band, v[:, None])[:, 0] - xi * v
     scale = np.max(np.abs(r)) or 1.0
     return float(scale * np.linalg.norm(r / scale) / np.linalg.norm(v))
-
-
-def chain_residual(params: ModelParams, parity: Parity, xi: float,
-                   v: np.ndarray) -> float:
-    """Relative residual ||(H - xi) v|| / ||v|| on the truncated chain."""
-    trunc = TruncationConfig(len(v) // 2 - 1)
-    return _band_residual(build_parity_band(params, parity, trunc), xi, v)
 
 
 def residual(params: ModelParams, parity: Parity,
@@ -383,56 +376,6 @@ def eigenstate_recurrence(params: ModelParams, parity: Parity, index: int,
     return replace(state, refine_residual=res)
 
 
-def best_seed_recurrence_state(params: ModelParams, parity: Parity, xi,
-                               n_max: int, seeds=((1.0, 0.0), (0.0, 1.0)),
-                               n_coarse: int = 60):
-    """Least-residual state over mixtures of two independent seed blocks.
-
-    The recurrence is linear in the seed, so the two basis runs are formed
-    once (unrescaled, so mixtures stay literal solutions).  Both runs end
-    dominated by the same growing solution, so the mixing angle that kills
-    it follows in closed form from the final blocks; at an eigenvalue this
-    angle projects out the divergent component to working precision.  A
-    coarse angle scan acts as a fallback when the tail heuristic loses
-    (e.g. xi far from any eigenvalue).  Returns (state, angle, residual).
-    """
-    _check_couplings(params)
-    band = build_parity_band(params, parity, TruncationConfig(n_max))
-    with mp.workdps(DPS):
-        runs = [_recurrence_blocks_mp(params, parity, xi, seed, n_max,
-                                      rescale=False, overflow_limit=1e600)
-                for seed in seeds]
-
-        def state_at(theta):
-            ct, st = mp.cos(theta), mp.sin(theta)
-            mixed = [[ct * a[0] + st * b[0], ct * a[1] + st * b[1]]
-                     for a, b in zip(runs[0], runs[1])]
-            return _cut_normalize(parity, xi, mixed, n_max)
-
-        def score(theta):
-            try:
-                return _band_residual(band, float(xi), state_at(theta).v)
-            except OverflowDetected:
-                return np.inf
-
-        u_end, w_end = runs[0][-1], runs[1][-1]
-        comp = 0 if (abs(u_end[0]) + abs(w_end[0])
-                     >= abs(u_end[1]) + abs(w_end[1])) else 1
-        candidates = []
-        if abs(u_end[comp]) > 0 or abs(w_end[comp]) > 0:
-            theta0 = mp.atan2(-u_end[comp], w_end[comp])
-            if theta0 < 0:
-                theta0 += mp.pi
-            candidates.append(theta0)
-        step = mp.pi / n_coarse
-        scan = [k * step for k in range(n_coarse)]
-        scan_scores = [score(t) for t in scan]
-        candidates.append(scan[int(np.argmin(scan_scores))])
-        theta = min(candidates, key=score)
-        state = state_at(theta)
-    return state, float(theta), residual(params, parity, state)
-
-
 # ---------------------------------------------------------------------------
 # Bargmann-representation recurrences
 # ---------------------------------------------------------------------------
@@ -478,7 +421,8 @@ class BargmannCoefficients:
 
     c interleaves the even-power series (slots 0, 2, ...) and the odd-power
     series (slots 1, 3, ...); phi2 holds the companion function derived from
-    the same series.
+    the same series (bargmann_minimal_coefficients; StepSingular when
+    omega_1 = omega_2).
     """
 
     parity: Parity
@@ -501,54 +445,7 @@ def _phi2_series(params: ModelParams, parity: Parity, chi: float,
     below = np.concatenate(([0.0], c[:-1]))
     above = np.concatenate((k[1:] * c[1:], [0.0]))
     div = np.where(k % 2 == 0, 0.5 * (w2 - s * w1), 0.5 * (w2 + s * w1))
-    div[div == 0.0] = np.nan
     return ((k * wf - chi) * c + gp * (below + above)) / div
-
-
-def bargmann_coefficients(params: ModelParams, parity: Parity, chi: float,
-                          j_max: int, c1: float = 0.0) -> BargmannCoefficients:
-    """Forward evaluation of the five-term recurrence with c0 = 1.
-
-    The second seed c1 is a free parameter (the recurrence determines c2, c3
-    from the two startup rows and everything beyond from the five-term row).
-    The forward iteration is dominated by the growing solutions, so this is
-    an identity-exposing tool; use bargmann_minimal_coefficients for a
-    reconstructable solution.
-    """
-    if j_max < 4:
-        raise ConfigError("j_max must be >= 4")
-    if params.g_plus * params.g_minus == 0.0:
-        raise StepSingular("g_plus * g_minus = 0: alpha_0 vanishes "
-                           "identically")
-    c = np.zeros(j_max + 1)
-    c[0], c[1] = 1.0, c1
-
-    def leading(j):
-        a = _bargmann_alphas(params, parity, chi, j)
-        if abs(a[0]) <= 1e-14 * _alpha0_scale(params, j):
-            raise StepSingular(
-                f"alpha_0 vanishes at step j={j} "
-                f"(omega_1 = -+(-1)^j omega_2 or g_plus g_minus = 0)")
-        return a
-
-    a = leading(2)
-    c[2] = -(a[1] * c[1] + a[2] * c[0]) / a[0]
-    a = leading(3)
-    c[3] = -(a[1] * c[2] + a[2] * c[1] + a[3] * c[0]) / a[0]
-    run_max = 1.0
-    for j in range(4, j_max + 1):
-        a = leading(j)
-        c[j] = -(a[1] * c[j - 1] + a[2] * c[j - 2] + a[3] * c[j - 3]
-                 + a[4] * c[j - 4]) / a[0]
-        if not np.isfinite(c[j]) or abs(c[j]) > OVERFLOW_LIMIT:
-            raise OverflowDetected(f"coefficient magnitude exceeded 1e300 "
-                                   f"at j={j}")
-        run_max = max(run_max, abs(c[j]))
-        if j % RESCALE_EVERY == 0 and run_max > RESCALE_TRIGGER:
-            c[:j + 1] /= run_max
-            run_max = 1.0
-    phi2 = _phi2_series(params, parity, chi, c)
-    return BargmannCoefficients(parity, chi, c, phi2)
 
 
 def bargmann_minimal_coefficients(params: ModelParams, parity: Parity,
@@ -557,16 +454,21 @@ def bargmann_minimal_coefficients(params: ModelParams, parity: Parity,
     vector of the banded row matrix with a zero tail appended.
 
     Forward evaluation cannot reach the minimal solution in fixed precision
-    (growing solutions amplify roundoff by orders of magnitude per step);
-    the least-squares formulation recovers it directly.  Returns
-    (BargmannCoefficients, smallest_singular_value); the singular value is
-    O(1e-15) when chi is an eigenvalue and O(1e-2) away from one.
+    (growing solutions amplify roundoff by orders of magnitude per step).
+    Returns (BargmannCoefficients, smallest_singular_value); the singular
+    value is O(1e-15) when chi is an eigenvalue and O(1e-2) away from one.
+    Raises StepSingular when alpha_0 vanishes on a row (omega_1 = omega_2,
+    where the companion series divides by zero, or g_plus g_minus = 0).
     """
     if j_max < 8:
         raise ConfigError("j_max must be >= 8")
     rows = []
     for j in range(2, j_max + 5):
         a = _bargmann_alphas(params, parity, chi, j)
+        if abs(a[0]) <= 1e-14 * _alpha0_scale(params, j):
+            raise StepSingular(
+                f"alpha_0 vanishes at step j={j} "
+                f"(omega_1 = -+(-1)^j omega_2 or g_plus g_minus = 0)")
         row = np.zeros(j_max + 1)
         for off, val in enumerate(a[:min(5, j + 1)]):
             k = j - off

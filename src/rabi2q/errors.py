@@ -30,10 +30,6 @@ class StepSingular(Rabi2qError):
     """A recurrence step requires division by a vanishing coefficient."""
 
 
-class SmallDenominator(Rabi2qError):
-    """A perturbative energy denominator is too close to zero."""
-
-
 class DegenerateResolvent(Rabi2qError):
     """The closed-form quartic resolvent degenerates; use the eigensolver."""
 

@@ -74,12 +74,6 @@ class ModelParams:
     def g_minus(self) -> float:
         return self.g_1 - self.g_2
 
-    def normalized(self) -> "ModelParams":
-        """Same model with all quantities expressed in units of omega_f."""
-        w = self.omega_f
-        return ModelParams(self.omega_1 / w, self.omega_2 / w,
-                           self.g_1 / w, self.g_2 / w, 1.0)
-
 
 @dataclass(frozen=True)
 class TruncationConfig:

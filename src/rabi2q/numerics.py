@@ -155,7 +155,9 @@ def displacement_element(m: int, n: int, x: float) -> float:
     For m >= n this is sqrt(n!/m!) (2x)^(m-n) exp(-2x^2) L_n^(m-n)(4x^2);
     the m < n case follows from <m|D|n> = (-1)^(n-m) <n|D|m> for real
     arguments.  The factorial ratio is evaluated in log space so the formula
-    stays finite well past m, n ~ 85.
+    stays finite well past m, n ~ 85.  Once the Gaussian factor underflows
+    the element is 0, and where (2x)^(m-n) alone would overflow it is
+    applied in two halves, so no finite x raises.
     """
     if m < 0 or n < 0:
         raise ValueError("Fock indices must be >= 0")
@@ -164,7 +166,13 @@ def displacement_element(m: int, n: int, x: float) -> float:
     d = m - n
     log_ratio = 0.5 * (math.lgamma(n + 1) - math.lgamma(m + 1))
     mag = math.exp(log_ratio - 2.0 * x * x) if abs(x) < 200 else 0.0
-    return mag * (2.0 * x) ** d * laguerre_assoc(n, d, 4.0 * x * x)
+    if mag == 0.0:
+        return 0.0
+    lag = laguerre_assoc(n, d, 4.0 * x * x)
+    if d * math.log(2.0 * abs(x) or 1.0) < 700.0:
+        return mag * (2.0 * x) ** d * lag
+    half = (2.0 * x) ** (d // 2)
+    return mag * half * half * (2.0 * x) ** (d % 2) * lag
 
 
 def propagate_spectral(decomp: EigenDecomposition, c0: np.ndarray,

@@ -27,8 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (ConfigError, ConvergenceFailure, SmallDenominator,
-                     TruncationInsufficient)
+from .errors import ConfigError, ConvergenceFailure, TruncationInsufficient
 from .hamiltonian import build_parity_band, build_rwa_band, expand_dense
 from .model import ModelParams, Parity, TruncationConfig
 from .numerics import (RESIDUAL_TOL, TIE_GAP, band_matvec, band_norm,
@@ -347,6 +346,15 @@ SMALL_DENOMINATOR_TOL = 1e-6
 TAIL_STOP = 1e-12
 
 
+def _finite_square(x: float, scale: float = 1.0) -> float:
+    """x ** 2 / scale; ConfigError unless finite and |x| < 1e154."""
+    value = x ** 2 / scale if abs(x) < 1e154 else math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"frequency or coupling {x:g} is out of range for "
+                          f"the perturbative sums (its square is not finite)")
+    return value
+
+
 def _second_order_shift(params: ModelParams, m: int, branch_sign: int,
                         n_cut: int):
     """Second-order shift of displaced-oscillator level m for one branch.
@@ -358,8 +366,8 @@ def _second_order_shift(params: ModelParams, m: int, branch_sign: int,
     below TAIL_STOP.  Returns (shift, resonant_n or None).
     """
     wf = params.omega_f
-    w1, w2 = params.omega_1, params.omega_2
     x1, x2 = params.g_1 / wf, params.g_2 / wf
+    w1_sq, w2_sq = map(_finite_square, (params.omega_1, params.omega_2))
     offset = 4.0 * params.g_1 * params.g_2 / wf
     total = 0.0
     small_run = 0
@@ -369,8 +377,8 @@ def _second_order_shift(params: ModelParams, m: int, branch_sign: int,
         den = wf * (n - m) + branch_sign * offset
         if abs(den) < SMALL_DENOMINATOR_TOL * wf:
             return np.nan, n
-        w = 0.25 * (w1 ** 2 * displacement_element(m, n, x1) ** 2
-                    + w2 ** 2 * displacement_element(m, n, x2) ** 2)
+        w = 0.25 * (w1_sq * displacement_element(m, n, x1) ** 2
+                    + w2_sq * displacement_element(m, n, x2) ** 2)
         total += w / den
         # displacement elements have isolated Laguerre zeros mid
         # distribution, so one small term is not yet a converged tail
@@ -381,13 +389,14 @@ def _second_order_shift(params: ModelParams, m: int, branch_sign: int,
 
 
 def dsc_perturbative_spectrum(params: ModelParams, m_max: int,
-                              n_cut: int | None = None,
-                              strict: bool = False) -> PerturbativeSpectrum:
+                              n_cut: int | None = None
+                              ) -> PerturbativeSpectrum:
     """Perturbative branch energies for m = 0..m_max.
 
     Near-resonant corrections (denominator below 1e-6 omega_f) are reported
-    as NaN entries rather than silently large numbers; with strict=True the
-    first one raises SmallDenominator instead.
+    as NaN entries rather than silently large numbers.  A squared
+    frequency or coupling term, or a shift, that is not finite raises
+    ConfigError.
     """
     if m_max < 0:
         raise ConfigError("m_max must be >= 0")
@@ -395,8 +404,8 @@ def dsc_perturbative_spectrum(params: ModelParams, m_max: int,
         raise ConfigError("n_cut must be >= 0")
     wf = params.omega_f
     m_values = np.arange(m_max + 1)
-    z1 = m_values * wf - params.g_plus ** 2 / wf
-    z2 = m_values * wf - params.g_minus ** 2 / wf
+    z1 = m_values * wf - _finite_square(params.g_plus, wf)
+    z2 = m_values * wf - _finite_square(params.g_minus, wf)
     s1 = np.empty(m_max + 1)
     s2 = np.empty(m_max + 1)
     resonant = []
@@ -405,11 +414,10 @@ def dsc_perturbative_spectrum(params: ModelParams, m_max: int,
         for sign, out, label in ((+1, s1, 1), (-1, s2, 2)):
             shift, bad_n = _second_order_shift(params, m, sign, cut)
             if bad_n is not None:
-                if strict:
-                    raise SmallDenominator(
-                        f"branch {label}, m={m}: denominator vanishes at "
-                        f"intermediate level n={bad_n}")
                 resonant.append((label, m, bad_n))
+            elif not math.isfinite(shift):
+                raise ConfigError(f"branch {label}, m={m}: the second-order "
+                                  f"shift is not finite")
             out[m] = shift
     return PerturbativeSpectrum(params, m_values, z1, s1, z2, s2,
                                 n_cut if n_cut is not None else m_max + 80,

@@ -234,8 +234,7 @@ def mp_chain_diagonal(params, parity, n_max):
     return [diag[2 * j:2 * j + 2] for j in range(n_max + 1)]
 
 
-def recurrence_blocks_reference(params, parity, xi, v0, n_max,
-                                rescale=True, overflow_limit=1e300):
+def recurrence_blocks_reference(params, parity, xi, v0, n_max):
     """eigenstates._recurrence_blocks_mp with mpf objects, at the caller's
     mp precision."""
     d = mp_chain_diagonal(params, parity, n_max)
@@ -260,13 +259,12 @@ def recurrence_blocks_reference(params, parity, xi, v0, n_max,
             nxt[1] -= s * v[j - 2][1]
         v.append(nxt)
         mag = max(abs(nxt[0]), abs(nxt[1]))
-        if mag > overflow_limit:
+        if mag > eig.OVERFLOW_LIMIT:
             raise OverflowDetected(
-                f"block magnitude exceeded {overflow_limit:g} at j={j} "
+                f"block magnitude exceeded {eig.OVERFLOW_LIMIT:g} at j={j} "
                 f"(xi far from the spectrum)")
         run_max = max(run_max, mag)
-        if (rescale and j % eig.RESCALE_EVERY == 0
-                and run_max > eig.RESCALE_TRIGGER):
+        if j % eig.RESCALE_EVERY == 0 and run_max > eig.RESCALE_TRIGGER:
             inv = 1 / run_max
             for blk in v:
                 blk[0] *= inv

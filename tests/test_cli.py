@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -77,6 +78,15 @@ def test_dynamics_truncation_failure_exits_3(tmp_path):
     assert code == 3
 
 
+def test_dynamics_huge_alpha_exits_3(tmp_path, capsys):
+    # |alpha|^2 passes the float range; the state leaks wholly past n_max
+    code = run(["dynamics", "--alpha", "1e200", "--steps", "2",
+                "--nmax", "20", "--out", str(tmp_path / "x.csv")])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: coherent state")
+
+
 def test_spectrum_single_point_decoupled(tmp_path):
     out = tmp_path / "spec.csv"
     code = run(["spectrum", "--omega1", "1.3", "--omega2", "0.7",
@@ -124,6 +134,16 @@ def test_perturb_zero_qubit_frequencies(tmp_path):
     assert code == 0
     _, rows = read_rows(out)
     assert all(row[3] in ("0", "-0") for row in rows)
+
+
+def test_perturb_huge_equal_couplings_write_finite_rows(tmp_path):
+    out = tmp_path / "p.csv"
+    code = run(["perturb", "--g1", "1e150", "--g2", "1e150", "--mmax", "1",
+                "--out", str(out)])
+    assert code == 0
+    _, rows = read_rows(out)
+    assert len(rows) == 4
+    assert all(math.isfinite(float(v)) for row in rows for v in row[2:])
 
 
 def test_rwa_compare_zero_coupling(tmp_path):
@@ -188,6 +208,24 @@ def test_eigenstate_bargmann_past_factorial_overflow(tmp_path):
     assert all(float(row[4]) < 1e-3 for row in rows)
 
 
+def test_eigenstate_bargmann_equal_qubit_frequencies(tmp_path, capsys):
+    # omega_1 = omega_2: alpha_0 of the five-term rows vanishes, so the
+    # Bargmann cell stays empty instead of holding a residual of garbage
+    out = tmp_path / "e.csv"
+    code = run(["eigenstate", "--omega1", "1", "--omega2", "1",
+                "--g1", "0.3", "--g2", "0.4", "--bargmann", "--count", "3",
+                "--nmax", "60", "--out", str(out)])
+    assert code == 0
+    header, rows = read_rows(out)
+    assert len(rows) == 6 and "nan" not in out.read_text()
+    column = header.index("residual_bargmann")
+    assert all(row[column] == "" for row in rows)
+    assert all(float(row[3]) < 1e-8 for row in rows)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == len(rows)
+    assert all("bargmann route unavailable" in line for line in err)
+
+
 def test_eigenstate_singular_coupling_exits_3(tmp_path):
     code = run(["eigenstate", "--g1", "0.3", "--g2", "0.3",
                 "--count", "1", "--nmax", "40",
@@ -223,6 +261,10 @@ def test_eigenstate_invalid_nmax_exits_2(tmp_path):
     ["rwa-compare", "--omega-f", "nan"],
     ["eigenstate", "--count", "0"],
     ["eigenstate", "--count", "-2"],
+    ["perturb", "--g1", "1e200", "--g2", "1", "--mmax", "1"],
+    ["perturb", "--omega1", "1e200", "--g1", "1", "--g2", "2", "--mmax", "1"],
+    ["perturb", "--g1", "1e150", "--g2", "1e150", "--mmax", "1",
+     "--omega-f", "1e10"],
 ], ids=["spectrum-k", "perturb-mmax", "eigenstate-jmax", "rwa-compare-k",
         "eigenstate-count", "dynamics-fock", "perturb-ncut",
         "dynamics-tmax-nan", "dynamics-tmax-inf", "dynamics-alpha-nan",
@@ -231,7 +273,8 @@ def test_eigenstate_invalid_nmax_exits_2(tmp_path):
         "dynamics-omega-f-negative", "dynamics-omega-f-nan",
         "rwa-compare-omega-f-0", "rwa-compare-omega-f-negative",
         "rwa-compare-omega-f-nan", "eigenstate-count-0",
-        "eigenstate-count-negative"])
+        "eigenstate-count-negative", "perturb-g-square-overflows",
+        "perturb-omega-square-overflows", "perturb-rows-pass-float-range"])
 def test_out_of_range_input_exits_2(argv, tmp_path, capsys):
     # the flags of argv come last, so they win over the defaults here
     code = run(argv[:1] + ["--g1", "0.3", "--g2", "0.4", "--nmax", "20",

@@ -68,6 +68,13 @@ def test_coherent_leakage_guard():
         dyn.decompose_initial_state(50, G, G, T40)
 
 
+def test_coherent_past_float_range_leaks_wholly():
+    # |alpha|^2 passes the float range: no amplitude fits, leakage 1
+    for alpha in (1e200, -1e300j):
+        with pytest.raises(TruncationInsufficient, match="leaks 1.00e"):
+            dyn.decompose_initial_state(("coherent", alpha), G, G, T40)
+
+
 # ---------------------------------------------------------------------------
 # observables
 # ---------------------------------------------------------------------------

@@ -14,17 +14,17 @@ from hypothesis import example, given, settings, strategies as st
 
 import rabi2q
 import rabi2q.eigenstates as eig_mod
-from rabi2q.eigenstates import (BargmannCoefficients, bargmann_coefficients,
+from rabi2q.eigenstates import (BargmannCoefficients,
                                 bargmann_identical_coefficients,
                                 bargmann_minimal_coefficients,
                                 bargmann_reconstruction_residual,
-                                bargmann_to_chain, best_seed_recurrence_state,
-                                chain_residual, eigenstate_recurrence,
+                                bargmann_to_chain, chain_residual,
+                                eigenstate_recurrence,
                                 recurrence_eigenstate_la, refine_eigenpair,
-                                residual, _bargmann_alphas)
+                                residual)
 from rabi2q.errors import (ConvergenceFailure, OverflowDetected,
                            SingularCoupling, StepSingular)
-from rabi2q.hamiltonian import build_parity_band, build_parity_matrix
+from rabi2q.hamiltonian import build_parity_matrix
 from rabi2q.model import ModelParams, Parity, TruncationConfig
 from rabi2q.numerics import eigh
 
@@ -95,14 +95,13 @@ def test_recurrence_kernel_rejects_singular_coupling():
 
 def test_band_residual_stays_finite_far_from_spectrum():
     # 1e200 away the residual's squares pass the float range; the scaled
-    # norm still gives its size, so best-seed scores can be ranked
-    band = build_parity_band(P, Parity.ODD, TruncationConfig(50))
+    # norm still gives its size
     decomp = eigh(build_parity_matrix(P, Parity.ODD, TruncationConfig(50)))
     v = decomp.vectors[:, 0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        far = eig_mod._band_residual(band, decomp.values[0] + 1e200, v)
-        near = eig_mod._band_residual(band, decomp.values[0], v)
+        far = chain_residual(P, Parity.ODD, decomp.values[0] + 1e200, v)
+        near = chain_residual(P, Parity.ODD, decomp.values[0], v)
     assert far == pytest.approx(1e200, rel=1e-12)
     assert near < 1e-12
 
@@ -143,21 +142,6 @@ def test_residual_decreases_toward_eigenvalue():
     offsets = [0.3, 0.1, 0.03, 0.01]
     res = [chain_residual(P, Parity.EVEN, target + d, vec) for d in offsets]
     assert all(a > b for a, b in zip(res, res[1:]))
-
-
-def test_seed_invariance_of_least_residual_state():
-    xi, _, _ = refine_eigenpair(P, Parity.EVEN, *_pair(Parity.EVEN, 2),
-                                NMAX)
-    states = []
-    for seeds in (((1.0, 0.0), (0.0, 1.0)),
-                  ((0.6, 0.8), (0.8, -0.6))):
-        state, _, res = best_seed_recurrence_state(P, Parity.EVEN, xi, NMAX,
-                                                   seeds=seeds)
-        assert res < 1e-6
-        states.append(state.v)
-    agree = min(np.max(np.abs(states[0] - states[1])),
-                np.max(np.abs(states[0] + states[1])))
-    assert agree < 1e-4
 
 
 def _pair(parity, index):
@@ -266,22 +250,13 @@ def test_starved_refiner_raises_with_its_residual(monkeypatch, steps):
 # raw-tuple kernels against their mpf-object forms
 # ---------------------------------------------------------------------------
 
-def _raw_blocks(blocks_fn, *args, **kwargs):
+def _raw_blocks(blocks_fn, *args):
     """The _mpf_ tuples of a block run at DPS, or the overflow it raised."""
     try:
         with mp.workdps(eig_mod.DPS):
-            return [(u._mpf_, w._mpf_) for u, w in blocks_fn(*args, **kwargs)]
+            return [(u._mpf_, w._mpf_) for u, w in blocks_fn(*args)]
     except OverflowDetected as exc:
         return str(exc)
-
-
-def _best_seed_outcome(params, parity, xi, n_max):
-    try:
-        state, theta, res = best_seed_recurrence_state(params, parity, xi,
-                                                       n_max)
-    except OverflowDetected as exc:
-        return str(exc)
-    return state.v.tobytes(), state.cut_index, state.xi, theta, res
 
 
 @settings(max_examples=15, deadline=None)
@@ -289,7 +264,7 @@ def _best_seed_outcome(params, parity, xi, n_max):
        g_1=st.floats(-1.5, 1.5), g_2=st.floats(-1.5, 1.5),
        parity=st.sampled_from(Parity), n_max=st.integers(2, 60),
        level=st.floats(0.0, 1.0), offset=st.floats(-5.0, 5.0))
-# n_max 200: every run rescales, and the unrescaled ones pass 1e300
+# n_max 200: every run rescales, and would pass 1e300 without it
 @example(omega_1=1.3, omega_2=0.7, g_1=0.3, g_2=0.4, parity=Parity.EVEN,
          n_max=200, level=1 / 401, offset=0.5)
 # far from the spectrum: the rescaled run raises OverflowDetected
@@ -324,33 +299,23 @@ def test_raw_tuple_kernels_match_mpf_oracle(omega_1, omega_2, g_1, g_2,
     except SingularCoupling:
         return
     far = xi + offset
-    for run, kwargs in (((xi, seed), {}), ((far, (1.0, 0.0)), {}),
-                        ((far, (0.6, 0.8)),
-                         dict(rescale=False, overflow_limit=1e600))):
+    for run in ((xi, seed), (far, (1.0, 0.0)), (far, (0.6, 0.8))):
         assert (_raw_blocks(eig_mod._recurrence_blocks_mp, params, parity,
-                            *run, n_max, **kwargs)
+                            *run, n_max)
                 == _raw_blocks(recurrence_blocks_reference, params, parity,
-                               *run, n_max, **kwargs))
-    got = _best_seed_outcome(params, parity, far, n_max)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(eig_mod, "_recurrence_blocks_mp",
-                  recurrence_blocks_reference)
-        assert got == _best_seed_outcome(params, parity, far, n_max)
+                               *run, n_max))
 
 
 def test_oracle_examples_reach_their_corners():
-    # the explicit examples above rescale, pass 1e300 unrescaled, and
-    # overflow, so the comparisons cover those branches
+    # the explicit examples above rescale and overflow, so the comparisons
+    # cover those branches
     p = ModelParams(1.3, 0.7, 0.3, 0.4)
     xi, x, _ = refine_eigenpair(p, Parity.EVEN, *_pair(Parity.EVEN, 1), NMAX)
     with mp.workdps(eig_mod.DPS):
         kept = eig_mod._recurrence_blocks_mp(p, Parity.EVEN, xi + 0.5,
                                              (1.0, 0.0), NMAX)
-        raw = eig_mod._recurrence_blocks_mp(p, Parity.EVEN, xi + 0.5,
-                                            (1.0, 0.0), NMAX, rescale=False,
-                                            overflow_limit=1e600)
-    assert kept[1] != raw[1]
-    assert max(abs(b[0]) for b in raw) > 1e300
+    # a rescale divides every block so far, the seed block too
+    assert kept[0] != [1, 0]
     decomp = eigh(build_parity_matrix(p, Parity.ODD, TruncationConfig(50)))
     assert isinstance(_raw_blocks(eig_mod._recurrence_blocks_mp, p,
                                   Parity.ODD, decomp.values[0] + 1e200,
@@ -403,44 +368,18 @@ def test_refinement_does_not_depend_on_blas_threads(tmp_path):
 PB = ModelParams(1.3, 0.7, 0.3, 0.45)
 
 
-def test_five_term_identity_recheck():
-    chi = -0.7
-    coeffs = bargmann_coefficients(PB, Parity.EVEN, chi, 60, c1=0.3)
-    c = coeffs.c
-    for j in range(4, 61):
-        a = _bargmann_alphas(PB, Parity.EVEN, chi, j)
-        terms = [a[0] * c[j], a[1] * c[j - 1], a[2] * c[j - 2],
-                 a[3] * c[j - 3], a[4] * c[j - 4]]
-        scale = max(abs(t) for t in terms)
-        assert abs(sum(terms)) <= 1e-12 * max(scale, 1e-300)
-    # startup rows
-    a = _bargmann_alphas(PB, Parity.EVEN, chi, 2)
-    assert abs(a[0] * c[2] + a[1] * c[1] + a[2] * c[0]) <= 1e-12 * max(
-        abs(a[0] * c[2]), 1e-300)
-    a = _bargmann_alphas(PB, Parity.EVEN, chi, 3)
-    assert abs(a[0] * c[3] + a[1] * c[2] + a[2] * c[1] + a[3] * c[0]) \
-        <= 1e-12 * max(abs(a[0] * c[3]), 1e-300)
-
-
-def test_five_term_c1_is_free_seed():
-    chi = -0.7
-    c_a = bargmann_coefficients(PB, Parity.EVEN, chi, 20, c1=0.0).c
-    c_b = bargmann_coefficients(PB, Parity.EVEN, chi, 20, c1=1.0).c
-    assert c_a[1] == 0.0 and c_b[1] == 1.0
-    assert c_a[2] != c_b[2]
-
-
 def test_five_term_identical_qubits_step_singular():
+    # omega_1 = omega_2: alpha_0 vanishes on every other row
     p = ModelParams(0.9, 0.9, 0.3, 0.45)
     for parity in Parity:
-        with pytest.raises(StepSingular):
-            bargmann_coefficients(p, parity, -0.5, 30)
+        with pytest.raises(StepSingular, match="alpha_0 vanishes"):
+            bargmann_minimal_coefficients(p, parity, -0.5, 30)
 
 
 def test_five_term_zero_coupling_product_singular():
     p = ModelParams(1.3, 0.7, 0.3, 0.3)  # g_minus = 0
-    with pytest.raises(StepSingular):
-        bargmann_coefficients(p, Parity.EVEN, -0.5, 30)
+    with pytest.raises(StepSingular, match="alpha_0 vanishes"):
+        bargmann_minimal_coefficients(p, Parity.EVEN, -0.5, 30)
 
 
 def test_reconstruction_residual_small_at_eigenvalues():

@@ -251,6 +251,21 @@ def test_displacement_large_indices_finite():
     assert math.isfinite(displacement_element(120, 100, 1.5))
 
 
+def test_displacement_far_displacement_is_zero():
+    # at x = 1e200 the Gaussian factor is 0 and (2x)^(m - n) would overflow
+    for m, n in ((3, 1), (1, 3), (81, 0), (0, 0)):
+        assert displacement_element(m, n, 1e200) == 0.0
+        assert displacement_element(m, n, -1e200) == 0.0
+
+
+def test_displacement_large_power_with_live_gaussian():
+    # (2x)^245 passes the float range on its own, while the element, a
+    # matrix element of a unitary, stays below 1
+    value = displacement_element(245, 0, 9.38)
+    assert math.isfinite(value) and 0.0 < abs(value) <= 1.0
+    assert displacement_element(0, 245, 9.38) == -value
+
+
 def test_propagate_identity_at_t0():
     rng = np.random.default_rng(0)
     h = rng.normal(size=(6, 6))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from rabi2q import spectra
-from rabi2q.errors import (ConvergenceFailure, SmallDenominator,
+from rabi2q.errors import (ConfigError, ConvergenceFailure,
                            TruncationInsufficient)
 from rabi2q.hamiltonian import (build_parity_band, build_parity_matrix,
                                 expand_dense)
@@ -147,8 +147,25 @@ def test_perturbative_resonances_reported_not_silent():
     assert np.all(np.isfinite(spec.branch1))
     assert np.all(np.isnan(spec.branch2_shift))
     assert {(b, m) for b, m, _ in spec.resonant} == {(2, 0), (2, 1), (2, 2)}
-    with pytest.raises(SmallDenominator):
-        dsc_perturbative_spectrum(p, 2, strict=True)
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(1.3, 0.7, 1e200, 1.0),      # (g1 + g2)^2 overflows
+    ModelParams(1.3, 0.7, 1e160, -1e160),   # (g1 - g2)^2 overflows
+    ModelParams(1e200, 0.7, 1.0, 2.0),      # omega_1^2 overflows
+    ModelParams(1.3, 0.7, 1e5, 2e5, omega_f=1e-300),    # g^2 / wf = inf
+])
+def test_perturbative_out_of_float_range_is_a_config_error(params):
+    with pytest.raises(ConfigError, match="not finite"):
+        dsc_perturbative_spectrum(params, 1)
+
+
+def test_perturbative_huge_equal_couplings_stay_finite():
+    # g = 1e150: the squares fit, and every displacement element is 0
+    spec = dsc_perturbative_spectrum(ModelParams(1.3, 0.7, 1e150, 1e150), 1)
+    for values in (spec.branch1, spec.branch2):
+        assert np.all(np.isfinite(values))
+    assert not spec.resonant
 
 
 def test_perturbative_matches_numeric_at_moderate_coupling():
