@@ -323,8 +323,8 @@ def quartic_coefficients(params: ModelParams, n: int) -> QuarticCoefficients:
     """Printed closed-form characteristic coefficients of the 4x4 sector."""
     if n < 2:
         raise ValueError("the full 4x4 sector requires n >= 2")
-    d1 = 0.5 * (params.omega_1 - params.omega_f)
-    d2 = 0.5 * (params.omega_2 - params.omega_f)
+    d1 = 0.5 * (params.omega_1 - 1.0)
+    d2 = 0.5 * (params.omega_2 - 1.0)
     g1sq, g2sq = params.g_1 ** 2, params.g_2 ** 2
     c0 = ((n * (g1sq - g2sq) + d1 ** 2 - d2 ** 2)
           * ((n - 1) * (g1sq - g2sq) + d1 ** 2 - d2 ** 2))
@@ -376,7 +376,7 @@ def evolve_rwa_closed_form(state: ParityDecomposedState, params: ModelParams,
 
     The RWA Hamiltonian is block diagonal in the excitation number; each
     occupied sector block is diagonalized once and the lab-frame phase
-    exp(-i omega_f (N-1) t) is restored when reassembling.  The energy is
+    exp(-i (N-1) t) is restored when reassembling.  The energy is
     <psi(t)|H_RWA|psi(t)> on the RWA chain bands, not on the sector blocks
     that propagated the state.
     """
@@ -401,7 +401,7 @@ def evolve_rwa_closed_form(state: ParityDecomposedState, params: ModelParams,
         amps0 = psi0[idx]
         vals, vecs = eigh(block.matrix)
         proj = vecs.T @ amps0
-        frame = np.exp(-1j * params.omega_f * (sector - 1) * times)
+        frame = np.exp(-1j * (sector - 1) * times)
         phases = np.exp(-1j * np.outer(vals, times)) * proj[:, None]
         evolved[idx] += (vecs @ phases) * frame[None, :]
 

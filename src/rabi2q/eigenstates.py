@@ -90,11 +90,10 @@ def _chain_tables(params: ModelParams, parity: Parity, n_max: int,
     (no steps when det vanishes); and (g1, g2, -g2)."""
     with mp.workprec(prec):
         w1, w2 = mp.mpf(params.omega_1), mp.mpf(params.omega_2)
-        wf = mp.mpf(params.omega_f)
         g1, g2 = mp.mpf(params.g_1), mp.mpf(params.g_2)
         det = g1 * g1 - g2 * g2
         table = basis_table(TruncationConfig(max(n_max, 1)))
-        diag = [(n * wf + (s1 * w1 + s2 * w2) / 2)._mpf_
+        diag = [(n + (s1 * w1 + s2 * w2) / 2)._mpf_
                 for n, s1, s2 in zip(table.photon[parity].tolist(),
                                      table.sz1[parity].tolist(),
                                      table.sz2[parity].tolist())]
@@ -300,8 +299,11 @@ def refine_eigenpair(params: ModelParams, parity: Parity, xi0: float,
     float64 from one banded LU of H - xi0.  H - xi0 is singular to double
     precision, so the border is eliminated with deflation: the x0 part of F
     is split off before the solve and the near-null direction enters only
-    as u = w / (x0^T w), w = (H - xi0)^-1 x0.  The float arithmetic is
-    scalar or elementwise, so no result depends on the BLAS thread count.
+    as u = w / (x0^T w), w = (H - xi0)^-1 x0.  Past |x0^T w| = 1 / (eps^2
+    ||H||), xi0 sits on a level so far below double precision that u's
+    cancellation in the corrections swamps them: the LU moves to xi0 +
+    eps ||H||.  The float arithmetic is scalar or elementwise, so no result
+    depends on the BLAS thread count.
 
     F runs on raw mpf tuples with the chain's cached ``_chain_tables``:
     each row of (H - xi) x, and x^T x, is an exact dot product rounded
@@ -316,9 +318,13 @@ def refine_eigenpair(params: ModelParams, parity: Parity, xi0: float,
     band = build_parity_band(params, parity, TruncationConfig(n_max))
     x0 = np.asarray(vec0, dtype=float)
     hnorm = band_norm(band)
-    factors = _band_lu(band, float(xi0), np.finfo(float).eps * hnorm)
-    w = _band_solve(factors, x0)
-    xw = math.fsum(x0 * w)
+    eps = np.finfo(float).eps
+    for shift in (float(xi0), float(xi0) + eps * hnorm):
+        factors = _band_lu(band, shift, eps * hnorm)
+        w = _band_solve(factors, x0)
+        xw = math.fsum(x0 * w)
+        if abs(xw) * hnorm * eps ** 2 <= 1:
+            break
     if not (xw and math.isfinite(xw)):
         raise ConvergenceFailure("bordered Newton system is singular")
     u = w / xw
@@ -393,18 +399,16 @@ def _bargmann_alphas(params: ModelParams, parity: Parity, chi: float,
                      j: int) -> tuple:
     """Coefficients alpha_0..alpha_4 of row j of the five-term recurrence."""
     s = _BRANCH_SIGN[parity]
-    w1, w2, wf = params.omega_1, params.omega_2, params.omega_f
+    w1, w2 = params.omega_1, params.omega_2
     gp, gm = params.g_plus, params.g_minus
     pj = (-1) ** j
     br_m = w1 - s * pj * w2
     br_p = w1 + s * pj * w2
     a0 = j * (j - 1) * gp * gm * br_m
-    a1 = (j - 1) * (gm * br_m * ((j - 1) * wf - chi)
-                    + gp * br_p * (chi - (j - 2) * wf))
+    a1 = (j - 1) * (gm * br_m * (j - 1 - chi) + gp * br_p * (chi - (j - 2)))
     a2 = ((2 * j - 3) * gp * gm * br_m
-          + br_p * (0.25 * br_m ** 2 - (chi - (j - 2) * wf) ** 2))
-    a3 = (gp * br_p * (chi - (j - 2) * wf)
-          - gm * br_m * (chi - (j - 3) * wf))
+          + br_p * (0.25 * br_m ** 2 - (chi - (j - 2)) ** 2))
+    a3 = gp * br_p * (chi - (j - 2)) - gm * br_m * (chi - (j - 3))
     a4 = gp * gm * br_m
     return a0, a1, a2, a3, a4
 
@@ -435,17 +439,18 @@ def _phi2_series(params: ModelParams, parity: Parity, chi: float,
                  c: np.ndarray) -> np.ndarray:
     """Companion series from the two first-order relations.
 
-    Power k of the companion is ((k wf - chi) c_k + g_plus (c_{k-1}
-    + (k+1) c_{k+1})) divided by (w2 -+ w1)/2 for even/odd k per branch.
+    Power k of the companion is ((k - chi) c_k + g_plus (c_{k-1}
+    + (k+1) c_{k+1})) divided by (w2 -+ w1)/2 for even/odd k per branch
+    (omega_f = 1).
     """
     s = _BRANCH_SIGN[parity]
-    w1, w2, wf = params.omega_1, params.omega_2, params.omega_f
+    w1, w2 = params.omega_1, params.omega_2
     gp = params.g_plus
     k = np.arange(len(c))
     below = np.concatenate(([0.0], c[:-1]))
     above = np.concatenate((k[1:] * c[1:], [0.0]))
     div = np.where(k % 2 == 0, 0.5 * (w2 - s * w1), 0.5 * (w2 + s * w1))
-    return ((k * wf - chi) * c + gp * (below + above)) / div
+    return ((k - chi) * c + gp * (below + above)) / div
 
 
 def bargmann_minimal_coefficients(params: ModelParams, parity: Parity,
@@ -516,7 +521,7 @@ _LOG_FACTOR_MAX = 700.0
 
 
 def bargmann_to_chain(coeffs: BargmannCoefficients,
-                      n_max: int | None = None) -> BargmannChainState:
+                      n_max: int) -> BargmannChainState:
     """Convert coefficient series to a normalized parity-chain vector.
 
     Uses z^k <-> sqrt(k!) |k>.  The first function carries the diagonal
@@ -533,8 +538,6 @@ def bargmann_to_chain(coeffs: BargmannCoefficients,
     sigma = _SPINOR_SIGN[parity]
     c, phi2 = coeffs.c, coeffs.phi2
     jm = len(c) - 1
-    if n_max is None:
-        n_max = jm
     half_log_fact = [0.5 * math.lgamma(n + 1) for n in range(jm + 1)]
     norm = np.hypot(c, phi2)
     log_norm = np.full(jm + 1, np.inf)
@@ -598,15 +601,15 @@ class IdenticalQubitCoefficients:
 
 
 def bargmann_identical_coefficients(omega0: float, g_plus: float,
-                                    parity: Parity, chi: float, j_max: int,
-                                    omega_f: float = 1.0
+                                    parity: Parity, chi: float, j_max: int
                                     ) -> IdenticalQubitCoefficients:
     """Three-term recurrence c_j = (alpha_j c_{j-1} - (1 - d_{1j}) c_{j-2})/j.
 
-    alpha_j = ([chi - (j-1) wf]^2 - w0^2 [on alternating steps]) /
-    (g_plus [chi - (j-1) wf]); the omega_0 term enters at even steps for
-    odd parity and at odd steps for even parity.  Raises StepSingular when
-    chi hits the bare ladder (j-1) wf (the exceptional points).
+    alpha_j = ([chi - (j-1)]^2 - w0^2 [on alternating steps]) /
+    (g_plus [chi - (j-1)]), with omega_f = 1; the omega_0 term enters at
+    even steps for odd parity and at odd steps for even parity.  Raises
+    StepSingular when chi hits the bare ladder level j-1 (the exceptional
+    points).
     """
     if j_max < 2:
         raise ConfigError("j_max must be >= 2")
@@ -617,11 +620,10 @@ def bargmann_identical_coefficients(omega0: float, g_plus: float,
     alphas = np.zeros(j_max + 2)
     c[0] = 1.0
     for j in range(1, j_max + 2):
-        base = chi - (j - 1) * omega_f
-        if abs(base) < 1e-12 * max(abs(chi), (j - 1) * omega_f, omega_f):
+        base = chi - (j - 1)
+        if abs(base) < 1e-12 * max(abs(chi), j - 1, 1.0):
             raise StepSingular(
-                f"chi coincides with the bare ladder level (j-1) omega_f "
-                f"at j={j}")
+                f"chi coincides with the bare ladder level j-1 at j={j}")
         w = omega0 if (j % 2 == 0) == omega0_on_even_j else 0.0
         alphas[j] = (base * base - w * w) / (g_plus * base)
         if j <= j_max:
@@ -632,11 +634,11 @@ def bargmann_identical_coefficients(omega0: float, g_plus: float,
                                        f"1e300 at j={j}")
     ratios = np.zeros(j_max + 1)
     ratios[1:] = alphas[1:j_max + 1] / alphas[2:j_max + 2]
-    # companion series: omega0 c_k / (k wf - chi) on the allowed slots
+    # companion series: omega0 c_k / (k - chi) on the allowed slots
     phi2 = np.zeros(j_max + 1)
     for k in range(j_max + 1):
         if (k % 2 == 0) == omega0_on_even_j:
             continue
-        phi2[k] = omega0 * c[k] / (k * omega_f - chi)
+        phi2[k] = omega0 * c[k] / (k - chi)
     return IdenticalQubitCoefficients(parity, chi, c, alphas[:j_max + 1],
                                       ratios, phi2)

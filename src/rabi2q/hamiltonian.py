@@ -27,14 +27,14 @@ def build_parity_band(params: ModelParams, parity: Parity,
 
     band[d, c] = H[c + d, c], shape (4, chain_dim); the unused tail of each
     diagonal is zero.  The diagonal holds the free energies
-    n*omega_f + (sz1*omega_1 + sz2*omega_2)/2 of the chain slots.  The
+    n + (sz1*omega_1 + sz2*omega_2)/2 of the chain slots (omega_f = 1).  The
     transpose of O_j = sqrt(j)*[[g1, g2], [g2, g1]] sits in rows r + 2,
     r + 3 and columns r, r + 1 (r = 2j - 2), so the entries [0, 0], [0, 1],
     [1, 0] and [1, 1] of O_j land on diagonals 2, 3, 1 and 2.
     """
     table = basis_table(trunc)
     band = np.zeros((4, trunc.chain_dim))
-    band[0] = (table.photon[parity] * params.omega_f
+    band[0] = (table.photon[parity]
                + 0.5 * (table.sz1[parity] * params.omega_1
                         + table.sz2[parity] * params.omega_2))
     root = np.sqrt(np.arange(1, trunc.n_max + 1))
@@ -106,14 +106,15 @@ def build_rwa_excitation_block(params: ModelParams, n: int) -> RwaExcitationBloc
     """Excitation-sector block with detunings on the diagonal.
 
     Diagonal entries are (D1+D2, D1-D2, -D1+D2, -D1-D2) with
-    D_j = (omega_j - omega_f)/2; off-diagonal couplings carry sqrt(n-1)
-    between the ee row and the single-excited rows and sqrt(n) between the
-    single-excited rows and the gg row.
+    D_j = (omega_j - 1)/2, the detuning from the field (omega_f = 1);
+    off-diagonal couplings carry sqrt(n-1) between the ee row and the
+    single-excited rows and sqrt(n) between the single-excited rows and the
+    gg row.
     """
     if n < 0:
         raise ValueError("sector label must be >= 0")
-    d1 = 0.5 * (params.omega_1 - params.omega_f)
-    d2 = 0.5 * (params.omega_2 - params.omega_f)
+    d1 = 0.5 * (params.omega_1 - 1.0)
+    d2 = 0.5 * (params.omega_2 - 1.0)
     e, g = QubitLevel.E, QubitLevel.G
     full_basis = ((n - 2, e, e), (n - 1, e, g), (n - 1, g, e), (n, g, g))
     diag = (d1 + d2, d1 - d2, -d1 + d2, -d1 - d2)

@@ -36,33 +36,25 @@ class Parity(Enum):
     EVEN = "even"
     ODD = "odd"
 
-    @property
-    def sign(self) -> int:
-        return 1 if self is Parity.EVEN else -1
-
 
 @dataclass(frozen=True)
 class ModelParams:
     """Frequencies and couplings of the two-qubit Rabi Hamiltonian.
 
-    omega_f is the field frequency and serves as the reference unit; the
-    qubit frequencies and couplings are given in the same units.  Couplings
-    may be any real number; only |g_1| != |g_2| matters for the recurrence
-    construction of eigenstates.
+    All four are in units of the field frequency omega_f, which is 1
+    throughout the library.  Couplings may be any real number; only
+    |g_1| != |g_2| matters for the recurrence construction of eigenstates.
     """
 
     omega_1: float
     omega_2: float
     g_1: float
     g_2: float
-    omega_f: float = 1.0
 
     def __post_init__(self):
-        for name in ("omega_1", "omega_2", "g_1", "g_2", "omega_f"):
+        for name in ("omega_1", "omega_2", "g_1", "g_2"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
-        if self.omega_f <= 0:
-            raise ConfigError("omega_f must be positive")
         if self.omega_1 < 0 or self.omega_2 < 0:
             raise ConfigError("qubit frequencies must be non-negative")
 

@@ -181,9 +181,10 @@ def _start_window(params: ModelParams, k: int) -> int:
     (sqrt(m) + g_pm / omega_f)^2 photons; the factor 1.5 on the
     displacement and the 1.5 added to the root cover the decay of the
     vectors to the residual bound (fitted to the smallest windows that
-    certify 13 to 68 levels, omega_f = 0.5 and 1, g_pm / omega_f up to 8).
+    certify 13 to 68 levels, g_pm / omega_f up to 8).  With omega_f = 1
+    the displacement is g_pm itself.
     """
-    shift = max(abs(params.g_plus), abs(params.g_minus)) / params.omega_f
+    shift = max(abs(params.g_plus), abs(params.g_minus))
     # capped, so a huge coupling gives a window past n_max, not an overflow
     return math.ceil(min(math.sqrt(k / 2) + 1.5 * shift + 1.5, 1e8) ** 2)
 
@@ -198,8 +199,6 @@ class SpectrumSweep:
     them are zeros).
     """
 
-    params_template: ModelParams
-    trunc: TruncationConfig
     k: int
     g1_values: np.ndarray
     g2_values: np.ndarray
@@ -244,8 +243,7 @@ def sweep_spectrum(template: ModelParams, g1_values, g2_values,
             energies[parity].append(values)
             vectors[parity].append(vecs)
         energies[parity] = np.array(energies[parity])
-    return SpectrumSweep(template, trunc, k, g1_values, g2_values,
-                         energies, vectors)
+    return SpectrumSweep(k, g1_values, g2_values, energies, vectors)
 
 
 class CrossingKind(Enum):
@@ -319,18 +317,15 @@ def detect_crossings(sweep: SpectrumSweep, parity: Parity,
 class PerturbativeSpectrum:
     """Deep-strong-coupling branch energies with second-order shifts.
 
-    Each branch m has zeroth-order energy m*omega_f - g_pm^2/omega_f and a
+    Each branch m has zeroth-order energy m - g_pm^2 (omega_f = 1) and a
     second-order shift; entries whose correction sum hits a near-resonant
     denominator are NaN and listed in ``resonant`` as (branch, m, n).
     """
 
-    params: ModelParams
-    m_values: np.ndarray
     branch1_zeroth: np.ndarray
     branch1_shift: np.ndarray
     branch2_zeroth: np.ndarray
     branch2_shift: np.ndarray
-    n_cut: int
     resonant: tuple = field(default_factory=tuple)
 
     @property
@@ -346,9 +341,9 @@ SMALL_DENOMINATOR_TOL = 1e-6
 TAIL_STOP = 1e-12
 
 
-def _finite_square(x: float, scale: float = 1.0) -> float:
-    """x ** 2 / scale; ConfigError unless finite and |x| < 1e154."""
-    value = x ** 2 / scale if abs(x) < 1e154 else math.inf
+def _finite_square(x: float) -> float:
+    """x ** 2; ConfigError unless finite and |x| < 1e154."""
+    value = x ** 2 if abs(x) < 1e154 else math.inf
     if not math.isfinite(value):
         raise ConfigError(f"frequency or coupling {x:g} is out of range for "
                           f"the perturbative sums (its square is not finite)")
@@ -360,25 +355,23 @@ def _second_order_shift(params: ModelParams, m: int, branch_sign: int,
     """Second-order shift of displaced-oscillator level m for one branch.
 
     The intermediate states live on the other displaced ladder, offset by
-    4 g1 g2 / omega_f; branch_sign +1 selects the g_plus ladder (the
-    denominator then reads omega_f (n-m) + 4 g1 g2 / omega_f), -1 the
-    g_minus ladder.  Summation stops at n_cut or once the tail term drops
-    below TAIL_STOP.  Returns (shift, resonant_n or None).
+    4 g1 g2 (omega_f = 1); branch_sign +1 selects the g_plus ladder (the
+    denominator then reads (n-m) + 4 g1 g2), -1 the g_minus ladder.
+    Summation stops at n_cut or once the tail term drops below TAIL_STOP.
+    Returns (shift, resonant_n or None).
     """
-    wf = params.omega_f
-    x1, x2 = params.g_1 / wf, params.g_2 / wf
     w1_sq, w2_sq = map(_finite_square, (params.omega_1, params.omega_2))
-    offset = 4.0 * params.g_1 * params.g_2 / wf
+    offset = 4.0 * params.g_1 * params.g_2
     total = 0.0
     small_run = 0
     for n in range(n_cut + 1):
         if n == m:
             continue
-        den = wf * (n - m) + branch_sign * offset
-        if abs(den) < SMALL_DENOMINATOR_TOL * wf:
+        den = n - m + branch_sign * offset
+        if abs(den) < SMALL_DENOMINATOR_TOL:
             return np.nan, n
-        w = 0.25 * (w1_sq * displacement_element(m, n, x1) ** 2
-                    + w2_sq * displacement_element(m, n, x2) ** 2)
+        w = 0.25 * (w1_sq * displacement_element(m, n, params.g_1) ** 2
+                    + w2_sq * displacement_element(m, n, params.g_2) ** 2)
         total += w / den
         # displacement elements have isolated Laguerre zeros mid
         # distribution, so one small term is not yet a converged tail
@@ -402,10 +395,9 @@ def dsc_perturbative_spectrum(params: ModelParams, m_max: int,
         raise ConfigError("m_max must be >= 0")
     if n_cut is not None and n_cut < 0:
         raise ConfigError("n_cut must be >= 0")
-    wf = params.omega_f
     m_values = np.arange(m_max + 1)
-    z1 = m_values * wf - _finite_square(params.g_plus, wf)
-    z2 = m_values * wf - _finite_square(params.g_minus, wf)
+    z1 = m_values - _finite_square(params.g_plus)
+    z2 = m_values - _finite_square(params.g_minus)
     s1 = np.empty(m_max + 1)
     s2 = np.empty(m_max + 1)
     resonant = []
@@ -419,9 +411,7 @@ def dsc_perturbative_spectrum(params: ModelParams, m_max: int,
                 raise ConfigError(f"branch {label}, m={m}: the second-order "
                                   f"shift is not finite")
             out[m] = shift
-    return PerturbativeSpectrum(params, m_values, z1, s1, z2, s2,
-                                n_cut if n_cut is not None else m_max + 80,
-                                tuple(resonant))
+    return PerturbativeSpectrum(z1, s1, z2, s2, tuple(resonant))
 
 
 @dataclass(frozen=True)
@@ -464,22 +454,3 @@ def rwa_relative_error(params: ModelParams, trunc: TruncationConfig,
                            out=np.zeros_like(diff), where=diff != 0.0)
     return RwaErrorReport(e_full, e_rwa, errors,
                           float(np.mean(errors)), float(errors[0]))
-
-
-def doubling_check(params: ModelParams, parity: Parity,
-                   trunc: TruncationConfig, k: int,
-                   tol: float = 1e-6) -> np.ndarray:
-    """k lowest eigenvalues stable under doubling n_max to within tol.
-
-    Raises TruncationInsufficient when doubling still moves any of the k
-    lowest levels by more than tol (in units of omega_f).
-    """
-    vals, _ = converged_parity_eigensystem(params, parity, trunc, k)
-    big = TruncationConfig(2 * trunc.n_max)
-    vals2, _ = converged_parity_eigensystem(params, parity, big, k)
-    moved = np.abs(vals - vals2) > tol * params.omega_f
-    if np.any(moved):
-        raise TruncationInsufficient(
-            f"{np.count_nonzero(moved)} of {k} branches move more than "
-            f"{tol} omega_f when n_max doubles from {trunc.n_max}")
-    return vals

@@ -92,7 +92,8 @@ def build_parity_operator(trunc: TruncationConfig) -> np.ndarray:
     """Diagonal +-1 matrix of sz(1)*sz(2)*(-1)^(a+a) in the product basis."""
     diag = np.empty(trunc.full_dim)
     for parity in (Parity.EVEN, Parity.ODD):
-        diag[basis_table(trunc).full_index[parity]] = parity.sign
+        diag[basis_table(trunc).full_index[parity]] = (
+            1 if parity is Parity.EVEN else -1)
     return np.diag(diag)
 
 
@@ -115,7 +116,7 @@ def kronecker_reference(params, trunc, rwa=False):
     sp = np.array([[0.0, 1.0], [0.0, 0.0]])     # |e><g|
     sz1, sz2 = np.kron(sz, i2), np.kron(i2, sz)
     sp1, sp2 = np.kron(sp, i2), np.kron(i2, sp)
-    h = params.omega_f * np.kron(a.T @ a, np.eye(4))
+    h = np.kron(a.T @ a, np.eye(4))
     h += 0.5 * np.kron(np.eye(dim_f),
                        params.omega_1 * sz1 + params.omega_2 * sz2)
     for g, s_plus in ((params.g_1, sp1), (params.g_2, sp2)):
@@ -193,17 +194,16 @@ def bargmann_chain_reference(coeffs, n_max):
 def mp_chain_residual(params, parity, xi, x, n_max, dps=90):
     """||(H - xi) x||_2 from the matrix elements, in dps-digit mp.
 
-    Diagonal n omega_f + (sz1 omega_1 + sz2 omega_2)/2, and the block
+    Diagonal n + (sz1 omega_1 + sz2 omega_2)/2, and the block
     sqrt(j) [[g1, g2], [g2, g1]] between photon numbers j - 1 and j.
     """
     table = basis_table(TruncationConfig(n_max))
     with mp.workdps(dps):
-        w1, w2, wf, g1, g2 = (mp.mpf(v) for v in (
-            params.omega_1, params.omega_2, params.omega_f, params.g_1,
-            params.g_2))
+        w1, w2, g1, g2 = (mp.mpf(v) for v in (
+            params.omega_1, params.omega_2, params.g_1, params.g_2))
         total = mp.mpf(0)
         for i in range(len(x)):
-            row = ((table.photon[parity][i] * wf
+            row = ((int(table.photon[parity][i])
                     + (table.sz1[parity][i] * w1
                        + table.sz2[parity][i] * w2) / 2 - xi) * x[i])
             j, k = divmod(i, 2)
@@ -225,9 +225,8 @@ def mp_chain_residual(params, parity, xi, x, n_max, dps=90):
 def mp_chain_diagonal(params, parity, n_max):
     """Diagonal blocks [d0, d1] of photon levels 0..n_max, in mpf."""
     w1, w2 = mp.mpf(params.omega_1), mp.mpf(params.omega_2)
-    wf = mp.mpf(params.omega_f)
     table = basis_table(TruncationConfig(max(n_max, 1)))
-    diag = [n * wf + (s1 * w1 + s2 * w2) / 2
+    diag = [n + (s1 * w1 + s2 * w2) / 2
             for n, s1, s2 in zip(table.photon[parity].tolist(),
                                  table.sz1[parity].tolist(),
                                  table.sz2[parity].tolist())]

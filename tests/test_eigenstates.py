@@ -218,6 +218,9 @@ def _check_refined(params, parity, n_max, index):
          n_max=20, level=0.98)
 @example(omega_1=1.3, omega_2=0.7, g_1=0.0, g_2=0.0, parity=Parity.EVEN,
          n_max=20, level=0.3)
+# eigh's level, -0.75 - 2^-48, is off by only about g_2^4 ~ 1e-29
+@example(omega_1=1.5, omega_2=0.0, g_1=0.0, g_2=-2.0 ** -24,
+         parity=Parity.EVEN, n_max=65, level=0.0)
 def test_refined_pair_matches_dense(omega_1, omega_2, g_1, g_2, parity,
                                     n_max, level):
     params = ModelParams(omega_1, omega_2, g_1, g_2)

@@ -17,18 +17,16 @@ T4 = TruncationConfig(4)
 
 
 def diag_energy(params, n, q1, q2):
-    """Free energy n*omega_f + (sz1*omega_1 + sz2*omega_2)/2 of one state."""
-    return n * params.omega_f + 0.5 * (q1.sz * params.omega_1
-                                       + q2.sz * params.omega_2)
+    """Free energy n + (sz1*omega_1 + sz2*omega_2)/2 of one state."""
+    return n + 0.5 * (q1.sz * params.omega_1 + q2.sz * params.omega_2)
 
 
 def printed_d(params, parity, j):
-    """Diagonal entries of D_j, d-+ = j wf -+ [(-1)^j w1 +- w2]/2 (upper
+    """Diagonal entries of D_j, d-+ = j -+ [(-1)^j w1 +- w2]/2 (upper
     sign = even parity)."""
     sgn = 1 if parity is Parity.EVEN else -1
     bracket = ((-1) ** j * params.omega_1 + sgn * params.omega_2) / 2
-    return [j * params.omega_f - sgn * bracket,
-            j * params.omega_f + sgn * bracket]
+    return [j - sgn * bracket, j + sgn * bracket]
 
 
 def o_block(band, j):
@@ -236,7 +234,7 @@ def test_rwa_block_spectrum_symmetric_at_zero_detuning():
 
 def test_rwa_block_matches_full_rwa_sector():
     # restricting the lab-frame RWA matrix to one excitation sector must
-    # reproduce the block up to the rotating-frame offset omega_f (N - 1)
+    # reproduce the block up to the rotating-frame offset N - 1
     trunc = TruncationConfig(12)
     h_rwa = kronecker_reference(P, trunc, rwa=True)
     for sector in (0, 1, 2, 5, 9):
@@ -246,7 +244,7 @@ def test_rwa_block_matches_full_rwa_sector():
         assert np.flatnonzero(
             basis_table(trunc).excitation == sector).tolist() == idx
         sub = h_rwa[np.ix_(idx, idx)]
-        offset = P.omega_f * (sector - 1)
+        offset = sector - 1
         assert np.allclose(sub, blk.matrix + offset * np.eye(len(idx)),
                            atol=1e-12)
 
@@ -262,18 +260,14 @@ FREQ = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
 @settings(max_examples=40, deadline=None)
 @given(n_max=st.integers(1, 12), omega_1=FREQ, omega_2=FREQ,
        g_1=st.floats(-2.0, 2.0), g_2=st.floats(-2.0, 2.0),
-       tie=st.sampled_from([None, 1.0, -1.0]),
-       omega_f=st.one_of(st.just(1.0), st.floats(0.25, 4.0)))
-@example(n_max=6, omega_1=0.0, omega_2=0.9, g_1=0.5, g_2=0.0, tie=-1.0,
-         omega_f=1.7)
-@example(n_max=5, omega_1=1.3, omega_2=0.0, g_1=0.3, g_2=0.0, tie=1.0,
-         omega_f=1.0)
+       tie=st.sampled_from([None, 1.0, -1.0]))
+@example(n_max=6, omega_1=0.0, omega_2=0.9, g_1=0.5, g_2=0.0, tie=-1.0)
+@example(n_max=5, omega_1=1.3, omega_2=0.0, g_1=0.3, g_2=0.0, tie=1.0)
 def test_full_and_rwa_match_kronecker_reference(n_max, omega_1, omega_2,
-                                                g_1, g_2, tie, omega_f):
+                                                g_1, g_2, tie):
     # each chain band, full and RWA, holds the Kronecker matrix restricted
     # to that chain's rows; nothing joins the two chains
-    p = ModelParams(omega_1, omega_2, g_1, g_2 if tie is None else tie * g_1,
-                    omega_f)
+    p = ModelParams(omega_1, omega_2, g_1, g_2 if tie is None else tie * g_1)
     trunc = TruncationConfig(n_max)
     full_index = basis_table(trunc).full_index
     cross = np.ix_(full_index[Parity.EVEN], full_index[Parity.ODD])

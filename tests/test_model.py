@@ -95,8 +95,6 @@ def test_g_plus_minus_accessors():
 
 def test_validation():
     with pytest.raises(ValueError):
-        ModelParams(1.0, 1.0, 0.1, 0.1, omega_f=0.0)
-    with pytest.raises(ValueError):
         ModelParams(-0.5, 1.0, 0.1, 0.1)
     with pytest.raises(ValueError):
         ModelParams(float("nan"), 1.0, 0.1, 0.1)

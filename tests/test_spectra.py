@@ -14,8 +14,8 @@ from rabi2q.model import ModelParams, Parity, TruncationConfig
 from rabi2q.numerics import TIE_GAP, band_norm, eigh, eigh_banded_lowest
 from rabi2q.spectra import (CrossingKind, SpectrumSweep,
                             converged_parity_eigensystem, detect_crossings,
-                            doubling_check, dsc_perturbative_spectrum,
-                            rwa_relative_error, sweep_spectrum)
+                            dsc_perturbative_spectrum, rwa_relative_error,
+                            sweep_spectrum)
 
 from oracles import G_CROSS, chain_state, kronecker_reference
 
@@ -68,9 +68,8 @@ def _toy_sweep(delta):
         vals, vecs = np.linalg.eigh(np.array([[g, delta], [delta, -g]]))
         energies.append(vals)
         vectors.append(vecs)
-    return SpectrumSweep(TEMPLATE, TruncationConfig(1), 2, gs, gs,
-                         {Parity.EVEN: np.array(energies),
-                          Parity.ODD: np.array(energies)},
+    return SpectrumSweep(2, gs, gs, {Parity.EVEN: np.array(energies),
+                                     Parity.ODD: np.array(energies)},
                          {Parity.EVEN: vectors, Parity.ODD: vectors})
 
 
@@ -141,7 +140,7 @@ def test_perturbative_shift_decreases_with_coupling():
 
 
 def test_perturbative_resonances_reported_not_silent():
-    # 4 g1 g2 / wf integer: the g_minus ladder is resonant with the g_plus
+    # 4 g1 g2 integer: the g_minus ladder is resonant with the g_plus
     p = ModelParams(1.3, 0.7, 2.0, 2.0)
     spec = dsc_perturbative_spectrum(p, 2)
     assert np.all(np.isfinite(spec.branch1))
@@ -153,7 +152,6 @@ def test_perturbative_resonances_reported_not_silent():
     ModelParams(1.3, 0.7, 1e200, 1.0),      # (g1 + g2)^2 overflows
     ModelParams(1.3, 0.7, 1e160, -1e160),   # (g1 - g2)^2 overflows
     ModelParams(1e200, 0.7, 1.0, 2.0),      # omega_1^2 overflows
-    ModelParams(1.3, 0.7, 1e5, 2e5, omega_f=1e-300),    # g^2 / wf = inf
 ])
 def test_perturbative_out_of_float_range_is_a_config_error(params):
     with pytest.raises(ConfigError, match="not finite"):
@@ -202,7 +200,9 @@ def test_out_of_range_inputs_raise_value_error():
         rwa_relative_error(p, TruncationConfig(10), k=0)
     with pytest.raises(ValueError, match="n_cut must be >= 0"):
         dsc_perturbative_spectrum(p, 2, n_cut=-5)
-    assert dsc_perturbative_spectrum(p, 2, n_cut=0).n_cut == 0
+    # at n_cut = 0 the only intermediate level of m = 0 is m itself
+    spec = dsc_perturbative_spectrum(p, 2, n_cut=0)
+    assert spec.branch1_shift[0] == spec.branch2_shift[0] == 0.0
 
 
 def rwa_levels_full_basis(params, trunc, k):
@@ -223,24 +223,22 @@ FREQ = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
 @settings(max_examples=30, deadline=None)
 @given(omega_1=FREQ, omega_2=FREQ, g_1=st.floats(-1.0, 1.0),
        g_2=st.floats(-1.0, 1.0), tie=st.sampled_from([None, 1.0, -1.0]),
-       omega_f=st.one_of(st.just(1.0), st.floats(0.5, 2.0)),
        n_max=st.integers(16, 40), k=st.integers(1, 10))
-@example(omega_1=1.3, omega_2=0.7, g_1=0.0, g_2=0.0, tie=None, omega_f=1.0,
+@example(omega_1=1.3, omega_2=0.7, g_1=0.0, g_2=0.0, tie=None,
          n_max=20, k=10)                                # cross-parity ties
-@example(omega_1=1.0, omega_2=1.0, g_1=0.0, g_2=0.0, tie=None, omega_f=1.0,
+@example(omega_1=1.0, omega_2=1.0, g_1=0.0, g_2=0.0, tie=None,
          n_max=16, k=10)
-@example(omega_1=0.9, omega_2=1.1, g_1=0.4, g_2=0.0, tie=1.0, omega_f=1.0,
+@example(omega_1=0.9, omega_2=1.1, g_1=0.4, g_2=0.0, tie=1.0,
          n_max=30, k=10)                                # g2 = g1
-@example(omega_1=0.9, omega_2=1.1, g_1=0.4, g_2=0.0, tie=-1.0, omega_f=1.0,
+@example(omega_1=0.9, omega_2=1.1, g_1=0.4, g_2=0.0, tie=-1.0,
          n_max=30, k=10)                                # g2 = -g1
-@example(omega_1=0.0, omega_2=0.8, g_1=0.3, g_2=0.5, tie=None, omega_f=1.0,
+@example(omega_1=0.0, omega_2=0.8, g_1=0.3, g_2=0.5, tie=None,
          n_max=30, k=8)                                 # omega_1 = 0
-@example(omega_1=1.7, omega_2=1.7, g_1=0.2, g_2=0.6, tie=None, omega_f=1.7,
+@example(omega_1=1.0, omega_2=1.0, g_1=0.2 / 1.7, g_2=0.6 / 1.7, tie=None,
          n_max=30, k=8)                                 # omega_j = omega_f
 def test_rwa_error_matches_full_basis_oracle(omega_1, omega_2, g_1, g_2,
-                                             tie, omega_f, n_max, k):
-    p = ModelParams(omega_1, omega_2, g_1, g_2 if tie is None else tie * g_1,
-                    omega_f)
+                                             tie, n_max, k):
+    p = ModelParams(omega_1, omega_2, g_1, g_2 if tie is None else tie * g_1)
     trunc = TruncationConfig(n_max)
     e_full, e_rwa = rwa_levels_full_basis(p, trunc, k)
     if min(len(e_full), len(e_rwa)) < k:
@@ -256,31 +254,6 @@ def test_rwa_error_matches_full_basis_oracle(omega_1, omega_2, g_1, g_2,
     sure = np.abs(e_full) > 1e-3 * scale
     assert np.max(np.abs(report.errors - ref)[sure], initial=0.0) <= 1e-8
     assert report.ground_error == report.errors[0]
-
-
-def test_doubling_check_accepts_converged_branches():
-    p = ModelParams(1.3, 0.7, 0.3, 0.4)
-    vals = doubling_check(p, Parity.EVEN, TruncationConfig(60), k=6)
-    direct, _ = eigh(build_parity_matrix(p, Parity.EVEN,
-                                         TruncationConfig(60)))
-    assert np.allclose(vals, direct[:6], atol=1e-12)
-
-
-def test_doubling_check_rejects_underresolved():
-    p = ModelParams(1.3, 0.7, 1.8, 1.8)
-    with pytest.raises(TruncationInsufficient):
-        doubling_check(p, Parity.EVEN, TruncationConfig(14), k=12)
-
-
-def test_doubling_check_counts_against_scaled_tolerance(monkeypatch):
-    # with omega_f = 4 the bound is 4e-6: the 5e-6 drift moves, the 2e-6
-    # drift (above tol, below tol * omega_f) does not
-    drifts = iter([np.zeros(3), np.array([0.0, 2e-6, 5e-6])])
-    monkeypatch.setattr(spectra, "converged_parity_eigensystem",
-                        lambda *args, **kwargs: (next(drifts), None))
-    p = ModelParams(1.3, 0.7, 0.3, 0.4, omega_f=4.0)
-    with pytest.raises(TruncationInsufficient, match=r"^1 of 3 branches"):
-        doubling_check(p, Parity.EVEN, TruncationConfig(10), k=3, tol=1e-6)
 
 
 def test_converged_eigenvectors_own_only_their_columns():
@@ -632,7 +605,7 @@ def test_windowed_sweep_matches_whole_chain_solves(order, n_max):
                                            parity, trunc, 12)
             pairs[parity].append((dense.values[keep],
                                   dense.vectors[:, keep]))
-    ref = SpectrumSweep(TEMPLATE, trunc, 12, gs, gs,
+    ref = SpectrumSweep(12, gs, gs,
                         {par: np.array([v for v, _ in pairs[par]])
                          for par in Parity},
                         {par: [w for _, w in pairs[par]] for par in Parity})
