@@ -1,13 +1,15 @@
 """Time evolution and entanglement observables.
 
-Two propagation routes: numerically exact evolution of the two parity chains
-(one eigendecomposition per chain, shared across all output times) and the
-closed-form RWA evolution assembled from excitation-sector blocks.  The
-observables of interest are the mean photon number, the population inversion,
-the two-qubit reduced density matrix and the entanglement measures derived
-from it (von Neumann entropy, Wootters concurrence).  A state may hold one
-column of amplitudes per output time, and every observable broadcasts over
-that axis, so a trajectory takes one call per observable.
+Both engines take one route: one eigendecomposition per parity chain,
+shared across all output times, one spectral propagation per chain, and
+the same energy and observables.  The full engine solves each chain by
+dense ``eigh``, the RWA engine sector by sector, since every RWA
+excitation sector is a run of at most four chain slots.  The observables
+are the mean photon number, the population inversion, the two-qubit
+reduced density matrix and the entanglement measures derived from it (von
+Neumann entropy, Wootters concurrence).  A state may hold one column of
+amplitudes per output time, and every observable broadcasts over that
+axis, so a trajectory takes one call per observable.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ import numpy as np
 from .errors import (ConfigError, DegenerateResolvent, InvalidDensityMatrix,
                      TruncationInsufficient)
 from .hamiltonian import (build_parity_band, build_parity_matrix,
-                          build_rwa_band, build_rwa_excitation_block)
+                          build_rwa_band)
 from .model import (PAIR_ORDER, ModelParams, Parity, QubitLevel,
                     TruncationConfig, basis_table)
-from .numerics import band_matvec, eigh, propagate_spectral
+from .numerics import EigenDecomposition, band_matvec, eigh, propagate_spectral
 
 EDGE_WEIGHT_TOL = 1e-6
 COHERENT_LEAKAGE_TOL = 1e-12
@@ -75,15 +77,6 @@ class ParityDecomposedState:
         return out
 
 
-def state_from_full(psi: np.ndarray, trunc: TruncationConfig
-                    ) -> ParityDecomposedState:
-    """Inverse of to_full; psi has shape (full_dim,) or (full_dim, T)."""
-    psi = np.asarray(psi, dtype=complex)
-    full_index = basis_table(trunc).full_index
-    return ParityDecomposedState(psi[full_index[Parity.EVEN]],
-                                 psi[full_index[Parity.ODD]], trunc)
-
-
 def coherent_amplitudes(alpha: complex, n_max: int) -> np.ndarray:
     """Fock amplitudes <n|alpha> for n = 0..n_max, evaluated in log space."""
     if alpha == 0:
@@ -129,11 +122,10 @@ def decompose_initial_state(field, q1: QubitLevel, q2: QubitLevel,
         amps[n_fock] = 1.0
     psi = np.zeros((trunc.n_max + 1, len(PAIR_ORDER)), dtype=complex)
     psi[:, PAIR_ORDER.index((q1, q2))] = amps
-    state = state_from_full(psi.ravel(), trunc)
-    norm = math.hypot(np.linalg.norm(state.c_even),
-                      np.linalg.norm(state.c_odd))
-    return ParityDecomposedState(state.c_even / norm, state.c_odd / norm,
-                                 trunc)
+    c_even, c_odd = (psi.ravel()[basis_table(trunc).full_index[parity]]
+                     for parity in (Parity.EVEN, Parity.ODD))
+    norm = math.hypot(np.linalg.norm(c_even), np.linalg.norm(c_odd))
+    return ParityDecomposedState(c_even / norm, c_odd / norm, trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -184,36 +176,42 @@ def reduced_density_matrix(state: ParityDecomposedState) -> np.ndarray:
             + 1j * (cross - np.swapaxes(cross, -1, -2)))
 
 
-def _check_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Clipped eigenvalues of each matrix; raises if one is below -1e-8."""
-    evals = np.linalg.eigvalsh(0.5 * (rho + np.swapaxes(rho.conj(), -1, -2)))
+def _check_density_matrix(rho: np.ndarray):
+    """Clipped eigenvalues and the eigenvectors of each matrix; raises if an
+    eigenvalue is below -1e-8."""
+    evals, evecs = np.linalg.eigh(
+        0.5 * (rho + np.swapaxes(rho.conj(), -1, -2)))
     low = np.min(evals, axis=-1)
     bad = low[low < -1e-8]
     if bad.size:
         raise InvalidDensityMatrix(
             f"density matrix has eigenvalue {bad[0]:.3e}")
-    return np.clip(evals, 0.0, None)
+    return np.clip(evals, 0.0, None), evecs
 
 
 def von_neumann_entropy(rho: np.ndarray):
     """Entropy -sum l ln l in nats, with 0 ln 0 = 0, of each matrix."""
-    evals = _check_density_matrix(rho)
+    evals, _ = _check_density_matrix(rho)
     return -np.sum(evals * np.log(np.where(evals > 0, evals, 1.0)), axis=-1)
 
 
-_SPIN_FLIP = np.zeros((4, 4))
-_SPIN_FLIP[0, 3] = _SPIN_FLIP[3, 0] = -1.0
-_SPIN_FLIP[1, 2] = _SPIN_FLIP[2, 1] = 1.0
+_SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
+_SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y).real
 
 
 def concurrence(rho: np.ndarray):
     """Wootters concurrence in the fixed (ee, eg, ge, gg) basis, of each
-    matrix of a (..., 4, 4) stack."""
-    _check_density_matrix(rho)
-    rho_tilde = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
-    evals = np.linalg.eigvals(rho @ rho_tilde)
-    lam = np.sqrt(np.clip(np.sort(evals.real, axis=-1)[..., ::-1], 0.0,
-                          None))
+    matrix of a (..., 4, 4) stack.
+
+    The lambda_i are the singular values of Phi^T (sigma_y x sigma_y) Phi,
+    rho = Phi Phi^dagger with Phi = U sqrt(Lambda) (Wootters, PRL 80, 2245
+    (1998)): accurate to about eps, where square roots of the eigenvalues
+    of rho rho~ would turn an eps near 0 into sqrt(eps).
+    """
+    evals, evecs = _check_density_matrix(rho)
+    phi = evecs * np.sqrt(evals)[..., None, :]
+    tau = np.swapaxes(phi, -1, -2) @ _SPIN_FLIP @ phi
+    lam = np.linalg.svd(tau, compute_uv=False)
     return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2]
                       - lam[..., 3])
 
@@ -245,68 +243,59 @@ class Trajectory:
     state: ParityDecomposedState
 
 
-def _energy(state: ParityDecomposedState, params: ModelParams,
-            build_band) -> np.ndarray:
-    """<psi|H|psi> of every column, H applied on each chain's band.
-
-    H is real symmetric, so the real and imaginary parts of psi contribute
-    separately and no complex copy of H is needed.
-    """
-    total = 0.0
-    for parity in (Parity.EVEN, Parity.ODD):
-        band = build_band(params, parity, state.trunc)
-        psi = state.chain(parity)
-        for part in (psi.real, psi.imag):
-            total += np.sum(part * band_matvec(band, part), axis=0)
-    return total
-
-
-def _trajectory(state: ParityDecomposedState, times: np.ndarray,
-                energies: np.ndarray, on_guard: str) -> Trajectory:
-    """Observables of a state held one column per output time."""
+def _evolve(state: ParityDecomposedState, params: ModelParams, times,
+            decompose, build_band, on_guard: str) -> Trajectory:
+    """The route of both engines: decompose(params, parity, trunc) gives a
+    chain's EigenDecomposition, freed once the chain is propagated, and the
+    energy is taken on build_band, the same Hamiltonian's chain band."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    evolved = {parity: propagate_spectral(
+                   decompose(params, parity, state.trunc),
+                   state.chain(parity), times)
+               for parity in (Parity.EVEN, Parity.ODD)}
+    state = ParityDecomposedState(evolved[Parity.EVEN], evolved[Parity.ODD],
+                                  state.trunc)
     edge = state.edge_weight()
     over = np.flatnonzero(edge > EDGE_WEIGHT_TOL)
     if over.size and on_guard == "raise":
-        i = over[0]
         raise TruncationInsufficient(
-            f"weight {edge[i]:.2e} on the top two photon levels at "
-            f"t={times[i]:g}; raise n_max")
+            f"weight {edge[over[0]]:.2e} on the top two photon levels at "
+            f"t={times[over[0]]:g}; raise n_max")
+    # <psi|H|psi> on the chain bands; H is real symmetric, so the real and
+    # imaginary parts of psi enter apart and no complex copy of H is made
+    energy = 0.0
+    for parity in (Parity.EVEN, Parity.ODD):
+        band = build_band(params, parity, state.trunc)
+        for part in (state.chain(parity).real, state.chain(parity).imag):
+            energy += np.sum(part * band_matvec(band, part), axis=0)
     rho = reduced_density_matrix(state)
     w_even, w_odd = state.parity_weights()
     return Trajectory(times, mean_photon_number(state),
                       population_inversion(state), von_neumann_entropy(rho),
-                      concurrence(rho), energies, state.norm, w_even, w_odd,
+                      concurrence(rho), energy, state.norm, w_even, w_odd,
                       float(np.max(edge)), state)
 
 
 def evolve_parity(state: ParityDecomposedState, params: ModelParams, times,
                   on_guard: str = "raise") -> Trajectory:
-    """Exact evolution of both parity chains by spectral decomposition.
+    """Exact evolution of both parity chains, one dense eigendecomposition
+    per chain for every output time.
 
-    One eigendecomposition per chain serves every output time.  If the
-    state weight on the top two photon levels exceeds EDGE_WEIGHT_TOL at
-    any output time the run raises TruncationInsufficient, naming the first
-    such time (on_guard="raise"), or completes and records the violation in
-    max_edge_weight (on_guard="record").  The energy is <psi(t)|H|psi(t)>
-    with the chain bands applied directly, so it does not rely on the
-    decomposition that propagated the state.
+    If the weight on the top two photon levels exceeds EDGE_WEIGHT_TOL at
+    an output time the run raises TruncationInsufficient naming the first
+    such time (on_guard="raise"), or records it in max_edge_weight
+    (on_guard="record").  The energy <psi(t)|H|psi(t)> is taken on the
+    chain bands, so it does not rely on the decomposition.
     """
     if on_guard not in ("raise", "record"):
         raise ValueError("on_guard must be 'raise' or 'record'")
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    trunc = state.trunc
-    evolved = {parity: propagate_spectral(
-                   eigh(build_parity_matrix(params, parity, trunc)),
-                   state.chain(parity), times)
-               for parity in (Parity.EVEN, Parity.ODD)}
-    out = ParityDecomposedState(evolved[Parity.EVEN], evolved[Parity.ODD],
-                                trunc)
-    return _trajectory(out, times, _energy(out, params, build_parity_band),
-                       on_guard)
+    return _evolve(state, params, times,
+                   lambda *chain: eigh(build_parity_matrix(*chain)),
+                   build_parity_band, on_guard)
 
 
 # ---------------------------------------------------------------------------
-# closed-form RWA evolution
+# RWA evolution
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -316,7 +305,6 @@ class QuarticCoefficients:
     c0: float
     c1: float
     c2: float
-    sector: int
 
 
 def quartic_coefficients(params: ModelParams, n: int) -> QuarticCoefficients:
@@ -330,7 +318,7 @@ def quartic_coefficients(params: ModelParams, n: int) -> QuarticCoefficients:
           * ((n - 1) * (g1sq - g2sq) + d1 ** 2 - d2 ** 2))
     c1 = 2.0 * (g2sq * d1 + g1sq * d2)
     c2 = (1 - 2 * n) * (g1sq + g2sq) - 2.0 * (d1 ** 2 + d2 ** 2)
-    return QuarticCoefficients(c0, c1, c2, n)
+    return QuarticCoefficients(c0, c1, c2)
 
 
 def quartic_roots(qc: QuarticCoefficients) -> np.ndarray:
@@ -370,42 +358,41 @@ def quartic_roots(qc: QuarticCoefficients) -> np.ndarray:
     return np.sort(lam.real)
 
 
+def _rwa_chain_eigh(params: ModelParams, parity: Parity,
+                    trunc: TruncationConfig) -> EigenDecomposition:
+    """Eigenpairs of one RWA chain, levels in chain-slot order.
+
+    Each excitation sector is a diagonal block of at most four chain slots
+    (even chain 1, 4, 4, ...; odd chain 3, 4, 4, ...; the top one cut by
+    n_max); the blocks of each size are solved by one stacked eigh.
+    """
+    band = build_rwa_band(params, parity, trunc)
+    table = basis_table(trunc)
+    n_exc = table.excitation[table.full_index[parity]]
+    dim = trunc.chain_dim
+    starts = np.flatnonzero(np.diff(n_exc, prepend=-1))
+    sizes = np.diff(starts, append=dim)
+    values, vectors = np.empty(dim), np.zeros((dim, dim))
+    for m in np.unique(sizes):
+        a = np.arange(m)
+        rows = starts[sizes == m, None, None] + a[:, None]   # (k, m, 1)
+        cols = np.swapaxes(rows, -1, -2)                      # (k, 1, m)
+        # band[d, c] = H[c + d, c]
+        vals, vecs = eigh(band[np.abs(a[:, None] - a),
+                               np.minimum(rows, cols)])
+        values[cols[:, 0]] = vals
+        vectors[rows, cols] = vecs
+    return EigenDecomposition(values, vectors)
+
+
 def evolve_rwa_closed_form(state: ParityDecomposedState, params: ModelParams,
                            times) -> Trajectory:
-    """Closed-form RWA evolution assembled from excitation sectors.
+    """Evolution under the RWA Hamiltonian on the route of evolve_parity.
 
-    The RWA Hamiltonian is block diagonal in the excitation number; each
-    occupied sector block is diagonalized once and the lab-frame phase
-    exp(-i (N-1) t) is restored when reassembling.  The energy is
-    <psi(t)|H_RWA|psi(t)> on the RWA chain bands, not on the sector blocks
-    that propagated the state.
+    Each chain is solved sector by sector, its top sector cut by n_max as
+    the full chains are, and the run raises TruncationInsufficient past
+    EDGE_WEIGHT_TOL.  The energy is taken on the RWA chain bands, not on
+    the sector blocks that propagated the state.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    trunc = state.trunc
-    psi0 = state.to_full()
-
-    sectors = sorted(set(
-        basis_table(trunc).excitation[np.abs(psi0) > 0].tolist()))
-    # photon range needed to close every occupied sector
-    needed_nmax = max(sectors, default=0)
-    out_trunc = (trunc if needed_nmax <= trunc.n_max
-                 else TruncationConfig(needed_nmax))
-    table = basis_table(out_trunc)
-    psi0 = np.pad(psi0, (0, out_trunc.full_dim - trunc.full_dim))
-
-    evolved = np.zeros((out_trunc.full_dim, len(times)), dtype=complex)
-    for sector in sectors:
-        block = build_rwa_excitation_block(params, sector)
-        # the sector's full-basis rows, ascending, are the block.basis order
-        idx = np.flatnonzero(table.excitation == sector)
-        amps0 = psi0[idx]
-        vals, vecs = eigh(block.matrix)
-        proj = vecs.T @ amps0
-        frame = np.exp(-1j * (sector - 1) * times)
-        phases = np.exp(-1j * np.outer(vals, times)) * proj[:, None]
-        evolved[idx] += (vecs @ phases) * frame[None, :]
-
-    out = state_from_full(evolved, out_trunc)
-    del evolved  # free the full-basis copy before the energy's temporaries
-    return _trajectory(out, times, _energy(out, params, build_rwa_band),
-                       "record")
+    return _evolve(state, params, times, _rwa_chain_eigh, build_rwa_band,
+                   "raise")

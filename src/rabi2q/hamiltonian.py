@@ -3,11 +3,12 @@
 Each parity chain's Hamiltonian is written once, straight into LAPACK lower
 band storage (bandwidth 3: the 2x2 diagonal blocks D_j and the coupling
 blocks O_j between photon numbers j - 1 and j).  The RWA chain band is that
-band with the counter-rotating entries zeroed.  Every chain matvec runs on
-the band; a dense chain matrix is expanded from it only to feed dense
+band with the counter-rotating entries zeroed, block diagonal with one
+block of at most four slots per excitation sector.  Every chain matvec runs
+on the band; a dense chain matrix is expanded from it only to feed dense
 ``eigh``, and the full-basis matrix is scattered from the two dense chains
-through the basis table.  The per-excitation-sector RWA blocks are written
-from their own printed entries.  All matrices are real symmetric by
+through the basis table.  The sector blocks of the printed quartic are
+written from their own printed entries.  All matrices are real symmetric by
 construction (complex arithmetic enters only in dynamics).
 """
 
@@ -97,7 +98,6 @@ class RwaExcitationBlock:
     (photon, q1, q2) labels in row order.
     """
 
-    sector: int
     matrix: np.ndarray
     basis: tuple[tuple[int, QubitLevel, QubitLevel], ...]
 
@@ -129,4 +129,4 @@ def build_rwa_excitation_block(params: ModelParams, n: int) -> RwaExcitationBloc
     m[2, 3] = m[3, 2] = params.g_2 * t
     sub = m[np.ix_(keep, keep)]
     basis = tuple(full_basis[i] for i in keep)
-    return RwaExcitationBlock(n, sub, basis)
+    return RwaExcitationBlock(sub, basis)

@@ -338,4 +338,4 @@ def quartic_coefficients_from_block(params, n):
     c2 = -p2 / 2.0
     c1 = -p3 / 3.0
     c0 = -(p4 + c2 * p2) / 4.0
-    return QuarticCoefficients(c0, c1, c2, n)
+    return QuarticCoefficients(c0, c1, c2)

@@ -341,6 +341,29 @@ def test_dynamics_rwa_engine(tmp_path):
     assert (tmp_path / "d.svg").read_text().startswith("<svg")
 
 
+def test_rwa_dynamics_does_not_depend_on_blas_threads(tmp_path):
+    # the RWA engine at the Fig. 2 parameters, shortened, under one and two
+    # OpenBLAS threads; the full engine's dense eigh depends on the thread
+    # count, so it is not checked
+    env = dict(os.environ)
+    src = str(Path(rabi2q.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    argv = ["dynamics", "--omega1", "1.1", "--omega2", "0.3", "--g1", "0.3",
+            "--g2", "0.4", "--alpha", "1.41421356", "--qubits", "gg",
+            "--nmax", "300", "--tmax", "30", "--steps", "300",
+            "--engine", "rwa"]
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"{threads}.csv"
+        subprocess.run([sys.executable, "-m", "rabi2q.cli", *argv,
+                        "--out", str(out)],
+                       env=dict(env, OPENBLAS_NUM_THREADS=threads),
+                       check=True, capture_output=True)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_omega_f_rescales_output(tmp_path):
     base, scaled = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["rwa-compare", "--omega1", "1.3", "--omega2", "0.7",

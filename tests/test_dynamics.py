@@ -4,8 +4,10 @@ from hypothesis import example, given, settings, strategies
 
 from rabi2q import dynamics as dyn
 from rabi2q.errors import InvalidDensityMatrix, TruncationInsufficient
-from rabi2q.hamiltonian import build_parity_matrix
-from rabi2q.model import ModelParams, Parity, QubitLevel, TruncationConfig
+from rabi2q.hamiltonian import (build_parity_matrix, build_rwa_band,
+                                expand_dense)
+from rabi2q.model import (PAIR_ORDER, ModelParams, Parity, QubitLevel,
+                          TruncationConfig, basis_table)
 from rabi2q.numerics import EigenDecomposition, eigh, propagate_spectral
 
 from oracles import (kronecker_reference, quartic_coefficients_from_block,
@@ -28,11 +30,16 @@ def random_state(rng, trunc=T40):
 # initial states
 # ---------------------------------------------------------------------------
 
-def test_state_from_full_inverts_to_full():
-    st = random_state(np.random.default_rng(5))
-    back = dyn.state_from_full(st.to_full(), T40)
-    assert np.array_equal(back.c_even, st.c_even)
-    assert np.array_equal(back.c_odd, st.c_odd)
+def test_initial_state_round_trips_through_to_full():
+    # decompose_initial_state routes |n, q1, q2> to a chain slot and
+    # to_full must put it back on row 4 n + (pair position)
+    trunc = TruncationConfig(5)
+    for n in range(trunc.n_max + 1):
+        for k, pair in enumerate(PAIR_ORDER):
+            psi = dyn.decompose_initial_state(n, *pair, trunc).to_full()
+            expected = np.zeros(trunc.full_dim)
+            expected[4 * n + k] = 1.0
+            assert np.array_equal(psi, expected)
 
 
 def test_fock_vacuum_goes_to_even_origin():
@@ -205,15 +212,16 @@ def test_energy_drift_detects_wrong_eigenvectors(monkeypatch):
     # the eigenvalues, but the propagator no longer solves H: the energy
     # diagnostic must see it with the bound of the conservation suite, for
     # the chain eigenvectors of the full engine and for the sector
-    # eigenvectors of the RWA engine (the 1x1 ground sector stays as it is)
+    # eigenvectors of the RWA engine, which solves a stack of sector blocks
+    # per call (a stack of 1x1 blocks stays as it is)
     def rotated_eigh(h):
         vals, vecs = eigh(h)
-        if len(vals) < 2:
+        if vals.shape[-1] < 2:
             return EigenDecomposition(vals, vecs)
         vecs = vecs.copy()
-        v0, v1 = vecs[:, 0].copy(), vecs[:, 1].copy()
-        vecs[:, 0] = (v0 - v1) / np.sqrt(2.0)
-        vecs[:, 1] = (v0 + v1) / np.sqrt(2.0)
+        v0, v1 = vecs[..., 0].copy(), vecs[..., 1].copy()
+        vecs[..., 0] = (v0 - v1) / np.sqrt(2.0)
+        vecs[..., 1] = (v0 + v1) / np.sqrt(2.0)
         return EigenDecomposition(vals, vecs)
 
     st = dyn.decompose_initial_state(("coherent", np.sqrt(2)), G, G,
@@ -236,8 +244,9 @@ def test_truncation_guard_raises_and_records():
     trunc = TruncationConfig(6)
     st = dyn.decompose_initial_state(6, E, G, trunc)
     params = ModelParams(1.0, 1.0, 0.4, 0.3)
-    with pytest.raises(TruncationInsufficient):
-        dyn.evolve_parity(st, params, [0.0, 1.0])
+    for evolve in (dyn.evolve_parity, dyn.evolve_rwa_closed_form):
+        with pytest.raises(TruncationInsufficient):
+            evolve(st, params, [0.0, 1.0])
     traj = dyn.evolve_parity(st, params, [0.0, 1.0], on_guard="record")
     assert traj.max_edge_weight > dyn.EDGE_WEIGHT_TOL
 
@@ -260,6 +269,41 @@ def test_guard_names_first_offending_time():
     with pytest.raises(TruncationInsufficient,
                        match=f"{edge[first]:.2e} .* at t={times[first]:g};"):
         dyn.evolve_parity(st, params, times)
+    # the RWA engine keeps the vacuum still; |3,e,e> lies in a sector that
+    # reaches the top two photon levels, and a dense propagation of the RWA
+    # chains gives its first offending time
+    st = dyn.decompose_initial_state(3, E, E, trunc)
+    edge = sum(np.sum(np.abs(propagate_spectral(
+        eigh(expand_dense(build_rwa_band(params, parity, trunc))),
+        st.chain(parity), times)[-4:]) ** 2, axis=0) for parity in Parity)
+    first = int(np.argmax(edge > dyn.EDGE_WEIGHT_TOL))
+    assert 0 < first < len(times) - 1
+    with pytest.raises(TruncationInsufficient,
+                       match=f"{edge[first]:.2e} .* at t={times[first]:g};"):
+        dyn.evolve_rwa_closed_form(st, params, times)
+
+
+@settings(max_examples=60, deadline=None)
+@given(strategies.integers(1, 40), strategies.sampled_from(list(Parity)),
+       strategies.floats(0.0, 2.0), strategies.floats(0.0, 2.0),
+       strategies.floats(-1.5, 1.5), strategies.floats(-1.5, 1.5),
+       strategies.sampled_from([1.0, -1.0, None]))
+@example(1, Parity.EVEN, 0.0, 0.0, 0.0, 0.0, None)    # g = 0, omega_j = 0
+@example(2, Parity.ODD, 1.0, 1.0, 0.4, 0.0, -1.0)     # g1 = -g2, resonant
+@example(40, Parity.EVEN, 0.0, 1.3, 0.7, 0.0, 1.0)    # g1 = g2
+def test_rwa_sector_decomposition_matches_dense(n_max, parity, omega_1,
+                                                omega_2, g_1, g_2, tie):
+    # the RWA chain solved sector by sector against dense eigh of the same
+    # chain: levels, residuals and orthonormality
+    params = ModelParams(omega_1, omega_2, g_1,
+                         g_2 if tie is None else tie * g_1)
+    trunc = TruncationConfig(n_max)
+    h = expand_dense(build_rwa_band(params, parity, trunc))
+    vals, vecs = dyn._rwa_chain_eigh(params, parity, trunc)
+    tol = 1e-12 * max(1.0, np.linalg.norm(h, 2))
+    assert np.max(np.abs(np.sort(vals) - eigh(h).values)) <= tol
+    assert np.linalg.norm(h @ vecs - vecs * vals, 2) <= tol
+    assert np.linalg.norm(vecs.T @ vecs - np.eye(trunc.chain_dim), 2) <= tol
 
 
 def test_trajectory_state_columns_are_the_propagated_states():
@@ -302,9 +346,9 @@ def test_stack_matches_its_columns(n_max, n_t, seed):
     stack = random_stack(np.random.default_rng(seed), trunc, n_t)
     rho = dyn.reduced_density_matrix(stack)
     assert rho.shape == (n_t, 4, 4)
-    back = dyn.state_from_full(stack.to_full(), trunc)
-    assert np.array_equal(back.c_even, stack.c_even)
-    assert np.array_equal(back.c_odd, stack.c_odd)
+    full, full_index = stack.to_full(), basis_table(trunc).full_index
+    assert np.array_equal(full[full_index[Parity.EVEN]], stack.c_even)
+    assert np.array_equal(full[full_index[Parity.ODD]], stack.c_odd)
     batched = {
         "mean_n": dyn.mean_photon_number(stack),
         "s_z": dyn.population_inversion(stack),
@@ -339,6 +383,29 @@ def test_stack_matches_its_columns(n_max, n_t, seed):
         assert batched["s_z"][k] == single["s_z"]
 
 
+@settings(max_examples=100, deadline=None)
+@given(strategies.integers(0, 2 ** 32 - 1), strategies.floats(-10.0, 0.0))
+@example(0, -10.0)
+@example(1, -7.0)
+@example(2, -4.0)
+def test_concurrence_of_pure_states(seed, log_c):
+    # a pure state a|ee> + b|eg> + c|ge> + d|gg> has C = 2|ad - bc|; the
+    # Schmidt angle sets C = 10**log_c, down to near-product states
+    rng = np.random.default_rng(seed)
+
+    def unitary():
+        q, r = np.linalg.qr(rng.normal(size=(2, 2))
+                            + 1j * rng.normal(size=(2, 2)))
+        return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+    theta = 0.5 * np.arcsin(10.0 ** log_c)
+    psi = np.kron(unitary(), unitary()) @ np.array(
+        [np.cos(theta), 0.0, 0.0, np.sin(theta)])
+    a, b, c, d = psi
+    rho = np.outer(psi, psi.conj())
+    assert abs(dyn.concurrence(rho) - 2.0 * abs(a * d - b * c)) <= 1e-13
+
+
 @settings(max_examples=40, deadline=None)
 @given(strategies.lists(strategies.integers(1, 4), min_size=1, max_size=5),
        strategies.integers(0, 2 ** 32 - 1))
@@ -365,7 +432,7 @@ def test_entropy_and_concurrence_of_a_stack(ranks, seed):
 # ---------------------------------------------------------------------------
 
 def test_quartic_biquadratic_roots():
-    roots = dyn.quartic_roots(dyn.QuarticCoefficients(4.0, 0.0, -5.0, 2))
+    roots = dyn.quartic_roots(dyn.QuarticCoefficients(4.0, 0.0, -5.0))
     assert np.allclose(roots, [-2.0, -1.0, 1.0, 2.0], atol=1e-12)
 
 

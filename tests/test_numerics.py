@@ -311,6 +311,50 @@ def test_propagate_time_array():
         assert np.allclose(batch[:, i], propagate_spectral(dec, c0, t))
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_propagate_skips_only_negligible_levels(seed):
+    # levels whose projections weigh at most 1e-30 ||c0||^2 together are
+    # not propagated; the result stays within 1e-15 ||c0|| of propagating
+    # every level, for a state spread over weights 1e-40..1 and for a
+    # state on one level
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(60, 60))
+    dec = eigh(h + h.T)
+    times = np.linspace(0.0, 50.0, 11)
+    coeff = 10.0 ** rng.uniform(-20.0, 0.0, size=60) * np.exp(
+        2j * np.pi * rng.uniform(size=60))
+    single = np.zeros(60, dtype=complex)
+    single[seed] = 3.0
+    for c in (coeff, single):
+        c0 = dec.vectors @ c
+        proj = dec.vectors.T @ c0
+        every = dec.vectors @ (np.exp(-1j * np.outer(dec.values, times))
+                               * proj[:, None])
+        bound = 1e-15 * np.linalg.norm(c0) + 1e-13
+        got = propagate_spectral(dec, c0, times)
+        assert np.max(np.linalg.norm(got - every, axis=0)) <= bound
+        for k, t in enumerate(times):
+            assert np.linalg.norm(propagate_spectral(dec, c0, t)
+                                  - every[:, k]) <= bound
+
+
+def test_eigh_solves_a_stack():
+    rng = np.random.default_rng(4)
+    h = rng.normal(size=(5, 3, 3))
+    h = h + np.swapaxes(h, -1, -2)
+    vals, vecs = eigh(h)
+    assert vals.shape == (5, 3) and vecs.shape == (5, 3, 3)
+    for k in range(5):
+        single = eigh(h[k])
+        assert np.array_equal(vals[k], single.values)
+        assert np.array_equal(vecs[k], single.vectors)
+    h[2, 0, 1] += 1.0
+    with pytest.raises(ValueError, match="not symmetric"):
+        eigh(h)
+    with pytest.raises(ValueError, match="square"):
+        eigh(np.zeros((2, 3)))
+
+
 def test_eigen_decomposition_is_named():
     dec = eigh(np.eye(3))
     assert isinstance(dec, EigenDecomposition)
