@@ -3,13 +3,19 @@
 Both engines take one route: one eigendecomposition per parity chain,
 shared across all output times, one spectral propagation per chain, and
 the same energy and observables.  The full engine solves each chain by
-dense ``eigh``, the RWA engine sector by sector, since every RWA
-excitation sector is a run of at most four chain slots.  The observables
-are the mean photon number, the population inversion, the two-qubit
-reduced density matrix and the entanglement measures derived from it (von
-Neumann entropy, Wootters concurrence).  A state may hold one column of
-amplitudes per output time, and every observable broadcasts over that
-axis, so a trajectory takes one call per observable.
+dense ``eigh`` of a leading photon window, certified by the residuals of
+its zero-padded vectors against the whole chain, or of the whole chain
+when no window up to half of it holds the state; the RWA engine solves
+sector by sector, since every RWA excitation sector is a run of at most
+four chain slots.  A chain the initial state leaves empty is not solved.
+Projections and propagation are real GEMMs on the float view of the
+complex amplitudes, and the energy is a(t)^dagger (V^T H V) a(t) on the
+K propagated levels.  The observables are the mean photon number, the
+population inversion, the two-qubit reduced density matrix and the
+entanglement measures derived from it (von Neumann entropy, Wootters
+concurrence).  A state may hold one column of amplitudes per output time,
+and every observable broadcasts over that axis, so a trajectory takes one
+call per observable.
 """
 
 from __future__ import annotations
@@ -21,11 +27,12 @@ import numpy as np
 
 from .errors import (ConfigError, DegenerateResolvent, InvalidDensityMatrix,
                      TruncationInsufficient)
-from .hamiltonian import (build_parity_band, build_parity_matrix,
-                          build_rwa_band)
+from .hamiltonian import build_parity_band, build_rwa_band, expand_dense
 from .model import (PAIR_ORDER, ModelParams, Parity, QubitLevel,
                     TruncationConfig, basis_table)
-from .numerics import EigenDecomposition, band_matvec, eigh, propagate_spectral
+from .numerics import (EigenDecomposition, band_matvec, band_norm, eigh,
+                       padded_residuals, phase_coefficients, spectral_levels)
+from .spectra import WINDOW_GROWTH, _start_window
 
 EDGE_WEIGHT_TOL = 1e-6
 COHERENT_LEAKAGE_TOL = 1e-12
@@ -132,48 +139,72 @@ def decompose_initial_state(field, q1: QubitLevel, q2: QubitLevel,
 # observables
 # ---------------------------------------------------------------------------
 
-def _chain_sum(state: ParityDecomposedState, values: dict):
+def _probabilities(state: ParityDecomposedState) -> dict:
+    """|c_j|^2 of each chain, one C-ordered row per column of the state."""
+    probs = {}
+    for parity in (Parity.EVEN, Parity.ODD):
+        prob = np.abs(state.chain(parity).T, order="C")
+        probs[parity] = np.multiply(prob, prob, out=prob)
+    return probs
+
+
+def _chain_sum(probs: dict, values: dict):
     """sum_j values[parity][j] |c_j|^2 over both chains, for each column.
 
     Each column is reduced by one (1 x n)(n x 1) product of contiguous rows,
     the dot product a single state takes, so a stack gives the values of
     its columns bit for bit.
     """
-    total = 0.0
-    for parity in (Parity.EVEN, Parity.ODD):
-        prob = np.abs(state.chain(parity).T, order="C") ** 2
-        total += (prob[..., None, :] @ values[parity][:, None])[..., 0, 0]
-    return total
+    return sum((prob[..., None, :] @ values[parity][:, None])[..., 0, 0]
+               for parity, prob in probs.items())
+
+
+def _inversion(table) -> dict:
+    return {p: 0.5 * (table.sz1[p] + table.sz2[p]) for p in Parity}
 
 
 def mean_photon_number(state: ParityDecomposedState):
-    return _chain_sum(state, basis_table(state.trunc).photon)
+    return _chain_sum(_probabilities(state), basis_table(state.trunc).photon)
 
 
 def population_inversion(state: ParityDecomposedState):
-    table = basis_table(state.trunc)
-    return _chain_sum(state, {p: 0.5 * (table.sz1[p] + table.sz2[p])
-                              for p in Parity})
+    return _chain_sum(_probabilities(state),
+                      _inversion(basis_table(state.trunc)))
+
+
+# output times per block of the product-basis gather of reduced_density_matrix
+_RHO_BLOCK = 64
 
 
 def reduced_density_matrix(state: ParityDecomposedState) -> np.ndarray:
     """Two-qubit reduced density matrix, basis order (ee, eg, ge, gg).
 
     The partial trace over the field, rho_ij = sum_n psi_ni psi_nj^*, of the
-    full-basis amplitudes reshaped to (n_max+1, 4, ...).  The real and
-    imaginary parts enter separately, so no conjugate copy is made.  A
-    stack of states gives a stack of shape (T, 4, 4).
+    full-basis amplitudes reshaped to (n_max+1, 4).  A stack of states gives
+    a stack of shape (T, 4, 4); its columns go to the product basis
+    _RHO_BLOCK at a time, so no product-basis copy of the whole stack is
+    made, and every column still sums over n in order, as a single state
+    does.  The real and imaginary parts enter separately, so no conjugate
+    copy is made.
     """
-    psi = state.to_full().reshape((state.trunc.n_max + 1, 4)
-                                  + state.c_even.shape[1:])
-    re, im = psi.real, psi.imag
+    trunc = state.trunc
+    c_even, c_odd = (c.reshape(trunc.chain_dim, -1)
+                     for c in (state.c_even, state.c_odd))
+    rho = np.empty((c_even.shape[1], 4, 4), dtype=complex)
 
     def trace(a, b):
         return np.einsum("ni...,nj...->...ij", a, b)
 
-    cross = trace(im, re)
-    return (trace(re, re) + trace(im, im)
-            + 1j * (cross - np.swapaxes(cross, -1, -2)))
+    for start in range(0, len(rho), _RHO_BLOCK):
+        cols = slice(start, start + _RHO_BLOCK)
+        psi = ParityDecomposedState(c_even[:, cols], c_odd[:, cols],
+                                    trunc).to_full()
+        psi = psi.reshape(trunc.n_max + 1, 4, -1)
+        re, im = psi.real, psi.imag
+        cross = trace(im, re)
+        rho[cols] = (trace(re, re) + trace(im, im)
+                     + 1j * (cross - np.swapaxes(cross, -1, -2)))
+    return rho.reshape(state.c_even.shape[1:] + (4, 4))
 
 
 def _check_density_matrix(rho: np.ndarray):
@@ -189,10 +220,13 @@ def _check_density_matrix(rho: np.ndarray):
     return np.clip(evals, 0.0, None), evecs
 
 
+def _entropy(evals: np.ndarray):
+    return -np.sum(evals * np.log(np.where(evals > 0, evals, 1.0)), axis=-1)
+
+
 def von_neumann_entropy(rho: np.ndarray):
     """Entropy -sum l ln l in nats, with 0 ln 0 = 0, of each matrix."""
-    evals, _ = _check_density_matrix(rho)
-    return -np.sum(evals * np.log(np.where(evals > 0, evals, 1.0)), axis=-1)
+    return _entropy(_check_density_matrix(rho)[0])
 
 
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
@@ -208,7 +242,10 @@ def concurrence(rho: np.ndarray):
     (1998)): accurate to about eps, where square roots of the eigenvalues
     of rho rho~ would turn an eps near 0 into sqrt(eps).
     """
-    evals, evecs = _check_density_matrix(rho)
+    return _concurrence(*_check_density_matrix(rho))
+
+
+def _concurrence(evals: np.ndarray, evecs: np.ndarray):
     phi = evecs * np.sqrt(evals)[..., None, :]
     tau = np.swapaxes(phi, -1, -2) @ _SPIN_FLIP @ phi
     lam = np.linalg.svd(tau, compute_uv=False)
@@ -227,7 +264,14 @@ class Trajectory:
     state holds the chain amplitudes at every output time, one column per
     time.  energy, norms and parity weights are retained as conservation
     diagnostics; max_edge_weight records the largest truncation-edge
-    probability seen at any output time.
+    probability seen at any output time.  Per parity chain, photons[parity]
+    is the number of leading photon levels whose eigenpairs propagated it:
+    a certified window's n_w + 1, n_max + 1 for the whole chain, 0 for a
+    chain the state leaves empty.  dropped_weight[parity] is the weight of
+    the initial state on the levels left out (past the window, rejected
+    by the window's certificate, or negligible); the dropped part evolves
+    in its own invariant subspace, so the chain's amplitudes are off by
+    exactly its square root at every time.
     """
 
     times: np.ndarray
@@ -241,57 +285,119 @@ class Trajectory:
     weight_odd: np.ndarray
     max_edge_weight: float
     state: ParityDecomposedState
+    photons: dict
+    dropped_weight: dict
+
+
+# a window level is kept when its zero-padded residual against the whole
+# chain is at most WINDOW_RESIDUAL ||H||_inf; dense eigh of the whole Fig. 2
+# and Fig. 3 chains leaves 4.2-6.1 eps ||H||_inf
+WINDOW_RESIDUAL = 8 * np.finfo(float).eps
+
+
+def _window_levels(band: np.ndarray, c0: np.ndarray, params: ModelParams):
+    """The ``spectral_levels`` that propagate one full chain from c0, and
+    their photon count.
+
+    Dense eigh of the leading photon window 0..n_w, from
+    ``spectra._start_window(params, 2 (n_s + 1))``, n_s the highest photon
+    holding more than 1e-32 of the state's weight; the window widens by
+    WINDOW_GROWTH.  A window level is certified when its zero-padded
+    residual against the whole chain band is at most WINDOW_RESIDUAL
+    ||H||_inf (Parlett, The Symmetric Eigenvalue Problem), and the window is
+    accepted when the state's weight past it and on its uncertified levels
+    is at most DROP_WEIGHT ||c0||^2.  A window that would pass half the
+    chain gives way to dense eigh of the whole chain.
+    """
+    dim = band.shape[1]
+    weight = np.abs(c0) ** 2
+    n_s = int(np.flatnonzero(weight[0::2] + weight[1::2]
+                             > 1e-32 * np.sum(weight))[-1])
+    n_window = _start_window(params, 2 * (n_s + 1))
+    tol = WINDOW_RESIDUAL * band_norm(band)
+    while 4 * (n_window + 1) <= dim:
+        rows = 2 * (n_window + 1)
+        # expand_dense reads no entry that reaches past the window
+        decomp = eigh(expand_dense(band[:, :rows]))
+        certified = padded_residuals(band, *decomp) <= tol
+        levels = spectral_levels(decomp, c0, certified,
+                                 float(np.sum(weight[rows:])))
+        if levels is not None:
+            return levels, n_window + 1
+        n_window = int(WINDOW_GROWTH * n_window) + 1
+    return spectral_levels(eigh(expand_dense(band)), c0), dim // 2
 
 
 def _evolve(state: ParityDecomposedState, params: ModelParams, times,
-            decompose, build_band, on_guard: str) -> Trajectory:
-    """The route of both engines: decompose(params, parity, trunc) gives a
-    chain's EigenDecomposition, freed once the chain is propagated, and the
-    energy is taken on build_band, the same Hamiltonian's chain band."""
+            build_band, solve, on_guard: str) -> Trajectory:
+    """The route of both engines, chain by chain.  solve(parity, band, c0)
+    gives the chain's ``spectral_levels`` and their photon count; a chain
+    where the state has zero weight is not solved.  The levels and the K x T
+    amplitudes a(t) of each chain are freed before the next chain, and
+    before the observables, which share one |c|^2 per chain."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    evolved = {parity: propagate_spectral(
-                   decompose(params, parity, state.trunc),
-                   state.chain(parity), times)
-               for parity in (Parity.EVEN, Parity.ODD)}
+    trunc = state.trunc
+    evolved, photons, dropped = {}, {}, {}
+    energy = np.zeros(len(times))
+    for parity in (Parity.EVEN, Parity.ODD):
+        c0 = state.chain(parity)
+        out = np.zeros((trunc.chain_dim, len(times)), dtype=complex)
+        evolved[parity], photons[parity], dropped[parity] = out, 0, 0.0
+        # amplitudes whose squares underflow leave nothing to propagate
+        if not np.vdot(c0, c0).real:
+            continue
+        band = build_band(params, parity, trunc)
+        (values, vectors, proj, dropped[parity]), photons[parity] = solve(
+            parity, band, c0)
+        rows = vectors.shape[0]
+        amps = phase_coefficients(values, proj, times).view(float)
+        np.matmul(vectors, amps, out=out[:rows].view(float))
+        # <psi|H|psi> = a^dagger (V^T H V) a with H V on the chain band, so
+        # wrong eigenvectors leave V^T H V off diagonal and show as drift
+        h_proj = vectors.T @ band_matvec(band[:, :rows], vectors)
+        energy += np.sum(amps * (h_proj @ amps), axis=0).reshape(-1, 2).sum(
+            axis=1)
+        del vectors, amps, h_proj
     state = ParityDecomposedState(evolved[Parity.EVEN], evolved[Parity.ODD],
-                                  state.trunc)
-    edge = state.edge_weight()
+                                  trunc)
+    probs = _probabilities(state)
+    edge = sum(prob[:, -4:].sum(axis=1) for prob in probs.values())
     over = np.flatnonzero(edge > EDGE_WEIGHT_TOL)
     if over.size and on_guard == "raise":
         raise TruncationInsufficient(
             f"weight {edge[over[0]]:.2e} on the top two photon levels at "
             f"t={times[over[0]]:g}; raise n_max")
-    # <psi|H|psi> on the chain bands; H is real symmetric, so the real and
-    # imaginary parts of psi enter apart and no complex copy of H is made
-    energy = 0.0
-    for parity in (Parity.EVEN, Parity.ODD):
-        band = build_band(params, parity, state.trunc)
-        for part in (state.chain(parity).real, state.chain(parity).imag):
-            energy += np.sum(part * band_matvec(band, part), axis=0)
-    rho = reduced_density_matrix(state)
-    w_even, w_odd = state.parity_weights()
-    return Trajectory(times, mean_photon_number(state),
-                      population_inversion(state), von_neumann_entropy(rho),
-                      concurrence(rho), energy, state.norm, w_even, w_odd,
-                      float(np.max(edge)), state)
+    table = basis_table(trunc)
+    w_even, w_odd = (probs[parity].sum(axis=1) for parity in Parity)
+    mean_n = _chain_sum(probs, table.photon)
+    s_z = _chain_sum(probs, _inversion(table))
+    del probs
+    evals, evecs = _check_density_matrix(reduced_density_matrix(state))
+    return Trajectory(times, mean_n, s_z, _entropy(evals),
+                      _concurrence(evals, evecs), energy,
+                      np.sqrt(w_even + w_odd), w_even, w_odd,
+                      float(np.max(edge)), state, photons, dropped)
 
 
 def evolve_parity(state: ParityDecomposedState, params: ModelParams, times,
                   on_guard: str = "raise") -> Trajectory:
-    """Exact evolution of both parity chains, one dense eigendecomposition
-    per chain for every output time.
+    """Exact evolution of both parity chains, one eigendecomposition per
+    chain for every output time.
 
+    Each chain is solved by dense eigh of a certified photon window
+    (``_window_levels``), or of the whole chain when no window up to half
+    of it holds the state; a chain the state leaves empty is not solved.
     If the weight on the top two photon levels exceeds EDGE_WEIGHT_TOL at
     an output time the run raises TruncationInsufficient naming the first
     such time (on_guard="raise"), or records it in max_edge_weight
-    (on_guard="record").  The energy <psi(t)|H|psi(t)> is taken on the
-    chain bands, so it does not rely on the decomposition.
+    (on_guard="record").  The energy a(t)^dagger (V^T H V) a(t) takes H V
+    on the chain band, so eigenvectors that do not solve H show as drift.
     """
     if on_guard not in ("raise", "record"):
         raise ValueError("on_guard must be 'raise' or 'record'")
-    return _evolve(state, params, times,
-                   lambda *chain: eigh(build_parity_matrix(*chain)),
-                   build_parity_band, on_guard)
+    return _evolve(state, params, times, build_parity_band,
+                   lambda parity, band, c0: _window_levels(band, c0, params),
+                   on_guard)
 
 
 # ---------------------------------------------------------------------------
@@ -394,5 +500,8 @@ def evolve_rwa_closed_form(state: ParityDecomposedState, params: ModelParams,
     EDGE_WEIGHT_TOL.  The energy is taken on the RWA chain bands, not on
     the sector blocks that propagated the state.
     """
-    return _evolve(state, params, times, _rwa_chain_eigh, build_rwa_band,
-                   "raise")
+    def solve(parity, band, c0):
+        return (spectral_levels(_rwa_chain_eigh(params, parity, state.trunc),
+                                c0), state.trunc.n_max + 1)
+
+    return _evolve(state, params, times, build_rwa_band, solve, "raise")

@@ -3,7 +3,9 @@
 Dense symmetric eigendecomposition (LAPACK via numpy), the lowest
 eigenpairs of a banded symmetric matrix (LAPACK ``dsbevx`` via scipy),
 associated Laguerre polynomials, displacement-operator matrix elements, and
-spectral-decomposition time propagation.  Everything here is pure.
+spectral-decomposition time propagation, whose projections and sums run as
+real GEMMs on the float view of the complex amplitudes.  Everything here
+is pure.
 """
 
 from __future__ import annotations
@@ -63,6 +65,22 @@ def band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
         y[d:] += diagonal * x[:dim - d]
         y[:dim - d] += diagonal * x[d:]
     return y
+
+
+def padded_residuals(band: np.ndarray, values: np.ndarray,
+                     vectors: np.ndarray) -> np.ndarray:
+    """||H v - theta v|| of each column v of vectors, which hold the leading
+    rows of eigenvectors of a band, zero-padded to the band's dimension.
+
+    H v vanishes past the rows that the last held row reaches, so only
+    those rows are formed.
+    """
+    held, kd = vectors.shape[0], band.shape[0] - 1
+    rows = min(held + kd, band.shape[1])
+    padded = np.zeros((rows, vectors.shape[1]))
+    padded[:held] = vectors
+    return np.linalg.norm(band_matvec(band[:, :rows], padded)
+                          - padded * values, axis=0)
 
 
 def band_norm(band: np.ndarray) -> float:
@@ -177,28 +195,76 @@ def displacement_element(m: int, n: int, x: float) -> float:
     return mag * half * half * (2.0 * x) ** (d % 2) * lag
 
 
+# levels whose projections on a state weigh at most DROP_WEIGHT ||c0||^2
+# together are not propagated
+DROP_WEIGHT = 1e-30
+
+
+def real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """a @ z for a real matrix a and a complex z of one or two axes.
+
+    One real GEMM on the float view of z, where numpy would upcast a to
+    complex and do four times the work.
+    """
+    z = np.ascontiguousarray(z, dtype=complex)
+    out = a @ z.reshape(z.shape[0], math.prod(z.shape[1:])).view(float)
+    return out.view(complex).reshape(a.shape[:1] + z.shape[1:])
+
+
+def spectral_levels(decomp: EigenDecomposition, c0: np.ndarray,
+                    certified: np.ndarray | None = None, past: float = 0.0):
+    """The levels of decomp worth propagating from c0: their values,
+    vectors and projections on c0, and the weight of c0 left out.
+
+    The vectors may hold only the leading rows of c0's space; past is then
+    c0's weight on the other rows, and certified marks the levels fit to
+    propagate.  Returns None when past plus c0's weight on uncertified
+    levels exceeds DROP_WEIGHT ||c0||^2.  Otherwise the lightest certified
+    levels are left out too while the weight dropped in all stays within
+    DROP_WEIGHT ||c0||^2: that part evolves in its own invariant subspace,
+    so the propagated state is off by at most 1e-15 ||c0|| at every t.
+    """
+    values, vectors = decomp
+    proj = real_matmul(vectors.T, c0[:vectors.shape[0]])
+    weight = np.abs(proj) ** 2
+    levels = np.arange(len(values))
+    if certified is not None:
+        past += float(np.sum(weight[~certified]))
+        levels = levels[certified]
+    budget = DROP_WEIGHT * np.vdot(c0, c0).real
+    if past > budget:
+        return None
+    order = np.argsort(weight[levels], kind="stable")
+    dropped = np.cumsum(weight[levels][order])
+    n_drop = np.count_nonzero(dropped <= budget - past)
+    if n_drop:
+        past += float(dropped[n_drop - 1])
+    keep = levels[np.sort(order[n_drop:])]
+    return values[keep], vectors[:, keep], proj[keep], past
+
+
+def phase_coefficients(values: np.ndarray, proj: np.ndarray,
+                       t: float | np.ndarray) -> np.ndarray:
+    """exp(-i values t) proj: the level amplitudes at t, one column per
+    time when t is a 1-d array."""
+    t_arr = np.asarray(t, dtype=float)
+    return (np.exp(-1j * np.multiply.outer(values, t_arr))
+            * proj[(...,) + (None,) * t_arr.ndim])
+
+
 def propagate_spectral(decomp: EigenDecomposition, c0: np.ndarray,
                        t: float | np.ndarray) -> np.ndarray:
     """Apply exp(-i H t) to c0 using the eigendecomposition of H.
 
     t may be a scalar (returns a vector) or a 1-d array of output times
     (returns an array with one column per time).  Levels whose projections
-    on c0 weigh 1e-30 ||c0||^2 or less together are left out: that part
-    evolves in its own invariant subspace, so the result is off by at most
-    1e-15 ||c0|| at every t.
+    on c0 weigh DROP_WEIGHT ||c0||^2 or less together are left out
+    (``spectral_levels``), so the result is off by at most 1e-15 ||c0|| at
+    every t.  The projection and the propagation are real GEMMs on the
+    float view of the complex amplitudes.
     """
-    values, vectors = decomp
     c0 = np.asarray(c0, dtype=complex)
-    if c0.shape[0] != values.shape[0]:
+    if c0.shape[0] != decomp.values.shape[0]:
         raise ValueError("state dimension does not match decomposition")
-    proj = vectors.T.conj() @ c0
-    weight = np.abs(proj) ** 2
-    order = np.argsort(weight, kind="stable")
-    skipped = np.cumsum(weight[order]) <= 1e-30 * np.vdot(c0, c0).real
-    keep = np.sort(order[np.count_nonzero(skipped):])
-    values, vectors, proj = values[keep], vectors[:, keep], proj[keep]
-    t_arr = np.asarray(t, dtype=float)
-    if t_arr.ndim == 0:
-        return vectors @ (np.exp(-1j * values * float(t_arr)) * proj)
-    phases = np.exp(-1j * np.outer(values, t_arr))
-    return vectors @ (phases * proj[:, None])
+    values, vectors, proj, _ = spectral_levels(decomp, c0)
+    return real_matmul(vectors, phase_coefficients(values, proj, t))

@@ -30,9 +30,9 @@ import numpy as np
 from .errors import ConfigError, ConvergenceFailure, TruncationInsufficient
 from .hamiltonian import build_parity_band, build_rwa_band, expand_dense
 from .model import ModelParams, Parity, TruncationConfig
-from .numerics import (RESIDUAL_TOL, TIE_GAP, band_matvec, band_norm,
-                       displacement_element, eigh, eigh_banded_lowest,
-                       general_band)
+from .numerics import (RESIDUAL_TOL, TIE_GAP, band_norm, displacement_element,
+                       eigh, eigh_banded_lowest, general_band,
+                       padded_residuals)
 
 GUARD_TOL = 1e-8
 
@@ -111,12 +111,7 @@ def _certified_window(band: np.ndarray, count: int, n_window: int):
             values, window_vectors = eigh_banded_lowest(window, count)
         except ConvergenceFailure:
             return None
-        # H v vanishes past the rows the window's last column reaches
-        rows = min(window_dim + band.shape[0] - 1, dim)
-        vectors = np.zeros((rows, count))
-        vectors[:window_dim] = window_vectors
-        residual = np.linalg.norm(band_matvec(band[:, :rows], vectors)
-                                  - vectors * values, axis=0)
+        residual = padded_residuals(band, values, window_vectors)
         # the kernel's tie check puts the window's next level above x
         margin = 0.5 * TIE_GAP * (band_norm(window) or 1.0)
         if (np.max(residual) <= tol and np.linalg.norm(residual) < margin

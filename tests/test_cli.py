@@ -341,27 +341,55 @@ def test_dynamics_rwa_engine(tmp_path):
     assert (tmp_path / "d.svg").read_text().startswith("<svg")
 
 
-def test_rwa_dynamics_does_not_depend_on_blas_threads(tmp_path):
-    # the RWA engine at the Fig. 2 parameters, shortened, under one and two
-    # OpenBLAS threads; the full engine's dense eigh depends on the thread
-    # count, so it is not checked
+def _outputs_at_blas_threads(commands, tmp_path):
+    """Run each command in a fresh process under one and under two OpenBLAS
+    threads; for each thread count, the bytes of every file written."""
     env = dict(os.environ)
     src = str(Path(rabi2q.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    outputs = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / threads
+        out_dir.mkdir()
+        for k, argv in enumerate(commands):
+            subprocess.run([sys.executable, "-m", "rabi2q.cli", *argv,
+                            "--out", str(out_dir / f"{k}.csv")],
+                           env=dict(env, OPENBLAS_NUM_THREADS=threads),
+                           check=True, capture_output=True)
+        outputs.append({path.name: path.read_bytes()
+                        for path in sorted(out_dir.iterdir())})
+    return outputs
+
+
+def test_rwa_dynamics_does_not_depend_on_blas_threads(tmp_path):
+    # the RWA engine at the Fig. 2 parameters, shortened, under one and two
+    # OpenBLAS threads; the full engine's dense eigh depends on the thread
+    # count, so it is not checked
     argv = ["dynamics", "--omega1", "1.1", "--omega2", "0.3", "--g1", "0.3",
             "--g2", "0.4", "--alpha", "1.41421356", "--qubits", "gg",
             "--nmax", "300", "--tmax", "30", "--steps", "300",
             "--engine", "rwa"]
-    outs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"{threads}.csv"
-        subprocess.run([sys.executable, "-m", "rabi2q.cli", *argv,
-                        "--out", str(out)],
-                       env=dict(env, OPENBLAS_NUM_THREADS=threads),
-                       check=True, capture_output=True)
-        outs.append(out.read_bytes())
+    outs = _outputs_at_blas_threads([argv], tmp_path)
     assert outs[0] == outs[1]
+
+
+def test_readme_commands_do_not_depend_on_blas_threads(tmp_path):
+    # the README spectrum (on a coarser g grid), perturb and rwa-compare
+    # runs write the same bytes, crossings file included, at one and at two
+    # OpenBLAS threads
+    commands = [
+        ["spectrum", "--omega1", "1.3", "--omega2", "0.7", "--lock", "g2=g1",
+         "--g1", "0:2:0.1", "--nmax", "300", "--k", "20"],
+        ["perturb", "--omega1", "1.3", "--omega2", "0.7", "--g1", "2",
+         "--g2", "2", "--mmax", "11"],
+        ["rwa-compare", "--omega1", "0.9", "--omega2", "1.1", "--g1", "0.2",
+         "--g2", "0.2", "--k", "20", "--nmax", "60"],
+    ]
+    outs = _outputs_at_blas_threads(commands, tmp_path)
+    assert sorted(outs[0]) == ["0.crossings.csv", "0.csv", "1.csv", "2.csv"]
+    for name, data in outs[0].items():
+        assert data == outs[1][name], name
 
 
 def test_omega_f_rescales_output(tmp_path):

@@ -4,13 +4,16 @@ from hypothesis import example, given, settings, strategies
 
 from rabi2q import dynamics as dyn
 from rabi2q.errors import InvalidDensityMatrix, TruncationInsufficient
-from rabi2q.hamiltonian import (build_parity_matrix, build_rwa_band,
-                                expand_dense)
+from rabi2q.hamiltonian import (build_parity_band, build_parity_matrix,
+                                build_rwa_band, expand_dense)
 from rabi2q.model import (PAIR_ORDER, ModelParams, Parity, QubitLevel,
                           TruncationConfig, basis_table)
-from rabi2q.numerics import EigenDecomposition, eigh, propagate_spectral
+from rabi2q.numerics import (EigenDecomposition, band_norm, eigh,
+                             padded_residuals, propagate_spectral)
+from rabi2q.spectra import _start_window
 
-from oracles import (kronecker_reference, quartic_coefficients_from_block,
+from oracles import (kronecker_reference, mp_concurrence,
+                     quartic_coefficients_from_block,
                      reduced_density_matrix_partial_trace)
 
 G, E = QubitLevel.G, QubitLevel.E
@@ -323,6 +326,137 @@ def test_trajectory_state_columns_are_the_propagated_states():
             assert np.max(np.abs(got[:, k] - ref)) < 1e-12
 
 
+@settings(max_examples=50, deadline=None)
+@given(strategies.integers(40, 90), strategies.floats(0.0, 2.0),
+       strategies.floats(0.0, 2.0), strategies.floats(-0.8, 0.8),
+       strategies.floats(-0.8, 0.8),
+       strategies.sampled_from([1.0, -1.0, None]),
+       strategies.one_of(strategies.integers(0, 90),
+                         strategies.floats(0.0, 2.5)),
+       strategies.sampled_from(PAIR_ORDER))
+@example(60, 1.3, 0.7, 0.0, 0.0, None, 3, (G, G))        # g = 0, tied levels
+@example(60, 1.1, 0.3, 0.3, 0.0, 1.0, 1.0, (E, G))       # g1 = g2
+@example(60, 1.1, 0.3, 0.4, 0.0, -1.0, 1.4, (G, G))      # g1 = -g2
+@example(60, 0.0, 0.0, 0.3, 0.4, None, 0, (E, E))        # omega_j = 0
+@example(50, 1.1, 0.3, 0.3, 0.4, None, 2.0, (G, G))      # coherent, window
+@example(40, 1.1, 0.3, 0.3, 0.4, None, 15, (G, E))       # past half: fallback
+@example(40, 1.1, 0.3, 0.3, 0.4, None, 40, (G, G))       # on the edge
+@example(40, 0.0, 0.0, 0.0, 0.0, 1.0, 2.2e-309, (E, E))  # odd-chain weight 0
+def test_windowed_trajectory_matches_whole_chain(n_max, omega_1, omega_2, g_1,
+                                                 g_2, tie, field, qubits):
+    # every chain is propagated on a certified photon window or, past half
+    # the chain, on the whole chain: the state must agree with dense eigh of
+    # the whole chain to 1e-10 for t <= 25, and a window the start estimate
+    # already puts past half the chain must give way to the whole chain
+    params = ModelParams(omega_1, omega_2, g_1,
+                         g_2 if tie is None else tie * g_1)
+    trunc = TruncationConfig(n_max)
+    field = min(field, n_max) if isinstance(field, int) else ("coherent",
+                                                               field)
+    st = dyn.decompose_initial_state(field, *qubits, trunc)
+    times = np.linspace(0.0, 25.0, 26)
+    traj = dyn.evolve_parity(st, params, times, on_guard="record")
+    for parity in Parity:
+        c0 = st.chain(parity)
+        got = traj.state.chain(parity)
+        ref = propagate_spectral(
+            eigh(build_parity_matrix(params, parity, trunc)), c0, times)
+        assert np.max(np.abs(got - ref)) <= 1e-10, parity
+        weight = np.abs(c0) ** 2
+        if not np.any(weight):
+            assert traj.photons[parity] == 0 and not np.any(got)
+            continue
+        n_s = np.flatnonzero(weight[0::2] + weight[1::2]
+                             > 1e-32 * np.sum(weight))[-1]
+        start = _start_window(params, 2 * (n_s + 1))
+        photons = traj.photons[parity]
+        if 2 * (start + 1) > (n_max + 1):
+            assert photons == n_max + 1, parity
+        else:
+            assert start < photons <= (n_max + 1) / 2 or photons == n_max + 1
+        assert 0.0 <= traj.dropped_weight[parity] <= 1e-30 * np.sum(weight)
+
+
+@pytest.mark.parametrize("field", [3, 10, ("coherent", 1.5)])
+def test_tight_windows_widen_until_certified(monkeypatch, field):
+    # the first window just holds the state's photons, so the window levels
+    # that carry it reach the window edge: only the residual certificate
+    # makes the window widen until the propagated state is right
+    monkeypatch.setattr(dyn, "_start_window", lambda params, k: k // 2)
+    params = ModelParams(1.1, 0.3, 0.3, 0.4)
+    trunc = TruncationConfig(300)
+    st = dyn.decompose_initial_state(field, G, G, trunc)
+    times = np.linspace(0.0, 25.0, 26)
+    traj = dyn.evolve_parity(st, params, times)
+    assert 0 < max(traj.photons.values()) <= 150
+    for parity in Parity:
+        c0 = st.chain(parity)
+        ref = propagate_spectral(
+            eigh(build_parity_matrix(params, parity, trunc)), c0, times)
+        assert np.max(np.abs(traj.state.chain(parity) - ref)) <= 1e-10
+        if traj.photons[parity]:
+            # every level that propagates has a residual no larger than
+            # whole-chain eigh leaves, 8 eps ||H||_inf
+            band = build_parity_band(params, parity, trunc)
+            (values, vectors, _, _), _ = dyn._window_levels(band, c0, params)
+            assert np.max(padded_residuals(band, values, vectors)) <= (
+                8 * np.finfo(float).eps * band_norm(band))
+
+
+def test_window_route_and_dropped_weight_of_known_levels():
+    # decoupled, the chain levels are its slots, so the state's level
+    # weights are its slot weights: 1 on the ground slot, 2e-31 and 3e-31
+    # inside the window, and 4e-33 on each of ten slots past it (each below
+    # the 1e-32 that sets n_s = 2).  The window 0..n_w, n_w =
+    # _start_window(params, 6), keeps the ground level alone, and the
+    # dropped weight is everything else
+    params = ModelParams(1.3, 0.7, 0.0, 0.0)
+    trunc = TruncationConfig(60)
+    c_even = np.zeros(trunc.chain_dim, dtype=complex)
+    c_even[0] = 1.0
+    c_even[[3, 5]] = np.sqrt([2e-31, 3e-31])
+    c_even[60:80:2] = np.sqrt(4e-33)
+    st = dyn.ParityDecomposedState(c_even, np.zeros_like(c_even), trunc)
+    times = np.linspace(0.0, 10.0, 11)
+    traj = dyn.evolve_parity(st, params, times)
+    n_w = _start_window(params, 6)
+    assert n_w < 30
+    assert traj.photons == {Parity.EVEN: n_w + 1, Parity.ODD: 0}
+    dropped = 5e-31 + 10 * 4e-33
+    assert abs(traj.dropped_weight[Parity.EVEN] - dropped) <= 1e-12 * dropped
+    assert traj.dropped_weight[Parity.ODD] == 0.0
+    kept = np.zeros_like(traj.state.c_even)
+    kept[0] = np.exp(1j * times)           # |0, g, g> has energy -1
+    assert np.array_equal(traj.state.c_even != 0, kept != 0)
+    assert np.max(np.abs(traj.state.c_even - kept)) < 1e-14
+
+
+def test_empty_chain_is_not_solved(monkeypatch):
+    # |2, g, g> lies wholly in the even chain: the odd chain gets no
+    # eigensolve and stays exactly zero, in both engines
+    st = dyn.decompose_initial_state(2, G, G, TruncationConfig(300))
+    params = ModelParams(1.1, 0.3, 0.3, 0.4)
+    times = np.linspace(0.0, 5.0, 11)
+    calls = []
+
+    def counted(solve):
+        def wrapper(*args):
+            calls.append(solve.__name__)
+            return solve(*args)
+        return wrapper
+
+    monkeypatch.setattr(dyn, "_window_levels", counted(dyn._window_levels))
+    monkeypatch.setattr(dyn, "_rwa_chain_eigh", counted(dyn._rwa_chain_eigh))
+    for evolve in (dyn.evolve_parity, dyn.evolve_rwa_closed_form):
+        calls.clear()
+        traj = evolve(st, params, times)
+        assert len(calls) == 1, evolve.__name__
+        assert traj.photons[Parity.ODD] == 0
+        assert traj.dropped_weight[Parity.ODD] == 0.0
+        assert not np.any(traj.state.c_odd)
+        assert np.max(np.abs(traj.norms - 1.0)) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # stacked states: every observable broadcasts over a trailing time axis
 # ---------------------------------------------------------------------------
@@ -425,6 +559,27 @@ def test_entropy_and_concurrence_of_a_stack(ranks, seed):
         assert abs(entropy[k] - dyn.von_neumann_entropy(rho)) < 1e-12
         assert abs(conc[k] - dyn.concurrence(rho)) < 1e-12
 
+
+
+@settings(max_examples=20, deadline=None)
+@given(strategies.lists(strategies.integers(1, 4), min_size=4, max_size=8),
+       strategies.integers(0, 2 ** 32 - 1))
+@example([1, 2, 3, 4], 0)
+def test_concurrence_matches_mpmath_oracle(ranks, seed):
+    # random mixed states of ranks 1-4, pulled toward a Bell state by a
+    # random amount so that most are entangled, against the textbook
+    # Wootters formula in 50-digit arithmetic
+    rng = np.random.default_rng(seed)
+    bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+    stack = []
+    for rank in ranks:
+        b = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+        b[:, 0] += rng.uniform(0.0, 4.0) * bell
+        rho = b @ b.conj().T
+        stack.append(rho / np.trace(rho).real)
+    conc = dyn.concurrence(np.array(stack))
+    for k, rho in enumerate(stack):
+        assert abs(conc[k] - mp_concurrence(rho)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
