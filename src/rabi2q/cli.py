@@ -297,15 +297,14 @@ def cmd_eigenstate(args) -> int:
             if args.bargmann:
                 try:
                     res_barg = eigenstates.bargmann_reconstruction_residual(
-                        params, parity, float(decomp.values[index]),
-                        j_max=args.jmax, n_max=args.nmax)
+                        params, parity, state.xi, j_max=args.jmax,
+                        n_max=args.nmax)
                 except ConfigError:
                     raise
                 except Rabi2qError as exc:
                     print(f"eigenstate: bargmann route unavailable for "
                           f"{parity.value} #{index}: {exc}", file=sys.stderr)
-            rows.append((parity.value, index,
-                         float(decomp.values[index]) * args.omega_f,
+            rows.append((parity.value, index, state.xi * args.omega_f,
                          res_rec, res_barg))
     cfg_hash = _config_hash(vars(args))
     _write_csv(args.out, "eigenstate", cfg_hash,

@@ -2,12 +2,11 @@
 
 Both engines take one route: one eigendecomposition per parity chain,
 shared across all output times, one spectral propagation per chain, and
-the same energy and observables.  The full engine solves each chain by
-dense ``eigh`` of a leading photon window, certified by the residuals of
-its zero-padded vectors against the whole chain, or of the whole chain
-when no window up to half of it holds the state; the RWA engine solves
-sector by sector, since every RWA excitation sector is a run of at most
-four chain slots.  A chain the initial state leaves empty is not solved.
+the same energy and observables; only the chain band, full or RWA,
+differs.  Each chain is solved by dense ``eigh`` of a leading photon
+window from the state's highest photon, certified by its zero-padded
+residuals against the whole chain, or of the whole chain when no window
+up to half of it holds the state; an empty chain is not solved.
 Projections and propagation are real GEMMs on the float view of the
 complex amplitudes, and the energy is a(t)^dagger (V^T H V) a(t) on the
 K propagated levels.  The observables are the mean photon number, the
@@ -30,9 +29,9 @@ from .errors import (ConfigError, DegenerateResolvent, InvalidDensityMatrix,
 from .hamiltonian import build_parity_band, build_rwa_band, expand_dense
 from .model import (PAIR_ORDER, ModelParams, Parity, QubitLevel,
                     TruncationConfig, basis_table)
-from .numerics import (EigenDecomposition, band_matvec, band_norm, eigh,
-                       padded_residuals, phase_coefficients, spectral_levels)
-from .spectra import WINDOW_GROWTH, _start_window
+from .numerics import (band_matvec, band_norm, eigh, padded_residuals,
+                       phase_coefficients, spectral_levels)
+from .spectra import WINDOW_GROWTH
 
 EDGE_WEIGHT_TOL = 1e-6
 COHERENT_LEAKAGE_TOL = 1e-12
@@ -265,13 +264,14 @@ class Trajectory:
     time.  energy, norms and parity weights are retained as conservation
     diagnostics; max_edge_weight records the largest truncation-edge
     probability seen at any output time.  Per parity chain, photons[parity]
-    is the number of leading photon levels whose eigenpairs propagated it:
-    a certified window's n_w + 1, n_max + 1 for the whole chain, 0 for a
-    chain the state leaves empty.  dropped_weight[parity] is the weight of
-    the initial state on the levels left out (past the window, rejected
-    by the window's certificate, or negligible); the dropped part evolves
-    in its own invariant subspace, so the chain's amplitudes are off by
-    exactly its square root at every time.
+    is the number of leading photon levels whose eigenpairs propagated it,
+    in either engine: a certified window's n_w + 1 (n_w >= n_s, the
+    state's highest photon), n_max + 1 for the whole chain, 0 for a chain
+    the state leaves empty.  dropped_weight[parity] is the weight of the
+    initial state on the levels left out (past the window, rejected by the
+    window's certificate, or negligible); the dropped part evolves in its
+    own invariant subspace, so the chain's amplitudes are off by exactly
+    its square root at every time.
     """
 
     times: np.ndarray
@@ -295,25 +295,24 @@ class Trajectory:
 WINDOW_RESIDUAL = 8 * np.finfo(float).eps
 
 
-def _window_levels(band: np.ndarray, c0: np.ndarray, params: ModelParams):
-    """The ``spectral_levels`` that propagate one full chain from c0, and
+def _window_levels(band: np.ndarray, c0: np.ndarray):
+    """The ``spectral_levels`` that propagate one chain band from c0, and
     their photon count.
 
-    Dense eigh of the leading photon window 0..n_w, from
-    ``spectra._start_window(params, 2 (n_s + 1))``, n_s the highest photon
-    holding more than 1e-32 of the state's weight; the window widens by
-    WINDOW_GROWTH.  A window level is certified when its zero-padded
-    residual against the whole chain band is at most WINDOW_RESIDUAL
-    ||H||_inf (Parlett, The Symmetric Eigenvalue Problem), and the window is
-    accepted when the state's weight past it and on its uncertified levels
-    is at most DROP_WEIGHT ||c0||^2.  A window that would pass half the
-    chain gives way to dense eigh of the whole chain.
+    Dense eigh of the leading photon window 0..n_w, from n_w = n_s, the
+    highest photon holding more than 1e-32 of the state's weight: the least
+    window that can hold the state.  The window widens by WINDOW_GROWTH.  A
+    window level is certified when its zero-padded residual against the
+    whole chain band is at most WINDOW_RESIDUAL ||H||_inf (Parlett, The
+    Symmetric Eigenvalue Problem), and the window is accepted when the
+    state's weight past it and on its uncertified levels is at most
+    DROP_WEIGHT ||c0||^2.  A window that would pass half the chain gives way
+    to dense eigh of the whole chain.
     """
     dim = band.shape[1]
     weight = np.abs(c0) ** 2
-    n_s = int(np.flatnonzero(weight[0::2] + weight[1::2]
-                             > 1e-32 * np.sum(weight))[-1])
-    n_window = _start_window(params, 2 * (n_s + 1))
+    n_window = int(np.flatnonzero(weight[0::2] + weight[1::2]
+                                  > 1e-32 * np.sum(weight))[-1])
     tol = WINDOW_RESIDUAL * band_norm(band)
     while 4 * (n_window + 1) <= dim:
         rows = 2 * (n_window + 1)
@@ -324,18 +323,22 @@ def _window_levels(band: np.ndarray, c0: np.ndarray, params: ModelParams):
                                  float(np.sum(weight[rows:])))
         if levels is not None:
             return levels, n_window + 1
+        # the rejected window is freed before the next, larger solve
+        del decomp
         n_window = int(WINDOW_GROWTH * n_window) + 1
     return spectral_levels(eigh(expand_dense(band)), c0), dim // 2
 
 
 def _evolve(state: ParityDecomposedState, params: ModelParams, times,
-            build_band, solve, on_guard: str) -> Trajectory:
-    """The route of both engines, chain by chain.  solve(parity, band, c0)
-    gives the chain's ``spectral_levels`` and their photon count; a chain
-    where the state has zero weight is not solved.  The levels and the K x T
-    amplitudes a(t) of each chain are freed before the next chain, and
-    before the observables, which share one |c|^2 per chain."""
+            build_band, on_guard: str) -> Trajectory:
+    """The route of both engines, chain by chain: build_band(params,
+    parity, trunc) gives the chain band that ``_window_levels`` solves; a
+    chain where the state has zero weight is not solved.  The levels and
+    the K x T amplitudes a(t) of each chain are freed before the next
+    chain, and before the observables, which share one |c|^2 per chain."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    if times.ndim != 1 or not times.size or not np.isfinite(times).all():
+        raise ConfigError("times must be finite, 1-d and not empty")
     trunc = state.trunc
     evolved, photons, dropped = {}, {}, {}
     energy = np.zeros(len(times))
@@ -347,8 +350,8 @@ def _evolve(state: ParityDecomposedState, params: ModelParams, times,
         if not np.vdot(c0, c0).real:
             continue
         band = build_band(params, parity, trunc)
-        (values, vectors, proj, dropped[parity]), photons[parity] = solve(
-            parity, band, c0)
+        (values, vectors, proj, dropped[parity]), photons[parity] = (
+            _window_levels(band, c0))
         rows = vectors.shape[0]
         amps = phase_coefficients(values, proj, times).view(float)
         np.matmul(vectors, amps, out=out[:rows].view(float))
@@ -384,20 +387,17 @@ def evolve_parity(state: ParityDecomposedState, params: ModelParams, times,
     """Exact evolution of both parity chains, one eigendecomposition per
     chain for every output time.
 
-    Each chain is solved by dense eigh of a certified photon window
-    (``_window_levels``), or of the whole chain when no window up to half
-    of it holds the state; a chain the state leaves empty is not solved.
-    If the weight on the top two photon levels exceeds EDGE_WEIGHT_TOL at
-    an output time the run raises TruncationInsufficient naming the first
-    such time (on_guard="raise"), or records it in max_edge_weight
-    (on_guard="record").  The energy a(t)^dagger (V^T H V) a(t) takes H V
-    on the chain band, so eigenvectors that do not solve H show as drift.
+    Each chain is solved on a certified photon window (``_window_levels``)
+    unless the state leaves it empty.  If the weight on the top two photon
+    levels exceeds EDGE_WEIGHT_TOL at an output time the run raises
+    TruncationInsufficient naming the first such time (on_guard="raise"),
+    or records it in max_edge_weight (on_guard="record").  The energy
+    a(t)^dagger (V^T H V) a(t) takes H V on the chain band, so
+    eigenvectors that do not solve H show as drift.
     """
     if on_guard not in ("raise", "record"):
         raise ValueError("on_guard must be 'raise' or 'record'")
-    return _evolve(state, params, times, build_parity_band,
-                   lambda parity, band, c0: _window_levels(band, c0, params),
-                   on_guard)
+    return _evolve(state, params, times, build_parity_band, on_guard)
 
 
 # ---------------------------------------------------------------------------
@@ -464,44 +464,13 @@ def quartic_roots(qc: QuarticCoefficients) -> np.ndarray:
     return np.sort(lam.real)
 
 
-def _rwa_chain_eigh(params: ModelParams, parity: Parity,
-                    trunc: TruncationConfig) -> EigenDecomposition:
-    """Eigenpairs of one RWA chain, levels in chain-slot order.
-
-    Each excitation sector is a diagonal block of at most four chain slots
-    (even chain 1, 4, 4, ...; odd chain 3, 4, 4, ...; the top one cut by
-    n_max); the blocks of each size are solved by one stacked eigh.
-    """
-    band = build_rwa_band(params, parity, trunc)
-    table = basis_table(trunc)
-    n_exc = table.excitation[table.full_index[parity]]
-    dim = trunc.chain_dim
-    starts = np.flatnonzero(np.diff(n_exc, prepend=-1))
-    sizes = np.diff(starts, append=dim)
-    values, vectors = np.empty(dim), np.zeros((dim, dim))
-    for m in np.unique(sizes):
-        a = np.arange(m)
-        rows = starts[sizes == m, None, None] + a[:, None]   # (k, m, 1)
-        cols = np.swapaxes(rows, -1, -2)                      # (k, 1, m)
-        # band[d, c] = H[c + d, c]
-        vals, vecs = eigh(band[np.abs(a[:, None] - a),
-                               np.minimum(rows, cols)])
-        values[cols[:, 0]] = vals
-        vectors[rows, cols] = vecs
-    return EigenDecomposition(values, vectors)
-
-
 def evolve_rwa_closed_form(state: ParityDecomposedState, params: ModelParams,
                            times) -> Trajectory:
     """Evolution under the RWA Hamiltonian on the route of evolve_parity.
 
-    Each chain is solved sector by sector, its top sector cut by n_max as
-    the full chains are, and the run raises TruncationInsufficient past
-    EDGE_WEIGHT_TOL.  The energy is taken on the RWA chain bands, not on
-    the sector blocks that propagated the state.
+    Each RWA chain band, its top excitation sector cut by n_max as the full
+    chains are, is solved on a certified photon window as in evolve_parity,
+    and the run raises TruncationInsufficient past EDGE_WEIGHT_TOL.  The
+    energy is taken on the RWA chain bands.
     """
-    def solve(parity, band, c0):
-        return (spectral_levels(_rwa_chain_eigh(params, parity, state.trunc),
-                                c0), state.trunc.n_max + 1)
-
-    return _evolve(state, params, times, build_rwa_band, solve, "raise")
+    return _evolve(state, params, times, build_rwa_band, "raise")

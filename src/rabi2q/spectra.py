@@ -225,6 +225,8 @@ def sweep_spectrum(template: ModelParams, g1_values, g2_values,
     g2_values = np.atleast_1d(np.asarray(g2_values, dtype=float))
     if g1_values.shape != g2_values.shape:
         raise ValueError("coupling schedules must have equal length")
+    if not g1_values.size:
+        raise ConfigError("the coupling schedule is empty")
     if k < 1 or k > trunc.chain_dim:
         raise ConfigError("k must be in [1, chain dimension]")
 

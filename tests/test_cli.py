@@ -362,22 +362,22 @@ def _outputs_at_blas_threads(commands, tmp_path):
     return outputs
 
 
-def test_rwa_dynamics_does_not_depend_on_blas_threads(tmp_path):
-    # the RWA engine at the Fig. 2 parameters, shortened, under one and two
-    # OpenBLAS threads; the full engine's dense eigh depends on the thread
-    # count, so it is not checked
+def test_dynamics_does_not_depend_on_blas_threads(tmp_path):
+    # both engines at the Fig. 2 parameters, shortened, under one and two
+    # OpenBLAS threads: their chains are solved on certified photon windows
     argv = ["dynamics", "--omega1", "1.1", "--omega2", "0.3", "--g1", "0.3",
             "--g2", "0.4", "--alpha", "1.41421356", "--qubits", "gg",
-            "--nmax", "300", "--tmax", "30", "--steps", "300",
-            "--engine", "rwa"]
-    outs = _outputs_at_blas_threads([argv], tmp_path)
+            "--nmax", "300", "--tmax", "30", "--steps", "300", "--engine"]
+    outs = _outputs_at_blas_threads([argv + ["full"], argv + ["rwa"]],
+                                    tmp_path)
+    assert sorted(outs[0]) == ["0.csv", "1.csv"]
     assert outs[0] == outs[1]
 
 
 def test_readme_commands_do_not_depend_on_blas_threads(tmp_path):
-    # the README spectrum (on a coarser g grid), perturb and rwa-compare
-    # runs write the same bytes, crossings file included, at one and at two
-    # OpenBLAS threads
+    # the README spectrum (on a coarser g grid), perturb, rwa-compare and
+    # eigenstate (fewer levels) runs write the same bytes, crossings file
+    # included, at one and at two OpenBLAS threads
     commands = [
         ["spectrum", "--omega1", "1.3", "--omega2", "0.7", "--lock", "g2=g1",
          "--g1", "0:2:0.1", "--nmax", "300", "--k", "20"],
@@ -385,9 +385,13 @@ def test_readme_commands_do_not_depend_on_blas_threads(tmp_path):
          "--g2", "2", "--mmax", "11"],
         ["rwa-compare", "--omega1", "0.9", "--omega2", "1.1", "--g1", "0.2",
          "--g2", "0.2", "--k", "20", "--nmax", "60"],
+        ["eigenstate", "--omega1", "1.3", "--omega2", "0.7", "--g1", "0.3",
+         "--g2", "0.4", "--parity", "both", "--count", "3", "--nmax", "200",
+         "--bargmann"],
     ]
     outs = _outputs_at_blas_threads(commands, tmp_path)
-    assert sorted(outs[0]) == ["0.crossings.csv", "0.csv", "1.csv", "2.csv"]
+    assert sorted(outs[0]) == ["0.crossings.csv", "0.csv", "1.csv", "2.csv",
+                               "3.csv"]
     for name, data in outs[0].items():
         assert data == outs[1][name], name
 

@@ -3,14 +3,14 @@ import pytest
 from hypothesis import example, given, settings, strategies
 
 from rabi2q import dynamics as dyn
-from rabi2q.errors import InvalidDensityMatrix, TruncationInsufficient
+from rabi2q.errors import (ConfigError, InvalidDensityMatrix,
+                           TruncationInsufficient)
 from rabi2q.hamiltonian import (build_parity_band, build_parity_matrix,
                                 build_rwa_band, expand_dense)
 from rabi2q.model import (PAIR_ORDER, ModelParams, Parity, QubitLevel,
                           TruncationConfig, basis_table)
 from rabi2q.numerics import (EigenDecomposition, band_norm, eigh,
                              padded_residuals, propagate_spectral)
-from rabi2q.spectra import _start_window
 
 from oracles import (kronecker_reference, mp_concurrence,
                      quartic_coefficients_from_block,
@@ -214,9 +214,7 @@ def test_energy_drift_detects_wrong_eigenvectors(monkeypatch):
     # mixing eigenvectors 0 and 1 by pi/4 keeps an orthonormal basis and
     # the eigenvalues, but the propagator no longer solves H: the energy
     # diagnostic must see it with the bound of the conservation suite, for
-    # the chain eigenvectors of the full engine and for the sector
-    # eigenvectors of the RWA engine, which solves a stack of sector blocks
-    # per call (a stack of 1x1 blocks stays as it is)
+    # the chain eigenvectors of both engines (a 1x1 matrix stays as it is)
     def rotated_eigh(h):
         vals, vecs = eigh(h)
         if vals.shape[-1] < 2:
@@ -254,6 +252,19 @@ def test_truncation_guard_raises_and_records():
     assert traj.max_edge_weight > dyn.EDGE_WEIGHT_TOL
 
 
+@pytest.mark.parametrize("times", [[], [np.nan], [0.0, np.inf],
+                                   [[0.0, 1.0]]])
+def test_bad_times_are_rejected_up_front(times):
+    # empty, non-finite or 2-d times are a configuration error in both
+    # engines, before any chain is solved
+    st = dyn.decompose_initial_state(("coherent", 1.0), G, G,
+                                     TruncationConfig(20))
+    params = ModelParams(1.1, 0.3, 0.3, 0.4)
+    for evolve in (dyn.evolve_parity, dyn.evolve_rwa_closed_form):
+        with pytest.raises(ConfigError, match="times"):
+            evolve(st, params, times)
+
+
 def test_guard_names_first_offending_time():
     # the vacuum spreads up a short chain: the edge weight starts at zero
     # and crosses the tolerance part way through the run
@@ -286,29 +297,6 @@ def test_guard_names_first_offending_time():
         dyn.evolve_rwa_closed_form(st, params, times)
 
 
-@settings(max_examples=60, deadline=None)
-@given(strategies.integers(1, 40), strategies.sampled_from(list(Parity)),
-       strategies.floats(0.0, 2.0), strategies.floats(0.0, 2.0),
-       strategies.floats(-1.5, 1.5), strategies.floats(-1.5, 1.5),
-       strategies.sampled_from([1.0, -1.0, None]))
-@example(1, Parity.EVEN, 0.0, 0.0, 0.0, 0.0, None)    # g = 0, omega_j = 0
-@example(2, Parity.ODD, 1.0, 1.0, 0.4, 0.0, -1.0)     # g1 = -g2, resonant
-@example(40, Parity.EVEN, 0.0, 1.3, 0.7, 0.0, 1.0)    # g1 = g2
-def test_rwa_sector_decomposition_matches_dense(n_max, parity, omega_1,
-                                                omega_2, g_1, g_2, tie):
-    # the RWA chain solved sector by sector against dense eigh of the same
-    # chain: levels, residuals and orthonormality
-    params = ModelParams(omega_1, omega_2, g_1,
-                         g_2 if tie is None else tie * g_1)
-    trunc = TruncationConfig(n_max)
-    h = expand_dense(build_rwa_band(params, parity, trunc))
-    vals, vecs = dyn._rwa_chain_eigh(params, parity, trunc)
-    tol = 1e-12 * max(1.0, np.linalg.norm(h, 2))
-    assert np.max(np.abs(np.sort(vals) - eigh(h).values)) <= tol
-    assert np.linalg.norm(h @ vecs - vecs * vals, 2) <= tol
-    assert np.linalg.norm(vecs.T @ vecs - np.eye(trunc.chain_dim), 2) <= tol
-
-
 def test_trajectory_state_columns_are_the_propagated_states():
     trunc = TruncationConfig(30)
     params = ModelParams(1.1, 0.3, 0.3, 0.4)
@@ -338,16 +326,20 @@ def test_trajectory_state_columns_are_the_propagated_states():
 @example(60, 1.1, 0.3, 0.3, 0.0, 1.0, 1.0, (E, G))       # g1 = g2
 @example(60, 1.1, 0.3, 0.4, 0.0, -1.0, 1.4, (G, G))      # g1 = -g2
 @example(60, 0.0, 0.0, 0.3, 0.4, None, 0, (E, E))        # omega_j = 0
+@example(1, 0.0, 0.0, 0.0, 0.0, None, 1e-3, (E, G))      # g = 0, omega_j = 0
+@example(2, 1.0, 1.0, 0.4, 0.0, -1.0, 1e-3, (G, E))      # g1 = -g2, resonant
+@example(40, 0.0, 1.3, 0.7, 0.0, 1.0, 1.0, (G, G))       # g1 = g2
 @example(50, 1.1, 0.3, 0.3, 0.4, None, 2.0, (G, G))      # coherent, window
 @example(40, 1.1, 0.3, 0.3, 0.4, None, 15, (G, E))       # past half: fallback
 @example(40, 1.1, 0.3, 0.3, 0.4, None, 40, (G, G))       # on the edge
 @example(40, 0.0, 0.0, 0.0, 0.0, 1.0, 2.2e-309, (E, E))  # odd-chain weight 0
 def test_windowed_trajectory_matches_whole_chain(n_max, omega_1, omega_2, g_1,
                                                  g_2, tie, field, qubits):
-    # every chain is propagated on a certified photon window or, past half
-    # the chain, on the whole chain: the state must agree with dense eigh of
-    # the whole chain to 1e-10 for t <= 25, and a window the start estimate
-    # already puts past half the chain must give way to the whole chain
+    # both engines propagate every chain on a certified photon window or,
+    # past half the chain, on the whole chain: the state must agree with
+    # dense eigh of the whole chain band, full or RWA, to 1e-10 for
+    # t <= 25, and a state already past half the chain must take the whole
+    # chain
     params = ModelParams(omega_1, omega_2, g_1,
                          g_2 if tie is None else tie * g_1)
     trunc = TruncationConfig(n_max)
@@ -355,34 +347,39 @@ def test_windowed_trajectory_matches_whole_chain(n_max, omega_1, omega_2, g_1,
                                                                field)
     st = dyn.decompose_initial_state(field, *qubits, trunc)
     times = np.linspace(0.0, 25.0, 26)
-    traj = dyn.evolve_parity(st, params, times, on_guard="record")
-    for parity in Parity:
-        c0 = st.chain(parity)
-        got = traj.state.chain(parity)
-        ref = propagate_spectral(
-            eigh(build_parity_matrix(params, parity, trunc)), c0, times)
-        assert np.max(np.abs(got - ref)) <= 1e-10, parity
-        weight = np.abs(c0) ** 2
-        if not np.any(weight):
-            assert traj.photons[parity] == 0 and not np.any(got)
-            continue
-        n_s = np.flatnonzero(weight[0::2] + weight[1::2]
-                             > 1e-32 * np.sum(weight))[-1]
-        start = _start_window(params, 2 * (n_s + 1))
-        photons = traj.photons[parity]
-        if 2 * (start + 1) > (n_max + 1):
-            assert photons == n_max + 1, parity
-        else:
-            assert start < photons <= (n_max + 1) / 2 or photons == n_max + 1
-        assert 0.0 <= traj.dropped_weight[parity] <= 1e-30 * np.sum(weight)
+    for build_band, traj in (
+            (build_parity_band,
+             dyn.evolve_parity(st, params, times, on_guard="record")),
+            (build_rwa_band, dyn._evolve(st, params, times, build_rwa_band,
+                                         "record"))):
+        for parity in Parity:
+            c0 = st.chain(parity)
+            got = traj.state.chain(parity)
+            ref = propagate_spectral(
+                eigh(expand_dense(build_band(params, parity, trunc))), c0,
+                times)
+            assert np.max(np.abs(got - ref)) <= 1e-10, parity
+            weight = np.abs(c0) ** 2
+            if not np.any(weight):
+                assert traj.photons[parity] == 0 and not np.any(got)
+                continue
+            n_s = np.flatnonzero(weight[0::2] + weight[1::2]
+                                 > 1e-32 * np.sum(weight))[-1]
+            photons = traj.photons[parity]
+            if 2 * (n_s + 1) > (n_max + 1):
+                assert photons == n_max + 1, parity
+            else:
+                assert (n_s < photons <= (n_max + 1) / 2
+                        or photons == n_max + 1)
+            assert 0.0 <= traj.dropped_weight[parity] <= 1e-30 * np.sum(
+                weight)
 
 
 @pytest.mark.parametrize("field", [3, 10, ("coherent", 1.5)])
-def test_tight_windows_widen_until_certified(monkeypatch, field):
+def test_tight_windows_widen_until_certified(field):
     # the first window just holds the state's photons, so the window levels
     # that carry it reach the window edge: only the residual certificate
     # makes the window widen until the propagated state is right
-    monkeypatch.setattr(dyn, "_start_window", lambda params, k: k // 2)
     params = ModelParams(1.1, 0.3, 0.3, 0.4)
     trunc = TruncationConfig(300)
     st = dyn.decompose_initial_state(field, G, G, trunc)
@@ -398,7 +395,7 @@ def test_tight_windows_widen_until_certified(monkeypatch, field):
             # every level that propagates has a residual no larger than
             # whole-chain eigh leaves, 8 eps ||H||_inf
             band = build_parity_band(params, parity, trunc)
-            (values, vectors, _, _), _ = dyn._window_levels(band, c0, params)
+            (values, vectors, _, _), _ = dyn._window_levels(band, c0)
             assert np.max(padded_residuals(band, values, vectors)) <= (
                 8 * np.finfo(float).eps * band_norm(band))
 
@@ -407,9 +404,8 @@ def test_window_route_and_dropped_weight_of_known_levels():
     # decoupled, the chain levels are its slots, so the state's level
     # weights are its slot weights: 1 on the ground slot, 2e-31 and 3e-31
     # inside the window, and 4e-33 on each of ten slots past it (each below
-    # the 1e-32 that sets n_s = 2).  The window 0..n_w, n_w =
-    # _start_window(params, 6), keeps the ground level alone, and the
-    # dropped weight is everything else
+    # the 1e-32 that sets n_s = 2).  The window 0..n_s keeps the ground
+    # level alone, and the dropped weight is everything else
     params = ModelParams(1.3, 0.7, 0.0, 0.0)
     trunc = TruncationConfig(60)
     c_even = np.zeros(trunc.chain_dim, dtype=complex)
@@ -419,9 +415,7 @@ def test_window_route_and_dropped_weight_of_known_levels():
     st = dyn.ParityDecomposedState(c_even, np.zeros_like(c_even), trunc)
     times = np.linspace(0.0, 10.0, 11)
     traj = dyn.evolve_parity(st, params, times)
-    n_w = _start_window(params, 6)
-    assert n_w < 30
-    assert traj.photons == {Parity.EVEN: n_w + 1, Parity.ODD: 0}
+    assert traj.photons == {Parity.EVEN: 3, Parity.ODD: 0}
     dropped = 5e-31 + 10 * 4e-33
     assert abs(traj.dropped_weight[Parity.EVEN] - dropped) <= 1e-12 * dropped
     assert traj.dropped_weight[Parity.ODD] == 0.0
@@ -446,7 +440,6 @@ def test_empty_chain_is_not_solved(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(dyn, "_window_levels", counted(dyn._window_levels))
-    monkeypatch.setattr(dyn, "_rwa_chain_eigh", counted(dyn._rwa_chain_eigh))
     for evolve in (dyn.evolve_parity, dyn.evolve_rwa_closed_form):
         calls.clear()
         traj = evolve(st, params, times)

@@ -60,6 +60,12 @@ def test_sweep_raises_when_unconverged():
         sweep_spectrum(TEMPLATE, [3.0], [3.0], TruncationConfig(10), k=10)
 
 
+def test_empty_coupling_schedule_is_rejected():
+    # an empty sweep would hand detect_crossings (0,)-shaped energies
+    with pytest.raises(ConfigError, match="empty"):
+        sweep_spectrum(TEMPLATE, [], [], TruncationConfig(10), k=3)
+
+
 def _toy_sweep(delta):
     """Two-level model [[g, delta], [delta, -g]] swept through g = 0."""
     gs = np.linspace(-0.5, 0.5, 21)
