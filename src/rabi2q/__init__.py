@@ -13,10 +13,10 @@ from .eigenstates import (BargmannCoefficients, RecurrenceState,
                           recurrence_eigenstate_la, residual)
 from .hamiltonian import (RwaExcitationBlock, build_full, build_parity_band,
                           build_parity_matrix, build_rwa_band,
-                          build_rwa_excitation_block, expand_dense)
+                          build_rwa_excitation_block)
 from .model import ModelParams, Parity, QubitLevel, TruncationConfig
 from .numerics import (EigenDecomposition, displacement_element, eigh,
-                       laguerre_assoc, propagate_spectral)
+                       expand_dense, laguerre_assoc, propagate_spectral)
 from .spectra import (CrossingKind, CrossingRecord, PerturbativeSpectrum,
                       RwaErrorReport, SpectrumSweep, detect_crossings,
                       dsc_perturbative_spectrum, rwa_relative_error,

@@ -281,8 +281,9 @@ def cmd_rwa_compare(args) -> int:
 def cmd_eigenstate(args) -> int:
     params = ModelParams(args.omega1, args.omega2, args.g1, args.g2)
     trunc = TruncationConfig(args.nmax)
-    if args.count < 1:
-        raise ConfigError("--count must be >= 1")
+    if not 1 <= args.count <= trunc.chain_dim:
+        raise ConfigError(f"--count must be in [1, {trunc.chain_dim}], the "
+                          f"levels of a chain at --nmax {args.nmax}")
     parities = ([Parity.EVEN, Parity.ODD] if args.parity == "both"
                 else [Parity.EVEN if args.parity == "even" else Parity.ODD])
     rows = []

@@ -4,9 +4,10 @@ Both engines take one route: one eigendecomposition per parity chain,
 shared across all output times, one spectral propagation per chain, and
 the same energy and observables; only the chain band, full or RWA,
 differs.  Each chain is solved by dense ``eigh`` of a leading photon
-window from the state's highest photon, certified by its zero-padded
-residuals against the whole chain, or of the whole chain when no window
-up to half of it holds the state; an empty chain is not solved.
+window on the ladder ``numerics.photon_windows`` from the state's highest
+photon, certified by its zero-padded residuals against the whole chain,
+or of the whole chain when no window up to half of it holds the state;
+an empty chain is not solved.
 Projections and propagation are real GEMMs on the float view of the
 complex amplitudes, and the energy is a(t)^dagger (V^T H V) a(t) on the
 K propagated levels.  The observables are the mean photon number, the
@@ -26,12 +27,12 @@ import numpy as np
 
 from .errors import (ConfigError, DegenerateResolvent, InvalidDensityMatrix,
                      TruncationInsufficient)
-from .hamiltonian import build_parity_band, build_rwa_band, expand_dense
+from .hamiltonian import build_parity_band, build_rwa_band
 from .model import (PAIR_ORDER, ModelParams, Parity, QubitLevel,
                     TruncationConfig, basis_table)
-from .numerics import (band_matvec, band_norm, eigh, padded_residuals,
-                       phase_coefficients, spectral_levels)
-from .spectra import WINDOW_GROWTH
+from .numerics import (RESIDUAL_TOL, band_matvec, band_norm, eigh,
+                       expand_dense, padded_residuals, phase_coefficients,
+                       photon_windows, spectral_levels)
 
 EDGE_WEIGHT_TOL = 1e-6
 COHERENT_LEAKAGE_TOL = 1e-12
@@ -289,44 +290,32 @@ class Trajectory:
     dropped_weight: dict
 
 
-# a window level is kept when its zero-padded residual against the whole
-# chain is at most WINDOW_RESIDUAL ||H||_inf; dense eigh of the whole Fig. 2
-# and Fig. 3 chains leaves 4.2-6.1 eps ||H||_inf
-WINDOW_RESIDUAL = 8 * np.finfo(float).eps
-
-
 def _window_levels(band: np.ndarray, c0: np.ndarray):
     """The ``spectral_levels`` that propagate one chain band from c0, and
     their photon count.
 
-    Dense eigh of the leading photon window 0..n_w, from n_w = n_s, the
-    highest photon holding more than 1e-32 of the state's weight: the least
-    window that can hold the state.  The window widens by WINDOW_GROWTH.  A
-    window level is certified when its zero-padded residual against the
-    whole chain band is at most WINDOW_RESIDUAL ||H||_inf (Parlett, The
-    Symmetric Eigenvalue Problem), and the window is accepted when the
-    state's weight past it and on its uncertified levels is at most
-    DROP_WEIGHT ||c0||^2.  A window that would pass half the chain gives way
-    to dense eigh of the whole chain.
+    Tries the windows of ``photon_windows`` from n_w = n_s, the highest
+    photon holding more than 1e-32 of the state's weight: the least window
+    that can hold the state.  A window level is certified when its
+    zero-padded residual against the whole chain band is at most
+    RESIDUAL_TOL ||H||_inf (Parlett, The Symmetric Eigenvalue Problem),
+    and the window is accepted when the state's weight past it and on its
+    uncertified levels is at most DROP_WEIGHT ||c0||^2.  When no window up
+    to half the chain is accepted, dense eigh of the whole chain answers.
     """
-    dim = band.shape[1]
     weight = np.abs(c0) ** 2
     n_window = int(np.flatnonzero(weight[0::2] + weight[1::2]
                                   > 1e-32 * np.sum(weight))[-1])
-    tol = WINDOW_RESIDUAL * band_norm(band)
-    while 4 * (n_window + 1) <= dim:
-        rows = 2 * (n_window + 1)
-        # expand_dense reads no entry that reaches past the window
-        decomp = eigh(expand_dense(band[:, :rows]))
+    tol = RESIDUAL_TOL * band_norm(band)
+    for rows, decomp in photon_windows(band, n_window):
         certified = padded_residuals(band, *decomp) <= tol
         levels = spectral_levels(decomp, c0, certified,
                                  float(np.sum(weight[rows:])))
         if levels is not None:
-            return levels, n_window + 1
+            return levels, rows // 2
         # the rejected window is freed before the next, larger solve
         del decomp
-        n_window = int(WINDOW_GROWTH * n_window) + 1
-    return spectral_levels(eigh(expand_dense(band)), c0), dim // 2
+    return spectral_levels(eigh(expand_dense(band)), c0), band.shape[1] // 2
 
 
 def _evolve(state: ParityDecomposedState, params: ModelParams, times,

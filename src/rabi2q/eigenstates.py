@@ -9,8 +9,8 @@ qubits) the five-term route raises StepSingular; a three-term recurrence
 covers that case.
 
 Both recurrences are dominated by growing solutions, so they serve as
-verification and structure-exposing tools; the production eigensolvers are
-in ``numerics`` (dense diagonalization, and the banded k-lowest solver of the
+verification and structure-exposing tools; the production eigensolver is
+``numerics.eigh`` (dense diagonalization, also on the photon windows of
 spectrum sweeps).  The four-term route runs in extended precision (mpmath)
 because the achievable residual is limited by the accuracy of the eigenvalue
 and seed fed to it: a double-precision eigenpair is amplified to ~1e-4
@@ -36,11 +36,12 @@ from mpmath.libmp import (fone, from_float, from_int, fzero, mpf_abs,
                           mpf_rdiv_int, mpf_sub, mpf_sum, to_float)
 
 from .errors import (ConfigError, ConvergenceFailure, OverflowDetected,
-                     SingularCoupling, StepSingular)
+                     SingularCoupling, StepSingular, TruncationInsufficient)
 from .hamiltonian import build_parity_band, build_parity_matrix
 from .model import ModelParams, Parity, TruncationConfig, basis_table
 from .numerics import (EigenDecomposition, band_matvec, band_norm, eigh,
                        general_band)
+from .spectra import converged_mask
 
 # decimal digits of the mp recurrences and of the refined eigenpairs
 DPS = 60
@@ -359,14 +360,17 @@ def eigenstate_recurrence(params: ModelParams, parity: Parity, index: int,
                           n_max: int,
                           decomp: EigenDecomposition | None = None
                           ) -> RecurrenceState:
-    """Recurrence state for the index-th lowest eigenvalue of one parity.
+    """Recurrence state for the index-th lowest converged eigenvalue of one
+    parity.
 
     Convenience pipeline: dense diagonalization, mp refinement of the
     eigenpair, then the four-term recurrence seeded by the refined first
     block; the state records the refined pair's mp residual.  A caller
     that already holds the dense decomposition of this chain at this
     cutoff passes it as decomp and skips the diagonalization.  index must
-    lie in [0, chain dimension).
+    lie in [0, chain dimension), and counts only the levels that pass the
+    truncation guard ``spectra.converged_mask``; TruncationInsufficient
+    when fewer than index + 1 of them do.
     """
     _check_couplings(params)
     if not 0 <= index < 2 * (n_max + 1):
@@ -375,8 +379,14 @@ def eigenstate_recurrence(params: ModelParams, parity: Parity, index: int,
     if decomp is None:
         decomp = eigh(build_parity_matrix(params, parity,
                                           TruncationConfig(n_max)))
-    xi, x, res = refine_eigenpair(params, parity, decomp.values[index],
-                                  decomp.vectors[:, index], n_max)
+    converged = np.flatnonzero(converged_mask(decomp.vectors, 4))
+    if index >= len(converged):
+        raise TruncationInsufficient(
+            f"only {len(converged)} eigenvalues converged at n_max={n_max} "
+            f"({parity.value} parity); index {index} needs {index + 1}")
+    level = converged[index]
+    xi, x, res = refine_eigenpair(params, parity, decomp.values[level],
+                                  decomp.vectors[:, level], n_max)
     state = recurrence_eigenstate_la(params, parity, xi, (x[0], x[1]),
                                      n_max)
     return replace(state, refine_residual=res)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .model import (ModelParams, Parity, QubitLevel, TruncationConfig,
                     basis_table)
+from .numerics import expand_dense
 
 
 def build_parity_band(params: ModelParams, parity: Parity,
@@ -58,16 +59,6 @@ def build_rwa_band(params: ModelParams, parity: Parity,
     for d in range(1, band.shape[0]):
         band[d, :-d][n_exc[d:] != n_exc[:-d]] = 0.0
     return band
-
-
-def expand_dense(band: np.ndarray) -> np.ndarray:
-    """Dense symmetric matrix of a lower band, band[d, c] = H[c + d, c]."""
-    dim = band.shape[1]
-    h = np.zeros((dim, dim))
-    for d in range(band.shape[0]):
-        col = np.arange(dim - d)
-        h[col + d, col] = h[col, col + d] = band[d, :dim - d]
-    return h
 
 
 def build_parity_matrix(params: ModelParams, parity: Parity,

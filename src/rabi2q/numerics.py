@@ -1,8 +1,9 @@
 """Shared numerical kernels.
 
-Dense symmetric eigendecomposition (LAPACK via numpy), the lowest
-eigenpairs of a banded symmetric matrix (LAPACK ``dsbevx`` via scipy),
-associated Laguerre polynomials, displacement-operator matrix elements, and
+Dense symmetric eigendecomposition (LAPACK via numpy), the only
+eigensolver of the package, also on the ladder of leading photon windows
+of a chain band; band matvecs, norms and residuals; associated Laguerre
+polynomials, displacement-operator matrix elements, and
 spectral-decomposition time propagation, whose projections and sums run as
 real GEMMs on the float view of the complex amplitudes.  Everything here
 is pure.
@@ -48,12 +49,37 @@ def eigh(h: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(values, vectors)
 
 
-# levels closer than TIE_GAP * ||H|| count as one degenerate level, and the
-# result must have residuals below RESIDUAL_TOL * ||H|| and max |V^T V - I|
-# below ORTHOGONALITY_TOL
-TIE_GAP = 1e-10
+# a window level is certified when its zero-padded residual against the
+# whole chain is at most RESIDUAL_TOL * ||H||_inf
 RESIDUAL_TOL = 1e-12
-ORTHOGONALITY_TOL = 1e-10
+# factor by which a photon window widens
+WINDOW_GROWTH = 1.5
+
+
+def expand_dense(band: np.ndarray) -> np.ndarray:
+    """Dense symmetric matrix of a lower band, band[d, c] = H[c + d, c]."""
+    dim = band.shape[1]
+    h = np.zeros((dim, dim))
+    for d in range(band.shape[0]):
+        col = np.arange(dim - d)
+        h[col + d, col] = h[col, col + d] = band[d, :dim - d]
+    return h
+
+
+def photon_windows(band: np.ndarray, n_start: int):
+    """Dense ``eigh`` of the leading photon windows 0..n_w of a chain band.
+
+    From n_w = n_start, the window widens by WINDOW_GROWTH while it holds
+    at most half the chain.  Yields (rows, decomposition) of the leading
+    rows = 2 (n_w + 1) rows and columns; no entry that reaches past them is
+    read.  The ladder keeps no reference to a window it has yielded, so a
+    caller that drops a rejected window frees it before the next solve.
+    """
+    n_window = n_start
+    while 4 * (n_window + 1) <= band.shape[1]:
+        rows = 2 * (n_window + 1)
+        yield rows, eigh(expand_dense(band[:, :rows]))
+        n_window = int(WINDOW_GROWTH * n_window) + 1
 
 
 def band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -98,56 +124,6 @@ def general_band(band: np.ndarray) -> np.ndarray:
         full[2 * kd + d, :dim - d] = band[d, :dim - d]
         full[2 * kd - d, d:] = band[d, :dim - d]
     return full
-
-
-def eigh_banded_lowest(band: np.ndarray, count: int) -> EigenDecomposition:
-    """The count lowest eigenpairs of a real symmetric banded matrix.
-
-    band is LAPACK lower band storage, band[d, c] = H[c + d, c].  The pairs
-    come from one call of LAPACK ``dsbevx`` through scipy's ``eig_banded``:
-    reduction to tridiagonal form, bisection for the eigenvalues and
-    inverse iteration (``dstein``) for the vectors.  It solves one pair more
-    than asked for, to see a tie across the cut.
-
-    Raises ConvergenceFailure, so the caller can fall back to ``eigh``, when
-    LAPACK does not converge, when two levels tie (their eigenspace has no
-    preferred basis, and ``dstein`` would return an arbitrary one), or when
-    a residual ||Hv - lambda v|| or the orthogonality of the vectors misses
-    its bound (``dstein`` can lose orthogonality in tight clusters).  scipy
-    is imported here, not at module level, so code that never calls this
-    kernel never loads it.
-    """
-    from scipy.linalg import eig_banded
-
-    band = np.asarray(band, dtype=float)
-    dim = band.shape[1]
-    if not 1 <= count <= dim:
-        raise ValueError("count must be in [1, matrix dimension]")
-    try:
-        values, vectors = eig_banded(band, lower=True, select="i",
-                                     select_range=(0, min(count, dim - 1)))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-    norm = band_norm(band) or 1.0
-    ties = np.flatnonzero(np.diff(values) <= TIE_GAP * norm)
-    if len(ties):
-        raise ConvergenceFailure(
-            f"levels {ties[0]} and {ties[0] + 1} tie within "
-            f"{TIE_GAP:g} * ||H||")
-    # a copy, so the result owns only the count columns it returns
-    values, vectors = values[:count], vectors[:, :count].copy()
-    residual = np.linalg.norm(band_matvec(band, vectors) - vectors * values,
-                              axis=0)
-    if not np.max(residual) <= RESIDUAL_TOL * norm:
-        raise ConvergenceFailure(
-            f"banded eigenvector residual {np.max(residual):.2e} exceeds "
-            f"{RESIDUAL_TOL:g} * ||H|| = {RESIDUAL_TOL * norm:.2e}")
-    loss = np.max(np.abs(vectors.T @ vectors - np.eye(count)))
-    if not loss <= ORTHOGONALITY_TOL:
-        raise ConvergenceFailure(
-            f"banded eigenvectors lose orthogonality: max "
-            f"|V^T V - I| = {loss:.2e} > {ORTHOGONALITY_TOL:g}")
-    return EigenDecomposition(values, vectors)
 
 
 def laguerre_assoc(n: int, k: int, z: float) -> float:

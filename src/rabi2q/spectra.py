@@ -2,21 +2,20 @@
 deep-strong-coupling perturbative branches, and RWA error metrics.
 
 Sweep points are evaluated one after another.  Each parity chain gives its
-lowest levels from the chain's band on a photon window 0..n_w of the
-chain, starting from a displaced-oscillator estimate.  The window's levels
-come from the banded kernel (``numerics.eigh_banded_lowest``); the window
-is certified when the residual of its zero-padded vectors against the
-whole chain, which past the window is
-sqrt(n_w + 1) ||[[g1, g2], [g2, g1]] v_top|| (v_top: the window's last two
-entries), is within the banded kernel's own bound, and when an inertia
-count shows that the whole chain has no more levels below the window's
-top solved level than the window has; otherwise it widens.  A window
-solves only the k requested levels and keeps only its own rows of their
-vectors.  When no window below n_max certifies, or a window's solve fails
-its checks, the point is solved by dense ``eigh`` of the whole chain,
-whose reported eigenvalues pass a truncation guard: the eigenvector must
-carry less than ``GUARD_TOL`` weight on the top two photon levels,
-otherwise the level is considered unconverged at this cutoff.
+lowest levels by dense ``eigh`` of a leading photon window 0..n_w of the
+chain band, on the window ladder ``numerics.photon_windows`` from a
+displaced-oscillator estimate.  The window is certified when the residual
+of its zero-padded vectors against the whole chain, which past the window
+is sqrt(n_w + 1) ||[[g1, g2], [g2, g1]] v_top|| (v_top: the window's last
+two entries), is within ``RESIDUAL_TOL`` ||H||, and when an inertia count
+shows that the whole chain has no more levels below the cut, midway to
+the window's next level, than the window has; otherwise it widens.  A
+point keeps only the k requested levels and its window's rows of their
+vectors.  When no window up to half the chain certifies, the point is
+solved by dense ``eigh`` of the whole chain, whose reported eigenvalues
+pass a truncation guard: the eigenvector must carry less than
+``GUARD_TOL`` weight on the top two photon levels, otherwise the level is
+considered unconverged at this cutoff.
 """
 
 from __future__ import annotations
@@ -27,12 +26,12 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceFailure, TruncationInsufficient
-from .hamiltonian import build_parity_band, build_rwa_band, expand_dense
+from .errors import ConfigError, TruncationInsufficient
+from .hamiltonian import build_parity_band, build_rwa_band
 from .model import ModelParams, Parity, TruncationConfig
-from .numerics import (RESIDUAL_TOL, TIE_GAP, band_norm, displacement_element,
-                       eigh, eigh_banded_lowest, general_band,
-                       padded_residuals)
+from .numerics import (RESIDUAL_TOL, band_norm, displacement_element, eigh,
+                       expand_dense, general_band, padded_residuals,
+                       photon_windows)
 
 GUARD_TOL = 1e-8
 
@@ -45,10 +44,6 @@ def converged_mask(vectors: np.ndarray, edge_dim: int) -> np.ndarray:
     """
     edge_weight = np.sum(vectors[-edge_dim:, :] ** 2, axis=0)
     return edge_weight < GUARD_TOL
-
-
-# factor by which an uncertified photon window widens
-WINDOW_GROWTH = 1.5
 
 
 def _no_level_below(band: np.ndarray, window_dim: int, x: float) -> bool:
@@ -89,36 +84,22 @@ def _no_level_below(band: np.ndarray, window_dim: int, x: float) -> bool:
 def _certified_window(band: np.ndarray, count: int, n_window: int):
     """The count lowest pairs of a chain band, solved on photons 0..n_w.
 
-    The window is the leading 2 (n_w + 1) rows and columns of the band with
-    the entries that reach past it zeroed; it widens by WINDOW_GROWTH, the
-    last step capped at n_max - 1, until its pairs pass the certificate of
-    ``converged_parity_eigensystem``.  Returns the values and the window
-    rows of the vectors (the rows past the window are zeros), or None when
-    no window up to n_max - 1 passes or a banded solve fails its checks
-    (such as levels that tie).
+    Tries the windows of ``photon_windows`` from n_w, at least count // 2
+    so that a window holds the level past the cut, until one passes the
+    certificate of ``converged_parity_eigensystem``.  Returns the values
+    and the window rows of the vectors (the rows past the window are
+    zeros), or None when no window up to half the chain passes.
     """
-    dim = band.shape[1]
-    n_max = dim // 2 - 1
     tol = RESIDUAL_TOL * band_norm(band)
-    # one row beyond count, so the kernel sees a tie across the cut
-    n_window = max(n_window, count // 2)
-    while n_window < n_max:
-        window_dim = 2 * (n_window + 1)
-        window = band[:, :window_dim].copy()
-        for d in range(1, band.shape[0]):
-            window[d, window_dim - d:] = 0.0
-        try:
-            values, window_vectors = eigh_banded_lowest(window, count)
-        except ConvergenceFailure:
-            return None
-        residual = padded_residuals(band, values, window_vectors)
-        # the kernel's tie check puts the window's next level above x
-        margin = 0.5 * TIE_GAP * (band_norm(window) or 1.0)
-        if (np.max(residual) <= tol and np.linalg.norm(residual) < margin
-                and _no_level_below(band, window_dim, values[-1] + margin)):
-            return values, window_vectors
-        n_window = (min(int(WINDOW_GROWTH * n_window) + 1, n_max - 1)
-                    if n_window < n_max - 1 else n_max)
+    for rows, (values, vectors) in photon_windows(
+            band, max(n_window, count // 2)):
+        residual = padded_residuals(band, values[:count], vectors[:, :count])
+        top = values[count - 1]
+        x = 0.5 * (top + values[count])
+        if (np.max(residual) <= tol and np.linalg.norm(residual) < x - top
+                and _no_level_below(band, rows, x)):
+            # a copy, so the result owns only the count columns it returns
+            return values[:count], vectors[:, :count].copy()
     return None
 
 
@@ -126,32 +107,31 @@ def converged_parity_eigensystem(params: ModelParams, parity: Parity,
                                  trunc: TruncationConfig, k: int):
     """k lowest converged eigenpairs of one parity block.
 
-    First solves the k lowest levels theta_i on photons 0..n_w only (the
+    First solves the lowest levels theta_i of photons 0..n_w only (the
     leading block A of H), from the window ``_start_window(params, k)``.
-    The window is accepted when
-    - every vector, zero-padded to the chain dimension, has a residual
-      ||H v - theta v|| against the whole chain of at most
-      RESIDUAL_TOL * ||H||, the banded kernel's own bound (past the window
-      that residual is sqrt(n_w + 1) ||[[g1, g2], [g2, g1]] v_top||, with
-      v_top the window's last two entries), and the residuals' joint norm
-      is below x - theta_top, for x = theta_top + TIE_GAP * ||A|| / 2;
+    The window is accepted when, for the cut x = (theta_k + theta_k+1) / 2
+    midway to A's next level,
+    - every one of the k vectors, zero-padded to the chain dimension, has a
+      residual ||H v - theta v|| against the whole chain of at most
+      RESIDUAL_TOL * ||H|| (past the window that residual is
+      sqrt(n_w + 1) ||[[g1, g2], [g2, g1]] v_top||, with v_top the
+      window's last two entries), and the residuals' joint norm is below
+      x - theta_k;
     - the whole chain has no more levels below x than A has
-      (``_no_level_below``).  The kernel's tie check puts A's next level
-      above x, so the chain has exactly k levels below x.
+      (``_no_level_below``), which is k.
     Each residual puts a distinct chain level within the residuals' joint
     norm of its theta (Kahan's bound for orthonormal vectors), all of them
     below x, so these are the chain's lowest levels, and Cauchy
-    interlacing keeps each at or below its theta.  A residual alone would
-    not do: at g1 = g2 = 0 every window has zero residual, yet its first
-    cuts can miss low levels that live at higher photon numbers.
-    Otherwise the window widens by WINDOW_GROWTH.  An accepted window
-    returns only its own rows of the vectors; the chain rows past them are
-    exact zeros.
+    interlacing keeps each at or below its theta.  Levels that tie inside
+    the k certify; a tie across the cut leaves no room below x.  A residual
+    alone would not do: at g1 = g2 = 0 every window has zero residual, yet
+    its first cuts can miss low levels that live at higher photon numbers.
+    Otherwise the window widens.  An accepted window returns only its own
+    rows of the vectors; the chain rows past them are exact zeros.
 
-    When no window below n_max certifies, or a window's banded solve fails
-    its checks (such as tied levels at g1 = g2 = 0), solves the whole
-    chain by dense ``eigh`` and returns the first k levels of its spectrum
-    that pass the guard, with vectors over the whole chain.
+    When no window up to half the chain certifies, solves the whole chain
+    by dense ``eigh`` and returns the first k levels of its spectrum that
+    pass the guard, with vectors over the whole chain.
     """
     band = build_parity_band(params, parity, trunc)
     solved = _certified_window(band, k, _start_window(params, k))

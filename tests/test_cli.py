@@ -233,6 +233,15 @@ def test_eigenstate_singular_coupling_exits_3(tmp_path):
     assert code == 3
 
 
+def test_eigenstate_unconverged_levels_exit_3(tmp_path):
+    # at n_max = 6 none of the even levels passes the truncation guard
+    out = tmp_path / "e.csv"
+    code = run(["eigenstate", "--omega1", "1.3", "--omega2", "0.7",
+                "--g1", "0.9", "--g2", "0.4", "--parity", "even",
+                "--count", "8", "--nmax", "6", "--out", str(out)])
+    assert code == 3 and not out.exists()
+
+
 def test_eigenstate_invalid_nmax_exits_2(tmp_path):
     code = run(["eigenstate", "--nmax", "0", "--g1", "0.3", "--g2", "0.4",
                 "--count", "1", "--out", str(tmp_path / "e.csv")])
@@ -468,8 +477,9 @@ commands = [
 for i, argv in enumerate(commands):
     assert main(argv + common + ["--out", f"{out}/{i}.csv"]) == 0, argv
 assert "scipy" not in sys.modules
-# the probe can see an import: the sweep loads scipy
-assert main(["spectrum", "--nmax", "30", "--k", "2"] + common
+# the probe can see an import: the sweep's inertia count loads scipy, and
+# at n_max = 60 a window gets that far
+assert main(["spectrum", "--nmax", "60", "--k", "2"] + common
             + ["--out", f"{out}/spectrum.csv"]) == 0
 assert "scipy" in sys.modules
 """
@@ -486,12 +496,12 @@ def _run_probe(*args):
 
 
 def test_commands_without_a_sweep_do_not_import_scipy(tmp_path):
-    # scipy costs about 0.3 s and 23 MB at import; only the banded
-    # eigensolver of the sweep may load it
+    # scipy costs about 0.3 s and 23 MB at import; only the inertia count
+    # of the sweep's window certificate may load it
     _run_probe(_IMPORT_PROBE, str(tmp_path))
 
 
 def test_importing_the_cli_does_not_import_scipy():
-    # the scipy imports sit inside the banded kernels, so a command's
-    # setup does not pay for them
+    # the scipy import sits inside the inertia count, so a command's
+    # setup does not pay for it
     _run_probe("import sys, rabi2q.cli; assert 'scipy' not in sys.modules")

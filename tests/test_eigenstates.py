@@ -23,7 +23,8 @@ from rabi2q.eigenstates import (BargmannCoefficients,
                                 recurrence_eigenstate_la, refine_eigenpair,
                                 residual)
 from rabi2q.errors import (ConvergenceFailure, OverflowDetected,
-                           SingularCoupling, StepSingular)
+                           SingularCoupling, StepSingular,
+                           TruncationInsufficient)
 from rabi2q.hamiltonian import build_parity_matrix
 from rabi2q.model import ModelParams, Parity, TruncationConfig
 from rabi2q.numerics import eigh
@@ -120,6 +121,22 @@ def test_index_outside_the_chain_rejected():
     for index in (-1, 2 * (20 + 1)):
         with pytest.raises(ValueError, match="outside"):
             eigenstate_recurrence(P, Parity.EVEN, index, 20)
+
+
+def test_index_counts_only_levels_that_pass_the_guard():
+    # at n_max = 20 the even levels 0-4 and 6 of this chain pass the
+    # truncation guard and level 5 does not: index 5 is level 6, as at
+    # n_max = 80, and index 6 has no level; at n_max = 6 none passes
+    p = ModelParams(1.3, 0.7, 0.9, 0.4)
+    wide = eigh(build_parity_matrix(p, Parity.EVEN, TruncationConfig(80)))
+    state = eigenstate_recurrence(p, Parity.EVEN, 5, 20)
+    assert state.xi == pytest.approx(wide.values[6], abs=1e-8)
+    decomp = eigh(build_parity_matrix(p, Parity.EVEN, TruncationConfig(20)))
+    for index, n_max, given in ((6, 20, None), (6, 20, decomp),
+                                (0, 6, None)):
+        with pytest.raises(TruncationInsufficient, match="converged"):
+            eigenstate_recurrence(p, Parity.EVEN, index, n_max,
+                                  decomp=given)
 
 
 def test_residual_of_exact_pair_and_random_vector():

@@ -1,17 +1,17 @@
 import math
-import warnings
+import weakref
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from rabi2q import numerics
-from rabi2q.errors import ConvergenceFailure
-from rabi2q.hamiltonian import build_parity_band, build_parity_matrix
+from rabi2q.hamiltonian import build_parity_matrix
 from rabi2q.model import ModelParams, Parity, TruncationConfig
 from rabi2q.numerics import (EigenDecomposition, band_matvec, band_norm,
-                             displacement_element, eigh, eigh_banded_lowest,
-                             general_band, laguerre_assoc, propagate_spectral)
+                             displacement_element, eigh, general_band,
+                             laguerre_assoc, photon_windows,
+                             propagate_spectral)
 
 
 def test_eigh_diagonal():
@@ -94,82 +94,34 @@ def test_band_norm_and_general_band_match_dense(dim):
     assert not np.any(full)
 
 
-@pytest.mark.parametrize("dim,count", [(1, 1), (7, 3), (7, 7), (300, 28)])
-def test_banded_lowest_matches_dense_on_random_bands(dim, count):
-    rng = np.random.default_rng(dim)
-    band = random_band(rng, dim)
-    vals, vecs = eigh_banded_lowest(band, count)
-    ref = eigh(dense_from_band(band))
-    norm = np.max(np.abs(ref.values))
-    assert vecs.shape == (dim, count)
-    assert np.max(np.abs(vals - ref.values[:count])) <= 1e-12 * norm
-    overlaps = np.abs(np.sum(vecs * ref.vectors[:, :count], axis=0))
-    assert np.all(overlaps > 1 - 1e-10)
+def test_photon_windows_solve_leading_blocks_up_to_half_the_chain():
+    # 50 rows: from 3 photons the ladder widens to 5 and 8 photons and
+    # stops before 13, whose 28 rows would pass half the chain
+    band = random_band(np.random.default_rng(7), 50)
+    h = dense_from_band(band)
+    windows = list(photon_windows(band, 3))
+    assert [rows for rows, _ in windows] == [8, 12, 18]
+    for rows, (vals, vecs) in windows:
+        ref = eigh(h[:rows, :rows])
+        assert np.array_equal(vals, ref.values)
+        assert np.array_equal(vecs, ref.vectors)
+    assert list(photon_windows(band, 12)) == []
 
 
-def test_banded_lowest_resolves_a_close_pair():
-    # two levels 1e-7 apart: close, but not a tie, so each level keeps a
-    # vector of its own, orthogonal to the other's
-    rng = np.random.default_rng(8)
-    q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-    h = q @ np.diag([0.0, 1e-7, 1.0, 2.0, 3.0, 4.0]) @ q.T
-    band = np.zeros((6, 6))
-    for d in range(6):
-        band[d, :6 - d] = np.diagonal(h, -d)
-    vals, vecs = eigh_banded_lowest(band, 3)
-    assert np.allclose(vals, [0.0, 1e-7, 1.0], atol=1e-13)
-    assert np.max(np.abs(vecs.T @ vecs - np.eye(3))) < 1e-10
-    pair = q[:, :2]
-    assert np.max(np.abs(vecs[:, :2] @ vecs[:, :2].T - pair @ pair.T)) < 1e-8
+def test_photon_windows_free_a_dropped_window_before_the_next_solve(
+        monkeypatch):
+    band = random_band(np.random.default_rng(3), 40)
+    held, alive = [], []
 
+    def spy(h):
+        alive.append(any(ref() is not None for ref in held))
+        return eigh(h)
 
-def test_banded_lowest_rejects_tied_levels():
-    band = np.zeros((4, 6))
-    band[0] = [3.0, 1.0, 2.0, 1.0, 5.0, 4.0]
-    # a tie with the first level above the requested ones counts too
-    for count in (1, 3):
-        with pytest.raises(ConvergenceFailure, match="tie"):
-            eigh_banded_lowest(band, count)
-    band[0, 3] = 1.5
-    assert np.allclose(eigh_banded_lowest(band, 1).values, [1.0], atol=1e-15)
-
-
-def test_banded_lowest_checks_can_fail(monkeypatch):
-    band = build_parity_band(ModelParams(1.3, 0.7, 0.3, 0.4), Parity.EVEN,
-                             TruncationConfig(30))
-    eigh_banded_lowest(band, 10)
-    with monkeypatch.context() as m:
-        m.setattr(numerics, "RESIDUAL_TOL", 0.0)
-        with pytest.raises(ConvergenceFailure, match="residual"):
-            eigh_banded_lowest(band, 10)
-    with monkeypatch.context() as m:
-        m.setattr(numerics, "ORTHOGONALITY_TOL", 0.0)
-        with pytest.raises(ConvergenceFailure, match="orthogonality"):
-            eigh_banded_lowest(band, 10)
-
-
-@pytest.mark.parametrize("scale", [1e-150, 1e-250])
-def test_banded_lowest_rescales_vectors_past_the_float_range(scale):
-    # a band scaled by 1e-150 or 1e-250 is solved without a warning
-    # (LAPACK scales it into a safe range), and its vectors match the
-    # unscaled band's
-    band = build_parity_band(ModelParams(1.3, 0.7, 0.3, 0.4), Parity.EVEN,
-                             TruncationConfig(20))
-    ref = eigh_banded_lowest(band, 5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = eigh_banded_lowest(scale * band, 5)
-    assert np.allclose(got.values / scale, ref.values, rtol=0, atol=1e-13)
-    overlaps = np.abs(np.sum(got.vectors * ref.vectors, axis=0))
-    assert np.all(overlaps > 1 - 1e-12)
-
-
-def test_banded_lowest_repeats_exactly():
-    band = build_parity_band(ModelParams(1.3, 0.7, 0.3, 0.4), Parity.ODD,
-                             TruncationConfig(40))
-    a, b = eigh_banded_lowest(band, 12), eigh_banded_lowest(band, 12)
-    assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.vectors, b.vectors)
+    monkeypatch.setattr(numerics, "eigh", spy)
+    for _, decomp in photon_windows(band, 0):
+        held.append(weakref.ref(decomp.vectors))
+        del decomp
+    assert len(alive) == 5 and not any(alive)
 
 
 def laguerre_sum(n, k, z):

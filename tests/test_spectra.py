@@ -6,12 +6,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from rabi2q import spectra
-from rabi2q.errors import (ConfigError, ConvergenceFailure,
-                           TruncationInsufficient)
-from rabi2q.hamiltonian import (build_parity_band, build_parity_matrix,
-                                expand_dense)
+from rabi2q.errors import ConfigError, TruncationInsufficient
+from rabi2q.hamiltonian import build_parity_band, build_parity_matrix
 from rabi2q.model import ModelParams, Parity, TruncationConfig
-from rabi2q.numerics import TIE_GAP, band_norm, eigh, eigh_banded_lowest
+from rabi2q.numerics import band_norm, eigh
 from rabi2q.spectra import (CrossingKind, SpectrumSweep,
                             converged_parity_eigensystem, detect_crossings,
                             dsc_perturbative_spectrum, rwa_relative_error,
@@ -263,11 +261,12 @@ def test_rwa_error_matches_full_basis_oracle(omega_1, omega_2, g_1, g_2,
 
 
 def test_converged_eigenvectors_own_only_their_columns():
-    # g = 0.3/0.4 certifies a window of 28 photons; at g = 0 the window's
-    # levels tie, so dense eigh of the whole chain answers
+    # g = 0.3/0.4 certifies a window of 28 photons, g = 0, whose tie lies
+    # inside the five levels, one of 10 photons (the whole-chain route is
+    # checked in test_tie_across_the_cut_falls_back_to_dense)
     trunc = TruncationConfig(60)
     for p, rows in ((ModelParams(1.3, 0.7, 0.3, 0.4), 58),
-                    (ModelParams(1.3, 0.7, 0.0, 0.0), trunc.chain_dim)):
+                    (ModelParams(1.3, 0.7, 0.0, 0.0), 22)):
         vals, vecs = converged_parity_eigensystem(p, Parity.EVEN, trunc, 5)
         assert vecs.shape == (rows, 5)
         assert vecs.base is None or vecs.base.nbytes == vecs.nbytes
@@ -315,50 +314,6 @@ def _assert_pairs_match(vals, vecs, dense, keep):
 
 
 @settings(max_examples=60, deadline=None)
-@given(omega_1=FREQ, omega_2=FREQ, g_1=st.floats(-2.0, 2.0),
-       g_2=st.floats(-2.0, 2.0), tie=st.sampled_from([None, 1.0, -1.0]),
-       parity=st.sampled_from(Parity), n_max=st.integers(1, 60),
-       count=st.integers(1, 40))
-@example(omega_1=0.9, omega_2=1.1, g_1=0.4, g_2=0.0, tie=1.0,
-         parity=Parity.EVEN, n_max=30, count=12)        # g2 = g1
-@example(omega_1=0.9, omega_2=1.1, g_1=0.4, g_2=0.0, tie=-1.0,
-         parity=Parity.ODD, n_max=30, count=12)         # g2 = -g1
-@example(omega_1=0.0, omega_2=0.8, g_1=0.3, g_2=0.5, tie=None,
-         parity=Parity.EVEN, n_max=30, count=12)        # omega_1 = 0
-@example(omega_1=0.0, omega_2=0.0, g_1=0.5, g_2=0.0, tie=1.0,
-         parity=Parity.ODD, n_max=30, count=16)         # omega_1 = omega_2 = 0
-@example(omega_1=1.3, omega_2=0.7, g_1=G_CROSS, g_2=0.0, tie=1.0,
-         parity=Parity.EVEN, n_max=60, count=10)        # in-parity crossing
-@example(omega_1=1.3, omega_2=0.7, g_1=G_CROSS + 1e-8, g_2=0.0, tie=1.0,
-         parity=Parity.EVEN, n_max=60, count=10)        # 3.4 tie gaps apart
-@example(omega_1=1.3, omega_2=0.7, g_1=G_CROSS + 1e-6, g_2=0.0, tie=1.0,
-         parity=Parity.EVEN, n_max=60, count=10)        # close pair
-@example(omega_1=1.3, omega_2=0.7, g_1=1.5, g_2=0.0, tie=1.0,
-         parity=Parity.EVEN, n_max=24, count=50)        # truncation edge
-@example(omega_1=1.3, omega_2=0.7, g_1=1.5, g_2=-0.5, tie=None,
-         parity=Parity.ODD, n_max=8, count=17)
-def test_banded_kernel_matches_dense_on_chains(omega_1, omega_2, g_1, g_2,
-                                               tie, parity, n_max, count):
-    params = ModelParams(omega_1, omega_2, g_1,
-                         g_2 if tie is None else tie * g_1)
-    band = build_parity_band(params, parity, TruncationConfig(n_max))
-    dim = band.shape[1]
-    count = min(count, dim)
-    dense = eigh(expand_dense(band))
-    tie_gap = TIE_GAP * band_norm(band)
-    gap = np.min(np.diff(dense.values[:count + 1]), initial=np.inf)
-    try:
-        vals, vecs = eigh_banded_lowest(band, count)
-    except ConvergenceFailure:
-        # only a tie among the count + 1 lowest levels stops the kernel
-        assert gap <= 2 * tie_gap
-        return
-    assert gap > 0.5 * tie_gap
-    assert vecs.shape == (dim, count)
-    _assert_pairs_match(vals, vecs, dense, np.arange(count))
-
-
-@settings(max_examples=60, deadline=None)
 @given(omega_1=st.floats(0.0, 2.0), omega_2=st.floats(0.0, 2.0),
        g_1=st.floats(-1.5, 1.5), g_2=st.floats(-1.5, 1.5),
        parity=st.sampled_from(Parity), n_max=st.integers(1, 120),
@@ -389,13 +344,13 @@ def test_banded_kernel_matches_dense_on_chains(omega_1, omega_2, g_1, g_2,
 @example(omega_1=1.3, omega_2=0.7, g_1=1.5, g_2=1.5, parity=Parity.EVEN,
          n_max=24, k=2, window=None)
 @example(omega_1=1.3, omega_2=0.7, g_1=0.3, g_2=0.4, parity=Parity.EVEN,
-         n_max=120, k=10, window=60)                    # accepted at once
+         n_max=121, k=10, window=60)                    # accepted at once
 @example(omega_1=1.3, omega_2=0.7, g_1=1.2, g_2=0.5, parity=Parity.ODD,
          n_max=120, k=20, window=0)                     # widens
 @example(omega_1=1.3, omega_2=0.7, g_1=0.8, g_2=-0.8, parity=Parity.EVEN,
          n_max=100, k=16, window=0)                     # g_plus = 0
 @example(omega_1=1.3, omega_2=0.7, g_1=1.5, g_2=1.5, parity=Parity.EVEN,
-         n_max=24, k=2, window=3)                       # reaches n_max
+         n_max=24, k=2, window=3)                       # reaches half chain
 @example(omega_1=1.3, omega_2=0.7, g_1=0.2, g_2=0.1, parity=Parity.ODD,
          n_max=20, k=31, window=0)                      # k near chain_dim
 @example(omega_1=1.3, omega_2=0.7, g_1=G_CROSS, g_2=G_CROSS,
@@ -441,7 +396,8 @@ def test_widening_reaches_chain_dimension():
 @settings(max_examples=60, deadline=None)
 @given(omega_2=st.floats(0.0, 2.0), g=st.floats(0.0, 2.0),
        n_max=st.integers(20, 120), k=st.integers(1, 24))
-# a second level lies 1.06e-9 away: the window ties and dense eigh answers
+# a second level lies 1.06e-9 away, inside the k levels; the one window up
+# to half the chain misses the residual bound, and dense eigh answers
 @example(omega_2=0.7, g=G_CROSS, n_max=60, k=10)
 def test_dark_like_level_at_omega_f(omega_2, g, n_max, k):
     # for omega_1 + omega_2 = 2 omega_f and g1 = g2 the even chain has a
@@ -456,35 +412,41 @@ def test_dark_like_level_at_omega_f(omega_2, g, n_max, k):
     assert np.min(np.abs(vals - 1.0)) <= tol
 
 
-def test_tied_levels_fall_back_to_dense(monkeypatch):
-    # at zero coupling the chain is diagonal with exactly degenerate pairs;
-    # the result is then dense eigh's, bit for bit
+def test_tie_across_the_cut_falls_back_to_dense(monkeypatch):
+    # at zero coupling the even chain is diagonal with levels -1, 0.7, 1, 1,
+    # 1.3, ...: for k = 3 the pair at 1 straddles the cut on every window,
+    # so the result is dense eigh's of the whole chain, bit for bit
     calls = []
     monkeypatch.setattr(spectra, "eigh",
                         lambda h: calls.append(h.shape) or eigh(h))
     p = ModelParams(1.3, 0.7, 0.0, 0.0)
     trunc = TruncationConfig(40)
-    vals, vecs = converged_parity_eigensystem(p, Parity.EVEN, trunc, 10)
+    vals, vecs = converged_parity_eigensystem(p, Parity.EVEN, trunc, 3)
     assert calls == [(trunc.chain_dim, trunc.chain_dim)]
+    assert vecs.base is None or vecs.base.nbytes == vecs.nbytes
     direct = eigh(build_parity_matrix(p, Parity.EVEN, trunc))
-    assert np.array_equal(vals, direct.values[:10])
-    assert np.array_equal(vecs, direct.vectors[:, :10])
+    assert np.array_equal(vals, direct.values[:3])
+    assert np.array_equal(vecs, direct.vectors[:, :3])
     calls.clear()
+    # at n_max = 40 no window up to half the chain certifies this point
     converged_parity_eigensystem(ModelParams(1.3, 0.7, 0.3, 0.4),
-                                 Parity.EVEN, trunc, 10)
+                                 Parity.EVEN, TruncationConfig(60), 3)
     assert calls == []
 
 
 def test_overflowing_banded_solve_falls_back_without_warning():
     # couplings of 8e-168 put entries near the float underflow into the
-    # banded solve; the point is solved without a warning, by the banded
-    # kernel or, should its checks fail, by dense eigh
+    # solve; the point is solved without a warning by dense eigh of the
+    # whole chain at n_max = 7 (the start window passes half of it) and on
+    # a window, inertia count included, at n_max = 20
     g = 8.183430930081774e-168
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        vals, _ = converged_parity_eigensystem(
-            ModelParams(0.0, 0.5, g, g), Parity.EVEN, TruncationConfig(7), 1)
-    assert vals.tolist() == [-0.25]
+    for n_max in (7, 20):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, _ = converged_parity_eigensystem(
+                ModelParams(0.0, 0.5, g, g), Parity.EVEN,
+                TruncationConfig(n_max), 1)
+        assert vals.tolist() == [-0.25]
 
 
 def test_huge_coupling_goes_to_dense_without_overflow():
@@ -497,14 +459,16 @@ def test_huge_coupling_goes_to_dense_without_overflow():
 
 
 def _window_dims(monkeypatch):
-    """Dimensions of the bands the banded kernel is called on, in order."""
+    """Row counts of the windows the ladder solves, in order."""
     dims = []
+    ladder = spectra.photon_windows
 
-    def spy(band, count):
-        dims.append(band.shape[1])
-        return eigh_banded_lowest(band, count)
+    def spy(band, n_start):
+        for rows, decomp in ladder(band, n_start):
+            dims.append(rows)
+            yield rows, decomp
 
-    monkeypatch.setattr(spectra, "eigh_banded_lowest", spy)
+    monkeypatch.setattr(spectra, "photon_windows", spy)
     return dims
 
 
@@ -515,8 +479,9 @@ def _window(params, parity, trunc, k, n_window):
 
 def test_window_accepts_widens_or_reaches_chain_dimension(monkeypatch):
     dims = _window_dims(monkeypatch)
+    # 61 photons are half the chain at n_max = 121
     p = ModelParams(1.3, 0.7, 0.3, 0.4)
-    trunc = TruncationConfig(120)
+    trunc = TruncationConfig(121)
     vals, vecs = _window(p, Parity.EVEN, trunc, 10, 60)
     assert dims == [122]
     assert vecs.shape == (122, 10)
@@ -529,41 +494,39 @@ def test_window_accepts_widens_or_reaches_chain_dimension(monkeypatch):
     assert vecs.shape == (dims[-1], 20)
     _assert_matches_dense(vals, vecs, p, Parity.ODD, trunc, 20)
 
-    # no window below n_max certifies, the last one capped at n_max - 1
-    # (48 rows), so the point goes to dense eigh of the whole chain
+    # no window up to half the chain certifies (the next, 28 rows, would
+    # pass it), so the point goes to dense eigh of the whole chain
     dims.clear()
     p = ModelParams(1.3, 0.7, 1.5, 1.5)
     trunc = TruncationConfig(24)
     assert _window(p, Parity.EVEN, trunc, 1, 3) is None
-    assert dims == [8, 12, 18, 28, 42, 48]
+    assert dims == [8, 12, 18]
     vals, vecs = converged_parity_eigensystem(p, Parity.EVEN, trunc, 1)
     dense, keep = _dense_converged(p, Parity.EVEN, trunc, 1)
     assert np.array_equal(vals, dense.values[keep])
     assert np.array_equal(vecs, dense.vectors[:, keep])
 
 
-def test_window_with_tied_levels_solves_whole_chain(monkeypatch):
-    # at g = 0 the window's levels tie: one dense eigh of the whole chain
-    # answers, with no banded solve of the whole chain
+@pytest.mark.parametrize("k,rows", [(4, 20), (10, 30)])
+def test_ties_inside_the_cut_certify_on_a_window(monkeypatch, k, rows):
+    # the same chain for k = 4 and k = 10 holds its ties inside the k
+    # levels: the start window certifies, with no whole-chain solve
     dims = _window_dims(monkeypatch)
-    p = ModelParams(1.3, 0.7, 0.0, 0.0)
-    trunc = TruncationConfig(40)
-    assert _window(p, Parity.EVEN, trunc, 10, 20) is None
-    assert dims == [42]
-    dims.clear()
     calls = []
     monkeypatch.setattr(spectra, "eigh",
                         lambda h: calls.append(h.shape) or eigh(h))
-    vals, vecs = converged_parity_eigensystem(p, Parity.EVEN, trunc, 10)
-    assert len(dims) == 1 and dims[0] < trunc.chain_dim
-    assert calls == [(trunc.chain_dim, trunc.chain_dim)]
-    dense, keep = _dense_converged(p, Parity.EVEN, trunc, 10)
-    assert np.array_equal(vals, dense.values[keep])
-    assert np.array_equal(vecs, dense.vectors[:, keep])
+    p = ModelParams(1.3, 0.7, 0.0, 0.0)
+    trunc = TruncationConfig(40)
+    vals, vecs = converged_parity_eigensystem(p, Parity.EVEN, trunc, k)
+    assert dims == [rows] and calls == []
+    assert vecs.shape == (rows, k)
+    _assert_matches_dense(vals, vecs, p, Parity.EVEN, trunc, k)
 
 
 def test_crossings_on_window_rows_match_zero_padded_vectors():
-    trunc = TruncationConfig(80)
+    # every point certifies on a window: at n_max = 120 some would need
+    # more than half the chain and take the whole of it
+    trunc = TruncationConfig(140)
     gs = np.arange(0.30, 0.9001, 0.01)
     sweep = sweep_spectrum(TEMPLATE, gs, gs, trunc, k=12)
     rows = {len(v) for parity in Parity for v in sweep.vectors[parity]}
@@ -576,24 +539,6 @@ def test_crossings_on_window_rows_match_zero_padded_vectors():
             detect_crossings(padded, parity)
     assert any(r.kind is CrossingKind.CROSSING
                for r in detect_crossings(sweep, Parity.EVEN))
-
-
-@pytest.mark.parametrize("parity", list(Parity))
-@pytest.mark.parametrize("g", [0.55, 0.58])
-def test_window_ladder_tries_n_max_minus_one(monkeypatch, parity, g):
-    # omega 1.3/0.7, g1 = g2, k = 12, n_max = 44: the start window (32 or 33
-    # photons) fails and x1.5 would pass n_max, so the ladder tries 43
-    # photons, which certifies, instead of going to the whole chain
-    dims = _window_dims(monkeypatch)
-    p = ModelParams(1.3, 0.7, g, g)
-    trunc = TruncationConfig(44)
-    vals, vecs = _window(p, parity, trunc, 12, spectra._start_window(p, 12))
-    assert spectra._start_window(p, 12) in (32, 33)
-    assert len(dims) == 2 and dims[0] < 88 and dims[1] == 88
-    assert vecs.shape == (88, 12)
-    _assert_matches_dense(vals, vecs, p, parity, trunc, 12)
-    dense, keep = _dense_converged(p, parity, trunc, 12)
-    assert np.max(np.abs(vals - dense.values[keep])) <= 1e-13
 
 
 # at n_max = 50 no window certifies at part of the points, so the sweep
