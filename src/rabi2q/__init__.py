@@ -11,12 +11,11 @@ from .dynamics import (ParityDecomposedState, QuarticCoefficients,
 from .eigenstates import (BargmannCoefficients, RecurrenceState,
                           bargmann_identical_coefficients,
                           recurrence_eigenstate_la, residual)
-from .hamiltonian import (RwaExcitationBlock, build_full, build_parity_band,
-                          build_parity_matrix, build_rwa_band,
-                          build_rwa_excitation_block)
+from .hamiltonian import (RwaExcitationBlock, build_parity_band,
+                          build_rwa_band, build_rwa_excitation_block)
 from .model import ModelParams, Parity, QubitLevel, TruncationConfig
 from .numerics import (EigenDecomposition, displacement_element, eigh,
-                       expand_dense, laguerre_assoc, propagate_spectral)
+                       expand_dense, laguerre_assoc)
 from .spectra import (CrossingKind, CrossingRecord, PerturbativeSpectrum,
                       RwaErrorReport, SpectrumSweep, detect_crossings,
                       dsc_perturbative_spectrum, rwa_relative_error,
@@ -31,14 +30,13 @@ __all__ = [
     "RwaErrorReport", "RwaExcitationBlock", "SpectrumSweep", "Trajectory",
     "TruncationConfig",
     "bargmann_identical_coefficients",
-    "build_full", "build_parity_band", "build_parity_matrix",
-    "build_rwa_band", "build_rwa_excitation_block",
+    "build_parity_band", "build_rwa_band", "build_rwa_excitation_block",
     "concurrence",
     "decompose_initial_state", "detect_crossings", "displacement_element",
     "dsc_perturbative_spectrum", "eigh", "evolve_parity",
     "evolve_rwa_closed_form", "expand_dense", "laguerre_assoc",
     "mean_photon_number", "population_inversion",
-    "propagate_spectral", "quartic_coefficients", "quartic_roots",
+    "quartic_coefficients", "quartic_roots",
     "recurrence_eigenstate_la", "reduced_density_matrix", "residual",
     "rwa_relative_error", "sweep_spectrum", "von_neumann_entropy",
 ]

@@ -7,8 +7,8 @@ with a comment line carrying the tool version, the command and a hash of the
 resolved configuration so identical configs produce byte-identical files.
 
 Exit codes: 0 success, 2 configuration error (a ConfigError, raised by the
-front end and by the input checks of the library), 3 numerical/truncation
-failure.
+front end and by the input checks of the library, or a configuration too
+large to allocate), 3 numerical/truncation failure.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from . import __version__, dynamics, eigenstates, spectra
 from ._svg import Panel, Series, render
 from .errors import ConfigError, Rabi2qError
 from .model import ModelParams, Parity, QubitLevel, TruncationConfig
-from .numerics import eigh
-from .hamiltonian import build_parity_matrix
+from .hamiltonian import build_parity_band
+from .numerics import eigh, expand_dense
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL = 0, 2, 3
 
@@ -288,7 +288,7 @@ def cmd_eigenstate(args) -> int:
                 else [Parity.EVEN if args.parity == "even" else Parity.ODD])
     rows = []
     for parity in parities:
-        decomp = eigh(build_parity_matrix(params, parity, trunc))
+        decomp = eigh(expand_dense(build_parity_band(params, parity, trunc)))
         for index in range(args.count):
             state = eigenstates.eigenstate_recurrence(params, parity, index,
                                                       args.nmax,
@@ -419,6 +419,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error: the configuration is too large to allocate{detail}",
+              file=sys.stderr)
         return EXIT_CONFIG
     except Rabi2qError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -43,9 +43,9 @@ class ParityDecomposedState:
     """Pure system state as complex amplitudes over the two parity chains.
 
     The amplitudes have shape (chain_dim,) for one state, or (chain_dim, T)
-    for T states held one column per time.  Every property below and every
-    observable of this module broadcasts over that trailing axis: a single
-    state gives scalars, a stack gives one value per column.
+    for T states held one column per time.  to_full and every observable
+    of this module broadcast over that trailing axis: a single state gives
+    scalars, a stack gives one value per column.
     """
 
     c_even: np.ndarray
@@ -59,20 +59,6 @@ class ParityDecomposedState:
 
     def chain(self, parity: Parity) -> np.ndarray:
         return self.c_even if parity is Parity.EVEN else self.c_odd
-
-    @property
-    def norm(self):
-        return np.hypot(np.linalg.norm(self.c_even, axis=0),
-                        np.linalg.norm(self.c_odd, axis=0))
-
-    def parity_weights(self):
-        return (np.sum(np.abs(self.c_even) ** 2, axis=0),
-                np.sum(np.abs(self.c_odd) ** 2, axis=0))
-
-    def edge_weight(self):
-        """Probability on the top two photon levels (last 4 chain slots)."""
-        return (np.sum(np.abs(self.c_even[-4:]) ** 2, axis=0)
-                + np.sum(np.abs(self.c_odd[-4:]) ** 2, axis=0))
 
     def to_full(self) -> np.ndarray:
         """Amplitudes in the product basis |n>|q1>|q2>."""
@@ -324,10 +310,12 @@ def _evolve(state: ParityDecomposedState, params: ModelParams, times,
     parity, trunc) gives the chain band that ``_window_levels`` solves; a
     chain where the state has zero weight is not solved.  The levels and
     the K x T amplitudes a(t) of each chain are freed before the next
-    chain, and before the observables, which share one |c|^2 per chain."""
+    chain, and before the observables, which share one |c|^2 per chain.
+    ConfigError when a phase E t of a propagated level is not finite."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.ndim != 1 or not times.size or not np.isfinite(times).all():
         raise ConfigError("times must be finite, 1-d and not empty")
+    t_max = float(np.max(np.abs(times)))
     trunc = state.trunc
     evolved, photons, dropped = {}, {}, {}
     energy = np.zeros(len(times))
@@ -341,6 +329,12 @@ def _evolve(state: ParityDecomposedState, params: ModelParams, times,
         band = build_band(params, parity, trunc)
         (values, vectors, proj, dropped[parity]), photons[parity] = (
             _window_levels(band, c0))
+        # E t past the float range would turn every phase into nan
+        e_max = float(np.max(np.abs(values)))
+        if not math.isfinite(e_max * t_max):
+            raise ConfigError(f"phases E t pass the float range: levels up "
+                              f"to |E| = {e_max:.3g} at times up to "
+                              f"{t_max:.3g}")
         rows = vectors.shape[0]
         amps = phase_coefficients(values, proj, times).view(float)
         np.matmul(vectors, amps, out=out[:rows].view(float))

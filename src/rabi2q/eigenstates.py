@@ -37,10 +37,10 @@ from mpmath.libmp import (fone, from_float, from_int, fzero, mpf_abs,
 
 from .errors import (ConfigError, ConvergenceFailure, OverflowDetected,
                      SingularCoupling, StepSingular, TruncationInsufficient)
-from .hamiltonian import build_parity_band, build_parity_matrix
+from .hamiltonian import build_parity_band
 from .model import ModelParams, Parity, TruncationConfig, basis_table
 from .numerics import (EigenDecomposition, band_matvec, band_norm, eigh,
-                       general_band)
+                       expand_dense, general_band)
 from .spectra import converged_mask
 
 # decimal digits of the mp recurrences and of the refined eigenpairs
@@ -307,8 +307,8 @@ def refine_eigenpair(params: ModelParams, parity: Parity, xi0: float,
     depends on the BLAS thread count.
 
     F runs on raw mpf tuples with the chain's cached ``_chain_tables``:
-    each row of (H - xi) x, and x^T x, is an exact dot product rounded
-    once at the context's (prec, rounding), bit for bit mp.fdot.
+    each row of (H - xi) x, and 1 - x^T x, is an exact dot product
+    rounded once at the context's (prec, rounding), bit for bit mp.fdot.
 
     Returns (xi, x, residual), xi and the list x as mpf, once residual =
     ||(H - xi) x||_2 and ||H|| |x^T x - 1| / 2 are at most
@@ -337,9 +337,11 @@ def refine_eigenpair(params: ModelParams, parity: Parity, xi0: float,
         xi, x = from_float(float(xi0)), [from_float(c) for c in x0.tolist()]
         for step in range(NEWTON_STEPS + 1):
             f = np.array(_mp_residual(tables, xi, x, prec, rnd))
-            xx = mpf_sum([mpf_mul(c, c) for c in x], prec, rnd)
-            h = to_float(mpf_div(mpf_sub(fone, xx, prec, rnd), from_int(2),
-                                 prec, rnd), rnd=rnd)
+            # 1 - x^T x summed exactly and rounded once: rounding x^T x
+            # first would cost h an ulp of 1, about tol / ||H|| itself
+            h = to_float(mpf_div(mpf_sum([fone] + [mpf_neg(mpf_mul(c, c))
+                                                   for c in x], prec, rnd),
+                                 from_int(2), prec, rnd), rnd=rnd)
             res = math.hypot(*f)
             if res <= tol and abs(h) * hnorm <= tol:
                 return mp.make_mpf(xi), [mp.make_mpf(c) for c in x], res
@@ -377,8 +379,8 @@ def eigenstate_recurrence(params: ModelParams, parity: Parity, index: int,
         raise ConfigError(f"eigenstate index {index} is outside the "
                           f"{2 * (n_max + 1)} levels of the chain")
     if decomp is None:
-        decomp = eigh(build_parity_matrix(params, parity,
-                                          TruncationConfig(n_max)))
+        decomp = eigh(expand_dense(build_parity_band(
+            params, parity, TruncationConfig(n_max))))
     converged = np.flatnonzero(converged_mask(decomp.vectors, 4))
     if index >= len(converged):
         raise TruncationInsufficient(

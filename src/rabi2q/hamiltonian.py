@@ -6,10 +6,9 @@ blocks O_j between photon numbers j - 1 and j).  The RWA chain band is that
 band with the counter-rotating entries zeroed, block diagonal with one
 block of at most four slots per excitation sector.  Every chain matvec runs
 on the band; a dense chain matrix is expanded from it only to feed dense
-``eigh``, and the full-basis matrix is scattered from the two dense chains
-through the basis table.  The sector blocks of the printed quartic are
-written from their own printed entries.  All matrices are real symmetric by
-construction (complex arithmetic enters only in dynamics).
+``eigh``.  The sector blocks of the printed quartic are written from their
+own printed entries.  All matrices are real symmetric by construction
+(complex arithmetic enters only in dynamics).
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import numpy as np
 
 from .model import (ModelParams, Parity, QubitLevel, TruncationConfig,
                     basis_table)
-from .numerics import expand_dense
 
 
 def build_parity_band(params: ModelParams, parity: Parity,
@@ -59,24 +57,6 @@ def build_rwa_band(params: ModelParams, parity: Parity,
     for d in range(1, band.shape[0]):
         band[d, :-d][n_exc[d:] != n_exc[:-d]] = 0.0
     return band
-
-
-def build_parity_matrix(params: ModelParams, parity: Parity,
-                        trunc: TruncationConfig) -> np.ndarray:
-    return expand_dense(build_parity_band(params, parity, trunc))
-
-
-def build_full(params: ModelParams, trunc: TruncationConfig) -> np.ndarray:
-    """Hamiltonian in the product basis |n>|q1>|q2>, photon cutoff n_max.
-
-    The two parity-chain matrices scattered to their full-basis rows; no
-    element couples the two parities.
-    """
-    h = np.zeros((trunc.full_dim, trunc.full_dim))
-    for parity in (Parity.EVEN, Parity.ODD):
-        idx = basis_table(trunc).full_index[parity]
-        h[np.ix_(idx, idx)] = build_parity_matrix(params, parity, trunc)
-    return h
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@
 Dense symmetric eigendecomposition (LAPACK via numpy), the only
 eigensolver of the package, also on the ladder of leading photon windows
 of a chain band; band matvecs, norms and residuals; associated Laguerre
-polynomials, displacement-operator matrix elements, and
-spectral-decomposition time propagation, whose projections and sums run as
-real GEMMs on the float view of the complex amplitudes.  Everything here
+polynomials, displacement-operator matrix elements, and the level
+selection, phases and real GEMMs (on the float view of the complex
+amplitudes) of spectral-decomposition time propagation.  Everything here
 is pure.
 """
 
@@ -177,14 +177,13 @@ DROP_WEIGHT = 1e-30
 
 
 def real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """a @ z for a real matrix a and a complex z of one or two axes.
+    """a @ z for a real matrix a and a complex vector z.
 
     One real GEMM on the float view of z, where numpy would upcast a to
     complex and do four times the work.
     """
     z = np.ascontiguousarray(z, dtype=complex)
-    out = a @ z.reshape(z.shape[0], math.prod(z.shape[1:])).view(float)
-    return out.view(complex).reshape(a.shape[:1] + z.shape[1:])
+    return (a @ z.view(float).reshape(-1, 2)).view(complex)[:, 0]
 
 
 def spectral_levels(decomp: EigenDecomposition, c0: np.ndarray,
@@ -220,27 +219,7 @@ def spectral_levels(decomp: EigenDecomposition, c0: np.ndarray,
 
 
 def phase_coefficients(values: np.ndarray, proj: np.ndarray,
-                       t: float | np.ndarray) -> np.ndarray:
-    """exp(-i values t) proj: the level amplitudes at t, one column per
-    time when t is a 1-d array."""
-    t_arr = np.asarray(t, dtype=float)
-    return (np.exp(-1j * np.multiply.outer(values, t_arr))
-            * proj[(...,) + (None,) * t_arr.ndim])
-
-
-def propagate_spectral(decomp: EigenDecomposition, c0: np.ndarray,
-                       t: float | np.ndarray) -> np.ndarray:
-    """Apply exp(-i H t) to c0 using the eigendecomposition of H.
-
-    t may be a scalar (returns a vector) or a 1-d array of output times
-    (returns an array with one column per time).  Levels whose projections
-    on c0 weigh DROP_WEIGHT ||c0||^2 or less together are left out
-    (``spectral_levels``), so the result is off by at most 1e-15 ||c0|| at
-    every t.  The projection and the propagation are real GEMMs on the
-    float view of the complex amplitudes.
-    """
-    c0 = np.asarray(c0, dtype=complex)
-    if c0.shape[0] != decomp.values.shape[0]:
-        raise ValueError("state dimension does not match decomposition")
-    values, vectors, proj, _ = spectral_levels(decomp, c0)
-    return real_matmul(vectors, phase_coefficients(values, proj, t))
+                       times: np.ndarray) -> np.ndarray:
+    """exp(-i values t) proj: the level amplitudes, one column per time t
+    of the 1-d times."""
+    return np.exp(-1j * np.multiply.outer(values, times)) * proj[:, None]

@@ -127,6 +127,21 @@ def kronecker_reference(params, trunc, rwa=False):
     return h
 
 
+def propagate_reference(decomp, c0, t):
+    """exp(-i H t) c0 from the eigenpairs (values, vectors) of H.
+
+    Every level is kept, and the projections and the sum run in plain
+    complex arithmetic.  t is a scalar (returns a vector) or a 1-d array
+    of times (returns one column per time).
+    """
+    values, vectors = decomp
+    vectors = np.asarray(vectors, dtype=complex)
+    proj = vectors.conj().T @ np.asarray(c0, dtype=complex)
+    t_arr = np.asarray(t, dtype=float)
+    out = vectors @ (np.exp(-1j * np.outer(values, t_arr)) * proj[:, None])
+    return out if t_arr.ndim else out[:, 0]
+
+
 def reduced_density_matrix_partial_trace(state) -> np.ndarray:
     """Generic partial trace over the field of a single state.
 
@@ -331,7 +346,7 @@ def refine_eigenpair_reference(params, parity, xi0, vec0, n_max):
         for step in range(eig.NEWTON_STEPS + 1):
             f = -np.array([float(c)
                            for c in mp_residual_reference(d, a, b, xi, x)])
-            h = float((1 - mp.fdot(x, x)) / 2)
+            h = float(mp.fdot([1] + x, [1] + [-c for c in x]) / 2)
             res = math.hypot(*f)
             if res <= tol and abs(h) * hnorm <= tol:
                 return xi, x, res

@@ -19,15 +19,14 @@ from rabi2q.eigenstates import (bargmann_identical_coefficients,
                                 eigenstate_recurrence,
                                 recurrence_eigenstate_la, residual)
 from rabi2q.errors import SingularCoupling
-from rabi2q.hamiltonian import (build_full, build_parity_matrix,
-                                build_rwa_excitation_block)
+from rabi2q.hamiltonian import build_parity_band, build_rwa_excitation_block
 from rabi2q.model import ModelParams, Parity, QubitLevel, TruncationConfig
-from rabi2q.numerics import displacement_element, eigh
+from rabi2q.numerics import displacement_element, eigh, expand_dense
 from rabi2q.spectra import (CrossingKind, converged_mask, detect_crossings,
                             dsc_perturbative_spectrum, rwa_relative_error,
                             sweep_spectrum)
 
-from oracles import (quartic_coefficients_from_block,
+from oracles import (kronecker_reference, quartic_coefficients_from_block,
                      reduced_density_matrix_partial_trace)
 
 G = QubitLevel.G
@@ -40,7 +39,11 @@ def report(num: int, ok: bool, detail: str):
 
 
 def test_criterion_01_parity_decomposition_exactness():
-    """Union of converged parity eigenvalues equals the full spectrum."""
+    """Union of converged parity eigenvalues equals the full spectrum.
+
+    The full-basis Hamiltonian is built from Kronecker products of the
+    field and qubit operators, which share no code with the chain bands.
+    """
     t0 = time.time()
     rng = np.random.default_rng(20260810)
     trunc = TruncationConfig(120)
@@ -48,12 +51,13 @@ def test_criterion_01_parity_decomposition_exactness():
     for _ in range(20):
         p = ModelParams(rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0),
                         rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
-        vals_f, vecs_f = eigh(build_full(p, trunc))
+        vals_f, vecs_f = eigh(kronecker_reference(p, trunc))
         mask_f = converged_mask(vecs_f, 8)
         full = vals_f[mask_f]
         union = []
         for parity in Parity:
-            vals, vecs = eigh(build_parity_matrix(p, parity, trunc))
+            vals, vecs = eigh(expand_dense(build_parity_band(p, parity,
+                                                             trunc)))
             union.append(vals[converged_mask(vecs, 4)])
         union = np.sort(np.concatenate(union))
         assert len(union) == len(full), (len(union), len(full))
@@ -115,7 +119,7 @@ def test_criterion_04_dsc_convergence():
     trunc = TruncationConfig(400)
     worst = 0.0
     for parity in Parity:
-        vals, vecs = eigh(build_parity_matrix(p, parity, trunc))
+        vals, vecs = eigh(expand_dense(build_parity_band(p, parity, trunc)))
         numeric = vals[converged_mask(vecs, 4)][:12]
         worst = max(worst, float(np.max(np.abs(numeric - spec.branch1))))
     elapsed = time.time() - t0

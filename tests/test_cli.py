@@ -274,6 +274,13 @@ def test_eigenstate_invalid_nmax_exits_2(tmp_path):
     ["perturb", "--omega1", "1e200", "--g1", "1", "--g2", "2", "--mmax", "1"],
     ["perturb", "--g1", "1e150", "--g2", "1e150", "--mmax", "1",
      "--omega-f", "1e10"],
+    # E t passes the float range
+    ["dynamics", "--tmax", "1e308", "--steps", "2"],
+    # arrays far past the address space: numpy refuses them before any
+    # memory is touched
+    ["dynamics", "--steps", str(10 ** 17)],
+    ["spectrum", "--g1", "0:2:1e-13"],
+    ["eigenstate", "--bargmann", "--jmax", str(10 ** 17)],
 ], ids=["spectrum-k", "perturb-mmax", "eigenstate-jmax", "rwa-compare-k",
         "eigenstate-count", "dynamics-fock", "perturb-ncut",
         "dynamics-tmax-nan", "dynamics-tmax-inf", "dynamics-alpha-nan",
@@ -283,7 +290,9 @@ def test_eigenstate_invalid_nmax_exits_2(tmp_path):
         "rwa-compare-omega-f-0", "rwa-compare-omega-f-negative",
         "rwa-compare-omega-f-nan", "eigenstate-count-0",
         "eigenstate-count-negative", "perturb-g-square-overflows",
-        "perturb-omega-square-overflows", "perturb-rows-pass-float-range"])
+        "perturb-omega-square-overflows", "perturb-rows-pass-float-range",
+        "dynamics-phase-overflows", "dynamics-steps-too-large",
+        "spectrum-range-too-large", "eigenstate-jmax-too-large"])
 def test_out_of_range_input_exits_2(argv, tmp_path, capsys):
     # the flags of argv come last, so they win over the defaults here
     code = run(argv[:1] + ["--g1", "0.3", "--g2", "0.4", "--nmax", "20",

@@ -25,15 +25,21 @@ from rabi2q.eigenstates import (BargmannCoefficients,
 from rabi2q.errors import (ConvergenceFailure, OverflowDetected,
                            SingularCoupling, StepSingular,
                            TruncationInsufficient)
-from rabi2q.hamiltonian import build_parity_matrix
+from rabi2q.hamiltonian import build_parity_band
 from rabi2q.model import ModelParams, Parity, TruncationConfig
-from rabi2q.numerics import eigh
+from rabi2q.numerics import eigh, expand_dense
 
 from oracles import (G_CROSS, bargmann_chain_reference, mp_chain_residual,
                      recurrence_blocks_reference, refine_eigenpair_reference)
 
 P = ModelParams(1.3, 0.7, 0.3, 0.4)
 NMAX = 200
+
+
+def chain_matrix(params, parity, n_max):
+    """Dense matrix of one parity chain at photon cutoff n_max."""
+    return expand_dense(build_parity_band(params, parity,
+                                          TruncationConfig(n_max)))
 
 
 def test_refined_recurrence_hits_eigenstate():
@@ -51,7 +57,7 @@ def test_refined_recurrence_hits_eigenstate():
 
 
 def test_recurrence_reuses_a_given_decomposition(monkeypatch):
-    decomp = eigh(build_parity_matrix(P, Parity.ODD, TruncationConfig(60)))
+    decomp = eigh(chain_matrix(P, Parity.ODD, 60))
     fresh = eigenstate_recurrence(P, Parity.ODD, 2, 60)
     monkeypatch.setattr(eig_mod, "eigh", None)      # must not be called
     reused = eigenstate_recurrence(P, Parity.ODD, 2, 60, decomp=decomp)
@@ -62,14 +68,14 @@ def test_recurrence_reuses_a_given_decomposition(monkeypatch):
 def test_float_inputs_are_accuracy_limited_but_sane():
     # with a double-precision eigenpair the growing solution caps the
     # achievable residual; the state must still clearly resemble the target
-    decomp = eigh(build_parity_matrix(P, Parity.EVEN, TruncationConfig(NMAX)))
+    decomp = eigh(chain_matrix(P, Parity.EVEN, NMAX))
     xi, vec = decomp.values[0], decomp.vectors[:, 0]
     state = recurrence_eigenstate_la(P, Parity.EVEN, xi, vec[:2], NMAX)
     assert residual(P, Parity.EVEN, state) < 1e-2
 
 
 def test_midgap_energy_has_large_residual():
-    decomp = eigh(build_parity_matrix(P, Parity.EVEN, TruncationConfig(NMAX)))
+    decomp = eigh(chain_matrix(P, Parity.EVEN, NMAX))
     xi_mid = 0.5 * (decomp.values[3] + decomp.values[4])
     state = recurrence_eigenstate_la(P, Parity.EVEN, xi_mid, (1.0, 0.0), NMAX)
     assert residual(P, Parity.EVEN, state) > 1e-2
@@ -97,7 +103,7 @@ def test_recurrence_kernel_rejects_singular_coupling():
 def test_band_residual_stays_finite_far_from_spectrum():
     # 1e200 away the residual's squares pass the float range; the scaled
     # norm still gives its size
-    decomp = eigh(build_parity_matrix(P, Parity.ODD, TruncationConfig(50)))
+    decomp = eigh(chain_matrix(P, Parity.ODD, 50))
     v = decomp.vectors[:, 0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -128,10 +134,10 @@ def test_index_counts_only_levels_that_pass_the_guard():
     # truncation guard and level 5 does not: index 5 is level 6, as at
     # n_max = 80, and index 6 has no level; at n_max = 6 none passes
     p = ModelParams(1.3, 0.7, 0.9, 0.4)
-    wide = eigh(build_parity_matrix(p, Parity.EVEN, TruncationConfig(80)))
+    wide = eigh(chain_matrix(p, Parity.EVEN, 80))
     state = eigenstate_recurrence(p, Parity.EVEN, 5, 20)
     assert state.xi == pytest.approx(wide.values[6], abs=1e-8)
-    decomp = eigh(build_parity_matrix(p, Parity.EVEN, TruncationConfig(20)))
+    decomp = eigh(chain_matrix(p, Parity.EVEN, 20))
     for index, n_max, given in ((6, 20, None), (6, 20, decomp),
                                 (0, 6, None)):
         with pytest.raises(TruncationInsufficient, match="converged"):
@@ -141,7 +147,7 @@ def test_index_counts_only_levels_that_pass_the_guard():
 
 def test_residual_of_exact_pair_and_random_vector():
     trunc = TruncationConfig(NMAX)
-    h = build_parity_matrix(P, Parity.EVEN, trunc)
+    h = expand_dense(build_parity_band(P, Parity.EVEN, trunc))
     vals, vecs = eigh(h)
     assert chain_residual(P, Parity.EVEN, vals[2], vecs[:, 2]) < 1e-10
     rng = np.random.default_rng(1)
@@ -153,7 +159,7 @@ def test_residual_of_exact_pair_and_random_vector():
 
 def test_residual_decreases_toward_eigenvalue():
     trunc = TruncationConfig(80)
-    h = build_parity_matrix(P, Parity.EVEN, trunc)
+    h = expand_dense(build_parity_band(P, Parity.EVEN, trunc))
     vals, vecs = eigh(h)
     target, vec = vals[1], vecs[:, 1]
     offsets = [0.3, 0.1, 0.03, 0.01]
@@ -162,7 +168,7 @@ def test_residual_decreases_toward_eigenvalue():
 
 
 def _pair(parity, index):
-    decomp = eigh(build_parity_matrix(P, parity, TruncationConfig(NMAX)))
+    decomp = eigh(chain_matrix(P, parity, NMAX))
     return decomp.values[index], decomp.vectors[:, index]
 
 
@@ -172,7 +178,7 @@ def _pair(parity, index):
 
 def _refine_tolerance(params, parity, n_max):
     """The stopping tolerance ||H||_inf 10^-(DPS + GUARD_DIGITS)."""
-    h = build_parity_matrix(params, parity, TruncationConfig(n_max))
+    h = chain_matrix(params, parity, n_max)
     digits = eig_mod.DPS + eig_mod.GUARD_DIGITS
     return float(np.max(np.abs(h).sum(axis=1))) * 10.0 ** -digits
 
@@ -183,7 +189,7 @@ def _check_refined(params, parity, n_max, index):
     The refiner may decline with ConvergenceFailure only inside a cluster
     of levels closer than 1e-10 ||H||.
     """
-    h = build_parity_matrix(params, parity, TruncationConfig(n_max))
+    h = chain_matrix(params, parity, n_max)
     dense = eigh(h)
     norm = float(np.max(np.abs(h).sum(axis=1)))
     gaps = np.abs(dense.values - dense.values[index])
@@ -238,6 +244,11 @@ def _check_refined(params, parity, n_max, index):
 # eigh's level, -0.75 - 2^-48, is off by only about g_2^4 ~ 1e-29
 @example(omega_1=1.5, omega_2=0.0, g_1=0.0, g_2=-2.0 ** -24,
          parity=Parity.EVEN, n_max=65, level=0.0)
+# ||H|| |1 - x^T x| / 2 lands within an ulp of 1 above tol: rounding
+# x^T x before subtracting it from 1 let the refiner stop past tol
+@example(omega_1=0.0, omega_2=1.95205019163539, g_1=0.5,
+         g_2=0.027234848539979595, parity=Parity.EVEN, n_max=60,
+         level=0.71875)
 def test_refined_pair_matches_dense(omega_1, omega_2, g_1, g_2, parity,
                                     n_max, level):
     params = ModelParams(omega_1, omega_2, g_1, g_2)
@@ -299,7 +310,7 @@ def _raw_blocks(blocks_fn, *args):
 def test_raw_tuple_kernels_match_mpf_oracle(omega_1, omega_2, g_1, g_2,
                                             parity, n_max, level, offset):
     params = ModelParams(omega_1, omega_2, g_1, g_2)
-    dense = eigh(build_parity_matrix(params, parity, TruncationConfig(n_max)))
+    dense = eigh(chain_matrix(params, parity, n_max))
     index = round(level * (len(dense.values) - 1))
     args = (params, parity, dense.values[index], dense.vectors[:, index],
             n_max)
@@ -336,7 +347,7 @@ def test_oracle_examples_reach_their_corners():
                                              (1.0, 0.0), NMAX)
     # a rescale divides every block so far, the seed block too
     assert kept[0] != [1, 0]
-    decomp = eigh(build_parity_matrix(p, Parity.ODD, TruncationConfig(50)))
+    decomp = eigh(chain_matrix(p, Parity.ODD, 50))
     assert isinstance(_raw_blocks(eig_mod._recurrence_blocks_mp, p,
                                   Parity.ODD, decomp.values[0] + 1e200,
                                   (1.0, 0.0), 50), str)
@@ -360,7 +371,7 @@ print(" ".join(mp.nstr(c, 60) for c in x))
 
 def test_refinement_does_not_depend_on_blas_threads(tmp_path):
     n_max = 60
-    decomp = eigh(build_parity_matrix(P, Parity.ODD, TruncationConfig(n_max)))
+    decomp = eigh(chain_matrix(P, Parity.ODD, n_max))
     start = tmp_path / "start.json"
     start.write_text(json.dumps({
         "n_max": n_max, "xi": float(decomp.values[5]).hex(),
@@ -405,7 +416,7 @@ def test_five_term_zero_coupling_product_singular():
 def test_reconstruction_residual_small_at_eigenvalues():
     trunc = TruncationConfig(NMAX)
     for parity in Parity:
-        vals, _ = eigh(build_parity_matrix(PB, parity, trunc))
+        vals, _ = eigh(expand_dense(build_parity_band(PB, parity, trunc)))
         for index in (0, 3):
             res = bargmann_reconstruction_residual(PB, parity,
                                                    float(vals[index]),
@@ -415,7 +426,7 @@ def test_reconstruction_residual_small_at_eigenvalues():
 
 def test_reconstruction_residual_large_off_eigenvalue():
     trunc = TruncationConfig(NMAX)
-    vals, _ = eigh(build_parity_matrix(PB, Parity.EVEN, trunc))
+    vals, _ = eigh(expand_dense(build_parity_band(PB, Parity.EVEN, trunc)))
     chi_mid = 0.5 * (vals[1] + vals[2])
     res = bargmann_reconstruction_residual(PB, Parity.EVEN, chi_mid,
                                            j_max=120, n_max=NMAX)
@@ -424,7 +435,7 @@ def test_reconstruction_residual_large_off_eigenvalue():
 
 def test_reconstruction_stays_in_claimed_parity():
     trunc = TruncationConfig(NMAX)
-    vals, _ = eigh(build_parity_matrix(PB, Parity.ODD, trunc))
+    vals, _ = eigh(expand_dense(build_parity_band(PB, Parity.ODD, trunc)))
     coeffs, s_min = bargmann_minimal_coefficients(PB, Parity.ODD,
                                                   float(vals[1]), 120)
     state = bargmann_to_chain(coeffs, n_max=NMAX)
@@ -438,8 +449,7 @@ def test_reconstruction_stays_in_claimed_parity():
     (50, "n_max above j_max"), (60, "sqrt(j_max!) overflows")])
 def test_bargmann_to_chain_matches_scalar_oracle(parity, n_max, case):
     j_max = 400 if case == "sqrt(j_max!) overflows" else 40
-    chi = float(eigh(build_parity_matrix(PB, parity,
-                                         TruncationConfig(60))).values[1])
+    chi = float(eigh(chain_matrix(PB, parity, 60)).values[1])
     coeffs, _ = bargmann_minimal_coefficients(PB, parity, chi, j_max)
     assert (coeffs.parity, coeffs.chi) == (parity, chi)
     got = bargmann_to_chain(coeffs, n_max=n_max)

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rabi2q.hamiltonian import (build_full, build_parity_band,
-                                build_parity_matrix, build_rwa_band,
-                                build_rwa_excitation_block, expand_dense)
+from rabi2q.hamiltonian import (build_parity_band, build_rwa_band,
+                                build_rwa_excitation_block)
 from rabi2q.model import (ModelParams, Parity, QubitLevel, TruncationConfig,
                           basis_table)
+from rabi2q.numerics import expand_dense
 
-from oracles import (build_parity_operator, excitation_number_operator,
-                     full_basis_index, kronecker_reference)
+from oracles import (build_parity_operator, chain_index_of,
+                     excitation_number_operator, full_basis_index,
+                     kronecker_reference)
 
 G, E = QubitLevel.G, QubitLevel.E
 P = ModelParams(1.3, 0.7, 0.3, 0.4)
@@ -27,6 +28,15 @@ def printed_d(params, parity, j):
     sgn = 1 if parity is Parity.EVEN else -1
     bracket = ((-1) ** j * params.omega_1 + sgn * params.omega_2) / 2
     return [j - sgn * bracket, j + sgn * bracket]
+
+
+def band_entry(builder, params, a, b):
+    """<a|H|b> of two product states (n, q1, q2) of one parity, read from
+    that chain's band builder(params, parity, T4)."""
+    (parity, i), (other, j) = chain_index_of(*a), chain_index_of(*b)
+    assert parity is other
+    lo, hi = sorted((i, j))
+    return builder(params, parity, T4)[hi - lo, lo]
 
 
 def o_block(band, j):
@@ -112,29 +122,31 @@ def test_expand_dense_exactly_symmetric():
         p = ModelParams(rng.uniform(0, 2), rng.uniform(0, 2),
                         rng.uniform(-1, 1), rng.uniform(-1, 1))
         for parity in Parity:
-            h = build_parity_matrix(p, parity, T4)
+            h = expand_dense(build_parity_band(p, parity, T4))
             assert np.array_equal(h, h.T)
 
 
 def test_full_decoupled_is_diagonal_ladder():
     p0 = ModelParams(1.3, 0.7, 0.0, 0.0)
-    h = build_full(p0, T4)
-    assert np.count_nonzero(h - np.diag(np.diagonal(h))) == 0
+    for parity in Parity:
+        assert not np.any(build_parity_band(p0, parity, T4)[1:])
     for n in range(5):
         for q1 in (E, G):
             for q2 in (E, G):
-                i = full_basis_index(n, q1, q2)
-                assert h[i, i] == diag_energy(p0, n, q1, q2)
+                state = (n, q1, q2)
+                assert (band_entry(build_parity_band, p0, state, state)
+                        == diag_energy(p0, n, q1, q2))
 
 
 def test_full_single_photon_coupling_element():
     # the coupling flips exactly one qubit while moving one photon:
     # <0,e,g|H|1,e,e> = g2 (sigma_x on qubit 2)
-    h = build_full(P, T4)
-    assert h[full_basis_index(0, E, G), full_basis_index(1, E, E)] == P.g_2
-    assert h[full_basis_index(0, E, G), full_basis_index(1, G, G)] == P.g_1
-    # equal qubit states one photon apart are parity-forbidden
-    assert h[full_basis_index(0, E, G), full_basis_index(1, E, G)] == 0.0
+    assert band_entry(build_parity_band, P, (0, E, G), (1, E, E)) == P.g_2
+    assert band_entry(build_parity_band, P, (0, E, G), (1, G, G)) == P.g_1
+    # equal qubit states one photon apart are parity-forbidden: they sit
+    # on different chains
+    assert (chain_index_of(0, E, G).parity
+            is not chain_index_of(1, E, G).parity)
 
 
 def test_parity_operator_entries_and_involution():
@@ -145,44 +157,35 @@ def test_parity_operator_entries_and_involution():
 
 
 def test_parity_commutes_exactly():
-    h = build_full(P, T4)
+    h = kronecker_reference(P, T4)
     pi = build_parity_operator(T4)
     assert np.max(np.abs(pi @ h - h @ pi)) == 0.0
 
 
 def test_block_permutation_reproduces_parity_matrices_entrywise():
-    h = build_full(P, T4)
+    # the Kronecker matrix's diagonal sqrt(n)**2 may miss n by an ulp
+    h = kronecker_reference(P, T4)
     even_idx = basis_table(T4).full_index[Parity.EVEN]
     odd_idx = basis_table(T4).full_index[Parity.ODD]
-    assert np.array_equal(h[np.ix_(even_idx, even_idx)],
-                          build_parity_matrix(P, Parity.EVEN, T4))
-    assert np.array_equal(h[np.ix_(odd_idx, odd_idx)],
-                          build_parity_matrix(P, Parity.ODD, T4))
-    assert np.max(np.abs(h[np.ix_(even_idx, odd_idx)])) == 0.0
+    for parity, idx in ((Parity.EVEN, even_idx), (Parity.ODD, odd_idx)):
+        chain = expand_dense(build_parity_band(P, parity, T4))
+        assert (np.max(np.abs(h[np.ix_(idx, idx)] - chain))
+                <= 1e-15 * np.max(np.abs(chain)))
+    assert not np.any(h[np.ix_(even_idx, odd_idx)])
 
 
 def test_rwa_rotating_term_and_counter_rotating_removed():
     h_rwa = kronecker_reference(P, T4, rwa=True)
-    h = build_full(P, T4)
+    h = kronecker_reference(P, T4)
     assert h_rwa[full_basis_index(0, E, G), full_basis_index(1, G, G)] == P.g_1
     # counter-rotating: photon and excitation both raised
     i, j = full_basis_index(1, E, E), full_basis_index(0, E, G)
     assert h_rwa[i, j] == 0.0
     assert h[i, j] == P.g_2
     # the same two entries read from the odd-chain bands
-    pos = {int(f): c for c, f in
-           enumerate(basis_table(T4).full_index[Parity.ODD])}
-
-    def band_entry(band, a, b):
-        lo, hi = sorted((pos[a], pos[b]))
-        return band[hi - lo, lo]
-
-    rwa_band = build_rwa_band(P, Parity.ODD, T4)
-    full_band = build_parity_band(P, Parity.ODD, T4)
-    assert band_entry(rwa_band, full_basis_index(0, E, G),
-                      full_basis_index(1, G, G)) == P.g_1
-    assert band_entry(rwa_band, i, j) == 0.0
-    assert band_entry(full_band, i, j) == P.g_2
+    assert band_entry(build_rwa_band, P, (0, E, G), (1, G, G)) == P.g_1
+    assert band_entry(build_rwa_band, P, (1, E, E), (0, E, G)) == 0.0
+    assert band_entry(build_parity_band, P, (1, E, E), (0, E, G)) == P.g_2
 
 
 def test_rwa_equals_full_when_decoupled():
@@ -271,9 +274,6 @@ def test_full_and_rwa_match_kronecker_reference(n_max, omega_1, omega_2,
     trunc = TruncationConfig(n_max)
     full_index = basis_table(trunc).full_index
     cross = np.ix_(full_index[Parity.EVEN], full_index[Parity.ODD])
-    h = build_full(p, trunc)
-    assert np.max(np.abs(h - kronecker_reference(p, trunc))) <= 1e-12
-    assert not np.any(h[cross])
     for rwa, builder in ((False, build_parity_band), (True, build_rwa_band)):
         kron = kronecker_reference(p, trunc, rwa=rwa)
         assert not np.any(kron[cross])

@@ -6,12 +6,12 @@ import pytest
 from scipy.linalg import expm
 
 from rabi2q import numerics
-from rabi2q.hamiltonian import build_parity_matrix
+from rabi2q.hamiltonian import build_parity_band
 from rabi2q.model import ModelParams, Parity, TruncationConfig
 from rabi2q.numerics import (EigenDecomposition, band_matvec, band_norm,
-                             displacement_element, eigh, general_band,
-                             laguerre_assoc, photon_windows,
-                             propagate_spectral)
+                             displacement_element, eigh, expand_dense,
+                             general_band, laguerre_assoc, photon_windows,
+                             spectral_levels)
 
 
 def test_eigh_diagonal():
@@ -30,8 +30,8 @@ def test_eigh_pauli_x():
 
 
 def test_eigh_decoupled_chain_contains_ground():
-    h = build_parity_matrix(ModelParams(1.3, 0.7, 0.0, 0.0),
-                            Parity.EVEN, TruncationConfig(2))
+    h = expand_dense(build_parity_band(ModelParams(1.3, 0.7, 0.0, 0.0),
+                                       Parity.EVEN, TruncationConfig(2)))
     vals, _ = eigh(h)
     assert np.min(np.abs(vals - (-1.0))) < 1e-14
 
@@ -218,51 +218,6 @@ def test_displacement_large_power_with_live_gaussian():
     assert displacement_element(0, 245, 9.38) == -value
 
 
-def test_propagate_identity_at_t0():
-    rng = np.random.default_rng(0)
-    h = rng.normal(size=(6, 6))
-    h = h + h.T
-    dec = eigh(h)
-    c0 = rng.normal(size=6) + 1j * rng.normal(size=6)
-    assert np.allclose(propagate_spectral(dec, c0, 0.0), c0, atol=1e-14)
-
-
-def test_propagate_diagonal_phases():
-    omega = np.array([0.3, 1.1, 2.4])
-    dec = eigh(np.diag(omega))
-    for k in range(3):
-        c0 = np.zeros(3, dtype=complex)
-        c0[k] = 1.0
-        out = propagate_spectral(dec, c0, 1.7)
-        assert out[k] == pytest.approx(np.exp(-1j * omega[k] * 1.7))
-
-
-def test_propagate_unitarity_and_composition():
-    rng = np.random.default_rng(5)
-    h = rng.normal(size=(40, 40))
-    h = h + h.T
-    dec = eigh(h)
-    c0 = rng.normal(size=40) + 1j * rng.normal(size=40)
-    c0 /= np.linalg.norm(c0)
-    for t in (0.3, 2.0, 17.5):
-        assert np.linalg.norm(propagate_spectral(dec, c0, t)) == pytest.approx(
-            1.0, abs=1e-10)
-    ab = propagate_spectral(dec, propagate_spectral(dec, c0, 1.3), 0.9)
-    assert np.linalg.norm(ab - propagate_spectral(dec, c0, 2.2)) < 1e-9
-
-
-def test_propagate_time_array():
-    rng = np.random.default_rng(9)
-    h = rng.normal(size=(8, 8))
-    h = h + h.T
-    dec = eigh(h)
-    c0 = rng.normal(size=8) + 0j
-    times = np.array([0.0, 0.5, 1.5])
-    batch = propagate_spectral(dec, c0, times)
-    for i, t in enumerate(times):
-        assert np.allclose(batch[:, i], propagate_spectral(dec, c0, t))
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_propagate_skips_only_negligible_levels(seed):
     # levels whose projections weigh at most 1e-30 ||c0||^2 together are
@@ -283,11 +238,11 @@ def test_propagate_skips_only_negligible_levels(seed):
         every = dec.vectors @ (np.exp(-1j * np.outer(dec.values, times))
                                * proj[:, None])
         bound = 1e-15 * np.linalg.norm(c0) + 1e-13
-        got = propagate_spectral(dec, c0, times)
+        values, vectors, kept, _ = spectral_levels(dec, c0)
+        assert len(values) < 60
+        got = vectors @ (np.exp(-1j * np.outer(values, times))
+                         * kept[:, None])
         assert np.max(np.linalg.norm(got - every, axis=0)) <= bound
-        for k, t in enumerate(times):
-            assert np.linalg.norm(propagate_spectral(dec, c0, t)
-                                  - every[:, k]) <= bound
 
 
 def test_eigh_solves_a_stack():

@@ -7,9 +7,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from rabi2q import spectra
 from rabi2q.errors import ConfigError, TruncationInsufficient
-from rabi2q.hamiltonian import build_parity_band, build_parity_matrix
+from rabi2q.hamiltonian import build_parity_band
 from rabi2q.model import ModelParams, Parity, TruncationConfig
-from rabi2q.numerics import band_norm, eigh
+from rabi2q.numerics import band_norm, eigh, expand_dense
 from rabi2q.spectra import (CrossingKind, SpectrumSweep,
                             converged_parity_eigensystem, detect_crossings,
                             dsc_perturbative_spectrum, rwa_relative_error,
@@ -25,7 +25,7 @@ def test_single_point_matches_direct_diagonalization():
     sweep = sweep_spectrum(TEMPLATE, [0.3], [0.4], trunc, k=8)
     p = ModelParams(1.3, 0.7, 0.3, 0.4)
     for parity in Parity:
-        vals, _ = eigh(build_parity_matrix(p, parity, trunc))
+        vals, _ = eigh(expand_dense(build_parity_band(p, parity, trunc)))
         assert np.allclose(sweep.energies[parity][0], vals[:8], atol=1e-12)
 
 
@@ -176,7 +176,7 @@ def test_perturbative_matches_numeric_at_moderate_coupling():
     spec = dsc_perturbative_spectrum(p, 2)
     trunc = TruncationConfig(250)
     vals = np.sort(np.concatenate(
-        [eigh(build_parity_matrix(p, par, trunc)).values[:6]
+        [eigh(expand_dense(build_parity_band(p, par, trunc))).values[:6]
          for par in Parity]))
     for m in range(3):
         pair = 0.5 * (vals[2 * m] + vals[2 * m + 1])
@@ -280,7 +280,7 @@ CLUSTER_TOL = 1e-8
 
 def _dense_converged(params, parity, trunc, k):
     """The first k guard-passing pairs of dense eigh of the whole chain."""
-    dense = eigh(build_parity_matrix(params, parity, trunc))
+    dense = eigh(expand_dense(build_parity_band(params, parity, trunc)))
     keep = np.flatnonzero(spectra.converged_mask(dense.vectors, 4))[:k]
     return dense, keep
 
@@ -424,7 +424,7 @@ def test_tie_across_the_cut_falls_back_to_dense(monkeypatch):
     vals, vecs = converged_parity_eigensystem(p, Parity.EVEN, trunc, 3)
     assert calls == [(trunc.chain_dim, trunc.chain_dim)]
     assert vecs.base is None or vecs.base.nbytes == vecs.nbytes
-    direct = eigh(build_parity_matrix(p, Parity.EVEN, trunc))
+    direct = eigh(expand_dense(build_parity_band(p, Parity.EVEN, trunc)))
     assert np.array_equal(vals, direct.values[:3])
     assert np.array_equal(vecs, direct.vectors[:, :3])
     calls.clear()
@@ -584,7 +584,7 @@ def test_no_level_below_counts_like_dense(omega_1, omega_2, g_1, g_2, parity,
                                           n_max, cut, where):
     params = ModelParams(omega_1, omega_2, g_1, g_2)
     trunc = TruncationConfig(n_max)
-    h = build_parity_matrix(params, parity, trunc)
+    h = expand_dense(build_parity_band(params, parity, trunc))
     window_dim = 2 * (1 + int(cut * (n_max - 1)))
     whole = np.linalg.eigvalsh(h)
     window = np.linalg.eigvalsh(h[:window_dim, :window_dim])
