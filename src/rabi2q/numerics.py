@@ -66,17 +66,17 @@ def expand_dense(band: np.ndarray) -> np.ndarray:
     return h
 
 
-def photon_windows(band: np.ndarray, n_start: int):
+def photon_windows(band: np.ndarray, n_start: int, max_rows: int):
     """Dense ``eigh`` of the leading photon windows 0..n_w of a chain band.
 
     From n_w = n_start, the window widens by WINDOW_GROWTH while it holds
-    at most half the chain.  Yields (rows, decomposition) of the leading
+    at most max_rows rows.  Yields (rows, decomposition) of the leading
     rows = 2 (n_w + 1) rows and columns; no entry that reaches past them is
     read.  The ladder keeps no reference to a window it has yielded, so a
     caller that drops a rejected window frees it before the next solve.
     """
     n_window = n_start
-    while 4 * (n_window + 1) <= band.shape[1]:
+    while 2 * (n_window + 1) <= max_rows:
         rows = 2 * (n_window + 1)
         yield rows, eigh(expand_dense(band[:, :rows]))
         n_window = int(WINDOW_GROWTH * n_window) + 1

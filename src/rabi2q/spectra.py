@@ -1,21 +1,24 @@
 """Parity-resolved spectra: coupling sweeps, crossing detection, the
 deep-strong-coupling perturbative branches, and RWA error metrics.
 
-Sweep points are evaluated one after another.  Each parity chain gives its
-lowest levels by dense ``eigh`` of a leading photon window 0..n_w of the
-chain band, on the window ladder ``numerics.photon_windows`` from a
-displaced-oscillator estimate.  The window is certified when the residual
-of its zero-padded vectors against the whole chain, which past the window
-is sqrt(n_w + 1) ||[[g1, g2], [g2, g1]] v_top|| (v_top: the window's last
+Each parity chain gives its lowest levels by dense ``eigh`` of a leading
+photon window 0..n_w of the chain band, on the window ladder
+``numerics.photon_windows`` from a displaced-oscillator estimate.  The
+window is certified when the residual of its zero-padded vectors against
+the whole chain, which past the window is
+sqrt(n_w + 1) ||[[g1, g2], [g2, g1]] v_top|| (v_top: the window's last
 two entries), is within ``RESIDUAL_TOL`` ||H||, and when an inertia count
 shows that the whole chain has no more levels below the cut, midway to
 the window's next level, than the window has; otherwise it widens.  A
-point keeps only the k requested levels and its window's rows of their
-vectors.  When no window up to half the chain certifies, the point is
-solved by dense ``eigh`` of the whole chain, whose reported eigenvalues
-pass a truncation guard: the eigenvector must carry less than
-``GUARD_TOL`` weight on the top two photon levels, otherwise the level is
-considered unconverged at this cutoff.
+sweep climbs the ladders of all its points together, one rung at a time,
+and counts the inertia of every rung's candidates in one batched, numpy
+only pass of 2 x 2 block pivots.  A point keeps only the k requested
+levels and its window's rows of their vectors.  When no window short of
+the whole chain certifies, the point is solved by dense ``eigh`` of the
+whole chain, whose reported eigenvalues pass a truncation guard: the
+eigenvector must carry less than ``GUARD_TOL`` weight on the top two
+photon levels, otherwise the level is considered unconverged at this
+cutoff.
 """
 
 from __future__ import annotations
@@ -30,8 +33,7 @@ from .errors import ConfigError, TruncationInsufficient
 from .hamiltonian import build_parity_band, build_rwa_band
 from .model import ModelParams, Parity, TruncationConfig
 from .numerics import (RESIDUAL_TOL, band_norm, displacement_element, eigh,
-                       expand_dense, general_band, padded_residuals,
-                       photon_windows)
+                       expand_dense, padded_residuals, photon_windows)
 
 GUARD_TOL = 1e-8
 
@@ -46,61 +48,119 @@ def converged_mask(vectors: np.ndarray, edge_dim: int) -> np.ndarray:
     return edge_weight < GUARD_TOL
 
 
-def _no_level_below(band: np.ndarray, window_dim: int, x: float) -> bool:
-    """True when the chain has no more levels below x than its leading
-    window_dim rows and columns A.
+def _tail_positive(bands: np.ndarray, rows: np.ndarray, x: np.ndarray,
+                   g: np.ndarray) -> np.ndarray:
+    """For each chain band, True when the whole chain has no more levels
+    below its cut x than its leading window A of rows rows and columns.
 
+    bands has shape (points, 4, chain_dim); rows, x and g hold one window
+    per point, g (points, 2, 2) the last photon block G of (A - x)^-1.
     By Haynsworth's inertia additivity, H - x has as many negative
-    eigenvalues as A - x plus its Schur complement S = C - x - B^T (A - x)^-1 B
-    (C the tail block past the window, B the entries joining the two), so
-    this holds when S has a Cholesky factor.  B reaches only the first kd
-    rows of the tail, so S is the tail band with its leading kd x kd block
-    changed.
+    eigenvalues as A - x plus its Schur complement: the tail chain past
+    the window, less x, with O G O^T taken off its first diagonal block
+    (O the coupling block that joins the window to the tail).  The tail is
+    positive definite exactly when every 2 x 2 pivot of its block Cholesky
+    factorization is: first S = D - x - O G O^T, then
+    S_j = D_j - x - O_j S_j-1^-1 O_j^T.  Each entry is an array over the
+    points, and each point's recurrence starts at its own window edge.
     """
-    from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf
+    first = rows // 2                   # each point's first tail block
+    p00, p01, p11 = g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]
+    passed = np.ones(len(bands), dtype=bool)
+    # a rejected point's pivots may overflow or divide by zero
+    with np.errstate(all="ignore"):
+        for j in range(int(np.min(first)), bands.shape[2] // 2):
+            on = first <= j
+            c = 2 * j
+            d00, d01, d11 = bands[:, 0, c], bands[:, 1, c], bands[:, 0, c + 1]
+            o00, o01 = bands[:, 2, c - 2], bands[:, 1, c - 1]
+            o10, o11 = bands[:, 3, c - 2], bands[:, 2, c - 1]
+            # S = D - x - O P O^T, P the carried inverse
+            a0, a1 = o00 * p00 + o01 * p01, o00 * p01 + o01 * p11
+            b0, b1 = o10 * p00 + o11 * p01, o10 * p01 + o11 * p11
+            s00 = d00 - x - (a0 * o00 + a1 * o01)
+            s01 = d01 - (a0 * o10 + a1 * o11)
+            s11 = d11 - x - (b0 * o10 + b1 * o11)
+            det = s00 * s11 - s01 * s01
+            passed &= ~on | ((s00 > 0) & (det > 0))
+            p00 = np.where(on, s11 / det, p00)
+            p01 = np.where(on, -s01 / det, p01)
+            p11 = np.where(on, s00 / det, p11)
+    return passed
 
-    kd = band.shape[0] - 1
-    tail_dim = band.shape[1] - window_dim
-    shifted = general_band(band[:, :window_dim])
-    shifted[2 * kd] -= x
-    lu, pivots, info = dgbtrf(shifted, kd, kd, overwrite_ab=True)
-    if info != 0:
-        return False
-    reach = min(kd, tail_dim)
-    coupling = np.zeros((window_dim, reach))      # B, its nonzero columns
-    for j in range(reach):
-        for d in range(j + 1, min(kd, window_dim + j) + 1):
-            coupling[window_dim + j - d, j] = band[d, window_dim + j - d]
-    pull, info = dgbtrs(lu, kd, kd, coupling, pivots)
-    pull = coupling.T @ pull
-    schur = band[:, window_dim:].copy()
-    schur[0] -= x
-    for d in range(reach):
-        schur[d, :reach - d] -= np.diagonal(pull, -d)
-    _, info = dpbtrf(schur, lower=1)
-    return info == 0
 
+def _certified_windows(bands: np.ndarray, starts, count: int) -> list:
+    """The count lowest pairs of each chain band, solved on photons
+    0..n_w, or None for a point whose ladder runs out.
 
-def _certified_window(band: np.ndarray, count: int, n_window: int):
-    """The count lowest pairs of a chain band, solved on photons 0..n_w.
-
-    Tries the windows of ``photon_windows`` from n_w, at least count // 2
-    so that a window holds the level past the cut, until one passes the
-    certificate of ``converged_parity_eigensystem``.  Returns the values
-    and the window rows of the vectors (the rows past the window are
-    zeros), or None when no window up to half the chain passes.
+    Each point climbs its own ladder of ``photon_windows`` from its start
+    window, at least count // 2 so that a window holds the level past the
+    cut, up to the last window short of the whole chain, until one passes
+    the certificate of ``converged_parity_eigensystem``.  Per rung, every
+    pending point's window is solved and residual-tested, keeping only its
+    count values, a copy of their vector columns, its cut x and
+    G = V_top diag(1 / (theta - x)) V_top^T (V_top: the window's last two
+    rows over all of its eigenvectors); then one batched
+    ``_tail_positive`` counts all of them.  Returns the values and the
+    window rows of the vectors (the rows past the window are zeros).
     """
-    tol = RESIDUAL_TOL * band_norm(band)
-    for rows, (values, vectors) in photon_windows(
-            band, max(n_window, count // 2)):
-        residual = padded_residuals(band, values[:count], vectors[:, :count])
-        top = values[count - 1]
-        x = 0.5 * (top + values[count])
-        if (np.max(residual) <= tol and np.linalg.norm(residual) < x - top
-                and _no_level_below(band, rows, x)):
-            # a copy, so the result owns only the count columns it returns
-            return values[:count], vectors[:, :count].copy()
-    return None
+    ladders = [photon_windows(band, max(start, count // 2),
+                              band.shape[1] - 1)
+               for band, start in zip(bands, starts)]
+    tols = [RESIDUAL_TOL * band_norm(band) for band in bands]
+    solved = [None] * len(bands)
+    pending = range(len(bands))
+    while pending:
+        widen, found = [], []
+        for point in pending:
+            rung = next(ladders[point], None)
+            if rung is None:
+                continue
+            rows, (values, vectors) = rung
+            residual = padded_residuals(bands[point], values[:count],
+                                        vectors[:, :count])
+            top = values[count - 1]
+            x = 0.5 * (top + values[count])
+            if (np.max(residual) <= tols[point]
+                    and np.linalg.norm(residual) < x - top):
+                edge = vectors[-2:]
+                # a copy, so the result owns only the count columns
+                found.append((point, rows, x, (edge / (values - x)) @ edge.T,
+                              (values[:count], vectors[:, :count].copy())))
+            else:
+                widen.append(point)
+        if found:
+            points, rows, x, g, pairs = zip(*found)
+            passed = _tail_positive(bands[list(points)], np.array(rows),
+                                    np.array(x), np.array(g))
+            for point, ok, pair in zip(points, passed, pairs):
+                if ok:
+                    solved[point] = pair
+                else:
+                    widen.append(point)
+        pending = sorted(widen)
+    return solved
+
+
+def _converged_pairs(points, parity: Parity, trunc: TruncationConfig,
+                     k: int) -> list:
+    """``converged_parity_eigensystem`` at every ModelParams of points."""
+    bands = np.array([build_parity_band(params, parity, trunc)
+                      for params in points])
+    pairs = _certified_windows(
+        bands, [_start_window(params, k) for params in points], k)
+    for point, pair in enumerate(pairs):
+        if pair is not None:
+            continue
+        values, vectors = eigh(expand_dense(bands[point]))
+        keep = np.flatnonzero(converged_mask(vectors, 4))[:k]
+        if len(keep) < k:
+            raise TruncationInsufficient(
+                f"only {len(keep)} of {k} requested eigenvalues "
+                f"converged at n_max={trunc.n_max} ({parity.value} parity)")
+        # index the kept columns directly so the result owns only its data
+        pairs[point] = values[keep], vectors[:, keep]
+    return pairs
 
 
 def converged_parity_eigensystem(params: ModelParams, parity: Parity,
@@ -118,7 +178,7 @@ def converged_parity_eigensystem(params: ModelParams, parity: Parity,
       window's last two entries), and the residuals' joint norm is below
       x - theta_k;
     - the whole chain has no more levels below x than A has
-      (``_no_level_below``), which is k.
+      (``_tail_positive``), which is k.
     Each residual puts a distinct chain level within the residuals' joint
     norm of its theta (Kahan's bound for orthonormal vectors), all of them
     below x, so these are the chain's lowest levels, and Cauchy
@@ -126,25 +186,16 @@ def converged_parity_eigensystem(params: ModelParams, parity: Parity,
     the k certify; a tie across the cut leaves no room below x.  A residual
     alone would not do: at g1 = g2 = 0 every window has zero residual, yet
     its first cuts can miss low levels that live at higher photon numbers.
-    Otherwise the window widens.  An accepted window returns only its own
-    rows of the vectors; the chain rows past them are exact zeros.
+    Otherwise the window widens, up to the last window short of the whole
+    chain.  An accepted window returns only its own rows of the vectors;
+    the chain rows past them are exact zeros.  This is the one-point call
+    of the route that ``sweep_spectrum`` takes for all points at once.
 
-    When no window up to half the chain certifies, solves the whole chain
-    by dense ``eigh`` and returns the first k levels of its spectrum that
-    pass the guard, with vectors over the whole chain.
+    When no window short of the whole chain certifies, solves the whole
+    chain by dense ``eigh`` and returns the first k levels of its spectrum
+    that pass the guard, with vectors over the whole chain.
     """
-    band = build_parity_band(params, parity, trunc)
-    solved = _certified_window(band, k, _start_window(params, k))
-    if solved is not None:
-        return solved
-    values, vectors = eigh(expand_dense(band))
-    keep = np.flatnonzero(converged_mask(vectors, 4))[:k]
-    if len(keep) < k:
-        raise TruncationInsufficient(
-            f"only {len(keep)} of {k} requested eigenvalues "
-            f"converged at n_max={trunc.n_max} ({parity.value} parity)")
-    # index the kept columns directly so the result owns only its data
-    return values[keep], vectors[:, keep]
+    return _converged_pairs([params], parity, trunc, k)[0]
 
 
 def _start_window(params: ModelParams, k: int) -> int:
@@ -210,16 +261,13 @@ def sweep_spectrum(template: ModelParams, g1_values, g2_values,
     if k < 1 or k > trunc.chain_dim:
         raise ConfigError("k must be in [1, chain dimension]")
 
+    points = [replace(template, g_1=float(g1), g_2=float(g2))
+              for g1, g2 in zip(g1_values, g2_values)]
     energies, vectors = {}, {}
     for parity in (Parity.EVEN, Parity.ODD):
-        energies[parity], vectors[parity] = [], []
-        for g1, g2 in zip(g1_values, g2_values):
-            params = replace(template, g_1=float(g1), g_2=float(g2))
-            values, vecs = converged_parity_eigensystem(params, parity,
-                                                        trunc, k)
-            energies[parity].append(values)
-            vectors[parity].append(vecs)
-        energies[parity] = np.array(energies[parity])
+        pairs = _converged_pairs(points, parity, trunc, k)
+        energies[parity] = np.array([values for values, _ in pairs])
+        vectors[parity] = [vecs for _, vecs in pairs]
     return SpectrumSweep(k, g1_values, g2_values, energies, vectors)
 
 

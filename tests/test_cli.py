@@ -469,8 +469,12 @@ def test_rerun_in_fresh_interpreter_is_byte_identical(tmp_path):
 
 _IMPORT_PROBE = """
 import sys
+from rabi2q import spectra
 from rabi2q.cli import main
 
+counts = []
+count = spectra._tail_positive
+spectra._tail_positive = lambda *args: counts.append(args) or count(*args)
 out = sys.argv[1]
 common = ["--omega1", "1.3", "--omega2", "0.7", "--g1", "0.3", "--g2", "0.4"]
 commands = [
@@ -482,15 +486,14 @@ commands = [
     ["rwa-compare", "--k", "4", "--nmax", "20"],
     ["eigenstate", "--bargmann", "--count", "2", "--nmax", "40",
      "--jmax", "40"],
+    ["spectrum", "--nmax", "60", "--k", "2"],
 ]
 for i, argv in enumerate(commands):
     assert main(argv + common + ["--out", f"{out}/{i}.csv"]) == 0, argv
+# at n_max = 60 the sweep's window gets as far as the inertia count, the
+# one step that ever loaded scipy
+assert counts
 assert "scipy" not in sys.modules
-# the probe can see an import: the sweep's inertia count loads scipy, and
-# at n_max = 60 a window gets that far
-assert main(["spectrum", "--nmax", "60", "--k", "2"] + common
-            + ["--out", f"{out}/spectrum.csv"]) == 0
-assert "scipy" in sys.modules
 """
 
 
@@ -504,13 +507,13 @@ def _run_probe(*args):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_commands_without_a_sweep_do_not_import_scipy(tmp_path):
-    # scipy costs about 0.3 s and 23 MB at import; only the inertia count
-    # of the sweep's window certificate may load it
+def test_no_command_imports_scipy(tmp_path):
+    # scipy costs about 0.2 s and 23 MB at import, and no command needs
+    # it: the sweep's inertia count is numpy only
     _run_probe(_IMPORT_PROBE, str(tmp_path))
 
 
 def test_importing_the_cli_does_not_import_scipy():
-    # the scipy import sits inside the inertia count, so a command's
-    # setup does not pay for it
+    # scipy is not a runtime dependency, so a command's setup does not
+    # pay for it
     _run_probe("import sys, rabi2q.cli; assert 'scipy' not in sys.modules")

@@ -94,18 +94,22 @@ def test_band_norm_and_general_band_match_dense(dim):
     assert not np.any(full)
 
 
-def test_photon_windows_solve_leading_blocks_up_to_half_the_chain():
-    # 50 rows: from 3 photons the ladder widens to 5 and 8 photons and
-    # stops before 13, whose 28 rows would pass half the chain
+def test_photon_windows_solve_leading_blocks_up_to_the_callers_limit():
+    # 50 rows: from 3 photons the ladder widens to 5, 8, 13 and 20 photons;
+    # with half the chain as the limit it stops before 13, whose 28 rows
+    # would pass it, and with the last window short of the whole chain
+    # before 31, whose 64 rows would pass the chain itself
     band = random_band(np.random.default_rng(7), 50)
     h = dense_from_band(band)
-    windows = list(photon_windows(band, 3))
-    assert [rows for rows, _ in windows] == [8, 12, 18]
-    for rows, (vals, vecs) in windows:
-        ref = eigh(h[:rows, :rows])
-        assert np.array_equal(vals, ref.values)
-        assert np.array_equal(vecs, ref.vectors)
-    assert list(photon_windows(band, 12)) == []
+    for limit, dims in ((25, [8, 12, 18]), (49, [8, 12, 18, 28, 42])):
+        windows = list(photon_windows(band, 3, limit))
+        assert [rows for rows, _ in windows] == dims
+        for rows, (vals, vecs) in windows:
+            ref = eigh(h[:rows, :rows])
+            assert np.array_equal(vals, ref.values)
+            assert np.array_equal(vecs, ref.vectors)
+    assert list(photon_windows(band, 12, 25)) == []
+    assert [rows for rows, _ in photon_windows(band, 12, 49)] == [26, 40]
 
 
 def test_photon_windows_free_a_dropped_window_before_the_next_solve(
@@ -118,7 +122,7 @@ def test_photon_windows_free_a_dropped_window_before_the_next_solve(
         return eigh(h)
 
     monkeypatch.setattr(numerics, "eigh", spy)
-    for _, decomp in photon_windows(band, 0):
+    for _, decomp in photon_windows(band, 0, 20):
         held.append(weakref.ref(decomp.vectors))
         del decomp
     assert len(alive) == 5 and not any(alive)

@@ -350,7 +350,7 @@ def _assert_pairs_match(vals, vecs, dense, keep):
 @example(omega_1=1.3, omega_2=0.7, g_1=0.8, g_2=-0.8, parity=Parity.EVEN,
          n_max=100, k=16, window=0)                     # g_plus = 0
 @example(omega_1=1.3, omega_2=0.7, g_1=1.5, g_2=1.5, parity=Parity.EVEN,
-         n_max=24, k=2, window=3)                       # reaches half chain
+         n_max=24, k=2, window=3)                       # ladder runs out
 @example(omega_1=1.3, omega_2=0.7, g_1=0.2, g_2=0.1, parity=Parity.ODD,
          n_max=20, k=31, window=0)                      # k near chain_dim
 @example(omega_1=1.3, omega_2=0.7, g_1=G_CROSS, g_2=G_CROSS,
@@ -366,8 +366,8 @@ def test_banded_path_matches_dense(omega_1, omega_2, g_1, g_2, parity,
     params = ModelParams(omega_1, omega_2, g_1, g_2)
     trunc = TruncationConfig(n_max)
     k = min(k, trunc.chain_dim)
-    solved = None if window is None else spectra._certified_window(
-        build_parity_band(params, parity, trunc), k, window)
+    solved = None if window is None else _window(params, parity, trunc, k,
+                                                 window)
     _, keep = _dense_converged(params, parity, trunc, k)
     if len(keep) < k:
         assert solved is None
@@ -396,8 +396,8 @@ def test_widening_reaches_chain_dimension():
 @settings(max_examples=60, deadline=None)
 @given(omega_2=st.floats(0.0, 2.0), g=st.floats(0.0, 2.0),
        n_max=st.integers(20, 120), k=st.integers(1, 24))
-# a second level lies 1.06e-9 away, inside the k levels; the one window up
-# to half the chain misses the residual bound, and dense eigh answers
+# a second level lies 1.06e-9 away, inside the k levels; the windows up to
+# half the chain miss the residual bound, and one of 88 rows certifies
 @example(omega_2=0.7, g=G_CROSS, n_max=60, k=10)
 def test_dark_like_level_at_omega_f(omega_2, g, n_max, k):
     # for omega_1 + omega_2 = 2 omega_f and g1 = g2 the even chain has a
@@ -428,7 +428,7 @@ def test_tie_across_the_cut_falls_back_to_dense(monkeypatch):
     assert np.array_equal(vals, direct.values[:3])
     assert np.array_equal(vecs, direct.vectors[:, :3])
     calls.clear()
-    # at n_max = 40 no window up to half the chain certifies this point
+    # a coupled point certifies on a window: no whole-chain solve
     converged_parity_eigensystem(ModelParams(1.3, 0.7, 0.3, 0.4),
                                  Parity.EVEN, TruncationConfig(60), 3)
     assert calls == []
@@ -437,10 +437,10 @@ def test_tie_across_the_cut_falls_back_to_dense(monkeypatch):
 def test_overflowing_banded_solve_falls_back_without_warning():
     # couplings of 8e-168 put entries near the float underflow into the
     # solve; the point is solved without a warning by dense eigh of the
-    # whole chain at n_max = 7 (the start window passes half of it) and on
-    # a window, inertia count included, at n_max = 20
+    # whole chain at n_max = 5 (the start window, 12 rows, is the whole
+    # chain) and on a window, inertia count included, at n_max = 20
     g = 8.183430930081774e-168
-    for n_max in (7, 20):
+    for n_max in (5, 20):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             vals, _ = converged_parity_eigensystem(
@@ -463,8 +463,8 @@ def _window_dims(monkeypatch):
     dims = []
     ladder = spectra.photon_windows
 
-    def spy(band, n_start):
-        for rows, decomp in ladder(band, n_start):
+    def spy(band, n_start, max_rows):
+        for rows, decomp in ladder(band, n_start, max_rows):
             dims.append(rows)
             yield rows, decomp
 
@@ -473,13 +473,15 @@ def _window_dims(monkeypatch):
 
 
 def _window(params, parity, trunc, k, n_window):
-    return spectra._certified_window(build_parity_band(params, parity, trunc),
-                                     k, n_window)
+    """The window route alone at one point, from the start window n_window:
+    None when no window short of the whole chain certifies."""
+    band = build_parity_band(params, parity, trunc)
+    return spectra._certified_windows(band[None], [n_window], k)[0]
 
 
 def test_window_accepts_widens_or_reaches_chain_dimension(monkeypatch):
     dims = _window_dims(monkeypatch)
-    # 61 photons are half the chain at n_max = 121
+    # the start window of 61 photons certifies at once
     p = ModelParams(1.3, 0.7, 0.3, 0.4)
     trunc = TruncationConfig(121)
     vals, vecs = _window(p, Parity.EVEN, trunc, 10, 60)
@@ -494,13 +496,13 @@ def test_window_accepts_widens_or_reaches_chain_dimension(monkeypatch):
     assert vecs.shape == (dims[-1], 20)
     _assert_matches_dense(vals, vecs, p, Parity.ODD, trunc, 20)
 
-    # no window up to half the chain certifies (the next, 28 rows, would
-    # pass it), so the point goes to dense eigh of the whole chain
+    # no window short of the whole chain certifies (the next, 64 rows,
+    # would pass its 50), so the point goes to dense eigh of the whole chain
     dims.clear()
     p = ModelParams(1.3, 0.7, 1.5, 1.5)
     trunc = TruncationConfig(24)
     assert _window(p, Parity.EVEN, trunc, 1, 3) is None
-    assert dims == [8, 12, 18]
+    assert dims == [8, 12, 18, 28, 42]
     vals, vecs = converged_parity_eigensystem(p, Parity.EVEN, trunc, 1)
     dense, keep = _dense_converged(p, Parity.EVEN, trunc, 1)
     assert np.array_equal(vals, dense.values[keep])
@@ -523,9 +525,31 @@ def test_ties_inside_the_cut_certify_on_a_window(monkeypatch, k, rows):
     _assert_matches_dense(vals, vecs, p, Parity.EVEN, trunc, k)
 
 
+def test_moderate_cutoff_sweep_certifies_every_point_on_a_window(
+        monkeypatch):
+    # at n_max = 80 most points need windows past half the chain: the
+    # ladder climbs up to the last window short of the whole chain, and no
+    # point falls to a whole-chain solve
+    dims = _window_dims(monkeypatch)
+    calls = []
+    monkeypatch.setattr(spectra, "eigh",
+                        lambda h: calls.append(h.shape) or eigh(h))
+    trunc = TruncationConfig(80)
+    gs = np.arange(0.30, 0.9001, 0.005)
+    sweep = sweep_spectrum(TEMPLATE, gs, gs, trunc, k=12)
+    assert calls == []
+    assert max(dims) > trunc.chain_dim // 2
+    assert max(len(v) for parity in Parity
+               for v in sweep.vectors[parity]) < trunc.chain_dim
+    for parity in Parity:
+        for g, values in zip(gs, sweep.energies[parity]):
+            dense, keep = _dense_converged(ModelParams(1.3, 0.7, g, g),
+                                           parity, trunc, 12)
+            assert np.max(np.abs(values - dense.values[keep])) <= 1e-12
+
+
 def test_crossings_on_window_rows_match_zero_padded_vectors():
-    # every point certifies on a window: at n_max = 120 some would need
-    # more than half the chain and take the whole of it
+    # every point certifies on a window, of several row counts
     trunc = TruncationConfig(140)
     gs = np.arange(0.30, 0.9001, 0.01)
     sweep = sweep_spectrum(TEMPLATE, gs, gs, trunc, k=12)
@@ -573,23 +597,97 @@ def test_windowed_sweep_matches_whole_chain_solves(order, n_max):
                for r in detect_crossings(sweep, Parity.EVEN))
 
 
+def _chain(params, parity, trunc):
+    return expand_dense(build_parity_band(params, parity, trunc))
+
+
+def _count_batch(points, trunc, margin):
+    """The inputs of the batched count at points (params, parity, rows, x),
+    with G by dense inversion, and the dense answer at each (no more chain
+    levels below the cut x than window levels, by eigvalsh); None when a
+    cut lies within margin of a level of either spectrum."""
+    bands, blocks, want = [], [], []
+    for params, parity, rows, x in points:
+        band = build_parity_band(params, parity, trunc)
+        h = expand_dense(band)
+        whole = np.linalg.eigvalsh(h)
+        window = np.linalg.eigvalsh(h[:rows, :rows])
+        if min(np.min(np.abs(whole - x)),
+               np.min(np.abs(window - x))) <= margin:
+            return None
+        bands.append(band)
+        blocks.append(np.linalg.inv(h[:rows, :rows]
+                                    - x * np.eye(rows))[-2:, -2:])
+        want.append(bool(np.sum(whole < x) == np.sum(window < x)))
+    rows, cuts = (np.array([point[i] for point in points]) for i in (2, 3))
+    return (np.array(bands), rows, cuts, np.array(blocks)), want
+
+
+# one point of a count batch: omega_1, omega_2, g_1, g_2, parity, where
+# its window ends and which adjacent window levels its cut falls between,
+# as fractions, and where between them
+_COUNT_POINT = st.tuples(st.floats(0.0, 40.0), st.floats(0.0, 40.0),
+                         st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+                         st.sampled_from(Parity), st.floats(0.0, 1.0),
+                         st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+
+
 @settings(max_examples=80, deadline=None)
-@given(omega_1=st.floats(0.0, 40.0), omega_2=st.floats(0.0, 40.0),
-       g_1=st.floats(-2.0, 2.0), g_2=st.floats(-2.0, 2.0),
-       parity=st.sampled_from(Parity), n_max=st.integers(1, 40),
-       cut=st.floats(0.0, 1.0), where=st.floats(0.0, 1.0))
-@example(omega_1=30.06, omega_2=29.94, g_1=0.0, g_2=0.0, parity=Parity.EVEN,
-         n_max=40, cut=0.5, where=0.2)
-def test_no_level_below_counts_like_dense(omega_1, omega_2, g_1, g_2, parity,
-                                          n_max, cut, where):
-    params = ModelParams(omega_1, omega_2, g_1, g_2)
+@given(n_max=st.integers(1, 40),
+       batch=st.lists(_COUNT_POINT, min_size=1, max_size=4))
+# the g = 0 trap: the second cut lies above low gg levels at photons past
+# the window, so the count must reject it
+@example(n_max=40,
+         batch=[(30.06, 29.94, 0.0, 0.0, Parity.EVEN, 0.5, 0.2, 0.5),
+                (30.06, 29.94, 0.0, 0.0, Parity.EVEN, 0.5, 0.6, 0.5)])
+# omega_j = 0 and g_1 = +-g_2, where [[g1, g2], [g2, g1]] is singular
+@example(n_max=30,
+         batch=[(0.0, 0.7, 0.5, 0.5, Parity.ODD, 0.4, 0.1, 0.5),
+                (1.3, 0.0, 0.5, -0.5, Parity.EVEN, 0.7, 0.8, 0.3),
+                (0.0, 0.0, 1.2, 1.2, Parity.EVEN, 0.2, 0.5, 0.9),
+                (0.0, 0.0, 0.9, -0.9, Parity.ODD, 0.9, 0.3, 0.1)])
+def test_batched_count_matches_dense(n_max, batch):
+    # each point has its own window, of rows short of the whole chain
     trunc = TruncationConfig(n_max)
-    h = expand_dense(build_parity_band(params, parity, trunc))
-    window_dim = 2 * (1 + int(cut * (n_max - 1)))
-    whole = np.linalg.eigvalsh(h)
-    window = np.linalg.eigvalsh(h[:window_dim, :window_dim])
-    x = whole[0] - 1.0 + where * (whole[-1] - whole[0] + 1.0)
-    assume(min(np.min(np.abs(whole - x)), np.min(np.abs(window - x))) > 1e-8)
-    band = build_parity_band(params, parity, trunc)
-    assert spectra._no_level_below(band, window_dim, x) == \
-        (np.sum(whole < x) == np.sum(window < x))
+    points = []
+    for omega_1, omega_2, g_1, g_2, parity, end, level, place in batch:
+        params = ModelParams(omega_1, omega_2, g_1, g_2)
+        rows = 2 * (1 + int(end * (n_max - 1)))
+        window = np.linalg.eigvalsh(
+            _chain(params, parity, trunc)[:rows, :rows])
+        i = int(level * (rows - 2))
+        points.append((params, parity, rows,
+                       window[i] + place * (window[i + 1] - window[i])))
+    counted = _count_batch(points, trunc, margin=1e-8)
+    assume(counted is not None)
+    inputs, want = counted
+    assert spectra._tail_positive(*inputs).tolist() == want
+
+
+def test_batched_count_accepts_and_rejects_side_by_side():
+    # one batch of both parities and four window sizes: at the sweep's
+    # coupling, the g = 0 trap and deep in strong coupling; then, on one
+    # window of 24 rows per parity, cuts 1e-6 below and above the seventh
+    # chain level, which the window lacks (its own seventh level lies
+    # 5e-6 to 9e-6 higher), so that any error in the tail pivots shows
+    trunc = TruncationConfig(40)
+    sweep = ModelParams(1.3, 0.7, 0.3, 0.4)
+    points = []
+    for params, parity, rows, i in (
+            (sweep, Parity.EVEN, 56, 16),
+            (ModelParams(30.06, 29.94, 0.0, 0.0), Parity.EVEN, 40, 22),
+            (ModelParams(1.3, 0.7, 1.0, 1.0), Parity.ODD, 24, 6),
+            (sweep, Parity.ODD, 16, 7)):
+        window = np.linalg.eigvalsh(
+            _chain(params, parity, trunc)[:rows, :rows])
+        points.append((params, parity, rows, 0.5 * (window[i]
+                                                    + window[i + 1])))
+    for parity in Parity:
+        level = np.linalg.eigvalsh(_chain(sweep, parity, trunc))[6]
+        window = np.linalg.eigvalsh(_chain(sweep, parity, trunc)[:24, :24])
+        assert window[5] < level - 1e-6 and level + 4e-6 < window[6]
+        points += [(sweep, parity, 24, level - 1e-6),
+                   (sweep, parity, 24, level + 1e-6)]
+    inputs, want = _count_batch(points, trunc, margin=1e-7)
+    assert spectra._tail_positive(*inputs).tolist() == want == \
+        [True, False, False, True, True, False, True, False]
