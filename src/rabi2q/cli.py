@@ -5,6 +5,9 @@ parameters arrive via flags (or an optional key=value config file; flags
 win), energies are in units of the field frequency, and every CSV starts
 with a comment line carrying the tool version, the command and a hash of the
 resolved configuration so identical configs produce byte-identical files.
+No command solves a chain itself: ``eigenstate`` makes one
+``eigenstates.eigenstate_recurrences`` call per parity, which also checks
+``--count``.
 
 Exit codes: 0 success, 2 configuration error (a ConfigError, raised by the
 front end and by the input checks of the library, or a configuration too
@@ -24,8 +27,6 @@ from . import __version__, dynamics, eigenstates, spectra
 from ._svg import Panel, Series, render
 from .errors import ConfigError, Rabi2qError
 from .model import ModelParams, Parity, QubitLevel, TruncationConfig
-from .hamiltonian import build_parity_band
-from .numerics import eigh, expand_dense
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL = 0, 2, 3
 
@@ -280,19 +281,13 @@ def cmd_rwa_compare(args) -> int:
 
 def cmd_eigenstate(args) -> int:
     params = ModelParams(args.omega1, args.omega2, args.g1, args.g2)
-    trunc = TruncationConfig(args.nmax)
-    if not 1 <= args.count <= trunc.chain_dim:
-        raise ConfigError(f"--count must be in [1, {trunc.chain_dim}], the "
-                          f"levels of a chain at --nmax {args.nmax}")
     parities = ([Parity.EVEN, Parity.ODD] if args.parity == "both"
                 else [Parity.EVEN if args.parity == "even" else Parity.ODD])
     rows = []
     for parity in parities:
-        decomp = eigh(expand_dense(build_parity_band(params, parity, trunc)))
-        for index in range(args.count):
-            state = eigenstates.eigenstate_recurrence(params, parity, index,
-                                                      args.nmax,
-                                                      decomp=decomp)
+        states = eigenstates.eigenstate_recurrences(params, parity,
+                                                    args.count, args.nmax)
+        for index, state in enumerate(states):
             res_rec = eigenstates.residual(params, parity, state)
             res_barg = ""
             if args.bargmann:

@@ -9,12 +9,13 @@ qubits) the five-term route raises StepSingular; a three-term recurrence
 covers that case.
 
 Both recurrences are dominated by growing solutions, so they serve as
-verification and structure-exposing tools; the production eigensolver is
-``numerics.eigh`` (dense diagonalization, also on the photon windows of
-spectrum sweeps).  The four-term route runs in extended precision (mpmath)
-because the achievable residual is limited by the accuracy of the eigenvalue
-and seed fed to it: a double-precision eigenpair is amplified to ~1e-4
-within a dozen steps.  ``refine_eigenpair`` sharpens a float eigenpair far
+verification and structure-exposing tools.  The four-term route takes
+its seed pairs from ``spectra.converged_parity_eigensystem``, the certified
+photon-window route of spectrum sweeps, with no solve or truncation guard
+of its own.  It runs in extended precision (mpmath) because the
+achievable residual is limited by the accuracy of the eigenvalue and seed
+fed to it: a double-precision eigenpair is amplified to ~1e-4 within a
+dozen steps.  ``refine_eigenpair`` sharpens a float eigenpair far
 past double precision by mixed-precision Newton (residual in mpmath,
 corrections in float64) so the recurrence can track the decaying solution
 deep into its tail.  The four-term route works at ``DPS`` decimal digits
@@ -36,12 +37,11 @@ from mpmath.libmp import (fone, from_float, from_int, fzero, mpf_abs,
                           mpf_rdiv_int, mpf_sub, mpf_sum, to_float)
 
 from .errors import (ConfigError, ConvergenceFailure, OverflowDetected,
-                     SingularCoupling, StepSingular, TruncationInsufficient)
+                     SingularCoupling, StepSingular)
 from .hamiltonian import build_parity_band
 from .model import ModelParams, Parity, TruncationConfig, basis_table
-from .numerics import (EigenDecomposition, band_matvec, band_norm, eigh,
-                       expand_dense, general_band)
-from .spectra import converged_mask
+from .numerics import band_matvec, band_norm, general_band
+from .spectra import converged_parity_eigensystem
 
 # decimal digits of the mp recurrences and of the refined eigenpairs
 DPS = 60
@@ -358,40 +358,29 @@ def refine_eigenpair(params: ModelParams, parity: Parity, xi0: float,
         f"{step} Newton steps (tolerance {tol:.3e})")
 
 
-def eigenstate_recurrence(params: ModelParams, parity: Parity, index: int,
-                          n_max: int,
-                          decomp: EigenDecomposition | None = None
-                          ) -> RecurrenceState:
-    """Recurrence state for the index-th lowest converged eigenvalue of one
-    parity.
+def eigenstate_recurrences(params: ModelParams, parity: Parity, count: int,
+                           n_max: int) -> list[RecurrenceState]:
+    """Recurrence states of the count lowest converged levels of one parity.
 
-    Convenience pipeline: dense diagonalization, mp refinement of the
-    eigenpair, then the four-term recurrence seeded by the refined first
-    block; the state records the refined pair's mp residual.  A caller
-    that already holds the dense decomposition of this chain at this
-    cutoff passes it as decomp and skips the diagonalization.  index must
-    lie in [0, chain dimension), and counts only the levels that pass the
-    truncation guard ``spectra.converged_mask``; TruncationInsufficient
-    when fewer than index + 1 of them do.
+    One ``spectra.converged_parity_eigensystem`` call gives the seed pairs;
+    each, zero-padded to the chain, is refined in mp and seeds the
+    four-term recurrence with its first block, and each state records its
+    refined pair's mp residual.  The route raises ConfigError for count
+    outside [1, chain dimension] and TruncationInsufficient when fewer
+    than count levels converge.
     """
+    trunc = TruncationConfig(n_max)
     _check_couplings(params)
-    if not 0 <= index < 2 * (n_max + 1):
-        raise ConfigError(f"eigenstate index {index} is outside the "
-                          f"{2 * (n_max + 1)} levels of the chain")
-    if decomp is None:
-        decomp = eigh(expand_dense(build_parity_band(
-            params, parity, TruncationConfig(n_max))))
-    converged = np.flatnonzero(converged_mask(decomp.vectors, 4))
-    if index >= len(converged):
-        raise TruncationInsufficient(
-            f"only {len(converged)} eigenvalues converged at n_max={n_max} "
-            f"({parity.value} parity); index {index} needs {index + 1}")
-    level = converged[index]
-    xi, x, res = refine_eigenpair(params, parity, decomp.values[level],
-                                  decomp.vectors[:, level], n_max)
-    state = recurrence_eigenstate_la(params, parity, xi, (x[0], x[1]),
-                                     n_max)
-    return replace(state, refine_residual=res)
+    values, vectors = converged_parity_eigensystem(params, parity, trunc,
+                                                   count)
+    seeds = np.pad(vectors, ((0, trunc.chain_dim - len(vectors)), (0, 0)))
+    states = []
+    for xi0, vec0 in zip(values, seeds.T):
+        xi, x, res = refine_eigenpair(params, parity, xi0, vec0, n_max)
+        state = recurrence_eigenstate_la(params, parity, xi, (x[0], x[1]),
+                                         n_max)
+        states.append(replace(state, refine_residual=res))
+    return states
 
 
 # ---------------------------------------------------------------------------

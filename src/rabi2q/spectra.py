@@ -145,6 +145,10 @@ def _certified_windows(bands: np.ndarray, starts, count: int) -> list:
 def _converged_pairs(points, parity: Parity, trunc: TruncationConfig,
                      k: int) -> list:
     """``converged_parity_eigensystem`` at every ModelParams of points."""
+    if not 1 <= k <= trunc.chain_dim:
+        raise ConfigError(f"{k} levels per chain is outside [1, "
+                          f"{trunc.chain_dim}], the levels of a chain at "
+                          f"n_max={trunc.n_max}")
     bands = np.array([build_parity_band(params, parity, trunc)
                       for params in points])
     pairs = _certified_windows(
@@ -189,11 +193,13 @@ def converged_parity_eigensystem(params: ModelParams, parity: Parity,
     Otherwise the window widens, up to the last window short of the whole
     chain.  An accepted window returns only its own rows of the vectors;
     the chain rows past them are exact zeros.  This is the one-point call
-    of the route that ``sweep_spectrum`` takes for all points at once.
+    of the route that ``sweep_spectrum`` takes for all points at once, and
+    it seeds ``eigenstates.eigenstate_recurrences``.
 
     When no window short of the whole chain certifies, solves the whole
     chain by dense ``eigh`` and returns the first k levels of its spectrum
-    that pass the guard, with vectors over the whole chain.
+    that pass the guard, with vectors over the whole chain.  ConfigError
+    for k outside [1, chain dimension].
     """
     return _converged_pairs([params], parity, trunc, k)[0]
 
@@ -258,8 +264,6 @@ def sweep_spectrum(template: ModelParams, g1_values, g2_values,
         raise ValueError("coupling schedules must have equal length")
     if not g1_values.size:
         raise ConfigError("the coupling schedule is empty")
-    if k < 1 or k > trunc.chain_dim:
-        raise ConfigError("k must be in [1, chain dimension]")
 
     points = [replace(template, g_1=float(g1), g_2=float(g2))
               for g1, g2 in zip(g1_values, g2_values)]
@@ -452,26 +456,30 @@ class RwaErrorReport:
 
 def rwa_relative_error(params: ModelParams, trunc: TruncationConfig,
                        k: int) -> RwaErrorReport:
-    """|E_RWA,i - E_full,i| / |E_full,i| for the k lowest converged levels.
+    """|E_RWA,i - E_full,i| / |E_full,i| for the k lowest levels.
 
-    Neither Hamiltonian couples the two parities, so each spectrum is the
-    merged converged levels of its two chains, each solved by dense eigh.
+    Neither Hamiltonian couples the two parities, so each spectrum merges
+    the levels of its two chains, each solved by dense eigh.  Each
+    model's k lowest merged levels must all pass the truncation guard,
+    otherwise TruncationInsufficient: skipping one would pair the levels
+    of different states.
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
     results = []
-    for builder in (build_parity_band, build_rwa_band):
-        levels = []
-        for parity in (Parity.EVEN, Parity.ODD):
-            values, vectors = eigh(expand_dense(builder(params, parity,
-                                                        trunc)))
-            levels.append(values[converged_mask(vectors, 4)])
-        levels = np.sort(np.concatenate(levels))
-        if len(levels) < k:
+    for model, builder in (("full", build_parity_band),
+                           ("RWA", build_rwa_band)):
+        chains = [eigh(expand_dense(builder(params, parity, trunc)))
+                  for parity in (Parity.EVEN, Parity.ODD)]
+        values = np.concatenate([vals for vals, _ in chains])
+        lowest = np.argsort(values)[:k]
+        passed = np.concatenate([converged_mask(vecs, 4)
+                                 for _, vecs in chains])[lowest]
+        if len(lowest) < k or not passed.all():
             raise TruncationInsufficient(
-                f"only {len(levels)} of {k} eigenvalues converged "
-                f"at n_max={trunc.n_max}")
-        results.append(levels[:k])
+                f"only {np.sum(passed)} of the {k} lowest {model} "
+                f"eigenvalues converged at n_max={trunc.n_max}")
+        results.append(values[lowest])
     e_full, e_rwa = results
     diff = np.abs(e_rwa - e_full)
     with np.errstate(divide="ignore", invalid="ignore"):

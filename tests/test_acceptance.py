@@ -16,7 +16,7 @@ from scipy.linalg import expm
 
 from rabi2q import dynamics as dyn
 from rabi2q.eigenstates import (bargmann_identical_coefficients,
-                                eigenstate_recurrence,
+                                eigenstate_recurrences,
                                 recurrence_eigenstate_la, residual)
 from rabi2q.errors import SingularCoupling
 from rabi2q.hamiltonian import build_parity_band, build_rwa_excitation_block
@@ -148,8 +148,7 @@ def test_criterion_06_recurrence_residuals():
     p = ModelParams(1.3, 0.7, 0.3, 0.4)
     worst = 0.0
     for parity in Parity:
-        for index in range(10):
-            state = eigenstate_recurrence(p, parity, index, 200)
+        for state in eigenstate_recurrences(p, parity, 10, 200):
             worst = max(worst, residual(p, parity, state))
     singular_ok = False
     try:

@@ -324,19 +324,23 @@ def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
 
 
 def test_eigenstate_diagonalizes_each_chain_once(tmp_path, monkeypatch):
-    from rabi2q import eigenstates
-    calls = []
-
-    def counting(name, fn):
-        return lambda h: calls.append(name) or fn(h)
-
-    monkeypatch.setattr(cli, "eigh", counting("cli", cli.eigh))
-    monkeypatch.setattr(eigenstates, "eigh",
-                        counting("eigenstates", eigenstates.eigh))
+    # at the README configuration each parity takes its levels from one
+    # certified window, and no whole chain is solved
+    from rabi2q import eigenstates, numerics, spectra
+    calls, rows = [], []
+    system = eigenstates.converged_parity_eigensystem
+    solve = numerics.eigh
+    monkeypatch.setattr(eigenstates, "converged_parity_eigensystem",
+                        lambda *args: calls.append(args[1]) or system(*args))
+    for module in (numerics, spectra):
+        monkeypatch.setattr(module, "eigh",
+                            lambda h: rows.append(len(h)) or solve(h))
     assert run(["eigenstate", "--omega1", "1.3", "--omega2", "0.7",
-                "--g1", "0.3", "--g2", "0.4", "--count", "3",
-                "--nmax", "60", "--out", str(tmp_path / "e.csv")]) == 0
-    assert calls == ["cli", "cli"]
+                "--g1", "0.3", "--g2", "0.4", "--parity", "both",
+                "--count", "10", "--nmax", "200",
+                "--out", str(tmp_path / "e.csv")]) == 0
+    assert [parity.value for parity in calls] == ["even", "odd"]
+    assert rows and max(rows) < 2 * (200 + 1)
 
 
 def test_spectrum_has_no_jobs_flag():

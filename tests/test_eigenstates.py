@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -19,7 +20,7 @@ from rabi2q.eigenstates import (BargmannCoefficients,
                                 bargmann_minimal_coefficients,
                                 bargmann_reconstruction_residual,
                                 bargmann_to_chain, chain_residual,
-                                eigenstate_recurrence,
+                                eigenstate_recurrences,
                                 recurrence_eigenstate_la, refine_eigenpair,
                                 residual)
 from rabi2q.errors import (ConvergenceFailure, OverflowDetected,
@@ -28,6 +29,7 @@ from rabi2q.errors import (ConvergenceFailure, OverflowDetected,
 from rabi2q.hamiltonian import build_parity_band
 from rabi2q.model import ModelParams, Parity, TruncationConfig
 from rabi2q.numerics import eigh, expand_dense
+from rabi2q.spectra import GUARD_TOL
 
 from oracles import (G_CROSS, bargmann_chain_reference, mp_chain_residual,
                      recurrence_blocks_reference, refine_eigenpair_reference)
@@ -43,7 +45,7 @@ def chain_matrix(params, parity, n_max):
 
 
 def test_refined_recurrence_hits_eigenstate():
-    state = eigenstate_recurrence(P, Parity.EVEN, 1, NMAX)
+    state = eigenstate_recurrences(P, Parity.EVEN, 2, NMAX)[1]
     assert residual(P, Parity.EVEN, state) < 1e-10
     assert np.linalg.norm(state.v) == pytest.approx(1.0)
     # the growing tail past the minimum-norm block is zeroed
@@ -54,15 +56,6 @@ def test_refined_recurrence_hits_eigenstate():
     seeded = recurrence_eigenstate_la(P, Parity.EVEN, state.xi, (1.0, 0.0),
                                       NMAX)
     assert seeded.refine_residual is None
-
-
-def test_recurrence_reuses_a_given_decomposition(monkeypatch):
-    decomp = eigh(chain_matrix(P, Parity.ODD, 60))
-    fresh = eigenstate_recurrence(P, Parity.ODD, 2, 60)
-    monkeypatch.setattr(eig_mod, "eigh", None)      # must not be called
-    reused = eigenstate_recurrence(P, Parity.ODD, 2, 60, decomp=decomp)
-    assert reused.xi == fresh.xi
-    assert np.array_equal(reused.v, fresh.v)
 
 
 def test_float_inputs_are_accuracy_limited_but_sane():
@@ -124,9 +117,9 @@ def test_zero_seed_rejected():
 
 
 def test_index_outside_the_chain_rejected():
-    for index in (-1, 2 * (20 + 1)):
+    for count in (0, 2 * (20 + 1) + 1):
         with pytest.raises(ValueError, match="outside"):
-            eigenstate_recurrence(P, Parity.EVEN, index, 20)
+            eigenstate_recurrences(P, Parity.EVEN, count, 20)
 
 
 def test_index_counts_only_levels_that_pass_the_guard():
@@ -135,14 +128,105 @@ def test_index_counts_only_levels_that_pass_the_guard():
     # n_max = 80, and index 6 has no level; at n_max = 6 none passes
     p = ModelParams(1.3, 0.7, 0.9, 0.4)
     wide = eigh(chain_matrix(p, Parity.EVEN, 80))
-    state = eigenstate_recurrence(p, Parity.EVEN, 5, 20)
+    state = eigenstate_recurrences(p, Parity.EVEN, 6, 20)[5]
     assert state.xi == pytest.approx(wide.values[6], abs=1e-8)
-    decomp = eigh(chain_matrix(p, Parity.EVEN, 20))
-    for index, n_max, given in ((6, 20, None), (6, 20, decomp),
-                                (0, 6, None)):
+    for count, n_max in ((7, 20), (1, 6)):
         with pytest.raises(TruncationInsufficient, match="converged"):
-            eigenstate_recurrence(p, Parity.EVEN, index, n_max,
-                                  decomp=given)
+            eigenstate_recurrences(p, Parity.EVEN, count, n_max)
+
+
+def _dense_seeded_states(params, parity, count, n_max):
+    """(xi, state) of the first count levels of dense eigh of the whole
+    chain whose vectors carry less than GUARD_TOL weight on the last four
+    rows: the oracle's refined eigenvalue and the four-term recurrence
+    seeded by its refined pair."""
+    dense = eigh(chain_matrix(params, parity, n_max))
+    edge = np.sum(dense.vectors[-4:] ** 2, axis=0)
+    keep = np.flatnonzero(edge < GUARD_TOL)[:count]
+    if len(keep) < count:
+        raise TruncationInsufficient(f"{len(keep)} of {count} converged")
+    out = []
+    for level in keep:
+        xi, x, _ = refine_eigenpair_reference(
+            params, parity, dense.values[level], dense.vectors[:, level],
+            n_max)
+        out.append((xi, recurrence_eigenstate_la(params, parity, xi, x[:2],
+                                                 n_max)))
+    return out
+
+
+@settings(max_examples=12, deadline=None)
+@given(omega_1=st.floats(0.0, 2.0), omega_2=st.floats(0.0, 2.0),
+       g_1=st.floats(-1.0, 1.0), g_2=st.floats(-1.0, 1.0),
+       parity=st.sampled_from(Parity), n_max=st.integers(10, 60),
+       count=st.integers(1, 4))
+@example(omega_1=0.0, omega_2=0.7, g_1=0.3, g_2=0.4, parity=Parity.ODD,
+         n_max=40, count=4)
+# level 5 fails the guard, so no window certifies and the whole chain
+# gives the levels; count 7 has too few
+@example(omega_1=1.3, omega_2=0.7, g_1=0.9, g_2=0.4, parity=Parity.EVEN,
+         n_max=20, count=6)
+@example(omega_1=1.3, omega_2=0.7, g_1=0.9, g_2=0.4, parity=Parity.EVEN,
+         n_max=20, count=7)
+@example(omega_1=1.1, omega_2=0.3, g_1=3.0, g_2=4.0, parity=Parity.EVEN,
+         n_max=300, count=2)
+# levels 0 and 1 lie 2e-15 apart, and both refiners decline
+@example(omega_1=0.0, omega_2=0.0, g_1=0.5, g_2=1.175494351e-38,
+         parity=Parity.EVEN, n_max=10, count=1)
+# g1^2 - g2^2 = -4e-108: both recurrences overflow
+@example(omega_1=0.0, omega_2=0.0, g_1=0.0, g_2=1.9073223110007208e-54,
+         parity=Parity.EVEN, n_max=10, count=1)
+def test_recurrences_match_dense_seeded_refinement(omega_1, omega_2, g_1,
+                                                   g_2, parity, n_max,
+                                                   count):
+    params = ModelParams(omega_1, omega_2, g_1, g_2)
+    try:
+        eig_mod._check_couplings(params)
+    except SingularCoupling:
+        with pytest.raises(SingularCoupling):
+            eigenstate_recurrences(params, parity, count, n_max)
+        return
+    refined = []
+
+    def spy(*args):
+        refined.append(refine_eigenpair(*args))
+        return refined[-1]
+
+    def attempt(route):
+        try:
+            return route(params, parity, count, n_max)
+        except (ConvergenceFailure, OverflowDetected,
+                TruncationInsufficient) as exc:
+            return type(exc)
+
+    want = attempt(_dense_seeded_states)
+    with mock.patch.object(eig_mod, "refine_eigenpair", spy):
+        states = attempt(eigenstate_recurrences)
+    if ConvergenceFailure in (want, states):
+        # the refiner may decline only inside a cluster of levels closer
+        # than 1e-10 ||H||, where the two seeds span the same subspace
+        h = chain_matrix(params, parity, n_max)
+        gaps = np.diff(eigh(h).values[:count + 1])
+        assert np.min(gaps) < 1e-10 * np.max(np.abs(h).sum(axis=1))
+        return
+    if not isinstance(want, list) or not isinstance(states, list):
+        assert want is states
+        return
+    tol = _refine_tolerance(params, parity, n_max)
+    assert len(states) == len(refined) == count
+    for state, (xi, _, res), (xi_want, seeded) in zip(states, refined, want):
+        with mp.workdps(eig_mod.DPS + 10):
+            assert abs(xi - xi_want) <= 2 * tol
+        assert state.xi == float(xi) and state.refine_residual == res
+        # near |g1| = |g2| (each step divides by g1^2 - g2^2) and deep in
+        # strong coupling DPS digits no longer hold the decaying solution,
+        # and either seed leaves the same residual (g 3/4: about |xi|)
+        got = residual(params, parity, state)
+        assert got == pytest.approx(residual(params, parity, seeded),
+                                    rel=1e-2, abs=1e-12)
+        if (abs(g_1 ** 2 - g_2 ** 2) >= 0.25 * max(g_1 ** 2, g_2 ** 2)
+                and max(abs(params.g_plus), abs(params.g_minus)) <= 2.0):
+            assert got <= 1e-6
 
 
 def test_residual_of_exact_pair_and_random_vector():
