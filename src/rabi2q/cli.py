@@ -11,7 +11,9 @@ No command solves a chain itself: ``eigenstate`` makes one
 
 Exit codes: 0 success, 2 configuration error (a ConfigError, raised by the
 front end and by the input checks of the library, or a configuration too
-large to allocate), 3 numerical/truncation failure.
+large to allocate), 3 numerical/truncation failure, also when
+``eigenstate`` has written rows whose recurrence residual exceeds
+``eigenstates.RECURRENCE_RESIDUAL_TOL``.
 """
 
 from __future__ import annotations
@@ -306,6 +308,15 @@ def cmd_eigenstate(args) -> int:
     _write_csv(args.out, "eigenstate", cfg_hash,
                ("parity", "index", "energy", "residual_recurrence",
                 "residual_bargmann"), rows)
+    tol = eigenstates.RECURRENCE_RESIDUAL_TOL
+    loose = [row for row in rows if not row[3] <= tol]
+    for parity, index, _, res_rec, _ in loose:
+        print(f"eigenstate: {parity} #{index} recurrence residual "
+              f"{res_rec:.3g} exceeds {tol:g}", file=sys.stderr)
+    if loose:
+        print(f"error: {len(loose)} of {len(rows)} recurrence states are "
+              f"not eigenstates to {tol:g}", file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 

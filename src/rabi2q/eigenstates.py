@@ -15,13 +15,19 @@ photon-window route of spectrum sweeps, with no solve or truncation guard
 of its own.  It runs in extended precision (mpmath) because the
 achievable residual is limited by the accuracy of the eigenvalue and seed
 fed to it: a double-precision eigenpair is amplified to ~1e-4 within a
-dozen steps.  ``refine_eigenpair`` sharpens a float eigenpair far
-past double precision by mixed-precision Newton (residual in mpmath,
+dozen steps.  ``refine_eigenpair`` sharpens a float eigenpair far past
+double precision by mixed-precision Newton (residual in mpmath,
 corrections in float64) so the recurrence can track the decaying solution
-deep into its tail.  The four-term route works at ``DPS`` decimal digits
-(the refiner's residual at ``DPS + GUARD_DIGITS``) on raw mpf tuples via
-``mpmath.libmp``, the operations, and so the bits, of the mpf operators and
-``mp.fdot``, from mp tables built once per chain and precision.
+deep into its tail.  Newton runs on leading photon windows, widened on
+the ladder of ``numerics.photon_windows``, and stops on the whole chain's
+test: x is zero past the window, so its residual over the window and the
+photon block past it is the whole chain's.  The four-term route works at
+``DPS`` decimal digits (the refiner's residual at ``DPS + GUARD_DIGITS``)
+on raw mpf tuples via ``mpmath.libmp``, the operations, and so the bits,
+of the mpf operators and ``mp.fdot``, from mp tables built once per chain
+and precision.  Where those digits do not hold the decaying solution, a
+state's residual passes ``RECURRENCE_RESIDUAL_TOL``; the route returns
+it, and the CLI flags it.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from .errors import (ConfigError, ConvergenceFailure, OverflowDetected,
                      SingularCoupling, StepSingular)
 from .hamiltonian import build_parity_band
 from .model import ModelParams, Parity, TruncationConfig, basis_table
-from .numerics import band_matvec, band_norm, general_band
+from .numerics import WINDOW_GROWTH, band_matvec, band_norm, general_band
 from .spectra import converged_parity_eigensystem
 
 # decimal digits of the mp recurrences and of the refined eigenpairs
@@ -48,6 +54,9 @@ DPS = 60
 OVERFLOW_LIMIT = 1e300
 RESCALE_EVERY = 32
 RESCALE_TRIGGER = 1e150
+# a recurrence state whose relative residual ||(H - xi) v|| / ||v|| passes
+# this is not an eigenstate: DPS digits did not hold the decaying solution
+RECURRENCE_RESIDUAL_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +299,23 @@ def _mp_residual(tables, xi, x, prec: int, rnd) -> list:
     return [-to_float(r, rnd=rnd) for r in out]
 
 
+def _frozen_jacobian(band: np.ndarray, x0: np.ndarray, xi0: float,
+                     hnorm: float):
+    """Factors of H - xi0 on band, and xw = x0^T w and u = w / xw for
+    w = (H - xi0)^-1 x0; past |xw| = 1 / (eps^2 ||H||) the LU moves to
+    xi0 + eps ||H||."""
+    eps = np.finfo(float).eps
+    for shift in (float(xi0), float(xi0) + eps * hnorm):
+        factors = _band_lu(band, shift, eps * hnorm)
+        w = _band_solve(factors, x0)
+        xw = math.fsum(x0 * w)
+        if abs(xw) * hnorm * eps ** 2 <= 1:
+            break
+    if not (xw and math.isfinite(xw)):
+        raise ConvergenceFailure("bordered Newton system is singular")
+    return factors, xw, w / xw
+
+
 def refine_eigenpair(params: ModelParams, parity: Parity, xi0: float,
                      vec0: np.ndarray, n_max: int):
     """Sharpen a float eigenpair of the chain matrix to mp precision.
@@ -306,37 +332,51 @@ def refine_eigenpair(params: ModelParams, parity: Parity, xi0: float,
     eps ||H||.  The float arithmetic is scalar or elementwise, so no result
     depends on the BLAS thread count.
 
+    vec0 holds the leading rows of the seed, the chain rows past them
+    being zeros, as ``spectra.converged_parity_eigensystem`` returns its
+    window vectors; more rows than the chain has raise ValueError.  Newton
+    runs on the leading photon window 0..n_w that holds those rows, or on
+    the whole chain when they are more than half of it.  x is exactly zero
+    past the window, so (H - xi) x vanishes past the window's rows and one
+    photon block more: F over those rows is F over the whole chain, and
+    the stopping test below is the whole chain's.  After a Newton step
+    whose residual on that edge block alone exceeds tol, the window widens
+    by ``WINDOW_GROWTH`` (the ladder of ``numerics.photon_windows``, whose
+    last rung is the whole chain), the LU is redone on it and x is
+    zero-padded.
+
     F runs on raw mpf tuples with the chain's cached ``_chain_tables``:
     each row of (H - xi) x, and 1 - x^T x, is an exact dot product
     rounded once at the context's (prec, rounding), bit for bit mp.fdot.
 
-    Returns (xi, x, residual), xi and the list x as mpf, once residual =
-    ||(H - xi) x||_2 and ||H|| |x^T x - 1| / 2 are at most
-    tol = ||H||_inf 10^-(DPS + GUARD_DIGITS); raises ConvergenceFailure,
-    with the residual reached, if NEWTON_STEPS steps do not get there or
-    the iteration leaves the float range.
+    Returns (xi, x, residual), xi and the list x over the whole chain as
+    mpf (exact zeros past the window), once residual = ||(H - xi) x||_2
+    and ||H|| |x^T x - 1| / 2 are at most tol = ||H||_inf
+    10^-(DPS + GUARD_DIGITS), ||H|| the whole chain's; raises
+    ConvergenceFailure, with the residual reached, if NEWTON_STEPS steps
+    do not get there or the iteration leaves the float range.
     """
-    band = build_parity_band(params, parity, TruncationConfig(n_max))
-    x0 = np.asarray(vec0, dtype=float)
+    trunc = TruncationConfig(n_max)
+    dim, held = trunc.chain_dim, len(vec0)
+    if not 0 < held <= dim:
+        raise ValueError(f"seed of {held} rows for a chain of {dim}")
+    band = build_parity_band(params, parity, trunc)
     hnorm = band_norm(band)
-    eps = np.finfo(float).eps
-    for shift in (float(xi0), float(xi0) + eps * hnorm):
-        factors = _band_lu(band, shift, eps * hnorm)
-        w = _band_solve(factors, x0)
-        xw = math.fsum(x0 * w)
-        if abs(xw) * hnorm * eps ** 2 <= 1:
-            break
-    if not (xw and math.isfinite(xw)):
-        raise ConvergenceFailure("bordered Newton system is singular")
-    u = w / xw
+    x0 = np.pad(np.asarray(vec0, dtype=float), (0, dim - held))
+    n_window = (held - 1) // 2 if 2 * held <= dim else n_max
+    rows = 2 * (n_window + 1)
+    seed = x0[:rows]
+    factors, xw, u = _frozen_jacobian(band[:, :rows], seed, xi0, hnorm)
     digits = DPS + GUARD_DIGITS
     tol = hnorm * 10.0 ** -digits
     with mp.workdps(digits):
         prec, rnd = mp.mp._prec_rounding
         tables = _chain_tables(params, parity, n_max, prec)
-        xi, x = from_float(float(xi0)), [from_float(c) for c in x0.tolist()]
+        xi, x = from_float(float(xi0)), [from_float(c) for c in seed.tolist()]
         for step in range(NEWTON_STEPS + 1):
-            f = np.array(_mp_residual(tables, xi, x, prec, rnd))
+            # two zero rows past the window give F on its edge block
+            edge = [fzero, fzero] if rows < dim else []
+            f = np.array(_mp_residual(tables, xi, x + edge, prec, rnd))
             # 1 - x^T x summed exactly and rounded once: rounding x^T x
             # first would cost h an ulp of 1, about tol / ||H|| itself
             h = to_float(mpf_div(mpf_sum([fone] + [mpf_neg(mpf_mul(c, c))
@@ -344,12 +384,22 @@ def refine_eigenpair(params: ModelParams, parity: Parity, xi0: float,
                                  from_int(2), prec, rnd), rnd=rnd)
             res = math.hypot(*f)
             if res <= tol and abs(h) * hnorm <= tol:
-                return mp.make_mpf(xi), [mp.make_mpf(c) for c in x], res
+                return (mp.make_mpf(xi), [mp.make_mpf(c) for c in x]
+                        + [mp.mpf(0)] * (dim - rows), res)
             if step == NEWTON_STEPS or not math.isfinite(res + h):
                 break
-            c = math.fsum(x0 * f)
-            z = _band_solve(factors, f - c * x0)
-            t = h - math.fsum(x0 * z)
+            if step and math.hypot(*f[rows:]) > tol:
+                n_window = min(int(WINDOW_GROWTH * n_window) + 1, n_max)
+                rows = 2 * (n_window + 1)
+                seed = x0[:rows]
+                factors, xw, u = _frozen_jacobian(band[:, :rows], seed, xi0,
+                                                  hnorm)
+                x += [fzero] * (rows - len(x))
+                f = np.pad(f, (0, rows - len(f)))
+            f = f[:rows]
+            c = math.fsum(seed * f)
+            z = _band_solve(factors, f - c * seed)
+            t = h - math.fsum(seed * z)
             x = [mpf_add(xk, from_float(dk), prec, rnd)
                  for xk, dk in zip(x, (z + t * u).tolist())]
             xi = mpf_add(xi, from_float(t / xw - c), prec, rnd)
@@ -363,8 +413,8 @@ def eigenstate_recurrences(params: ModelParams, parity: Parity, count: int,
     """Recurrence states of the count lowest converged levels of one parity.
 
     One ``spectra.converged_parity_eigensystem`` call gives the seed pairs;
-    each, zero-padded to the chain, is refined in mp and seeds the
-    four-term recurrence with its first block, and each state records its
+    each, with the rows of its certified window, is refined in mp and seeds
+    the four-term recurrence with its first block, and each state records its
     refined pair's mp residual.  The route raises ConfigError for count
     outside [1, chain dimension] and TruncationInsufficient when fewer
     than count levels converge.
@@ -373,9 +423,8 @@ def eigenstate_recurrences(params: ModelParams, parity: Parity, count: int,
     _check_couplings(params)
     values, vectors = converged_parity_eigensystem(params, parity, trunc,
                                                    count)
-    seeds = np.pad(vectors, ((0, trunc.chain_dim - len(vectors)), (0, 0)))
     states = []
-    for xi0, vec0 in zip(values, seeds.T):
+    for xi0, vec0 in zip(values, vectors.T):
         xi, x, res = refine_eigenpair(params, parity, xi0, vec0, n_max)
         state = recurrence_eigenstate_la(params, parity, xi, (x[0], x[1]),
                                          n_max)

@@ -325,17 +325,13 @@ def mp_residual_reference(d, a, b, xi, x):
 
 
 def refine_eigenpair_reference(params, parity, xi0, vec0, n_max):
-    """eigenstates.refine_eigenpair with the mp side in mpf objects; the
-    float side (band LU, solves, sums) is the package's own."""
+    """eigenstates.refine_eigenpair on the whole chain, with the mp side in
+    mpf objects; the float side (band LU and its shift, solves, sums) is
+    the package's own."""
     band = build_parity_band(params, parity, TruncationConfig(n_max))
     x0 = np.asarray(vec0, dtype=float)
     hnorm = band_norm(band)
-    factors = eig._band_lu(band, float(xi0), np.finfo(float).eps * hnorm)
-    w = eig._band_solve(factors, x0)
-    xw = math.fsum(x0 * w)
-    if not (xw and math.isfinite(xw)):
-        raise ConvergenceFailure("bordered Newton system is singular")
-    u = w / xw
+    factors, xw, u = eig._frozen_jacobian(band, x0, xi0, hnorm)
     digits = eig.DPS + eig.GUARD_DIGITS
     tol = hnorm * 10.0 ** -digits
     with mp.workdps(digits):

@@ -242,6 +242,45 @@ def test_eigenstate_unconverged_levels_exit_3(tmp_path):
     assert code == 3 and not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--omega1", "1.1", "--omega2", "0.3", "--g1", "3", "--g2", "4",
+     "--parity", "even", "--count", "2", "--nmax", "300"],
+    ["--omega1", "1.3", "--omega2", "0.7", "--g1", "1.0", "--g2", "0.95",
+     "--nmax", "60"],
+], ids=["deep-strong-coupling", "near-equal-couplings"])
+def test_eigenstate_loose_recurrence_residual_exits_3(tmp_path, capsys,
+                                                       argv):
+    # DPS digits do not hold the decaying solution here (g 3/4: residual
+    # about |xi|; g 1/0.95: each step divides by g1^2 - g2^2).  The CSV is
+    # still written, and each row past the bound is named on stderr
+    from rabi2q.eigenstates import RECURRENCE_RESIDUAL_TOL
+    out = tmp_path / "e.csv"
+    assert run(["eigenstate", *argv, "--out", str(out)]) == 3
+    _, rows = read_rows(out)
+    loose = [row for row in rows if float(row[3]) > RECURRENCE_RESIDUAL_TOL]
+    assert loose
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split()[1:3] for line in err[:-1]] == [
+        [row[0], f"#{row[1]}"] for row in loose]
+    assert all("recurrence residual" in line for line in err[:-1])
+    assert err[-1].startswith("error: ")
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_readme_eigenstate_csv_is_pinned(tmp_path):
+    # the README eigenstate run, every line past the version and config
+    # hash comment
+    out = tmp_path / "states.csv"
+    assert run(["eigenstate", "--omega1", "1.3", "--omega2", "0.7",
+                "--g1", "0.3", "--g2", "0.4", "--parity", "both",
+                "--count", "10", "--nmax", "200", "--bargmann",
+                "--out", str(out)]) == 0
+    assert (out.read_text().splitlines()[1:]
+            == (GOLDEN / "eigenstate_readme.csv").read_text().splitlines())
+
+
 def test_eigenstate_invalid_nmax_exits_2(tmp_path):
     code = run(["eigenstate", "--nmax", "0", "--g1", "0.3", "--g2", "0.4",
                 "--count", "1", "--out", str(tmp_path / "e.csv")])

@@ -29,7 +29,7 @@ from rabi2q.errors import (ConvergenceFailure, OverflowDetected,
 from rabi2q.hamiltonian import build_parity_band
 from rabi2q.model import ModelParams, Parity, TruncationConfig
 from rabi2q.numerics import eigh, expand_dense
-from rabi2q.spectra import GUARD_TOL
+from rabi2q.spectra import GUARD_TOL, converged_parity_eigensystem
 
 from oracles import (G_CROSS, bargmann_chain_reference, mp_chain_residual,
                      recurrence_blocks_reference, refine_eigenpair_reference)
@@ -347,6 +347,80 @@ def test_refiner_at_the_criterion_05_crossing(g, index):
     # 1.1e-9 apart at G_CROSS, where the refiner either meets its tolerance
     # or raises, never returns an unconverged pair
     _check_refined(ModelParams(1.3, 0.7, g, g), Parity.EVEN, 300, index)
+
+
+def _attempt(refine, *args):
+    try:
+        return refine(*args)
+    except ConvergenceFailure as exc:
+        return type(exc)
+
+
+@settings(max_examples=10, deadline=None)
+@given(omega_1=st.floats(0.0, 2.0), omega_2=st.floats(0.0, 2.0),
+       g_1=st.floats(-1.5, 1.5), g_2=st.floats(-1.5, 1.5),
+       parity=st.sampled_from(Parity), n_max=st.integers(20, 120),
+       count=st.integers(1, 4), scale=st.just(1.0))
+# g = 0: the edge block vanishes on every window
+@example(omega_1=1.3, omega_2=0.7, g_1=0.0, g_2=0.0, parity=Parity.EVEN,
+         n_max=60, count=3, scale=1.0)
+# omega_1 = 0: the ladder runs from 48 rows to the whole chain of 162
+@example(omega_1=0.0, omega_2=0.7, g_1=0.3, g_2=0.4, parity=Parity.ODD,
+         n_max=80, count=3, scale=1.0)
+@example(omega_1=1.3, omega_2=0.7, g_1=0.45, g_2=-0.4500000000000001,
+         parity=Parity.EVEN, n_max=80, count=3, scale=1.0)
+# an all-zero seed leaves the bordered system singular on either side
+@example(omega_1=1.3, omega_2=0.7, g_1=0.3, g_2=0.4, parity=Parity.EVEN,
+         n_max=100, count=1, scale=0.0)
+# the seeds span more than half the chain: Newton runs on all of it
+@example(omega_1=1.1, omega_2=0.3, g_1=3.0, g_2=4.0, parity=Parity.EVEN,
+         n_max=300, count=2, scale=1.0)
+def test_windowed_refinement_matches_whole_chain_oracle(
+        omega_1, omega_2, g_1, g_2, parity, n_max, count, scale):
+    # the package refines the certified window seed on its photon windows,
+    # the oracle the same seed zero-padded, on the whole chain
+    params = ModelParams(omega_1, omega_2, g_1, g_2)
+    trunc = TruncationConfig(n_max)
+    try:
+        values, vectors = converged_parity_eigensystem(params, parity, trunc,
+                                                       count)
+    except TruncationInsufficient:
+        return
+    tol = _refine_tolerance(params, parity, n_max)
+    for xi0, vec0 in zip(values, scale * vectors.T):
+        padded = np.pad(vec0, (0, trunc.chain_dim - len(vec0)))
+        got = _attempt(refine_eigenpair, params, parity, xi0, vec0, n_max)
+        want = _attempt(refine_eigenpair_reference, params, parity, xi0,
+                        padded, n_max)
+        if not isinstance(got, tuple) or not isinstance(want, tuple):
+            assert got is want
+            continue
+        xi, x, res = got
+        assert len(x) == trunc.chain_dim and res <= tol
+        with mp.workdps(eig_mod.DPS + 10):
+            assert abs(xi - want[0]) <= 2 * tol
+        # past the window x is exactly zero, and its residual over the
+        # window and one photon block is the whole chain's
+        assert mp_chain_residual(params, parity, xi, x, n_max) <= 1.1 * tol
+
+
+def test_refinement_at_the_readme_configuration_stays_in_windows(
+        monkeypatch):
+    # every level certifies on 162 of the 402 rows: no LU and no mp
+    # residual of the refiner spans more than half the chain
+    lus, residuals = [], []
+    band_lu, mp_residual = eig_mod._band_lu, eig_mod._mp_residual
+    monkeypatch.setattr(eig_mod, "_band_lu", lambda band, *args: (
+        lus.append(band.shape[1]) or band_lu(band, *args)))
+    monkeypatch.setattr(eig_mod, "_mp_residual", lambda tables, xi, x, *args: (
+        residuals.append(len(x)) or mp_residual(tables, xi, x, *args)))
+    for parity in Parity:
+        states = eigenstate_recurrences(P, parity, 10, NMAX)
+        assert all(state.refine_residual <= _refine_tolerance(P, parity, NMAX)
+                   for state in states)
+    dim = TruncationConfig(NMAX).chain_dim
+    assert lus and residuals
+    assert max(lus) <= dim // 2 and max(residuals) <= dim // 2
 
 
 @pytest.mark.parametrize("steps", [0, 1, 2])
