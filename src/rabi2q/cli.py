@@ -35,7 +35,9 @@ EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL = 0, 2, 3
 
 def _fmt(value) -> str:
     if isinstance(value, float):
-        return f"{value:.12g}"
+        # a signed zero, such as the entropy -(1 ln 1) of a pure state, is
+        # written 0
+        return f"{value:.12g}" if value else "0"
     return str(value)
 
 

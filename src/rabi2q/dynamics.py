@@ -14,14 +14,17 @@ K propagated levels.  The observables are the mean photon number, the
 population inversion, the two-qubit reduced density matrix and the
 entanglement measures derived from it (von Neumann entropy, Wootters
 concurrence).  A state may hold one column of amplitudes per output time,
-and every observable broadcasts over that axis, so a trajectory takes one
-call per observable.
+and every observable broadcasts over that axis.  A trajectory keeps only
+each chain's propagated levels and streams over blocks of TIME_BLOCK
+output times: each block's amplitudes are formed, reduced to its
+observables and freed, so no chain x times amplitude array is held.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,7 +65,8 @@ class ParityDecomposedState:
 
     def to_full(self) -> np.ndarray:
         """Amplitudes in the product basis |n>|q1>|q2>."""
-        out = np.zeros((self.trunc.full_dim,) + self.c_even.shape[1:],
+        # the two chains fill every row
+        out = np.empty((self.trunc.full_dim,) + self.c_even.shape[1:],
                        dtype=complex)
         full_index = basis_table(self.trunc).full_index
         out[full_index[Parity.EVEN]] = self.c_even
@@ -158,38 +162,25 @@ def population_inversion(state: ParityDecomposedState):
                       _inversion(basis_table(state.trunc)))
 
 
-# output times per block of the product-basis gather of reduced_density_matrix
-_RHO_BLOCK = 64
-
-
 def reduced_density_matrix(state: ParityDecomposedState) -> np.ndarray:
     """Two-qubit reduced density matrix, basis order (ee, eg, ge, gg).
 
     The partial trace over the field, rho_ij = sum_n psi_ni psi_nj^*, of the
     full-basis amplitudes reshaped to (n_max+1, 4).  A stack of states gives
-    a stack of shape (T, 4, 4); its columns go to the product basis
-    _RHO_BLOCK at a time, so no product-basis copy of the whole stack is
-    made, and every column still sums over n in order, as a single state
-    does.  The real and imaginary parts enter separately, so no conjugate
-    copy is made.
+    a stack of shape (T, 4, 4), and every column sums over n in order, as a
+    single state does.  The real and imaginary parts enter separately, so
+    no conjugate copy is made.
     """
     trunc = state.trunc
-    c_even, c_odd = (c.reshape(trunc.chain_dim, -1)
-                     for c in (state.c_even, state.c_odd))
-    rho = np.empty((c_even.shape[1], 4, 4), dtype=complex)
+    psi = state.to_full().reshape(trunc.n_max + 1, 4, -1)
 
     def trace(a, b):
         return np.einsum("ni...,nj...->...ij", a, b)
 
-    for start in range(0, len(rho), _RHO_BLOCK):
-        cols = slice(start, start + _RHO_BLOCK)
-        psi = ParityDecomposedState(c_even[:, cols], c_odd[:, cols],
-                                    trunc).to_full()
-        psi = psi.reshape(trunc.n_max + 1, 4, -1)
-        re, im = psi.real, psi.imag
-        cross = trace(im, re)
-        rho[cols] = (trace(re, re) + trace(im, im)
-                     + 1j * (cross - np.swapaxes(cross, -1, -2)))
+    re, im = psi.real, psi.imag
+    cross = trace(im, re)
+    rho = (trace(re, re) + trace(im, im)
+           + 1j * (cross - np.swapaxes(cross, -1, -2)))
     return rho.reshape(state.c_even.shape[1:] + (4, 4))
 
 
@@ -243,22 +234,69 @@ def _concurrence(evals: np.ndarray, evecs: np.ndarray):
 # trajectories
 # ---------------------------------------------------------------------------
 
+class ChainLevels(NamedTuple):
+    """The propagated levels of one parity chain: eigenvalues E, the rows
+    of their (window) vectors V, their projections V^T c0 on the initial
+    chain amplitudes, and V^T H V on the chain band."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+    proj: np.ndarray
+    h_proj: np.ndarray
+
+
+# output times per block of a trajectory: the chain amplitudes, |c|^2 and
+# product-basis amplitudes of one block are all of the evolved state held.
+# Each block's GEMM packs the level vectors anew, which at 64 times made the
+# Fig. 3 GEMMs (682 rows x 311 levels) about a third slower than one GEMM
+# over all 1,001 times
+TIME_BLOCK = 128
+
+
+def _time_blocks(n_times: int):
+    """Slices of up to TIME_BLOCK consecutive output times, in order."""
+    return (slice(start, start + TIME_BLOCK)
+            for start in range(0, n_times, TIME_BLOCK))
+
+
+def _propagate(levels: dict, trunc: TruncationConfig, times: np.ndarray):
+    """The state at each of the 1-d times, one column per time, from the
+    ChainLevels of each solved chain (a chain missing from levels stays
+    zero), and per solved chain the float view of its level amplitudes
+    a(t) = exp(-i E t) V^T c0.  V a(t) is one real GEMM into the chain's
+    leading rows."""
+    chains, amps = {}, {}
+    for parity in (Parity.EVEN, Parity.ODD):
+        out = np.empty((trunc.chain_dim, len(times)), dtype=complex)
+        chains[parity], rows = out, 0
+        if parity in levels:
+            values, vectors, proj, _ = levels[parity]
+            rows = vectors.shape[0]
+            amps[parity] = phase_coefficients(values, proj, times).view(float)
+            np.matmul(vectors, amps[parity], out=out[:rows].view(float))
+        out[rows:] = 0.0
+    return (ParityDecomposedState(chains[Parity.EVEN], chains[Parity.ODD],
+                                  trunc), amps)
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Observables along an evolution, and the evolved state.
+    """Observables along an evolution, and the levels that evolved it.
 
-    state holds the chain amplitudes at every output time, one column per
-    time.  energy, norms and parity weights are retained as conservation
-    diagnostics; max_edge_weight records the largest truncation-edge
-    probability seen at any output time.  Per parity chain, photons[parity]
-    is the number of leading photon levels whose eigenpairs propagated it,
-    in either engine: a certified window's n_w + 1 (n_w >= n_s, the
-    state's highest photon), n_max + 1 for the whole chain, 0 for a chain
-    the state leaves empty.  dropped_weight[parity] is the weight of the
-    initial state on the levels left out (past the window, rejected by the
-    window's certificate, or negligible); the dropped part evolves in its
-    own invariant subspace, so the chain's amplitudes are off by exactly
-    its square root at every time.
+    The evolved amplitudes are not held: state forms them from levels on
+    each access.  energy, norms and parity weights are retained as
+    conservation diagnostics; max_edge_weight records the largest
+    truncation-edge probability seen at any output time.  levels maps each
+    parity chain the initial state does not leave empty to its ChainLevels.
+    Per parity chain, photons[parity] is the number of leading photon
+    levels whose eigenpairs propagated it, in either engine: a certified
+    window's n_w + 1 (n_w >= n_s, the state's highest photon), n_max + 1
+    for the whole chain, 0 for a chain the state leaves empty.
+    dropped_weight[parity] is the weight of the initial state on the levels
+    left out (past the window, rejected by the window's certificate, or
+    negligible); the dropped part evolves in its own invariant subspace, so
+    the chain's amplitudes are off by exactly its square root at every
+    time.
     """
 
     times: np.ndarray
@@ -271,9 +309,27 @@ class Trajectory:
     weight_even: np.ndarray
     weight_odd: np.ndarray
     max_edge_weight: float
-    state: ParityDecomposedState
     photons: dict
     dropped_weight: dict
+    levels: dict
+    trunc: TruncationConfig
+
+    @property
+    def state(self) -> ParityDecomposedState:
+        """The chain amplitudes at every output time, one column per time.
+
+        Formed on each access from the kept levels, block by block as the
+        observables were, so its columns are the amplitudes they were taken
+        from bit for bit; it takes the chain_dim x T complex amplitudes per
+        chain that the trajectory itself never holds."""
+        chains = {parity: np.empty((self.trunc.chain_dim, len(self.times)),
+                                   dtype=complex) for parity in Parity}
+        for cols in _time_blocks(len(self.times)):
+            block = _propagate(self.levels, self.trunc, self.times[cols])[0]
+            for parity, out in chains.items():
+                out[:, cols] = block.chain(parity)
+        return ParityDecomposedState(chains[Parity.EVEN], chains[Parity.ODD],
+                                     self.trunc)
 
 
 def _window_levels(band: np.ndarray, c0: np.ndarray):
@@ -309,23 +365,25 @@ def _window_levels(band: np.ndarray, c0: np.ndarray):
 
 def _evolve(state: ParityDecomposedState, params: ModelParams, times,
             build_band, on_guard: str) -> Trajectory:
-    """The route of both engines, chain by chain: build_band(params,
-    parity, trunc) gives the chain band that ``_window_levels`` solves; a
-    chain where the state has zero weight is not solved.  The levels and
-    the K x T amplitudes a(t) of each chain are freed before the next
-    chain, and before the observables, which share one |c|^2 per chain.
-    ConfigError when a phase E t of a propagated level is not finite."""
+    """The route of both engines: build_band(params, parity, trunc) gives
+    each chain band that ``_window_levels`` solves, a chain where the state
+    has zero weight is not solved, and only the ChainLevels of each chain
+    are kept.  The output times are then taken TIME_BLOCK at a time: each
+    block's amplitudes give its energy, edge weights, parity weights,
+    mean_n, s_z and rho, and are freed before the next block; entropy and
+    concurrence follow from the (T, 4, 4) stack of rho.  ConfigError when
+    a phase E t of a propagated level is not finite; on_guard="raise"
+    raises at the first block whose edge weight passes EDGE_WEIGHT_TOL,
+    naming the first such time."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.ndim != 1 or not times.size or not np.isfinite(times).all():
         raise ConfigError("times must be finite, 1-d and not empty")
     t_max = float(np.max(np.abs(times)))
     trunc = state.trunc
-    evolved, photons, dropped = {}, {}, {}
-    energy = np.zeros(len(times))
+    levels, photons, dropped = {}, {}, {}
     for parity in (Parity.EVEN, Parity.ODD):
         c0 = state.chain(parity)
-        out = np.zeros((trunc.chain_dim, len(times)), dtype=complex)
-        evolved[parity], photons[parity], dropped[parity] = out, 0, 0.0
+        photons[parity], dropped[parity] = 0, 0.0
         # amplitudes whose squares underflow leave nothing to propagate
         if not np.vdot(c0, c0).real:
             continue
@@ -338,34 +396,43 @@ def _evolve(state: ParityDecomposedState, params: ModelParams, times,
             raise ConfigError(f"phases E t pass the float range: levels up "
                               f"to |E| = {e_max:.3g} at times up to "
                               f"{t_max:.3g}")
-        rows = vectors.shape[0]
-        amps = phase_coefficients(values, proj, times).view(float)
-        np.matmul(vectors, amps, out=out[:rows].view(float))
         # <psi|H|psi> = a^dagger (V^T H V) a with H V on the chain band, so
         # wrong eigenvectors leave V^T H V off diagonal and show as drift
-        h_proj = vectors.T @ band_matvec(band[:, :rows], vectors)
-        energy += np.sum(amps * (h_proj @ amps), axis=0).reshape(-1, 2).sum(
-            axis=1)
-        del vectors, amps, h_proj
-    state = ParityDecomposedState(evolved[Parity.EVEN], evolved[Parity.ODD],
-                                  trunc)
-    probs = _probabilities(state)
-    edge = sum(prob[:, -4:].sum(axis=1) for prob in probs.values())
-    over = np.flatnonzero(edge > EDGE_WEIGHT_TOL)
-    if over.size and on_guard == "raise":
-        raise TruncationInsufficient(
-            f"weight {edge[over[0]]:.2e} on the top two photon levels at "
-            f"t={times[over[0]]:g}; raise n_max")
+        h_proj = vectors.T @ band_matvec(band[:, :vectors.shape[0]], vectors)
+        levels[parity] = ChainLevels(values, vectors, proj, h_proj)
     table = basis_table(trunc)
-    w_even, w_odd = (probs[parity].sum(axis=1) for parity in Parity)
-    mean_n = _chain_sum(probs, table.photon)
-    s_z = _chain_sum(probs, _inversion(table))
-    del probs
-    evals, evecs = _check_density_matrix(reduced_density_matrix(state))
+    inversion = _inversion(table)
+    n_t = len(times)
+    energy, edge, w_even, w_odd, mean_n, s_z = (np.zeros(n_t)
+                                                for _ in range(6))
+    rho = np.empty((n_t, 4, 4), dtype=complex)
+    # each block array is dropped once read, so the peak holds one of them
+    for cols in _time_blocks(n_t):
+        block, amps = _propagate(levels, trunc, times[cols])
+        for parity, a in amps.items():
+            energy[cols] += np.sum(a * (levels[parity].h_proj @ a),
+                                   axis=0).reshape(-1, 2).sum(axis=1)
+        del amps
+        probs = _probabilities(block)
+        edge[cols] = sum(prob[:, -4:].sum(axis=1) for prob in probs.values())
+        over = np.flatnonzero(edge[cols] > EDGE_WEIGHT_TOL)
+        if over.size and on_guard == "raise":
+            first = cols.start + int(over[0])
+            raise TruncationInsufficient(
+                f"weight {edge[first]:.2e} on the top two photon levels at "
+                f"t={times[first]:g}; raise n_max")
+        w_even[cols], w_odd[cols] = (probs[parity].sum(axis=1)
+                                     for parity in Parity)
+        mean_n[cols] = _chain_sum(probs, table.photon)
+        s_z[cols] = _chain_sum(probs, inversion)
+        del probs
+        rho[cols] = reduced_density_matrix(block)
+        del block
+    evals, evecs = _check_density_matrix(rho)
     return Trajectory(times, mean_n, s_z, _entropy(evals),
                       _concurrence(evals, evecs), energy,
                       np.sqrt(w_even + w_odd), w_even, w_odd,
-                      float(np.max(edge)), state, photons, dropped)
+                      float(np.max(edge)), photons, dropped, levels, trunc)
 
 
 def evolve_parity(state: ParityDecomposedState, params: ModelParams, times,

@@ -34,13 +34,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import cmp_to_key, lru_cache, partial
 
 import mpmath as mp
 import numpy as np
 from mpmath.libmp import (fone, from_float, from_int, fzero, mpf_abs,
-                          mpf_add, mpf_div, mpf_gt, mpf_mul, mpf_neg,
-                          mpf_rdiv_int, mpf_sub, mpf_sum, to_float)
+                          mpf_add, mpf_cmp, mpf_div, mpf_gt, mpf_mul, mpf_neg,
+                          mpf_rdiv_int, mpf_sqrt, mpf_sub, mpf_sum, to_float)
 
 from .errors import (ConfigError, ConvergenceFailure, OverflowDetected,
                      SingularCoupling, StepSingular)
@@ -94,27 +94,35 @@ def _chain_tables(params: ModelParams, parity: Parity, n_max: int,
                   prec: int):
     """Raw mpf tables of one chain, each entry formed once by the mpf
     operators at prec bits: the diagonal blocks (d0, d1) of photon levels
-    0..n_max; the entries g1 sqrt(j) and g2 sqrt(j) of O_j for
-    j = 0..n_max + 1 (zero past the chain); per recurrence step
-    j = 1..n_max, 1 / (sqrt(j) det) and sqrt((j - 1) / j), det = g1^2 - g2^2
-    (no steps when det vanishes); and (g1, g2, -g2)."""
+    0..n_max, and the entries g1 sqrt(j) and g2 sqrt(j) of O_j for
+    j = 0..n_max + 1 (zero past the chain)."""
     with mp.workprec(prec):
         w1, w2 = mp.mpf(params.omega_1), mp.mpf(params.omega_2)
         g1, g2 = mp.mpf(params.g_1), mp.mpf(params.g_2)
-        det = g1 * g1 - g2 * g2
         table = basis_table(TruncationConfig(max(n_max, 1)))
         diag = [(n + (s1 * w1 + s2 * w2) / 2)._mpf_
                 for n, s1, s2 in zip(table.photon[parity].tolist(),
                                      table.sz1[parity].tolist(),
                                      table.sz2[parity].tolist())]
         root = [mp.sqrt(j) for j in range(n_max + 1)] + [mp.mpf(0)]
-        step = tuple(((1 / (root[j] * det))._mpf_,
-                      mp.sqrt(mp.mpf(j - 1) / j)._mpf_)
-                     for j in range(1, n_max + 1)) if det else ()
         return (tuple(zip(diag[0::2], diag[1::2]))[:n_max + 1],
                 tuple((r * g1)._mpf_ for r in root),
-                tuple((r * g2)._mpf_ for r in root), step,
-                (g1._mpf_, g2._mpf_, (-g2)._mpf_))
+                tuple((r * g2)._mpf_ for r in root))
+
+
+@lru_cache(maxsize=4)
+def _step_tables(params: ModelParams, n_max: int, prec: int):
+    """Raw mpf factors of the four-term recurrence, the same for both
+    parities, each formed once by the mpf operators at prec bits: per step
+    j = 1..n_max, 1 / (sqrt(j) det) and sqrt((j - 1) / j), det = g1^2 -
+    g2^2 (no steps when det vanishes); and (g1, g2, -g2)."""
+    with mp.workprec(prec):
+        g1, g2 = mp.mpf(params.g_1), mp.mpf(params.g_2)
+        det = g1 * g1 - g2 * g2
+        step = tuple(((1 / (mp.sqrt(j) * det))._mpf_,
+                      mp.sqrt(mp.mpf(j - 1) / j)._mpf_)
+                     for j in range(1, n_max + 1)) if det else ()
+        return step, (g1._mpf_, g2._mpf_, (-g2)._mpf_)
 
 
 def _recurrence_blocks_mp(params: ModelParams, parity: Parity, xi, v0,
@@ -131,8 +139,8 @@ def _recurrence_blocks_mp(params: ModelParams, parity: Parity, xi, v0,
     """
     _check_couplings(params)
     prec, rnd = mp.mp._prec_rounding
-    diag, _, _, steps, (g1, g2, ng2) = _chain_tables(params, parity, n_max,
-                                                     prec)
+    diag = _chain_tables(params, parity, n_max, prec)[0]
+    steps, (g1, g2, ng2) = _step_tables(params, n_max, prec)
     mul, add, sub = (partial(op, prec=prec, rnd=rnd)
                      for op in (mpf_mul, mpf_add, mpf_sub))
     xi, v = mp.mpf(xi)._mpf_, [tuple(mp.mpf(c)._mpf_ for c in v0[:2])]
@@ -164,25 +172,34 @@ def _recurrence_blocks_mp(params: ModelParams, parity: Parity, xi, v0,
     return [[mp.make_mpf(b0), mp.make_mpf(b1)] for b0, b1 in v]
 
 
+# sort key of raw mpf tuples by value
+_MPF_ORDER = cmp_to_key(mpf_cmp)
+
+
 def _cut_normalize(parity: Parity, xi, blocks, n_max: int) -> RecurrenceState:
     """Zero the growing tail past the minimum-norm block and normalize.
 
+    The cut is the first block of least squared norm b0^2 + b1^2, compared
+    on raw mpf tuples; one square root gives the norm of the kept prefix.
     Normalization happens in mp arithmetic first: the running rescales may
     have pushed the kept prefix far outside the double-precision exponent
     range even though its shape is perfectly finite.
     """
     with mp.workdps(DPS):
-        norms = [mp.sqrt(b[0] ** 2 + b[1] ** 2) for b in blocks]
-        positive = [i for i, nm in enumerate(norms) if nm > 0]
+        prec, rnd = mp.mp._prec_rounding
+        squares = [mpf_add(mpf_mul(b0._mpf_, b0._mpf_, prec, rnd),
+                           mpf_mul(b1._mpf_, b1._mpf_, prec, rnd), prec, rnd)
+                   for b0, b1 in blocks]
+        positive = [i for i, square in enumerate(squares) if square != fzero]
         if not positive:
             raise OverflowDetected("recurrence produced a null vector")
-        cut = min(positive, key=lambda i: norms[i])
-        prefix_norm = mp.sqrt(mp.fsum(blocks[j][0] ** 2 + blocks[j][1] ** 2
-                                      for j in range(cut + 1)))
+        cut = min(positive, key=lambda i: _MPF_ORDER(squares[i]))
+        prefix_norm = mpf_sqrt(mpf_sum(squares[:cut + 1], prec, rnd), prec,
+                               rnd)
         out = np.zeros((n_max + 1, 2))
-        for j in range(cut + 1):
-            out[j] = [float(blocks[j][0] / prefix_norm),
-                      float(blocks[j][1] / prefix_norm)]
+        out[:cut + 1] = [[to_float(mpf_div(b._mpf_, prefix_norm, prec, rnd),
+                                   rnd=rnd) for b in block]
+                         for block in blocks[:cut + 1]]
     flat = out.ravel()
     return RecurrenceState(parity, float(xi),
                            flat / float(np.linalg.norm(flat)), cut)
@@ -285,7 +302,7 @@ def _band_solve(factors, rhs: np.ndarray) -> np.ndarray:
 def _mp_residual(tables, xi, x, prec: int, rnd) -> list:
     """-(H - xi) x rounded to floats: per row, the exact products of the
     raw mpf entries summed and rounded once at prec, as mp.fdot does."""
-    (diag, a, b, *_), nxi = tables, mpf_neg(xi, prec, rnd)
+    (diag, a, b), nxi = tables, mpf_neg(xi, prec, rnd)
     p, q = [fzero, *x[0::2], fzero], [fzero, *x[1::2], fzero]
     out = []
     for (d0, d1), pl, pc, ph, ql, qc, qh, al, ah, bl, bh in zip(

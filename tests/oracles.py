@@ -309,6 +309,24 @@ def recurrence_blocks_reference(params, parity, xi, v0, n_max):
     return v
 
 
+def cut_normalize_reference(blocks, n_max):
+    """(v, cut_index) of eigenstates._cut_normalize with mpf objects: the
+    cut at the first block of least norm sqrt(b0^2 + b1^2), and the kept
+    prefix divided by its mp norm before the float conversion."""
+    with mp.workdps(eig.DPS):
+        norms = [mp.sqrt(b[0] ** 2 + b[1] ** 2) for b in blocks]
+        cut = min((i for i, nm in enumerate(norms) if nm > 0),
+                  key=lambda i: norms[i])
+        prefix = mp.sqrt(mp.fsum(b[0] ** 2 + b[1] ** 2
+                                 for b in blocks[:cut + 1]))
+        out = np.zeros((n_max + 1, 2))
+        for j in range(cut + 1):
+            out[j] = [float(blocks[j][0] / prefix),
+                      float(blocks[j][1] / prefix)]
+    flat = out.ravel()
+    return flat / np.linalg.norm(flat), cut
+
+
 def mp_residual_reference(d, a, b, xi, x):
     """(H - xi) x in mpf, one mp.fdot per row; d holds the diagonal
     blocks, a[j] and b[j] the entries of O_j (zero past the ends)."""

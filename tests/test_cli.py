@@ -133,7 +133,21 @@ def test_perturb_zero_qubit_frequencies(tmp_path):
                 "--out", str(out)])
     assert code == 0
     _, rows = read_rows(out)
-    assert all(row[3] in ("0", "-0") for row in rows)
+    assert all(row[3] == "0" for row in rows)
+
+
+def test_signed_zero_cells_are_written_0(tmp_path):
+    # the entropy of a product state sums -(1 ln 1) = -0, and perturb
+    # writes the negated shift -0 at m_max 0: both cells read 0
+    dyn_out, pert_out = tmp_path / "d.csv", tmp_path / "p.csv"
+    assert run(["dynamics", "--steps", "2", "--alpha", "0", "--nmax", "3",
+                "--omega1", "0", "--omega2", "0", "--out", str(dyn_out)]) == 0
+    assert run(["perturb", "--mmax", "0", "--out", str(pert_out)]) == 0
+    for path, column in ((dyn_out, "entropy"),
+                         (pert_out, "correction_second")):
+        header, rows = read_rows(path)
+        assert rows and all(row[header.index(column)] == "0" for row in rows)
+        assert "-0" not in {cell for row in rows for cell in row}
 
 
 def test_perturb_huge_equal_couplings_write_finite_rows(tmp_path):

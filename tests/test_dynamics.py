@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies
@@ -8,8 +10,8 @@ from rabi2q.errors import (ConfigError, InvalidDensityMatrix,
 from rabi2q.hamiltonian import build_parity_band, build_rwa_band
 from rabi2q.model import (PAIR_ORDER, ModelParams, Parity, QubitLevel,
                           TruncationConfig, basis_table)
-from rabi2q.numerics import (EigenDecomposition, band_norm, eigh,
-                             expand_dense, padded_residuals)
+from rabi2q.numerics import (EigenDecomposition, band_matvec, band_norm,
+                             eigh, expand_dense, padded_residuals)
 
 from oracles import (kronecker_reference, mp_concurrence,
                      propagate_reference, quartic_coefficients_from_block,
@@ -455,6 +457,100 @@ def test_empty_chain_is_not_solved(monkeypatch):
         assert traj.dropped_weight[Parity.ODD] == 0.0
         assert not np.any(traj.state.c_odd)
         assert np.max(np.abs(traj.norms - 1.0)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# trajectories stream over blocks of output times
+# ---------------------------------------------------------------------------
+
+def _stack_observables(state, params, build_band):
+    """Every trajectory observable, taken on the whole stack of states by
+    the public single-stack observables and plain sums."""
+    weights = {parity: np.sum(np.abs(state.chain(parity)) ** 2, axis=0)
+               for parity in Parity}
+    edge = sum(np.sum(np.abs(state.chain(parity)[-4:]) ** 2, axis=0)
+               for parity in Parity)
+    energy = sum(np.real(np.sum(state.chain(parity).conj() * band_matvec(
+        build_band(params, parity, state.trunc), state.chain(parity)),
+        axis=0)) for parity in Parity)
+    rho = dyn.reduced_density_matrix(state)
+    return {"mean_n": dyn.mean_photon_number(state),
+            "s_z": dyn.population_inversion(state),
+            "entropy": dyn.von_neumann_entropy(rho),
+            "concurrence": dyn.concurrence(rho),
+            "norms": np.sqrt(weights[Parity.EVEN] + weights[Parity.ODD]),
+            "weight_even": weights[Parity.EVEN],
+            "weight_odd": weights[Parity.ODD],
+            "max_edge_weight": np.max(edge), "energy": energy}
+
+
+@pytest.mark.parametrize("n_times", [1, dyn.TIME_BLOCK - 1, dyn.TIME_BLOCK,
+                                     dyn.TIME_BLOCK + 1, 1001])
+@pytest.mark.parametrize("build_band", [build_parity_band, build_rwa_band])
+@settings(max_examples=3, deadline=None)
+@given(strategies.floats(0.0, 1.5), strategies.floats(-0.6, 0.6),
+       strategies.floats(-0.6, 0.6),
+       strategies.sampled_from([("coherent", 1.5), 2, 5]))
+@example(1.1, 0.3, 0.4, ("coherent", 1.5))
+@example(1.1, 0.3, 0.4, 2)                       # the odd chain is empty
+def test_streamed_observables_match_the_whole_stack(n_times, build_band,
+                                                    omega, g_1, g_2, field):
+    # the trajectory takes its observables TIME_BLOCK output times at a
+    # time; on the whole stack Trajectory.state the public observables
+    # must give the same values, whatever the block edges
+    params = ModelParams(omega, 0.3, g_1, g_2)
+    trunc = TruncationConfig(40)
+    st = dyn.decompose_initial_state(field, G, G, trunc)
+    times = np.linspace(0.0, 25.0, n_times)
+    traj = dyn._evolve(st, params, times, build_band, "record")
+    state = traj.state
+    assert state.c_even.shape == (trunc.chain_dim, n_times)
+    if field == 2:
+        assert Parity.ODD not in traj.levels and not np.any(state.c_odd)
+    for name, want in _stack_observables(state, params, build_band).items():
+        got = getattr(traj, name)
+        assert np.shape(got) == np.shape(want), name
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(
+            1.0, np.max(np.abs(want))), name
+
+
+@pytest.mark.parametrize("build_band,level,qubits,t_max", [
+    (build_parity_band, 0, (G, G), 1.0), (build_rwa_band, 3, (E, E), 0.1)])
+def test_guard_in_a_later_block_names_the_first_time(build_band, level,
+                                                     qubits, t_max):
+    # the edge weight first passes the tolerance past the first block of
+    # output times: the run stops at that block and names the same first
+    # time as a check of the whole stack
+    trunc = TruncationConfig(6)
+    st = dyn.decompose_initial_state(level, *qubits, trunc)
+    params = ModelParams(1.0, 1.0, 0.4, 0.3)
+    times = np.linspace(0.0, t_max, 4 * dyn.TIME_BLOCK + 1)
+    state = dyn._evolve(st, params, times, build_band, "record").state
+    edge = sum(np.sum(np.abs(state.chain(parity)[-4:]) ** 2, axis=0)
+               for parity in Parity)
+    first = int(np.argmax(edge > dyn.EDGE_WEIGHT_TOL))
+    assert dyn.TIME_BLOCK <= first < len(times) - 1
+    with pytest.raises(TruncationInsufficient,
+                       match=f"{edge[first]:.2e} .* at t={times[first]:g};"):
+        dyn._evolve(st, params, times, build_band, "raise")
+
+
+def test_trajectory_holds_no_chain_by_times_amplitudes():
+    # 4,001 output times of the n_max 120 chains: the state would take
+    # 2 x chain_dim x T complex amplitudes, and the run may trace at most a
+    # quarter of that at its peak
+    trunc = TruncationConfig(120)
+    st = dyn.decompose_initial_state(("coherent", np.sqrt(2.0)), G, G, trunc)
+    params = ModelParams(1.1, 0.3, 0.3, 0.4)
+    times = np.linspace(0.0, 100.0, 4001)
+    tracemalloc.start()
+    try:
+        traj = dyn.evolve_parity(st, params, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.mean_n) == len(times)
+    assert peak < 2 * trunc.chain_dim * len(times) * 16 / 4
 
 
 # ---------------------------------------------------------------------------

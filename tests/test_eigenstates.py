@@ -31,7 +31,8 @@ from rabi2q.model import ModelParams, Parity, TruncationConfig
 from rabi2q.numerics import eigh, expand_dense
 from rabi2q.spectra import GUARD_TOL, converged_parity_eigensystem
 
-from oracles import (G_CROSS, bargmann_chain_reference, mp_chain_residual,
+from oracles import (G_CROSS, bargmann_chain_reference,
+                     cut_normalize_reference, mp_chain_residual,
                      recurrence_blocks_reference, refine_eigenpair_reference)
 
 P = ModelParams(1.3, 0.7, 0.3, 0.4)
@@ -489,10 +490,18 @@ def test_raw_tuple_kernels_match_mpf_oracle(omega_1, omega_2, g_1, g_2,
         return
     far = xi + offset
     for run in ((xi, seed), (far, (1.0, 0.0)), (far, (0.6, 0.8))):
-        assert (_raw_blocks(eig_mod._recurrence_blocks_mp, params, parity,
-                            *run, n_max)
-                == _raw_blocks(recurrence_blocks_reference, params, parity,
-                               *run, n_max))
+        raw = _raw_blocks(eig_mod._recurrence_blocks_mp, params, parity,
+                          *run, n_max)
+        assert raw == _raw_blocks(recurrence_blocks_reference, params,
+                                  parity, *run, n_max)
+        if isinstance(raw, str):
+            continue
+        # the cut compares squared norms on raw tuples: the same cut and
+        # the same bits as the mpf norms
+        blocks = [[mp.make_mpf(u), mp.make_mpf(w)] for u, w in raw]
+        state = eig_mod._cut_normalize(parity, run[0], blocks, n_max)
+        v, cut = cut_normalize_reference(blocks, n_max)
+        assert state.cut_index == cut and np.array_equal(state.v, v)
 
 
 def test_oracle_examples_reach_their_corners():
