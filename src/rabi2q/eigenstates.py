@@ -25,7 +25,12 @@ photon block past it is the whole chain's.  The four-term route works at
 ``DPS`` decimal digits (the refiner's residual at ``DPS + GUARD_DIGITS``)
 on raw mpf tuples via ``mpmath.libmp``, the operations, and so the bits,
 of the mpf operators and ``mp.fdot``, from mp tables built once per chain
-and precision.  Where those digits do not hold the decaying solution, a
+and precision.  The recurrence ends one block past its cut once bounds
+taken from the band diagonal prove that no later block can be smaller
+and that the rest of the run cannot pass OVERFLOW_LIMIT
+(``_stop_caps``); otherwise it runs on, to n_max or to its overflow.  The
+cut and the float state are then those of the run to n_max.  Where
+those digits do not hold the decaying solution, a
 state's residual passes ``RECURRENCE_RESIDUAL_TOL``; the route returns
 it, and the CLI flags it.
 """
@@ -39,8 +44,9 @@ from functools import cmp_to_key, lru_cache, partial
 import mpmath as mp
 import numpy as np
 from mpmath.libmp import (fone, from_float, from_int, fzero, mpf_abs,
-                          mpf_add, mpf_cmp, mpf_div, mpf_gt, mpf_mul, mpf_neg,
-                          mpf_rdiv_int, mpf_sqrt, mpf_sub, mpf_sum, to_float)
+                          mpf_add, mpf_cmp, mpf_div, mpf_gt, mpf_mul,
+                          mpf_mul_int, mpf_neg, mpf_rdiv_int, mpf_sqrt,
+                          mpf_sub, mpf_sum, to_float)
 
 from .errors import (ConfigError, ConvergenceFailure, OverflowDetected,
                      SingularCoupling, StepSingular)
@@ -54,6 +60,8 @@ DPS = 60
 OVERFLOW_LIMIT = 1e300
 RESCALE_EVERY = 32
 RESCALE_TRIGGER = 1e150
+# slack of the recurrence's growth bounds past their float and mp rounding
+GROWTH_MARGIN = 1e-9
 # a recurrence state whose relative residual ||(H - xi) v|| / ||v|| passes
 # this is not an eigenstate: DPS digits did not hold the decaying solution
 RECURRENCE_RESIDUAL_TOL = 1e-6
@@ -70,6 +78,9 @@ class RecurrenceState:
     v is the flattened parity-chain vector of the given parity at energy
     xi, normalized; blocks past cut_index are zeroed (the recurrence tail is
     dominated by the growing solution beyond the minimum-norm block).
+    cut_index is the first block of least norm over the run to n_max,
+    though the run may end one block past it, where its bounds show that
+    no later block can be smaller.
     refine_residual is the mp residual ||(H - xi) x||_2 of the refined pair
     behind the seed, if there was one.
     """
@@ -90,23 +101,36 @@ def _check_couplings(params: ModelParams):
 
 
 @lru_cache(maxsize=8)
-def _chain_tables(params: ModelParams, parity: Parity, n_max: int,
-                  prec: int):
-    """Raw mpf tables of one chain, each entry formed once by the mpf
-    operators at prec bits: the diagonal blocks (d0, d1) of photon levels
-    0..n_max, and the entries g1 sqrt(j) and g2 sqrt(j) of O_j for
-    j = 0..n_max + 1 (zero past the chain)."""
+def _diagonal_table(params: ModelParams, parity: Parity, n_max: int,
+                    prec: int, rnd: str):
+    """Raw mpf diagonal blocks (d0, d1) of photon levels 0..n_max of one
+    chain at (prec, rnd): d = n + (s1 w1 + s2 w2) / 2 by the calls the mpf
+    operators make (mpf_mul_int, mpf_add, mpf_div by from_int(2), mpf_add
+    of from_int(n)), the qubit term formed once per pair of signs."""
+    w1, w2 = from_float(params.omega_1), from_float(params.omega_2)
+    two, qubit = from_int(2), {}
+    table = basis_table(TruncationConfig(max(n_max, 1)))
+    diag = []
+    for n, s1, s2 in zip(table.photon[parity].tolist(),
+                         table.sz1[parity].tolist(),
+                         table.sz2[parity].tolist()):
+        if (s1, s2) not in qubit:
+            qubit[s1, s2] = mpf_div(mpf_add(mpf_mul_int(w1, s1, prec, rnd),
+                                            mpf_mul_int(w2, s2, prec, rnd),
+                                            prec, rnd), two, prec, rnd)
+        diag.append(mpf_add(qubit[s1, s2], from_int(n), prec, rnd))
+    return tuple(zip(diag[0::2], diag[1::2]))[:n_max + 1]
+
+
+@lru_cache(maxsize=4)
+def _coupling_table(params: ModelParams, n_max: int, prec: int):
+    """Raw mpf entries g1 sqrt(j) and g2 sqrt(j) of O_j for j = 0..n_max + 1
+    (zero past the chain), the same for both parities, each formed once by
+    the mpf operators at prec bits."""
     with mp.workprec(prec):
-        w1, w2 = mp.mpf(params.omega_1), mp.mpf(params.omega_2)
         g1, g2 = mp.mpf(params.g_1), mp.mpf(params.g_2)
-        table = basis_table(TruncationConfig(max(n_max, 1)))
-        diag = [(n + (s1 * w1 + s2 * w2) / 2)._mpf_
-                for n, s1, s2 in zip(table.photon[parity].tolist(),
-                                     table.sz1[parity].tolist(),
-                                     table.sz2[parity].tolist())]
         root = [mp.sqrt(j) for j in range(n_max + 1)] + [mp.mpf(0)]
-        return (tuple(zip(diag[0::2], diag[1::2]))[:n_max + 1],
-                tuple((r * g1)._mpf_ for r in root),
+        return (tuple((r * g1)._mpf_ for r in root),
                 tuple((r * g2)._mpf_ for r in root))
 
 
@@ -125,25 +149,113 @@ def _step_tables(params: ModelParams, n_max: int, prec: int):
         return step, (g1._mpf_, g2._mpf_, (-g2)._mpf_)
 
 
+# sort key of raw mpf tuples by value
+_MPF_ORDER = cmp_to_key(mpf_cmp)
+
+
+def _stop_caps(params: ModelParams, parity: Parity, xi: float, n_max: int,
+               prec: int) -> list[float]:
+    """Caps of the four-term recurrence's stop: the run may end after block
+    i, with no change to its cut or its overflow, only where ||v_i|| <=
+    caps[i] (0 where it may not).
+
+    Step j forms v_j = -f_j G D_j v_{j-1} - s_j v_{j-2}, with
+    G = [[g1, -g2], [-g2, g1]], D_j the diagonal block of photon j - 1 less
+    xi, f_j = 1 / (sqrt(j) (g1^2 - g2^2)) and s_j = sqrt((j - 1) / j).  So
+    a_j <= sigma_min(f_j G D_j) <= sigma_max(f_j G D_j) <= b_j, with
+    a_j = min |d - xi| / (sqrt(j) (|g1| + |g2|)) and
+    b_j = max |d - xi| / (sqrt(j) ||g1| - |g2||).
+
+    Growth: ||v_j|| >= (a_j - s_j) ||v_{j-1}|| wherever ||v_{j-2}|| <=
+    ||v_{j-1}||.  caps[i] is 0 unless every step past i has a_j - s_j >=
+    1 + GROWTH_MARGIN, a_j taken in floats from the band diagonal and
+    lowered by the float error of |d - xi| and by the mp rounding of the
+    step (2^-prec of its largest term, cond(G) cond(D_j) times a_j); then
+    every block past i is larger than block i.
+
+    Overflow: max(||v_j||, ||v_{j-1}||) <= (b_j + 1) max(||v_{j-1}||,
+    ||v_{j-2}||), and each rescale checkpoint leaves the last two blocks
+    at most RESCALE_TRIGGER per entry.  caps[i] is the largest ||v_i|| from
+    which that bound keeps the rest of the run below OVERFLOW_LIMIT (0
+    where some later stretch between checkpoints may pass it), so the run
+    to n_max would raise no OverflowDetected either.
+    """
+    g1, g2 = abs(params.g_1), abs(params.g_2)
+    band = build_parity_band(params, parity, TruncationConfig(max(n_max, 1)))
+    diag = band[0, :2 * n_max].reshape(n_max, 2)
+    j = np.arange(1, n_max + 1)
+    eps = np.finfo(float).eps
+    # an xi past the float range, or a zero distance, fails both tests
+    with np.errstate(all="ignore"):
+        dist = np.abs(diag - xi)
+        err = 4 * eps * (np.abs(diag).max(axis=1) + abs(xi)
+                         + abs(params.omega_1) + abs(params.omega_2))
+        low, high = dist.min(axis=1) - err, dist.max(axis=1) + err
+        cond = (g1 + g2) / abs(g1 - g2) * high / low
+        a = low / (np.sqrt(j) * (g1 + g2))
+        grows = (a * (1 - 16 * eps - np.ldexp(cond, 8 - prec))
+                 - np.sqrt((j - 1) / j) >= 1 + GROWTH_MARGIN)
+        b = high / (np.sqrt(j) * abs(g1 - g2))
+        # log of the growth bound of steps 1..j; one nat of slack below
+        # the limit covers the float sums
+        up = np.concatenate(([0.0],
+                             np.cumsum(np.log1p(b * (1 + GROWTH_MARGIN)))))
+        room = math.log(OVERFLOW_LIMIT) - 1
+        checks = np.arange(RESCALE_EVERY, n_max, RESCALE_EVERY)
+        stretch_ok = (math.log(math.sqrt(2) * RESCALE_TRIGGER)
+                      + up[np.minimum(checks + RESCALE_EVERY, n_max)]
+                      - up[checks] <= room)
+        i = np.arange(n_max + 1)
+        nxt = np.minimum((i // RESCALE_EVERY + 1) * RESCALE_EVERY, n_max)
+        caps = np.nan_to_num(np.exp(room - (up[nxt] - up[i])), nan=0.0)
+    # every step past i grows; every stretch past the next checkpoint stays
+    # below the limit
+    grows_on = np.append(np.logical_and.accumulate(grows[::-1])[::-1], True)
+    safe_on = np.append(np.logical_and.accumulate(stretch_ok[::-1])[::-1],
+                        True)
+    later = np.where(nxt < n_max, nxt // RESCALE_EVERY - 1, len(checks))
+    return np.where(grows_on & safe_on[later], caps, 0.0).tolist()
+
+
 def _recurrence_blocks_mp(params: ModelParams, parity: Parity, xi, v0,
                           n_max: int):
-    """Raw mp block sequence of the four-term recurrence (no cut).
+    """Raw mp blocks of the four-term recurrence, up to the block past
+    which no block can be smaller.
+
+    Returns (blocks, squares): the raw mpf pairs of blocks 0..i and their
+    squared norms b0^2 + b1^2.  The run stops after block i once its
+    squared norm is above block i - 1's and ||v_i|| is within
+    ``_stop_caps``: every later block is then larger than block i, so the
+    first least positive block of the run to n_max, the cut, is among
+    blocks 0..i (before i unless block i - 1 is zero), and that run would
+    not overflow.  The cut and the float state v of ``_cut_normalize``
+    then match the run to n_max (only the mp bits may differ, by the
+    rescales that run would still make).  Where the caps do not allow a
+    stop, the run goes to n_max, or to its overflow.
 
     Each step is the mpf operators' arithmetic at the context's (prec,
     rounding), done on raw mpf tuples.  Blocks are rescaled whenever the
     running maximum grows past RESCALE_TRIGGER (checked every RESCALE_EVERY
-    steps), which keeps them inside the float exponent range the overflow
-    guard compares against; a block exceeding OVERFLOW_LIMIT between
-    rescale checkpoints raises OverflowDetected.  |g1| = |g2| raises
+    steps, before the stop test), which keeps them inside the float
+    exponent range the overflow guard compares against; a block exceeding
+    OVERFLOW_LIMIT between rescale checkpoints raises OverflowDetected, on
+    the same step as in the run to n_max.  |g1| = |g2| raises
     SingularCoupling.
     """
     _check_couplings(params)
     prec, rnd = mp.mp._prec_rounding
-    diag = _chain_tables(params, parity, n_max, prec)[0]
+    diag = _diagonal_table(params, parity, n_max, prec, rnd)
     steps, (g1, g2, ng2) = _step_tables(params, n_max, prec)
     mul, add, sub = (partial(op, prec=prec, rnd=rnd)
                      for op in (mpf_mul, mpf_add, mpf_sub))
+
+    def square(block):
+        return add(mul(block[0], block[0]), mul(block[1], block[1]))
+
     xi, v = mp.mpf(xi)._mpf_, [tuple(mp.mpf(c)._mpf_ for c in v0[:2])]
+    caps = _stop_caps(params, parity, to_float(xi), n_max, prec)
+    # squared norms of the leading blocks, formed once, where first read
+    squares = []
     limit, trigger = from_float(OVERFLOW_LIMIT), from_float(RESCALE_TRIGGER)
     run_max = fone
     for j in range(1, n_max + 1):
@@ -168,28 +280,30 @@ def _recurrence_blocks_mp(params: ModelParams, parity: Parity, xi, v0,
         if j % RESCALE_EVERY == 0 and mpf_gt(run_max, trigger):
             inv = mpf_rdiv_int(1, run_max, prec, rnd)
             v = [(mul(b0, inv), mul(b1, inv)) for b0, b1 in v]
+            squares = []
             run_max = fone
-    return [[mp.make_mpf(b0), mp.make_mpf(b1)] for b0, b1 in v]
+        if caps[j]:
+            squares += map(square, v[len(squares):])
+            if (mpf_gt(squares[j], squares[j - 1])
+                    and to_float(mpf_sqrt(squares[j], prec, rnd)) <= caps[j]):
+                break
+    return v, squares + list(map(square, v[len(squares):]))
 
 
-# sort key of raw mpf tuples by value
-_MPF_ORDER = cmp_to_key(mpf_cmp)
-
-
-def _cut_normalize(parity: Parity, xi, blocks, n_max: int) -> RecurrenceState:
+def _cut_normalize(parity: Parity, xi, blocks, squares,
+                   n_max: int) -> RecurrenceState:
     """Zero the growing tail past the minimum-norm block and normalize.
 
-    The cut is the first block of least squared norm b0^2 + b1^2, compared
-    on raw mpf tuples; one square root gives the norm of the kept prefix.
-    Normalization happens in mp arithmetic first: the running rescales may
-    have pushed the kept prefix far outside the double-precision exponent
-    range even though its shape is perfectly finite.
+    blocks and squares are the raw mpf pairs and squared norms of
+    ``_recurrence_blocks_mp``.  The cut is the first block of least
+    positive squared norm; one square root gives the norm of the kept
+    prefix.  Normalization happens in mp arithmetic first: the running
+    rescales may have pushed the kept prefix far outside the
+    double-precision exponent range even though its shape is perfectly
+    finite.
     """
     with mp.workdps(DPS):
         prec, rnd = mp.mp._prec_rounding
-        squares = [mpf_add(mpf_mul(b0._mpf_, b0._mpf_, prec, rnd),
-                           mpf_mul(b1._mpf_, b1._mpf_, prec, rnd), prec, rnd)
-                   for b0, b1 in blocks]
         positive = [i for i, square in enumerate(squares) if square != fzero]
         if not positive:
             raise OverflowDetected("recurrence produced a null vector")
@@ -197,7 +311,7 @@ def _cut_normalize(parity: Parity, xi, blocks, n_max: int) -> RecurrenceState:
         prefix_norm = mpf_sqrt(mpf_sum(squares[:cut + 1], prec, rnd), prec,
                                rnd)
         out = np.zeros((n_max + 1, 2))
-        out[:cut + 1] = [[to_float(mpf_div(b._mpf_, prefix_norm, prec, rnd),
+        out[:cut + 1] = [[to_float(mpf_div(b, prefix_norm, prec, rnd),
                                    rnd=rnd) for b in block]
                          for block in blocks[:cut + 1]]
     flat = out.ravel()
@@ -210,15 +324,18 @@ def recurrence_eigenstate_la(params: ModelParams, parity: Parity, xi, v0,
     """Run the four-term recurrence from seed block v0 at energy xi.
 
     xi and the two components of v0 may be floats or mpmath values; the
-    iteration runs at DPS decimal digits.  The residual of the result is
-    limited by the accuracy of (xi, v0): feed values from refine_eigenpair
-    to resolve the decaying solution below double precision.
+    iteration runs at DPS decimal digits, and ends at the first block past
+    its cut from which the bounds of ``_stop_caps`` allow it.
+    The residual of the result is limited by the accuracy of (xi, v0):
+    feed values from refine_eigenpair to resolve the decaying solution
+    below double precision.
     """
     if float(abs(v0[0])) == 0.0 and float(abs(v0[1])) == 0.0:
         raise ValueError("seed block v0 must be nonzero")
     with mp.workdps(DPS):
-        blocks = _recurrence_blocks_mp(params, parity, xi, v0, n_max)
-    return _cut_normalize(parity, xi, blocks, n_max)
+        blocks, squares = _recurrence_blocks_mp(params, parity, xi, v0,
+                                                n_max)
+    return _cut_normalize(parity, xi, blocks, squares, n_max)
 
 
 def chain_residual(params: ModelParams, parity: Parity, xi: float,
@@ -362,9 +479,10 @@ def refine_eigenpair(params: ModelParams, parity: Parity, xi0: float,
     last rung is the whole chain), the LU is redone on it and x is
     zero-padded.
 
-    F runs on raw mpf tuples with the chain's cached ``_chain_tables``:
-    each row of (H - xi) x, and 1 - x^T x, is an exact dot product
-    rounded once at the context's (prec, rounding), bit for bit mp.fdot.
+    F runs on raw mpf tuples with the chain's cached ``_diagonal_table``
+    and the ``_coupling_table`` both parities share: each row of
+    (H - xi) x, and 1 - x^T x, is an exact dot product rounded once at the
+    context's (prec, rounding), bit for bit mp.fdot.
 
     Returns (xi, x, residual), xi and the list x over the whole chain as
     mpf (exact zeros past the window), once residual = ||(H - xi) x||_2
@@ -388,7 +506,8 @@ def refine_eigenpair(params: ModelParams, parity: Parity, xi0: float,
     tol = hnorm * 10.0 ** -digits
     with mp.workdps(digits):
         prec, rnd = mp.mp._prec_rounding
-        tables = _chain_tables(params, parity, n_max, prec)
+        tables = (_diagonal_table(params, parity, n_max, prec, rnd),
+                  *_coupling_table(params, n_max, prec))
         xi, x = from_float(float(xi0)), [from_float(c) for c in seed.tolist()]
         for step in range(NEWTON_STEPS + 1):
             # two zero rows past the window give F on its edge block

@@ -272,7 +272,7 @@ def mp_chain_diagonal(params, parity, n_max):
 
 def recurrence_blocks_reference(params, parity, xi, v0, n_max):
     """eigenstates._recurrence_blocks_mp with mpf objects, at the caller's
-    mp precision."""
+    mp precision, run to n_max without its stop."""
     d = mp_chain_diagonal(params, parity, n_max)
     g1, g2 = mp.mpf(params.g_1), mp.mpf(params.g_2)
     det = g1 * g1 - g2 * g2
@@ -315,6 +315,8 @@ def cut_normalize_reference(blocks, n_max):
     prefix divided by its mp norm before the float conversion."""
     with mp.workdps(eig.DPS):
         norms = [mp.sqrt(b[0] ** 2 + b[1] ** 2) for b in blocks]
+        if not any(norms):
+            raise OverflowDetected("recurrence produced a null vector")
         cut = min((i for i, nm in enumerate(norms) if nm > 0),
                   key=lambda i: norms[i])
         prefix = mp.sqrt(mp.fsum(b[0] ** 2 + b[1] ** 2

@@ -32,8 +32,9 @@ from rabi2q.numerics import eigh, expand_dense
 from rabi2q.spectra import GUARD_TOL, converged_parity_eigensystem
 
 from oracles import (G_CROSS, bargmann_chain_reference,
-                     cut_normalize_reference, mp_chain_residual,
-                     recurrence_blocks_reference, refine_eigenpair_reference)
+                     cut_normalize_reference, mp_chain_diagonal,
+                     mp_chain_residual, recurrence_blocks_reference,
+                     refine_eigenpair_reference)
 
 P = ModelParams(1.3, 0.7, 0.3, 0.4)
 NMAX = 200
@@ -440,13 +441,68 @@ def test_starved_refiner_raises_with_its_residual(monkeypatch, steps):
 # raw-tuple kernels against their mpf-object forms
 # ---------------------------------------------------------------------------
 
-def _raw_blocks(blocks_fn, *args):
-    """The _mpf_ tuples of a block run at DPS, or the overflow it raised."""
+def _kernel_run(*args):
+    """(blocks, squares) of the raw-tuple kernel at DPS, or the overflow it
+    raised."""
     try:
         with mp.workdps(eig_mod.DPS):
-            return [(u._mpf_, w._mpf_) for u, w in blocks_fn(*args)]
+            return eig_mod._recurrence_blocks_mp(*args)
     except OverflowDetected as exc:
         return str(exc)
+
+
+def _oracle_run(*args):
+    """The mpf blocks of the oracle run at DPS, or the overflow it raised."""
+    try:
+        with mp.workdps(eig_mod.DPS):
+            return recurrence_blocks_reference(*args)
+    except OverflowDetected as exc:
+        return str(exc)
+
+
+def _last_step_grows(params, parity, xi, n_max):
+    """a_n - s_n >= 1 at the last step n = n_max, in mp: where it fails, no
+    growth bound holds to the end, and the run must go to n_max."""
+    with mp.workdps(eig_mod.DPS):
+        d = mp_chain_diagonal(params, parity, n_max)[n_max - 1]
+        g = abs(mp.mpf(params.g_1)) + abs(mp.mpf(params.g_2))
+        a = min(abs(c - xi) for c in d) / (mp.sqrt(n_max) * g)
+        return a - mp.sqrt(mp.mpf(n_max - 1) / n_max) >= 1
+
+
+def _check_stopped_run(params, parity, xi, seed, n_max):
+    """The kernel overflows where the oracle's whole run does, with the same
+    message.  Otherwise its blocks are the oracle's for as many steps, its
+    cut and vector are those of the oracle's whole run, bit for bit, and
+    every block of that run past the stop is at least as large as the
+    last."""
+    got = _kernel_run(params, parity, xi, seed, n_max)
+    whole = _oracle_run(params, parity, xi, seed, n_max)
+    if isinstance(got, str) or isinstance(whole, str):
+        assert got == whole
+        return
+    blocks, squares = got
+    stop = len(blocks) - 1
+    assert 1 <= stop <= n_max
+    assert blocks == [(u._mpf_, w._mpf_) for u, w in
+                      _oracle_run(params, parity, xi, seed, stop)]
+    if not _last_step_grows(params, parity, xi, n_max):
+        assert stop == n_max
+    try:
+        v, cut = cut_normalize_reference(whole, n_max)
+    except OverflowDetected:
+        # a null seed block: every block is zero, and both reject it
+        assert stop == n_max and not any(map(any, whole))
+        with pytest.raises(OverflowDetected, match="null vector"):
+            eig_mod._cut_normalize(parity, xi, blocks, squares, n_max)
+        return
+    state = eig_mod._cut_normalize(parity, xi, blocks, squares, n_max)
+    assert state.cut_index == cut and np.array_equal(state.v, v)
+    if stop < n_max:
+        with mp.workdps(eig_mod.DPS):
+            norms = [b[0] ** 2 + b[1] ** 2 for b in whole[stop - 1:]]
+        assert cut < stop and norms[0] <= norms[1]
+        assert all(lo <= hi for lo, hi in zip(norms[1:], norms[2:]))
 
 
 @settings(max_examples=15, deadline=None)
@@ -454,16 +510,35 @@ def _raw_blocks(blocks_fn, *args):
        g_1=st.floats(-1.5, 1.5), g_2=st.floats(-1.5, 1.5),
        parity=st.sampled_from(Parity), n_max=st.integers(2, 60),
        level=st.floats(0.0, 1.0), offset=st.floats(-5.0, 5.0))
-# n_max 200: every run rescales, and would pass 1e300 without it
+# the top level at n_max 200: the bound fails at the last steps, every
+# run goes to n_max and rescales, and would pass 1e300 without it
 @example(omega_1=1.3, omega_2=0.7, g_1=0.3, g_2=0.4, parity=Parity.EVEN,
-         n_max=200, level=1 / 401, offset=0.5)
-# far from the spectrum: the rescaled run raises OverflowDetected
+         n_max=200, level=1.0, offset=0.5)
+# far from the spectrum: 50 below the run stops at block 1, 1e200 away it
+# raises OverflowDetected at the step the run to n_max does
+@example(omega_1=1.3, omega_2=0.7, g_1=0.3, g_2=0.4, parity=Parity.ODD,
+         n_max=50, level=0.0, offset=-50.0)
 @example(omega_1=1.3, omega_2=0.7, g_1=0.3, g_2=0.4, parity=Parity.ODD,
          n_max=50, level=0.0, offset=1e200)
 @example(omega_1=0.0, omega_2=0.7, g_1=0.3, g_2=0.4, parity=Parity.EVEN,
          n_max=40, level=0.1, offset=0.5)
+@example(omega_1=0.0, omega_2=0.0, g_1=0.5, g_2=-0.3, parity=Parity.ODD,
+         n_max=40, level=0.2, offset=-5.0)
 @example(omega_1=1.3, omega_2=0.0, g_1=-0.5, g_2=0.2, parity=Parity.ODD,
          n_max=40, level=0.3, offset=-2.0)
+# |g1| near |g2|: each step divides by g1^2 - g2^2
+@example(omega_1=1.3, omega_2=0.7, g_1=1.0, g_2=0.95, parity=Parity.EVEN,
+         n_max=60, level=0.0, offset=5.0)
+@example(omega_1=1.3, omega_2=0.7, g_1=0.45, g_2=-0.44, parity=Parity.ODD,
+         n_max=60, level=1.0, offset=0.0)
+# deep strong coupling at the Fig. 3 couplings
+@example(omega_1=1.1, omega_2=0.3, g_1=3.0, g_2=4.0, parity=Parity.EVEN,
+         n_max=300, level=0.0, offset=5.0)
+@example(omega_1=1.1, omega_2=0.3, g_1=3.0, g_2=4.0, parity=Parity.ODD,
+         n_max=300, level=1.0, offset=-5.0)
+# a decoupled Fock level: its refined first block is exactly zero
+@example(omega_1=0.0, omega_2=0.0, g_1=0.0, g_2=7.597715095932441e-267,
+         parity=Parity.EVEN, n_max=2, level=1.0, offset=0.0)
 @example(omega_1=0.0, omega_2=0.0, g_1=0.5, g_2=0.5, parity=Parity.EVEN,
          n_max=30, level=0.5, offset=0.0)
 def test_raw_tuple_kernels_match_mpf_oracle(omega_1, omega_2, g_1, g_2,
@@ -490,34 +565,88 @@ def test_raw_tuple_kernels_match_mpf_oracle(omega_1, omega_2, g_1, g_2,
         return
     far = xi + offset
     for run in ((xi, seed), (far, (1.0, 0.0)), (far, (0.6, 0.8))):
-        raw = _raw_blocks(eig_mod._recurrence_blocks_mp, params, parity,
-                          *run, n_max)
-        assert raw == _raw_blocks(recurrence_blocks_reference, params,
-                                  parity, *run, n_max)
-        if isinstance(raw, str):
-            continue
-        # the cut compares squared norms on raw tuples: the same cut and
-        # the same bits as the mpf norms
-        blocks = [[mp.make_mpf(u), mp.make_mpf(w)] for u, w in raw]
-        state = eig_mod._cut_normalize(parity, run[0], blocks, n_max)
-        v, cut = cut_normalize_reference(blocks, n_max)
-        assert state.cut_index == cut and np.array_equal(state.v, v)
+        _check_stopped_run(params, parity, *run, n_max)
 
 
 def test_oracle_examples_reach_their_corners():
-    # the explicit examples above rescale and overflow, so the comparisons
-    # cover those branches
+    # the explicit examples above run to n_max and rescale, stop at block
+    # 1, and overflow, so the comparisons cover those branches
     p = ModelParams(1.3, 0.7, 0.3, 0.4)
-    xi, x, _ = refine_eigenpair(p, Parity.EVEN, *_pair(Parity.EVEN, 1), NMAX)
-    with mp.workdps(eig_mod.DPS):
-        kept = eig_mod._recurrence_blocks_mp(p, Parity.EVEN, xi + 0.5,
-                                             (1.0, 0.0), NMAX)
-    # a rescale divides every block so far, the seed block too
-    assert kept[0] != [1, 0]
-    decomp = eigh(chain_matrix(p, Parity.ODD, 50))
-    assert isinstance(_raw_blocks(eig_mod._recurrence_blocks_mp, p,
-                                  Parity.ODD, decomp.values[0] + 1e200,
-                                  (1.0, 0.0), 50), str)
+    decomp = eigh(chain_matrix(p, Parity.EVEN, NMAX))
+    xi, x, _ = refine_eigenpair(p, Parity.EVEN, decomp.values[-1],
+                                decomp.vectors[:, -1], NMAX)
+    for run in ((xi, x[:2]), (xi + 0.5, (1.0, 0.0))):
+        blocks, _ = _kernel_run(p, Parity.EVEN, *run, NMAX)
+        assert len(blocks) == NMAX + 1
+        # a rescale divides every block so far, the seed block too
+        assert blocks[0] != tuple(mp.mpf(c)._mpf_ for c in run[1])
+    low = eigh(chain_matrix(p, Parity.ODD, 50)).values[0]
+    blocks, _ = _kernel_run(p, Parity.ODD, low - 50.0, (1.0, 0.0), 50)
+    assert len(blocks) == 2
+    assert "at j=2 " in _kernel_run(p, Parity.ODD, low + 1e200, (1.0, 0.0),
+                                    50)
+
+
+@pytest.mark.parametrize("g_1, g_2, xi, step", [
+    # past block 15 every step grows the norm, and a later stretch between
+    # rescale checkpoints passes 1e300 from below 1
+    (0.5, -0.499999997, 6.0, 96),
+    # past block 9 likewise, but the stretch starts from a block near
+    # RESCALE_TRIGGER that did not call for a rescale
+    (0.3, 0.29997, 5.0, 62)])
+def test_stop_keeps_a_later_overflow(g_1, g_2, xi, step):
+    # near |g1| = |g2| the run to n_max overflows, so it may not stop
+    p = ModelParams(1.3, 0.7, g_1, g_2)
+    _check_stopped_run(p, Parity.EVEN, xi, (1.0, 0.0), 100)
+    assert f"at j={step} " in _kernel_run(p, Parity.EVEN, xi, (1.0, 0.0),
+                                          100)
+
+
+def test_stop_after_a_rescale_reads_fresh_squares():
+    # from a seed block of 1e248 below the spectrum the norm stays too near
+    # 1e300 for a stop until the rescale at block 32; the next stop test
+    # compares squared norms formed after that rescale
+    blocks, _ = _kernel_run(P, Parity.EVEN, -3.0, (1e248, 0.0), 80)
+    assert len(blocks) == 33
+    _check_stopped_run(P, Parity.EVEN, -3.0, (1e248, 0.0), 80)
+
+
+def test_recurrence_stops_one_block_past_the_readme_cuts(monkeypatch):
+    # past every README level's cut (blocks 27-33) the growth bound holds:
+    # each run ends on the block after its cut, at most 36 of 201 blocks
+    runs, kernel = [], eig_mod._recurrence_blocks_mp
+    monkeypatch.setattr(eig_mod, "_recurrence_blocks_mp", lambda *args: (
+        runs.append(kernel(*args)) or runs[-1]))
+    states = [state for parity in Parity
+              for state in eigenstate_recurrences(P, parity, 10, NMAX)]
+    assert len(runs) == len(states) == 20
+    for (blocks, _), state in zip(runs, states):
+        assert len(blocks) <= state.cut_index + 2 <= 36
+        assert residual(P, state.parity, state) < 1e-10
+
+
+@settings(max_examples=20, deadline=None)
+@given(omega_1=st.floats(0.0, 40.0), omega_2=st.floats(0.0, 40.0),
+       g_1=st.floats(-3.0, 3.0), g_2=st.floats(-3.0, 3.0),
+       parity=st.sampled_from(Parity), n_max=st.integers(1, 60),
+       digits=st.sampled_from([15, eig_mod.DPS, eig_mod.DPS + 3, 200]))
+@example(omega_1=1.3, omega_2=0.7, g_1=0.3, g_2=0.4, parity=Parity.ODD,
+         n_max=200, digits=eig_mod.DPS)
+def test_mp_tables_match_the_mpf_operators(omega_1, omega_2, g_1, g_2,
+                                           parity, n_max, digits):
+    # the diagonal formed on raw tuples, and the coupling entries, against
+    # n + (s1 w1 + s2 w2) / 2 and sqrt(j) g in mpf objects
+    params = ModelParams(omega_1, omega_2, g_1, g_2)
+    with mp.workdps(digits):
+        prec, rnd = mp.mp._prec_rounding
+        diag = [(d0._mpf_, d1._mpf_)
+                for d0, d1 in mp_chain_diagonal(params, parity, n_max)]
+        root = [mp.sqrt(j) for j in range(n_max + 1)] + [mp.mpf(0)]
+        coupling = tuple(tuple((r * mp.mpf(g))._mpf_ for r in root)
+                         for g in (g_1, g_2))
+    assert list(eig_mod._diagonal_table(params, parity, n_max, prec,
+                                        rnd)) == diag
+    assert eig_mod._coupling_table(params, n_max, prec) == coupling
 
 
 _REFINE_PROBE = """

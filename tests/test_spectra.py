@@ -696,3 +696,89 @@ def test_batched_count_accepts_and_rejects_side_by_side():
     inputs, want = _count_batch(points, trunc, margin=1e-7)
     assert spectra._tail_positive(*inputs).tolist() == want == \
         [True, False, False, True, True, False, True, False]
+
+
+def _random_block_band(rng, dim):
+    """A random symmetric 2 x 2-block tridiagonal matrix in the chain band
+    layout: full diagonal blocks and full coupling blocks, no Rabi
+    structure (band[3] joins only the first row of a block to the next
+    block's second, so its odd columns stay zero)."""
+    band = rng.uniform(-4.0, 4.0, (4, dim))
+    band[1, 1::2] = rng.uniform(-4.0, 4.0, dim // 2)
+    band[3, 1::2] = 0.0
+    for d in range(1, 4):
+        band[d, dim - d:] = 0.0
+    return band
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), blocks=st.integers(2, 10),
+       points=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                                 st.floats(0.0, 1.0)),
+                       min_size=1, max_size=4))
+# a tail pivot with two negative eigenvalues (det > 0, s00 < 0): the
+# whole chain has two more levels below the cut than the window
+@example(seed=18, blocks=3, points=[(0.0, 0.5, 0.5)])
+def test_batched_count_matches_dense_on_random_block_bands(seed, blocks,
+                                                          points):
+    # the tail pivots of any symmetric block tridiagonal band, against a
+    # dense count; cuts within 1e-6 of a level of any leading block
+    # section (where a pivot is near singular) are skipped
+    rng = np.random.default_rng(seed)
+    dim = 2 * blocks
+    bands, rows, cuts, g, want = [], [], [], [], []
+    for end, level, place in points:
+        band = _random_block_band(rng, dim)
+        h = expand_dense(band)
+        n_rows = 2 * (1 + int(end * (blocks - 2)))
+        window = np.linalg.eigvalsh(h[:n_rows, :n_rows])
+        i = int(level * (n_rows - 2))
+        x = window[i] + place * (window[i + 1] - window[i])
+        assume(all(np.min(np.abs(np.linalg.eigvalsh(h[:k, :k]) - x)) > 1e-6
+                   for k in range(n_rows, dim + 1, 2)))
+        bands.append(band)
+        rows.append(n_rows)
+        cuts.append(x)
+        g.append(np.linalg.inv(h[:n_rows, :n_rows]
+                               - x * np.eye(n_rows))[-2:, -2:])
+        whole = np.linalg.eigvalsh(h)
+        want.append(bool(np.sum(whole < x) == np.sum(window < x)))
+    got = spectra._tail_positive(np.array(bands), np.array(rows),
+                                 np.array(cuts), np.array(g))
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("g_1, g_2", [(2.0, 1.5), (3.0, 2.5)])
+def test_second_order_shift_at_unequal_couplings(g_1, g_2):
+    # branch 1 at m = 0 lies far from every branch-2 level: the ground
+    # level of each parity sits below m - g_plus^2 by the second-order
+    # shift within 1% of it (measured: 3e-5 and 1e-5 of it)
+    params = ModelParams(1.3, 0.7, g_1, g_2)
+    spec = dsc_perturbative_spectrum(params, 0)
+    shift = spec.branch1_shift[0]
+    assert shift > 0.005 and all(branch == 2 for branch, *_ in spec.resonant)
+    for parity in Parity:
+        ground = converged_parity_eigensystem(params, parity,
+                                              TruncationConfig(260), 1)[0][0]
+        assert abs((spec.branch1_zeroth[0] - ground) - shift) <= 0.01 * shift
+
+
+def test_mixed_dip_is_not_a_crossing():
+    # across the dip the lower level keeps 0.3 of its overlap with itself
+    # while 0.9 moves to the upper one: a mixing, not a swap, so the dip
+    # is not a crossing at overlap_tol 0.2, and is one at 0.35
+    gs = np.array([-0.1, 0.0, 0.1])
+    energies = np.array([[0.0, 0.2], [0.0, 0.01], [0.0, 0.2]])
+    before = np.eye(3)[:, :2]
+    upper = np.array([0.9, np.sqrt(1 - 0.81), 0.0])
+    lower = np.array([0.3, -0.27 / upper[1], 0.0])
+    lower[2] = np.sqrt(1 - lower @ lower)
+    after = np.column_stack([lower, upper])
+    assert np.allclose(after.T @ after, np.eye(2))
+    sweep = SpectrumSweep(2, gs, gs, {Parity.EVEN: energies},
+                          {Parity.EVEN: [before, before, after]})
+    kinds = [[r.kind for r in detect_crossings(sweep, Parity.EVEN,
+                                                overlap_tol=tol)]
+             for tol in (0.2, 0.35)]
+    assert kinds == [[CrossingKind.AVOIDED_OR_UNRESOLVED],
+                     [CrossingKind.CROSSING]]
