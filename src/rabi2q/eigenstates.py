@@ -25,14 +25,14 @@ photon block past it is the whole chain's.  The four-term route works at
 ``DPS`` decimal digits (the refiner's residual at ``DPS + GUARD_DIGITS``)
 on raw mpf tuples via ``mpmath.libmp``, the operations, and so the bits,
 of the mpf operators and ``mp.fdot``, from mp tables built once per chain
-and precision.  The recurrence ends one block past its cut once bounds
-taken from the band diagonal prove that no later block can be smaller
-and that the rest of the run cannot pass OVERFLOW_LIMIT
-(``_stop_caps``); otherwise it runs on, to n_max or to its overflow.  The
-cut and the float state are then those of the run to n_max.  Where
-those digits do not hold the decaying solution, a
-state's residual passes ``RECURRENCE_RESIDUAL_TOL``; the route returns
-it, and the CLI flags it.
+and precision.  The blocks are never rescaled (mpf exponents do not
+overflow), and the recurrence ends one block past its cut once a growth
+bound from the band diagonal proves that no later block can be smaller
+(``_growth_start``), else at n_max: its blocks, cut and float state are
+those of the run to n_max.  Where those digits do not hold the decaying
+solution (deep strong coupling, |g1| near |g2|, g^2 below the refiner's
+tolerance, xi far from the spectrum), a state's residual passes
+``RECURRENCE_RESIDUAL_TOL``; the route returns it, and the CLI flags it.
 """
 
 from __future__ import annotations
@@ -43,10 +43,10 @@ from functools import cmp_to_key, lru_cache, partial
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import (fone, from_float, from_int, fzero, mpf_abs,
-                          mpf_add, mpf_cmp, mpf_div, mpf_gt, mpf_mul,
-                          mpf_mul_int, mpf_neg, mpf_rdiv_int, mpf_sqrt,
-                          mpf_sub, mpf_sum, to_float)
+from mpmath.libmp import (fone, from_float, from_int, fzero, mpf_add,
+                          mpf_cmp, mpf_div, mpf_gt, mpf_mul, mpf_mul_int,
+                          mpf_neg, mpf_rdiv_int, mpf_sqrt, mpf_sub, mpf_sum,
+                          to_float)
 
 from .errors import (ConfigError, ConvergenceFailure, OverflowDetected,
                      SingularCoupling, StepSingular)
@@ -58,9 +58,7 @@ from .spectra import converged_parity_eigensystem
 # decimal digits of the mp recurrences and of the refined eigenpairs
 DPS = 60
 OVERFLOW_LIMIT = 1e300
-RESCALE_EVERY = 32
-RESCALE_TRIGGER = 1e150
-# slack of the recurrence's growth bounds past their float and mp rounding
+# slack of the recurrence's growth bound past its float and mp rounding
 GROWTH_MARGIN = 1e-9
 # a recurrence state whose relative residual ||(H - xi) v|| / ||v|| passes
 # this is not an eigenstate: DPS digits did not hold the decaying solution
@@ -79,8 +77,8 @@ class RecurrenceState:
     xi, normalized; blocks past cut_index are zeroed (the recurrence tail is
     dominated by the growing solution beyond the minimum-norm block).
     cut_index is the first block of least norm over the run to n_max,
-    though the run may end one block past it, where its bounds show that
-    no later block can be smaller.
+    though the run may end one block past it, where its growth bound shows
+    that no later block can be smaller.
     refine_residual is the mp residual ||(H - xi) x||_2 of the refined pair
     behind the seed, if there was one.
     """
@@ -137,55 +135,47 @@ def _coupling_table(params: ModelParams, n_max: int, prec: int):
 @lru_cache(maxsize=4)
 def _step_tables(params: ModelParams, n_max: int, prec: int):
     """Raw mpf factors of the four-term recurrence, the same for both
-    parities, each formed once by the mpf operators at prec bits: per step
-    j = 1..n_max, 1 / (sqrt(j) det) and sqrt((j - 1) / j), det = g1^2 -
-    g2^2 (no steps when det vanishes); and (g1, g2, -g2)."""
-    with mp.workprec(prec):
-        g1, g2 = mp.mpf(params.g_1), mp.mpf(params.g_2)
-        det = g1 * g1 - g2 * g2
-        step = tuple(((1 / (mp.sqrt(j) * det))._mpf_,
-                      mp.sqrt(mp.mpf(j - 1) / j)._mpf_)
-                     for j in range(1, n_max + 1)) if det else ()
-        return step, (g1._mpf_, g2._mpf_, (-g2)._mpf_)
+    parities, each formed at prec bits by the calls the mpf operators make:
+    per step j = 1..n_max, 1 / (sqrt(j) det) and sqrt((j - 1) / j),
+    det = g1^2 - g2^2 (no steps when det vanishes); and (g1, g2, -g2)."""
+    rnd = mp.mp._prec_rounding[1]
+    g1, g2 = (from_float(g, prec, rnd) for g in (params.g_1, params.g_2))
+    det = mpf_sub(mpf_mul(g1, g1, prec, rnd), mpf_mul(g2, g2, prec, rnd),
+                  prec, rnd)
+    step = tuple((mpf_rdiv_int(1, mpf_mul(mpf_sqrt(from_int(j), prec, rnd),
+                                          det, prec, rnd), prec, rnd),
+                  mpf_sqrt(mpf_div(from_int(j - 1, prec, rnd), from_int(j),
+                                   prec, rnd), prec, rnd))
+                 for j in range(1, n_max + 1)) if det != fzero else ()
+    return step, (g1, g2, mpf_neg(g2, prec, rnd))
 
 
 # sort key of raw mpf tuples by value
 _MPF_ORDER = cmp_to_key(mpf_cmp)
 
 
-def _stop_caps(params: ModelParams, parity: Parity, xi: float, n_max: int,
-               prec: int) -> list[float]:
-    """Caps of the four-term recurrence's stop: the run may end after block
-    i, with no change to its cut or its overflow, only where ||v_i|| <=
-    caps[i] (0 where it may not).
+def _growth_start(params: ModelParams, parity: Parity, xi: float, n_max: int,
+                  prec: int) -> int:
+    """First block i past which every step of the four-term recurrence
+    grows the block norm (n_max where the last step does not).
 
     Step j forms v_j = -f_j G D_j v_{j-1} - s_j v_{j-2}, with
     G = [[g1, -g2], [-g2, g1]], D_j the diagonal block of photon j - 1 less
     xi, f_j = 1 / (sqrt(j) (g1^2 - g2^2)) and s_j = sqrt((j - 1) / j).  So
-    a_j <= sigma_min(f_j G D_j) <= sigma_max(f_j G D_j) <= b_j, with
-    a_j = min |d - xi| / (sqrt(j) (|g1| + |g2|)) and
-    b_j = max |d - xi| / (sqrt(j) ||g1| - |g2||).
-
-    Growth: ||v_j|| >= (a_j - s_j) ||v_{j-1}|| wherever ||v_{j-2}|| <=
-    ||v_{j-1}||.  caps[i] is 0 unless every step past i has a_j - s_j >=
-    1 + GROWTH_MARGIN, a_j taken in floats from the band diagonal and
-    lowered by the float error of |d - xi| and by the mp rounding of the
-    step (2^-prec of its largest term, cond(G) cond(D_j) times a_j); then
-    every block past i is larger than block i.
-
-    Overflow: max(||v_j||, ||v_{j-1}||) <= (b_j + 1) max(||v_{j-1}||,
-    ||v_{j-2}||), and each rescale checkpoint leaves the last two blocks
-    at most RESCALE_TRIGGER per entry.  caps[i] is the largest ||v_i|| from
-    which that bound keeps the rest of the run below OVERFLOW_LIMIT (0
-    where some later stretch between checkpoints may pass it), so the run
-    to n_max would raise no OverflowDetected either.
+    sigma_min(f_j G D_j) >= a_j = min |d - xi| / (sqrt(j) (|g1| + |g2|)),
+    and ||v_j|| >= (a_j - s_j) ||v_{j-1}|| wherever ||v_{j-2}|| <=
+    ||v_{j-1}||.  Every step past i has a_j - s_j >= 1 + GROWTH_MARGIN,
+    a_j taken in floats from the band diagonal and lowered by the float
+    error of |d - xi| and by the mp rounding of the step (2^-prec of its
+    largest term, cond(G) cond(D_j) times a_j); then once a block past i is
+    larger than the one before it, every later block is larger still.
     """
     g1, g2 = abs(params.g_1), abs(params.g_2)
     band = build_parity_band(params, parity, TruncationConfig(max(n_max, 1)))
     diag = band[0, :2 * n_max].reshape(n_max, 2)
     j = np.arange(1, n_max + 1)
     eps = np.finfo(float).eps
-    # an xi past the float range, or a zero distance, fails both tests
+    # an xi past the float range, or a zero distance, fails the test
     with np.errstate(all="ignore"):
         dist = np.abs(diag - xi)
         err = 4 * eps * (np.abs(diag).max(axis=1) + abs(xi)
@@ -195,26 +185,8 @@ def _stop_caps(params: ModelParams, parity: Parity, xi: float, n_max: int,
         a = low / (np.sqrt(j) * (g1 + g2))
         grows = (a * (1 - 16 * eps - np.ldexp(cond, 8 - prec))
                  - np.sqrt((j - 1) / j) >= 1 + GROWTH_MARGIN)
-        b = high / (np.sqrt(j) * abs(g1 - g2))
-        # log of the growth bound of steps 1..j; one nat of slack below
-        # the limit covers the float sums
-        up = np.concatenate(([0.0],
-                             np.cumsum(np.log1p(b * (1 + GROWTH_MARGIN)))))
-        room = math.log(OVERFLOW_LIMIT) - 1
-        checks = np.arange(RESCALE_EVERY, n_max, RESCALE_EVERY)
-        stretch_ok = (math.log(math.sqrt(2) * RESCALE_TRIGGER)
-                      + up[np.minimum(checks + RESCALE_EVERY, n_max)]
-                      - up[checks] <= room)
-        i = np.arange(n_max + 1)
-        nxt = np.minimum((i // RESCALE_EVERY + 1) * RESCALE_EVERY, n_max)
-        caps = np.nan_to_num(np.exp(room - (up[nxt] - up[i])), nan=0.0)
-    # every step past i grows; every stretch past the next checkpoint stays
-    # below the limit
-    grows_on = np.append(np.logical_and.accumulate(grows[::-1])[::-1], True)
-    safe_on = np.append(np.logical_and.accumulate(stretch_ok[::-1])[::-1],
-                        True)
-    later = np.where(nxt < n_max, nxt // RESCALE_EVERY - 1, len(checks))
-    return np.where(grows_on & safe_on[later], caps, 0.0).tolist()
+    fails = np.flatnonzero(~grows)
+    return int(fails[-1]) + 1 if len(fails) else 0
 
 
 def _recurrence_blocks_mp(params: ModelParams, parity: Parity, xi, v0,
@@ -223,23 +195,18 @@ def _recurrence_blocks_mp(params: ModelParams, parity: Parity, xi, v0,
     which no block can be smaller.
 
     Returns (blocks, squares): the raw mpf pairs of blocks 0..i and their
-    squared norms b0^2 + b1^2.  The run stops after block i once its
-    squared norm is above block i - 1's and ||v_i|| is within
-    ``_stop_caps``: every later block is then larger than block i, so the
-    first least positive block of the run to n_max, the cut, is among
-    blocks 0..i (before i unless block i - 1 is zero), and that run would
-    not overflow.  The cut and the float state v of ``_cut_normalize``
-    then match the run to n_max (only the mp bits may differ, by the
-    rescales that run would still make).  Where the caps do not allow a
-    stop, the run goes to n_max, or to its overflow.
+    squared norms b0^2 + b1^2.  The run stops after the first block i at
+    or past ``_growth_start`` whose squared norm is above block i - 1's:
+    every later block is then larger than block i, so the first least
+    positive block of the run to n_max, the cut, is among blocks 0..i
+    (before i unless block i - 1 is zero).  Nothing rescales the blocks
+    (mpf exponents do not overflow), so they are bit for bit the leading
+    blocks of the run to n_max, and the cut and the float state v of
+    ``_cut_normalize`` are that run's.  Where the bound allows no stop,
+    the run goes to n_max.
 
     Each step is the mpf operators' arithmetic at the context's (prec,
-    rounding), done on raw mpf tuples.  Blocks are rescaled whenever the
-    running maximum grows past RESCALE_TRIGGER (checked every RESCALE_EVERY
-    steps, before the stop test), which keeps them inside the float
-    exponent range the overflow guard compares against; a block exceeding
-    OVERFLOW_LIMIT between rescale checkpoints raises OverflowDetected, on
-    the same step as in the run to n_max.  |g1| = |g2| raises
+    rounding), done on raw mpf tuples.  |g1| = |g2| raises
     SingularCoupling.
     """
     _check_couplings(params)
@@ -253,11 +220,8 @@ def _recurrence_blocks_mp(params: ModelParams, parity: Parity, xi, v0,
         return add(mul(block[0], block[0]), mul(block[1], block[1]))
 
     xi, v = mp.mpf(xi)._mpf_, [tuple(mp.mpf(c)._mpf_ for c in v0[:2])]
-    caps = _stop_caps(params, parity, to_float(xi), n_max, prec)
-    # squared norms of the leading blocks, formed once, where first read
-    squares = []
-    limit, trigger = from_float(OVERFLOW_LIMIT), from_float(RESCALE_TRIGGER)
-    run_max = fone
+    start = _growth_start(params, parity, to_float(xi), n_max, prec)
+    squares = [square(v[0])]
     for j in range(1, n_max + 1):
         (d0, d1), (f, s) = diag[j - 1], steps[j - 1]
         (w0, w1), dp, dm = v[j - 1], sub(d0, xi), sub(d1, xi)
@@ -269,25 +233,10 @@ def _recurrence_blocks_mp(params: ModelParams, parity: Parity, xi, v0,
             u0, u1 = v[j - 2]
             nxt0, nxt1 = sub(nxt0, mul(s, u0)), sub(nxt1, mul(s, u1))
         v.append((nxt0, nxt1))
-        a0, a1 = mpf_abs(nxt0), mpf_abs(nxt1)
-        mag = a1 if mpf_gt(a1, a0) else a0
-        if mpf_gt(mag, limit):
-            raise OverflowDetected(
-                f"block magnitude exceeded {OVERFLOW_LIMIT:g} at j={j} "
-                f"(xi far from the spectrum)")
-        if mpf_gt(mag, run_max):
-            run_max = mag
-        if j % RESCALE_EVERY == 0 and mpf_gt(run_max, trigger):
-            inv = mpf_rdiv_int(1, run_max, prec, rnd)
-            v = [(mul(b0, inv), mul(b1, inv)) for b0, b1 in v]
-            squares = []
-            run_max = fone
-        if caps[j]:
-            squares += map(square, v[len(squares):])
-            if (mpf_gt(squares[j], squares[j - 1])
-                    and to_float(mpf_sqrt(squares[j], prec, rnd)) <= caps[j]):
-                break
-    return v, squares + list(map(square, v[len(squares):]))
+        squares.append(square(v[j]))
+        if j >= start and mpf_gt(squares[j], squares[j - 1]):
+            break
+    return v, squares
 
 
 def _cut_normalize(parity: Parity, xi, blocks, squares,
@@ -297,10 +246,9 @@ def _cut_normalize(parity: Parity, xi, blocks, squares,
     blocks and squares are the raw mpf pairs and squared norms of
     ``_recurrence_blocks_mp``.  The cut is the first block of least
     positive squared norm; one square root gives the norm of the kept
-    prefix.  Normalization happens in mp arithmetic first: the running
-    rescales may have pushed the kept prefix far outside the
-    double-precision exponent range even though its shape is perfectly
-    finite.
+    prefix.  Normalization happens in mp arithmetic first: the unscaled
+    blocks may lie far outside the double-precision exponent range even
+    though their shape is perfectly finite.
     """
     with mp.workdps(DPS):
         prec, rnd = mp.mp._prec_rounding
@@ -324,8 +272,8 @@ def recurrence_eigenstate_la(params: ModelParams, parity: Parity, xi, v0,
     """Run the four-term recurrence from seed block v0 at energy xi.
 
     xi and the two components of v0 may be floats or mpmath values; the
-    iteration runs at DPS decimal digits, and ends at the first block past
-    its cut from which the bounds of ``_stop_caps`` allow it.
+    iteration runs at DPS decimal digits, and ends one block past its cut
+    where the growth bound of ``_growth_start`` allows it.
     The residual of the result is limited by the accuracy of (xi, v0):
     feed values from refine_eigenpair to resolve the decaying solution
     below double precision.
@@ -552,8 +500,9 @@ def eigenstate_recurrences(params: ModelParams, parity: Parity, count: int,
     each, with the rows of its certified window, is refined in mp and seeds
     the four-term recurrence with its first block, and each state records its
     refined pair's mp residual.  The route raises ConfigError for count
-    outside [1, chain dimension] and TruncationInsufficient when fewer
-    than count levels converge.
+    outside [1, chain dimension], TruncationInsufficient when fewer than
+    count levels converge, and OverflowDetected where a refined pair's
+    first block is zero, from which the recurrence gives the null vector.
     """
     trunc = TruncationConfig(n_max)
     _check_couplings(params)
@@ -562,6 +511,9 @@ def eigenstate_recurrences(params: ModelParams, parity: Parity, count: int,
     states = []
     for xi0, vec0 in zip(values, vectors.T):
         xi, x, res = refine_eigenpair(params, parity, xi0, vec0, n_max)
+        if not (x[0] or x[1]):
+            raise OverflowDetected(f"refined pair at xi = {float(xi):.6g} "
+                                   f"has a null first block")
         state = recurrence_eigenstate_la(params, parity, xi, (x[0], x[1]),
                                          n_max)
         states.append(replace(state, refine_residual=res))

@@ -178,6 +178,35 @@ def mp_concurrence(rho, dps=50) -> float:
         return float(max(lam[0] - lam[1] - lam[2] - lam[3], 0))
 
 
+def zero_frequency_evolution(g_1, g_2, alpha, times):
+    """(mean_n, rho) of |alpha, gg> at omega_1 = omega_2 = 0 (omega_f = 1),
+    from coherent states alone: rho is the (T, 4, 4) two-qubit reduced
+    density matrix in the basis order (ee, eg, ge, gg).
+
+    In the sigma_x eigenbasis |s1 s2> (s = +-1, |g> = (|+> - |->) / sqrt 2)
+    H is a^+ a + x (a + a^+) = (a^+ + x)(a + x) - x^2, x = s1 g1 + s2 g2,
+    which carries a coherent state |alpha> to exp(i (x^2 t - x Im alpha
+    + x Im gamma)) |gamma - x>, gamma = (alpha + x) e^{-it}.  The field is
+    traced out by the overlaps <w|z> = exp(-|w|^2 / 2 - |z|^2 / 2 + w^* z).
+    """
+    t = np.asarray(times, dtype=float)[:, None]
+    signs = np.array([(s1, s2) for s1 in (1, -1) for s2 in (1, -1)])
+    x = signs @ np.array([g_1, g_2], dtype=float)
+    gamma = (alpha + x) * np.exp(-1j * t)
+    z = gamma - x
+    amp = (signs[:, 0] * signs[:, 1] / 2.0
+           * np.exp(1j * (x * x * t - x * np.imag(alpha)
+                          + x * np.imag(gamma))))
+    mean_n = np.sum(np.abs(amp * z) ** 2, axis=1)
+    sq = np.abs(z) ** 2 / 2
+    overlap = np.exp(-sq[:, None, :] - sq[:, :, None]
+                     + np.conj(z)[:, None, :] * z[:, :, None])
+    rho_x = amp[:, :, None] * np.conj(amp)[:, None, :] * overlap
+    to_lab = np.kron(*[np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)]
+                     * 2)
+    return mean_n, to_lab @ rho_x @ to_lab.T
+
+
 # Bargmann spinor rotation: rows are the lab qubit levels in the order
 # (e, g), columns the two rotated components
 _ROTATION = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
@@ -272,13 +301,13 @@ def mp_chain_diagonal(params, parity, n_max):
 
 def recurrence_blocks_reference(params, parity, xi, v0, n_max):
     """eigenstates._recurrence_blocks_mp with mpf objects, at the caller's
-    mp precision, run to n_max without its stop."""
+    mp precision, run to n_max without its stop (no rescale: mpf exponents
+    do not overflow)."""
     d = mp_chain_diagonal(params, parity, n_max)
     g1, g2 = mp.mpf(params.g_1), mp.mpf(params.g_2)
     det = g1 * g1 - g2 * g2
     xi = mp.mpf(xi)
     v = [[mp.mpf(v0[0]), mp.mpf(v0[1])]]
-    run_max = mp.mpf(1)
 
     def step(j, w):
         dp = d[j - 1][0] - xi
@@ -294,18 +323,6 @@ def recurrence_blocks_reference(params, parity, xi, v0, n_max):
             nxt[0] -= s * v[j - 2][0]
             nxt[1] -= s * v[j - 2][1]
         v.append(nxt)
-        mag = max(abs(nxt[0]), abs(nxt[1]))
-        if mag > eig.OVERFLOW_LIMIT:
-            raise OverflowDetected(
-                f"block magnitude exceeded {eig.OVERFLOW_LIMIT:g} at j={j} "
-                f"(xi far from the spectrum)")
-        run_max = max(run_max, mag)
-        if j % eig.RESCALE_EVERY == 0 and run_max > eig.RESCALE_TRIGGER:
-            inv = 1 / run_max
-            for blk in v:
-                blk[0] *= inv
-                blk[1] *= inv
-            run_max = mp.mpf(1)
     return v
 
 

@@ -261,12 +261,16 @@ def test_eigenstate_unconverged_levels_exit_3(tmp_path):
      "--parity", "even", "--count", "2", "--nmax", "300"],
     ["--omega1", "1.3", "--omega2", "0.7", "--g1", "1.0", "--g2", "0.95",
      "--nmax", "60"],
-], ids=["deep-strong-coupling", "near-equal-couplings"])
+    ["--omega1", "0", "--omega2", "0.7", "--g1", "0", "--g2", "1e-32",
+     "--parity", "even", "--count", "2", "--nmax", "20"],
+], ids=["deep-strong-coupling", "near-equal-couplings", "tiny-coupling"])
 def test_eigenstate_loose_recurrence_residual_exits_3(tmp_path, capsys,
                                                        argv):
     # DPS digits do not hold the decaying solution here (g 3/4: residual
-    # about |xi|; g 1/0.95: each step divides by g1^2 - g2^2).  The CSV is
-    # still written, and each row past the bound is named on stderr
+    # about |xi|; g 1/0.95: each step divides by g1^2 - g2^2; g 0/1e-32:
+    # g^2 lies below the refiner's tolerance, though the refined pairs
+    # hold).  The CSV is still written, and each row past the bound is
+    # named on stderr
     from rabi2q.eigenstates import RECURRENCE_RESIDUAL_TOL
     out = tmp_path / "e.csv"
     assert run(["eigenstate", *argv, "--out", str(out)]) == 3

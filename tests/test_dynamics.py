@@ -15,7 +15,8 @@ from rabi2q.numerics import (EigenDecomposition, band_matvec, band_norm,
 
 from oracles import (kronecker_reference, mp_concurrence,
                      propagate_reference, quartic_coefficients_from_block,
-                     reduced_density_matrix_partial_trace)
+                     reduced_density_matrix_partial_trace,
+                     zero_frequency_evolution)
 
 G, E = QubitLevel.G, QubitLevel.E
 T40 = TruncationConfig(40)
@@ -235,9 +236,9 @@ def test_energy_drift_detects_wrong_eigenvectors(monkeypatch):
         energy = evolve(st, params, times).energy
         return np.max(np.abs(energy - energy[0])) / abs(energy[0])
 
-    assert drift(dyn.evolve_rwa_closed_form) < 1e-8
+    assert drift(dyn.evolve_rwa) < 1e-8
     monkeypatch.setattr(dyn, "eigh", rotated_eigh)
-    for evolve in (dyn.evolve_parity, dyn.evolve_rwa_closed_form):
+    for evolve in (dyn.evolve_parity, dyn.evolve_rwa):
         assert drift(evolve) > 1e-8, evolve.__name__
 
 
@@ -246,7 +247,7 @@ def test_truncation_guard_raises_and_records():
     trunc = TruncationConfig(6)
     st = dyn.decompose_initial_state(6, E, G, trunc)
     params = ModelParams(1.0, 1.0, 0.4, 0.3)
-    for evolve in (dyn.evolve_parity, dyn.evolve_rwa_closed_form):
+    for evolve in (dyn.evolve_parity, dyn.evolve_rwa):
         with pytest.raises(TruncationInsufficient):
             evolve(st, params, [0.0, 1.0])
     traj = dyn.evolve_parity(st, params, [0.0, 1.0], on_guard="record")
@@ -261,7 +262,7 @@ def test_bad_times_are_rejected_up_front(times):
     st = dyn.decompose_initial_state(("coherent", 1.0), G, G,
                                      TruncationConfig(20))
     params = ModelParams(1.1, 0.3, 0.3, 0.4)
-    for evolve in (dyn.evolve_parity, dyn.evolve_rwa_closed_form):
+    for evolve in (dyn.evolve_parity, dyn.evolve_rwa):
         with pytest.raises(ConfigError, match="times"):
             evolve(st, params, times)
 
@@ -272,7 +273,7 @@ def test_phases_past_the_float_range_are_a_config_error():
     # escapes
     st = dyn.decompose_initial_state(3, G, G, T40)
     params = ModelParams(1.1, 0.3, 0.3, 0.4)
-    for evolve in (dyn.evolve_parity, dyn.evolve_rwa_closed_form):
+    for evolve in (dyn.evolve_parity, dyn.evolve_rwa):
         with pytest.raises(ConfigError, match="float range"):
             evolve(st, params, [0.0, 1e308])
 
@@ -304,7 +305,7 @@ def test_guard_names_first_offending_time():
     assert 0 < first < len(times) - 1
     with pytest.raises(TruncationInsufficient,
                        match=f"{edge[first]:.2e} .* at t={times[first]:g};"):
-        dyn.evolve_rwa_closed_form(st, params, times)
+        dyn.evolve_rwa(st, params, times)
 
 
 def test_trajectory_state_columns_are_the_propagated_states():
@@ -383,6 +384,29 @@ def test_windowed_trajectory_matches_whole_chain(n_max, omega_1, omega_2, g_1,
                 weight)
 
 
+@pytest.mark.parametrize("g_1, g_2, n_max, tol", [
+    (0.3, 0.4, 120, 1e-12),
+    # deep strong coupling: the truncation at n_max 340 costs 2.3e-7 in
+    # mean_n (at 300 it passes the edge guard yet costs 1.7e-2)
+    (3.0, 4.0, 340, 1e-6)])
+def test_zero_frequency_dynamics_matches_coherent_states(g_1, g_2, n_max,
+                                                         tol):
+    # at omega_1 = omega_2 = 0 each sigma_x sector carries a coherent state
+    # to a coherent state: the exact trajectory of |sqrt 2, gg> to t = 100
+    times = np.linspace(0.0, 100.0, 1001)
+    state = dyn.decompose_initial_state(("coherent", np.sqrt(2.0)), G, G,
+                                        TruncationConfig(n_max))
+    traj = dyn.evolve_parity(state, ModelParams(0.0, 0.0, g_1, g_2), times)
+    mean_n, rho = zero_frequency_evolution(g_1, g_2, np.sqrt(2.0), times)
+    lam = np.linalg.eigvalsh(rho)
+    want = {"mean_n": mean_n, "s_z": (rho[:, 0, 0] - rho[:, 3, 3]).real,
+            "entropy": -np.sum(lam * np.log(np.where(lam > 0, lam, 1.0)),
+                               axis=1),
+            "concurrence": dyn.concurrence(rho)}
+    for name, values in want.items():
+        assert np.max(np.abs(getattr(traj, name) - values)) <= tol, name
+
+
 @pytest.mark.parametrize("field", [3, 10, ("coherent", 1.5)])
 def test_tight_windows_widen_until_certified(field):
     # the first window just holds the state's photons, so the window levels
@@ -449,7 +473,7 @@ def test_empty_chain_is_not_solved(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(dyn, "_window_levels", counted(dyn._window_levels))
-    for evolve in (dyn.evolve_parity, dyn.evolve_rwa_closed_form):
+    for evolve in (dyn.evolve_parity, dyn.evolve_rwa):
         calls.clear()
         traj = evolve(st, params, times)
         assert len(calls) == 1, evolve.__name__
@@ -744,7 +768,7 @@ def test_jaynes_cummings_limit_rabi_oscillation():
     p = ModelParams(1.0, 1.0, 0.25, 0.0)
     st = dyn.decompose_initial_state(0, E, G, TruncationConfig(4))
     times = np.linspace(0, np.pi / 0.25, 120)
-    traj = dyn.evolve_rwa_closed_form(st, p, times)
+    traj = dyn.evolve_rwa(st, p, times)
     assert np.max(np.abs(traj.s_z - (-np.sin(0.25 * times) ** 2))) < 1e-12
     assert np.max(np.abs(traj.mean_n - np.sin(0.25 * times) ** 2)) < 1e-12
 
@@ -753,7 +777,7 @@ def test_rwa_constant_when_decoupled():
     p = ModelParams(1.3, 0.7, 0.0, 0.0)
     st = dyn.decompose_initial_state(("coherent", 1.0), E, G,
                                      TruncationConfig(25))
-    traj = dyn.evolve_rwa_closed_form(st, p, np.linspace(0, 20, 41))
+    traj = dyn.evolve_rwa(st, p, np.linspace(0, 20, 41))
     for series in (traj.mean_n, traj.s_z, traj.entropy, traj.concurrence):
         assert np.max(np.abs(series - series[0])) < 1e-10
 
@@ -763,7 +787,7 @@ def test_rwa_sector_evolution_matches_full_rwa_matrix():
     trunc = TruncationConfig(30)
     st = dyn.decompose_initial_state(("coherent", 1.2), E, G, trunc)
     times = np.linspace(0.0, 30.0, 16)
-    traj = dyn.evolve_rwa_closed_form(st, p, times)
+    traj = dyn.evolve_rwa(st, p, times)
     out_trunc = traj.state.trunc
     pad = out_trunc.chain_dim - trunc.chain_dim
     psi0 = dyn.ParityDecomposedState(np.pad(st.c_even, (0, pad)),
@@ -783,7 +807,7 @@ def test_rwa_matches_full_model_at_weak_coupling():
     st = dyn.decompose_initial_state(("coherent", np.sqrt(2)), G, G, T40)
     times = np.linspace(0.0, 50.0, 201)
     full = dyn.evolve_parity(st, p, times)
-    rwa = dyn.evolve_rwa_closed_form(st, p, times)
+    rwa = dyn.evolve_rwa(st, p, times)
     for name in ("mean_n", "s_z", "entropy", "concurrence"):
         a, b = getattr(full, name), getattr(rwa, name)
         bound = 0.02 * max(1.0, float(np.max(np.abs(a))))

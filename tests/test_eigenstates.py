@@ -108,14 +108,22 @@ def test_band_residual_stays_finite_far_from_spectrum():
     assert near < 1e-12
 
 
-def test_overflow_detected_far_from_spectrum():
-    with pytest.raises(OverflowDetected):
-        recurrence_eigenstate_la(P, Parity.EVEN, 1e200, (1.0, 0.0), 50)
+def test_far_from_spectrum_state_is_flagged():
+    # 1e200 from the spectrum every block is larger than the last: the run
+    # keeps the seed block alone, and its residual flags the state
+    state = recurrence_eigenstate_la(P, Parity.EVEN, 1e200, (1.0, 0.0), 50)
+    assert state.cut_index == 0
+    assert residual(P, Parity.EVEN, state) > eig_mod.RECURRENCE_RESIDUAL_TOL
 
 
 def test_zero_seed_rejected():
     with pytest.raises(ValueError):
         recurrence_eigenstate_la(P, Parity.EVEN, -1.0, (0.0, 0.0), 50)
+    # the route's own seed: at g2 8.8e-256 the third level's photon-0
+    # amplitude is zero to the refiner's precision
+    with pytest.raises(OverflowDetected, match="null first block"):
+        eigenstate_recurrences(ModelParams(0.0, 0.0, 0.0, 8.8e-256),
+                               Parity.EVEN, 3, 10)
 
 
 def test_index_outside_the_chain_rejected():
@@ -141,7 +149,8 @@ def _dense_seeded_states(params, parity, count, n_max):
     """(xi, state) of the first count levels of dense eigh of the whole
     chain whose vectors carry less than GUARD_TOL weight on the last four
     rows: the oracle's refined eigenvalue and the four-term recurrence
-    seeded by its refined pair."""
+    seeded by its refined pair; OverflowDetected, as the route raises, where
+    that pair's first block is zero."""
     dense = eigh(chain_matrix(params, parity, n_max))
     edge = np.sum(dense.vectors[-4:] ** 2, axis=0)
     keep = np.flatnonzero(edge < GUARD_TOL)[:count]
@@ -152,6 +161,8 @@ def _dense_seeded_states(params, parity, count, n_max):
         xi, x, _ = refine_eigenpair_reference(
             params, parity, dense.values[level], dense.vectors[:, level],
             n_max)
+        if not (x[0] or x[1]):
+            raise OverflowDetected("null first block")
         out.append((xi, recurrence_eigenstate_la(params, parity, xi, x[:2],
                                                  n_max)))
     return out
@@ -175,7 +186,7 @@ def _dense_seeded_states(params, parity, count, n_max):
 # levels 0 and 1 lie 2e-15 apart, and both refiners decline
 @example(omega_1=0.0, omega_2=0.0, g_1=0.5, g_2=1.175494351e-38,
          parity=Parity.EVEN, n_max=10, count=1)
-# g1^2 - g2^2 = -4e-108: both recurrences overflow
+# g2^2 lies below the refiner's tolerance: both states are loose
 @example(omega_1=0.0, omega_2=0.0, g_1=0.0, g_2=1.9073223110007208e-54,
          parity=Parity.EVEN, n_max=10, count=1)
 def test_recurrences_match_dense_seeded_refinement(omega_1, omega_2, g_1,
@@ -220,10 +231,21 @@ def test_recurrences_match_dense_seeded_refinement(omega_1, omega_2, g_1,
         with mp.workdps(eig_mod.DPS + 10):
             assert abs(xi - xi_want) <= 2 * tol
         assert state.xi == float(xi) and state.refine_residual == res
+        got = residual(params, parity, state)
+        if max(g_1 ** 2, g_2 ** 2) < tol:
+            # g^2 below the refiner's tolerance: D_0 - xi is known only to
+            # that tolerance, and whether DPS digits follow the decaying
+            # solution is chance, for either seed (omega 0/0, g2 1.9e-54:
+            # residual 1.15; g2 2.2e-34: 7e-68; omega 0.5/0, g2 8.8e-256:
+            # 1.15 from the window seed, 1.2e-64 from the dense one).  The
+            # state is still a finite unit vector, and a loose one is
+            # flagged
+            assert math.isfinite(got)
+            assert np.linalg.norm(state.v) == pytest.approx(1.0)
+            continue
         # near |g1| = |g2| (each step divides by g1^2 - g2^2) and deep in
         # strong coupling DPS digits no longer hold the decaying solution,
         # and either seed leaves the same residual (g 3/4: about |xi|)
-        got = residual(params, parity, state)
         assert got == pytest.approx(residual(params, parity, seeded),
                                     rel=1e-2, abs=1e-12)
         if (abs(g_1 ** 2 - g_2 ** 2) >= 0.25 * max(g_1 ** 2, g_2 ** 2)
@@ -442,22 +464,15 @@ def test_starved_refiner_raises_with_its_residual(monkeypatch, steps):
 # ---------------------------------------------------------------------------
 
 def _kernel_run(*args):
-    """(blocks, squares) of the raw-tuple kernel at DPS, or the overflow it
-    raised."""
-    try:
-        with mp.workdps(eig_mod.DPS):
-            return eig_mod._recurrence_blocks_mp(*args)
-    except OverflowDetected as exc:
-        return str(exc)
+    """(blocks, squares) of the raw-tuple kernel at DPS."""
+    with mp.workdps(eig_mod.DPS):
+        return eig_mod._recurrence_blocks_mp(*args)
 
 
 def _oracle_run(*args):
-    """The mpf blocks of the oracle run at DPS, or the overflow it raised."""
-    try:
-        with mp.workdps(eig_mod.DPS):
-            return recurrence_blocks_reference(*args)
-    except OverflowDetected as exc:
-        return str(exc)
+    """The mpf blocks of the oracle run at DPS."""
+    with mp.workdps(eig_mod.DPS):
+        return recurrence_blocks_reference(*args)
 
 
 def _last_step_grows(params, parity, xi, n_max):
@@ -471,21 +486,14 @@ def _last_step_grows(params, parity, xi, n_max):
 
 
 def _check_stopped_run(params, parity, xi, seed, n_max):
-    """The kernel overflows where the oracle's whole run does, with the same
-    message.  Otherwise its blocks are the oracle's for as many steps, its
-    cut and vector are those of the oracle's whole run, bit for bit, and
-    every block of that run past the stop is at least as large as the
-    last."""
-    got = _kernel_run(params, parity, xi, seed, n_max)
+    """The kernel's blocks are the leading blocks of the oracle's whole
+    run, its cut and vector are those of that run, bit for bit, and every
+    block of that run past the stop is at least as large as the last."""
+    blocks, squares = _kernel_run(params, parity, xi, seed, n_max)
     whole = _oracle_run(params, parity, xi, seed, n_max)
-    if isinstance(got, str) or isinstance(whole, str):
-        assert got == whole
-        return
-    blocks, squares = got
     stop = len(blocks) - 1
     assert 1 <= stop <= n_max
-    assert blocks == [(u._mpf_, w._mpf_) for u, w in
-                      _oracle_run(params, parity, xi, seed, stop)]
+    assert blocks == [(u._mpf_, w._mpf_) for u, w in whole[:stop + 1]]
     if not _last_step_grows(params, parity, xi, n_max):
         assert stop == n_max
     try:
@@ -510,12 +518,12 @@ def _check_stopped_run(params, parity, xi, seed, n_max):
        g_1=st.floats(-1.5, 1.5), g_2=st.floats(-1.5, 1.5),
        parity=st.sampled_from(Parity), n_max=st.integers(2, 60),
        level=st.floats(0.0, 1.0), offset=st.floats(-5.0, 5.0))
-# the top level at n_max 200: the bound fails at the last steps, every
-# run goes to n_max and rescales, and would pass 1e300 without it
+# the top level at n_max 200: the bound fails at the last steps, and every
+# run goes to n_max, the two offset ones past 1e300
 @example(omega_1=1.3, omega_2=0.7, g_1=0.3, g_2=0.4, parity=Parity.EVEN,
          n_max=200, level=1.0, offset=0.5)
-# far from the spectrum: 50 below the run stops at block 1, 1e200 away it
-# raises OverflowDetected at the step the run to n_max does
+# far from the spectrum, 50 below and 1e200 above: the run stops at block
+# 1
 @example(omega_1=1.3, omega_2=0.7, g_1=0.3, g_2=0.4, parity=Parity.ODD,
          n_max=50, level=0.0, offset=-50.0)
 @example(omega_1=1.3, omega_2=0.7, g_1=0.3, g_2=0.4, parity=Parity.ODD,
@@ -569,8 +577,8 @@ def test_raw_tuple_kernels_match_mpf_oracle(omega_1, omega_2, g_1, g_2,
 
 
 def test_oracle_examples_reach_their_corners():
-    # the explicit examples above run to n_max and rescale, stop at block
-    # 1, and overflow, so the comparisons cover those branches
+    # the explicit examples above run to n_max and stop at block 1, so the
+    # comparisons cover both ends
     p = ModelParams(1.3, 0.7, 0.3, 0.4)
     decomp = eigh(chain_matrix(p, Parity.EVEN, NMAX))
     xi, x, _ = refine_eigenpair(p, Parity.EVEN, decomp.values[-1],
@@ -578,37 +586,28 @@ def test_oracle_examples_reach_their_corners():
     for run in ((xi, x[:2]), (xi + 0.5, (1.0, 0.0))):
         blocks, _ = _kernel_run(p, Parity.EVEN, *run, NMAX)
         assert len(blocks) == NMAX + 1
-        # a rescale divides every block so far, the seed block too
-        assert blocks[0] != tuple(mp.mpf(c)._mpf_ for c in run[1])
     low = eigh(chain_matrix(p, Parity.ODD, 50)).values[0]
-    blocks, _ = _kernel_run(p, Parity.ODD, low - 50.0, (1.0, 0.0), 50)
-    assert len(blocks) == 2
-    assert "at j=2 " in _kernel_run(p, Parity.ODD, low + 1e200, (1.0, 0.0),
-                                    50)
+    for offset in (-50.0, 1e200):
+        blocks, _ = _kernel_run(p, Parity.ODD, low + offset, (1.0, 0.0), 50)
+        assert len(blocks) == 2
 
 
-@pytest.mark.parametrize("g_1, g_2, xi, step", [
-    # past block 15 every step grows the norm, and a later stretch between
-    # rescale checkpoints passes 1e300 from below 1
-    (0.5, -0.499999997, 6.0, 96),
-    # past block 9 likewise, but the stretch starts from a block near
-    # RESCALE_TRIGGER that did not call for a rescale
-    (0.3, 0.29997, 5.0, 62)])
-def test_stop_keeps_a_later_overflow(g_1, g_2, xi, step):
-    # near |g1| = |g2| the run to n_max overflows, so it may not stop
+@pytest.mark.parametrize("g_1, g_2, xi, seed, n_max", [
+    # near |g1| = |g2| the run to n_max passes 1e300 at blocks 36 and 62,
+    # and stops at blocks 15 and 9
+    (0.5, -0.499999997, 6.0, (1.0, 0.0), 100),
+    (0.3, 0.29997, 5.0, (1.0, 0.0), 100),
+    # from a seed block of 1e248 it passes 1e300 at block 33, and stops at
+    # block 1
+    (0.3, 0.4, -3.0, (1e248, 0.0), 80)],
+    ids=["g-0.5", "g-0.3", "seed-1e248"])
+def test_stop_holds_past_the_float_range(g_1, g_2, xi, seed, n_max):
+    # mpf blocks have no float range to leave, so each run stops one block
+    # past its cut and matches the oracle's whole run
     p = ModelParams(1.3, 0.7, g_1, g_2)
-    _check_stopped_run(p, Parity.EVEN, xi, (1.0, 0.0), 100)
-    assert f"at j={step} " in _kernel_run(p, Parity.EVEN, xi, (1.0, 0.0),
-                                          100)
-
-
-def test_stop_after_a_rescale_reads_fresh_squares():
-    # from a seed block of 1e248 below the spectrum the norm stays too near
-    # 1e300 for a stop until the rescale at block 32; the next stop test
-    # compares squared norms formed after that rescale
-    blocks, _ = _kernel_run(P, Parity.EVEN, -3.0, (1e248, 0.0), 80)
-    assert len(blocks) == 33
-    _check_stopped_run(P, Parity.EVEN, -3.0, (1e248, 0.0), 80)
+    blocks, _ = _kernel_run(p, Parity.EVEN, xi, seed, n_max)
+    assert len(blocks) <= n_max
+    _check_stopped_run(p, Parity.EVEN, xi, seed, n_max)
 
 
 def test_recurrence_stops_one_block_past_the_readme_cuts(monkeypatch):
@@ -634,8 +633,9 @@ def test_recurrence_stops_one_block_past_the_readme_cuts(monkeypatch):
          n_max=200, digits=eig_mod.DPS)
 def test_mp_tables_match_the_mpf_operators(omega_1, omega_2, g_1, g_2,
                                            parity, n_max, digits):
-    # the diagonal formed on raw tuples, and the coupling entries, against
-    # n + (s1 w1 + s2 w2) / 2 and sqrt(j) g in mpf objects
+    # the diagonal and the step factors formed on raw tuples, and the
+    # coupling entries, against n + (s1 w1 + s2 w2) / 2, 1 / (sqrt(j) det),
+    # sqrt((j - 1) / j) and sqrt(j) g in mpf objects
     params = ModelParams(omega_1, omega_2, g_1, g_2)
     with mp.workdps(digits):
         prec, rnd = mp.mp._prec_rounding
@@ -644,9 +644,16 @@ def test_mp_tables_match_the_mpf_operators(omega_1, omega_2, g_1, g_2,
         root = [mp.sqrt(j) for j in range(n_max + 1)] + [mp.mpf(0)]
         coupling = tuple(tuple((r * mp.mpf(g))._mpf_ for r in root)
                          for g in (g_1, g_2))
+        g1, g2 = mp.mpf(g_1), mp.mpf(g_2)
+        det = g1 * g1 - g2 * g2
+        step = tuple(((1 / (mp.sqrt(j) * det))._mpf_,
+                      mp.sqrt(mp.mpf(j - 1) / j)._mpf_)
+                     for j in range(1, n_max + 1)) if det else ()
+        steps = eig_mod._step_tables(params, n_max, prec)
     assert list(eig_mod._diagonal_table(params, parity, n_max, prec,
                                         rnd)) == diag
     assert eig_mod._coupling_table(params, n_max, prec) == coupling
+    assert steps == (step, (g1._mpf_, g2._mpf_, (-g2)._mpf_))
 
 
 _REFINE_PROBE = """
