@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .dynamics import (ParityDecomposedState, QuarticCoefficients,
                        Trajectory, concurrence, decompose_initial_state,
-                       evolve_parity, evolve_rwa,
+                       evolve_parity, evolve_rwa_closed_form,
                        mean_photon_number, population_inversion,
                        quartic_coefficients, quartic_roots,
                        reduced_density_matrix, von_neumann_entropy)
@@ -34,7 +34,7 @@ __all__ = [
     "concurrence",
     "decompose_initial_state", "detect_crossings", "displacement_element",
     "dsc_perturbative_spectrum", "eigh", "evolve_parity",
-    "evolve_rwa", "expand_dense", "laguerre_assoc",
+    "evolve_rwa_closed_form", "expand_dense", "laguerre_assoc",
     "mean_photon_number", "population_inversion",
     "quartic_coefficients", "quartic_roots",
     "recurrence_eigenstate_la", "reduced_density_matrix", "residual",

@@ -217,7 +217,7 @@ def cmd_dynamics(args) -> int:
     if args.engine == "full":
         traj = dynamics.evolve_parity(state, params, times)
     else:
-        traj = dynamics.evolve_rwa(state, params, times)
+        traj = dynamics.evolve_rwa_closed_form(state, params, times)
     cfg_hash = _config_hash(vars(args))
     w = args.omega_f
     rows = [(t / w, mn, sz, ent, con) for t, mn, sz, ent, con

@@ -517,8 +517,8 @@ def quartic_roots(qc: QuarticCoefficients) -> np.ndarray:
     return np.sort(lam.real)
 
 
-def evolve_rwa(state: ParityDecomposedState, params: ModelParams,
-               times) -> Trajectory:
+def evolve_rwa_closed_form(state: ParityDecomposedState, params: ModelParams,
+                           times) -> Trajectory:
     """Evolution under the RWA Hamiltonian on the route of evolve_parity.
 
     Each RWA chain band, its top excitation sector cut by n_max as the full
@@ -527,7 +527,3 @@ def evolve_rwa(state: ParityDecomposedState, params: ModelParams,
     energy is taken on the RWA chain bands.
     """
     return _evolve(state, params, times, build_rwa_band, "raise")
-
-
-# the former name, which perfbench/tracing.py still wraps
-evolve_rwa_closed_form = evolve_rwa

@@ -45,8 +45,7 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import (fone, from_float, from_int, fzero, mpf_add,
                           mpf_cmp, mpf_div, mpf_gt, mpf_mul, mpf_mul_int,
-                          mpf_neg, mpf_rdiv_int, mpf_sqrt, mpf_sub, mpf_sum,
-                          to_float)
+                          mpf_neg, mpf_sqrt, mpf_sub, mpf_sum, to_float)
 
 from .errors import (ConfigError, ConvergenceFailure, OverflowDetected,
                      SingularCoupling, StepSingular)
@@ -135,19 +134,16 @@ def _coupling_table(params: ModelParams, n_max: int, prec: int):
 @lru_cache(maxsize=4)
 def _step_tables(params: ModelParams, n_max: int, prec: int):
     """Raw mpf factors of the four-term recurrence, the same for both
-    parities, each formed at prec bits by the calls the mpf operators make:
-    per step j = 1..n_max, 1 / (sqrt(j) det) and sqrt((j - 1) / j),
-    det = g1^2 - g2^2 (no steps when det vanishes); and (g1, g2, -g2)."""
-    rnd = mp.mp._prec_rounding[1]
-    g1, g2 = (from_float(g, prec, rnd) for g in (params.g_1, params.g_2))
-    det = mpf_sub(mpf_mul(g1, g1, prec, rnd), mpf_mul(g2, g2, prec, rnd),
-                  prec, rnd)
-    step = tuple((mpf_rdiv_int(1, mpf_mul(mpf_sqrt(from_int(j), prec, rnd),
-                                          det, prec, rnd), prec, rnd),
-                  mpf_sqrt(mpf_div(from_int(j - 1, prec, rnd), from_int(j),
-                                   prec, rnd), prec, rnd))
-                 for j in range(1, n_max + 1)) if det != fzero else ()
-    return step, (g1, g2, mpf_neg(g2, prec, rnd))
+    parities, each formed once by the mpf operators at prec bits: per step
+    j = 1..n_max, 1 / (sqrt(j) det) and sqrt((j - 1) / j), det = g1^2 -
+    g2^2 (no steps when det vanishes); and (g1, g2, -g2)."""
+    with mp.workprec(prec):
+        g1, g2 = mp.mpf(params.g_1), mp.mpf(params.g_2)
+        det = g1 * g1 - g2 * g2
+        step = tuple(((1 / (mp.sqrt(j) * det))._mpf_,
+                      mp.sqrt(mp.mpf(j - 1) / j)._mpf_)
+                     for j in range(1, n_max + 1)) if det else ()
+        return step, (g1._mpf_, g2._mpf_, (-g2)._mpf_)
 
 
 # sort key of raw mpf tuples by value
@@ -276,10 +272,9 @@ def recurrence_eigenstate_la(params: ModelParams, parity: Parity, xi, v0,
     where the growth bound of ``_growth_start`` allows it.
     The residual of the result is limited by the accuracy of (xi, v0):
     feed values from refine_eigenpair to resolve the decaying solution
-    below double precision.
+    below double precision.  A seed block that is zero in mp gives the
+    null vector, and raises OverflowDetected.
     """
-    if float(abs(v0[0])) == 0.0 and float(abs(v0[1])) == 0.0:
-        raise ValueError("seed block v0 must be nonzero")
     with mp.workdps(DPS):
         blocks, squares = _recurrence_blocks_mp(params, parity, xi, v0,
                                                 n_max)
@@ -502,7 +497,7 @@ def eigenstate_recurrences(params: ModelParams, parity: Parity, count: int,
     refined pair's mp residual.  The route raises ConfigError for count
     outside [1, chain dimension], TruncationInsufficient when fewer than
     count levels converge, and OverflowDetected where a refined pair's
-    first block is zero, from which the recurrence gives the null vector.
+    first block is zero.
     """
     trunc = TruncationConfig(n_max)
     _check_couplings(params)
@@ -511,9 +506,6 @@ def eigenstate_recurrences(params: ModelParams, parity: Parity, count: int,
     states = []
     for xi0, vec0 in zip(values, vectors.T):
         xi, x, res = refine_eigenpair(params, parity, xi0, vec0, n_max)
-        if not (x[0] or x[1]):
-            raise OverflowDetected(f"refined pair at xi = {float(xi):.6g} "
-                                   f"has a null first block")
         state = recurrence_eigenstate_la(params, parity, xi, (x[0], x[1]),
                                          n_max)
         states.append(replace(state, refine_residual=res))

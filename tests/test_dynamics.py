@@ -236,9 +236,9 @@ def test_energy_drift_detects_wrong_eigenvectors(monkeypatch):
         energy = evolve(st, params, times).energy
         return np.max(np.abs(energy - energy[0])) / abs(energy[0])
 
-    assert drift(dyn.evolve_rwa) < 1e-8
+    assert drift(dyn.evolve_rwa_closed_form) < 1e-8
     monkeypatch.setattr(dyn, "eigh", rotated_eigh)
-    for evolve in (dyn.evolve_parity, dyn.evolve_rwa):
+    for evolve in (dyn.evolve_parity, dyn.evolve_rwa_closed_form):
         assert drift(evolve) > 1e-8, evolve.__name__
 
 
@@ -247,7 +247,7 @@ def test_truncation_guard_raises_and_records():
     trunc = TruncationConfig(6)
     st = dyn.decompose_initial_state(6, E, G, trunc)
     params = ModelParams(1.0, 1.0, 0.4, 0.3)
-    for evolve in (dyn.evolve_parity, dyn.evolve_rwa):
+    for evolve in (dyn.evolve_parity, dyn.evolve_rwa_closed_form):
         with pytest.raises(TruncationInsufficient):
             evolve(st, params, [0.0, 1.0])
     traj = dyn.evolve_parity(st, params, [0.0, 1.0], on_guard="record")
@@ -262,7 +262,7 @@ def test_bad_times_are_rejected_up_front(times):
     st = dyn.decompose_initial_state(("coherent", 1.0), G, G,
                                      TruncationConfig(20))
     params = ModelParams(1.1, 0.3, 0.3, 0.4)
-    for evolve in (dyn.evolve_parity, dyn.evolve_rwa):
+    for evolve in (dyn.evolve_parity, dyn.evolve_rwa_closed_form):
         with pytest.raises(ConfigError, match="times"):
             evolve(st, params, times)
 
@@ -273,7 +273,7 @@ def test_phases_past_the_float_range_are_a_config_error():
     # escapes
     st = dyn.decompose_initial_state(3, G, G, T40)
     params = ModelParams(1.1, 0.3, 0.3, 0.4)
-    for evolve in (dyn.evolve_parity, dyn.evolve_rwa):
+    for evolve in (dyn.evolve_parity, dyn.evolve_rwa_closed_form):
         with pytest.raises(ConfigError, match="float range"):
             evolve(st, params, [0.0, 1e308])
 
@@ -305,7 +305,7 @@ def test_guard_names_first_offending_time():
     assert 0 < first < len(times) - 1
     with pytest.raises(TruncationInsufficient,
                        match=f"{edge[first]:.2e} .* at t={times[first]:g};"):
-        dyn.evolve_rwa(st, params, times)
+        dyn.evolve_rwa_closed_form(st, params, times)
 
 
 def test_trajectory_state_columns_are_the_propagated_states():
@@ -473,7 +473,7 @@ def test_empty_chain_is_not_solved(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(dyn, "_window_levels", counted(dyn._window_levels))
-    for evolve in (dyn.evolve_parity, dyn.evolve_rwa):
+    for evolve in (dyn.evolve_parity, dyn.evolve_rwa_closed_form):
         calls.clear()
         traj = evolve(st, params, times)
         assert len(calls) == 1, evolve.__name__
@@ -768,7 +768,7 @@ def test_jaynes_cummings_limit_rabi_oscillation():
     p = ModelParams(1.0, 1.0, 0.25, 0.0)
     st = dyn.decompose_initial_state(0, E, G, TruncationConfig(4))
     times = np.linspace(0, np.pi / 0.25, 120)
-    traj = dyn.evolve_rwa(st, p, times)
+    traj = dyn.evolve_rwa_closed_form(st, p, times)
     assert np.max(np.abs(traj.s_z - (-np.sin(0.25 * times) ** 2))) < 1e-12
     assert np.max(np.abs(traj.mean_n - np.sin(0.25 * times) ** 2)) < 1e-12
 
@@ -777,7 +777,7 @@ def test_rwa_constant_when_decoupled():
     p = ModelParams(1.3, 0.7, 0.0, 0.0)
     st = dyn.decompose_initial_state(("coherent", 1.0), E, G,
                                      TruncationConfig(25))
-    traj = dyn.evolve_rwa(st, p, np.linspace(0, 20, 41))
+    traj = dyn.evolve_rwa_closed_form(st, p, np.linspace(0, 20, 41))
     for series in (traj.mean_n, traj.s_z, traj.entropy, traj.concurrence):
         assert np.max(np.abs(series - series[0])) < 1e-10
 
@@ -787,7 +787,7 @@ def test_rwa_sector_evolution_matches_full_rwa_matrix():
     trunc = TruncationConfig(30)
     st = dyn.decompose_initial_state(("coherent", 1.2), E, G, trunc)
     times = np.linspace(0.0, 30.0, 16)
-    traj = dyn.evolve_rwa(st, p, times)
+    traj = dyn.evolve_rwa_closed_form(st, p, times)
     out_trunc = traj.state.trunc
     pad = out_trunc.chain_dim - trunc.chain_dim
     psi0 = dyn.ParityDecomposedState(np.pad(st.c_even, (0, pad)),
@@ -807,7 +807,7 @@ def test_rwa_matches_full_model_at_weak_coupling():
     st = dyn.decompose_initial_state(("coherent", np.sqrt(2)), G, G, T40)
     times = np.linspace(0.0, 50.0, 201)
     full = dyn.evolve_parity(st, p, times)
-    rwa = dyn.evolve_rwa(st, p, times)
+    rwa = dyn.evolve_rwa_closed_form(st, p, times)
     for name in ("mean_n", "s_z", "entropy", "concurrence"):
         a, b = getattr(full, name), getattr(rwa, name)
         bound = 0.02 * max(1.0, float(np.max(np.abs(a))))
