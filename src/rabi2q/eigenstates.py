@@ -16,20 +16,20 @@ of its own.  It runs in extended precision (mpmath) because the
 achievable residual is limited by the accuracy of the eigenvalue and seed
 fed to it: a double-precision eigenpair is amplified to ~1e-4 within a
 dozen steps.  ``refine_eigenpair`` sharpens a float eigenpair far past
-double precision by mixed-precision Newton (residual in mpmath,
-corrections in float64) so the recurrence can track the decaying solution
-deep into its tail.  Newton runs on leading photon windows, widened on
-the ladder of ``numerics.photon_windows``, and stops on the whole chain's
-test: x is zero past the window, so its residual over the window and the
-photon block past it is the whole chain's.  The four-term route works at
-``DPS`` decimal digits (the refiner's residual at ``DPS + GUARD_DIGITS``)
-on raw mpf tuples via ``mpmath.libmp``, the operations, and so the bits,
-of the mpf operators and ``mp.fdot``, from mp tables built once per chain
-and precision.  The blocks are never rescaled (mpf exponents do not
-overflow), and the recurrence ends one block past its cut once a growth
-bound from the band diagonal proves that no later block can be smaller
-(``_growth_start``), else at n_max: its blocks, cut and float state are
-those of the run to n_max.  Where those digits do not hold the decaying
+double precision by mixed-precision Newton (the iterate and residual in
+fixed point, Python ints at scale 2^-FRACTION_BITS, about DPS +
+GUARD_DIGITS digits; corrections in float64) so the recurrence can track
+the decaying solution deep into its tail.  Newton runs on leading photon
+windows, widened on the ladder of ``numerics.photon_windows``, and stops
+on the whole chain's test: x is zero past the window, so its residual
+over the window and the photon block past it is the whole chain's.  The
+four-term route works at ``DPS`` decimal digits on raw mpf tuples via
+``mpmath.libmp``, the operations, and so the bits, of the mpf operators,
+from mp tables built once per chain and precision.  The blocks are never
+rescaled (mpf exponents do not overflow), and the recurrence ends one
+block past its cut once a growth bound from the band diagonal proves that
+no later block can be smaller (``_growth_start``), else at n_max: its
+blocks, cut and float state are those of the run to n_max.  Where those digits do not hold the decaying
 solution (deep strong coupling, |g1| near |g2|, g^2 below the refiner's
 tolerance, xi far from the spectrum), a state's residual passes
 ``RECURRENCE_RESIDUAL_TOL``; the route returns it, and the CLI flags it.
@@ -43,9 +43,10 @@ from functools import cmp_to_key, lru_cache, partial
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import (fone, from_float, from_int, fzero, mpf_add,
-                          mpf_cmp, mpf_div, mpf_gt, mpf_mul, mpf_mul_int,
-                          mpf_neg, mpf_sqrt, mpf_sub, mpf_sum, to_float)
+from mpmath.libmp import (dps_to_prec, from_float, from_int, from_man_exp,
+                          fzero, mpf_add, mpf_cmp, mpf_div, mpf_gt, mpf_mul,
+                          mpf_mul_int, mpf_neg, mpf_sqrt, mpf_sub, mpf_sum,
+                          to_float)
 
 from .errors import (ConfigError, ConvergenceFailure, OverflowDetected,
                      SingularCoupling, StepSingular)
@@ -78,7 +79,7 @@ class RecurrenceState:
     cut_index is the first block of least norm over the run to n_max,
     though the run may end one block past it, where its growth bound shows
     that no later block can be smaller.
-    refine_residual is the mp residual ||(H - xi) x||_2 of the refined pair
+    refine_residual is the residual ||(H - xi) x||_2 of the refined pair
     behind the seed, if there was one.
     """
 
@@ -117,18 +118,6 @@ def _diagonal_table(params: ModelParams, parity: Parity, n_max: int,
                                             prec, rnd), two, prec, rnd)
         diag.append(mpf_add(qubit[s1, s2], from_int(n), prec, rnd))
     return tuple(zip(diag[0::2], diag[1::2]))[:n_max + 1]
-
-
-@lru_cache(maxsize=4)
-def _coupling_table(params: ModelParams, n_max: int, prec: int):
-    """Raw mpf entries g1 sqrt(j) and g2 sqrt(j) of O_j for j = 0..n_max + 1
-    (zero past the chain), the same for both parities, each formed once by
-    the mpf operators at prec bits."""
-    with mp.workprec(prec):
-        g1, g2 = mp.mpf(params.g_1), mp.mpf(params.g_2)
-        root = [mp.sqrt(j) for j in range(n_max + 1)] + [mp.mpf(0)]
-        return (tuple((r * g1)._mpf_ for r in root),
-                tuple((r * g2)._mpf_ for r in root))
 
 
 @lru_cache(maxsize=4)
@@ -310,6 +299,89 @@ def residual(params: ModelParams, parity: Parity,
 # above the rounding floor of the residual
 NEWTON_STEPS = 16
 GUARD_DIGITS = 3
+# the refiner's iterate and tables are ints at scale 2^-FRACTION_BITS: the
+# bits of DPS + GUARD_DIGITS digits and 16 more, so that rounding an entry
+# or an update to that scale sits far below the stopping tolerance
+FRACTION_BITS = dps_to_prec(DPS + GUARD_DIGITS) + 16
+
+
+def _nearest(num: int, den: int) -> int:
+    """The int nearest num / den (den > 0), ties to even."""
+    q, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and q & 1):
+        q += 1
+    return q
+
+
+def _fixed(value: float) -> int:
+    """The int nearest value 2^FRACTION_BITS, ties to even, exactly for
+    every finite float; OverflowError or ValueError if value is not."""
+    try:
+        return round(math.ldexp(value, FRACTION_BITS))
+    except OverflowError:       # |value| >= 2^(1024 - FRACTION_BITS): an int
+        return int(value) << FRACTION_BITS
+
+
+@lru_cache(maxsize=8)
+def _fixed_diagonal(params: ModelParams, parity: Parity, n_max: int):
+    """Diagonal blocks (d0, d1) of photon levels 0..n_max of one chain at
+    scale 2^-FRACTION_BITS: d = n + (s1 w1 + s2 w2) / 2, the exact rational
+    of the floats rounded once to the nearest int (ties to even)."""
+    (p1, q1), (p2, q2) = (w.as_integer_ratio()
+                          for w in (params.omega_1, params.omega_2))
+    qubit = {(s1, s2): _nearest((s1 * p1 * q2 + s2 * p2 * q1)
+                                << FRACTION_BITS, 2 * q1 * q2)
+             for s1 in (1, -1) for s2 in (1, -1)}
+    table = basis_table(TruncationConfig(n_max))
+    diag = [(n << FRACTION_BITS) + qubit[s1, s2]
+            for n, s1, s2 in zip(table.photon[parity].tolist(),
+                                 table.sz1[parity].tolist(),
+                                 table.sz2[parity].tolist())]
+    return tuple(zip(diag[0::2], diag[1::2]))
+
+
+@lru_cache(maxsize=4)
+def _fixed_coupling_table(params: ModelParams, n_max: int):
+    """Entries g1 sqrt(j) and g2 sqrt(j) of O_j for j = 0..n_max + 1 (zero
+    past the chain) at scale 2^-FRACTION_BITS, the same for both parities:
+    each the int nearest its exact value (ties to even), by math.isqrt."""
+    def entries(g: float):
+        num, den = abs(g).as_integer_ratio()
+        out = []
+        for j in range(n_max + 1):
+            # z = floor(2 |g| sqrt(j) 2^F); the nearest int is z // 2, or
+            # one more past the half and at an odd exact tie
+            four = (num * num * j) << (2 * FRACTION_BITS + 2)
+            z = math.isqrt(four) // den
+            q = z >> 1
+            if z & 1 and (q & 1 or four != (z * den) ** 2):
+                q += 1
+            out.append(-q if g < 0 else q)
+        return (*out, 0)
+
+    return entries(params.g_1), entries(params.g_2)
+
+
+def _fixed_residual(tables, xi: int, x: list) -> list:
+    """-(H - xi) x over the photon blocks of x, xi, x and the tables at
+    scale 2^-FRACTION_BITS: each row an exact int sum, rounded once to a
+    float by int / int true division (float(int) would overflow where the
+    scaled row passes the float range though its value does not).
+    OverflowError if a row's value is past the float range."""
+    diag, a, b = tables
+    p, q = [0, *x[0::2], 0], [0, *x[1::2], 0]
+    out = []
+    for (d0, d1), pl, pc, ph, ql, qc, qh, al, ah, bl, bh in zip(
+            diag, p, p[1:], p[2:], q, q[1:], q[2:], a, a[1:], b, b[1:]):
+        out.append((xi - d0) * pc - al * pl - bl * ql - ah * ph - bh * qh)
+        out.append((xi - d1) * qc - bl * pl - al * ql - bh * ph - ah * qh)
+    scale = 1 << 2 * FRACTION_BITS
+    return [r / scale for r in out]
+
+
+def _to_mpf(value: int):
+    """The mpf of value 2^-FRACTION_BITS, exactly."""
+    return mp.make_mpf(from_man_exp(value, -FRACTION_BITS))
 
 
 def _band_lu(band: np.ndarray, shift: float, tiny: float):
@@ -359,21 +431,10 @@ def _band_solve(factors, rhs: np.ndarray) -> np.ndarray:
     return np.array(y)
 
 
-def _mp_residual(tables, xi, x, prec: int, rnd) -> list:
-    """-(H - xi) x rounded to floats: per row, the exact products of the
-    raw mpf entries summed and rounded once at prec, as mp.fdot does."""
-    (diag, a, b), nxi = tables, mpf_neg(xi, prec, rnd)
-    p, q = [fzero, *x[0::2], fzero], [fzero, *x[1::2], fzero]
-    out = []
-    for (d0, d1), pl, pc, ph, ql, qc, qh, al, ah, bl, bh in zip(
-            diag, p, p[1:], p[2:], q, q[1:], q[2:], a, a[1:], b, b[1:]):
-        out.append(mpf_sum([mpf_mul(d0, pc), mpf_mul(nxi, pc),
-                            mpf_mul(al, pl), mpf_mul(bl, ql),
-                            mpf_mul(ah, ph), mpf_mul(bh, qh)], prec, rnd))
-        out.append(mpf_sum([mpf_mul(d1, qc), mpf_mul(nxi, qc),
-                            mpf_mul(bl, pl), mpf_mul(al, ql),
-                            mpf_mul(bh, ph), mpf_mul(ah, qh)], prec, rnd))
-    return [-to_float(r, rnd=rnd) for r in out]
+def _wider_window(n_window: int, n_max: int) -> int:
+    """The next photon window of the ladder from n_window, capped at the
+    chain."""
+    return min(int(WINDOW_GROWTH * n_window) + 1, n_max)
 
 
 def _frozen_jacobian(band: np.ndarray, x0: np.ndarray, xi0: float,
@@ -399,15 +460,15 @@ def refine_eigenpair(params: ModelParams, parity: Parity, xi0: float,
 
     Newton on F(x, xi) = [(H - xi) x; (x^T x - 1)/2] with the Jacobian
     frozen at the start (Dongarra, Moler & Wilkinson, SIAM J. Numer. Anal.
-    20 (1983) 23): F in mp at DPS + GUARD_DIGITS digits, the correction in
-    float64 from one banded LU of H - xi0.  H - xi0 is singular to double
-    precision, so the border is eliminated with deflation: the x0 part of F
-    is split off before the solve and the near-null direction enters only
-    as u = w / (x0^T w), w = (H - xi0)^-1 x0.  Past |x0^T w| = 1 / (eps^2
-    ||H||), xi0 sits on a level so far below double precision that u's
-    cancellation in the corrections swamps them: the LU moves to xi0 +
-    eps ||H||.  The float arithmetic is scalar or elementwise, so no result
-    depends on the BLAS thread count.
+    20 (1983) 23): F exact in fixed point, the correction in float64 from
+    one banded LU of H - xi0.  H - xi0 is singular to double precision, so
+    the border is eliminated with deflation: the x0 part of F is split off
+    before the solve and the near-null direction enters only as u = w /
+    (x0^T w), w = (H - xi0)^-1 x0.  Past |x0^T w| = 1 / (eps^2 ||H||), xi0
+    sits on a level so far below double precision that u's cancellation in
+    the corrections swamps them: the LU moves to xi0 + eps ||H||.  The
+    float arithmetic is scalar or elementwise, so no result depends on the
+    BLAS thread count.
 
     vec0 holds the leading rows of the seed, the chain rows past them
     being zeros, as ``spectra.converged_parity_eigensystem`` returns its
@@ -422,17 +483,19 @@ def refine_eigenpair(params: ModelParams, parity: Parity, xi0: float,
     last rung is the whole chain), the LU is redone on it and x is
     zero-padded.
 
-    F runs on raw mpf tuples with the chain's cached ``_diagonal_table``
-    and the ``_coupling_table`` both parities share: each row of
-    (H - xi) x, and 1 - x^T x, is an exact dot product rounded once at the
-    context's (prec, rounding), bit for bit mp.fdot.
+    The iterate (xi, x) is held as Python ints at scale 2^-FRACTION_BITS,
+    as are the chain's cached ``_fixed_diagonal`` and the
+    ``_fixed_coupling_table`` both parities share: the seeds and each float
+    correction enter as the nearest int (exact for every finite float down
+    to that scale), and each row of (H - xi) x, and 1 - x^T x, is an exact
+    int sum rounded once to a float.  No mpmath call runs in the loop.
 
     Returns (xi, x, residual), xi and the list x over the whole chain as
-    mpf (exact zeros past the window), once residual = ||(H - xi) x||_2
-    and ||H|| |x^T x - 1| / 2 are at most tol = ||H||_inf
-    10^-(DPS + GUARD_DIGITS), ||H|| the whole chain's; raises
-    ConvergenceFailure, with the residual reached, if NEWTON_STEPS steps
-    do not get there or the iteration leaves the float range.
+    mpf, exactly the fixed-point iterate (exact zeros past the window),
+    once residual = ||(H - xi) x||_2 and ||H|| |x^T x - 1| / 2 are at most
+    tol = ||H||_inf 10^-(DPS + GUARD_DIGITS), ||H|| the whole chain's;
+    raises ConvergenceFailure, with the residual reached, if NEWTON_STEPS
+    steps do not get there or the iteration leaves the float range.
     """
     trunc = TruncationConfig(n_max)
     dim, held = trunc.chain_dim, len(vec0)
@@ -445,43 +508,45 @@ def refine_eigenpair(params: ModelParams, parity: Parity, xi0: float,
     rows = 2 * (n_window + 1)
     seed = x0[:rows]
     factors, xw, u = _frozen_jacobian(band[:, :rows], seed, xi0, hnorm)
-    digits = DPS + GUARD_DIGITS
-    tol = hnorm * 10.0 ** -digits
-    with mp.workdps(digits):
-        prec, rnd = mp.mp._prec_rounding
-        tables = (_diagonal_table(params, parity, n_max, prec, rnd),
-                  *_coupling_table(params, n_max, prec))
-        xi, x = from_float(float(xi0)), [from_float(c) for c in seed.tolist()]
-        for step in range(NEWTON_STEPS + 1):
-            # two zero rows past the window give F on its edge block
-            edge = [fzero, fzero] if rows < dim else []
-            f = np.array(_mp_residual(tables, xi, x + edge, prec, rnd))
+    tol = hnorm * 10.0 ** -(DPS + GUARD_DIGITS)
+    tables = (_fixed_diagonal(params, parity, n_max),
+              *_fixed_coupling_table(params, n_max))
+    one = 1 << 2 * FRACTION_BITS
+    xi, x = _fixed(float(xi0)), [_fixed(c) for c in seed.tolist()]
+    for step in range(NEWTON_STEPS + 1):
+        # two zero rows past the window give F on its edge block
+        edge = [0, 0] if rows < dim else []
+        try:
+            f = np.array(_fixed_residual(tables, xi, x + edge))
             # 1 - x^T x summed exactly and rounded once: rounding x^T x
             # first would cost h an ulp of 1, about tol / ||H|| itself
-            h = to_float(mpf_div(mpf_sum([fone] + [mpf_neg(mpf_mul(c, c))
-                                                   for c in x], prec, rnd),
-                                 from_int(2), prec, rnd), rnd=rnd)
-            res = math.hypot(*f)
-            if res <= tol and abs(h) * hnorm <= tol:
-                return (mp.make_mpf(xi), [mp.make_mpf(c) for c in x]
-                        + [mp.mpf(0)] * (dim - rows), res)
-            if step == NEWTON_STEPS or not math.isfinite(res + h):
-                break
-            if step and math.hypot(*f[rows:]) > tol:
-                n_window = min(int(WINDOW_GROWTH * n_window) + 1, n_max)
-                rows = 2 * (n_window + 1)
-                seed = x0[:rows]
-                factors, xw, u = _frozen_jacobian(band[:, :rows], seed, xi0,
-                                                  hnorm)
-                x += [fzero] * (rows - len(x))
-                f = np.pad(f, (0, rows - len(f)))
-            f = f[:rows]
-            c = math.fsum(seed * f)
-            z = _band_solve(factors, f - c * seed)
-            t = h - math.fsum(seed * z)
-            x = [mpf_add(xk, from_float(dk), prec, rnd)
-                 for xk, dk in zip(x, (z + t * u).tolist())]
-            xi = mpf_add(xi, from_float(t / xw - c), prec, rnd)
+            h = (one - sum(c * c for c in x)) / (2 * one)
+        except OverflowError:
+            res = math.inf
+            break
+        res = math.hypot(*f)
+        if res <= tol and abs(h) * hnorm <= tol:
+            return (_to_mpf(xi), [_to_mpf(c) for c in x]
+                    + [mp.mpf(0)] * (dim - rows), res)
+        if step == NEWTON_STEPS or not math.isfinite(res + h):
+            break
+        if step and math.hypot(*f[rows:]) > tol:
+            n_window = _wider_window(n_window, n_max)
+            rows = 2 * (n_window + 1)
+            seed = x0[:rows]
+            factors, xw, u = _frozen_jacobian(band[:, :rows], seed, xi0,
+                                              hnorm)
+            x += [0] * (rows - len(x))
+            f = np.pad(f, (0, rows - len(f)))
+        f = f[:rows]
+        c = math.fsum(seed * f)
+        z = _band_solve(factors, f - c * seed)
+        t = h - math.fsum(seed * z)
+        try:
+            x = [xk + _fixed(dk) for xk, dk in zip(x, (z + t * u).tolist())]
+            xi += _fixed(t / xw - c)
+        except (OverflowError, ValueError):     # an inf or nan correction
+            break
     raise ConvergenceFailure(
         f"eigenpair refinement stopped at residual {res:.3e} after "
         f"{step} Newton steps (tolerance {tol:.3e})")
@@ -492,20 +557,31 @@ def eigenstate_recurrences(params: ModelParams, parity: Parity, count: int,
     """Recurrence states of the count lowest converged levels of one parity.
 
     One ``spectra.converged_parity_eigensystem`` call gives the seed pairs;
-    each, with the rows of its certified window, is refined in mp and seeds
-    the four-term recurrence with its first block, and each state records its
-    refined pair's mp residual.  The route raises ConfigError for count
-    outside [1, chain dimension], TruncationInsufficient when fewer than
-    count levels converge, and OverflowDetected where a refined pair's
-    first block is zero.
+    each, with the rows of its certified window, is refined by
+    ``refine_eigenpair`` and seeds the four-term recurrence with its first
+    block, and each state records its refined pair's residual.  Each
+    level's Newton starts on the window the level below it ended on: its
+    seed is zero-padded to the smallest window of that level's ladder that
+    holds every nonzero row of its refined x (the fixed-point x rounds the
+    tail entries below 2^-FRACTION_BITS to zero), and widens from there as
+    before.  The route raises ConfigError for count outside [1, chain
+    dimension], TruncationInsufficient when fewer than count levels
+    converge, and OverflowDetected where a refined pair's first block is
+    zero.
     """
     trunc = TruncationConfig(n_max)
     _check_couplings(params)
     values, vectors = converged_parity_eigensystem(params, parity, trunc,
                                                    count)
-    states = []
+    states, rows = [], 0
     for xi0, vec0 in zip(values, vectors.T):
-        xi, x, res = refine_eigenpair(params, parity, xi0, vec0, n_max)
+        seed = np.pad(vec0, (0, max(rows - len(vec0), 0)))
+        xi, x, res = refine_eigenpair(params, parity, xi0, seed, n_max)
+        nonzero = next(i for i in range(len(x), 0, -1) if x[i - 1])
+        n_window = (len(seed) - 1) // 2
+        while 2 * (n_window + 1) < nonzero:
+            n_window = _wider_window(n_window, n_max)
+        rows = 2 * (n_window + 1)
         state = recurrence_eigenstate_la(params, parity, xi, (x[0], x[1]),
                                          n_max)
         states.append(replace(state, refine_residual=res))
@@ -526,24 +602,32 @@ _SPINOR_SIGN = {Parity.EVEN: +1, Parity.ODD: -1}
 
 
 def _bargmann_alphas(params: ModelParams, parity: Parity, chi: float,
-                     j: int) -> tuple:
-    """Coefficients alpha_0..alpha_4 of row j of the five-term recurrence."""
+                     j: np.ndarray) -> np.ndarray:
+    """Coefficients alpha_0..alpha_4 (rows) of rows j of the five-term
+    recurrence, by the operations of the scalar formulas in their order.
+    br_m^2 and (chi - (j - 2))^2 are Python's float ** (libm pow), which
+    can differ from numpy's square in the last bit."""
     s = _BRANCH_SIGN[parity]
     w1, w2 = params.omega_1, params.omega_2
     gp, gm = params.g_plus, params.g_minus
-    pj = (-1) ** j
-    br_m = w1 - s * pj * w2
-    br_p = w1 + s * pj * w2
+
+    def branch(pj):
+        """(br_m, br_p, br_m^2) at (-1)^j = pj."""
+        br_m = w1 - s * pj * w2
+        return br_m, w1 + s * pj * w2, br_m ** 2
+
+    br_m, br_p, sq_m = (np.where(j % 2 == 1, odd, even)
+                        for even, odd in zip(branch(1), branch(-1)))
+    sq_c = np.array([(chi - (k - 2)) ** 2 for k in j.tolist()])
     a0 = j * (j - 1) * gp * gm * br_m
     a1 = (j - 1) * (gm * br_m * (j - 1 - chi) + gp * br_p * (chi - (j - 2)))
-    a2 = ((2 * j - 3) * gp * gm * br_m
-          + br_p * (0.25 * br_m ** 2 - (chi - (j - 2)) ** 2))
+    a2 = (2 * j - 3) * gp * gm * br_m + br_p * (0.25 * sq_m - sq_c)
     a3 = gp * br_p * (chi - (j - 2)) - gm * br_m * (chi - (j - 3))
     a4 = gp * gm * br_m
-    return a0, a1, a2, a3, a4
+    return np.array([a0, a1, a2, a3, a4])
 
 
-def _alpha0_scale(params: ModelParams, j: int) -> float:
+def _alpha0_scale(params: ModelParams, j: np.ndarray) -> np.ndarray:
     return (j * (j - 1) * abs(params.g_plus * params.g_minus)
             * (abs(params.omega_1) + abs(params.omega_2)))
 
@@ -583,6 +667,30 @@ def _phi2_series(params: ModelParams, parity: Parity, chi: float,
     return ((k - chi) * c + gp * (below + above)) / div
 
 
+def _bargmann_rows(params: ModelParams, parity: Parity, chi: float,
+                   j_max: int) -> np.ndarray:
+    """Rows j = 2..j_max + 4 of the five-term system in c_0..c_j_max, built
+    in one pass: alpha_k of row j multiplies c_(j - k), and each row is
+    divided by its largest magnitude (rows with none are dropped).  Raises
+    StepSingular at the first row whose alpha_0 vanishes."""
+    j = np.arange(2, j_max + 5)
+    alphas = _bargmann_alphas(params, parity, chi, j)
+    vanish = np.flatnonzero(np.abs(alphas[0])
+                            <= 1e-14 * _alpha0_scale(params, j))
+    if len(vanish):
+        raise StepSingular(
+            f"alpha_0 vanishes at step j={j[vanish[0]]} "
+            f"(omega_1 = -+(-1)^j omega_2 or g_plus g_minus = 0)")
+    col = j - np.arange(5)[:, None]
+    inside = (col >= 0) & (col <= j_max)
+    rows = np.zeros((len(j), j_max + 1))
+    rows[np.broadcast_to(j - 2, col.shape)[inside], col[inside]] = (
+        alphas[inside])
+    scale = np.abs(rows).max(axis=1)
+    keep = scale > 0
+    return rows[keep] / scale[keep, None]
+
+
 def bargmann_minimal_coefficients(params: ModelParams, parity: Parity,
                                   chi: float, j_max: int):
     """Decaying solution of the five-term system, via the smallest singular
@@ -597,22 +705,7 @@ def bargmann_minimal_coefficients(params: ModelParams, parity: Parity,
     """
     if j_max < 8:
         raise ConfigError("j_max must be >= 8")
-    rows = []
-    for j in range(2, j_max + 5):
-        a = _bargmann_alphas(params, parity, chi, j)
-        if abs(a[0]) <= 1e-14 * _alpha0_scale(params, j):
-            raise StepSingular(
-                f"alpha_0 vanishes at step j={j} "
-                f"(omega_1 = -+(-1)^j omega_2 or g_plus g_minus = 0)")
-        row = np.zeros(j_max + 1)
-        for off, val in enumerate(a[:min(5, j + 1)]):
-            k = j - off
-            if 0 <= k <= j_max:
-                row[k] = val
-        scale = np.max(np.abs(row))
-        if scale > 0:
-            rows.append(row / scale)
-    matrix = np.array(rows)
+    matrix = _bargmann_rows(params, parity, chi, j_max)
     _, sv, vt = np.linalg.svd(matrix, full_matrices=False)
     c = vt[-1]
     if c[0] < 0:

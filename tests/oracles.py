@@ -5,14 +5,17 @@ direct assemblies can be checked against it.
 """
 
 import math
+from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import from_man_exp
 
 from rabi2q import eigenstates as eig
 from rabi2q.dynamics import QuarticCoefficients
-from rabi2q.errors import ConvergenceFailure, OverflowDetected
+from rabi2q.errors import ConvergenceFailure, OverflowDetected, StepSingular
 from rabi2q.hamiltonian import build_parity_band, build_rwa_excitation_block
 from rabi2q.model import Parity, QubitLevel, TruncationConfig, basis_table
 from rabi2q.numerics import band_norm
@@ -213,6 +216,41 @@ _ROTATION = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
 _LEVELS = (_E, _G)
 
 
+def bargmann_rows_reference(params, parity, chi, j_max):
+    """The row matrix of ``eigenstates._bargmann_rows`` built one row at a
+    time in Python floats, from the printed coefficient formulas; raises
+    StepSingular at the first row whose alpha_0 vanishes."""
+    s = -1 if parity is Parity.EVEN else 1
+    w1, w2 = params.omega_1, params.omega_2
+    gp, gm = params.g_plus, params.g_minus
+    rows = []
+    for j in range(2, j_max + 5):
+        pj = (-1) ** j
+        br_m = w1 - s * pj * w2
+        br_p = w1 + s * pj * w2
+        a = (j * (j - 1) * gp * gm * br_m,
+             (j - 1) * (gm * br_m * (j - 1 - chi)
+                        + gp * br_p * (chi - (j - 2))),
+             ((2 * j - 3) * gp * gm * br_m
+              + br_p * (0.25 * br_m ** 2 - (chi - (j - 2)) ** 2)),
+             gp * br_p * (chi - (j - 2)) - gm * br_m * (chi - (j - 3)),
+             gp * gm * br_m)
+        if abs(a[0]) <= 1e-14 * (j * (j - 1) * abs(gp * gm)
+                                 * (abs(w1) + abs(w2))):
+            raise StepSingular(
+                f"alpha_0 vanishes at step j={j} "
+                f"(omega_1 = -+(-1)^j omega_2 or g_plus g_minus = 0)")
+        row = np.zeros(j_max + 1)
+        for off, val in enumerate(a[:min(5, j + 1)]):
+            k = j - off
+            if 0 <= k <= j_max:
+                row[k] = val
+        scale = np.max(np.abs(row))
+        if scale > 0:
+            rows.append(row / scale)
+    return np.array(rows)
+
+
 def bargmann_chain_reference(coeffs, n_max):
     """(v, other_chain_weight, cut_index) of bargmann_to_chain, built one
     amplitude at a time.
@@ -282,11 +320,11 @@ def mp_chain_residual(params, parity, xi, x, n_max, dps=90):
 
 
 # ---------------------------------------------------------------------------
-# mp eigenpair refinement and four-term recurrence on mpf objects
+# four-term recurrence on mpf objects
 # ---------------------------------------------------------------------------
-# The package runs both on raw mpf tuples; these are the same computations
-# written with the mpf operators and mp.fdot, so the two must agree bit for
-# bit in every _mpf_ tuple.
+# The package runs it on raw mpf tuples; this is the same computation
+# written with the mpf operators, so the two must agree bit for bit in
+# every _mpf_ tuple.
 
 def mp_chain_diagonal(params, parity, n_max):
     """Diagonal blocks [d0, d1] of photon levels 0..n_max, in mpf."""
@@ -346,50 +384,90 @@ def cut_normalize_reference(blocks, n_max):
     return flat / np.linalg.norm(flat), cut
 
 
-def mp_residual_reference(d, a, b, xi, x):
-    """(H - xi) x in mpf, one mp.fdot per row; d holds the diagonal
-    blocks, a[j] and b[j] the entries of O_j (zero past the ends)."""
-    pad, nxi = [mp.mpf(0)], -xi
-    p, q = pad + x[0::2] + pad, pad + x[1::2] + pad
-    out = []
-    for j, (d0, d1) in enumerate(d):
-        lo, hi = (a[j], b[j]), (a[j + 1], b[j + 1])
-        near = (p[j], q[j], p[j + 2], q[j + 2])
-        out.append(mp.fdot((d0, nxi, *lo, *hi), (p[j + 1], p[j + 1], *near)))
-        out.append(mp.fdot((d1, nxi, *lo[::-1], *hi[::-1]),
-                           (q[j + 1], q[j + 1], *near)))
-    return out
+# ---------------------------------------------------------------------------
+# fixed-point eigenpair refinement on exact integers
+# ---------------------------------------------------------------------------
+# The package holds the Newton iterate and its tables as ints at scale
+# 2^-F, F = eigenstates.FRACTION_BITS, on photon windows; this is the same
+# Newton on the whole chain, from matrix rows derived here, with every
+# rounding to the scale done through fractions.Fraction.
+
+def fixed_point(value):
+    """The int nearest value 2^F (a float or a Fraction), ties to even."""
+    return round(Fraction(value) * 2 ** eig.FRACTION_BITS)
+
+
+@lru_cache(maxsize=4096)
+def fixed_coupling(g, j):
+    """g sqrt(j) at scale 2^-F: mpmath at F + 64 bits, then mp.nint (ties
+    to even)."""
+    with mp.workprec(eig.FRACTION_BITS + 64):
+        return int(mp.nint(mp.ldexp(mp.sqrt(j) * mp.mpf(g),
+                                    eig.FRACTION_BITS)))
+
+
+def fixed_chain_rows(params, parity, n_max):
+    """Row i of the chain matrix at scale 2^-F as {column: int}: the
+    diagonal n + (sz1 omega_1 + sz2 omega_2)/2 rounded from its exact
+    rational, and sqrt(j) [[g1, g2], [g2, g1]] between photon numbers
+    j - 1 and j, each entry from ``fixed_coupling``."""
+    table = basis_table(TruncationConfig(n_max))
+    w1, w2 = Fraction(params.omega_1), Fraction(params.omega_2)
+    rows = []
+    for i in range(TruncationConfig(n_max).chain_dim):
+        row = {i: fixed_point(int(table.photon[parity][i])
+                              + (int(table.sz1[parity][i]) * w1
+                                 + int(table.sz2[parity][i]) * w2) / 2)}
+        j, k = divmod(i, 2)
+        for m in (j - 1, j + 1):
+            if 0 <= m <= n_max:
+                c = max(j, m)
+                row[2 * m + k] = fixed_coupling(params.g_1, c)
+                row[2 * m + 1 - k] = fixed_coupling(params.g_2, c)
+        rows.append(row)
+    return rows
 
 
 def refine_eigenpair_reference(params, parity, xi0, vec0, n_max):
-    """eigenstates.refine_eigenpair on the whole chain, with the mp side in
-    mpf objects; the float side (band LU and its shift, solves, sums) is
-    the package's own."""
+    """eigenstates.refine_eigenpair on the whole chain, on exact integers:
+    xi and x at scale 2^-F, rounded to it after each update; each row of
+    -(H - xi) x, and (1 - x^T x) / 2, summed exactly and rounded once to a
+    float through a Fraction.  The float side (band LU and its shift,
+    solves, sums) is the package's own."""
+    scale = 2 ** eig.FRACTION_BITS
     band = build_parity_band(params, parity, TruncationConfig(n_max))
     x0 = np.asarray(vec0, dtype=float)
     hnorm = band_norm(band)
     factors, xw, u = eig._frozen_jacobian(band, x0, xi0, hnorm)
-    digits = eig.DPS + eig.GUARD_DIGITS
-    tol = hnorm * 10.0 ** -digits
-    with mp.workdps(digits):
-        d = mp_chain_diagonal(params, parity, n_max)
-        s = [mp.sqrt(j) for j in range(n_max + 1)] + [mp.mpf(0)]
-        a, b = ([c * mp.mpf(g) for c in s] for g in (params.g_1, params.g_2))
-        xi, x = mp.mpf(float(xi0)), [mp.mpf(c) for c in x0.tolist()]
-        for step in range(eig.NEWTON_STEPS + 1):
-            f = -np.array([float(c)
-                           for c in mp_residual_reference(d, a, b, xi, x)])
-            h = float(mp.fdot([1] + x, [1] + [-c for c in x]) / 2)
-            res = math.hypot(*f)
-            if res <= tol and abs(h) * hnorm <= tol:
-                return xi, x, res
-            if step == eig.NEWTON_STEPS or not math.isfinite(res + h):
-                break
-            c = math.fsum(x0 * f)
-            z = eig._band_solve(factors, f - c * x0)
-            t = h - math.fsum(x0 * z)
-            x = [xk + dk for xk, dk in zip(x, (z + t * u).tolist())]
-            xi += t / xw - c
+    tol = hnorm * 10.0 ** -(eig.DPS + eig.GUARD_DIGITS)
+    rows = fixed_chain_rows(params, parity, n_max)
+    xi, x = fixed_point(float(xi0)), [fixed_point(c) for c in x0.tolist()]
+    for step in range(eig.NEWTON_STEPS + 1):
+        try:
+            f = np.array([float(Fraction(xi * x[i] - sum(
+                v * x[c] for c, v in row.items()), scale ** 2))
+                for i, row in enumerate(rows)])
+            h = float(Fraction(scale ** 2 - sum(c * c for c in x),
+                               2 * scale ** 2))
+        except OverflowError:
+            res = math.inf
+            break
+        res = math.hypot(*f)
+        if res <= tol and abs(h) * hnorm <= tol:
+            return (mp.make_mpf(from_man_exp(xi, -eig.FRACTION_BITS)),
+                    [mp.make_mpf(from_man_exp(c, -eig.FRACTION_BITS))
+                     for c in x], res)
+        if step == eig.NEWTON_STEPS or not math.isfinite(res + h):
+            break
+        c = math.fsum(x0 * f)
+        z = eig._band_solve(factors, f - c * x0)
+        t = h - math.fsum(x0 * z)
+        try:
+            x = [xk + fixed_point(dk)
+                 for xk, dk in zip(x, (z + t * u).tolist())]
+            xi += fixed_point(t / xw - c)
+        except (OverflowError, ValueError):
+            break
     raise ConvergenceFailure(
         f"eigenpair refinement stopped at residual {res:.3e} after "
         f"{step} Newton steps (tolerance {tol:.3e})")
