@@ -18,8 +18,9 @@ fed to it: a double-precision eigenpair is amplified to ~1e-4 within a
 dozen steps.  ``refine_eigenpair`` sharpens a float eigenpair far past
 double precision by mixed-precision Newton (the iterate and residual in
 fixed point, Python ints at scale 2^-FRACTION_BITS, about DPS +
-GUARD_DIGITS digits; corrections in float64) so the recurrence can track
-the decaying solution deep into its tail.  Newton runs on leading photon
+GUARD_DIGITS digits, and finer where g^2 lies below its tolerance;
+corrections in float64) so the recurrence can track the decaying
+solution deep into its tail.  Newton runs on leading photon
 windows, widened on the ladder of ``numerics.photon_windows``, and stops
 on the whole chain's test: x is zero past the window, so its residual
 over the window and the photon block past it is the whole chain's.  The
@@ -29,10 +30,11 @@ from mp tables built once per chain and precision.  The blocks are never
 rescaled (mpf exponents do not overflow), and the recurrence ends one
 block past its cut once a growth bound from the band diagonal proves that
 no later block can be smaller (``_growth_start``), else at n_max: its
-blocks, cut and float state are those of the run to n_max.  Where those digits do not hold the decaying
-solution (deep strong coupling, |g1| near |g2|, g^2 below the refiner's
-tolerance, xi far from the spectrum), a state's residual passes
-``RECURRENCE_RESIDUAL_TOL``; the route returns it, and the CLI flags it.
+blocks, cut and float state are those of the run to n_max.  Where those
+digits do not hold the decaying solution (deep strong coupling, |g1| near
+|g2|, g^2 below the refiner's tolerance, xi far from the spectrum), a
+state's residual passes ``RECURRENCE_RESIDUAL_TOL``; the route returns
+it, and the CLI flags it.
 """
 
 from __future__ import annotations
@@ -183,12 +185,11 @@ def _recurrence_blocks_mp(params: ModelParams, parity: Parity, xi, v0,
     squared norms b0^2 + b1^2.  The run stops after the first block i at
     or past ``_growth_start`` whose squared norm is above block i - 1's:
     every later block is then larger than block i, so the first least
-    positive block of the run to n_max, the cut, is among blocks 0..i
-    (before i unless block i - 1 is zero).  Nothing rescales the blocks
-    (mpf exponents do not overflow), so they are bit for bit the leading
-    blocks of the run to n_max, and the cut and the float state v of
-    ``_cut_normalize`` are that run's.  Where the bound allows no stop,
-    the run goes to n_max.
+    block of the run to n_max, the cut, is among blocks 0..i - 1.  Nothing
+    rescales the blocks (mpf exponents do not overflow), so they are bit
+    for bit the leading blocks of the run to n_max, and the cut and the
+    float state v of ``_cut_normalize`` are that run's.  Where the bound
+    allows no stop, the run goes to n_max.
 
     Each step is the mpf operators' arithmetic at the context's (prec,
     rounding), done on raw mpf tuples.  |g1| = |g2| raises
@@ -230,17 +231,19 @@ def _cut_normalize(parity: Parity, xi, blocks, squares,
 
     blocks and squares are the raw mpf pairs and squared norms of
     ``_recurrence_blocks_mp``.  The cut is the first block of least
-    positive squared norm; one square root gives the norm of the kept
-    prefix.  Normalization happens in mp arithmetic first: the unscaled
-    blocks may lie far outside the double-precision exponent range even
-    though their shape is perfectly finite.
+    squared norm, a zero block included (where xi is a photon-0 diagonal
+    entry to the last bit and the seed's other component is zero, block 1
+    is zero and the state is the seed block alone); one square root gives
+    the norm of the kept prefix.  Normalization happens in mp arithmetic
+    first: the unscaled blocks may lie far outside the double-precision
+    exponent range even though their shape is perfectly finite.
     """
     with mp.workdps(DPS):
         prec, rnd = mp.mp._prec_rounding
-        positive = [i for i, square in enumerate(squares) if square != fzero]
-        if not positive:
+        # a zero seed block makes every block zero
+        if squares[0] == fzero:
             raise OverflowDetected("recurrence produced a null vector")
-        cut = min(positive, key=lambda i: _MPF_ORDER(squares[i]))
+        cut = min(range(len(squares)), key=lambda i: _MPF_ORDER(squares[i]))
         prefix_norm = mpf_sqrt(mpf_sum(squares[:cut + 1], prec, rnd), prec,
                                rnd)
         out = np.zeros((n_max + 1, 2))
@@ -305,6 +308,19 @@ GUARD_DIGITS = 3
 FRACTION_BITS = dps_to_prec(DPS + GUARD_DIGITS) + 16
 
 
+def _fraction_bits(params: ModelParams, tol: float) -> int:
+    """The refiner's binary scale: FRACTION_BITS, and where g^2 = max(g1^2,
+    g2^2) lies below tol, the bits of 1 / g^2 more.  The levels then sit
+    about g^2 off the diagonal and the eigenvector's other entries are
+    about g, which a scale of 2^-FRACTION_BITS alone would round to the
+    diagonal and to zero: the recurrence seeded by the pair would then
+    lose the decaying solution."""
+    g = max(abs(params.g_1), abs(params.g_2))
+    if g and g * g < tol:
+        return FRACTION_BITS + max(0, -2 * math.frexp(g)[1])
+    return FRACTION_BITS
+
+
 def _nearest(num: int, den: int) -> int:
     """The int nearest num / den (den > 0), ties to even."""
     q, r = divmod(num, den)
@@ -313,27 +329,29 @@ def _nearest(num: int, den: int) -> int:
     return q
 
 
-def _fixed(value: float) -> int:
-    """The int nearest value 2^FRACTION_BITS, ties to even, exactly for
-    every finite float; OverflowError or ValueError if value is not."""
+def _fixed(value: float, bits: int) -> int:
+    """The int nearest value 2^bits, ties to even, exactly for every finite
+    float; OverflowError or ValueError if value is not."""
     try:
-        return round(math.ldexp(value, FRACTION_BITS))
-    except OverflowError:       # |value| >= 2^(1024 - FRACTION_BITS): an int
-        return int(value) << FRACTION_BITS
+        return round(math.ldexp(value, bits))
+    except OverflowError:       # value 2^bits is past the float range
+        num, den = value.as_integer_ratio()
+        return _nearest(num << bits, den)
 
 
 @lru_cache(maxsize=8)
-def _fixed_diagonal(params: ModelParams, parity: Parity, n_max: int):
+def _fixed_diagonal(params: ModelParams, parity: Parity, n_max: int,
+                    bits: int):
     """Diagonal blocks (d0, d1) of photon levels 0..n_max of one chain at
-    scale 2^-FRACTION_BITS: d = n + (s1 w1 + s2 w2) / 2, the exact rational
-    of the floats rounded once to the nearest int (ties to even)."""
+    scale 2^-bits: d = n + (s1 w1 + s2 w2) / 2, the exact rational of the
+    floats rounded once to the nearest int (ties to even)."""
     (p1, q1), (p2, q2) = (w.as_integer_ratio()
                           for w in (params.omega_1, params.omega_2))
-    qubit = {(s1, s2): _nearest((s1 * p1 * q2 + s2 * p2 * q1)
-                                << FRACTION_BITS, 2 * q1 * q2)
+    qubit = {(s1, s2): _nearest((s1 * p1 * q2 + s2 * p2 * q1) << bits,
+                                2 * q1 * q2)
              for s1 in (1, -1) for s2 in (1, -1)}
     table = basis_table(TruncationConfig(n_max))
-    diag = [(n << FRACTION_BITS) + qubit[s1, s2]
+    diag = [(n << bits) + qubit[s1, s2]
             for n, s1, s2 in zip(table.photon[parity].tolist(),
                                  table.sz1[parity].tolist(),
                                  table.sz2[parity].tolist())]
@@ -341,17 +359,17 @@ def _fixed_diagonal(params: ModelParams, parity: Parity, n_max: int):
 
 
 @lru_cache(maxsize=4)
-def _fixed_coupling_table(params: ModelParams, n_max: int):
+def _fixed_coupling_table(params: ModelParams, n_max: int, bits: int):
     """Entries g1 sqrt(j) and g2 sqrt(j) of O_j for j = 0..n_max + 1 (zero
-    past the chain) at scale 2^-FRACTION_BITS, the same for both parities:
-    each the int nearest its exact value (ties to even), by math.isqrt."""
+    past the chain) at scale 2^-bits, the same for both parities: each the
+    int nearest its exact value (ties to even), by math.isqrt."""
     def entries(g: float):
         num, den = abs(g).as_integer_ratio()
         out = []
         for j in range(n_max + 1):
-            # z = floor(2 |g| sqrt(j) 2^F); the nearest int is z // 2, or
-            # one more past the half and at an odd exact tie
-            four = (num * num * j) << (2 * FRACTION_BITS + 2)
+            # z = floor(2 |g| sqrt(j) 2^bits); the nearest int is z // 2,
+            # or one more past the half and at an odd exact tie
+            four = (num * num * j) << (2 * bits + 2)
             z = math.isqrt(four) // den
             q = z >> 1
             if z & 1 and (q & 1 or four != (z * den) ** 2):
@@ -362,12 +380,12 @@ def _fixed_coupling_table(params: ModelParams, n_max: int):
     return entries(params.g_1), entries(params.g_2)
 
 
-def _fixed_residual(tables, xi: int, x: list) -> list:
+def _fixed_residual(tables, xi: int, x: list, bits: int) -> list:
     """-(H - xi) x over the photon blocks of x, xi, x and the tables at
-    scale 2^-FRACTION_BITS: each row an exact int sum, rounded once to a
-    float by int / int true division (float(int) would overflow where the
-    scaled row passes the float range though its value does not).
-    OverflowError if a row's value is past the float range."""
+    scale 2^-bits: each row an exact int sum, rounded once to a float by
+    int / int true division (float(int) would overflow where the scaled
+    row passes the float range though its value does not).  OverflowError
+    if a row's value is past the float range."""
     diag, a, b = tables
     p, q = [0, *x[0::2], 0], [0, *x[1::2], 0]
     out = []
@@ -375,13 +393,13 @@ def _fixed_residual(tables, xi: int, x: list) -> list:
             diag, p, p[1:], p[2:], q, q[1:], q[2:], a, a[1:], b, b[1:]):
         out.append((xi - d0) * pc - al * pl - bl * ql - ah * ph - bh * qh)
         out.append((xi - d1) * qc - bl * pl - al * ql - bh * ph - ah * qh)
-    scale = 1 << 2 * FRACTION_BITS
+    scale = 1 << 2 * bits
     return [r / scale for r in out]
 
 
-def _to_mpf(value: int):
-    """The mpf of value 2^-FRACTION_BITS, exactly."""
-    return mp.make_mpf(from_man_exp(value, -FRACTION_BITS))
+def _to_mpf(value: int, bits: int):
+    """The mpf of value 2^-bits, exactly."""
+    return mp.make_mpf(from_man_exp(value, -bits))
 
 
 def _band_lu(band: np.ndarray, shift: float, tiny: float):
@@ -437,6 +455,17 @@ def _wider_window(n_window: int, n_max: int) -> int:
     return min(int(WINDOW_GROWTH * n_window) + 1, n_max)
 
 
+def _newton_window(held: int, n_max: int, rows: int = 0) -> int:
+    """The photon window refine_eigenpair starts on for a seed of held
+    rows: the leading window that holds them, or the whole chain when they
+    are more than half of it; then the first window of its ladder that
+    holds rows rows."""
+    n_window = (held - 1) // 2 if held <= n_max + 1 else n_max
+    while 2 * (n_window + 1) < rows:
+        n_window = _wider_window(n_window, n_max)
+    return n_window
+
+
 def _frozen_jacobian(band: np.ndarray, x0: np.ndarray, xi0: float,
                      hnorm: float):
     """Factors of H - xi0 on band, and xw = x0^T w and u = w / xw for
@@ -483,8 +512,9 @@ def refine_eigenpair(params: ModelParams, parity: Parity, xi0: float,
     last rung is the whole chain), the LU is redone on it and x is
     zero-padded.
 
-    The iterate (xi, x) is held as Python ints at scale 2^-FRACTION_BITS,
-    as are the chain's cached ``_fixed_diagonal`` and the
+    The iterate (xi, x) is held as Python ints at scale 2^-bits, bits from
+    ``_fraction_bits`` (FRACTION_BITS, more where g^2 lies below tol), as
+    are the chain's cached ``_fixed_diagonal`` and the
     ``_fixed_coupling_table`` both parities share: the seeds and each float
     correction enter as the nearest int (exact for every finite float down
     to that scale), and each row of (H - xi) x, and 1 - x^T x, is an exact
@@ -504,20 +534,22 @@ def refine_eigenpair(params: ModelParams, parity: Parity, xi0: float,
     band = build_parity_band(params, parity, trunc)
     hnorm = band_norm(band)
     x0 = np.pad(np.asarray(vec0, dtype=float), (0, dim - held))
-    n_window = (held - 1) // 2 if 2 * held <= dim else n_max
+    n_window = _newton_window(held, n_max)
     rows = 2 * (n_window + 1)
     seed = x0[:rows]
     factors, xw, u = _frozen_jacobian(band[:, :rows], seed, xi0, hnorm)
     tol = hnorm * 10.0 ** -(DPS + GUARD_DIGITS)
-    tables = (_fixed_diagonal(params, parity, n_max),
-              *_fixed_coupling_table(params, n_max))
-    one = 1 << 2 * FRACTION_BITS
-    xi, x = _fixed(float(xi0)), [_fixed(c) for c in seed.tolist()]
+    bits = _fraction_bits(params, tol)
+    tables = (_fixed_diagonal(params, parity, n_max, bits),
+              *_fixed_coupling_table(params, n_max, bits))
+    one = 1 << 2 * bits
+    xi, x = _fixed(float(xi0), bits), [_fixed(c, bits)
+                                       for c in seed.tolist()]
     for step in range(NEWTON_STEPS + 1):
         # two zero rows past the window give F on its edge block
         edge = [0, 0] if rows < dim else []
         try:
-            f = np.array(_fixed_residual(tables, xi, x + edge))
+            f = np.array(_fixed_residual(tables, xi, x + edge, bits))
             # 1 - x^T x summed exactly and rounded once: rounding x^T x
             # first would cost h an ulp of 1, about tol / ||H|| itself
             h = (one - sum(c * c for c in x)) / (2 * one)
@@ -526,7 +558,7 @@ def refine_eigenpair(params: ModelParams, parity: Parity, xi0: float,
             break
         res = math.hypot(*f)
         if res <= tol and abs(h) * hnorm <= tol:
-            return (_to_mpf(xi), [_to_mpf(c) for c in x]
+            return (_to_mpf(xi, bits), [_to_mpf(c, bits) for c in x]
                     + [mp.mpf(0)] * (dim - rows), res)
         if step == NEWTON_STEPS or not math.isfinite(res + h):
             break
@@ -543,8 +575,9 @@ def refine_eigenpair(params: ModelParams, parity: Parity, xi0: float,
         z = _band_solve(factors, f - c * seed)
         t = h - math.fsum(seed * z)
         try:
-            x = [xk + _fixed(dk) for xk, dk in zip(x, (z + t * u).tolist())]
-            xi += _fixed(t / xw - c)
+            x = [xk + _fixed(dk, bits)
+                 for xk, dk in zip(x, (z + t * u).tolist())]
+            xi += _fixed(t / xw - c, bits)
         except (OverflowError, ValueError):     # an inf or nan correction
             break
     raise ConvergenceFailure(
@@ -561,13 +594,12 @@ def eigenstate_recurrences(params: ModelParams, parity: Parity, count: int,
     ``refine_eigenpair`` and seeds the four-term recurrence with its first
     block, and each state records its refined pair's residual.  Each
     level's Newton starts on the window the level below it ended on: its
-    seed is zero-padded to the smallest window of that level's ladder that
-    holds every nonzero row of its refined x (the fixed-point x rounds the
-    tail entries below 2^-FRACTION_BITS to zero), and widens from there as
-    before.  The route raises ConfigError for count outside [1, chain
-    dimension], TruncationInsufficient when fewer than count levels
-    converge, and OverflowDetected where a refined pair's first block is
-    zero.
+    seed is zero-padded to the first window of the ladder that holds every
+    nonzero row of the refined x below it (the fixed-point x rounds its
+    tail entries to zero), and widens from there as before.  The route
+    raises ConfigError for count outside [1, chain dimension],
+    TruncationInsufficient when fewer than count levels converge, and
+    OverflowDetected where a refined pair's first block is zero.
     """
     trunc = TruncationConfig(n_max)
     _check_couplings(params)
@@ -578,10 +610,7 @@ def eigenstate_recurrences(params: ModelParams, parity: Parity, count: int,
         seed = np.pad(vec0, (0, max(rows - len(vec0), 0)))
         xi, x, res = refine_eigenpair(params, parity, xi0, seed, n_max)
         nonzero = next(i for i in range(len(x), 0, -1) if x[i - 1])
-        n_window = (len(seed) - 1) // 2
-        while 2 * (n_window + 1) < nonzero:
-            n_window = _wider_window(n_window, n_max)
-        rows = 2 * (n_window + 1)
+        rows = 2 * (_newton_window(len(vec0), n_max, nonzero) + 1)
         state = recurrence_eigenstate_la(params, parity, xi, (x[0], x[1]),
                                          n_max)
         states.append(replace(state, refine_residual=res))

@@ -372,8 +372,7 @@ def cut_normalize_reference(blocks, n_max):
         norms = [mp.sqrt(b[0] ** 2 + b[1] ** 2) for b in blocks]
         if not any(norms):
             raise OverflowDetected("recurrence produced a null vector")
-        cut = min((i for i, nm in enumerate(norms) if nm > 0),
-                  key=lambda i: norms[i])
+        cut = min(range(len(norms)), key=lambda i: norms[i])
         prefix = mp.sqrt(mp.fsum(b[0] ** 2 + b[1] ** 2
                                  for b in blocks[:cut + 1]))
         out = np.zeros((n_max + 1, 2))
@@ -388,26 +387,27 @@ def cut_normalize_reference(blocks, n_max):
 # fixed-point eigenpair refinement on exact integers
 # ---------------------------------------------------------------------------
 # The package holds the Newton iterate and its tables as ints at scale
-# 2^-F, F = eigenstates.FRACTION_BITS, on photon windows; this is the same
-# Newton on the whole chain, from matrix rows derived here, with every
-# rounding to the scale done through fractions.Fraction.
+# 2^-F, F = eigenstates._fraction_bits of the model and tolerance, on
+# photon windows; this is the same Newton on the whole chain, from matrix
+# rows derived here, with every rounding to the scale done through
+# fractions.Fraction.
 
-def fixed_point(value):
-    """The int nearest value 2^F (a float or a Fraction), ties to even."""
-    return round(Fraction(value) * 2 ** eig.FRACTION_BITS)
+def fixed_point(value, bits):
+    """The int nearest value 2^bits (a float or a Fraction), ties to
+    even."""
+    return round(Fraction(value) * 2 ** bits)
 
 
 @lru_cache(maxsize=4096)
-def fixed_coupling(g, j):
-    """g sqrt(j) at scale 2^-F: mpmath at F + 64 bits, then mp.nint (ties
-    to even)."""
-    with mp.workprec(eig.FRACTION_BITS + 64):
-        return int(mp.nint(mp.ldexp(mp.sqrt(j) * mp.mpf(g),
-                                    eig.FRACTION_BITS)))
+def fixed_coupling(g, j, bits):
+    """g sqrt(j) at scale 2^-bits: mpmath at bits + 64 bits, then mp.nint
+    (ties to even)."""
+    with mp.workprec(bits + 64):
+        return int(mp.nint(mp.ldexp(mp.sqrt(j) * mp.mpf(g), bits)))
 
 
-def fixed_chain_rows(params, parity, n_max):
-    """Row i of the chain matrix at scale 2^-F as {column: int}: the
+def fixed_chain_rows(params, parity, n_max, bits):
+    """Row i of the chain matrix at scale 2^-bits as {column: int}: the
     diagonal n + (sz1 omega_1 + sz2 omega_2)/2 rounded from its exact
     rational, and sqrt(j) [[g1, g2], [g2, g1]] between photon numbers
     j - 1 and j, each entry from ``fixed_coupling``."""
@@ -417,13 +417,14 @@ def fixed_chain_rows(params, parity, n_max):
     for i in range(TruncationConfig(n_max).chain_dim):
         row = {i: fixed_point(int(table.photon[parity][i])
                               + (int(table.sz1[parity][i]) * w1
-                                 + int(table.sz2[parity][i]) * w2) / 2)}
+                                 + int(table.sz2[parity][i]) * w2) / 2,
+                              bits)}
         j, k = divmod(i, 2)
         for m in (j - 1, j + 1):
             if 0 <= m <= n_max:
                 c = max(j, m)
-                row[2 * m + k] = fixed_coupling(params.g_1, c)
-                row[2 * m + 1 - k] = fixed_coupling(params.g_2, c)
+                row[2 * m + k] = fixed_coupling(params.g_1, c, bits)
+                row[2 * m + 1 - k] = fixed_coupling(params.g_2, c, bits)
         rows.append(row)
     return rows
 
@@ -434,14 +435,16 @@ def refine_eigenpair_reference(params, parity, xi0, vec0, n_max):
     -(H - xi) x, and (1 - x^T x) / 2, summed exactly and rounded once to a
     float through a Fraction.  The float side (band LU and its shift,
     solves, sums) is the package's own."""
-    scale = 2 ** eig.FRACTION_BITS
     band = build_parity_band(params, parity, TruncationConfig(n_max))
     x0 = np.asarray(vec0, dtype=float)
     hnorm = band_norm(band)
     factors, xw, u = eig._frozen_jacobian(band, x0, xi0, hnorm)
     tol = hnorm * 10.0 ** -(eig.DPS + eig.GUARD_DIGITS)
-    rows = fixed_chain_rows(params, parity, n_max)
-    xi, x = fixed_point(float(xi0)), [fixed_point(c) for c in x0.tolist()]
+    bits = eig._fraction_bits(params, tol)
+    scale = 2 ** bits
+    rows = fixed_chain_rows(params, parity, n_max, bits)
+    xi, x = (fixed_point(float(xi0), bits),
+             [fixed_point(c, bits) for c in x0.tolist()])
     for step in range(eig.NEWTON_STEPS + 1):
         try:
             f = np.array([float(Fraction(xi * x[i] - sum(
@@ -454,18 +457,17 @@ def refine_eigenpair_reference(params, parity, xi0, vec0, n_max):
             break
         res = math.hypot(*f)
         if res <= tol and abs(h) * hnorm <= tol:
-            return (mp.make_mpf(from_man_exp(xi, -eig.FRACTION_BITS)),
-                    [mp.make_mpf(from_man_exp(c, -eig.FRACTION_BITS))
-                     for c in x], res)
+            return (mp.make_mpf(from_man_exp(xi, -bits)),
+                    [mp.make_mpf(from_man_exp(c, -bits)) for c in x], res)
         if step == eig.NEWTON_STEPS or not math.isfinite(res + h):
             break
         c = math.fsum(x0 * f)
         z = eig._band_solve(factors, f - c * x0)
         t = h - math.fsum(x0 * z)
         try:
-            x = [xk + fixed_point(dk)
+            x = [xk + fixed_point(dk, bits)
                  for xk, dk in zip(x, (z + t * u).tolist())]
-            xi += fixed_point(t / xw - c)
+            xi += fixed_point(t / xw - c, bits)
         except (OverflowError, ValueError):
             break
     raise ConvergenceFailure(

@@ -261,7 +261,7 @@ def test_eigenstate_unconverged_levels_exit_3(tmp_path):
      "--parity", "even", "--count", "2", "--nmax", "300"],
     ["--omega1", "1.3", "--omega2", "0.7", "--g1", "1.0", "--g2", "0.95",
      "--nmax", "60"],
-    ["--omega1", "0", "--omega2", "0.7", "--g1", "0", "--g2", "1e-32",
+    ["--omega1", "1.3", "--omega2", "0.7", "--g1", "0", "--g2", "1e-32",
      "--parity", "even", "--count", "2", "--nmax", "20"],
 ], ids=["deep-strong-coupling", "near-equal-couplings", "tiny-coupling"])
 def test_eigenstate_loose_recurrence_residual_exits_3(tmp_path, capsys,

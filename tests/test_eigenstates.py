@@ -185,10 +185,12 @@ def _dense_seeded_states(params, parity, count, n_max):
 # levels 0 and 1 lie 2e-15 apart, and both refiners decline
 @example(omega_1=0.0, omega_2=0.0, g_1=0.5, g_2=1.175494351e-38,
          parity=Parity.EVEN, n_max=10, count=1)
-# g^2 lies below the refiner's tolerance, and the refined pairs lose every
-# bit below 2^-FRACTION_BITS: both states are loose; odd level 1 holds
-# from both seeds (1.3e-36); both levels are loose from both seeds; the
-# first blocks of both seeds are zero
+# g^2 lies below the refiner's tolerance.  Where xi is a photon-0
+# diagonal entry to the last bit, block 1 is zero and the state is the
+# seed block alone, holding to about g (g 0/1.9e-54, both levels; g
+# 0/2.2e-34, odd level 0; odd level 1 holds to 6.8e-68); level 0 holds to
+# 1.7e-77 from the window seed and to 1.0e-201 from the dense one; a dense
+# seed's first block is zero where no window seed's is
 @example(omega_1=0.0, omega_2=0.0, g_1=0.0, g_2=1.9073223110007208e-54,
          parity=Parity.EVEN, n_max=10, count=1)
 @example(omega_1=0.0, omega_2=0.0, g_1=0.0, g_2=2.2e-34, parity=Parity.ODD,
@@ -250,26 +252,28 @@ def test_recurrences_match_dense_seeded_refinement(omega_1, omega_2, g_1,
         # inside a cluster of levels closer than 1e-10 ||H||, as above, the
         # float seeds span the same subspace and the two refiners may
         # converge to different members, each a valid pair (g 0/0.00195:
-        # 9.0e-37 apart, 3.3e-16 in eigh): the route's xi must be some
-        # member's, each refined on its own
+        # 9.0e-37 apart, 3.3e-16 in eigh).  Where the members, each refined
+        # on its own, come out more than 2 tol apart, the route's xi must
+        # be some member's; elsewhere it must be the seeded level's
         cluster = np.flatnonzero(np.abs(dense.values - dense.values[level])
                                  < 1e-10 * np.max(np.abs(h).sum(axis=1)))
+        members = [xi_want]
         if len(cluster) > 1:
-            members = [_attempt(refine_eigenpair_reference, params, parity,
-                                dense.values[m], dense.vectors[:, m], n_max)
-                       for m in cluster]
-            xi_want = [m[0] for m in members if isinstance(m, tuple)]
-        else:
-            xi_want = [xi_want]
+            members = [m[0] for m in (
+                _attempt(refine_eigenpair_reference, params, parity,
+                         dense.values[m], dense.vectors[:, m], n_max)
+                for m in cluster) if isinstance(m, tuple)]
         with mp.workdps(eig_mod.DPS + 10):
-            assert any(abs(xi - w) <= 2 * tol for w in xi_want)
+            if len(members) < 2 or max(members) - min(members) <= 2 * tol:
+                members = [xi_want]
+            assert any(abs(xi - w) <= 2 * tol for w in members)
         assert state.xi == float(xi) and state.refine_residual == res
         got, seeded_res = (residual(params, parity, s)
                            for s in (state, seeded))
         if tiny and max(got, seeded_res) > eig_mod.RECURRENCE_RESIDUAL_TOL:
-            # a loose state from either seed is flagged (g 0/1.9e-54:
-            # residual 1.15 from both); where both hold (g 0/2.2e-34, odd
-            # level 1: 1.3e-36), they meet the checks below
+            # a loose state from either seed is flagged; where both hold
+            # (g 0/2.2e-34, odd: 2.2e-34 and 6.8e-68), they meet the
+            # checks below
             continue
         # near |g1| = |g2| (each step divides by g1^2 - g2^2) and deep in
         # strong coupling DPS digits no longer hold the decaying solution,
@@ -463,8 +467,9 @@ def test_refinement_at_the_readme_configuration_stays_in_windows(
     band_lu, fixed_residual = eig_mod._band_lu, eig_mod._fixed_residual
     monkeypatch.setattr(eig_mod, "_band_lu", lambda band, *args: (
         lus.append(band.shape[1]) or band_lu(band, *args)))
-    monkeypatch.setattr(eig_mod, "_fixed_residual", lambda tables, xi, x: (
-        residuals.append(len(x)) or fixed_residual(tables, xi, x)))
+    monkeypatch.setattr(eig_mod, "_fixed_residual", lambda tables, xi, x,
+                        bits: (residuals.append(len(x))
+                               or fixed_residual(tables, xi, x, bits)))
     for parity in Parity:
         states = eigenstate_recurrences(P, parity, 10, NMAX)
         assert all(state.refine_residual <= _refine_tolerance(P, parity, NMAX)
@@ -503,14 +508,35 @@ def test_refinement_at_omega_1e200():
             assert abs(xi - want) <= 2 * tol
 
 
+@pytest.mark.parametrize("bits", [eig_mod.FRACTION_BITS, 1200])
 @pytest.mark.parametrize("value", [
     0.0, -0.0, 1.0, -3.75, 1e-80, 5e-324, 2.0 ** -230, 3 * 2.0 ** -230,
-    -3 * 2.0 ** -230, 1e200, 2.0 ** 795, -1.7976931348623157e308])
-def test_fixed_point_rounds_exactly(value):
-    # the nearest int to value 2^F, ties to even, for every finite float;
-    # from 2^795 on, value 2^F passes the float range
-    F = eig_mod.FRACTION_BITS
-    assert eig_mod._fixed(value) == round(Fraction(value) * 2 ** F)
+    -3 * 2.0 ** -230, 3 * 2.0 ** -1074, 0.1, 1e200, 2.0 ** 795,
+    -1.7976931348623157e308])
+def test_fixed_point_rounds_exactly(value, bits):
+    # the nearest int to value 2^bits, ties to even, for every finite
+    # float; from 2^(1024 - bits) on, value 2^bits passes the float range
+    assert eig_mod._fixed(value, bits) == round(Fraction(value) * 2 ** bits)
+
+
+@pytest.mark.parametrize("omega_1,omega_2,g_1,g_2,parity,n_max,count,level,"
+                         "bound", [
+    (1.065559906280724, 0.7, 4.716664822840003e-228,
+     -6.892877359291515e-229, Parity.ODD, 21, 4, 0, 1e-70),
+    (0.0, 0.0, 0.0, 2.2e-34, Parity.ODD, 20, 2, 1, 1e-60),
+    (0.0, 0.0, 0.0, 6.898056406907243e-47, Parity.EVEN, 3, 1, 0, 1e-55)])
+def test_refiner_scale_keeps_offsets_below_the_tolerance(
+        omega_1, omega_2, g_1, g_2, parity, n_max, count, level, bound):
+    # g^2 below the refiner's tolerance: the levels lie about g^2 off the
+    # diagonal and the vectors' off-diagonal entries are about g.  The
+    # scale gains the bits of 1 / g^2, so the refined pair keeps them and
+    # seeds a recurrence that holds (2.0e-76, 6.8e-68, 7.8e-62); at
+    # 2^-FRACTION_BITS alone the first run raises OverflowDetected (a zero
+    # seed block), and the others hold only to 1.3e-36 and about g
+    params = ModelParams(omega_1, omega_2, g_1, g_2)
+    states = eigenstate_recurrences(params, parity, count, n_max)
+    assert len(states) == count
+    assert residual(params, parity, states[level]) <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -563,10 +589,7 @@ def _check_stopped_run(params, parity, xi, seed, n_max):
     if stop < n_max:
         with mp.workdps(eig_mod.DPS):
             norms = [b[0] ** 2 + b[1] ** 2 for b in whole[stop - 1:]]
-        # the cut lies before the stop block unless the block before the
-        # stop is zero (the first least positive block is then the stop's)
-        assert cut < stop or not any(whole[stop - 1])
-        assert norms[0] <= norms[1]
+        assert cut < stop and norms[0] <= norms[1]
         assert all(lo <= hi for lo, hi in zip(norms[1:], norms[2:]))
 
 
@@ -606,10 +629,15 @@ def _check_stopped_run(params, parity, xi, seed, n_max):
          parity=Parity.EVEN, n_max=2, level=1.0, offset=0.0)
 @example(omega_1=0.0, omega_2=0.0, g_1=0.5, g_2=0.5, parity=Parity.EVEN,
          n_max=30, level=0.5, offset=0.0)
-# g^2 below 2^-FRACTION_BITS: the refined xi is exactly the photon-0
-# diagonal, so block 1 is zero and the run stops on its cut, block 2
+# g^2 below the refiner's tolerance: the refined xi lies 4.8e-93 below
+# the photon-0 diagonal, which a scale of 2^-FRACTION_BITS would round
+# away, leaving block 1 zero
 @example(omega_1=0.0, omega_2=0.0, g_1=0.0, g_2=6.898056406907243e-47,
          parity=Parity.EVEN, n_max=3, level=0.0, offset=0.0)
+# the float seed passes the refiner's test: xi is the photon-0 diagonal
+# entry -1/2 to the last bit, block 1 is zero, and the cut falls on it
+@example(omega_1=0.0, omega_2=1.0, g_1=1e-32, g_2=0.0, parity=Parity.EVEN,
+         n_max=3, level=0.0, offset=0.0)
 def test_raw_tuple_kernels_match_mpf_oracle(omega_1, omega_2, g_1, g_2,
                                             parity, n_max, level, offset):
     params = ModelParams(omega_1, omega_2, g_1, g_2)
@@ -708,12 +736,14 @@ def test_mp_tables_match_the_mpf_operators(omega_1, omega_2, g_1, g_2,
                 for d0, d1 in mp_chain_diagonal(params, parity, n_max)]
     assert list(eig_mod._diagonal_table(params, parity, n_max, prec,
                                         rnd)) == diag
-    rows = fixed_chain_rows(params, parity, n_max)
+    bits = eig_mod._fraction_bits(params,
+                                  _refine_tolerance(params, parity, n_max))
+    rows = fixed_chain_rows(params, parity, n_max, bits)
     fixed_diag = [rows[i][i] for i in range(len(rows))]
-    assert list(eig_mod._fixed_diagonal(params, parity, n_max)) == list(
-        zip(fixed_diag[0::2], fixed_diag[1::2]))
-    assert eig_mod._fixed_coupling_table(params, n_max) == tuple(
-        tuple(fixed_coupling(g, j) for j in range(n_max + 1)) + (0,)
+    assert list(eig_mod._fixed_diagonal(params, parity, n_max, bits)) == (
+        list(zip(fixed_diag[0::2], fixed_diag[1::2])))
+    assert eig_mod._fixed_coupling_table(params, n_max, bits) == tuple(
+        tuple(fixed_coupling(g, j, bits) for j in range(n_max + 1)) + (0,)
         for g in (g_1, g_2))
 
 
