@@ -12,58 +12,55 @@ Both recurrences are dominated by growing solutions, so they serve as
 verification and structure-exposing tools.  The four-term route takes
 its seed pairs from ``spectra.converged_parity_eigensystem``, the certified
 photon-window route of spectrum sweeps, with no solve or truncation guard
-of its own.  It runs in extended precision (mpmath) because the
-achievable residual is limited by the accuracy of the eigenvalue and seed
-fed to it: a double-precision eigenpair is amplified to ~1e-4 within a
-dozen steps.  ``refine_eigenpair`` sharpens a float eigenpair far past
-double precision by mixed-precision Newton (the iterate and residual in
-fixed point, Python ints at scale 2^-FRACTION_BITS, about DPS +
-GUARD_DIGITS digits, and finer where g^2 lies below its tolerance;
-corrections in float64) so the recurrence can track the decaying
-solution deep into its tail.  Newton runs on leading photon
-windows, widened on the ladder of ``numerics.photon_windows``, and stops
-on the whole chain's test: x is zero past the window, so its residual
-over the window and the photon block past it is the whole chain's.  The
-four-term route works at ``DPS`` decimal digits on raw mpf tuples via
-``mpmath.libmp``, the operations, and so the bits, of the mpf operators,
-from mp tables built once per chain and precision.  The blocks are never
-rescaled (mpf exponents do not overflow), and the recurrence ends one
-block past its cut once a growth bound from the band diagonal proves that
-no later block can be smaller (``_growth_start``), else at n_max: its
-blocks, cut and float state are those of the run to n_max.  Where those
-digits do not hold the decaying solution (deep strong coupling, |g1| near
-|g2|, g^2 below the refiner's tolerance, xi far from the spectrum), a
-state's residual passes ``RECURRENCE_RESIDUAL_TOL``; the route returns
-it, and the CLI flags it.
+of its own.  Its achievable residual is limited by the accuracy of the
+eigenvalue and seed fed to it (a double-precision eigenpair is amplified
+to ~1e-4 within a dozen steps), so both it and ``refine_eigenpair``, which
+sharpens a float eigenpair by mixed-precision Newton, run in one fixed-point
+model: Python ints at scale 2^-bits (``_fraction_bits``: about DPS +
+GUARD_DIGITS digits, finer where g^2 lies below the refiner's tolerance),
+reading the chain matrix from the same cached int tables.  Newton runs on
+leading photon windows, widened on the ladder of
+``numerics.photon_windows``, and stops on the whole chain's test: x is
+zero past the window, so its residual over the window and the photon block
+past it is the whole chain's.  The recurrence solves each row of (H - xi)
+v = 0 for the next block, an exact int sum and one rounded int division
+per entry, so it follows exactly the matrix the refiner converged on.  It
+ends one block past its cut once a growth bound from the band diagonal
+proves that no later block can be smaller (``_growth_start``), else at
+n_max: its blocks, cut and float state are those of the run to n_max.
+Where the scale does not hold the decaying solution (deep strong
+coupling, |g1| near |g2|, g^2 below the refiner's tolerance, xi far from
+the spectrum), a state's residual passes ``RECURRENCE_RESIDUAL_TOL``; the
+route returns it, and the CLI flags it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cmp_to_key, lru_cache, partial
+from fractions import Fraction
+from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
-from mpmath.libmp import (dps_to_prec, from_float, from_int, from_man_exp,
-                          fzero, mpf_add, mpf_cmp, mpf_div, mpf_gt, mpf_mul,
-                          mpf_mul_int, mpf_neg, mpf_sqrt, mpf_sub, mpf_sum,
-                          to_float)
 
 from .errors import (ConfigError, ConvergenceFailure, OverflowDetected,
                      SingularCoupling, StepSingular)
 from .hamiltonian import build_parity_band
 from .model import ModelParams, Parity, TruncationConfig, basis_table
-from .numerics import WINDOW_GROWTH, band_matvec, band_norm, general_band
+from .numerics import (band_matvec, band_norm, general_band,
+                       next_photon_window)
 from .spectra import converged_parity_eigensystem
 
-# decimal digits of the mp recurrences and of the refined eigenpairs
+# decimal digits of the refined eigenpairs, and so of the fixed-point scale
 DPS = 60
 OVERFLOW_LIMIT = 1e300
-# slack of the recurrence's growth bound past its float and mp rounding
+# slack of the recurrence's growth bound past its float rounding
 GROWTH_MARGIN = 1e-9
+# a squared block norm, in units of the scale, past which the half-unit
+# rounding of a step cannot undo a growth of GROWTH_MARGIN
+_GROWTH_FLOOR = 1 / (2 * GROWTH_MARGIN ** 2)
 # a recurrence state whose relative residual ||(H - xi) v|| / ||v|| passes
-# this is not an eigenstate: DPS digits did not hold the decaying solution
+# this is not an eigenstate: the scale did not hold the decaying solution
 RECURRENCE_RESIDUAL_TOL = 1e-6
 
 
@@ -76,13 +73,13 @@ class RecurrenceState:
     """Candidate eigenstate from the four-term recurrence.
 
     v is the flattened parity-chain vector of the given parity at energy
-    xi, normalized; blocks past cut_index are zeroed (the recurrence tail is
-    dominated by the growing solution beyond the minimum-norm block).
-    cut_index is the first block of least norm over the run to n_max,
-    though the run may end one block past it, where its growth bound shows
-    that no later block can be smaller.
-    refine_residual is the residual ||(H - xi) x||_2 of the refined pair
-    behind the seed, if there was one.
+    xi (the float nearest the xi the recurrence ran at), normalized; blocks
+    past cut_index are zeroed (the recurrence tail is dominated by the
+    growing solution beyond the minimum-norm block).  cut_index is the
+    first block of least norm over the run to n_max, though the run may
+    end one block past it, where its growth bound shows that no later block
+    can be smaller.  refine_residual is the residual ||(H - xi) x||_2 of
+    the refined pair behind the seed, if there was one.
     """
 
     parity: Parity
@@ -100,49 +97,8 @@ def _check_couplings(params: ModelParams):
             "use the dense eigensolver for this case")
 
 
-@lru_cache(maxsize=8)
-def _diagonal_table(params: ModelParams, parity: Parity, n_max: int,
-                    prec: int, rnd: str):
-    """Raw mpf diagonal blocks (d0, d1) of photon levels 0..n_max of one
-    chain at (prec, rnd): d = n + (s1 w1 + s2 w2) / 2 by the calls the mpf
-    operators make (mpf_mul_int, mpf_add, mpf_div by from_int(2), mpf_add
-    of from_int(n)), the qubit term formed once per pair of signs."""
-    w1, w2 = from_float(params.omega_1), from_float(params.omega_2)
-    two, qubit = from_int(2), {}
-    table = basis_table(TruncationConfig(max(n_max, 1)))
-    diag = []
-    for n, s1, s2 in zip(table.photon[parity].tolist(),
-                         table.sz1[parity].tolist(),
-                         table.sz2[parity].tolist()):
-        if (s1, s2) not in qubit:
-            qubit[s1, s2] = mpf_div(mpf_add(mpf_mul_int(w1, s1, prec, rnd),
-                                            mpf_mul_int(w2, s2, prec, rnd),
-                                            prec, rnd), two, prec, rnd)
-        diag.append(mpf_add(qubit[s1, s2], from_int(n), prec, rnd))
-    return tuple(zip(diag[0::2], diag[1::2]))[:n_max + 1]
-
-
-@lru_cache(maxsize=4)
-def _step_tables(params: ModelParams, n_max: int, prec: int):
-    """Raw mpf factors of the four-term recurrence, the same for both
-    parities, each formed once by the mpf operators at prec bits: per step
-    j = 1..n_max, 1 / (sqrt(j) det) and sqrt((j - 1) / j), det = g1^2 -
-    g2^2 (no steps when det vanishes); and (g1, g2, -g2)."""
-    with mp.workprec(prec):
-        g1, g2 = mp.mpf(params.g_1), mp.mpf(params.g_2)
-        det = g1 * g1 - g2 * g2
-        step = tuple(((1 / (mp.sqrt(j) * det))._mpf_,
-                      mp.sqrt(mp.mpf(j - 1) / j)._mpf_)
-                     for j in range(1, n_max + 1)) if det else ()
-        return step, (g1._mpf_, g2._mpf_, (-g2)._mpf_)
-
-
-# sort key of raw mpf tuples by value
-_MPF_ORDER = cmp_to_key(mpf_cmp)
-
-
-def _growth_start(params: ModelParams, parity: Parity, xi: float, n_max: int,
-                  prec: int) -> int:
+def _growth_start(params: ModelParams, band: np.ndarray, xi: float,
+                  n_max: int) -> int:
     """First block i past which every step of the four-term recurrence
     grows the block norm (n_max where the last step does not).
 
@@ -152,13 +108,17 @@ def _growth_start(params: ModelParams, parity: Parity, xi: float, n_max: int,
     sigma_min(f_j G D_j) >= a_j = min |d - xi| / (sqrt(j) (|g1| + |g2|)),
     and ||v_j|| >= (a_j - s_j) ||v_{j-1}|| wherever ||v_{j-2}|| <=
     ||v_{j-1}||.  Every step past i has a_j - s_j >= 1 + GROWTH_MARGIN,
-    a_j taken in floats from the band diagonal and lowered by the float
-    error of |d - xi| and by the mp rounding of the step (2^-prec of its
-    largest term, cond(G) cond(D_j) times a_j); then once a block past i is
-    larger than the one before it, every later block is larger still.
+    a_j taken in floats from the band diagonal, lowered by the float error
+    of |d - xi| and by 16 eps relative.  Those 16 eps also hold the int
+    tables' rounding of H and xi to 2^-bits, which moves a_j and s_j by
+    about cond(G) 2^-bits / |g| relative, below 1e-22 (bits >= 229, |g| >
+    3e-32 unless bits gain those of 1 / g^2, and cond(G) < 2e14 past
+    ``_check_couplings``).  Each step rounds each entry by at most half a
+    unit of the scale, so once a block past i is larger than the one
+    before it and its squared norm passes 1 / (2 GROWTH_MARGIN^2) units,
+    every later block is larger still.
     """
     g1, g2 = abs(params.g_1), abs(params.g_2)
-    band = build_parity_band(params, parity, TruncationConfig(max(n_max, 1)))
     diag = band[0, :2 * n_max].reshape(n_max, 2)
     j = np.arange(1, n_max + 1)
     eps = np.finfo(float).eps
@@ -167,89 +127,73 @@ def _growth_start(params: ModelParams, parity: Parity, xi: float, n_max: int,
         dist = np.abs(diag - xi)
         err = 4 * eps * (np.abs(diag).max(axis=1) + abs(xi)
                          + abs(params.omega_1) + abs(params.omega_2))
-        low, high = dist.min(axis=1) - err, dist.max(axis=1) + err
-        cond = (g1 + g2) / abs(g1 - g2) * high / low
-        a = low / (np.sqrt(j) * (g1 + g2))
-        grows = (a * (1 - 16 * eps - np.ldexp(cond, 8 - prec))
-                 - np.sqrt((j - 1) / j) >= 1 + GROWTH_MARGIN)
+        a = (dist.min(axis=1) - err) / (np.sqrt(j) * (g1 + g2))
+        grows = (a * (1 - 16 * eps) - np.sqrt((j - 1) / j)
+                 >= 1 + GROWTH_MARGIN)
     fails = np.flatnonzero(~grows)
     return int(fails[-1]) + 1 if len(fails) else 0
 
 
 def _recurrence_blocks_mp(params: ModelParams, parity: Parity, xi, v0,
                           n_max: int):
-    """Raw mp blocks of the four-term recurrence, up to the block past
+    """Fixed-point blocks of the four-term recurrence, up to the block past
     which no block can be smaller.
 
-    Returns (blocks, squares): the raw mpf pairs of blocks 0..i and their
-    squared norms b0^2 + b1^2.  The run stops after the first block i at
-    or past ``_growth_start`` whose squared norm is above block i - 1's:
-    every later block is then larger than block i, so the first least
-    block of the run to n_max, the cut, is among blocks 0..i - 1.  Nothing
-    rescales the blocks (mpf exponents do not overflow), so they are bit
-    for bit the leading blocks of the run to n_max, and the cut and the
-    float state v of ``_cut_normalize`` are that run's.  Where the bound
-    allows no stop, the run goes to n_max.
-
-    Each step is the mpf operators' arithmetic at the context's (prec,
-    rounding), done on raw mpf tuples.  |g1| = |g2| raises
-    SingularCoupling.
+    Returns (blocks, squares): the int pairs of blocks 0..i at the
+    refiner's scale 2^-bits, xi and v0 entering as the nearest ints, and
+    their exact squared norms.  Block j solves row j - 1 of (H - xi) v = 0
+    on the refiner's tables: an exact int sum over blocks j - 2 and j - 1,
+    then one rounded int division per entry by the coupling block [[a, b],
+    [b, a]] of O_j.  The run stops after the first block i at or past
+    ``_growth_start`` whose squared norm is above block i - 1's and above
+    1 / (2 GROWTH_MARGIN^2): every later block is then larger, so the cut,
+    the first least block of the run to n_max, is among blocks 0..i - 1,
+    and the cut and float state of ``_cut_normalize`` are that run's.
+    Where the bound allows no stop, the run goes to n_max.  |g1| = |g2|
+    raises SingularCoupling.
     """
     _check_couplings(params)
-    prec, rnd = mp.mp._prec_rounding
-    diag = _diagonal_table(params, parity, n_max, prec, rnd)
-    steps, (g1, g2, ng2) = _step_tables(params, n_max, prec)
-    mul, add, sub = (partial(op, prec=prec, rnd=rnd)
-                     for op in (mpf_mul, mpf_add, mpf_sub))
-
-    def square(block):
-        return add(mul(block[0], block[0]), mul(block[1], block[1]))
-
-    xi, v = mp.mpf(xi)._mpf_, [tuple(mp.mpf(c)._mpf_ for c in v0[:2])]
-    start = _growth_start(params, parity, to_float(xi), n_max, prec)
-    squares = [square(v[0])]
+    band = build_parity_band(params, parity, TruncationConfig(n_max))
+    bits = _fraction_bits(params, _newton_tolerance(band_norm(band)))
+    diag = _fixed_diagonal(params, parity, n_max, bits)
+    a, b = _fixed_coupling_table(params, n_max, bits)
+    xi = _fixed(xi, bits)
+    start = _growth_start(params, band, xi / (1 << bits), n_max)
+    p, q = (_fixed(c, bits) for c in v0[:2])
+    blocks, squares, pl, ql = [(p, q)], [p * p + q * q], 0, 0
     for j in range(1, n_max + 1):
-        (d0, d1), (f, s) = diag[j - 1], steps[j - 1]
-        (w0, w1), dp, dm = v[j - 1], sub(d0, xi), sub(d1, xi)
-        nxt0 = mpf_neg(mul(f, sub(mul(mul(g1, dp), w0),
-                                  mul(mul(g2, dm), w1))), prec, rnd)
-        nxt1 = mpf_neg(mul(f, add(mul(mul(ng2, dp), w0),
-                                  mul(mul(g1, dm), w1))), prec, rnd)
-        if j >= 2:
-            u0, u1 = v[j - 2]
-            nxt0, nxt1 = sub(nxt0, mul(s, u0)), sub(nxt1, mul(s, u1))
-        v.append((nxt0, nxt1))
-        squares.append(square(v[j]))
-        if j >= start and mpf_gt(squares[j], squares[j - 1]):
+        (d0, d1), al, bl, ah, bh = diag[j - 1], a[j - 1], b[j - 1], a[j], b[j]
+        r0 = (xi - d0) * p - al * pl - bl * ql
+        r1 = (xi - d1) * q - bl * pl - al * ql
+        det = ah * ah - bh * bh
+        pl, ql, p, q = (p, q, _nearest(ah * r0 - bh * r1, det),
+                        _nearest(ah * r1 - bh * r0, det))
+        blocks.append((p, q))
+        squares.append(p * p + q * q)
+        if j >= start and squares[j] > max(squares[j - 1], _GROWTH_FLOOR):
             break
-    return v, squares
+    return blocks, squares
 
 
 def _cut_normalize(parity: Parity, xi, blocks, squares,
                    n_max: int) -> RecurrenceState:
     """Zero the growing tail past the minimum-norm block and normalize.
 
-    blocks and squares are the raw mpf pairs and squared norms of
-    ``_recurrence_blocks_mp``.  The cut is the first block of least
-    squared norm, a zero block included (where xi is a photon-0 diagonal
-    entry to the last bit and the seed's other component is zero, block 1
-    is zero and the state is the seed block alone); one square root gives
-    the norm of the kept prefix.  Normalization happens in mp arithmetic
-    first: the unscaled blocks may lie far outside the double-precision
-    exponent range even though their shape is perfectly finite.
+    blocks and squares are those of ``_recurrence_blocks_mp``.  The cut is
+    the first block of least squared norm, a zero block included (where xi
+    is a photon-0 diagonal entry to the last bit and the seed's other
+    component is zero, block 1 is zero and the state is the seed block
+    alone).  Each kept entry over the kept prefix's norm, math.isqrt of its
+    exact squared norm, is one int / int division rounded once to a float,
+    though the blocks may lie far outside the float range.
     """
-    with mp.workdps(DPS):
-        prec, rnd = mp.mp._prec_rounding
-        # a zero seed block makes every block zero
-        if squares[0] == fzero:
-            raise OverflowDetected("recurrence produced a null vector")
-        cut = min(range(len(squares)), key=lambda i: _MPF_ORDER(squares[i]))
-        prefix_norm = mpf_sqrt(mpf_sum(squares[:cut + 1], prec, rnd), prec,
-                               rnd)
-        out = np.zeros((n_max + 1, 2))
-        out[:cut + 1] = [[to_float(mpf_div(b, prefix_norm, prec, rnd),
-                                   rnd=rnd) for b in block]
-                         for block in blocks[:cut + 1]]
+    # a zero seed block makes every block zero
+    if not squares[0]:
+        raise OverflowDetected("recurrence produced a null vector")
+    cut = squares.index(min(squares))
+    root = math.isqrt(sum(squares[:cut + 1]))
+    out = np.zeros((n_max + 1, 2))
+    out[:cut + 1] = [[c / root for c in block] for block in blocks[:cut + 1]]
     flat = out.ravel()
     return RecurrenceState(parity, float(xi),
                            flat / float(np.linalg.norm(flat)), cut)
@@ -259,17 +203,16 @@ def recurrence_eigenstate_la(params: ModelParams, parity: Parity, xi, v0,
                              n_max: int) -> RecurrenceState:
     """Run the four-term recurrence from seed block v0 at energy xi.
 
-    xi and the two components of v0 may be floats or mpmath values; the
-    iteration runs at DPS decimal digits, and ends one block past its cut
-    where the growth bound of ``_growth_start`` allows it.
-    The residual of the result is limited by the accuracy of (xi, v0):
-    feed values from refine_eigenpair to resolve the decaying solution
-    below double precision.  A seed block that is zero in mp gives the
-    null vector, and raises OverflowDetected.
+    xi and the two components of v0 may be floats or exact rationals
+    (anything with ``as_integer_ratio``, such as the Fractions of
+    ``refine_eigenpair``); each enters as the nearest int at the refiner's
+    scale.  The iteration ends one block past its cut where the growth
+    bound of ``_growth_start`` allows it.  The residual of the result is
+    limited by the accuracy of (xi, v0): feed the pair of refine_eigenpair
+    to resolve the decaying solution below double precision.  A seed block
+    that rounds to zero raises OverflowDetected.
     """
-    with mp.workdps(DPS):
-        blocks, squares = _recurrence_blocks_mp(params, parity, xi, v0,
-                                                n_max)
+    blocks, squares = _recurrence_blocks_mp(params, parity, xi, v0, n_max)
     return _cut_normalize(parity, xi, blocks, squares, n_max)
 
 
@@ -302,14 +245,20 @@ def residual(params: ModelParams, parity: Parity,
 # above the rounding floor of the residual
 NEWTON_STEPS = 16
 GUARD_DIGITS = 3
-# the refiner's iterate and tables are ints at scale 2^-FRACTION_BITS: the
-# bits of DPS + GUARD_DIGITS digits and 16 more, so that rounding an entry
-# or an update to that scale sits far below the stopping tolerance
-FRACTION_BITS = dps_to_prec(DPS + GUARD_DIGITS) + 16
+# the refiner's iterate, the recurrence's blocks and their tables are ints
+# at scale 2^-FRACTION_BITS: the bits of DPS + GUARD_DIGITS digits and 16
+# more, so that rounding an entry or an update to that scale sits far
+# below the stopping tolerance
+FRACTION_BITS = math.ceil((DPS + GUARD_DIGITS + 1) * math.log2(10)) + 16
+
+
+def _newton_tolerance(hnorm: float) -> float:
+    """The refiner's stopping tolerance ||H|| 10^-(DPS + GUARD_DIGITS)."""
+    return hnorm * 10.0 ** -(DPS + GUARD_DIGITS)
 
 
 def _fraction_bits(params: ModelParams, tol: float) -> int:
-    """The refiner's binary scale: FRACTION_BITS, and where g^2 = max(g1^2,
+    """The fixed-point scale: FRACTION_BITS, and where g^2 = max(g1^2,
     g2^2) lies below tol, the bits of 1 / g^2 more.  The levels then sit
     about g^2 off the diagonal and the eigenvector's other entries are
     about g, which a scale of 2^-FRACTION_BITS alone would round to the
@@ -322,21 +271,26 @@ def _fraction_bits(params: ModelParams, tol: float) -> int:
 
 
 def _nearest(num: int, den: int) -> int:
-    """The int nearest num / den (den > 0), ties to even."""
+    """The int nearest num / den (den nonzero), ties to even."""
+    if den < 0:
+        num, den = -num, -den
     q, r = divmod(num, den)
     if 2 * r > den or (2 * r == den and q & 1):
         q += 1
     return q
 
 
-def _fixed(value: float, bits: int) -> int:
+def _fixed(value, bits: int) -> int:
     """The int nearest value 2^bits, ties to even, exactly for every finite
-    float; OverflowError or ValueError if value is not."""
-    try:
-        return round(math.ldexp(value, bits))
-    except OverflowError:       # value 2^bits is past the float range
-        num, den = value.as_integer_ratio()
-        return _nearest(num << bits, den)
+    float and every rational with ``as_integer_ratio``; OverflowError or
+    ValueError if value is not finite."""
+    if type(value) is float:
+        try:
+            return round(math.ldexp(value, bits))
+        except OverflowError:   # value 2^bits is past the float range
+            pass
+    num, den = value.as_integer_ratio()
+    return _nearest(num << bits, den)
 
 
 @lru_cache(maxsize=8)
@@ -397,11 +351,6 @@ def _fixed_residual(tables, xi: int, x: list, bits: int) -> list:
     return [r / scale for r in out]
 
 
-def _to_mpf(value: int, bits: int):
-    """The mpf of value 2^-bits, exactly."""
-    return mp.make_mpf(from_man_exp(value, -bits))
-
-
 def _band_lu(band: np.ndarray, shift: float, tiny: float):
     """LU with partial pivoting of H - shift, band[d, c] = H[c + d, c].
 
@@ -449,12 +398,6 @@ def _band_solve(factors, rhs: np.ndarray) -> np.ndarray:
     return np.array(y)
 
 
-def _wider_window(n_window: int, n_max: int) -> int:
-    """The next photon window of the ladder from n_window, capped at the
-    chain."""
-    return min(int(WINDOW_GROWTH * n_window) + 1, n_max)
-
-
 def _newton_window(held: int, n_max: int, rows: int = 0) -> int:
     """The photon window refine_eigenpair starts on for a seed of held
     rows: the leading window that holds them, or the whole chain when they
@@ -462,7 +405,7 @@ def _newton_window(held: int, n_max: int, rows: int = 0) -> int:
     holds rows rows."""
     n_window = (held - 1) // 2 if held <= n_max + 1 else n_max
     while 2 * (n_window + 1) < rows:
-        n_window = _wider_window(n_window, n_max)
+        n_window = min(next_photon_window(n_window), n_max)
     return n_window
 
 
@@ -485,7 +428,8 @@ def _frozen_jacobian(band: np.ndarray, x0: np.ndarray, xi0: float,
 
 def refine_eigenpair(params: ModelParams, parity: Parity, xi0: float,
                      vec0: np.ndarray, n_max: int):
-    """Sharpen a float eigenpair of the chain matrix to mp precision.
+    """Sharpen a float eigenpair of the chain matrix far past double
+    precision.
 
     Newton on F(x, xi) = [(H - xi) x; (x^T x - 1)/2] with the Jacobian
     frozen at the start (Dongarra, Moler & Wilkinson, SIAM J. Numer. Anal.
@@ -508,24 +452,23 @@ def refine_eigenpair(params: ModelParams, parity: Parity, xi0: float,
     photon block more: F over those rows is F over the whole chain, and
     the stopping test below is the whole chain's.  After a Newton step
     whose residual on that edge block alone exceeds tol, the window widens
-    by ``WINDOW_GROWTH`` (the ladder of ``numerics.photon_windows``, whose
-    last rung is the whole chain), the LU is redone on it and x is
-    zero-padded.
+    to the next rung of the ladder of ``numerics.photon_windows`` (capped
+    at the whole chain), the LU is redone on it and x is zero-padded.
 
-    The iterate (xi, x) is held as Python ints at scale 2^-bits, bits from
-    ``_fraction_bits`` (FRACTION_BITS, more where g^2 lies below tol), as
-    are the chain's cached ``_fixed_diagonal`` and the
-    ``_fixed_coupling_table`` both parities share: the seeds and each float
-    correction enter as the nearest int (exact for every finite float down
-    to that scale), and each row of (H - xi) x, and 1 - x^T x, is an exact
-    int sum rounded once to a float.  No mpmath call runs in the loop.
+    The iterate (xi, x) is held as Python ints at scale 2^-bits
+    (``_fraction_bits``), as are the tables it shares with the four-term
+    recurrence, ``_fixed_diagonal`` and ``_fixed_coupling_table``: the
+    seeds and each float correction enter as the nearest int, and each row
+    of (H - xi) x, and 1 - x^T x, is an exact int sum rounded once to a
+    float.
 
     Returns (xi, x, residual), xi and the list x over the whole chain as
-    mpf, exactly the fixed-point iterate (exact zeros past the window),
-    once residual = ||(H - xi) x||_2 and ||H|| |x^T x - 1| / 2 are at most
-    tol = ||H||_inf 10^-(DPS + GUARD_DIGITS), ||H|| the whole chain's;
-    raises ConvergenceFailure, with the residual reached, if NEWTON_STEPS
-    steps do not get there or the iteration leaves the float range.
+    Fractions, exactly the fixed-point iterate (exact zeros past the
+    window), once residual = ||(H - xi) x||_2 and ||H|| |x^T x - 1| / 2 are
+    at most tol = ||H||_inf 10^-(DPS + GUARD_DIGITS), ||H|| the whole
+    chain's; raises ConvergenceFailure, with the residual reached, if
+    NEWTON_STEPS steps do not get there or the iteration leaves the float
+    range.
     """
     trunc = TruncationConfig(n_max)
     dim, held = trunc.chain_dim, len(vec0)
@@ -538,7 +481,7 @@ def refine_eigenpair(params: ModelParams, parity: Parity, xi0: float,
     rows = 2 * (n_window + 1)
     seed = x0[:rows]
     factors, xw, u = _frozen_jacobian(band[:, :rows], seed, xi0, hnorm)
-    tol = hnorm * 10.0 ** -(DPS + GUARD_DIGITS)
+    tol = _newton_tolerance(hnorm)
     bits = _fraction_bits(params, tol)
     tables = (_fixed_diagonal(params, parity, n_max, bits),
               *_fixed_coupling_table(params, n_max, bits))
@@ -558,12 +501,13 @@ def refine_eigenpair(params: ModelParams, parity: Parity, xi0: float,
             break
         res = math.hypot(*f)
         if res <= tol and abs(h) * hnorm <= tol:
-            return (_to_mpf(xi, bits), [_to_mpf(c, bits) for c in x]
-                    + [mp.mpf(0)] * (dim - rows), res)
+            scale = 1 << bits
+            return (Fraction(xi, scale), [Fraction(c, scale) for c in x]
+                    + [Fraction(0)] * (dim - rows), res)
         if step == NEWTON_STEPS or not math.isfinite(res + h):
             break
         if step and math.hypot(*f[rows:]) > tol:
-            n_window = _wider_window(n_window, n_max)
+            n_window = min(next_photon_window(n_window), n_max)
             rows = 2 * (n_window + 1)
             seed = x0[:rows]
             factors, xw, u = _frozen_jacobian(band[:, :rows], seed, xi0,
@@ -611,8 +555,7 @@ def eigenstate_recurrences(params: ModelParams, parity: Parity, count: int,
         xi, x, res = refine_eigenpair(params, parity, xi0, seed, n_max)
         nonzero = next(i for i in range(len(x), 0, -1) if x[i - 1])
         rows = 2 * (_newton_window(len(vec0), n_max, nonzero) + 1)
-        state = recurrence_eigenstate_la(params, parity, xi, (x[0], x[1]),
-                                         n_max)
+        state = recurrence_eigenstate_la(params, parity, xi, x[:2], n_max)
         states.append(replace(state, refine_residual=res))
     return states
 

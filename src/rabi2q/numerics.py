@@ -66,6 +66,12 @@ def expand_dense(band: np.ndarray) -> np.ndarray:
     return h
 
 
+def next_photon_window(n_window: int) -> int:
+    """The photon window after 0..n_window on the ladder: WINDOW_GROWTH
+    times as wide, and at least one photon wider."""
+    return int(WINDOW_GROWTH * n_window) + 1
+
+
 def photon_windows(band: np.ndarray, n_start: int, max_rows: int):
     """Dense ``eigh`` of the leading photon windows 0..n_w of a chain band.
 
@@ -79,7 +85,7 @@ def photon_windows(band: np.ndarray, n_start: int, max_rows: int):
     while 2 * (n_window + 1) <= max_rows:
         rows = 2 * (n_window + 1)
         yield rows, eigh(expand_dense(band[:, :rows]))
-        n_window = int(WINDOW_GROWTH * n_window) + 1
+        n_window = next_photon_window(n_window)
 
 
 def band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -11,7 +11,6 @@ from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import from_man_exp
 
 from rabi2q import eigenstates as eig
 from rabi2q.dynamics import QuarticCoefficients
@@ -295,8 +294,16 @@ def bargmann_chain_reference(coeffs, n_max):
             float(other / math.hypot(own, other)), cut)
 
 
+def to_mpf(value):
+    """The mpf of a float or an exact rational, at the context's
+    precision."""
+    num, den = value.as_integer_ratio()
+    return mp.mpf(num) / den
+
+
 def mp_chain_residual(params, parity, xi, x, n_max, dps=90):
-    """||(H - xi) x||_2 from the matrix elements, in dps-digit mp.
+    """||(H - xi) x||_2 from the matrix elements, in dps-digit mp; xi and
+    x are floats or exact rationals.
 
     Diagonal n + (sz1 omega_1 + sz2 omega_2)/2, and the block
     sqrt(j) [[g1, g2], [g2, g1]] between photon numbers j - 1 and j.
@@ -305,6 +312,7 @@ def mp_chain_residual(params, parity, xi, x, n_max, dps=90):
     with mp.workdps(dps):
         w1, w2, g1, g2 = (mp.mpf(v) for v in (
             params.omega_1, params.omega_2, params.g_1, params.g_2))
+        xi, x = to_mpf(xi), [to_mpf(c) for c in x]
         total = mp.mpf(0)
         for i in range(len(x)):
             row = ((int(table.photon[parity][i])
@@ -317,70 +325,6 @@ def mp_chain_residual(params, parity, xi, x, n_max, dps=90):
                                                  + g2 * x[2 * m + 1 - k])
             total += row * row
         return mp.sqrt(total)
-
-
-# ---------------------------------------------------------------------------
-# four-term recurrence on mpf objects
-# ---------------------------------------------------------------------------
-# The package runs it on raw mpf tuples; this is the same computation
-# written with the mpf operators, so the two must agree bit for bit in
-# every _mpf_ tuple.
-
-def mp_chain_diagonal(params, parity, n_max):
-    """Diagonal blocks [d0, d1] of photon levels 0..n_max, in mpf."""
-    w1, w2 = mp.mpf(params.omega_1), mp.mpf(params.omega_2)
-    table = basis_table(TruncationConfig(max(n_max, 1)))
-    diag = [n + (s1 * w1 + s2 * w2) / 2
-            for n, s1, s2 in zip(table.photon[parity].tolist(),
-                                 table.sz1[parity].tolist(),
-                                 table.sz2[parity].tolist())]
-    return [diag[2 * j:2 * j + 2] for j in range(n_max + 1)]
-
-
-def recurrence_blocks_reference(params, parity, xi, v0, n_max):
-    """eigenstates._recurrence_blocks_mp with mpf objects, at the caller's
-    mp precision, run to n_max without its stop (no rescale: mpf exponents
-    do not overflow)."""
-    d = mp_chain_diagonal(params, parity, n_max)
-    g1, g2 = mp.mpf(params.g_1), mp.mpf(params.g_2)
-    det = g1 * g1 - g2 * g2
-    xi = mp.mpf(xi)
-    v = [[mp.mpf(v0[0]), mp.mpf(v0[1])]]
-
-    def step(j, w):
-        dp = d[j - 1][0] - xi
-        dm = d[j - 1][1] - xi
-        f = 1 / (mp.sqrt(j) * det)
-        return [-(f * (g1 * dp * w[0] - g2 * dm * w[1])),
-                -(f * (-g2 * dp * w[0] + g1 * dm * w[1]))]
-
-    for j in range(1, n_max + 1):
-        nxt = step(j, v[j - 1])
-        if j >= 2:
-            s = mp.sqrt(mp.mpf(j - 1) / j)
-            nxt[0] -= s * v[j - 2][0]
-            nxt[1] -= s * v[j - 2][1]
-        v.append(nxt)
-    return v
-
-
-def cut_normalize_reference(blocks, n_max):
-    """(v, cut_index) of eigenstates._cut_normalize with mpf objects: the
-    cut at the first block of least norm sqrt(b0^2 + b1^2), and the kept
-    prefix divided by its mp norm before the float conversion."""
-    with mp.workdps(eig.DPS):
-        norms = [mp.sqrt(b[0] ** 2 + b[1] ** 2) for b in blocks]
-        if not any(norms):
-            raise OverflowDetected("recurrence produced a null vector")
-        cut = min(range(len(norms)), key=lambda i: norms[i])
-        prefix = mp.sqrt(mp.fsum(b[0] ** 2 + b[1] ** 2
-                                 for b in blocks[:cut + 1]))
-        out = np.zeros((n_max + 1, 2))
-        for j in range(cut + 1):
-            out[j] = [float(blocks[j][0] / prefix),
-                      float(blocks[j][1] / prefix)]
-    flat = out.ravel()
-    return flat / np.linalg.norm(flat), cut
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +377,8 @@ def refine_eigenpair_reference(params, parity, xi0, vec0, n_max):
     """eigenstates.refine_eigenpair on the whole chain, on exact integers:
     xi and x at scale 2^-F, rounded to it after each update; each row of
     -(H - xi) x, and (1 - x^T x) / 2, summed exactly and rounded once to a
-    float through a Fraction.  The float side (band LU and its shift,
-    solves, sums) is the package's own."""
+    float through a Fraction.  Returns xi and x as Fractions.  The float
+    side (band LU and its shift, solves, sums) is the package's own."""
     band = build_parity_band(params, parity, TruncationConfig(n_max))
     x0 = np.asarray(vec0, dtype=float)
     hnorm = band_norm(band)
@@ -457,8 +401,8 @@ def refine_eigenpair_reference(params, parity, xi0, vec0, n_max):
             break
         res = math.hypot(*f)
         if res <= tol and abs(h) * hnorm <= tol:
-            return (mp.make_mpf(from_man_exp(xi, -bits)),
-                    [mp.make_mpf(from_man_exp(c, -bits)) for c in x], res)
+            return (Fraction(xi, scale), [Fraction(c, scale) for c in x],
+                    res)
         if step == eig.NEWTON_STEPS or not math.isfinite(res + h):
             break
         c = math.fsum(x0 * f)
@@ -473,6 +417,69 @@ def refine_eigenpair_reference(params, parity, xi0, vec0, n_max):
     raise ConvergenceFailure(
         f"eigenpair refinement stopped at residual {res:.3e} after "
         f"{step} Newton steps (tolerance {tol:.3e})")
+
+
+# ---------------------------------------------------------------------------
+# four-term recurrence in exact rationals
+# ---------------------------------------------------------------------------
+# The package solves each chain row for the next block on ints, inverting
+# the coupling block by its closed form; this solves the same rows, read
+# from fixed_chain_rows, by Cramer's rule in Fractions and rounds each
+# block to the scale, so the two must agree bit for bit.
+
+def recurrence_bits(params, parity, n_max):
+    """The recurrence's scale: eigenstates._fraction_bits at the refiner's
+    tolerance ||H||_inf 10^-(DPS + GUARD_DIGITS) of the chain."""
+    band = build_parity_band(params, parity, TruncationConfig(n_max))
+    return eig._fraction_bits(
+        params, band_norm(band) * 10.0 ** -(eig.DPS + eig.GUARD_DIGITS))
+
+
+def recurrence_blocks_reference(params, parity, xi, v0, n_max):
+    """eigenstates._recurrence_blocks_mp in exact rationals, run to n_max
+    without its stop.
+
+    xi and the seed block v0 (floats or Fractions) are rounded to the scale
+    2^-F of ``recurrence_bits``.  Block n + 1 solves rows 2n and 2n + 1 of
+    (H - xi) v = 0, H from ``fixed_chain_rows``, exactly, and is rounded to
+    the scale, ties to even.  Returns the blocks as int pairs at the
+    scale.
+    """
+    bits = recurrence_bits(params, parity, n_max)
+    rows = fixed_chain_rows(params, parity, n_max, bits)
+    # in units of the scale: matrix entries and v in 2^-F, row sums in
+    # 2^-2F, so block n + 1 solves M u = -(row sum over blocks n - 1, n)
+    xi = fixed_point(xi, bits)
+    v = [fixed_point(c, bits) for c in v0[:2]]
+    for n in range(n_max):
+        known, coef = [], []
+        for i in (2 * n, 2 * n + 1):
+            known.append(xi * v[i] - sum(val * v[c]
+                                         for c, val in rows[i].items()
+                                         if c < 2 * n + 2))
+            coef.append((rows[i][2 * n + 2], rows[i][2 * n + 3]))
+        (a, b), (c, d) = coef
+        det = a * d - b * c
+        v += [round(Fraction(known[0] * d - b * known[1], det)),
+              round(Fraction(a * known[1] - c * known[0], det))]
+    return list(zip(v[0::2], v[1::2]))
+
+
+def cut_normalize_reference(blocks, n_max):
+    """(v, cut_index) of eigenstates._cut_normalize from int blocks: the
+    cut at the first block of least squared norm, and each kept entry over
+    the integer square root of the kept prefix's squared norm, rounded once
+    to a float through a Fraction."""
+    squares = [p * p + q * q for p, q in blocks]
+    if not any(squares):
+        raise OverflowDetected("recurrence produced a null vector")
+    cut = min(range(len(squares)), key=lambda i: squares[i])
+    root = math.isqrt(sum(squares[:cut + 1]))
+    out = np.zeros((n_max + 1, 2))
+    for j in range(cut + 1):
+        out[j] = [float(Fraction(c, root)) for c in blocks[j]]
+    flat = out.ravel()
+    return flat / np.linalg.norm(flat), cut
 
 
 def quartic_coefficients_from_block(params, n):

@@ -266,11 +266,11 @@ def test_eigenstate_unconverged_levels_exit_3(tmp_path):
 ], ids=["deep-strong-coupling", "near-equal-couplings", "tiny-coupling"])
 def test_eigenstate_loose_recurrence_residual_exits_3(tmp_path, capsys,
                                                        argv):
-    # DPS digits do not hold the decaying solution here (g 3/4: residual
-    # about |xi|; g 1/0.95: each step divides by g1^2 - g2^2; g 0/1e-32:
-    # g^2 lies below the refiner's tolerance, though the refined pairs
-    # hold).  The CSV is still written, and each row past the bound is
-    # named on stderr
+    # the fixed-point scale does not hold the decaying solution here (g 3/4:
+    # residual about |xi|; g 1/0.95: each step divides by g1^2 - g2^2,
+    # 1.8e-6; g 0/1e-32: g^2 lies below the refiner's tolerance, though
+    # the refined pairs hold).  The CSV is still written, and each row past
+    # the bound is named on stderr
     from rabi2q.eigenstates import RECURRENCE_RESIDUAL_TOL
     out = tmp_path / "e.csv"
     assert run(["eigenstate", *argv, "--out", str(out)]) == 3
@@ -295,6 +295,26 @@ def test_readme_eigenstate_csv_is_pinned(tmp_path):
                 "--g1", "0.3", "--g2", "0.4", "--parity", "both",
                 "--count", "10", "--nmax", "200", "--bargmann",
                 "--out", str(out)]) == 0
+    assert (out.read_text().splitlines()[1:]
+            == (GOLDEN / "eigenstate_readme.csv").read_text().splitlines())
+
+
+_NO_MPMATH = """
+import sys
+sys.modules["mpmath"] = None
+from rabi2q.cli import main
+
+assert main(["eigenstate", "--omega1", "1.3", "--omega2", "0.7", "--g1",
+             "0.3", "--g2", "0.4", "--parity", "both", "--count", "10",
+             "--nmax", "200", "--bargmann", "--out", sys.argv[1]]) == 0
+"""
+
+
+def test_readme_eigenstate_runs_without_mpmath(tmp_path):
+    # mpmath is a test dependency only: with its import blocked the README
+    # eigenstate run still writes the pinned CSV
+    out = tmp_path / "states.csv"
+    _run_probe(_NO_MPMATH, str(out))
     assert (out.read_text().splitlines()[1:]
             == (GOLDEN / "eigenstate_readme.csv").read_text().splitlines())
 

@@ -9,7 +9,6 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -34,9 +33,9 @@ from rabi2q.spectra import GUARD_TOL, converged_parity_eigensystem
 
 from oracles import (G_CROSS, bargmann_chain_reference,
                      bargmann_rows_reference, cut_normalize_reference,
-                     fixed_chain_rows, fixed_coupling, mp_chain_diagonal,
-                     mp_chain_residual, recurrence_blocks_reference,
-                     refine_eigenpair_reference)
+                     fixed_chain_rows, fixed_coupling, fixed_point,
+                     mp_chain_residual, recurrence_bits,
+                     recurrence_blocks_reference, refine_eigenpair_reference)
 
 P = ModelParams(1.3, 0.7, 0.3, 0.4)
 NMAX = 200
@@ -88,11 +87,11 @@ def test_singular_coupling_raises():
 
 
 def test_recurrence_kernel_rejects_singular_coupling():
-    # the private kernel checks the couplings itself: with det = 0 it has
-    # no step table to run
+    # the private kernel checks the couplings itself: with g1^2 = g2^2 the
+    # coupling blocks it divides by are singular
     for g_2 in (0.3, -0.3):
         p = ModelParams(1.3, 0.7, 0.3, g_2)
-        with mp.workdps(eig_mod.DPS), pytest.raises(SingularCoupling):
+        with pytest.raises(SingularCoupling):
             eig_mod._recurrence_blocks_mp(p, Parity.EVEN, -1.0, (1.0, 0.0),
                                           50)
 
@@ -238,8 +237,9 @@ def test_recurrences_match_dense_seeded_refinement(omega_1, omega_2, g_1,
         return
     tol = _refine_tolerance(params, parity, n_max)
     # g^2 below the refiner's tolerance: D_0 - xi is known only to that
-    # tolerance, so whether DPS digits follow the decaying solution, and
-    # whether a refined first block comes out zero, is chance for each seed
+    # tolerance, so whether the fixed-point scale follows the decaying
+    # solution, and whether a refined first block comes out zero, is chance
+    # for each seed
     tiny = max(g_1 ** 2, g_2 ** 2) < tol
     if not isinstance(want, list) or not isinstance(states, list):
         assert want is states or (tiny and OverflowDetected in (want, states))
@@ -263,10 +263,9 @@ def test_recurrences_match_dense_seeded_refinement(omega_1, omega_2, g_1,
                 _attempt(refine_eigenpair_reference, params, parity,
                          dense.values[m], dense.vectors[:, m], n_max)
                 for m in cluster) if isinstance(m, tuple)]
-        with mp.workdps(eig_mod.DPS + 10):
-            if len(members) < 2 or max(members) - min(members) <= 2 * tol:
-                members = [xi_want]
-            assert any(abs(xi - w) <= 2 * tol for w in members)
+        if len(members) < 2 or max(members) - min(members) <= 2 * tol:
+            members = [xi_want]
+        assert any(abs(xi - w) <= 2 * tol for w in members)
         assert state.xi == float(xi) and state.refine_residual == res
         got, seeded_res = (residual(params, parity, s)
                            for s in (state, seeded))
@@ -276,7 +275,7 @@ def test_recurrences_match_dense_seeded_refinement(omega_1, omega_2, g_1,
             # checks below
             continue
         # near |g1| = |g2| (each step divides by g1^2 - g2^2) and deep in
-        # strong coupling DPS digits no longer hold the decaying solution,
+        # strong coupling the scale no longer holds the decaying solution,
         # and either seed leaves the same residual (g 3/4: about |xi|)
         assert got == pytest.approx(seeded_res, rel=1e-2, abs=1e-12)
         if (abs(g_1 ** 2 - g_2 ** 2) >= 0.25 * max(g_1 ** 2, g_2 ** 2)
@@ -342,8 +341,7 @@ def _check_refined(params, parity, n_max, index):
     tol = _refine_tolerance(params, parity, n_max)
     assert res <= tol
     assert mp_chain_residual(params, parity, xi, x, n_max) <= 1.1 * tol
-    with mp.workdps(90):
-        assert abs(mp.fdot(x, x) - 1) * norm <= 2 * tol
+    assert abs(sum(c * c for c in x) - 1) * norm <= 2 * tol
     assert abs(float(xi) - dense.values[index]) <= 1e-12 * norm
     v = np.array([float(c) for c in x])
     cluster = dense.vectors[:, gaps < 1e-8 * norm]
@@ -452,8 +450,7 @@ def test_windowed_refinement_matches_whole_chain_oracle(
             continue
         xi, x, res = got
         assert len(x) == trunc.chain_dim and res <= tol
-        with mp.workdps(eig_mod.DPS + 10):
-            assert abs(xi - want[0]) <= 2 * tol
+        assert abs(xi - want[0]) <= 2 * tol
         # past the window x is exactly zero, and its residual over the
         # window and one photon block is the whole chain's
         assert mp_chain_residual(params, parity, xi, x, n_max) <= 1.1 * tol
@@ -504,8 +501,7 @@ def test_refinement_at_omega_1e200():
         tol = _refine_tolerance(params, parity, n_max)
         assert res <= tol
         assert mp_chain_residual(params, parity, xi, x, n_max) <= 1.1 * tol
-        with mp.workdps(eig_mod.DPS + 10):
-            assert abs(xi - want) <= 2 * tol
+        assert abs(xi - want) <= 2 * tol
 
 
 @pytest.mark.parametrize("bits", [eig_mod.FRACTION_BITS, 1200])
@@ -540,40 +536,34 @@ def test_refiner_scale_keeps_offsets_below_the_tolerance(
 
 
 # ---------------------------------------------------------------------------
-# raw-tuple kernels against their mpf-object forms
+# fixed-point kernels against their exact-rational forms
 # ---------------------------------------------------------------------------
 
-def _kernel_run(*args):
-    """(blocks, squares) of the raw-tuple kernel at DPS."""
-    with mp.workdps(eig_mod.DPS):
-        return eig_mod._recurrence_blocks_mp(*args)
-
-
-def _oracle_run(*args):
-    """The mpf blocks of the oracle run at DPS."""
-    with mp.workdps(eig_mod.DPS):
-        return recurrence_blocks_reference(*args)
-
-
 def _last_step_grows(params, parity, xi, n_max):
-    """a_n - s_n >= 1 at the last step n = n_max, in mp: where it fails, no
-    growth bound holds to the end, and the run must go to n_max."""
-    with mp.workdps(eig_mod.DPS):
-        d = mp_chain_diagonal(params, parity, n_max)[n_max - 1]
-        g = abs(mp.mpf(params.g_1)) + abs(mp.mpf(params.g_2))
-        a = min(abs(c - xi) for c in d) / (mp.sqrt(n_max) * g)
-        return a - mp.sqrt(mp.mpf(n_max - 1) / n_max) >= 1
+    """a_n - s_n >= 1 at the last step n = n_max, from the diagonal and xi
+    at the recurrence's scale: where it fails, no growth bound holds to the
+    end, and the run must go to n_max."""
+    bits = recurrence_bits(params, parity, n_max)
+    rows = fixed_chain_rows(params, parity, n_max, bits)
+    xi = fixed_point(xi, bits)
+    dist = min(abs(rows[i][i] - xi) for i in (2 * n_max - 2, 2 * n_max - 1))
+    a = float(Fraction(dist, 2 ** bits)) / (
+        math.sqrt(n_max) * (abs(params.g_1) + abs(params.g_2)))
+    return a - math.sqrt((n_max - 1) / n_max) >= 1
 
 
 def _check_stopped_run(params, parity, xi, seed, n_max):
-    """The kernel's blocks are the leading blocks of the oracle's whole
-    run, its cut and vector are those of that run, bit for bit, and every
-    block of that run past the stop is at least as large as the last."""
-    blocks, squares = _kernel_run(params, parity, xi, seed, n_max)
-    whole = _oracle_run(params, parity, xi, seed, n_max)
+    """The kernel's blocks and squared norms are the leading ones of the
+    oracle's whole run, its cut and vector are those of that run, bit for
+    bit, and every block of that run past the stop is at least as large as
+    the last."""
+    blocks, squares = eig_mod._recurrence_blocks_mp(params, parity, xi, seed,
+                                                    n_max)
+    whole = recurrence_blocks_reference(params, parity, xi, seed, n_max)
     stop = len(blocks) - 1
     assert 1 <= stop <= n_max
-    assert blocks == [(u._mpf_, w._mpf_) for u, w in whole[:stop + 1]]
+    assert blocks == whole[:stop + 1]
+    assert squares == [p * p + q * q for p, q in whole[:stop + 1]]
     if not _last_step_grows(params, parity, xi, n_max):
         assert stop == n_max
     try:
@@ -587,8 +577,7 @@ def _check_stopped_run(params, parity, xi, seed, n_max):
     state = eig_mod._cut_normalize(parity, xi, blocks, squares, n_max)
     assert state.cut_index == cut and np.array_equal(state.v, v)
     if stop < n_max:
-        with mp.workdps(eig_mod.DPS):
-            norms = [b[0] ** 2 + b[1] ** 2 for b in whole[stop - 1:]]
+        norms = [p * p + q * q for p, q in whole[stop - 1:]]
         assert cut < stop and norms[0] <= norms[1]
         assert all(lo <= hi for lo, hi in zip(norms[1:], norms[2:]))
 
@@ -650,17 +639,16 @@ def test_raw_tuple_kernels_match_mpf_oracle(omega_1, omega_2, g_1, g_2,
     except ConvergenceFailure as exc:
         with pytest.raises(ConvergenceFailure, match=re.escape(str(exc))):
             refine_eigenpair(*args)
-        xi, seed = mp.mpf(float(dense.values[index])), (1.0, 0.0)
+        xi, seed = Fraction(float(dense.values[index])), (1.0, 0.0)
     else:
         got = refine_eigenpair(*args)
-        assert got[0]._mpf_ == want[0]._mpf_ and got[2] == want[2]
-        assert [c._mpf_ for c in got[1]] == [c._mpf_ for c in want[1]]
+        assert got == want
         xi, seed = got[0], got[1][:2]
     try:
         eig_mod._check_couplings(params)
     except SingularCoupling:
         return
-    far = xi + offset
+    far = xi + Fraction(offset)
     for run in ((xi, seed), (far, (1.0, 0.0)), (far, (0.6, 0.8))):
         _check_stopped_run(params, parity, *run, n_max)
 
@@ -672,12 +660,13 @@ def test_oracle_examples_reach_their_corners():
     decomp = eigh(chain_matrix(p, Parity.EVEN, NMAX))
     xi, x, _ = refine_eigenpair(p, Parity.EVEN, decomp.values[-1],
                                 decomp.vectors[:, -1], NMAX)
-    for run in ((xi, x[:2]), (xi + 0.5, (1.0, 0.0))):
-        blocks, _ = _kernel_run(p, Parity.EVEN, *run, NMAX)
+    for run in ((xi, x[:2]), (xi + Fraction(1, 2), (1.0, 0.0))):
+        blocks, _ = eig_mod._recurrence_blocks_mp(p, Parity.EVEN, *run, NMAX)
         assert len(blocks) == NMAX + 1
     low = eigh(chain_matrix(p, Parity.ODD, 50)).values[0]
     for offset in (-50.0, 1e200):
-        blocks, _ = _kernel_run(p, Parity.ODD, low + offset, (1.0, 0.0), 50)
+        blocks, _ = eig_mod._recurrence_blocks_mp(p, Parity.ODD, low + offset,
+                                                  (1.0, 0.0), 50)
         assert len(blocks) == 2
 
 
@@ -691,17 +680,17 @@ def test_oracle_examples_reach_their_corners():
     (0.3, 0.4, -3.0, (1e248, 0.0), 80)],
     ids=["g-0.5", "g-0.3", "seed-1e248"])
 def test_stop_holds_past_the_float_range(g_1, g_2, xi, seed, n_max):
-    # mpf blocks have no float range to leave, so each run stops one block
+    # int blocks have no float range to leave, so each run stops one block
     # past its cut and matches the oracle's whole run
     p = ModelParams(1.3, 0.7, g_1, g_2)
-    blocks, _ = _kernel_run(p, Parity.EVEN, xi, seed, n_max)
+    blocks, _ = eig_mod._recurrence_blocks_mp(p, Parity.EVEN, xi, seed, n_max)
     assert len(blocks) <= n_max
     _check_stopped_run(p, Parity.EVEN, xi, seed, n_max)
 
 
 def test_recurrence_stops_one_block_past_the_readme_cuts(monkeypatch):
-    # past every README level's cut (blocks 27-33) the growth bound holds:
-    # each run ends on the block after its cut, at most 36 of 201 blocks
+    # past every README level's cut (blocks 30-36) the growth bound holds:
+    # each run ends on the block after its cut, at most 38 of 201 blocks
     runs, kernel = [], eig_mod._recurrence_blocks_mp
     monkeypatch.setattr(eig_mod, "_recurrence_blocks_mp", lambda *args: (
         runs.append(kernel(*args)) or runs[-1]))
@@ -709,33 +698,25 @@ def test_recurrence_stops_one_block_past_the_readme_cuts(monkeypatch):
               for state in eigenstate_recurrences(P, parity, 10, NMAX)]
     assert len(runs) == len(states) == 20
     for (blocks, _), state in zip(runs, states):
-        assert len(blocks) <= state.cut_index + 2 <= 36
+        assert len(blocks) <= state.cut_index + 2 <= 38
         assert residual(P, state.parity, state) < 1e-10
 
 
 @settings(max_examples=20, deadline=None)
 @given(omega_1=st.floats(0.0, 40.0), omega_2=st.floats(0.0, 40.0),
        g_1=st.floats(-3.0, 3.0), g_2=st.floats(-3.0, 3.0),
-       parity=st.sampled_from(Parity), n_max=st.integers(1, 60),
-       digits=st.sampled_from([15, eig_mod.DPS, eig_mod.DPS + 3, 200]))
+       parity=st.sampled_from(Parity), n_max=st.integers(1, 60))
 @example(omega_1=1.3, omega_2=0.7, g_1=0.3, g_2=0.4, parity=Parity.ODD,
-         n_max=200, digits=eig_mod.DPS)
+         n_max=200)
 # entries whose bits reach far below the fixed-point scale
 @example(omega_1=1e200, omega_2=8.97e-37, g_1=1e-300, g_2=-2.0 ** -230,
-         parity=Parity.EVEN, n_max=20, digits=eig_mod.DPS)
+         parity=Parity.EVEN, n_max=20)
 def test_mp_tables_match_the_mpf_operators(omega_1, omega_2, g_1, g_2,
-                                           parity, n_max, digits):
-    # the recurrence's diagonal formed on raw tuples against n + (s1 w1 +
-    # s2 w2) / 2 in mpf objects; the refiner's fixed-point diagonal and
-    # coupling entries against their exact rational and mpmath at F + 64
+                                           parity, n_max):
+    # the fixed-point diagonal and coupling entries that the refiner and
+    # the recurrence read against their exact rational and mpmath at F + 64
     # bits, each rounded to the nearest int
     params = ModelParams(omega_1, omega_2, g_1, g_2)
-    with mp.workdps(digits):
-        prec, rnd = mp.mp._prec_rounding
-        diag = [(d0._mpf_, d1._mpf_)
-                for d0, d1 in mp_chain_diagonal(params, parity, n_max)]
-    assert list(eig_mod._diagonal_table(params, parity, n_max, prec,
-                                        rnd)) == diag
     bits = eig_mod._fraction_bits(params,
                                   _refine_tolerance(params, parity, n_max))
     rows = fixed_chain_rows(params, parity, n_max, bits)
@@ -749,7 +730,6 @@ def test_mp_tables_match_the_mpf_operators(omega_1, omega_2, g_1, g_2,
 
 _REFINE_PROBE = """
 import json, sys
-import mpmath as mp
 import numpy as np
 from rabi2q.eigenstates import refine_eigenpair
 from rabi2q.model import ModelParams, Parity
@@ -758,8 +738,8 @@ xi, x, _ = refine_eigenpair(ModelParams(1.3, 0.7, 0.3, 0.4), Parity.ODD,
                             float.fromhex(start["xi"]),
                             np.array([float.fromhex(c) for c in start["v"]]),
                             start["n_max"])
-print(mp.nstr(xi, 60))
-print(" ".join(mp.nstr(c, 60) for c in x))
+print(xi)
+print(" ".join(map(str, x)))
 """
 
 
