@@ -19,6 +19,7 @@ large to allocate), 3 numerical/truncation failure, also when
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import math
 import sys
@@ -50,16 +51,12 @@ def _config_hash(resolved: dict) -> str:
 
 
 def _write_csv(path, command, cfg_hash, header, rows):
-    lines = [f"# rabi2q {__version__} {command} {cfg_hash}",
-             ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    """Write each row as it is formatted: rows may be a generator."""
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8", newline="\n")) as fh:
+        fh.write(f"# rabi2q {__version__} {command} {cfg_hash}\n"
+                 + ",".join(header) + "\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def _parse_range(text: str) -> np.ndarray:
@@ -151,6 +148,13 @@ def cmd_spectrum(args) -> int:
     template = ModelParams(args.omega1, args.omega2, 0.0, 0.0)
     sweep = spectra.sweep_spectrum(template, g1, g2,
                                    TruncationConfig(args.nmax), args.k)
+    # a tolerance the crossings reject leaves no file behind
+    crossing_rows = []
+    for parity in (Parity.EVEN, Parity.ODD):
+        for rec in spectra.detect_crossings(sweep, parity, args.gap_tol,
+                                            args.overlap_tol):
+            crossing_rows.append((rec.parity.value, rec.branch_lo,
+                                  rec.g_lo, rec.g_hi, rec.kind.value))
     cfg_hash = _config_hash(vars(args))
     w = args.omega_f
     rows = []
@@ -163,12 +167,6 @@ def cmd_spectrum(args) -> int:
     _write_csv(args.out, "spectrum", cfg_hash,
                ("g1", "g2", "parity", "branch", "energy"), rows)
 
-    crossing_rows = []
-    for parity in (Parity.EVEN, Parity.ODD):
-        for rec in spectra.detect_crossings(sweep, parity, args.gap_tol,
-                                            args.overlap_tol):
-            crossing_rows.append((rec.parity.value, rec.branch_lo,
-                                  rec.g_lo, rec.g_hi, rec.kind.value))
     sibling = (args.out.removesuffix(".csv") + ".crossings.csv"
                if args.out and args.out.endswith(".csv")
                else (args.out + ".crossings" if args.out else None))
@@ -220,9 +218,8 @@ def cmd_dynamics(args) -> int:
         traj = dynamics.evolve_rwa_closed_form(state, params, times)
     cfg_hash = _config_hash(vars(args))
     w = args.omega_f
-    rows = [(t / w, mn, sz, ent, con) for t, mn, sz, ent, con
-            in zip(traj.times, traj.mean_n, traj.s_z, traj.entropy,
-                   traj.concurrence)]
+    rows = zip(traj.times / w, traj.mean_n, traj.s_z, traj.entropy,
+               traj.concurrence)
     _write_csv(args.out, "dynamics", cfg_hash,
                ("t", "mean_n", "s_z", "entropy", "concurrence"), rows)
     if args.svg:

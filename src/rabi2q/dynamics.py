@@ -15,9 +15,9 @@ population inversion, the two-qubit reduced density matrix and the
 entanglement measures derived from it (von Neumann entropy, Wootters
 concurrence).  A state may hold one column of amplitudes per output time,
 and every observable broadcasts over that axis.  A trajectory keeps only
-each chain's propagated levels and streams over blocks of TIME_BLOCK
-output times: each block's amplitudes are formed, reduced to its
-observables and freed, so no chain x times amplitude array is held.
+each chain's propagated levels and takes each block of TIME_BLOCK output
+times in one pass: its amplitudes give every observable and are freed,
+so a run holds only its scalar columns per output time.
 """
 
 from __future__ import annotations
@@ -245,8 +245,8 @@ class ChainLevels(NamedTuple):
     h_proj: np.ndarray
 
 
-# output times per block of a trajectory: the chain amplitudes, |c|^2 and
-# product-basis amplitudes of one block are all of the evolved state held.
+# output times per block of a trajectory: the chain amplitudes, |c|^2,
+# product-basis amplitudes and rho of one block are all of the state held.
 # Each block's GEMM packs the level vectors anew, which at 64 times made the
 # Fig. 3 GEMMs (682 rows x 311 levels) about a third slower than one GEMM
 # over all 1,001 times
@@ -368,13 +368,13 @@ def _evolve(state: ParityDecomposedState, params: ModelParams, times,
     """The route of both engines: build_band(params, parity, trunc) gives
     each chain band that ``_window_levels`` solves, a chain where the state
     has zero weight is not solved, and only the ChainLevels of each chain
-    are kept.  The output times are then taken TIME_BLOCK at a time: each
-    block's amplitudes give its energy, edge weights, parity weights,
-    mean_n, s_z and rho, and are freed before the next block; entropy and
-    concurrence follow from the (T, 4, 4) stack of rho.  ConfigError when
-    a phase E t of a propagated level is not finite; on_guard="raise"
-    raises at the first block whose edge weight passes EDGE_WEIGHT_TOL,
-    naming the first such time."""
+    are kept.  The output times are then taken TIME_BLOCK at a time, in one
+    pass: each block's amplitudes give its energy, edge and parity weights,
+    mean_n, s_z, and the entropy and concurrence of its checked rho, and
+    are freed before the next block.  ConfigError when a phase E t of a
+    level is not finite; InvalidDensityMatrix at the first block with an
+    invalid rho; on_guard="raise" raises at the first block whose edge
+    weight passes EDGE_WEIGHT_TOL, naming the first such time."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.ndim != 1 or not times.size or not np.isfinite(times).all():
         raise ConfigError("times must be finite, 1-d and not empty")
@@ -403,9 +403,8 @@ def _evolve(state: ParityDecomposedState, params: ModelParams, times,
     table = basis_table(trunc)
     inversion = _inversion(table)
     n_t = len(times)
-    energy, edge, w_even, w_odd, mean_n, s_z = (np.zeros(n_t)
-                                                for _ in range(6))
-    rho = np.empty((n_t, 4, 4), dtype=complex)
+    (energy, edge, w_even, w_odd, mean_n, s_z, entropy,
+     concurrence_) = (np.zeros(n_t) for _ in range(8))
     # each block array is dropped once read, so the peak holds one of them
     for cols in _time_blocks(n_t):
         block, amps = _propagate(levels, trunc, times[cols])
@@ -426,11 +425,11 @@ def _evolve(state: ParityDecomposedState, params: ModelParams, times,
         mean_n[cols] = _chain_sum(probs, table.photon)
         s_z[cols] = _chain_sum(probs, inversion)
         del probs
-        rho[cols] = reduced_density_matrix(block)
+        evals, evecs = _check_density_matrix(reduced_density_matrix(block))
         del block
-    evals, evecs = _check_density_matrix(rho)
-    return Trajectory(times, mean_n, s_z, _entropy(evals),
-                      _concurrence(evals, evecs), energy,
+        entropy[cols] = _entropy(evals)
+        concurrence_[cols] = _concurrence(evals, evecs)
+    return Trajectory(times, mean_n, s_z, entropy, concurrence_, energy,
                       np.sqrt(w_even + w_odd), w_even, w_odd,
                       float(np.max(edge)), photons, dropped, levels, trunc)
 

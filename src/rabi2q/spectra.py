@@ -302,8 +302,15 @@ def detect_crossings(sweep: SpectrumSweep, parity: Parity,
     |<v_i(before)|v_i(after)>| < overlap_tol.  Anything else (including
     dips at the sweep boundary, which cannot be bracketed) is reported as
     AvoidedOrUnresolved.  The overlaps run over the rows that both vector
-    sets hold.
+    sets hold.  ConfigError unless gap_tol is finite and positive and
+    overlap_tol lies in (0, 1), where the swap test can hold and can fail.
     """
+    if not 0 < gap_tol < math.inf:
+        raise ConfigError(f"gap tolerance must be positive and finite, got "
+                          f"{gap_tol:g}")
+    if not 0 < overlap_tol < 1:
+        raise ConfigError(f"overlap tolerance must lie in (0, 1), got "
+                          f"{overlap_tol:g}")
     energies = sweep.energies[parity]
     vectors = sweep.vectors[parity]
     gvals = sweep.primary_values
@@ -462,10 +469,14 @@ def rwa_relative_error(params: ModelParams, trunc: TruncationConfig,
     the levels of its two chains, each solved by dense eigh.  Each
     model's k lowest merged levels must all pass the truncation guard,
     otherwise TruncationInsufficient: skipping one would pair the levels
-    of different states.
+    of different states.  ConfigError when k passes the levels of the
+    two chains.
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
+    if k > 2 * trunc.chain_dim:
+        raise ConfigError(f"{k} levels pass the {2 * trunc.chain_dim} "
+                          f"levels of the two chains at n_max={trunc.n_max}")
     results = []
     for model, builder in (("full", build_parity_band),
                            ("RWA", build_rwa_band)):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -85,6 +86,27 @@ def test_dynamics_huge_alpha_exits_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: coherent state")
+
+
+def test_dynamics_command_memory_does_not_grow_with_rows(tmp_path):
+    # from 4,000 to 40,000 steps the traced peak of the command may grow
+    # by at most 200 bytes per added row: the trajectory's scalar columns
+    # take about 70, and a list of the row tuples alone would take about 250
+    peaks = []
+    for steps in (4000, 40000):
+        out = tmp_path / f"d{steps}.csv"
+        tracemalloc.start()
+        try:
+            code = run(["dynamics", "--omega1", "1.1", "--omega2", "0.3",
+                        "--g1", "0.3", "--g2", "0.4", "--alpha", "1.41421356",
+                        "--nmax", "40", "--steps", str(steps),
+                        "--out", str(out)])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(read_rows(out)[1]) == steps + 1
+    assert peaks[1] - peaks[0] < 200 * 36000
 
 
 def test_spectrum_single_point_decoupled(tmp_path):
@@ -358,6 +380,13 @@ def test_eigenstate_invalid_nmax_exits_2(tmp_path):
     ["dynamics", "--steps", str(10 ** 17)],
     ["spectrum", "--g1", "0:2:1e-13"],
     ["eigenstate", "--bargmann", "--jmax", str(10 ** 17)],
+    # crossing tolerances at which the swap test is vacuous
+    ["spectrum", "--g1", "0:0.2:0.1", "--k", "4", "--gap-tol", "nan"],
+    ["spectrum", "--g1", "0:0.2:0.1", "--k", "4", "--gap-tol", "-1"],
+    ["spectrum", "--g1", "0:0.2:0.1", "--k", "4", "--overlap-tol", "nan"],
+    ["spectrum", "--g1", "0:0.2:0.1", "--k", "4", "--overlap-tol", "1"],
+    # more levels than the two chains hold (42 each at n_max 20)
+    ["rwa-compare", "--k", "85"],
 ], ids=["spectrum-k", "perturb-mmax", "eigenstate-jmax", "rwa-compare-k",
         "eigenstate-count", "dynamics-fock", "perturb-ncut",
         "dynamics-tmax-nan", "dynamics-tmax-inf", "dynamics-alpha-nan",
@@ -369,7 +398,10 @@ def test_eigenstate_invalid_nmax_exits_2(tmp_path):
         "eigenstate-count-negative", "perturb-g-square-overflows",
         "perturb-omega-square-overflows", "perturb-rows-pass-float-range",
         "dynamics-phase-overflows", "dynamics-steps-too-large",
-        "spectrum-range-too-large", "eigenstate-jmax-too-large"])
+        "spectrum-range-too-large", "eigenstate-jmax-too-large",
+        "spectrum-gap-tol-nan", "spectrum-gap-tol-negative",
+        "spectrum-overlap-tol-nan", "spectrum-overlap-tol-1",
+        "rwa-compare-k-past-the-chains"])
 def test_out_of_range_input_exits_2(argv, tmp_path, capsys):
     # the flags of argv come last, so they win over the defaults here
     code = run(argv[:1] + ["--g1", "0.3", "--g2", "0.4", "--nmax", "20",
@@ -377,7 +409,8 @@ def test_out_of_range_input_exits_2(argv, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
-    assert not (tmp_path / "x.csv").exists()
+    # no file at all: neither x.csv nor the crossings table beside it
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("text, points", [

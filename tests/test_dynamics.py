@@ -562,19 +562,46 @@ def test_guard_in_a_later_block_names_the_first_time(build_band, level,
 def test_trajectory_holds_no_chain_by_times_amplitudes():
     # 4,001 output times of the n_max 120 chains: the state would take
     # 2 x chain_dim x T complex amplitudes, and the run may trace at most a
-    # quarter of that at its peak
+    # quarter of that at its peak.  From 4,001 to 40,001 times the peak may
+    # grow by at most 200 bytes per added time: the scalar columns take
+    # about 70, and a (T, 4, 4) stack of rho alone would take 256
     trunc = TruncationConfig(120)
     st = dyn.decompose_initial_state(("coherent", np.sqrt(2.0)), G, G, trunc)
     params = ModelParams(1.1, 0.3, 0.3, 0.4)
-    times = np.linspace(0.0, 100.0, 4001)
-    tracemalloc.start()
-    try:
-        traj = dyn.evolve_parity(st, params, times)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(traj.mean_n) == len(times)
-    assert peak < 2 * trunc.chain_dim * len(times) * 16 / 4
+    peaks = []
+    for n_times in (4001, 40001):
+        times = np.linspace(0.0, 100.0, n_times)
+        tracemalloc.start()
+        try:
+            traj = dyn.evolve_parity(st, params, times)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(traj.mean_n) == n_times
+        del traj
+    assert peaks[0] < 2 * trunc.chain_dim * 4001 * 16 / 4
+    assert peaks[1] - peaks[0] < 200 * 36000
+
+
+def test_density_check_fails_on_its_own_block(monkeypatch):
+    # the second block of output times holds a rho with eigenvalue -0.1:
+    # the run raises there, naming that value, and reduces no later block
+    reduce = dyn.reduced_density_matrix
+    calls = []
+
+    def reduced(state):
+        rho = reduce(state)
+        calls.append(len(rho))
+        if len(calls) == 2:
+            rho[-1] = np.diag([1.1, -0.1, 0.0, 0.0])
+        return rho
+
+    monkeypatch.setattr(dyn, "reduced_density_matrix", reduced)
+    st = dyn.decompose_initial_state(1, G, G, T40)
+    times = np.linspace(0.0, 1.0, 3 * dyn.TIME_BLOCK)
+    with pytest.raises(InvalidDensityMatrix, match="-1.000e-01"):
+        dyn.evolve_parity(st, ModelParams(1.0, 1.0, 0.1, 0.1), times)
+    assert calls == [dyn.TIME_BLOCK] * 2
 
 
 # ---------------------------------------------------------------------------

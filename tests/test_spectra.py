@@ -102,6 +102,18 @@ def test_no_crossing_reported_for_identity_continuation():
                             overlap_tol=0.1) == []
 
 
+@pytest.mark.parametrize("gap_tol, overlap_tol", [
+    (float("nan"), 0.1), (-1.0, 0.1), (0.0, 0.1), (float("inf"), 0.1),
+    (0.2, float("nan")), (0.2, 0.0), (0.2, 1.0), (0.2, 1.5)])
+def test_crossing_tolerances_outside_their_range_raise(gap_tol, overlap_tol):
+    # a gap tolerance that no gap is below, or an overlap tolerance at
+    # which the swap test always or never holds, would hide the true
+    # crossing of this sweep behind an empty or all-avoided table
+    with pytest.raises(ConfigError, match="tolerance"):
+        detect_crossings(_toy_sweep(delta=1e-9), Parity.EVEN, gap_tol,
+                         overlap_tol)
+
+
 def test_identical_qubit_exchange_crossings():
     """Exchange-antisymmetric states decouple for identical qubits, pinning
     branches at n * omega_f (odd n) that truly cross the coupled branches."""
@@ -196,12 +208,19 @@ def test_rwa_error_raises_when_unconverged():
     with pytest.raises(TruncationInsufficient):
         rwa_relative_error(ModelParams(1.0, 1.0, 2.5, 2.5),
                            TruncationConfig(8), k=16)
+    # k = 44 asks for every level of the two n_max 10 chains: a truncation
+    # failure, not a configuration error
+    with pytest.raises(TruncationInsufficient):
+        rwa_relative_error(ModelParams(0.9, 1.1, 0.2, 0.2),
+                           TruncationConfig(10), k=44)
 
 
 def test_out_of_range_inputs_raise_value_error():
     p = ModelParams(1.3, 0.7, 0.3, 0.4)
     with pytest.raises(ValueError, match="k must be >= 1"):
         rwa_relative_error(p, TruncationConfig(10), k=0)
+    with pytest.raises(ConfigError, match="45 levels pass the 44 levels"):
+        rwa_relative_error(p, TruncationConfig(10), k=45)
     with pytest.raises(ValueError, match="n_cut must be >= 0"):
         dsc_perturbative_spectrum(p, 2, n_cut=-5)
     # at n_cut = 0 the only intermediate level of m = 0 is m itself
