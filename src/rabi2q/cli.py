@@ -12,8 +12,8 @@ No command solves a chain itself: ``eigenstate`` makes one
 Exit codes: 0 success, 2 configuration error (a ConfigError, raised by the
 front end and by the input checks of the library, or a configuration too
 large to allocate), 3 numerical/truncation failure, also when
-``eigenstate`` has written rows whose recurrence residual exceeds
-``eigenstates.RECURRENCE_RESIDUAL_TOL``.
+``eigenstate`` has written rows whose recurrence or Bargmann residual
+exceeds ``eigenstates.RECURRENCE_RESIDUAL_TOL``.
 """
 
 from __future__ import annotations
@@ -145,10 +145,10 @@ def cmd_spectrum(args) -> int:
             g2 = np.full_like(g1, g2[0])
         else:
             raise ConfigError("g1 and g2 ranges must have equal length")
+    spectra.check_crossing_tolerances(args.gap_tol, args.overlap_tol)
     template = ModelParams(args.omega1, args.omega2, 0.0, 0.0)
     sweep = spectra.sweep_spectrum(template, g1, g2,
                                    TruncationConfig(args.nmax), args.k)
-    # a tolerance the crossings reject leaves no file behind
     crossing_rows = []
     for parity in (Parity.EVEN, Parity.ODD):
         for rec in spectra.detect_crossings(sweep, parity, args.gap_tol,
@@ -307,14 +307,18 @@ def cmd_eigenstate(args) -> int:
     _write_csv(args.out, "eigenstate", cfg_hash,
                ("parity", "index", "energy", "residual_recurrence",
                 "residual_bargmann"), rows)
+    # an empty Bargmann cell (route unavailable) is not judged
     tol = eigenstates.RECURRENCE_RESIDUAL_TOL
-    loose = [row for row in rows if not row[3] <= tol]
-    for parity, index, _, res_rec, _ in loose:
-        print(f"eigenstate: {parity} #{index} recurrence residual "
-              f"{res_rec:.3g} exceeds {tol:g}", file=sys.stderr)
+    loose = [(parity, index, route, res)
+             for parity, index, _, *cells in rows
+             for route, res in zip(("recurrence", "bargmann"), cells)
+             if res != "" and not res <= tol]
+    for parity, index, route, res in loose:
+        print(f"eigenstate: {parity} #{index} {route} residual {res:.3g} "
+              f"exceeds {tol:g}", file=sys.stderr)
     if loose:
-        print(f"error: {len(loose)} of {len(rows)} recurrence states are "
-              f"not eigenstates to {tol:g}", file=sys.stderr)
+        print(f"error: {len(loose)} residuals of {len(rows)} states exceed "
+              f"{tol:g}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 

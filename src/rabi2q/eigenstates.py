@@ -1,10 +1,10 @@
 """Eigenstate construction by recurrence relations.
 
 One route per representation: the four-term vector recurrence over the
-parity chain blocks, and the five-term recurrence for the power-series
-coefficients of the parity-projected Bargmann functions, solved for its
-minimal solution by least squares (no forward iteration: minimal solutions
-cannot come from forward recursion).  Where alpha_0 vanishes (identical
+parity chain blocks, and the five-term recurrence of the parity-projected
+Bargmann functions, solved for the Fock amplitudes sqrt(j!) c_j of their
+power-series coefficients c_j by least squares, which finds the minimal
+solution (forward recursion cannot).  Where alpha_0 vanishes (identical
 qubits) the five-term route raises StepSingular; a three-term recurrence
 covers that case.
 
@@ -606,13 +606,12 @@ def _alpha0_scale(params: ModelParams, j: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BargmannCoefficients:
-    """Power-series coefficients of the parity-projected Bargmann functions
-    of one parity at energy chi.
+    """Fock amplitudes v_j = sqrt(j!) c_j of the power-series coefficients
+    c_j of the parity-projected Bargmann functions of one parity at chi.
 
     c interleaves the even-power series (slots 0, 2, ...) and the odd-power
-    series (slots 1, 3, ...); phi2 holds the companion function derived from
-    the same series (bargmann_minimal_coefficients; StepSingular when
-    omega_1 = omega_2).
+    series (slots 1, 3, ...); phi2 holds the companion function's amplitudes
+    (bargmann_minimal_coefficients; StepSingular when omega_1 = omega_2).
     """
 
     parity: Parity
@@ -622,29 +621,31 @@ class BargmannCoefficients:
 
 
 def _phi2_series(params: ModelParams, parity: Parity, chi: float,
-                 c: np.ndarray) -> np.ndarray:
-    """Companion series from the two first-order relations.
+                 v: np.ndarray) -> np.ndarray:
+    """Companion amplitudes from the two first-order relations.
 
-    Power k of the companion is ((k - chi) c_k + g_plus (c_{k-1}
-    + (k+1) c_{k+1})) divided by (w2 -+ w1)/2 for even/odd k per branch
-    (omega_f = 1).
+    Amplitude k of the companion is ((k - chi) v_k + g_plus (sqrt(k)
+    v_{k-1} + sqrt(k+1) v_{k+1})) divided by (w2 -+ w1)/2 for even/odd k
+    per branch (omega_f = 1).
     """
     s = _BRANCH_SIGN[parity]
     w1, w2 = params.omega_1, params.omega_2
     gp = params.g_plus
-    k = np.arange(len(c))
-    below = np.concatenate(([0.0], c[:-1]))
-    above = np.concatenate((k[1:] * c[1:], [0.0]))
+    k = np.arange(len(v))
+    root = np.sqrt(k)
+    below = np.concatenate(([0.0], root[1:] * v[:-1]))
+    above = np.concatenate((root[1:] * v[1:], [0.0]))
     div = np.where(k % 2 == 0, 0.5 * (w2 - s * w1), 0.5 * (w2 + s * w1))
-    return ((k - chi) * c + gp * (below + above)) / div
+    return ((k - chi) * v + gp * (below + above)) / div
 
 
 def _bargmann_rows(params: ModelParams, parity: Parity, chi: float,
                    j_max: int) -> np.ndarray:
-    """Rows j = 2..j_max + 4 of the five-term system in c_0..c_j_max, built
-    in one pass: alpha_k of row j multiplies c_(j - k), and each row is
-    divided by its largest magnitude (rows with none are dropped).  Raises
-    StepSingular at the first row whose alpha_0 vanishes."""
+    """Rows j = 2..j_max + 4 of the five-term system in the amplitudes
+    v_0..v_j_max, built in one pass: alpha_k of row j multiplies v_(j - k)
+    times sqrt(j (j - 1) ... (j - k + 1)), and each row is divided by its
+    largest magnitude (rows with none are dropped).  Raises StepSingular at
+    the first row whose alpha_0 vanishes."""
     j = np.arange(2, j_max + 5)
     alphas = _bargmann_alphas(params, parity, chi, j)
     vanish = np.flatnonzero(np.abs(alphas[0])
@@ -653,11 +654,13 @@ def _bargmann_rows(params: ModelParams, parity: Parity, chi: float,
         raise StepSingular(
             f"alpha_0 vanishes at step j={j[vanish[0]]} "
             f"(omega_1 = -+(-1)^j omega_2 or g_plus g_minus = 0)")
+    # j! / (j - k)! for k = 0..4, zero where the column j - k is negative
+    falling = np.cumprod([np.ones_like(j)] + [j - i for i in range(4)], 0)
     col = j - np.arange(5)[:, None]
     inside = (col >= 0) & (col <= j_max)
     rows = np.zeros((len(j), j_max + 1))
     rows[np.broadcast_to(j - 2, col.shape)[inside], col[inside]] = (
-        alphas[inside])
+        alphas[inside] * np.sqrt(falling[inside]))
     scale = np.abs(rows).max(axis=1)
     keep = scale > 0
     return rows[keep] / scale[keep, None]
@@ -665,13 +668,14 @@ def _bargmann_rows(params: ModelParams, parity: Parity, chi: float,
 
 def bargmann_minimal_coefficients(params: ModelParams, parity: Parity,
                                   chi: float, j_max: int):
-    """Decaying solution of the five-term system, via the smallest singular
-    vector of the banded row matrix with a zero tail appended.
+    """Decaying Fock amplitudes of the five-term system, via the smallest
+    singular vector of the banded row matrix with a zero tail appended.
 
     Forward evaluation cannot reach the minimal solution in fixed precision
     (growing solutions amplify roundoff by orders of magnitude per step).
     Returns (BargmannCoefficients, smallest_singular_value); the singular
-    value is O(1e-15) when chi is an eigenvalue and O(1e-2) away from one.
+    value is at rounding level at an eigenvalue whose state the amplitudes
+    hold, and grows with the distance of chi from one.
     Raises StepSingular when alpha_0 vanishes on a row (omega_1 = omega_2,
     where the companion series divides by zero, or g_plus g_minus = 0).
     """
@@ -679,28 +683,26 @@ def bargmann_minimal_coefficients(params: ModelParams, parity: Parity,
         raise ConfigError("j_max must be >= 8")
     matrix = _bargmann_rows(params, parity, chi, j_max)
     _, sv, vt = np.linalg.svd(matrix, full_matrices=False)
-    c = vt[-1]
-    if c[0] < 0:
-        c = -c
-    phi2 = _phi2_series(params, parity, chi, c)
-    return BargmannCoefficients(parity, chi, c, phi2), float(sv[-1])
+    v = vt[-1]
+    if v[0] < 0:
+        v = -v
+    phi2 = _phi2_series(params, parity, chi, v)
+    return BargmannCoefficients(parity, chi, v, phi2), float(sv[-1])
 
 
 @dataclass(frozen=True)
 class BargmannChainState:
-    """Parity-chain vector reconstructed from Bargmann coefficients.
+    """Parity-chain vector reconstructed from Bargmann amplitudes.
 
     v is the normalized chain vector of the given parity at energy xi;
     other_chain_weight is the fraction of the reconstructed norm that fell
-    on the other parity chain, and cut_index the photon level past which
-    the growing tail of the series was dropped.
+    on the other parity chain.
     """
 
     parity: Parity
     xi: float
     v: np.ndarray
     other_chain_weight: float
-    cut_index: int
 
 
 # rotated-to-lab weights of the qubit pairs, rows and columns in the
@@ -709,42 +711,23 @@ _ROTATION = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
 _PAIR_ROTATION = np.kron(_ROTATION, _ROTATION)
 
 
-# sqrt(n!) passes the largest float from n = 301 on; amplitudes are formed
-# with the factor exp(0.5 lgamma(n + 1) - shift), the shift (zero unless
-# the kept levels reach that far) keeping the factor below exp(700)
-_LOG_FACTOR_MAX = 700.0
-
-
 def bargmann_to_chain(coeffs: BargmannCoefficients,
                       n_max: int) -> BargmannChainState:
-    """Convert coefficient series to a normalized parity-chain vector.
+    """Convert Bargmann amplitudes to a normalized parity-chain vector.
 
-    Uses z^k <-> sqrt(k!) |k>.  The first function carries the diagonal
-    coupling g_plus, the companion g_minus, and the remaining two rotated
-    components follow from the reflection symmetry with the
-    parity-dependent sign.  The components are rotated back to the lab
-    qubit basis, the growing tail past the minimum-magnitude photon level
-    is dropped, and each chain is gathered from the product basis before
-    normalization.  The minimum is taken over the logarithms of the
-    component norms, so levels whose sqrt(k!) overflows a float take part;
-    levels whose coefficients are zero or not finite never hold it.
+    Amplitude k is the weight of the Fock state |k> (z^k <-> sqrt(k!) |k>).
+    The first function carries the diagonal coupling g_plus, the companion
+    g_minus, and the remaining two rotated components follow from the
+    reflection symmetry with the parity-dependent sign.  The components of
+    photon levels up to n_max are rotated back to the lab qubit basis, and
+    each chain is gathered from the product basis before normalization.
     """
     parity = coeffs.parity
     sigma = _SPINOR_SIGN[parity]
-    c, phi2 = coeffs.c, coeffs.phi2
-    jm = len(c) - 1
-    half_log_fact = [0.5 * math.lgamma(n + 1) for n in range(jm + 1)]
-    norm = np.hypot(c, phi2)
-    log_norm = np.full(jm + 1, np.inf)
-    np.log(norm, out=log_norm, where=(norm > 0) & np.isfinite(norm))
-    cut = int(np.argmin(log_norm + half_log_fact))
-    keep = min(cut, n_max) + 1
-    shift = max(0.0, half_log_fact[keep - 1] - _LOG_FACTOR_MAX)
-    sq = np.array([math.exp(h - shift) for h in half_log_fact[:keep]])
+    keep = min(len(coeffs.c), n_max + 1)
+    v, phi2 = coeffs.c[:keep], coeffs.phi2[:keep]
     signs = (-1.0) ** np.arange(keep)
-    c, phi2 = c[:keep], phi2[:keep]
-    rotated = (c * sq, phi2 * sq, sigma * signs * phi2 * sq,
-               sigma * signs * c * sq)
+    rotated = (v, phi2, sigma * signs * phi2, sigma * signs * v)
     trunc = TruncationConfig(max(n_max, 1))
     full = np.zeros((trunc.n_max + 1, 4))
     full[:keep] = sum(a[:, None] * w
@@ -757,8 +740,7 @@ def bargmann_to_chain(coeffs: BargmannCoefficients,
     if own == 0.0:
         raise OverflowDetected("reconstruction produced a null vector")
     return BargmannChainState(parity, coeffs.chi, chains[parity] / own,
-                              float(np.linalg.norm(chains[other]) / total),
-                              cut)
+                              float(np.linalg.norm(chains[other]) / total))
 
 
 def bargmann_reconstruction_residual(params: ModelParams, parity: Parity,
@@ -766,8 +748,9 @@ def bargmann_reconstruction_residual(params: ModelParams, parity: Parity,
                                      n_max: int = 200) -> float:
     """Residual of the reconstructed chain state at energy chi.
 
-    Small (<= 1e-4) exactly when chi is an eigenvalue of the given parity
-    block; the minimal-solution path is used for numerical stability.
+    At rounding level (1e-14 to 1e-10 at the README and Fig. 3 couplings)
+    at an eigenvalue of the given parity block whose state the j_max + 1
+    amplitudes hold, and about linear in the distance of chi from one.
     """
     coeffs, _ = bargmann_minimal_coefficients(params, parity, chi, j_max)
     state = bargmann_to_chain(coeffs, n_max=n_max)

@@ -292,6 +292,18 @@ class CrossingRecord:
     kind: CrossingKind
 
 
+def check_crossing_tolerances(gap_tol: float, overlap_tol: float) -> None:
+    """ConfigError unless gap_tol is finite and positive and overlap_tol
+    lies in (0, 1), where the swap test of detect_crossings can hold and
+    can fail."""
+    if not 0 < gap_tol < math.inf:
+        raise ConfigError(f"gap tolerance must be positive and finite, got "
+                          f"{gap_tol:g}")
+    if not 0 < overlap_tol < 1:
+        raise ConfigError(f"overlap tolerance must lie in (0, 1), got "
+                          f"{overlap_tol:g}")
+
+
 def detect_crossings(sweep: SpectrumSweep, parity: Parity,
                      gap_tol: float = 0.05,
                      overlap_tol: float = 0.2) -> list[CrossingRecord]:
@@ -302,15 +314,9 @@ def detect_crossings(sweep: SpectrumSweep, parity: Parity,
     |<v_i(before)|v_i(after)>| < overlap_tol.  Anything else (including
     dips at the sweep boundary, which cannot be bracketed) is reported as
     AvoidedOrUnresolved.  The overlaps run over the rows that both vector
-    sets hold.  ConfigError unless gap_tol is finite and positive and
-    overlap_tol lies in (0, 1), where the swap test can hold and can fail.
+    sets hold.  ConfigError from check_crossing_tolerances.
     """
-    if not 0 < gap_tol < math.inf:
-        raise ConfigError(f"gap tolerance must be positive and finite, got "
-                          f"{gap_tol:g}")
-    if not 0 < overlap_tol < 1:
-        raise ConfigError(f"overlap tolerance must lie in (0, 1), got "
-                          f"{overlap_tol:g}")
+    check_crossing_tolerances(gap_tol, overlap_tol)
     energies = sweep.energies[parity]
     vectors = sweep.vectors[parity]
     gvals = sweep.primary_values

@@ -216,9 +216,11 @@ _LEVELS = (_E, _G)
 
 
 def bargmann_rows_reference(params, parity, chi, j_max):
-    """The row matrix of ``eigenstates._bargmann_rows`` built one row at a
-    time in Python floats, from the printed coefficient formulas; raises
-    StepSingular at the first row whose alpha_0 vanishes."""
+    """The row matrix of ``eigenstates._bargmann_rows`` built one entry at
+    a time in Python floats, from the printed coefficient formulas: the
+    entry of amplitude v_(j - k) in row j is alpha_k times sqrt(j!/(j -
+    k)!), so the rows solve for v_j = sqrt(j!) c_j; raises StepSingular at
+    the first row whose alpha_0 vanishes."""
     s = -1 if parity is Parity.EVEN else 1
     w1, w2 = params.omega_1, params.omega_2
     gp, gm = params.g_plus, params.g_minus
@@ -243,7 +245,7 @@ def bargmann_rows_reference(params, parity, chi, j_max):
         for off, val in enumerate(a[:min(5, j + 1)]):
             k = j - off
             if 0 <= k <= j_max:
-                row[k] = val
+                row[k] = val * math.sqrt(math.prod(range(k + 1, j + 1)))
         scale = np.max(np.abs(row))
         if scale > 0:
             rows.append(row / scale)
@@ -251,39 +253,32 @@ def bargmann_rows_reference(params, parity, chi, j_max):
 
 
 def bargmann_chain_reference(coeffs, n_max):
-    """(v, other_chain_weight, cut_index) of bargmann_to_chain, built one
-    amplitude at a time.
+    """(v, other_chain_weight) of bargmann_to_chain, built one amplitude at
+    a time.
 
-    The rotated components at photon level n are (c_n, phi2_n) sqrt(n!)
-    and f (phi2_n, c_n) sqrt(n!), with f = s (-1)^n and s = +1 for even
-    coeffs.parity, -1 for odd.  Qubit pair (a, b) takes sum_uv R[a, u] R[b, v] times
-    component (u, v), in the package's term order, up to the level of least
-    component norm (capped at n_max); each chain position is then read at
-    the row the scalar maps above give it, not through basis_table.
+    The rotated components at photon level n are (c_n, phi2_n) and
+    f (phi2_n, c_n), the amplitudes of the Fock state |n>, with
+    f = s (-1)^n and s = +1 for even coeffs.parity, -1 for odd.  Qubit
+    pair (a, b) takes sum_uv R[a, u] R[b, v] times component (u, v), in
+    the package's term order, up to level min(j_max, n_max); each chain
+    position is then read at the row the scalar maps above give it, not
+    through basis_table.
     """
     sigma = 1 if coeffs.parity is Parity.EVEN else -1
-    comps, norms = [], []
-    # Python floats, so products past the largest float are inf (and 0 inf
-    # is nan) without a numpy warning; sqrt(n!) is inf from n = 301 on
-    for n, (c, phi2) in enumerate(zip(coeffs.c.tolist(),
-                                      coeffs.phi2.tolist())):
-        half_log_fact = 0.5 * math.lgamma(n + 1)
-        sq = math.exp(half_log_fact) if half_log_fact < 709 else math.inf
-        flip = sigma * (-1.0) ** n
-        comp = ((c * sq, phi2 * sq), (flip * phi2 * sq, flip * c * sq))
-        norm = math.sqrt(sum(x * x for row in comp for x in row))
-        comps.append(comp)
-        norms.append(norm if math.isfinite(norm) and norm > 0 else math.inf)
-    cut = min(range(len(norms)), key=norms.__getitem__)
     trunc = TruncationConfig(max(n_max, 1))
     lab = np.zeros((trunc.n_max + 1, 4))
-    for n in range(min(cut, n_max) + 1):
+    for n, (c, phi2) in enumerate(zip(coeffs.c.tolist(),
+                                      coeffs.phi2.tolist())):
+        if n > n_max:
+            break
+        flip = sigma * (-1.0) ** n
+        comp = ((c, phi2), (flip * phi2, flip * c))
         for pair, (q1, q2) in enumerate(FULL_PAIRS):
             a, b = _LEVELS.index(q1), _LEVELS.index(q2)
             for u in range(2):
                 for v in range(2):
                     lab[n, pair] += (_ROTATION[a, u] * _ROTATION[b, v]
-                                     * comps[n][u][v])
+                                     * comp[u][v])
     chains = {parity: np.array([lab.flat[full_basis_index(
                   *chain_state(parity, j))] for j in range(trunc.chain_dim)])
               for parity in Parity}
@@ -291,7 +286,7 @@ def bargmann_chain_reference(coeffs, n_max):
     other = np.linalg.norm(chains[Parity.ODD if coeffs.parity is Parity.EVEN
                                   else Parity.EVEN])
     return (chains[coeffs.parity] / own,
-            float(other / math.hypot(own, other)), cut)
+            float(other / math.hypot(own, other)))
 
 
 def to_mpf(value):

@@ -306,6 +306,24 @@ def test_eigenstate_loose_recurrence_residual_exits_3(tmp_path, capsys,
     assert err[-1].startswith("error: ")
 
 
+def test_eigenstate_loose_bargmann_residual_exits_3(tmp_path, capsys):
+    # nine Bargmann amplitudes cannot hold these levels: the recurrence
+    # states hold, and each row is named for its Bargmann residual alone
+    from rabi2q.eigenstates import RECURRENCE_RESIDUAL_TOL
+    out = tmp_path / "e.csv"
+    assert run(["eigenstate", "--omega1", "1.3", "--omega2", "0.7",
+                "--g1", "0.3", "--g2", "0.4", "--nmax", "200", "--count",
+                "5", "--parity", "even", "--bargmann", "--jmax", "8",
+                "--out", str(out)]) == 3
+    _, rows = read_rows(out)
+    assert all(float(row[3]) <= RECURRENCE_RESIDUAL_TOL
+               < float(row[4]) for row in rows)
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split()[1:5] for line in err[:-1]] == [
+        ["even", f"#{index}", "bargmann", "residual"] for index in range(5)]
+    assert err[-1] == "error: 5 residuals of 5 states exceed 1e-06"
+
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -382,6 +400,8 @@ def test_eigenstate_invalid_nmax_exits_2(tmp_path):
     ["eigenstate", "--bargmann", "--jmax", str(10 ** 17)],
     # crossing tolerances at which the swap test is vacuous
     ["spectrum", "--g1", "0:0.2:0.1", "--k", "4", "--gap-tol", "nan"],
+    # checked before the sweep, whose 20 levels do not converge at n_max 10
+    ["spectrum", "--g1", "0:0.2:0.1", "--nmax", "10", "--gap-tol", "nan"],
     ["spectrum", "--g1", "0:0.2:0.1", "--k", "4", "--gap-tol", "-1"],
     ["spectrum", "--g1", "0:0.2:0.1", "--k", "4", "--overlap-tol", "nan"],
     ["spectrum", "--g1", "0:0.2:0.1", "--k", "4", "--overlap-tol", "1"],
@@ -399,7 +419,8 @@ def test_eigenstate_invalid_nmax_exits_2(tmp_path):
         "perturb-omega-square-overflows", "perturb-rows-pass-float-range",
         "dynamics-phase-overflows", "dynamics-steps-too-large",
         "spectrum-range-too-large", "eigenstate-jmax-too-large",
-        "spectrum-gap-tol-nan", "spectrum-gap-tol-negative",
+        "spectrum-gap-tol-nan", "spectrum-gap-tol-before-the-sweep",
+        "spectrum-gap-tol-negative",
         "spectrum-overlap-tol-nan", "spectrum-overlap-tol-1",
         "rwa-compare-k-past-the-chains"])
 def test_out_of_range_input_exits_2(argv, tmp_path, capsys):

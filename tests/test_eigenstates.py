@@ -11,12 +11,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import rabi2q
 import rabi2q.eigenstates as eig_mod
-from rabi2q.eigenstates import (BargmannCoefficients,
-                                bargmann_identical_coefficients,
+from rabi2q.eigenstates import (bargmann_identical_coefficients,
                                 bargmann_minimal_coefficients,
                                 bargmann_reconstruction_residual,
                                 bargmann_to_chain, chain_residual,
@@ -851,45 +850,80 @@ def test_reconstruction_stays_in_claimed_parity():
     (10, "n_max below the cut"), (30, "cut below n_max <= j_max"),
     (50, "n_max above j_max"), (60, "sqrt(j_max!) overflows")])
 def test_bargmann_to_chain_matches_scalar_oracle(parity, n_max, case):
+    # the cut is the photon level where the amplitudes reach the rounding
+    # floor; the conversion keeps every level up to min(j_max, n_max)
     j_max = 400 if case == "sqrt(j_max!) overflows" else 40
     chi = float(eigh(chain_matrix(PB, parity, 60)).values[1])
     coeffs, _ = bargmann_minimal_coefficients(PB, parity, chi, j_max)
     assert (coeffs.parity, coeffs.chi) == (parity, chi)
     got = bargmann_to_chain(coeffs, n_max=n_max)
-    v, other, cut = bargmann_chain_reference(coeffs, n_max)
+    v, other = bargmann_chain_reference(coeffs, n_max)
     assert (got.parity, got.xi) == (parity, chi)
     assert np.array_equal(got.v, v)
     assert got.other_chain_weight == other
-    assert got.cut_index == cut
+    norm = np.hypot(coeffs.c, coeffs.phi2)
+    cut = int(np.argmax(norm < 1e-15 * norm.max()))
     assert {"n_max below the cut": n_max < cut,
-            "cut below n_max <= j_max": cut < n_max <= j_max,
+            "cut below n_max <= j_max": 0 < cut < n_max <= j_max,
             "n_max above j_max": n_max > j_max,
-            "sqrt(j_max!) overflows": cut < n_max < 301 <= j_max}[case]
+            "sqrt(j_max!) overflows": 0 < cut < n_max < 301 <= j_max}[case]
 
 
-def test_bargmann_to_chain_keeps_levels_past_factorial_overflow():
-    # amplitudes exp(400 - (n - 170)^2 / 7200) fall below their n = 0 value
-    # past n = 340 and keep falling until the coefficients underflow near
-    # n = 445, so the kept levels pass n = 300, where sqrt(n!) overflows a
-    # float; phi2 = 0 puts each amplitude on both even-chain slots of its
-    # photon level
-    j_max = 450
-    n = np.arange(j_max + 1)
-    log_amp = 400.0 - (n - 170.0) ** 2 / 7200.0
-    half_log_fact = 0.5 * np.array([math.lgamma(m + 1) for m in n])
-    c = np.exp(log_amp - half_log_fact)
-    coeffs = BargmannCoefficients(Parity.EVEN, 0.0, c, np.zeros(j_max + 1))
-    state = bargmann_to_chain(coeffs, n_max=j_max)
-    assert 400 < state.cut_index < j_max
-    # from the stored coefficients, some of which are subnormal
-    kept = slice(state.cut_index + 1)
-    log_kept = np.log(c[kept]) + half_log_fact[kept]
-    amp = np.exp(log_kept - log_kept.max())
-    expected = np.zeros(2 * (j_max + 1))
-    expected[:2 * len(amp)] = np.repeat(amp, 2) / (math.sqrt(2) *
-                                                   np.linalg.norm(amp))
-    assert np.max(np.abs(state.v - expected)) <= 1e-12
-    assert state.other_chain_weight == 0.0
+def _bargmann_against_window(params, parity, trunc, count, j_max):
+    """(residual, overlap with the certified window vector) of the
+    Bargmann state at each of the lowest count certified levels; the
+    overlap is 1 at a level within 1e-6 of a neighbour, whose vector is not
+    unique."""
+    values, vectors = converged_parity_eigensystem(params, parity, trunc,
+                                                   count + 1)
+    gaps = np.diff(values)
+    isolated = np.minimum(np.r_[np.inf, gaps[:-1]], gaps) > 1e-6
+    out = []
+    for xi, window, alone in zip(values.tolist(), vectors.T, isolated):
+        coeffs, _ = bargmann_minimal_coefficients(params, parity, xi, j_max)
+        v = bargmann_to_chain(coeffs, n_max=trunc.n_max).v
+        out.append((chain_residual(params, parity, xi, v),
+                    abs(v[:len(window)] @ window) if alone else 1.0))
+    return out
+
+
+@settings(max_examples=15, deadline=None)
+@given(omega_1=st.floats(0.0, 2.0), omega_2=st.floats(0.0, 2.0),
+       g_1=st.floats(-1.0, 1.0), g_2=st.floats(-1.0, 1.0),
+       parity=st.sampled_from(Parity), n_max=st.integers(50, 80))
+# g 1.0/0.95: the amplitudes of the lowest levels reach photon 40
+@example(omega_1=1.3, omega_2=0.7, g_1=1.0, g_2=0.95, parity=Parity.ODD,
+         n_max=60)
+def test_bargmann_state_is_the_certified_eigenstate(omega_1, omega_2, g_1,
+                                                    g_2, parity, n_max):
+    # the five-term minimal solution over the Fock amplitudes reproduces
+    # each certified level to rounding, and its state is the window's; the
+    # companion divides by (omega_2 -+ omega_1) / 2, so the rounding grows
+    # like 1 / |omega_1 - omega_2| (4e-10 at 0.005).  The j_max = n_max
+    # amplitudes hold the lowest levels: their displacements reach
+    # |g_1| + |g_2| <= 2, and a coherent state of amplitude 2 holds a
+    # weight of about 1e-36 at photon 50 (2e-8 at n_max 40 came from
+    # truncation)
+    assume(abs(omega_1 - omega_2) >= 0.01
+           and abs(abs(g_1) - abs(g_2)) >= 1e-3)
+    params = ModelParams(omega_1, omega_2, g_1, g_2)
+    try:
+        pairs = _bargmann_against_window(params, parity,
+                                         TruncationConfig(n_max), 3, n_max)
+    except TruncationInsufficient:
+        return
+    for res, overlap in pairs:
+        assert res <= 1e-9 and overlap >= 1 - 1e-9
+
+
+def test_bargmann_state_at_fig3_couplings():
+    # deep strong coupling, g 3/4: the states reach past photon 120
+    params = ModelParams(1.1, 0.3, 3.0, 4.0)
+    for parity in Parity:
+        pairs = _bargmann_against_window(params, parity,
+                                         TruncationConfig(300), 10, 200)
+        for res, overlap in pairs:
+            assert res <= 1e-9 and overlap >= 1 - 1e-9
 
 
 # ---------------------------------------------------------------------------
