@@ -10,20 +10,26 @@ sqrt(n_w + 1) ||[[g1, g2], [g2, g1]] v_top|| (v_top: the window's last
 two entries), is within ``RESIDUAL_TOL`` ||H||, and when an inertia count
 shows that the whole chain has no more levels below the cut, midway to
 the window's next level, than the window has; otherwise it widens.  A
-sweep climbs the ladders of all its points together, one rung at a time,
-and counts the inertia of every rung's candidates in one batched, numpy
-only pass of 2 x 2 block pivots.  A point keeps only the k requested
-levels and its window's rows of their vectors.  When no window short of
-the whole chain certifies, the point is solved by dense ``eigh`` of the
-whole chain, whose reported eigenvalues pass a truncation guard: the
-eigenvector must carry less than ``GUARD_TOL`` weight on the top two
-photon levels, otherwise the level is considered unconverged at this
-cutoff.
+sweep climbs the ladders of all its points together, one rung at a time.
+The rung's windows are solved and residual-tested on a thread pool sized
+to the cores that BLAS leaves idle (one thread, the calling one, when
+BLAS threads fill every core), and the inertia of every rung's
+candidates is then counted in one batched, numpy only pass of 2 x 2
+block pivots.  Each window is one LAPACK call whichever thread makes it,
+so the results do not depend on the number of threads.  A point keeps
+only the k requested levels and its window's rows of their vectors.
+When no window short of the whole chain certifies, the point is solved by
+dense ``eigh`` of the whole chain, whose reported eigenvalues pass a
+truncation guard: the eigenvector must carry less than ``GUARD_TOL``
+weight on the top two photon levels, otherwise the level is considered
+unconverged at this cutoff.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -89,6 +95,32 @@ def _tail_positive(bands: np.ndarray, rows: np.ndarray, x: np.ndarray,
     return passed
 
 
+def _pool_workers(points: int) -> int:
+    """Threads for the window solves of points sweep points: the cores that
+    BLAS leaves idle, max(1, cpus // blas_threads), at most points.
+
+    cpus is the process's CPU affinity (else ``os.cpu_count()``), and
+    blas_threads is ``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``,
+    where set to a positive integer, else cpus, which is OpenBLAS's own
+    default.  So with both unset a sweep runs on one thread, as OpenBLAS
+    already fills every core.  The settings are only read, never changed.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            blas_threads = int(os.environ[name])
+        except (KeyError, ValueError):
+            continue
+        if blas_threads > 0:
+            break
+    else:
+        blas_threads = cpus
+    return max(1, min(cpus // blas_threads, points))
+
+
 def _certified_windows(bands: np.ndarray, starts, count: int) -> list:
     """The count lowest pairs of each chain band, solved on photons
     0..n_w, or None for a point whose ladder runs out.
@@ -96,49 +128,73 @@ def _certified_windows(bands: np.ndarray, starts, count: int) -> list:
     Each point climbs its own ladder of ``photon_windows`` from its start
     window, at least count // 2 so that a window holds the level past the
     cut, up to the last window short of the whole chain, until one passes
-    the certificate of ``converged_parity_eigensystem``.  Per rung, every
-    pending point's window is solved and residual-tested, keeping only its
-    count values, a copy of their vector columns, its cut x and
+    the certificate of ``converged_parity_eigensystem``.  Per rung, the
+    pending points' windows are solved on a thread pool made for the call,
+    of ``_pool_workers`` threads (numpy's LAPACK releases the GIL, so each
+    thread keeps one core busy); with one worker the rung runs on the
+    calling thread.  A task solves its point's window and tests its
+    residuals, and returns only what the certificate keeps: its count
+    values and a copy of their vector columns, its cut x and
     G = V_top diag(1 / (theta - x)) V_top^T (V_top: the window's last two
-    rows over all of its eigenvectors); then one batched
-    ``_tail_positive`` counts all of them.  Returns the values and the
-    window rows of the vectors (the rows past the window are zeros).
+    rows over all of its eigenvectors), or a rejection; so no more windows
+    are alive than workers.  Then one batched ``_tail_positive`` on the
+    calling thread counts all of the rung's candidates.  Each window is
+    still one LAPACK call, and the rung's results are taken in point
+    order, so the output does not depend on the number of workers.
+    Returns the values and the window rows of the vectors (the rows past
+    the window are zeros).
     """
     ladders = [photon_windows(band, max(start, count // 2),
                               band.shape[1] - 1)
                for band, start in zip(bands, starts)]
     tols = [RESIDUAL_TOL * band_norm(band) for band in bands]
+
+    def climb(point):
+        """None when point's ladder has run out, False when its next window
+        fails the residual test, else (rows, x, G, pair)."""
+        rung = next(ladders[point], None)
+        if rung is None:
+            return None
+        rows, (values, vectors) = rung
+        residual = padded_residuals(bands[point], values[:count],
+                                    vectors[:, :count])
+        top = values[count - 1]
+        x = 0.5 * (top + values[count])
+        if not (np.max(residual) <= tols[point]
+                and np.linalg.norm(residual) < x - top):
+            return False
+        edge = vectors[-2:]
+        # copies, so the result owns only the count columns
+        return (rows, x, (edge / (values - x)) @ edge.T,
+                (values[:count].copy(), vectors[:, :count].copy()))
+
     solved = [None] * len(bands)
     pending = range(len(bands))
-    while pending:
-        widen, found = [], []
-        for point in pending:
-            rung = next(ladders[point], None)
-            if rung is None:
-                continue
-            rows, (values, vectors) = rung
-            residual = padded_residuals(bands[point], values[:count],
-                                        vectors[:, :count])
-            top = values[count - 1]
-            x = 0.5 * (top + values[count])
-            if (np.max(residual) <= tols[point]
-                    and np.linalg.norm(residual) < x - top):
-                edge = vectors[-2:]
-                # a copy, so the result owns only the count columns
-                found.append((point, rows, x, (edge / (values - x)) @ edge.T,
-                              (values[:count], vectors[:, :count].copy())))
-            else:
-                widen.append(point)
-        if found:
-            points, rows, x, g, pairs = zip(*found)
-            passed = _tail_positive(bands[list(points)], np.array(rows),
-                                    np.array(x), np.array(g))
-            for point, ok, pair in zip(points, passed, pairs):
-                if ok:
-                    solved[point] = pair
-                else:
+    workers = _pool_workers(len(bands))
+    with contextlib.ExitStack() as stack:
+        run = map
+        if workers > 1:
+            # imported here, so that a run that makes no pool does not pay
+            # for the import (about 6 ms, logging included)
+            from concurrent.futures import ThreadPoolExecutor
+            run = stack.enter_context(ThreadPoolExecutor(workers)).map
+        while pending:
+            widen, found = [], []
+            for point, outcome in zip(pending, run(climb, pending)):
+                if outcome is False:
                     widen.append(point)
-        pending = sorted(widen)
+                elif outcome is not None:
+                    found.append((point, *outcome))
+            if found:
+                points, rows, x, g, pairs = zip(*found)
+                passed = _tail_positive(bands[list(points)], np.array(rows),
+                                        np.array(x), np.array(g))
+                for point, ok, pair in zip(points, passed, pairs):
+                    if ok:
+                        solved[point] = pair
+                    else:
+                        widen.append(point)
+            pending = sorted(widen)
     return solved
 
 

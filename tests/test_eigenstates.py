@@ -27,7 +27,7 @@ from rabi2q.errors import (ConvergenceFailure, OverflowDetected,
                            TruncationInsufficient)
 from rabi2q.hamiltonian import build_parity_band
 from rabi2q.model import ModelParams, Parity, TruncationConfig
-from rabi2q.numerics import eigh, expand_dense
+from rabi2q.numerics import band_norm, eigh, expand_dense
 from rabi2q.spectra import GUARD_TOL, converged_parity_eigensystem
 
 from oracles import (G_CROSS, bargmann_chain_reference,
@@ -514,6 +514,32 @@ def test_fixed_point_rounds_exactly(value, bits):
     assert eig_mod._fixed(value, bits) == round(Fraction(value) * 2 ** bits)
 
 
+@pytest.mark.parametrize("num, den", [
+    (5, 2), (7, 2), (-5, 2), (-7, 2), (5, -2), (7, -2), (-5, -2), (-7, -2),
+    (1, 2), (-1, 2), (3, 2), (-3, 2), (45, 6), (51, 6), (-45, 6),
+    pytest.param(2 ** 300 + 2 ** 199, 2 ** 200, id="2^100+1/2"),
+    pytest.param(-3 * 2 ** 300 - 2 ** 199, 2 ** 200, id="-3*2^100-1/2"),
+    (7, 3), (8, 3), (-8, 3), (0, 5), (0, -5)])
+def test_nearest_rounds_ties_to_even(num, den):
+    # exact ties on floor quotients even (5/2, -7/2, 51/6) and odd (7/2,
+    # -5/2, 45/6), by either sign of the denominator and past the float
+    # range: each rounds as a Fraction does, to the even neighbour
+    assert eig_mod._nearest(num, den) == round(Fraction(num, den))
+
+
+def test_cut_normalize_cuts_at_the_first_least_block():
+    # blocks 1 and 3 tie for the least squared norm (1); the cut is block 1
+    # and only blocks 0 and 1 are kept, over the norm sqrt(25 + 1) rounded
+    # down to the int 5
+    blocks = [(3, 4), (1, 0), (5, 0), (0, -1), (7, 7)]
+    squares = [p * p + q * q for p, q in blocks]
+    state = eig_mod._cut_normalize(Parity.EVEN, 0.5, blocks, squares, 6)
+    v, cut = cut_normalize_reference(blocks, 6)
+    assert state.cut_index == cut == 1
+    assert np.array_equal(state.v, v)
+    assert not state.v[4:].any() and state.v[2] == v[2] != 0
+
+
 @pytest.mark.parametrize("omega_1,omega_2,g_1,g_2,parity,n_max,count,level,"
                          "bound", [
     (1.065559906280724, 0.7, 4.716664822840003e-228,
@@ -924,6 +950,38 @@ def test_bargmann_state_at_fig3_couplings():
                                          TruncationConfig(300), 10, 200)
         for res, overlap in pairs:
             assert res <= 1e-9 and overlap >= 1 - 1e-9
+
+
+@settings(max_examples=12, deadline=None)
+@given(omega_1=st.floats(1.2, 1.4), omega_2=st.floats(0.6, 0.8),
+       g_1=st.floats(0.2, 0.4), g_2=st.floats(0.3, 0.45),
+       parity=st.sampled_from(Parity), level=st.integers(0, 9),
+       scale=st.floats(-10.0, -5.0), sign=st.sampled_from([-1.0, 1.0]))
+def test_bargmann_residual_grows_with_the_distance_from_a_level(
+        omega_1, omega_2, g_1, g_2, parity, level, scale, sign):
+    # around the README couplings: at a certified level E the residual is
+    # at rounding level; at E + delta, delta / ||H|| = 1e-10 to 1e-5, it
+    # is at least |delta|, since no vector has a smaller residual there,
+    # and it grows with delta like delta itself
+    assume(abs(abs(g_1) - abs(g_2)) >= 1e-3)
+    params = ModelParams(omega_1, omega_2, g_1, g_2)
+    trunc = TruncationConfig(NMAX)
+    values, _ = converged_parity_eigensystem(params, parity, trunc,
+                                             level + 2)
+    hnorm = band_norm(build_parity_band(params, parity, trunc))
+    energy = float(values[level])
+    delta = sign * 10.0 ** scale * hnorm
+    gap = np.min(np.abs(np.delete(values, level) - energy))
+    assume(20 * abs(delta) < gap)
+
+    def residual_at(chi):
+        return bargmann_reconstruction_residual(params, parity, chi,
+                                                n_max=NMAX)
+
+    assert residual_at(energy) <= 1e-13 * hnorm
+    near, far = residual_at(energy + delta), residual_at(energy + 10 * delta)
+    assert near >= 0.9 * abs(delta)
+    assert 5 <= far / near <= 20
 
 
 # ---------------------------------------------------------------------------

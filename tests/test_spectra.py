@@ -1,3 +1,6 @@
+import os
+import sys
+import threading
 import warnings
 from dataclasses import replace
 
@@ -8,8 +11,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from rabi2q import spectra
 from rabi2q.errors import ConfigError, TruncationInsufficient
 from rabi2q.hamiltonian import build_parity_band
-from rabi2q.model import ModelParams, Parity, TruncationConfig
-from rabi2q.numerics import band_norm, eigh, expand_dense
+from rabi2q.model import ModelParams, Parity, TruncationConfig, basis_table
+from rabi2q.numerics import (band_norm, displacement_element, eigh,
+                             expand_dense)
 from rabi2q.spectra import (CrossingKind, SpectrumSweep,
                             converged_parity_eigensystem, detect_crossings,
                             dsc_perturbative_spectrum, rwa_relative_error,
@@ -621,6 +625,79 @@ def test_windowed_sweep_matches_whole_chain_solves(order, n_max):
                for r in detect_crossings(sweep, Parity.EVEN))
 
 
+# the README cutoff, where every window certifies on its first rung, and
+# n_max = 50, where g = 0.51 widens once and g = 0.9 goes to the whole
+# chain; 0.51 is the README grid point next to the crossing at G_CROSS
+@pytest.mark.parametrize("n_max, k, gs", [(300, 20, [0.0, 0.51, 1.0, 2.0]),
+                                          (50, 12, [0.0, 0.51, 0.9])])
+def test_sweep_pool_matches_one_point_solves_bit_for_bit(monkeypatch, n_max,
+                                                         k, gs):
+    # the sweep's windows, solved on a pool of four threads that switch
+    # every microsecond, against one call per point, which solves on the
+    # calling thread
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    assert spectra._pool_workers(len(gs)) == min(4, len(gs))
+    threads = set()
+    residuals = spectra.padded_residuals
+    monkeypatch.setattr(spectra, "padded_residuals", lambda *args: (
+        threads.add(threading.get_ident()) or residuals(*args)))
+    trunc = TruncationConfig(n_max)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        sweep = sweep_spectrum(TEMPLATE, gs, gs, trunc, k)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threads and threading.get_ident() not in threads
+    for parity in Parity:
+        for i, g in enumerate(gs):
+            values, vectors = converged_parity_eigensystem(
+                ModelParams(1.3, 0.7, g, g), parity, trunc, k)
+            assert np.array_equal(sweep.energies[parity][i], values)
+            assert np.array_equal(sweep.vectors[parity][i], vectors)
+
+
+@pytest.mark.parametrize("openblas, omp, cpus, points, workers", [
+    (None, None, 2, 201, 1),        # OpenBLAS already fills the cores
+    (None, None, 16, 201, 1),
+    ("1", None, 2, 201, 2),
+    ("1", None, 16, 201, 16),
+    ("1", None, 16, 3, 3),          # at most one thread per point
+    ("1", None, 16, 1, 1),          # a one-point call
+    ("1", None, 1, 201, 1),
+    ("2", None, 16, 201, 8),
+    ("2", None, 3, 201, 1),
+    ("4", "1", 16, 201, 4),         # OPENBLAS_NUM_THREADS comes first
+    (None, "1", 4, 201, 4),
+    (None, "2", 4, 201, 2),
+    ("abc", "1", 4, 201, 4),        # garbage falls through to OMP
+    ("abc", None, 4, 201, 1),       # ... and then to cpus
+    ("1.5", "x", 4, 201, 1),
+    ("0", "2", 4, 201, 2),          # not positive: falls through
+    ("-1", None, 4, 201, 1),
+    ("", None, 4, 201, 1),
+])
+def test_pool_workers_fill_the_cores_blas_leaves_idle(monkeypatch, openblas,
+                                                      omp, cpus, points,
+                                                      workers):
+    for name, value in (("OPENBLAS_NUM_THREADS", openblas),
+                        ("OMP_NUM_THREADS", omp)):
+        if value is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, value)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)))
+    assert spectra._pool_workers(points) == workers
+    # without an affinity call, the count of os.cpu_count() is used
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert spectra._pool_workers(points) == workers
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert spectra._pool_workers(points) == 1
+
+
 def _chain(params, parity, trunc):
     return expand_dense(build_parity_band(params, parity, trunc))
 
@@ -780,6 +857,51 @@ def test_second_order_shift_at_unequal_couplings(g_1, g_2):
         ground = converged_parity_eigensystem(params, parity,
                                               TruncationConfig(260), 1)[0][0]
         assert abs((spec.branch1_zeroth[0] - ground) - shift) <= 0.01 * shift
+
+
+def _zeroth_order_miss(params, parity, vectors, trunc, m_max):
+    """1 - P for each column of vectors, the chain rows of a parity's
+    levels: P is the largest weight a level keeps on one zeroth-order pair
+    {|s>_x D(-x)|m> : x = +-g_b} of deep strong coupling, over the branches
+    b and m <= m_max.  Photon n of sigma_x state s = (s1, s2) overlaps the
+    chain slot (n, sz1, sz2) by <s|sz1><s|sz2>, with <s|+1> = 1 / sqrt 2 and
+    <s|-1> = s / sqrt 2, and <m|D(-x)^dagger|n> = <m|D(x)|n>."""
+    table = basis_table(trunc)
+    rows = len(vectors)
+    n = table.photon[parity][:rows]
+    sz1, sz2 = table.sz1[parity][:rows], table.sz2[parity][:rows]
+    best = np.zeros(vectors.shape[1])
+    for pair in (((1, 1), (-1, -1)), ((1, -1), (-1, 1))):   # g_plus, g_minus
+        weight = 0.0
+        for s1, s2 in pair:
+            x = s1 * params.g_1 + s2 * params.g_2
+            shift = np.array([[displacement_element(m, j, x / 2)
+                               for j in range(n[-1] + 1)]
+                              for m in range(m_max + 1)])
+            qubits = 0.5 * np.where(sz1 < 0, s1, 1) * np.where(sz2 < 0, s2, 1)
+            weight = weight + (shift[:, n] @ (qubits[:, None] * vectors)) ** 2
+        best = np.maximum(best, np.max(weight, axis=0))
+    return 1.0 - best
+
+
+def test_deep_strong_coupling_states_keep_their_zeroth_order_weight():
+    # at couplings lambda (3, 4), omega 1.1/0.3, the 12 lowest levels of
+    # the two parities lie on the g_plus pairs m = 0..5; the largest weight
+    # a level misses on its pair falls with lambda (measured by dense eigh
+    # of the product basis: 1.9e-3 at lambda = 0.5, 5.4e-5 at 1)
+    trunc = TruncationConfig(300)
+    worst = {}
+    for lam, bound in ((0.5, 5e-3), (1.0, 2e-4)):
+        params = ModelParams(1.1, 0.3, 3 * lam, 4 * lam)
+        levels = []
+        for parity in Parity:
+            values, vectors = converged_parity_eigensystem(params, parity,
+                                                           trunc, 12)
+            levels += zip(values, _zeroth_order_miss(params, parity, vectors,
+                                                     trunc, 15))
+        worst[lam] = max(miss for _, miss in sorted(levels)[:12])
+        assert 0 <= worst[lam] <= bound
+    assert worst[1.0] < worst[0.5]
 
 
 def test_mixed_dip_is_not_a_crossing():
