@@ -1,9 +1,31 @@
-"""The library examples of README.md run as written."""
+"""The examples of README.md run as written, and its CLI commands write
+the pinned outputs.
 
+``python tests/test_readme.py`` rewrites ``tests/golden/readme_outputs.json``
+from the current program; a change that moves an output on purpose does
+so and lists the changed values.
+"""
+
+import hashlib
+import json
+import os
 import re
+import shlex
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+GOLDEN = ROOT / "tests" / "golden"
+REFERENCES = GOLDEN / "readme_outputs.json"
+# outputs past this many bytes are pinned by a SHA-256 and every
+# SAMPLE_STEP-th line, so that a mismatch names a line, not only a hash
+WHOLE_BYTES = 4096
+SAMPLE_STEP = 50
 
 
 def test_readme_python_blocks_run():
@@ -16,3 +38,127 @@ def test_readme_python_blocks_run():
     for block in blocks:
         pad = "\n" * text.count("\n", 0, block.start(1))
         exec(compile(pad + block[1], str(README), "exec"), namespace)
+
+
+def readme_commands():
+    """The argv of every ``rabi2q`` command in the README's bash blocks,
+    continuation lines joined."""
+    text = README.read_text()
+    commands = []
+    for block in re.findall(r"^```bash\n(.*?)^```", text, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["rabi2q"]:
+                commands.append(words[1:])
+    return commands
+
+
+_RUN = """
+import json, sys
+from rabi2q.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+"""
+
+
+def run_readme_commands(out_dir: Path) -> dict:
+    """Run the README commands in one fresh process at one OpenBLAS thread,
+    writing into out_dir; the text of each file written, by name, less the
+    ``# rabi2q`` header line of a CSV."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN, json.dumps(readme_commands())],
+        cwd=out_dir, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    outputs = {}
+    for path in sorted(out_dir.iterdir()):
+        lines = path.read_text().splitlines()
+        if lines[:1] and lines[0].startswith("# rabi2q "):
+            lines = lines[1:]
+        outputs[path.name] = lines
+    return outputs
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def reference_of(lines) -> dict:
+    """The pinned form of one output: its lines, or, past WHOLE_BYTES, its
+    line count, SHA-256 and every SAMPLE_STEP-th line by number."""
+    if sum(len(line) + 1 for line in lines) <= WHOLE_BYTES:
+        return {"lines": lines}
+    return {"count": len(lines), "sha256": _digest(lines),
+            "sample": {str(i): lines[i]
+                       for i in range(0, len(lines), SAMPLE_STEP)}}
+
+
+def mismatches(name, lines, reference) -> list:
+    """How an output differs from its reference; empty when it does not."""
+    if "file" in reference:
+        reference = {"lines": (GOLDEN / reference["file"]).read_text()
+                     .splitlines()}
+    if "lines" in reference:
+        want = reference["lines"]
+        diff = [f"{name} line {i}: {got!r} != {ref!r}"
+                for i, (got, ref) in enumerate(zip(lines, want))
+                if got != ref]
+        if len(lines) != len(want):
+            diff.append(f"{name}: {len(lines)} lines, expected {len(want)}")
+        return diff
+    diff = [f"{name} line {i}: {lines[int(i)]!r} != {ref!r}"
+            for i, ref in reference["sample"].items()
+            if int(i) >= len(lines) or lines[int(i)] != ref]
+    if len(lines) != reference["count"]:
+        diff.append(f"{name}: {len(lines)} lines, expected "
+                    f"{reference['count']}")
+    elif _digest(lines) != reference["sha256"]:
+        diff.append(f"{name}: SHA-256 differs off the sampled lines")
+    return diff
+
+
+@pytest.fixture(scope="module")
+def readme_outputs(tmp_path_factory):
+    return run_readme_commands(tmp_path_factory.mktemp("readme"))
+
+
+def test_readme_outputs_match_their_references(readme_outputs):
+    references = json.loads(REFERENCES.read_text())
+    assert sorted(readme_outputs) == sorted(references)
+    assert [line for name, lines in readme_outputs.items()
+            for line in mismatches(name, lines, references[name])] == []
+
+
+def _last_digit_up(cell: str) -> str:
+    """The printed cell with its last digit moved by one."""
+    i = max(i for i, c in enumerate(cell) if c.isdigit())
+    return cell[:i] + "01234567890"[int(cell[i]) + 1] + cell[i + 1:]
+
+
+@pytest.mark.parametrize("name, line", [
+    ("states.csv", 5), ("perturb.csv", 3), ("spectrum.csv", 100),
+    ("spectrum.csv", 101), ("dynamics_dsc.csv", 733)],
+    ids=["golden-file", "whole", "sampled-line", "hashed-line", "dynamics"])
+def test_reference_check_fails_on_one_changed_digit(readme_outputs, name,
+                                                    line):
+    # the last printed digit of one cell, on a kept line, a sampled line
+    # and a line only the hash covers
+    references = json.loads(REFERENCES.read_text())
+    lines = list(readme_outputs[name])
+    cells = lines[line].split(",")
+    cells[-1] = _last_digit_up(cells[-1])
+    lines[line] = ",".join(cells)
+    assert mismatches(name, lines, references[name])
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs = run_readme_commands(Path(tmp))
+    pinned = {name: reference_of(lines) for name, lines in outputs.items()}
+    # the eigenstate output stays whole in its own golden file
+    (GOLDEN / "eigenstate_readme.csv").write_text(
+        "\n".join(outputs["states.csv"]) + "\n")
+    pinned["states.csv"] = {"file": "eigenstate_readme.csv"}
+    REFERENCES.write_text(json.dumps(pinned, indent=1) + "\n")
