@@ -13,7 +13,8 @@ Exit codes: 0 success, 2 configuration error (a ConfigError, raised by the
 front end and by the input checks of the library, or a configuration too
 large to allocate), 3 numerical/truncation failure, also when
 ``eigenstate`` has written rows whose recurrence or Bargmann residual
-exceeds ``eigenstates.RECURRENCE_RESIDUAL_TOL``.
+exceeds ``eigenstates.RECURRENCE_RESIDUAL_TOL`` or is nan (a cluster member
+the recurrence cannot resolve).
 """
 
 from __future__ import annotations

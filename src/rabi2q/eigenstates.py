@@ -1,92 +1,75 @@
 """Eigenstate construction by recurrence relations.
 
-One route per representation: the four-term vector recurrence over the
-parity chain blocks, and the five-term recurrence of the parity-projected
-Bargmann functions, solved for the Fock amplitudes sqrt(j!) c_j of their
-power-series coefficients c_j by least squares, which finds the minimal
-solution (forward recursion cannot).  Where alpha_0 vanishes (identical
-qubits) the five-term route raises StepSingular; a three-term recurrence
-covers that case.
+One route per representation: the block recurrence of the parity chain,
+and the five-term recurrence of the parity-projected Bargmann functions,
+solved for the Fock amplitudes sqrt(j!) c_j of their power-series
+coefficients c_j as the null vector of its row matrix, which finds the
+minimal solution (forward recursion cannot).  Where alpha_0 vanishes
+(identical qubits) the five-term route raises StepSingular; a three-term
+recurrence covers that case.
 
-Both recurrences are dominated by growing solutions, so they serve as
-verification and structure-exposing tools.  The four-term route takes
-its seed pairs from ``spectra.converged_parity_eigensystem``, the certified
-photon-window route of spectrum sweeps, with no solve or truncation guard
-of its own.  Its achievable residual is limited by the accuracy of the
-eigenvalue and seed fed to it (a double-precision eigenpair is amplified
-to ~1e-4 within a dozen steps), so both it and ``refine_eigenpair``, which
-sharpens a float eigenpair by mixed-precision Newton, run in one fixed-point
-model: Python ints at scale 2^-bits (``_fraction_bits``: about DPS +
-GUARD_DIGITS digits, finer where g^2 lies below the refiner's tolerance),
-reading the chain matrix from the same cached int tables.  Newton runs on
-leading photon windows, widened on the ladder of
-``numerics.photon_windows``, and stops on the whole chain's test: x is
-zero past the window, so its residual over the window and the photon block
-past it is the whole chain's.  The recurrence solves each row of (H - xi)
-v = 0 for the next block, an exact int sum and one rounded int division
-per entry, so it follows exactly the matrix the refiner converged on.  It
-ends one block past its cut once a growth bound from the band diagonal
-proves that no later block can be smaller (``_growth_start``), else at
-n_max: its blocks, cut and float state are those of the run to n_max.
-Where the scale does not hold the decaying solution (deep strong
-coupling, |g1| near |g2|, g^2 below the refiner's tolerance, xi far from
-the spectrum), a state's residual passes ``RECURRENCE_RESIDUAL_TOL``; the
-route returns it, and the CLI flags it.
+The chain's rows O_j x_{j-1} + (D_j - E) x_j + O_{j+1} x_{j+1} = 0 have a
+growing solution in each direction, so ``eigenstate_recurrences`` runs
+them from both ends, in float64, batched over the levels of one parity,
+at the energies E of ``spectra.converged_parity_eigensystem``: the Schur
+complements of the chain above and below each block give the ratios x_j =
+R_j x_{j-1} of the decaying solution from the top end (the matrix
+continued fraction) and x_j = L_j x_{j+1} from photon 0, and the state is
+the null vector of the block where the two meet, spread outward with R
+and L (the block form of the twisted factorizations of Dhillon & Parlett,
+LAA 387, 1 (2004)).  Levels closer together than CLUSTER_GAP ||H|| are
+orthogonalized within their cluster; a member the route cannot resolve
+has no vector, and its residual is nan.  ``recurrence_eigenstate_la`` runs
+the recurrence forward from one block alone, which any error in its
+inputs defeats within a few dozen blocks: it is kept to show why.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from fractions import Fraction
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigError, ConvergenceFailure, OverflowDetected,
-                     SingularCoupling, StepSingular)
+from .errors import (ConfigError, OverflowDetected, SingularCoupling,
+                     StepSingular)
 from .hamiltonian import build_parity_band
 from .model import ModelParams, Parity, TruncationConfig, basis_table
-from .numerics import (band_matvec, band_norm, general_band,
-                       next_photon_window)
+from .numerics import band_matvec, band_norm
 from .spectra import converged_parity_eigensystem
 
-# decimal digits of the refined eigenpairs, and so of the fixed-point scale
-DPS = 60
 OVERFLOW_LIMIT = 1e300
-# slack of the recurrence's growth bound past its float rounding
-GROWTH_MARGIN = 1e-9
-# a squared block norm, in units of the scale, past which the half-unit
-# rounding of a step cannot undo a growth of GROWTH_MARGIN
-_GROWTH_FLOOR = 1 / (2 * GROWTH_MARGIN ** 2)
 # a recurrence state whose relative residual ||(H - xi) v|| / ||v|| passes
-# this is not an eigenstate: the scale did not hold the decaying solution
+# this is not an eigenstate
 RECURRENCE_RESIDUAL_TOL = 1e-6
+# levels closer than CLUSTER_GAP ||H|| form a cluster whose states are
+# orthogonalized, as LAPACK dstein does
+CLUSTER_GAP = 1e-3
+# blocks, of least smallest singular value, at which each level's twisted
+# state is formed; the one of least residual is kept
+TWIST_CANDIDATES = 2
+# inverse-iteration steps of the Bargmann route's null vector at most
+NULL_STEPS = 3
 
 
 # ---------------------------------------------------------------------------
-# four-term chain recurrence
+# chain recurrences
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class RecurrenceState:
-    """Candidate eigenstate from the four-term recurrence.
+    """Eigenstate of one parity chain from its block recurrence.
 
-    v is the flattened parity-chain vector of the given parity at energy
-    xi (the float nearest the xi the recurrence ran at), normalized; blocks
-    past cut_index are zeroed (the recurrence tail is dominated by the
-    growing solution beyond the minimum-norm block).  cut_index is the
-    first block of least norm over the run to n_max, though the run may
-    end one block past it, where its growth bound shows that no later block
-    can be smaller.  refine_residual is the residual ||(H - xi) x||_2 of
-    the refined pair behind the seed, if there was one.
+    v is the normalized chain vector at energy xi.  twist is the photon
+    block at which the two-sided route met (``eigenstate_recurrences``), or
+    None for a forward run (``recurrence_eigenstate_la``), whose blocks
+    past the first block of least norm are zeroed.
     """
 
     parity: Parity
     xi: float
     v: np.ndarray
-    cut_index: int
-    refine_residual: float | None = None
+    twist: int | None = None
 
 
 def _check_couplings(params: ModelParams):
@@ -94,126 +77,45 @@ def _check_couplings(params: ModelParams):
     if abs(g1 - g2) <= 1e-14 * max(g1, g2, 1e-300):
         raise SingularCoupling(
             "|g1| == |g2|: off-diagonal blocks are not invertible; "
-            "use the dense eigensolver for this case")
-
-
-def _growth_start(params: ModelParams, band: np.ndarray, xi: float,
-                  n_max: int) -> int:
-    """First block i past which every step of the four-term recurrence
-    grows the block norm (n_max where the last step does not).
-
-    Step j forms v_j = -f_j G D_j v_{j-1} - s_j v_{j-2}, with
-    G = [[g1, -g2], [-g2, g1]], D_j the diagonal block of photon j - 1 less
-    xi, f_j = 1 / (sqrt(j) (g1^2 - g2^2)) and s_j = sqrt((j - 1) / j).  So
-    sigma_min(f_j G D_j) >= a_j = min |d - xi| / (sqrt(j) (|g1| + |g2|)),
-    and ||v_j|| >= (a_j - s_j) ||v_{j-1}|| wherever ||v_{j-2}|| <=
-    ||v_{j-1}||.  Every step past i has a_j - s_j >= 1 + GROWTH_MARGIN,
-    a_j taken in floats from the band diagonal, lowered by the float error
-    of |d - xi| and by 16 eps relative.  Those 16 eps also hold the int
-    tables' rounding of H and xi to 2^-bits, which moves a_j and s_j by
-    about cond(G) 2^-bits / |g| relative, below 1e-22 (bits >= 229, |g| >
-    3e-32 unless bits gain those of 1 / g^2, and cond(G) < 2e14 past
-    ``_check_couplings``).  Each step rounds each entry by at most half a
-    unit of the scale, so once a block past i is larger than the one
-    before it and its squared norm passes 1 / (2 GROWTH_MARGIN^2) units,
-    every later block is larger still.
-    """
-    g1, g2 = abs(params.g_1), abs(params.g_2)
-    diag = band[0, :2 * n_max].reshape(n_max, 2)
-    j = np.arange(1, n_max + 1)
-    eps = np.finfo(float).eps
-    # an xi past the float range, or a zero distance, fails the test
-    with np.errstate(all="ignore"):
-        dist = np.abs(diag - xi)
-        err = 4 * eps * (np.abs(diag).max(axis=1) + abs(xi)
-                         + abs(params.omega_1) + abs(params.omega_2))
-        a = (dist.min(axis=1) - err) / (np.sqrt(j) * (g1 + g2))
-        grows = (a * (1 - 16 * eps) - np.sqrt((j - 1) / j)
-                 >= 1 + GROWTH_MARGIN)
-    fails = np.flatnonzero(~grows)
-    return int(fails[-1]) + 1 if len(fails) else 0
-
-
-def _recurrence_blocks_mp(params: ModelParams, parity: Parity, xi, v0,
-                          n_max: int):
-    """Fixed-point blocks of the four-term recurrence, up to the block past
-    which no block can be smaller.
-
-    Returns (blocks, squares): the int pairs of blocks 0..i at the
-    refiner's scale 2^-bits, xi and v0 entering as the nearest ints, and
-    their exact squared norms.  Block j solves row j - 1 of (H - xi) v = 0
-    on the refiner's tables: an exact int sum over blocks j - 2 and j - 1,
-    then one rounded int division per entry by the coupling block [[a, b],
-    [b, a]] of O_j.  The run stops after the first block i at or past
-    ``_growth_start`` whose squared norm is above block i - 1's and above
-    1 / (2 GROWTH_MARGIN^2): every later block is then larger, so the cut,
-    the first least block of the run to n_max, is among blocks 0..i - 1,
-    and the cut and float state of ``_cut_normalize`` are that run's.
-    Where the bound allows no stop, the run goes to n_max.  |g1| = |g2|
-    raises SingularCoupling.
-    """
-    _check_couplings(params)
-    band = build_parity_band(params, parity, TruncationConfig(n_max))
-    bits = _fraction_bits(params, _newton_tolerance(band_norm(band)))
-    diag = _fixed_diagonal(params, parity, n_max, bits)
-    a, b = _fixed_coupling_table(params, n_max, bits)
-    xi = _fixed(xi, bits)
-    start = _growth_start(params, band, xi / (1 << bits), n_max)
-    p, q = (_fixed(c, bits) for c in v0[:2])
-    blocks, squares, pl, ql = [(p, q)], [p * p + q * q], 0, 0
-    for j in range(1, n_max + 1):
-        (d0, d1), al, bl, ah, bh = diag[j - 1], a[j - 1], b[j - 1], a[j], b[j]
-        r0 = (xi - d0) * p - al * pl - bl * ql
-        r1 = (xi - d1) * q - bl * pl - al * ql
-        det = ah * ah - bh * bh
-        pl, ql, p, q = (p, q, _nearest(ah * r0 - bh * r1, det),
-                        _nearest(ah * r1 - bh * r0, det))
-        blocks.append((p, q))
-        squares.append(p * p + q * q)
-        if j >= start and squares[j] > max(squares[j - 1], _GROWTH_FLOOR):
-            break
-    return blocks, squares
-
-
-def _cut_normalize(parity: Parity, xi, blocks, squares,
-                   n_max: int) -> RecurrenceState:
-    """Zero the growing tail past the minimum-norm block and normalize.
-
-    blocks and squares are those of ``_recurrence_blocks_mp``.  The cut is
-    the first block of least squared norm, a zero block included (where xi
-    is a photon-0 diagonal entry to the last bit and the seed's other
-    component is zero, block 1 is zero and the state is the seed block
-    alone).  Each kept entry over the kept prefix's norm, math.isqrt of its
-    exact squared norm, is one int / int division rounded once to a float,
-    though the blocks may lie far outside the float range.
-    """
-    # a zero seed block makes every block zero
-    if not squares[0]:
-        raise OverflowDetected("recurrence produced a null vector")
-    cut = squares.index(min(squares))
-    root = math.isqrt(sum(squares[:cut + 1]))
-    out = np.zeros((n_max + 1, 2))
-    out[:cut + 1] = [[c / root for c in block] for block in blocks[:cut + 1]]
-    flat = out.ravel()
-    return RecurrenceState(parity, float(xi),
-                           flat / float(np.linalg.norm(flat)), cut)
+            "use eigenstate_recurrences for this case")
 
 
 def recurrence_eigenstate_la(params: ModelParams, parity: Parity, xi, v0,
                              n_max: int) -> RecurrenceState:
-    """Run the four-term recurrence from seed block v0 at energy xi.
+    """Run the four-term recurrence forward in floats from seed block v0
+    at energy xi.
 
-    xi and the two components of v0 may be floats or exact rationals
-    (anything with ``as_integer_ratio``, such as the Fractions of
-    ``refine_eigenpair``); each enters as the nearest int at the refiner's
-    scale.  The iteration ends one block past its cut where the growth
-    bound of ``_growth_start`` allows it.  The residual of the result is
-    limited by the accuracy of (xi, v0): feed the pair of refine_eigenpair
-    to resolve the decaying solution below double precision.  A seed block
-    that rounds to zero raises OverflowDetected.
+    Block j solves row j - 1 of (H - xi) v = 0 through the inverse of the
+    coupling block O_j, so |g1| = |g2| raises SingularCoupling, and every
+    step amplifies the error of (xi, v0): a double-precision eigenpair
+    loses the decaying solution within a few dozen blocks.  The run stops
+    at the first block past OVERFLOW_LIMIT in norm, and the blocks past the
+    first block of least norm are zeroed before normalizing.  A zero seed
+    block raises OverflowDetected.
     """
-    blocks, squares = _recurrence_blocks_mp(params, parity, xi, v0, n_max)
-    return _cut_normalize(parity, xi, blocks, squares, n_max)
+    _check_couplings(params)
+    band = build_parity_band(params, parity, TruncationConfig(n_max))
+    diag = band[0].reshape(-1, 2).tolist()
+    g1, g2, xi = params.g_1, params.g_2, float(xi)
+    blocks, prev = [(float(v0[0]), float(v0[1]))], (0.0, 0.0)
+    for j in range(1, n_max + 1):
+        (p, q), (d0, d1), s = blocks[-1], diag[j - 1], math.sqrt(j - 1)
+        r0 = (xi - d0) * p - s * (g1 * prev[0] + g2 * prev[1])
+        r1 = (xi - d1) * q - s * (g2 * prev[0] + g1 * prev[1])
+        det = math.sqrt(j) * (g1 - g2) * (g1 + g2)
+        block = ((g1 * r0 - g2 * r1) / det, (g1 * r1 - g2 * r0) / det)
+        if not math.hypot(*block) <= OVERFLOW_LIMIT:
+            break
+        prev = blocks[-1]
+        blocks.append(block)
+    norms = [math.hypot(*block) for block in blocks]
+    if not norms[0]:
+        raise OverflowDetected("recurrence produced a null vector")
+    cut = norms.index(min(norms))
+    v = np.zeros((n_max + 1, 2))
+    v[:cut + 1] = blocks[:cut + 1]
+    v = v.ravel()
+    return RecurrenceState(parity, xi, v / np.linalg.norm(v))
 
 
 def chain_residual(params: ModelParams, parity: Parity, xi: float,
@@ -234,329 +136,201 @@ def residual(params: ModelParams, parity: Parity,
     return chain_residual(params, parity, state.xi, state.v)
 
 
-# ---------------------------------------------------------------------------
-# eigenpair refinement: mixed-precision Newton on the bordered system
-# ---------------------------------------------------------------------------
-
-# Newton steps refine_eigenpair takes at most; each gains about
-# log10(gap / (eps ||H||)) digits: 13-15 at the README configuration (14
-# steps reach 200 digits there), 4-5 at the criterion-05 crossing.  The
-# GUARD_DIGITS past DPS put the stopping tolerance ||H|| 10^-(DPS + 3) well
-# above the rounding floor of the residual
-NEWTON_STEPS = 16
-GUARD_DIGITS = 3
-# the refiner's iterate, the recurrence's blocks and their tables are ints
-# at scale 2^-FRACTION_BITS: the bits of DPS + GUARD_DIGITS digits and 16
-# more, so that rounding an entry or an update to that scale sits far
-# below the stopping tolerance
-FRACTION_BITS = math.ceil((DPS + GUARD_DIGITS + 1) * math.log2(10)) + 16
+def _coupling_lanes(band: np.ndarray, repeat: int):
+    """The entries a = g1 sqrt(j) and b = g2 sqrt(j) of the coupling
+    blocks O_j = [[a, b], [b, a]] of a chain band, and det(O_j)^2 = ((a - b)
+    (a + b))^2, exactly zero at |g1| = |g2|, by step s of
+    ``_schur_complements``: O_s on the first repeat lanes, which run up
+    from photon 0, and O_(n - s) on the last repeat lanes, which run down
+    from the top block n - 1.  O_0 and O_n are zero."""
+    n = band.shape[1] // 2
+    a, b = (np.concatenate(([0.0], band[d, 0:-2:2], [0.0])) for d in (2, 3))
+    return tuple(np.repeat(np.stack((x[:n], x[n:0:-1]), axis=1), repeat,
+                           axis=1)
+                 for x in (a, b, ((a - b) * (a + b)) ** 2))
 
 
-def _newton_tolerance(hnorm: float) -> float:
-    """The refiner's stopping tolerance ||H|| 10^-(DPS + GUARD_DIGITS)."""
-    return hnorm * 10.0 ** -(DPS + GUARD_DIGITS)
+def _schur_complements(band: np.ndarray, energies: np.ndarray,
+                       floor: float):
+    """Schur complements of H - E from photon 0 up, T_j = D_j - E - O_j
+    T_(j-1)^-1 O_j, and from the top block down, B_j = D_j - E - O_(j+1)
+    B_(j+1)^-1 O_(j+1), at every energy at once.
 
-
-def _fraction_bits(params: ModelParams, tol: float) -> int:
-    """The fixed-point scale: FRACTION_BITS, and where g^2 = max(g1^2,
-    g2^2) lies below tol, the bits of 1 / g^2 more.  The levels then sit
-    about g^2 off the diagonal and the eigenvector's other entries are
-    about g, which a scale of 2^-FRACTION_BITS alone would round to the
-    diagonal and to zero: the recurrence seeded by the pair would then
-    lose the decaying solution."""
-    g = max(abs(params.g_1), abs(params.g_2))
-    if g and g * g < tol:
-        return FRACTION_BITS + max(0, -2 * math.frexp(g)[1])
-    return FRACTION_BITS
-
-
-def _nearest(num: int, den: int) -> int:
-    """The int nearest num / den (den nonzero), ties to even."""
-    if den < 0:
-        num, den = -num, -den
-    q, r = divmod(num, den)
-    if 2 * r > den or (2 * r == den and q & 1):
-        q += 1
-    return q
-
-
-def _fixed(value, bits: int) -> int:
-    """The int nearest value 2^bits, ties to even, exactly for every finite
-    float and every rational with ``as_integer_ratio``; OverflowError or
-    ValueError if value is not finite."""
-    if type(value) is float:
-        try:
-            return round(math.ldexp(value, bits))
-        except OverflowError:   # value 2^bits is past the float range
-            pass
-    num, den = value.as_integer_ratio()
-    return _nearest(num << bits, den)
-
-
-@lru_cache(maxsize=8)
-def _fixed_diagonal(params: ModelParams, parity: Parity, n_max: int,
-                    bits: int):
-    """Diagonal blocks (d0, d1) of photon levels 0..n_max of one chain at
-    scale 2^-bits: d = n + (s1 w1 + s2 w2) / 2, the exact rational of the
-    floats rounded once to the nearest int (ties to even)."""
-    (p1, q1), (p2, q2) = (w.as_integer_ratio()
-                          for w in (params.omega_1, params.omega_2))
-    qubit = {(s1, s2): _nearest((s1 * p1 * q2 + s2 * p2 * q1) << bits,
-                                2 * q1 * q2)
-             for s1 in (1, -1) for s2 in (1, -1)}
-    table = basis_table(TruncationConfig(n_max))
-    diag = [(n << bits) + qubit[s1, s2]
-            for n, s1, s2 in zip(table.photon[parity].tolist(),
-                                 table.sz1[parity].tolist(),
-                                 table.sz2[parity].tolist())]
-    return tuple(zip(diag[0::2], diag[1::2]))
-
-
-@lru_cache(maxsize=4)
-def _fixed_coupling_table(params: ModelParams, n_max: int, bits: int):
-    """Entries g1 sqrt(j) and g2 sqrt(j) of O_j for j = 0..n_max + 1 (zero
-    past the chain) at scale 2^-bits, the same for both parities: each the
-    int nearest its exact value (ties to even), by math.isqrt."""
-    def entries(g: float):
-        num, den = abs(g).as_integer_ratio()
-        out = []
-        for j in range(n_max + 1):
-            # z = floor(2 |g| sqrt(j) 2^bits); the nearest int is z // 2,
-            # or one more past the half and at an odd exact tie
-            four = (num * num * j) << (2 * bits + 2)
-            z = math.isqrt(four) // den
-            q = z >> 1
-            if z & 1 and (q & 1 or four != (z * den) ** 2):
-                q += 1
-            out.append(-q if g < 0 else q)
-        return (*out, 0)
-
-    return entries(params.g_1), entries(params.g_2)
-
-
-def _fixed_residual(tables, xi: int, x: list, bits: int) -> list:
-    """-(H - xi) x over the photon blocks of x, xi, x and the tables at
-    scale 2^-bits: each row an exact int sum, rounded once to a float by
-    int / int true division (float(int) would overflow where the scaled
-    row passes the float range though its value does not).  OverflowError
-    if a row's value is past the float range."""
-    diag, a, b = tables
-    p, q = [0, *x[0::2], 0], [0, *x[1::2], 0]
-    out = []
-    for (d0, d1), pl, pc, ph, ql, qc, qh, al, ah, bl, bh in zip(
-            diag, p, p[1:], p[2:], q, q[1:], q[2:], a, a[1:], b, b[1:]):
-        out.append((xi - d0) * pc - al * pl - bl * ql - ah * ph - bh * qh)
-        out.append((xi - d1) * qc - bl * pl - al * ql - bh * ph - ah * qh)
-    scale = 1 << 2 * bits
-    return [r / scale for r in out]
-
-
-def _band_lu(band: np.ndarray, shift: float, tiny: float):
-    """LU with partial pivoting of H - shift, band[d, c] = H[c + d, c].
-
-    LAPACK dgbtf2 in scalar float64 arithmetic: cols[c][2k + i - c] holds
-    entry (i, c) of L (below the diagonal) or U (bandwidth 2k).  Where the
-    whole pivot column is below tiny in magnitude, the diagonal entry is
-    raised to tiny without a row swap, a shift of the matrix by at most
-    tiny as in LAPACK dstein.  Returns (k, cols, piv).
+    Both run in one loop, the downward one on lanes m.. of step s at block
+    n - 1 - s.  Each complement S is held as its entries [[p, q], [q, r]]
+    and as S = l_b v_b v_b^T + l_s v_s v_s^T, with v_b = (c, s) the
+    eigenvector of its eigenvalue l_b of larger magnitude, v_s = (-s, c)
+    and l_s = det S / l_b; its inverse is only ever applied in that form.
+    det S is carried as det(D - E) - tr(adj(D - E) C) + det(O)^2 / det(S'),
+    C = O S'^-1 O for the complement S' before it, det(D - E) being the
+    product of the diagonal.  From the entries, det S would cancel where C
+    is huge or E lies on a diagonal entry, and an inverse formed from them
+    would lose its part along v_b.  det S and l_b are floored at floor and
+    at its root in magnitude, as LAPACK dstein floors its pivots.  Returns
+    the entries (p, q, r), the inverse factors (c, s, 1 / l_b, 1 / l_s) and
+    det S, each shaped (steps, 2m).
     """
-    k, n = band.shape[0] - 1, band.shape[1]
-    kv = 2 * k
-    ab = general_band(band)
-    ab[kv] -= shift
-    cols, piv = ab.T.tolist(), []
-    for j, cj in enumerate(cols):
-        below = range(1, min(k, n - 1 - j) + 1)
-        jp = max((0, *below), key=lambda t: abs(cj[kv + t]))
-        jp = jp if abs(cj[kv + jp]) >= tiny else 0
-        piv.append(j + jp)
-        right = cols[j:j + kv + 1]
-        for c, col in enumerate(right):
-            col[kv - c], col[kv + jp - c] = col[kv + jp - c], col[kv - c]
-        if abs(cj[kv]) < tiny:
-            cj[kv] = math.copysign(tiny, cj[kv])
-        for t in below:
-            cj[kv + t] /= cj[kv]
-        for c, col in enumerate(right[1:], start=1):
-            for t in below:
-                col[kv + t - c] -= cj[kv + t] * col[kv - c]
-    return k, cols, piv
+    diag = band[0].reshape(-1, 2)
+    n, m = len(diag), len(energies)
+    d0, d1 = (np.hstack((x, x[::-1])) for x in (diag[:, :1] - energies,
+                                                diag[:, 1:] - energies))
+    product = d0 * d1
+    a, b, det_o = _coupling_lanes(band, m)
+    entries, factors = np.empty((3, n, 2 * m)), np.empty((4, n, 2 * m))
+    dets = np.empty((n, 2 * m))
+    cos, sin = np.ones(2 * m), np.zeros(2 * m)
+    inv_b = inv_s = np.zeros(2 * m)
+    root = math.sqrt(floor)
+    for k in range(n):
+        # C = (O v_b)(O v_b)^T / l_b + (O v_s)(O v_s)^T / l_s
+        wb0, wb1 = a[k] * cos + b[k] * sin, b[k] * cos + a[k] * sin
+        ws0, ws1 = b[k] * cos - a[k] * sin, a[k] * cos - b[k] * sin
+        hb, hs = inv_b * wb0, inv_s * ws0
+        c00, c01 = hb * wb0 + hs * ws0, hb * wb1 + hs * ws1
+        c11 = inv_b * wb1 * wb1 + inv_s * ws1 * ws1
+        p, q, r = d0[k] - c00, -c01, d1[k] - c11
+        det = (product[k] - d1[k] * c00 - d0[k] * c11
+               + det_o[k] * inv_b * inv_s)
+        det = np.copysign(np.maximum(np.abs(det), floor), det)
+        mean, diff = 0.5 * (p + r), 0.5 * (p - r)
+        big = mean + np.copysign(np.hypot(diff, q), mean)
+        big = np.copysign(np.maximum(np.abs(big), root), big)
+        # (cos, sin) of this angle belongs to the eigenvalue mean + rad
+        angle = 0.5 * np.arctan2(q, diff)
+        upper = mean >= 0
+        cos, sin = (np.where(upper, np.cos(angle), -np.sin(angle)),
+                    np.where(upper, np.sin(angle), np.cos(angle)))
+        inv_b, inv_s = 1 / big, big / det
+        entries[0, k], entries[1, k], entries[2, k] = p, q, r
+        factors[0, k], factors[1, k] = cos, sin
+        factors[2, k], factors[3, k] = inv_b, inv_s
+        dets[k] = det
+    return entries, factors, dets
 
 
-def _band_solve(factors, rhs: np.ndarray) -> np.ndarray:
-    """Solve (H - shift) y = rhs with the factors from _band_lu."""
-    k, cols, piv = factors
-    y, n = rhs.tolist(), len(cols)
-    for j, (cj, p) in enumerate(zip(cols, piv)):
-        y[j], y[p] = y[p], y[j]
-        for t in range(1, min(k, n - 1 - j) + 1):
-            y[j + t] -= cj[2 * k + t] * y[j]
-    for j in range(n - 1, -1, -1):
-        y[j] /= cols[j][2 * k]
-        for t in range(1, min(2 * k, j) + 1):
-            y[j - t] -= cols[j][2 * k - t] * y[j]
-    return np.array(y)
+def _twisted_states(band: np.ndarray, energies: np.ndarray):
+    """TWIST_CANDIDATES twisted states of each level: (twist blocks, chain
+    vectors) shaped (c, m) and (chain_dim, c, m).
 
-
-def _newton_window(held: int, n_max: int, rows: int = 0) -> int:
-    """The photon window refine_eigenpair starts on for a seed of held
-    rows: the leading window that holds them, or the whole chain when they
-    are more than half of it; then the first window of its ladder that
-    holds rows rows."""
-    n_window = (held - 1) // 2 if held <= n_max + 1 else n_max
-    while 2 * (n_window + 1) < rows:
-        n_window = min(next_photon_window(n_window), n_max)
-    return n_window
-
-
-def _frozen_jacobian(band: np.ndarray, x0: np.ndarray, xi0: float,
-                     hnorm: float):
-    """Factors of H - xi0 on band, and xw = x0^T w and u = w / xw for
-    w = (H - xi0)^-1 x0; past |xw| = 1 / (eps^2 ||H||) the LU moves to
-    xi0 + eps ||H||."""
-    eps = np.finfo(float).eps
-    for shift in (float(xi0), float(xi0) + eps * hnorm):
-        factors = _band_lu(band, shift, eps * hnorm)
-        w = _band_solve(factors, x0)
-        xw = math.fsum(x0 * w)
-        if abs(xw) * hnorm * eps ** 2 <= 1:
-            break
-    if not (xw and math.isfinite(xw)):
-        raise ConvergenceFailure("bordered Newton system is singular")
-    return factors, xw, w / xw
-
-
-def refine_eigenpair(params: ModelParams, parity: Parity, xi0: float,
-                     vec0: np.ndarray, n_max: int):
-    """Sharpen a float eigenpair of the chain matrix far past double
-    precision.
-
-    Newton on F(x, xi) = [(H - xi) x; (x^T x - 1)/2] with the Jacobian
-    frozen at the start (Dongarra, Moler & Wilkinson, SIAM J. Numer. Anal.
-    20 (1983) 23): F exact in fixed point, the correction in float64 from
-    one banded LU of H - xi0.  H - xi0 is singular to double precision, so
-    the border is eliminated with deflation: the x0 part of F is split off
-    before the solve and the near-null direction enters only as u = w /
-    (x0^T w), w = (H - xi0)^-1 x0.  Past |x0^T w| = 1 / (eps^2 ||H||), xi0
-    sits on a level so far below double precision that u's cancellation in
-    the corrections swamps them: the LU moves to xi0 + eps ||H||.  The
-    float arithmetic is scalar or elementwise, so no result depends on the
-    BLAS thread count.
-
-    vec0 holds the leading rows of the seed, the chain rows past them
-    being zeros, as ``spectra.converged_parity_eigensystem`` returns its
-    window vectors; more rows than the chain has raise ValueError.  Newton
-    runs on the leading photon window 0..n_w that holds those rows, or on
-    the whole chain when they are more than half of it.  x is exactly zero
-    past the window, so (H - xi) x vanishes past the window's rows and one
-    photon block more: F over those rows is F over the whole chain, and
-    the stopping test below is the whole chain's.  After a Newton step
-    whose residual on that edge block alone exceeds tol, the window widens
-    to the next rung of the ladder of ``numerics.photon_windows`` (capped
-    at the whole chain), the LU is redone on it and x is zero-padded.
-
-    The iterate (xi, x) is held as Python ints at scale 2^-bits
-    (``_fraction_bits``), as are the tables it shares with the four-term
-    recurrence, ``_fixed_diagonal`` and ``_fixed_coupling_table``: the
-    seeds and each float correction enter as the nearest int, and each row
-    of (H - xi) x, and 1 - x^T x, is an exact int sum rounded once to a
-    float.
-
-    Returns (xi, x, residual), xi and the list x over the whole chain as
-    Fractions, exactly the fixed-point iterate (exact zeros past the
-    window), once residual = ||(H - xi) x||_2 and ||H|| |x^T x - 1| / 2 are
-    at most tol = ||H||_inf 10^-(DPS + GUARD_DIGITS), ||H|| the whole
-    chain's; raises ConvergenceFailure, with the residual reached, if
-    NEWTON_STEPS steps do not get there or the iteration leaves the float
-    range.
+    G_k = T_k + B_k - (D_k - E) is the Schur complement of block k in
+    H - E.  The candidates are the blocks k of least smallest singular
+    value |det G_k| / ||G_k||, det G_k from det(H - E) = prod_(j < k) det
+    T_j det G_k prod_(j > k) det B_j = prod_j det T_j.  The null vector of
+    G_k is spread upward by x_j = -B_j^-1 O_j x_(j-1) and downward by x_j =
+    -T_j^-1 O_(j+1) x_(j+1), both in one loop whose lanes keep the null
+    vector until their spread starts.
     """
-    trunc = TruncationConfig(n_max)
-    dim, held = trunc.chain_dim, len(vec0)
-    if not 0 < held <= dim:
-        raise ValueError(f"seed of {held} rows for a chain of {dim}")
-    band = build_parity_band(params, parity, trunc)
-    hnorm = band_norm(band)
-    x0 = np.pad(np.asarray(vec0, dtype=float), (0, dim - held))
-    n_window = _newton_window(held, n_max)
-    rows = 2 * (n_window + 1)
-    seed = x0[:rows]
-    factors, xw, u = _frozen_jacobian(band[:, :rows], seed, xi0, hnorm)
-    tol = _newton_tolerance(hnorm)
-    bits = _fraction_bits(params, tol)
-    tables = (_fixed_diagonal(params, parity, n_max, bits),
-              *_fixed_coupling_table(params, n_max, bits))
-    one = 1 << 2 * bits
-    xi, x = _fixed(float(xi0), bits), [_fixed(c, bits)
-                                       for c in seed.tolist()]
-    for step in range(NEWTON_STEPS + 1):
-        # two zero rows past the window give F on its edge block
-        edge = [0, 0] if rows < dim else []
-        try:
-            f = np.array(_fixed_residual(tables, xi, x + edge, bits))
-            # 1 - x^T x summed exactly and rounded once: rounding x^T x
-            # first would cost h an ulp of 1, about tol / ||H|| itself
-            h = (one - sum(c * c for c in x)) / (2 * one)
-        except OverflowError:
-            res = math.inf
-            break
-        res = math.hypot(*f)
-        if res <= tol and abs(h) * hnorm <= tol:
-            scale = 1 << bits
-            return (Fraction(xi, scale), [Fraction(c, scale) for c in x]
-                    + [Fraction(0)] * (dim - rows), res)
-        if step == NEWTON_STEPS or not math.isfinite(res + h):
-            break
-        if step and math.hypot(*f[rows:]) > tol:
-            n_window = min(next_photon_window(n_window), n_max)
-            rows = 2 * (n_window + 1)
-            seed = x0[:rows]
-            factors, xw, u = _frozen_jacobian(band[:, :rows], seed, xi0,
-                                              hnorm)
-            x += [0] * (rows - len(x))
-            f = np.pad(f, (0, rows - len(f)))
-        f = f[:rows]
-        c = math.fsum(seed * f)
-        z = _band_solve(factors, f - c * seed)
-        t = h - math.fsum(seed * z)
-        try:
-            x = [xk + _fixed(dk, bits)
-                 for xk, dk in zip(x, (z + t * u).tolist())]
-            xi += _fixed(t / xw - c, bits)
-        except (OverflowError, ValueError):     # an inf or nan correction
-            break
-    raise ConvergenceFailure(
-        f"eigenpair refinement stopped at residual {res:.3e} after "
-        f"{step} Newton steps (tolerance {tol:.3e})")
+    diag = band[0].reshape(-1, 2)
+    n, m = len(diag), len(energies)
+    floor = (np.finfo(float).eps * band_norm(band)) ** 2
+    (tp, tq, tr), factors, dets = _schur_complements(band, energies, floor)
+    # block k of the downward complements is on lane m + level of step
+    # n - 1 - k
+    gp = tp[:, :m] + tp[::-1, m:] - (diag[:, :1] - energies)
+    gq = tq[:, :m] + tq[::-1, m:]
+    gr = tr[:, :m] + tr[::-1, m:] - (diag[:, 1:] - energies)
+    logs = np.log(np.abs(dets))
+    upper = np.cumsum(logs[::-1, :m], axis=0)[::-1]
+    lower = np.cumsum(logs[:, m:], axis=0)[::-1]
+    with np.errstate(divide="ignore"):
+        size = np.log(np.abs(0.5 * (gp + gr)) + np.hypot(0.5 * (gp - gr), gq))
+    smallest = np.minimum(size, upper - size
+                          - np.vstack((lower[1:], np.zeros((1, m)))))
+    twist = np.argsort(smallest, axis=0, kind="stable")[:TWIST_CANDIDATES]
+    k, lev = twist.ravel(), np.tile(np.arange(m), len(twist))
+    # the null vector is normal to the larger row of G_k, a matrix of rank
+    # one there: exactly so where the state vanishes past block k, as a dark
+    # state of equal couplings does
+    p, q, r = gp[k, lev], gq[k, lev], gr[k, lev]
+    wide = np.abs(p) >= np.abs(r)
+    x0, x1 = np.where(wide, q, -r), np.where(wide, -p, q)
+    # where G_k vanishes, every vector is null
+    zero = (x0 == 0) & (x1 == 0)
+    x0, x1 = np.where(zero, 1.0, x0), np.where(zero, 0.0, x1)
+    norm = np.hypot(x0, x1)
+    x0, x1 = np.tile(x0 / norm, 2), np.tile(x1 / norm, 2)
+    # lanes: the downward spread on the first len(k), the upward one on the
+    # rest; step t + 1 moves the downward lanes to block n - 2 - t and the
+    # upward ones to block t + 1, through the complements of step n - 2 - t
+    # and the coupling of step n - 1 - t
+    cos, sin, inv_b, inv_s = (x[n - 2::-1, np.concatenate((lev, m + lev))]
+                              for x in factors)
+    a, b = (x[n - 1:0:-1] for x in _coupling_lanes(band, len(k))[:2])
+    step = np.arange(1, n)[:, None]
+    live = np.hstack((n - 1 - step < k, step > k))
+    path = np.empty((n, 2, 2 * len(k)))
+    path[0] = x0, x1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(n - 1):
+            y0, y1 = a[t] * x0 + b[t] * x1, b[t] * x0 + a[t] * x1
+            along = (cos[t] * y0 + sin[t] * y1) * inv_b[t]
+            across = (cos[t] * y1 - sin[t] * y0) * inv_s[t]
+            x0 = np.where(live[t], sin[t] * across - cos[t] * along, x0)
+            x1 = np.where(live[t], -(sin[t] * along + cos[t] * across), x1)
+            path[t + 1] = x0, x1
+        # block j is the upward lane's step j from k on, the downward
+        # lane's step n - 1 - j below k
+        chain = np.where((np.arange(n)[:, None] >= k)[:, None],
+                         path[:, :, len(k):], path[::-1, :, :len(k)])
+        vectors = chain.reshape(2 * n, len(k))
+        vectors = vectors / np.linalg.norm(vectors, axis=0)
+    return twist, vectors.reshape(2 * n, *twist.shape)
+
+
+def _residuals(band: np.ndarray, vectors: np.ndarray,
+               energies: np.ndarray) -> np.ndarray:
+    """||(H - E) v|| of each column, inf where it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = np.linalg.norm(band_matvec(band, vectors) - vectors * energies,
+                             axis=0)
+    return np.where(np.isfinite(res), res, np.inf)
 
 
 def eigenstate_recurrences(params: ModelParams, parity: Parity, count: int,
                            n_max: int) -> list[RecurrenceState]:
     """Recurrence states of the count lowest converged levels of one parity.
 
-    One ``spectra.converged_parity_eigensystem`` call gives the seed pairs;
-    each, with the rows of its certified window, is refined by
-    ``refine_eigenpair`` and seeds the four-term recurrence with its first
-    block, and each state records its refined pair's residual.  Each
-    level's Newton starts on the window the level below it ended on: its
-    seed is zero-padded to the first window of the ladder that holds every
-    nonzero row of the refined x below it (the fixed-point x rounds its
-    tail entries to zero), and widens from there as before.  The route
-    raises ConfigError for count outside [1, chain dimension],
-    TruncationInsufficient when fewer than count levels converge, and
-    OverflowDetected where a refined pair's first block is zero.
+    One ``spectra.converged_parity_eigensystem`` call gives the energies,
+    and each level's state is, of its twisted states (``_twisted_states``),
+    the one of least residual.  Within a cluster of levels closer than
+    CLUSTER_GAP ||H|| to a neighbour, each member's candidates are first
+    orthogonalized against the states of the members below it and
+    normalized; a member whose candidates all lie in their span has an
+    all-nan vector.  The route raises ConfigError for count outside
+    [1, chain dimension] and TruncationInsufficient when fewer than count
+    levels converge.
     """
     trunc = TruncationConfig(n_max)
-    _check_couplings(params)
-    values, vectors = converged_parity_eigensystem(params, parity, trunc,
-                                                   count)
-    states, rows = [], 0
-    for xi0, vec0 in zip(values, vectors.T):
-        seed = np.pad(vec0, (0, max(rows - len(vec0), 0)))
-        xi, x, res = refine_eigenpair(params, parity, xi0, seed, n_max)
-        nonzero = next(i for i in range(len(x), 0, -1) if x[i - 1])
-        rows = 2 * (_newton_window(len(vec0), n_max, nonzero) + 1)
-        state = recurrence_eigenstate_la(params, parity, xi, x[:2], n_max)
-        states.append(replace(state, refine_residual=res))
+    energies, _ = converged_parity_eigensystem(params, parity, trunc, count)
+    band = build_parity_band(params, parity, trunc)
+    twist, vectors = _twisted_states(band, energies)
+    res = _residuals(band, vectors.reshape(len(band[0]), -1),
+                     np.tile(energies, len(twist))).reshape(twist.shape)
+    gap = CLUSTER_GAP * band_norm(band)
+    states, cluster = [], []
+    for i, xi in enumerate(energies.tolist()):
+        if i and xi - energies[i - 1] > gap:
+            cluster = []
+        candidates, score = vectors[:, :, i], res[:, i]
+        if cluster:
+            below, kept = np.column_stack(cluster), []
+            for _ in range(2):
+                candidates = candidates - below @ (below.T @ candidates)
+                kept.append(np.linalg.norm(candidates, axis=0))
+            with np.errstate(invalid="ignore", divide="ignore"):
+                candidates = candidates / kept[1]
+            # Kahan's test, twice is enough: a candidate that loses more
+            # than a factor sqrt 2 of its norm to the second pass lies in
+            # the span of the members below
+            score = np.where(2 * kept[1] ** 2 >= kept[0] ** 2,
+                             _residuals(band, candidates, xi), np.inf)
+        best = int(np.argmin(score))
+        v = candidates[:, best]
+        if np.isfinite(score[best]):
+            cluster.append(v)
+        else:
+            v = np.full_like(v, np.nan)
+        states.append(RecurrenceState(parity, xi, v, int(twist[best, i])))
     return states
 
 
@@ -666,28 +440,53 @@ def _bargmann_rows(params: ModelParams, parity: Parity, chi: float,
     return rows[keep] / scale[keep, None]
 
 
+def _least_singular_vector(matrix: np.ndarray):
+    """The right singular vector of a tall matrix M of least singular value,
+    and ||M v||, by inverse iteration on R^T R from the R factor of M.
+
+    A zero pivot of R is raised to eps ||R||, so that no solve meets an
+    exactly singular R.  From v = (1, ..., 1) / sqrt(n), each step solves
+    R^T R v' = v; the iteration stops when ||M v|| stops falling, after
+    NULL_STEPS steps at most.
+    """
+    r = np.linalg.qr(matrix, mode="r")
+    pivots = np.diagonal(r)
+    floor = np.finfo(float).eps * np.linalg.norm(r)
+    r[np.diag_indices_from(r)] = np.where(np.abs(pivots) < floor,
+                                          np.copysign(floor, pivots), pivots)
+    v = np.full(r.shape[1], 1 / math.sqrt(r.shape[1]))
+    least = np.linalg.norm(matrix @ v)
+    for _ in range(NULL_STEPS):
+        step = np.linalg.solve(r, np.linalg.solve(r.T, v))
+        step /= np.linalg.norm(step)
+        size = np.linalg.norm(matrix @ step)
+        if not size < least:
+            break
+        v, least = step, size
+    return v, float(least)
+
+
 def bargmann_minimal_coefficients(params: ModelParams, parity: Parity,
                                   chi: float, j_max: int):
-    """Decaying Fock amplitudes of the five-term system, via the smallest
+    """Decaying Fock amplitudes of the five-term system: the least right
     singular vector of the banded row matrix with a zero tail appended.
 
     Forward evaluation cannot reach the minimal solution in fixed precision
     (growing solutions amplify roundoff by orders of magnitude per step).
-    Returns (BargmannCoefficients, smallest_singular_value); the singular
-    value is at rounding level at an eigenvalue whose state the amplitudes
-    hold, and grows with the distance of chi from one.
+    Returns (BargmannCoefficients, ||M v||), M the row matrix; the second
+    is at rounding level at an eigenvalue whose state the amplitudes hold,
+    and grows with the distance of chi from one.
     Raises StepSingular when alpha_0 vanishes on a row (omega_1 = omega_2,
     where the companion series divides by zero, or g_plus g_minus = 0).
     """
     if j_max < 8:
         raise ConfigError("j_max must be >= 8")
-    matrix = _bargmann_rows(params, parity, chi, j_max)
-    _, sv, vt = np.linalg.svd(matrix, full_matrices=False)
-    v = vt[-1]
+    v, size = _least_singular_vector(_bargmann_rows(params, parity, chi,
+                                                    j_max))
     if v[0] < 0:
         v = -v
     phi2 = _phi2_series(params, parity, chi, v)
-    return BargmannCoefficients(parity, chi, v, phi2), float(sv[-1])
+    return BargmannCoefficients(parity, chi, v, phi2), size
 
 
 @dataclass(frozen=True)

@@ -121,17 +121,6 @@ def band_norm(band: np.ndarray) -> float:
                                     np.ones((band.shape[1], 1)))))
 
 
-def general_band(band: np.ndarray) -> np.ndarray:
-    """A lower band in LAPACK general band storage with room for the fill
-    of a pivoted LU: H[i, j] at [2 kd + i - j, j], shape (3 kd + 1, dim)."""
-    kd, dim = band.shape[0] - 1, band.shape[1]
-    full = np.zeros((3 * kd + 1, dim))
-    for d in range(min(kd + 1, dim)):
-        full[2 * kd + d, :dim - d] = band[d, :dim - d]
-        full[2 * kd - d, d:] = band[d, :dim - d]
-    return full
-
-
 def laguerre_assoc(n: int, k: int, z: float) -> float:
     """Associated Laguerre polynomial L_n^(k)(z).
 

@@ -5,19 +5,15 @@ direct assemblies can be checked against it.
 """
 
 import math
-from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
 
-from rabi2q import eigenstates as eig
 from rabi2q.dynamics import QuarticCoefficients
-from rabi2q.errors import ConvergenceFailure, OverflowDetected, StepSingular
-from rabi2q.hamiltonian import build_parity_band, build_rwa_excitation_block
+from rabi2q.errors import StepSingular
+from rabi2q.hamiltonian import build_rwa_excitation_block
 from rabi2q.model import Parity, QubitLevel, TruncationConfig, basis_table
-from rabi2q.numerics import band_norm
 
 # the even-parity crossing of the criterion-05 sweep (omega = 1.3, 0.7,
 # g1 = g2, n_max = 300) between branches 3 and 4, located by minimizing the
@@ -287,194 +283,6 @@ def bargmann_chain_reference(coeffs, n_max):
                                   else Parity.EVEN])
     return (chains[coeffs.parity] / own,
             float(other / math.hypot(own, other)))
-
-
-def to_mpf(value):
-    """The mpf of a float or an exact rational, at the context's
-    precision."""
-    num, den = value.as_integer_ratio()
-    return mp.mpf(num) / den
-
-
-def mp_chain_residual(params, parity, xi, x, n_max, dps=90):
-    """||(H - xi) x||_2 from the matrix elements, in dps-digit mp; xi and
-    x are floats or exact rationals.
-
-    Diagonal n + (sz1 omega_1 + sz2 omega_2)/2, and the block
-    sqrt(j) [[g1, g2], [g2, g1]] between photon numbers j - 1 and j.
-    """
-    table = basis_table(TruncationConfig(n_max))
-    with mp.workdps(dps):
-        w1, w2, g1, g2 = (mp.mpf(v) for v in (
-            params.omega_1, params.omega_2, params.g_1, params.g_2))
-        xi, x = to_mpf(xi), [to_mpf(c) for c in x]
-        total = mp.mpf(0)
-        for i in range(len(x)):
-            row = ((int(table.photon[parity][i])
-                    + (table.sz1[parity][i] * w1
-                       + table.sz2[parity][i] * w2) / 2 - xi) * x[i])
-            j, k = divmod(i, 2)
-            for m in (j - 1, j + 1):
-                if 0 <= m <= n_max:
-                    row += mp.sqrt(max(j, m)) * (g1 * x[2 * m + k]
-                                                 + g2 * x[2 * m + 1 - k])
-            total += row * row
-        return mp.sqrt(total)
-
-
-# ---------------------------------------------------------------------------
-# fixed-point eigenpair refinement on exact integers
-# ---------------------------------------------------------------------------
-# The package holds the Newton iterate and its tables as ints at scale
-# 2^-F, F = eigenstates._fraction_bits of the model and tolerance, on
-# photon windows; this is the same Newton on the whole chain, from matrix
-# rows derived here, with every rounding to the scale done through
-# fractions.Fraction.
-
-def fixed_point(value, bits):
-    """The int nearest value 2^bits (a float or a Fraction), ties to
-    even."""
-    return round(Fraction(value) * 2 ** bits)
-
-
-@lru_cache(maxsize=4096)
-def fixed_coupling(g, j, bits):
-    """g sqrt(j) at scale 2^-bits: mpmath at bits + 64 bits, then mp.nint
-    (ties to even)."""
-    with mp.workprec(bits + 64):
-        return int(mp.nint(mp.ldexp(mp.sqrt(j) * mp.mpf(g), bits)))
-
-
-def fixed_chain_rows(params, parity, n_max, bits):
-    """Row i of the chain matrix at scale 2^-bits as {column: int}: the
-    diagonal n + (sz1 omega_1 + sz2 omega_2)/2 rounded from its exact
-    rational, and sqrt(j) [[g1, g2], [g2, g1]] between photon numbers
-    j - 1 and j, each entry from ``fixed_coupling``."""
-    table = basis_table(TruncationConfig(n_max))
-    w1, w2 = Fraction(params.omega_1), Fraction(params.omega_2)
-    rows = []
-    for i in range(TruncationConfig(n_max).chain_dim):
-        row = {i: fixed_point(int(table.photon[parity][i])
-                              + (int(table.sz1[parity][i]) * w1
-                                 + int(table.sz2[parity][i]) * w2) / 2,
-                              bits)}
-        j, k = divmod(i, 2)
-        for m in (j - 1, j + 1):
-            if 0 <= m <= n_max:
-                c = max(j, m)
-                row[2 * m + k] = fixed_coupling(params.g_1, c, bits)
-                row[2 * m + 1 - k] = fixed_coupling(params.g_2, c, bits)
-        rows.append(row)
-    return rows
-
-
-def refine_eigenpair_reference(params, parity, xi0, vec0, n_max):
-    """eigenstates.refine_eigenpair on the whole chain, on exact integers:
-    xi and x at scale 2^-F, rounded to it after each update; each row of
-    -(H - xi) x, and (1 - x^T x) / 2, summed exactly and rounded once to a
-    float through a Fraction.  Returns xi and x as Fractions.  The float
-    side (band LU and its shift, solves, sums) is the package's own."""
-    band = build_parity_band(params, parity, TruncationConfig(n_max))
-    x0 = np.asarray(vec0, dtype=float)
-    hnorm = band_norm(band)
-    factors, xw, u = eig._frozen_jacobian(band, x0, xi0, hnorm)
-    tol = hnorm * 10.0 ** -(eig.DPS + eig.GUARD_DIGITS)
-    bits = eig._fraction_bits(params, tol)
-    scale = 2 ** bits
-    rows = fixed_chain_rows(params, parity, n_max, bits)
-    xi, x = (fixed_point(float(xi0), bits),
-             [fixed_point(c, bits) for c in x0.tolist()])
-    for step in range(eig.NEWTON_STEPS + 1):
-        try:
-            f = np.array([float(Fraction(xi * x[i] - sum(
-                v * x[c] for c, v in row.items()), scale ** 2))
-                for i, row in enumerate(rows)])
-            h = float(Fraction(scale ** 2 - sum(c * c for c in x),
-                               2 * scale ** 2))
-        except OverflowError:
-            res = math.inf
-            break
-        res = math.hypot(*f)
-        if res <= tol and abs(h) * hnorm <= tol:
-            return (Fraction(xi, scale), [Fraction(c, scale) for c in x],
-                    res)
-        if step == eig.NEWTON_STEPS or not math.isfinite(res + h):
-            break
-        c = math.fsum(x0 * f)
-        z = eig._band_solve(factors, f - c * x0)
-        t = h - math.fsum(x0 * z)
-        try:
-            x = [xk + fixed_point(dk, bits)
-                 for xk, dk in zip(x, (z + t * u).tolist())]
-            xi += fixed_point(t / xw - c, bits)
-        except (OverflowError, ValueError):
-            break
-    raise ConvergenceFailure(
-        f"eigenpair refinement stopped at residual {res:.3e} after "
-        f"{step} Newton steps (tolerance {tol:.3e})")
-
-
-# ---------------------------------------------------------------------------
-# four-term recurrence in exact rationals
-# ---------------------------------------------------------------------------
-# The package solves each chain row for the next block on ints, inverting
-# the coupling block by its closed form; this solves the same rows, read
-# from fixed_chain_rows, by Cramer's rule in Fractions and rounds each
-# block to the scale, so the two must agree bit for bit.
-
-def recurrence_bits(params, parity, n_max):
-    """The recurrence's scale: eigenstates._fraction_bits at the refiner's
-    tolerance ||H||_inf 10^-(DPS + GUARD_DIGITS) of the chain."""
-    band = build_parity_band(params, parity, TruncationConfig(n_max))
-    return eig._fraction_bits(
-        params, band_norm(band) * 10.0 ** -(eig.DPS + eig.GUARD_DIGITS))
-
-
-def recurrence_blocks_reference(params, parity, xi, v0, n_max):
-    """eigenstates._recurrence_blocks_mp in exact rationals, run to n_max
-    without its stop.
-
-    xi and the seed block v0 (floats or Fractions) are rounded to the scale
-    2^-F of ``recurrence_bits``.  Block n + 1 solves rows 2n and 2n + 1 of
-    (H - xi) v = 0, H from ``fixed_chain_rows``, exactly, and is rounded to
-    the scale, ties to even.  Returns the blocks as int pairs at the
-    scale.
-    """
-    bits = recurrence_bits(params, parity, n_max)
-    rows = fixed_chain_rows(params, parity, n_max, bits)
-    # in units of the scale: matrix entries and v in 2^-F, row sums in
-    # 2^-2F, so block n + 1 solves M u = -(row sum over blocks n - 1, n)
-    xi = fixed_point(xi, bits)
-    v = [fixed_point(c, bits) for c in v0[:2]]
-    for n in range(n_max):
-        known, coef = [], []
-        for i in (2 * n, 2 * n + 1):
-            known.append(xi * v[i] - sum(val * v[c]
-                                         for c, val in rows[i].items()
-                                         if c < 2 * n + 2))
-            coef.append((rows[i][2 * n + 2], rows[i][2 * n + 3]))
-        (a, b), (c, d) = coef
-        det = a * d - b * c
-        v += [round(Fraction(known[0] * d - b * known[1], det)),
-              round(Fraction(a * known[1] - c * known[0], det))]
-    return list(zip(v[0::2], v[1::2]))
-
-
-def cut_normalize_reference(blocks, n_max):
-    """(v, cut_index) of eigenstates._cut_normalize from int blocks: the
-    cut at the first block of least squared norm, and each kept entry over
-    the integer square root of the kept prefix's squared norm, rounded once
-    to a float through a Fraction."""
-    squares = [p * p + q * q for p, q in blocks]
-    if not any(squares):
-        raise OverflowDetected("recurrence produced a null vector")
-    cut = min(range(len(squares)), key=lambda i: squares[i])
-    root = math.isqrt(sum(squares[:cut + 1]))
-    out = np.zeros((n_max + 1, 2))
-    for j in range(cut + 1):
-        out[j] = [float(Fraction(c, root)) for c in blocks[j]]
-    flat = out.ravel()
-    return flat / np.linalg.norm(flat), cut
 
 
 def quartic_coefficients_from_block(params, n):

@@ -10,8 +10,7 @@ from rabi2q.hamiltonian import build_parity_band
 from rabi2q.model import ModelParams, Parity, TruncationConfig
 from rabi2q.numerics import (EigenDecomposition, band_matvec, band_norm,
                              displacement_element, eigh, expand_dense,
-                             general_band, laguerre_assoc, photon_windows,
-                             spectral_levels)
+                             laguerre_assoc, photon_windows, spectral_levels)
 
 
 def test_eigh_diagonal():
@@ -78,20 +77,12 @@ def test_band_matvec_matches_dense():
 
 
 @pytest.mark.parametrize("dim", [1, 2, 9])
-def test_band_norm_and_general_band_match_dense(dim):
+def test_band_norm_matches_dense(dim):
     rng = np.random.default_rng(dim)
     band = random_band(rng, dim)
     h = dense_from_band(band)
     assert band_norm(band) == pytest.approx(np.max(np.abs(h).sum(axis=1)),
                                             rel=1e-15)
-    full = general_band(band)
-    assert full.shape == (10, dim)
-    for i in range(dim):
-        for j in range(max(i - 3, 0), min(i + 4, dim)):
-            assert full[6 + i - j, j] == h[i, j]
-            full[6 + i - j, j] = 0.0
-    # everything else, the three fill rows included, is zero
-    assert not np.any(full)
 
 
 def test_photon_windows_solve_leading_blocks_up_to_the_callers_limit():
