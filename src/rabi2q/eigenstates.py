@@ -17,7 +17,8 @@ R_j x_{j-1} of the decaying solution from the top end (the matrix
 continued fraction) and x_j = L_j x_{j+1} from photon 0, and the state is
 the null vector of the block where the two meet, spread outward with R
 and L (the block form of the twisted factorizations of Dhillon & Parlett,
-LAA 387, 1 (2004)).  Levels closer together than CLUSTER_GAP ||H|| are
+LAA 387, 1 (2004)).  A chain past 2^200 in norm is first scaled by a
+power of two, so that the products the route forms stay finite.  Levels closer together than CLUSTER_GAP ||H|| are
 orthogonalized within their cluster; a member the route cannot resolve
 has no vector, and its residual is nan.  ``recurrence_eigenstate_la`` runs
 the recurrence forward from one block alone, which any error in its
@@ -114,7 +115,9 @@ def recurrence_eigenstate_la(params: ModelParams, parity: Parity, xi, v0,
     cut = norms.index(min(norms))
     v = np.zeros((n_max + 1, 2))
     v[:cut + 1] = blocks[:cut + 1]
-    v = v.ravel()
+    # by the largest kept block first, so that the norm's squares stay
+    # finite for a seed near the float range
+    v = v.ravel() / max(norms[:cut + 1])
     return RecurrenceState(parity, xi, v / np.linalg.norm(v))
 
 
@@ -303,10 +306,18 @@ def eigenstate_recurrences(params: ModelParams, parity: Parity, count: int,
     trunc = TruncationConfig(n_max)
     energies, _ = converged_parity_eigensystem(params, parity, trunc, count)
     band = build_parity_band(params, parity, trunc)
-    twist, vectors = _twisted_states(band, energies)
+    hnorm = band_norm(band)
+    # the kernel multiplies up to four entries of H - E: a chain past 2^200
+    # in norm is scaled to a norm near 1 by a power of two, which rounds
+    # only entries some 2^800 below the largest and leaves the states as
+    # they are
+    exponent = math.frexp(hnorm)[1]
+    shift = exponent if exponent > 200 else 0
+    band, levels = np.ldexp(band, -shift), np.ldexp(energies, -shift)
+    twist, vectors = _twisted_states(band, levels)
     res = _residuals(band, vectors.reshape(len(band[0]), -1),
-                     np.tile(energies, len(twist))).reshape(twist.shape)
-    gap = CLUSTER_GAP * band_norm(band)
+                     np.tile(levels, len(twist))).reshape(twist.shape)
+    gap = CLUSTER_GAP * hnorm
     states, cluster = [], []
     for i, xi in enumerate(energies.tolist()):
         if i and xi - energies[i - 1] > gap:
@@ -323,7 +334,8 @@ def eigenstate_recurrences(params: ModelParams, parity: Parity, count: int,
             # than a factor sqrt 2 of its norm to the second pass lies in
             # the span of the members below
             score = np.where(2 * kept[1] ** 2 >= kept[0] ** 2,
-                             _residuals(band, candidates, xi), np.inf)
+                             _residuals(band, candidates, levels[i]),
+                             np.inf)
         best = int(np.argmin(score))
         v = candidates[:, best]
         if np.isfinite(score[best]):

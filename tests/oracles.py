@@ -5,6 +5,7 @@ direct assemblies can be checked against it.
 """
 
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 import mpmath as mp
@@ -283,6 +284,92 @@ def bargmann_chain_reference(coeffs, n_max):
                                   else Parity.EVEN])
     return (chains[coeffs.parity] / own,
             float(other / math.hypot(own, other)))
+
+
+# ---------------------------------------------------------------------------
+# exact chain residual on integers
+# ---------------------------------------------------------------------------
+# A float residual of a state at rounding level is itself rounded at that
+# level, so it cannot tell how close the state is to an eigenstate.  Here
+# the chain's entries are the nearest ints at scale 2^-bits, the diagonal
+# from the exact rationals of the floats and g sqrt(j) from an integer
+# square root, and every row of (H - xi) x is summed exactly.  From 1075
+# bits on, xi and every entry of x are held exactly, so the one error left
+# is that of the sqrt(j) entries, below 2^-bits.
+
+def nearest(num, den):
+    """The int nearest num / den (den nonzero), ties to even."""
+    if den < 0:
+        num, den = -num, -den
+    q, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and q & 1):
+        q += 1
+    return q
+
+
+def fixed_point(value, bits):
+    """The int nearest value 2^bits, ties to even, for every finite float
+    and every rational with ``as_integer_ratio``."""
+    if type(value) is float:
+        try:
+            return round(math.ldexp(value, bits))
+        except OverflowError:   # value 2^bits is past the float range
+            pass
+    num, den = value.as_integer_ratio()
+    return nearest(num << bits, den)
+
+
+def fixed_coupling(g, j, bits):
+    """The int nearest g sqrt(j) 2^bits, ties to even, for a float g."""
+    num, den = g.as_integer_ratio()
+    root = math.isqrt(j)
+    if root * root == j:
+        return nearest(root * num << bits, den)
+    # 2 |g| sqrt(j) 2^bits is irrational, so no tie can occur and the
+    # nearest int is (t + 1) // 2 for its floor t, the floor of the integer
+    # square root over den
+    t = math.isqrt(j * num * num << (2 * bits + 2)) // den
+    return (t + 1) // 2 if num >= 0 else -((t + 1) // 2)
+
+
+def fixed_chain_rows(params, parity, n_max, bits):
+    """Row i of the chain matrix at scale 2^-bits as {column: int}: the
+    diagonal n + (sz1 omega_1 + sz2 omega_2)/2 rounded from its exact
+    rational, and sqrt(j) [[g1, g2], [g2, g1]] between photon numbers
+    j - 1 and j, each entry from ``fixed_coupling``."""
+    table = basis_table(TruncationConfig(n_max))
+    w1, w2 = Fraction(params.omega_1), Fraction(params.omega_2)
+    coupling = {(g, j): fixed_coupling(g, j, bits)
+                for g in (params.g_1, params.g_2)
+                for j in range(1, n_max + 1)}
+    rows = []
+    for i in range(TruncationConfig(n_max).chain_dim):
+        row = {i: fixed_point(int(table.photon[parity][i])
+                              + (int(table.sz1[parity][i]) * w1
+                                 + int(table.sz2[parity][i]) * w2) / 2,
+                              bits)}
+        j, k = divmod(i, 2)
+        for m in (j - 1, j + 1):
+            if 0 <= m <= n_max:
+                c = max(j, m)
+                row[2 * m + k] = coupling[params.g_1, c]
+                row[2 * m + 1 - k] = coupling[params.g_2, c]
+        rows.append(row)
+    return rows
+
+
+def exact_chain_residual(params, parity, xi, x, bits=1200):
+    """||(H - xi) x|| / ||x|| of a float xi and float vector x on the chain
+    of len(x) // 2 photon levels, H from ``fixed_chain_rows``: each row
+    summed exactly, and the ratio's root taken once, in 80-bit mpmath."""
+    rows = fixed_chain_rows(params, parity, len(x) // 2 - 1, bits)
+    xi = fixed_point(float(xi), bits)
+    x = [fixed_point(float(c), bits) for c in x]
+    total = sum((xi * x[i] - sum(v * x[c] for c, v in row.items())) ** 2
+                for i, row in enumerate(rows))
+    norm = sum(c * c for c in x) << (2 * bits)
+    with mp.workprec(80):
+        return float(mp.sqrt(mp.mpf(total) / mp.mpf(norm)))
 
 
 def quartic_coefficients_from_block(params, n):

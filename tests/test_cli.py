@@ -299,7 +299,10 @@ def test_eigenstate_unconverged_levels_exit_3(tmp_path):
     ["--g1", "0", "--g2", "0", "--count", "6", "--nmax", "20"],
     ["--omega1", "0", "--omega2", "0", "--g1", "1e-30", "--g2", "0",
      "--count", "6", "--nmax", "20"],
-], ids=["decoupled-ties", "zero-frequencies"])
+    # three odd levels at 0 to rounding, the qubit pair of photon 0 and gg
+    # of photon 1: the third keeps a state that is no eigenstate
+    ["--g1", "2.2e-105", "--g2", "2.2e-105", "--count", "3", "--nmax", "20"],
+], ids=["decoupled-ties", "zero-frequencies", "tiny-coupling"])
 def test_eigenstate_loose_recurrence_residual_exits_3(tmp_path, capsys,
                                                        argv):
     # levels that tie to the last bit, two of them on one photon block: a

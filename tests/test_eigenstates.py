@@ -1,10 +1,19 @@
+import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import mpmath as mp
+
+import rabi2q
 import rabi2q.eigenstates as eig_mod
 from rabi2q.eigenstates import (CLUSTER_GAP, RECURRENCE_RESIDUAL_TOL,
                                 bargmann_identical_coefficients,
@@ -20,7 +29,10 @@ from rabi2q.model import ModelParams, Parity, TruncationConfig
 from rabi2q.numerics import band_norm, eigh, expand_dense
 from rabi2q.spectra import converged_parity_eigensystem
 
-from oracles import G_CROSS, bargmann_chain_reference, bargmann_rows_reference
+from oracles import (G_CROSS, bargmann_chain_reference,
+                     bargmann_rows_reference, chain_state,
+                     exact_chain_residual, fixed_chain_rows, fixed_point,
+                     nearest)
 
 P = ModelParams(1.3, 0.7, 0.3, 0.4)
 NMAX = 200
@@ -134,17 +146,22 @@ def test_recurrence_states_match_the_certified_levels(
             assert not res <= RECURRENCE_RESIDUAL_TOL
 
 
-def test_criterion_05_crossing_pair_is_resolved():
-    # levels 3 and 4 of the even chain lie 1.1e-9 apart at G_CROSS: each
-    # takes its own twisted state, orthogonalized within the pair, and both
-    # come out within the tolerance; every other level is at rounding level
-    params = ModelParams(1.3, 0.7, G_CROSS, G_CROSS)
+@pytest.mark.parametrize("g", [0.51, G_CROSS, G_CROSS + 1e-6])
+@pytest.mark.parametrize("index", [3, 4])
+def test_refiner_at_the_criterion_05_crossing(g, index):
+    # levels 3 and 4 of the even chain lie 6.8e-3 apart at g = 0.51, 2.6e-6
+    # at G_CROSS + 1e-6 and 1.1e-9 at G_CROSS, each time inside one
+    # cluster: each takes its own twisted state, orthogonalized within the
+    # pair, comes out within the tolerance and lies in the span of eigh's
+    # two vectors; every other level is at rounding level
+    params = ModelParams(1.3, 0.7, g, g)
     states = eigenstate_recurrences(params, Parity.EVEN, 20, 300)
     hnorm = _hnorm(params, Parity.EVEN, 300)
-    assert states[4].xi - states[3].xi < 1e-8
     res = [residual(params, Parity.EVEN, state) for state in states]
-    assert max(res[3:5]) <= RECURRENCE_RESIDUAL_TOL
+    assert res[index] <= RECURRENCE_RESIDUAL_TOL
     assert abs(states[3].v @ states[4].v) <= 1e-12
+    pair = eigh(chain_matrix(params, Parity.EVEN, 300)).vectors[:, 3:5]
+    assert np.linalg.norm(pair.T @ states[index].v) >= 1 - 1e-12
     assert max(res[:3] + res[5:]) <= ROUNDING * hnorm
 
 
@@ -158,6 +175,261 @@ def test_unresolved_cluster_member_has_no_vector():
     assert flagged == [False, False, False, True, True, False]
     assert all(np.isnan(residual(params, Parity.EVEN, state))
                for state in states[3:5])
+
+
+def test_refined_recurrence_hits_eigenstate():
+    # the state at a certified window energy is an eigenstate, by its float
+    # residual and by the exact one; a forward run from the same energy
+    # keeps no twist
+    state = eigenstate_recurrences(P, Parity.EVEN, 2, NMAX)[1]
+    assert residual(P, Parity.EVEN, state) < 1e-10
+    assert exact_chain_residual(P, Parity.EVEN, state.xi, state.v) < 1e-10
+    assert np.linalg.norm(state.v) == pytest.approx(1.0)
+    assert state.parity is Parity.EVEN and 0 <= state.twist <= NMAX
+    seeded = recurrence_eigenstate_la(P, Parity.EVEN, state.xi, (1.0, 0.0),
+                                      NMAX)
+    assert seeded.twist is None
+
+
+def _twisted_state(params, parity, n_max, xi):
+    """The two-sided kernel's state at one energy xi: of its twisted
+    states, the one of least residual, as ``eigenstate_recurrences`` picks
+    it outside a cluster."""
+    band = build_parity_band(params, parity, TruncationConfig(n_max))
+    _, vectors = eig_mod._twisted_states(band, np.array([xi]))
+    res = eig_mod._residuals(band, vectors[:, :, 0], xi)
+    return vectors[:, int(np.argmin(res)), 0]
+
+
+def _gap(values, level):
+    """Distance from level to the nearest other of the sorted values."""
+    return np.min(np.abs(np.delete(values, level) - values[level]),
+                  initial=np.inf)
+
+
+@settings(max_examples=40, deadline=None)
+@given(omega_1=st.floats(0.0, 2.0), omega_2=st.floats(0.0, 2.0),
+       g_1=st.floats(-1.5, 1.5), g_2=st.floats(-1.5, 1.5),
+       parity=st.sampled_from(Parity), n_max=st.integers(20, 80),
+       level=st.floats(0.0, 1.0))
+@example(omega_1=1.3, omega_2=0.7, g_1=0.45, g_2=0.45, parity=Parity.EVEN,
+         n_max=40, level=0.1)
+@example(omega_1=1.3, omega_2=0.7, g_1=0.45, g_2=-0.45, parity=Parity.ODD,
+         n_max=40, level=0.1)
+@example(omega_1=1.3, omega_2=0.7, g_1=0.3, g_2=0.3, parity=Parity.EVEN,
+         n_max=20, level=3 / 41)
+@example(omega_1=0.5321017284505121, omega_2=0.5262230788044269,
+         g_1=1e-300, g_2=1e-300, parity=Parity.EVEN, n_max=80,
+         level=15 / 161)
+@example(omega_1=0.0, omega_2=0.7, g_1=0.3, g_2=0.4, parity=Parity.EVEN,
+         n_max=30, level=0.2)
+@example(omega_1=1.3, omega_2=0.0, g_1=0.3, g_2=0.4, parity=Parity.ODD,
+         n_max=30, level=0.2)
+@example(omega_1=0.0, omega_2=0.0, g_1=0.5, g_2=0.5, parity=Parity.EVEN,
+         n_max=30, level=0.5)
+# the top level of the chain
+@example(omega_1=1.3, omega_2=0.7, g_1=0.3, g_2=0.4, parity=Parity.EVEN,
+         n_max=20, level=1.0)
+@example(omega_1=1.3, omega_2=0.7, g_1=1.2, g_2=1.2, parity=Parity.ODD,
+         n_max=20, level=0.98)
+@example(omega_1=1.3, omega_2=0.7, g_1=0.0, g_2=0.0, parity=Parity.EVEN,
+         n_max=20, level=0.3)
+@example(omega_1=1.5, omega_2=0.0, g_1=0.0, g_2=-2.0 ** -24,
+         parity=Parity.EVEN, n_max=65, level=0.0)
+@example(omega_1=0.0, omega_2=1.95205019163539, g_1=0.5,
+         g_2=0.027234848539979595, parity=Parity.EVEN, n_max=60,
+         level=0.71875)
+def test_refined_pair_matches_dense(omega_1, omega_2, g_1, g_2, parity,
+                                    n_max, level):
+    # at any dense eigh level of the chain, the top ones included, the
+    # twisted state has a residual at rounding level, and outside a cluster
+    # it is eigh's vector
+    params = ModelParams(omega_1, omega_2, g_1, g_2)
+    dense = eigh(chain_matrix(params, parity, n_max))
+    index = round(level * (len(dense.values) - 1))
+    hnorm = _hnorm(params, parity, n_max)
+    v = _twisted_state(params, parity, n_max, dense.values[index])
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
+    assert chain_residual(params, parity, dense.values[index],
+                          v) <= ROUNDING * hnorm
+    if _gap(dense.values, index) > CLUSTER_GAP * hnorm:
+        assert abs(v @ dense.vectors[:, index]) >= 1 - 1e-12
+
+
+@settings(max_examples=12, deadline=None)
+@given(omega_1=st.floats(0.0, 2.0), omega_2=st.floats(0.0, 2.0),
+       g_1=st.floats(-1.0, 1.0), g_2=st.floats(-1.0, 1.0),
+       parity=st.sampled_from(Parity), n_max=st.integers(10, 60),
+       count=st.integers(1, 4))
+@example(omega_1=0.0, omega_2=0.7, g_1=0.3, g_2=0.4, parity=Parity.ODD,
+         n_max=40, count=4)
+# level 5 fails the guard, so no window certifies and the whole chain
+# gives the levels; count 7 has too few
+@example(omega_1=1.3, omega_2=0.7, g_1=0.9, g_2=0.4, parity=Parity.EVEN,
+         n_max=20, count=6)
+@example(omega_1=1.3, omega_2=0.7, g_1=0.9, g_2=0.4, parity=Parity.EVEN,
+         n_max=20, count=7)
+@example(omega_1=1.1, omega_2=0.3, g_1=3.0, g_2=4.0, parity=Parity.EVEN,
+         n_max=300, count=2)
+# levels 0 and 1 lie 2e-15 apart
+@example(omega_1=0.0, omega_2=0.0, g_1=0.5, g_2=1.175494351e-38,
+         parity=Parity.EVEN, n_max=10, count=1)
+# g^2 far below rounding: the levels lie about g^2 off the diagonal
+@example(omega_1=0.0, omega_2=0.0, g_1=0.0, g_2=1.9073223110007208e-54,
+         parity=Parity.EVEN, n_max=10, count=1)
+@example(omega_1=0.0, omega_2=0.0, g_1=0.0, g_2=2.2e-34, parity=Parity.ODD,
+         n_max=20, count=2)
+@example(omega_1=0.0, omega_2=0.0, g_1=1.2435834223700194e-228,
+         g_2=1.0496677161120977e-201, parity=Parity.EVEN, n_max=19, count=2)
+@example(omega_1=1.065559906280724, omega_2=0.7, g_1=4.716664822840003e-228,
+         g_2=-6.892877359291515e-229, parity=Parity.ODD, n_max=21, count=4)
+# two levels 9.0e-37 apart
+@example(omega_1=0.0, omega_2=8.97e-37, g_1=0.0, g_2=0.001953125,
+         parity=Parity.EVEN, n_max=10, count=1)
+def test_recurrences_match_dense_seeded_refinement(omega_1, omega_2, g_1,
+                                                   g_2, parity, n_max,
+                                                   count):
+    # the route's states, at the certified window energies, against the
+    # kernel's states at whole-chain eigh energies: the same level to the
+    # guard, and outside a cluster the same state to sign
+    params = ModelParams(omega_1, omega_2, g_1, g_2)
+    try:
+        states = eigenstate_recurrences(params, parity, count, n_max)
+    except TruncationInsufficient:
+        return
+    dense = eigh(chain_matrix(params, parity, n_max))
+    hnorm = _hnorm(params, parity, n_max)
+    for state in states:
+        level = int(np.argmin(np.abs(dense.values - state.xi)))
+        assert abs(state.xi - dense.values[level]) <= 1e-8
+        if _gap(dense.values, level) <= CLUSTER_GAP * hnorm:
+            continue
+        seeded = _twisted_state(params, parity, n_max, dense.values[level])
+        assert residual(params, parity, state) <= ROUNDING * hnorm
+        assert abs(state.v @ seeded) >= 1 - 1e-12
+
+
+@settings(max_examples=10, deadline=None)
+@given(omega_1=st.floats(0.0, 2.0), omega_2=st.floats(0.0, 2.0),
+       g_1=st.floats(-1.5, 1.5), g_2=st.floats(-1.5, 1.5),
+       parity=st.sampled_from(Parity), n_max=st.integers(20, 120),
+       count=st.integers(1, 4))
+# g = 0: the edge block vanishes on every window
+@example(omega_1=1.3, omega_2=0.7, g_1=0.0, g_2=0.0, parity=Parity.EVEN,
+         n_max=60, count=3)
+# omega_1 = 0: the ladder runs from 48 rows to the whole chain of 162
+@example(omega_1=0.0, omega_2=0.7, g_1=0.3, g_2=0.4, parity=Parity.ODD,
+         n_max=80, count=3)
+@example(omega_1=1.3, omega_2=0.7, g_1=0.45, g_2=-0.4500000000000001,
+         parity=Parity.EVEN, n_max=80, count=3)
+# deep strong coupling: Fig. 3's couplings
+@example(omega_1=1.1, omega_2=0.3, g_1=3.0, g_2=4.0, parity=Parity.EVEN,
+         n_max=300, count=2)
+def test_windowed_refinement_matches_whole_chain_oracle(
+        omega_1, omega_2, g_1, g_2, parity, n_max, count):
+    # the states at the certified window energies against the exact
+    # residual on the whole chain: the float residual is the exact one to
+    # rounding, and a resolved state is an eigenstate by the exact one too
+    params = ModelParams(omega_1, omega_2, g_1, g_2)
+    try:
+        states = eigenstate_recurrences(params, parity, count, n_max)
+    except TruncationInsufficient:
+        return
+    hnorm = _hnorm(params, parity, n_max)
+    for state in states:
+        got = residual(params, parity, state)
+        if not got <= RECURRENCE_RESIDUAL_TOL:
+            continue
+        exact = exact_chain_residual(params, parity, state.xi, state.v)
+        assert abs(got - exact) <= 4 * np.finfo(float).eps * hnorm
+        assert exact <= RECURRENCE_RESIDUAL_TOL
+
+
+def test_refinement_at_omega_1e200():
+    # products of four entries of H - E pass the float range here, so the
+    # route scales the chain by a power of two first.  In floats the photon
+    # ladder is lost against the qubit splitting (an ulp of 5e199 is about
+    # 1e184), and levels tie to the last bit: each state is resolved, at
+    # rounding level relative to ||H|| by the exact residual too, or has no
+    # vector; level 0 of each chain is resolved
+    params, n_max = ModelParams(1e200, 0.5, 0.2, 0.1), 20
+    for parity in Parity:
+        hnorm = _hnorm(params, parity, n_max)
+        states = eigenstate_recurrences(params, parity, 3, n_max)
+        resolved = [state.v for state in states
+                    if not np.isnan(state.v).all()]
+        assert np.isfinite(states[0].v).all()
+        for state in states:
+            if np.isfinite(state.v).all():
+                assert residual(params, parity, state) <= ROUNDING * hnorm
+                assert exact_chain_residual(
+                    params, parity, state.xi, state.v) <= ROUNDING * hnorm
+        gram = np.array(resolved) @ np.array(resolved).T
+        assert np.allclose(gram, np.eye(len(resolved)), rtol=0, atol=1e-12)
+
+
+_STATE_PROBE = """
+import sys
+from rabi2q.eigenstates import eigenstate_recurrences
+from rabi2q.model import ModelParams, Parity
+for parity in Parity:
+    for state in eigenstate_recurrences(ModelParams(1.3, 0.7, 0.3, 0.4),
+                                        parity, 10, int(sys.argv[1])):
+        print(state.xi.hex(), state.twist)
+        print(" ".join(float(c).hex() for c in state.v))
+"""
+
+
+def test_refinement_does_not_depend_on_blas_threads():
+    # the README levels, bit for bit, at one and at two BLAS threads
+    n_max = 60
+    src = str(Path(rabi2q.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", _STATE_PROBE,
+                               str(n_max)], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert len(outs[0].split()) == 2 * 10 * (2 + 2 * (n_max + 1))
+
+
+@pytest.mark.parametrize("omega_1,omega_2,g_1,g_2,parity,n_max,count,level,"
+                         "bound", [
+    (0.0, 0.0, 0.0, 2.2e-34, Parity.ODD, 20, 2, 1, 1e-60),
+    (0.0, 0.0, 0.0, 6.898056406907243e-47, Parity.EVEN, 3, 1, 0, 1e-55)])
+def test_refiner_scale_keeps_offsets_below_the_tolerance(
+        omega_1, omega_2, g_1, g_2, parity, n_max, count, level, bound):
+    # g^2 far below rounding at omega = 0: the levels lie about g^2 off the
+    # integer diagonal, which their float energies hold exactly, and the
+    # vectors' off-diagonal entries are about g.  The twisted states keep
+    # those entries, so their residuals, float and exact, stay far below
+    # rounding (1.1e-101 and 4.8e-93)
+    params = ModelParams(omega_1, omega_2, g_1, g_2)
+    states = eigenstate_recurrences(params, parity, count, n_max)
+    assert len(states) == count
+    state = states[level]
+    assert residual(params, parity, state) <= bound
+    assert exact_chain_residual(params, parity, state.xi, state.v) <= bound
+
+
+def test_recurrence_kernel_rejects_singular_coupling():
+    # the forward kernel checks the couplings itself: with g1^2 = g2^2 the
+    # coupling blocks it divides by are singular.  The two-sided route
+    # divides by none of them and serves the same chains
+    for g_2 in (0.3, -0.3):
+        p = ModelParams(1.3, 0.7, 0.3, g_2)
+        with pytest.raises(SingularCoupling):
+            eig_mod._check_couplings(p)
+        hnorm = _hnorm(p, Parity.EVEN, 50)
+        assert all(residual(p, Parity.EVEN, state) <= ROUNDING * hnorm
+                   for state in eigenstate_recurrences(p, Parity.EVEN, 4,
+                                                       50))
 
 
 def test_float_inputs_are_accuracy_limited_but_sane():
@@ -207,6 +479,41 @@ def test_far_from_spectrum_state_is_flagged():
     assert residual(P, Parity.EVEN, state) > RECURRENCE_RESIDUAL_TOL
 
 
+@pytest.mark.parametrize("g_1, g_2, xi, seed, n_max", [
+    # near |g1| = |g2| each step divides by g1^2 - g2^2, and the run passes
+    # 1e300 within a few dozen blocks
+    (0.5, -0.499999997, 6.0, (1.0, 0.0), 100),
+    (0.3, 0.29997, 5.0, (1.0, 0.0), 100),
+    # from a seed block of 1e248 block 2 passes the float range
+    (0.3, 0.4, -3.0, (1e248, 0.0), 80)],
+    ids=["g-0.5", "g-0.3", "seed-1e248"])
+def test_stop_holds_past_the_float_range(g_1, g_2, xi, seed, n_max):
+    # the forward run stops at its first block past OVERFLOW_LIMIT without
+    # a float warning, and its state is the one from the seed scaled by
+    # 2^-900, whose run goes some 270 orders of magnitude further: the stop
+    # never comes before the cut
+    p = ModelParams(1.3, 0.7, g_1, g_2)
+    state = recurrence_eigenstate_la(p, Parity.EVEN, xi, seed, n_max)
+    small = recurrence_eigenstate_la(p, Parity.EVEN, xi,
+                                     [math.ldexp(c, -900) for c in seed],
+                                     n_max)
+    assert np.isfinite(state.v).all()
+    assert np.linalg.norm(state.v) == pytest.approx(1.0, abs=1e-15)
+    assert np.array_equal(state.v != 0, small.v != 0)
+    assert np.allclose(state.v, small.v, rtol=1e-15, atol=0)
+
+
+def test_cut_normalize_cuts_at_the_first_least_block():
+    # at omega 0, g 0.5/0 and xi = g1, block 1 of the forward run is the
+    # seed block (1, 0) to the last bit, and every block after it is
+    # larger: the cut is block 0, the first of the two least, and the state
+    # is the seed block alone (a cut at block 1 would keep (1, 0, 1, 0) /
+    # sqrt 2)
+    p = ModelParams(0.0, 0.0, 0.5, 0.0)
+    state = recurrence_eigenstate_la(p, Parity.EVEN, 0.5, (1.0, 0.0), 30)
+    assert state.v[0] == 1.0 and not state.v[1:].any()
+
+
 def test_zero_seed_rejected():
     with pytest.raises(OverflowDetected, match="null vector"):
         recurrence_eigenstate_la(P, Parity.EVEN, -1.0, (0.0, 0.0), 50)
@@ -251,6 +558,77 @@ def test_residual_decreases_toward_eigenvalue():
     offsets = [0.3, 0.1, 0.03, 0.01]
     res = [chain_residual(P, Parity.EVEN, target + d, vec) for d in offsets]
     assert all(a > b for a, b in zip(res, res[1:]))
+
+
+# ---------------------------------------------------------------------------
+# the exact residual oracle's arithmetic
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bits", [229, 1200])
+@pytest.mark.parametrize("value", [
+    0.0, -0.0, 1.0, -3.75, 1e-80, 5e-324, 2.0 ** -230, 3 * 2.0 ** -230,
+    -3 * 2.0 ** -230, 3 * 2.0 ** -1074, 0.1, 1e200, 2.0 ** 795,
+    -1.7976931348623157e308])
+def test_fixed_point_rounds_exactly(value, bits):
+    # the nearest int to value 2^bits, ties to even, for every finite
+    # float: at 229 bits 2^-230 and 3 2^-230 are ties, and from 2^(1024 -
+    # bits) on value 2^bits passes the float range
+    assert fixed_point(value, bits) == round(Fraction(value) * 2 ** bits)
+
+
+@pytest.mark.parametrize("num, den", [
+    (5, 2), (7, 2), (-5, 2), (-7, 2), (5, -2), (7, -2), (-5, -2), (-7, -2),
+    (1, 2), (-1, 2), (3, 2), (-3, 2), (45, 6), (51, 6), (-45, 6),
+    pytest.param(2 ** 300 + 2 ** 199, 2 ** 200, id="2^100+1/2"),
+    pytest.param(-3 * 2 ** 300 - 2 ** 199, 2 ** 200, id="-3*2^100-1/2"),
+    (7, 3), (8, 3), (-8, 3), (0, 5), (0, -5)])
+def test_nearest_rounds_ties_to_even(num, den):
+    # exact ties on floor quotients even (5/2, -7/2, 51/6) and odd (7/2,
+    # -5/2, 45/6), by either sign of the denominator and past the float
+    # range: each rounds as a Fraction does, to the even neighbour
+    assert nearest(num, den) == round(Fraction(num, den))
+
+
+@settings(max_examples=20, deadline=None)
+@given(omega_1=st.floats(0.0, 40.0), omega_2=st.floats(0.0, 40.0),
+       g_1=st.floats(-3.0, 3.0), g_2=st.floats(-3.0, 3.0),
+       parity=st.sampled_from(Parity), n_max=st.integers(1, 60),
+       bits=st.sampled_from([229, 1200]))
+@example(omega_1=1.3, omega_2=0.7, g_1=0.3, g_2=0.4, parity=Parity.ODD,
+         n_max=200, bits=1200)
+# entries whose bits reach far below the scale, and a tie: -2^-230 g sqrt 4
+# at 229 bits is -1
+@example(omega_1=1e200, omega_2=8.97e-37, g_1=1e-300, g_2=-2.0 ** -230,
+         parity=Parity.EVEN, n_max=20, bits=229)
+def test_mp_tables_match_the_mpf_operators(omega_1, omega_2, g_1, g_2,
+                                           parity, n_max, bits):
+    # the oracle's diagonal entries against their exact rationals, and its
+    # g sqrt(j) entries, from an integer square root, against mpmath at
+    # bits + 64, each rounded to the nearest int; and every entry against
+    # the package's float chain matrix, to the float's rounding
+    params = ModelParams(omega_1, omega_2, g_1, g_2)
+    rows = fixed_chain_rows(params, parity, n_max, bits)
+    for i, row in enumerate(rows):
+        n, q1, q2 = chain_state(parity, i)
+        exact = n + (q1.sz * Fraction(omega_1) + q2.sz * Fraction(omega_2)) / 2
+        assert row[i] == round(exact * 2 ** bits)
+    with mp.workprec(bits + 64):
+        for j in range(1, n_max + 1):
+            want = [int(mp.nint(mp.ldexp(mp.sqrt(j) * mp.mpf(g), bits)))
+                    for g in (g_1, g_2)]
+            for k in (0, 1):
+                assert [rows[2 * j - 2 + k][2 * j + k],
+                        rows[2 * j - 2 + k][2 * j + 1 - k]] == want
+                assert [rows[2 * j + k][2 * j - 2 + k],
+                        rows[2 * j + k][2 * j - 1 - k]] == want
+    dense = chain_matrix(params, parity, n_max)
+    scale = n_max + omega_1 + omega_2 + (abs(g_1) + abs(g_2)) * n_max
+    for i, row in enumerate(rows):
+        assert set(np.flatnonzero(dense[i])) <= set(row)
+        for c, v in row.items():
+            assert abs(Fraction(v, 2 ** bits) - Fraction(dense[i, c])) <= (
+                Fraction(1, 2 ** bits) + Fraction(4 * np.finfo(float).eps
+                                                  * scale))
 
 
 # ---------------------------------------------------------------------------

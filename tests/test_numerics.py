@@ -77,12 +77,16 @@ def test_band_matvec_matches_dense():
 
 
 @pytest.mark.parametrize("dim", [1, 2, 9])
-def test_band_norm_matches_dense(dim):
+def test_band_norm_and_general_band_match_dense(dim):
+    # a general lower band of three off-diagonals, not the chain's pattern,
+    # narrower than, as wide as and wider than its band: its norm and its
+    # dense expansion against the matrix built entry by entry
     rng = np.random.default_rng(dim)
     band = random_band(rng, dim)
     h = dense_from_band(band)
     assert band_norm(band) == pytest.approx(np.max(np.abs(h).sum(axis=1)),
                                             rel=1e-15)
+    assert np.array_equal(expand_dense(band), h)
 
 
 def test_photon_windows_solve_leading_blocks_up_to_the_callers_limit():
