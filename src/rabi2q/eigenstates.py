@@ -18,7 +18,8 @@ continued fraction) and x_j = L_j x_{j+1} from photon 0, and the state is
 the null vector of the block where the two meet, spread outward with R
 and L (the block form of the twisted factorizations of Dhillon & Parlett,
 LAA 387, 1 (2004)).  A chain past 2^200 in norm is first scaled by a
-power of two, so that the products the route forms stay finite.  Levels closer together than CLUSTER_GAP ||H|| are
+power of two (``numerics.pivot_shift``), so that the products the route
+forms stay finite.  Levels closer together than CLUSTER_GAP ||H|| are
 orthogonalized within their cluster; a member the route cannot resolve
 has no vector, and its residual is nan.  ``recurrence_eigenstate_la`` runs
 the recurrence forward from one block alone, which any error in its
@@ -36,7 +37,8 @@ from .errors import (ConfigError, OverflowDetected, SingularCoupling,
                      StepSingular)
 from .hamiltonian import build_parity_band
 from .model import ModelParams, Parity, TruncationConfig, basis_table
-from .numerics import band_matvec, band_norm
+from .numerics import (band_norm, block_pivots, padded_residuals,
+                       pivot_shift)
 from .spectra import converged_parity_eigensystem
 
 OVERFLOW_LIMIT = 1e300
@@ -123,15 +125,12 @@ def recurrence_eigenstate_la(params: ModelParams, parity: Parity, xi, v0,
 
 def chain_residual(params: ModelParams, parity: Parity, xi: float,
                    v: np.ndarray) -> float:
-    """Relative residual ||(H - xi) v|| / ||v|| on the truncated chain.
-
-    The residual is scaled by its largest entry before the norm, so that
-    its squares stay finite when xi is far from the spectrum.
-    """
+    """Relative residual ||(H - xi) v|| / ||v|| on the truncated chain, by
+    ``numerics.padded_residuals``, so that it stays finite when xi is far
+    from the spectrum."""
     band = build_parity_band(params, parity, TruncationConfig(len(v) // 2 - 1))
-    r = band_matvec(band, v[:, None])[:, 0] - xi * v
-    scale = np.max(np.abs(r)) or 1.0
-    return float(scale * np.linalg.norm(r / scale) / np.linalg.norm(v))
+    return float(padded_residuals(band, xi, v[:, None])[0]
+                 / np.linalg.norm(v))
 
 
 def residual(params: ModelParams, parity: Parity,
@@ -141,80 +140,26 @@ def residual(params: ModelParams, parity: Parity,
 
 def _coupling_lanes(band: np.ndarray, repeat: int):
     """The entries a = g1 sqrt(j) and b = g2 sqrt(j) of the coupling
-    blocks O_j = [[a, b], [b, a]] of a chain band, and det(O_j)^2 = ((a - b)
-    (a + b))^2, exactly zero at |g1| = |g2|, by step s of
-    ``_schur_complements``: O_s on the first repeat lanes, which run up
+    blocks O_j = [[a, b], [b, a]] of a chain band, by step s of the pivots
+    in ``_twisted_states``: O_s on the first repeat lanes, which run up
     from photon 0, and O_(n - s) on the last repeat lanes, which run down
     from the top block n - 1.  O_0 and O_n are zero."""
     n = band.shape[1] // 2
     a, b = (np.concatenate(([0.0], band[d, 0:-2:2], [0.0])) for d in (2, 3))
     return tuple(np.repeat(np.stack((x[:n], x[n:0:-1]), axis=1), repeat,
                            axis=1)
-                 for x in (a, b, ((a - b) * (a + b)) ** 2))
-
-
-def _schur_complements(band: np.ndarray, energies: np.ndarray,
-                       floor: float):
-    """Schur complements of H - E from photon 0 up, T_j = D_j - E - O_j
-    T_(j-1)^-1 O_j, and from the top block down, B_j = D_j - E - O_(j+1)
-    B_(j+1)^-1 O_(j+1), at every energy at once.
-
-    Both run in one loop, the downward one on lanes m.. of step s at block
-    n - 1 - s.  Each complement S is held as its entries [[p, q], [q, r]]
-    and as S = l_b v_b v_b^T + l_s v_s v_s^T, with v_b = (c, s) the
-    eigenvector of its eigenvalue l_b of larger magnitude, v_s = (-s, c)
-    and l_s = det S / l_b; its inverse is only ever applied in that form.
-    det S is carried as det(D - E) - tr(adj(D - E) C) + det(O)^2 / det(S'),
-    C = O S'^-1 O for the complement S' before it, det(D - E) being the
-    product of the diagonal.  From the entries, det S would cancel where C
-    is huge or E lies on a diagonal entry, and an inverse formed from them
-    would lose its part along v_b.  det S and l_b are floored at floor and
-    at its root in magnitude, as LAPACK dstein floors its pivots.  Returns
-    the entries (p, q, r), the inverse factors (c, s, 1 / l_b, 1 / l_s) and
-    det S, each shaped (steps, 2m).
-    """
-    diag = band[0].reshape(-1, 2)
-    n, m = len(diag), len(energies)
-    d0, d1 = (np.hstack((x, x[::-1])) for x in (diag[:, :1] - energies,
-                                                diag[:, 1:] - energies))
-    product = d0 * d1
-    a, b, det_o = _coupling_lanes(band, m)
-    entries, factors = np.empty((3, n, 2 * m)), np.empty((4, n, 2 * m))
-    dets = np.empty((n, 2 * m))
-    cos, sin = np.ones(2 * m), np.zeros(2 * m)
-    inv_b = inv_s = np.zeros(2 * m)
-    root = math.sqrt(floor)
-    for k in range(n):
-        # C = (O v_b)(O v_b)^T / l_b + (O v_s)(O v_s)^T / l_s
-        wb0, wb1 = a[k] * cos + b[k] * sin, b[k] * cos + a[k] * sin
-        ws0, ws1 = b[k] * cos - a[k] * sin, a[k] * cos - b[k] * sin
-        hb, hs = inv_b * wb0, inv_s * ws0
-        c00, c01 = hb * wb0 + hs * ws0, hb * wb1 + hs * ws1
-        c11 = inv_b * wb1 * wb1 + inv_s * ws1 * ws1
-        p, q, r = d0[k] - c00, -c01, d1[k] - c11
-        det = (product[k] - d1[k] * c00 - d0[k] * c11
-               + det_o[k] * inv_b * inv_s)
-        det = np.copysign(np.maximum(np.abs(det), floor), det)
-        mean, diff = 0.5 * (p + r), 0.5 * (p - r)
-        big = mean + np.copysign(np.hypot(diff, q), mean)
-        big = np.copysign(np.maximum(np.abs(big), root), big)
-        # (cos, sin) of this angle belongs to the eigenvalue mean + rad
-        angle = 0.5 * np.arctan2(q, diff)
-        upper = mean >= 0
-        cos, sin = (np.where(upper, np.cos(angle), -np.sin(angle)),
-                    np.where(upper, np.sin(angle), np.cos(angle)))
-        inv_b, inv_s = 1 / big, big / det
-        entries[0, k], entries[1, k], entries[2, k] = p, q, r
-        factors[0, k], factors[1, k] = cos, sin
-        factors[2, k], factors[3, k] = inv_b, inv_s
-        dets[k] = det
-    return entries, factors, dets
+                 for x in (a, b))
 
 
 def _twisted_states(band: np.ndarray, energies: np.ndarray):
     """TWIST_CANDIDATES twisted states of each level: (twist blocks, chain
     vectors) shaped (c, m) and (chain_dim, c, m).
 
+    The Schur complements of H - E from photon 0 up, T_j = D_j - E - O_j
+    T_(j-1)^-1 O_j, and from the top block down, B_j = D_j - E - O_(j+1)
+    B_(j+1)^-1 O_(j+1), at every energy at once, are the pivots of one
+    ``numerics.block_pivots`` call, whose downward lanes m.. hold block
+    n - 1 - s at step s; its pivot floor is (eps ||H||)^2.
     G_k = T_k + B_k - (D_k - E) is the Schur complement of block k in
     H - E.  The candidates are the blocks k of least smallest singular
     value |det G_k| / ||G_k||, det G_k from det(H - E) = prod_(j < k) det
@@ -225,13 +170,16 @@ def _twisted_states(band: np.ndarray, energies: np.ndarray):
     """
     diag = band[0].reshape(-1, 2)
     n, m = len(diag), len(energies)
+    d0, d1 = (np.hstack((x, x[::-1])) for x in (diag[:, :1] - energies,
+                                                diag[:, 1:] - energies))
     floor = (np.finfo(float).eps * band_norm(band)) ** 2
-    (tp, tq, tr), factors, dets = _schur_complements(band, energies, floor)
+    (tp, tq, tr), factors, dets = block_pivots(
+        d0, d1, *_coupling_lanes(band, m), floor)
     # block k of the downward complements is on lane m + level of step
     # n - 1 - k
-    gp = tp[:, :m] + tp[::-1, m:] - (diag[:, :1] - energies)
+    gp = tp[:, :m] + tp[::-1, m:] - d0[:, :m]
     gq = tq[:, :m] + tq[::-1, m:]
-    gr = tr[:, :m] + tr[::-1, m:] - (diag[:, 1:] - energies)
+    gr = tr[:, :m] + tr[::-1, m:] - d1[:, :m]
     logs = np.log(np.abs(dets))
     upper = np.cumsum(logs[::-1, :m], axis=0)[::-1]
     lower = np.cumsum(logs[:, m:], axis=0)[::-1]
@@ -258,7 +206,7 @@ def _twisted_states(band: np.ndarray, energies: np.ndarray):
     # and the coupling of step n - 1 - t
     cos, sin, inv_b, inv_s = (x[n - 2::-1, np.concatenate((lev, m + lev))]
                               for x in factors)
-    a, b = (x[n - 1:0:-1] for x in _coupling_lanes(band, len(k))[:2])
+    a, b = (x[n - 1:0:-1] for x in _coupling_lanes(band, len(k)))
     step = np.arange(1, n)[:, None]
     live = np.hstack((n - 1 - step < k, step > k))
     path = np.empty((n, 2, 2 * len(k)))
@@ -280,15 +228,6 @@ def _twisted_states(band: np.ndarray, energies: np.ndarray):
     return twist, vectors.reshape(2 * n, *twist.shape)
 
 
-def _residuals(band: np.ndarray, vectors: np.ndarray,
-               energies: np.ndarray) -> np.ndarray:
-    """||(H - E) v|| of each column, inf where it is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = np.linalg.norm(band_matvec(band, vectors) - vectors * energies,
-                             axis=0)
-    return np.where(np.isfinite(res), res, np.inf)
-
-
 def eigenstate_recurrences(params: ModelParams, parity: Parity, count: int,
                            n_max: int) -> list[RecurrenceState]:
     """Recurrence states of the count lowest converged levels of one parity.
@@ -307,16 +246,12 @@ def eigenstate_recurrences(params: ModelParams, parity: Parity, count: int,
     energies, _ = converged_parity_eigensystem(params, parity, trunc, count)
     band = build_parity_band(params, parity, trunc)
     hnorm = band_norm(band)
-    # the kernel multiplies up to four entries of H - E: a chain past 2^200
-    # in norm is scaled to a norm near 1 by a power of two, which rounds
-    # only entries some 2^800 below the largest and leaves the states as
-    # they are
-    exponent = math.frexp(hnorm)[1]
-    shift = exponent if exponent > 200 else 0
+    shift = pivot_shift(hnorm)
     band, levels = np.ldexp(band, -shift), np.ldexp(energies, -shift)
     twist, vectors = _twisted_states(band, levels)
-    res = _residuals(band, vectors.reshape(len(band[0]), -1),
-                     np.tile(levels, len(twist))).reshape(twist.shape)
+    res = padded_residuals(band, np.tile(levels, len(twist)),
+                           vectors.reshape(len(band[0]), -1)
+                           ).reshape(twist.shape)
     gap = CLUSTER_GAP * hnorm
     states, cluster = [], []
     for i, xi in enumerate(energies.tolist()):
@@ -334,7 +269,7 @@ def eigenstate_recurrences(params: ModelParams, parity: Parity, count: int,
             # than a factor sqrt 2 of its norm to the second pass lies in
             # the span of the members below
             score = np.where(2 * kept[1] ** 2 >= kept[0] ** 2,
-                             _residuals(band, candidates, levels[i]),
+                             padded_residuals(band, levels[i], candidates),
                              np.inf)
         best = int(np.argmin(score))
         v = candidates[:, best]

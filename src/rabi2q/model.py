@@ -42,8 +42,9 @@ class ModelParams:
     """Frequencies and couplings of the two-qubit Rabi Hamiltonian.
 
     All four are in units of the field frequency omega_f, which is 1
-    throughout the library.  Couplings may be any real number; only
-    |g_1| != |g_2| matters for the recurrence construction of eigenstates.
+    throughout the library.  Couplings may be any real number; only the
+    forward recurrence ``eigenstates.recurrence_eigenstate_la`` needs
+    |g_1| != |g_2|.
     """
 
     omega_1: float

@@ -2,7 +2,9 @@
 
 Dense symmetric eigendecomposition (LAPACK via numpy), the only
 eigensolver of the package, also on the ladder of leading photon windows
-of a chain band; band matvecs, norms and residuals; associated Laguerre
+of a chain band; band matvecs, norms and residuals; the 2 x 2 block
+pivots of a chain, which count its levels below a cut and build its
+recurrence eigenstates; associated Laguerre
 polynomials, displacement-operator matrix elements, and the level
 selection, phases and real GEMMs (on the float view of the complex
 amplitudes) of spectral-decomposition time propagation.  Everything here
@@ -102,23 +104,97 @@ def band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
 def padded_residuals(band: np.ndarray, values: np.ndarray,
                      vectors: np.ndarray) -> np.ndarray:
     """||H v - theta v|| of each column v of vectors, which hold the leading
-    rows of eigenvectors of a band, zero-padded to the band's dimension.
+    rows of vectors of a band, zero-padded to the band's dimension; inf
+    where it is not finite.
 
     H v vanishes past the rows that the last held row reaches, so only
-    those rows are formed.
+    those rows are formed.  Each residual is scaled by its largest entry
+    before the norm, so that its squares stay finite when theta or H is
+    near the float range.
     """
     held, kd = vectors.shape[0], band.shape[0] - 1
     rows = min(held + kd, band.shape[1])
     padded = np.zeros((rows, vectors.shape[1]))
     padded[:held] = vectors
-    return np.linalg.norm(band_matvec(band[:, :rows], padded)
-                          - padded * values, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = band_matvec(band[:, :rows], padded) - padded * values
+        scale = np.max(np.abs(r), axis=0)
+        scale[scale == 0] = 1.0
+        res = scale * np.linalg.norm(r / scale, axis=0)
+    return np.where(np.isfinite(res), res, np.inf)
 
 
 def band_norm(band: np.ndarray) -> float:
     """||H||_inf, the largest absolute row sum, of a lower band."""
     return float(np.max(band_matvec(np.abs(band),
                                     np.ones((band.shape[1], 1)))))
+
+
+def pivot_shift(norm: float) -> int:
+    """The power of two 2^-shift by which a chain of norm ``norm`` is scaled
+    before ``block_pivots``, which multiplies up to four of its entries: a
+    chain past 2^200 in norm goes to a norm near 1, which rounds only
+    entries some 2^800 below the largest and leaves its states and its
+    inertia as they are; any other chain keeps its scale (shift 0)."""
+    exponent = math.frexp(norm)[1]
+    return exponent if exponent > 200 else 0
+
+
+def block_pivots(d0: np.ndarray, d1: np.ndarray, a: np.ndarray,
+                 b: np.ndarray, floor):
+    """The 2 x 2 pivots S_k = D_k - O_k S_(k-1)^-1 O_k, k = 0, 1, ..., of
+    the block LDL^T factorization of symmetric block tridiagonal matrices,
+    one matrix per lane, with diagonal blocks D_k = diag(d0[k], d1[k]) and
+    couplings O_k = [[a[k], b[k]], [b[k], a[k]]] (a[0] = b[0] = 0); each
+    argument is shaped (steps, lanes), and floor is one value or one per
+    lane.
+
+    Each pivot S is held as its entries [[p, q], [q, r]] and as
+    S = l_b v_b v_b^T + l_s v_s v_s^T, with v_b = (c, s) the eigenvector of
+    its eigenvalue l_b of larger magnitude, v_s = (-s, c) and
+    l_s = det S / l_b; its inverse is only ever applied in that form.
+    det S is carried as d0 d1 - tr(adj(D) C) + det(O)^2 / det(S'),
+    C = O S'^-1 O for the pivot S' before it.  From the entries, det S
+    would cancel where C is huge or a diagonal entry vanishes, and an
+    inverse formed from them would lose its part along v_b.  det S and l_b
+    are floored at floor and at its root in magnitude, with their signs
+    kept, as LAPACK dstein floors its pivots.  By Sylvester's law of
+    inertia, a matrix has as many negative eigenvalues as its pivots have
+    negative l_b and l_s.  Returns the entries (p, q, r), the inverse
+    factors (c, s, 1 / l_b, 1 / l_s) and det S, each shaped (steps, lanes).
+    """
+    n, lanes = d0.shape
+    product, det_o = d0 * d1, ((a - b) * (a + b)) ** 2
+    entries, factors = np.empty((3, n, lanes)), np.empty((4, n, lanes))
+    dets = np.empty((n, lanes))
+    cos, sin = np.ones(lanes), np.zeros(lanes)
+    inv_b = inv_s = np.zeros(lanes)
+    root = np.sqrt(floor)
+    for k in range(n):
+        # C = (O v_b)(O v_b)^T / l_b + (O v_s)(O v_s)^T / l_s
+        wb0, wb1 = a[k] * cos + b[k] * sin, b[k] * cos + a[k] * sin
+        ws0, ws1 = b[k] * cos - a[k] * sin, a[k] * cos - b[k] * sin
+        hb, hs = inv_b * wb0, inv_s * ws0
+        c00, c01 = hb * wb0 + hs * ws0, hb * wb1 + hs * ws1
+        c11 = inv_b * wb1 * wb1 + inv_s * ws1 * ws1
+        p, q, r = d0[k] - c00, -c01, d1[k] - c11
+        det = (product[k] - d1[k] * c00 - d0[k] * c11
+               + det_o[k] * inv_b * inv_s)
+        det = np.copysign(np.maximum(np.abs(det), floor), det)
+        mean, diff = 0.5 * (p + r), 0.5 * (p - r)
+        big = mean + np.copysign(np.hypot(diff, q), mean)
+        big = np.copysign(np.maximum(np.abs(big), root), big)
+        # (cos, sin) of this angle belongs to the eigenvalue mean + rad
+        angle = 0.5 * np.arctan2(q, diff)
+        upper = mean >= 0
+        cos, sin = (np.where(upper, np.cos(angle), -np.sin(angle)),
+                    np.where(upper, np.sin(angle), np.cos(angle)))
+        inv_b, inv_s = 1 / big, big / det
+        entries[0, k], entries[1, k], entries[2, k] = p, q, r
+        factors[0, k], factors[1, k] = cos, sin
+        factors[2, k], factors[3, k] = inv_b, inv_s
+        dets[k] = det
+    return entries, factors, dets
 
 
 def laguerre_assoc(n: int, k: int, z: float) -> float:

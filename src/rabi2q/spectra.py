@@ -13,9 +13,11 @@ the window's next level, than the window has; otherwise it widens.  A
 sweep climbs the ladders of all its points together, one rung at a time.
 The rung's windows are solved and residual-tested on a thread pool sized
 to the cores that BLAS leaves idle (one thread, the calling one, when
-BLAS threads fill every core), and the inertia of every rung's
-candidates is then counted in one batched, numpy only pass of 2 x 2
-block pivots.  Each window is one LAPACK call whichever thread makes it,
+BLAS threads fill every core), and the levels of every rung's candidate
+chains below their cuts are then counted in one batched, numpy only pass
+of the 2 x 2 block pivots of the whole chain from photon 0
+(``numerics.block_pivots``, the kernel of the recurrence eigenstates
+too).  Each window is one LAPACK call whichever thread makes it,
 so the results do not depend on the number of threads.  A point keeps
 only the k requested levels and its window's rows of their vectors.
 When no window short of the whole chain certifies, the point is solved by
@@ -38,8 +40,9 @@ import numpy as np
 from .errors import ConfigError, TruncationInsufficient
 from .hamiltonian import build_parity_band, build_rwa_band
 from .model import ModelParams, Parity, TruncationConfig
-from .numerics import (RESIDUAL_TOL, band_norm, displacement_element, eigh,
-                       expand_dense, padded_residuals, photon_windows)
+from .numerics import (RESIDUAL_TOL, band_norm, block_pivots,
+                       displacement_element, eigh, expand_dense,
+                       padded_residuals, photon_windows, pivot_shift)
 
 GUARD_TOL = 1e-8
 
@@ -54,45 +57,27 @@ def converged_mask(vectors: np.ndarray, edge_dim: int) -> np.ndarray:
     return edge_weight < GUARD_TOL
 
 
-def _tail_positive(bands: np.ndarray, rows: np.ndarray, x: np.ndarray,
-                   g: np.ndarray) -> np.ndarray:
-    """For each chain band, True when the whole chain has no more levels
-    below its cut x than its leading window A of rows rows and columns.
+def _levels_below(bands: np.ndarray, norms: np.ndarray,
+                  x: np.ndarray) -> np.ndarray:
+    """The number of levels of each chain band below its cut x.
 
-    bands has shape (points, 4, chain_dim); rows, x and g hold one window
-    per point, g (points, 2, 2) the last photon block G of (A - x)^-1.
-    By Haynsworth's inertia additivity, H - x has as many negative
-    eigenvalues as A - x plus its Schur complement: the tail chain past
-    the window, less x, with O G O^T taken off its first diagonal block
-    (O the coupling block that joins the window to the tail).  The tail is
-    positive definite exactly when every 2 x 2 pivot of its block Cholesky
-    factorization is: first S = D - x - O G O^T, then
-    S_j = D_j - x - O_j S_j-1^-1 O_j^T.  Each entry is an array over the
-    points, and each point's recurrence starts at its own window edge.
+    bands has shape (points, 4, chain_dim), and norms and x hold one
+    ||H|| and one cut per point.  By Sylvester's law of inertia, H - x has
+    as many negative eigenvalues as the 2 x 2 pivots of its block LDL^T
+    factorization from photon 0 (``numerics.block_pivots``, one lane per
+    point, each chain scaled by its ``numerics.pivot_shift`` and its pivots
+    floored at (eps ||H||)^2) have.
     """
-    first = rows // 2                   # each point's first tail block
-    p00, p01, p11 = g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]
-    passed = np.ones(len(bands), dtype=bool)
-    # a rejected point's pivots may overflow or divide by zero
-    with np.errstate(all="ignore"):
-        for j in range(int(np.min(first)), bands.shape[2] // 2):
-            on = first <= j
-            c = 2 * j
-            d00, d01, d11 = bands[:, 0, c], bands[:, 1, c], bands[:, 0, c + 1]
-            o00, o01 = bands[:, 2, c - 2], bands[:, 1, c - 1]
-            o10, o11 = bands[:, 3, c - 2], bands[:, 2, c - 1]
-            # S = D - x - O P O^T, P the carried inverse
-            a0, a1 = o00 * p00 + o01 * p01, o00 * p01 + o01 * p11
-            b0, b1 = o10 * p00 + o11 * p01, o10 * p01 + o11 * p11
-            s00 = d00 - x - (a0 * o00 + a1 * o01)
-            s01 = d01 - (a0 * o10 + a1 * o11)
-            s11 = d11 - x - (b0 * o10 + b1 * o11)
-            det = s00 * s11 - s01 * s01
-            passed &= ~on | ((s00 > 0) & (det > 0))
-            p00 = np.where(on, s11 / det, p00)
-            p01 = np.where(on, -s01 / det, p01)
-            p11 = np.where(on, s00 / det, p11)
-    return passed
+    shift = np.array([pivot_shift(norm) for norm in norms])
+    bands = np.ldexp(bands, -shift[:, None, None])
+    x, norms = np.ldexp(x, -shift), np.ldexp(norms, -shift)
+    diag = bands[:, 0].T
+    a, b = (np.vstack((np.zeros(len(bands)), bands[:, d, 0:-2:2].T))
+            for d in (2, 3))
+    floor = (np.finfo(float).eps * norms) ** 2
+    _, (_, _, inv_b, inv_s), _ = block_pivots(diag[0::2] - x,
+                                              diag[1::2] - x, a, b, floor)
+    return np.sum(inv_b < 0, axis=0) + np.sum(inv_s < 0, axis=0)
 
 
 def _pool_workers(points: int) -> int:
@@ -134,39 +119,37 @@ def _certified_windows(bands: np.ndarray, starts, count: int) -> list:
     thread keeps one core busy); with one worker the rung runs on the
     calling thread.  A task solves its point's window and tests its
     residuals, and returns only what the certificate keeps: its count
-    values and a copy of their vector columns, its cut x and
-    G = V_top diag(1 / (theta - x)) V_top^T (V_top: the window's last two
-    rows over all of its eigenvectors), or a rejection; so no more windows
-    are alive than workers.  Then one batched ``_tail_positive`` on the
-    calling thread counts all of the rung's candidates.  Each window is
-    still one LAPACK call, and the rung's results are taken in point
-    order, so the output does not depend on the number of workers.
+    values and a copy of their vector columns and its cut x, or a
+    rejection; so no more windows are alive than workers.  Then one
+    batched ``_levels_below`` on the calling thread counts the levels of
+    all of the rung's candidate chains below their cuts, and a candidate
+    certifies where that count is count.  Each window is still one LAPACK
+    call, and the rung's results are taken in point order, so the output
+    does not depend on the number of workers.
     Returns the values and the window rows of the vectors (the rows past
     the window are zeros).
     """
     ladders = [photon_windows(band, max(start, count // 2),
                               band.shape[1] - 1)
                for band, start in zip(bands, starts)]
-    tols = [RESIDUAL_TOL * band_norm(band) for band in bands]
+    norms = np.array([band_norm(band) for band in bands])
 
     def climb(point):
         """None when point's ladder has run out, False when its next window
-        fails the residual test, else (rows, x, G, pair)."""
+        fails the residual test, else (x, pair)."""
         rung = next(ladders[point], None)
         if rung is None:
             return None
-        rows, (values, vectors) = rung
+        _, (values, vectors) = rung
         residual = padded_residuals(bands[point], values[:count],
                                     vectors[:, :count])
         top = values[count - 1]
         x = 0.5 * (top + values[count])
-        if not (np.max(residual) <= tols[point]
-                and np.linalg.norm(residual) < x - top):
+        if not (np.max(residual) <= RESIDUAL_TOL * norms[point]
+                and math.hypot(*residual) < x - top):
             return False
-        edge = vectors[-2:]
         # copies, so the result owns only the count columns
-        return (rows, x, (edge / (values - x)) @ edge.T,
-                (values[:count].copy(), vectors[:, :count].copy()))
+        return x, (values[:count].copy(), vectors[:, :count].copy())
 
     solved = [None] * len(bands)
     pending = range(len(bands))
@@ -186,11 +169,12 @@ def _certified_windows(bands: np.ndarray, starts, count: int) -> list:
                 elif outcome is not None:
                     found.append((point, *outcome))
             if found:
-                points, rows, x, g, pairs = zip(*found)
-                passed = _tail_positive(bands[list(points)], np.array(rows),
-                                        np.array(x), np.array(g))
-                for point, ok, pair in zip(points, passed, pairs):
-                    if ok:
+                points, x, pairs = zip(*found)
+                points = list(points)
+                below = _levels_below(bands[points], norms[points],
+                                      np.array(x))
+                for point, levels, pair in zip(points, below, pairs):
+                    if levels == count:
                         solved[point] = pair
                     else:
                         widen.append(point)
@@ -237,8 +221,10 @@ def converged_parity_eigensystem(params: ModelParams, parity: Parity,
       sqrt(n_w + 1) ||[[g1, g2], [g2, g1]] v_top||, with v_top the
       window's last two entries), and the residuals' joint norm is below
       x - theta_k;
-    - the whole chain has no more levels below x than A has
-      (``_tail_positive``), which is k.
+    - the whole chain has no more levels below x than A has, which is k:
+      ``_levels_below`` counts them as the negative eigenvalues of the
+      2 x 2 block pivots of H - x from photon 0 (Sylvester's law of
+      inertia), as bisection codes count levels below a shift.
     Each residual puts a distinct chain level within the residuals' joint
     norm of its theta (Kahan's bound for orthonormal vectors), all of them
     below x, so these are the chain's lowest levels, and Cauchy

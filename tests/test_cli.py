@@ -626,8 +626,8 @@ from rabi2q import spectra
 from rabi2q.cli import main
 
 counts = []
-count = spectra._tail_positive
-spectra._tail_positive = lambda *args: counts.append(args) or count(*args)
+count = spectra._levels_below
+spectra._levels_below = lambda *args: counts.append(args) or count(*args)
 out = sys.argv[1]
 common = ["--omega1", "1.3", "--omega2", "0.7", "--g1", "0.3", "--g2", "0.4"]
 commands = [
@@ -658,12 +658,30 @@ def _run_probe(*args):
     proc = subprocess.run([sys.executable, "-c", *args],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc
 
 
 def test_no_command_imports_scipy(tmp_path):
     # scipy costs about 0.2 s and 23 MB at import, and no command needs
     # it: the sweep's inertia count is numpy only
     _run_probe(_IMPORT_PROBE, str(tmp_path))
+
+
+def test_eigenstate_tie_across_the_cut_prints_nothing(tmp_path):
+    # the odd chain's third and fourth levels tie at 1, so a window's cut
+    # can land on a window level; the run writes its levels and no float
+    # warning
+    proc = _run_probe(
+        "import sys; from rabi2q.cli import main; "
+        "sys.exit(main(sys.argv[1:]))",
+        "eigenstate", "--omega1", "0", "--omega2", "0",
+        "--g1=-4.675842848598354e-22", "--g2=-4.675842848598354e-22",
+        "--parity", "odd", "--count", "3", "--nmax", "23",
+        "--out", str(tmp_path / "e.csv"))
+    assert proc.stderr == ""
+    _, rows = read_rows(tmp_path / "e.csv")
+    assert [float(row[2]) for row in rows] == pytest.approx([0, 0, 1],
+                                                           abs=1e-12)
 
 
 def test_importing_the_cli_does_not_import_scipy():

@@ -433,7 +433,7 @@ def test_tight_windows_widen_until_certified(field):
                 8 * np.finfo(float).eps * band_norm(band))
 
 
-def test_window_route_and_dropped_weight_of_known_levels():
+def test_window_route_and_dropped_weight_of_known_levels(monkeypatch):
     # decoupled, the chain levels are its slots, so the state's level
     # weights are its slot weights: 1 on the ground slot, 2e-31 and 3e-31
     # inside the window, and 4e-33 on each of ten slots past it (each below
@@ -456,6 +456,10 @@ def test_window_route_and_dropped_weight_of_known_levels():
     kept[0] = np.exp(1j * times)           # |0, g, g> has energy -1
     assert np.array_equal(traj.state.c_even != 0, kept != 0)
     assert np.max(np.abs(traj.state.c_even - kept)) < 1e-14
+    # decoupled, every window residual is exactly 0, so the window still
+    # certifies at a zero tolerance: a residual at the bound is within it
+    monkeypatch.setattr(dyn, "RESIDUAL_TOL", 0.0)
+    assert dyn.evolve_parity(st, params, times).photons == traj.photons
 
 
 def test_empty_chain_is_not_solved(monkeypatch):

@@ -26,7 +26,7 @@ from rabi2q.errors import (OverflowDetected, SingularCoupling, StepSingular,
                            TruncationInsufficient)
 from rabi2q.hamiltonian import build_parity_band
 from rabi2q.model import ModelParams, Parity, TruncationConfig
-from rabi2q.numerics import band_norm, eigh, expand_dense
+from rabi2q.numerics import band_norm, eigh, expand_dense, padded_residuals
 from rabi2q.spectra import converged_parity_eigensystem
 
 from oracles import (G_CROSS, bargmann_chain_reference,
@@ -197,7 +197,7 @@ def _twisted_state(params, parity, n_max, xi):
     it outside a cluster."""
     band = build_parity_band(params, parity, TruncationConfig(n_max))
     _, vectors = eig_mod._twisted_states(band, np.array([xi]))
-    res = eig_mod._residuals(band, vectors[:, :, 0], xi)
+    res = padded_residuals(band, xi, vectors[:, :, 0])
     return vectors[:, int(np.argmin(res)), 0]
 
 

@@ -244,6 +244,20 @@ def test_propagate_skips_only_negligible_levels(seed):
         assert np.max(np.linalg.norm(got - every, axis=0)) <= bound
 
 
+def test_spectral_levels_budget_is_inclusive():
+    # weight exactly at DROP_WEIGHT ||c0||^2 is within the budget: past at
+    # the budget still propagates, and a level of zero weight is then still
+    # dropped; one ulp more past weight returns None
+    dec = eigh(np.diag([0.0, 1.0]))
+    c0 = np.array([1.0, 0.0], dtype=complex)
+    certified = np.array([True, True])
+    values, _, _, past = spectral_levels(dec, c0, certified,
+                                         numerics.DROP_WEIGHT)
+    assert values.tolist() == [0.0] and past == numerics.DROP_WEIGHT
+    assert spectral_levels(dec, c0, certified,
+                           np.nextafter(numerics.DROP_WEIGHT, 1.0)) is None
+
+
 def test_eigh_solves_a_stack():
     rng = np.random.default_rng(4)
     h = rng.normal(size=(5, 3, 3))

@@ -703,30 +703,24 @@ def _chain(params, parity, trunc):
 
 
 def _count_batch(points, trunc, margin):
-    """The inputs of the batched count at points (params, parity, rows, x),
-    with G by dense inversion, and the dense answer at each (no more chain
-    levels below the cut x than window levels, by eigvalsh); None when a
-    cut lies within margin of a level of either spectrum."""
-    bands, blocks, want = [], [], []
-    for params, parity, rows, x in points:
+    """The inputs of the batched count at points (params, parity, x), and
+    the dense answer at each, the chain's levels below the cut x by
+    eigvalsh; None when a cut lies within margin of a chain level."""
+    bands, want = [], []
+    for params, parity, x in points:
         band = build_parity_band(params, parity, trunc)
-        h = expand_dense(band)
-        whole = np.linalg.eigvalsh(h)
-        window = np.linalg.eigvalsh(h[:rows, :rows])
-        if min(np.min(np.abs(whole - x)),
-               np.min(np.abs(window - x))) <= margin:
+        whole = np.linalg.eigvalsh(expand_dense(band))
+        if np.min(np.abs(whole - x)) <= margin:
             return None
         bands.append(band)
-        blocks.append(np.linalg.inv(h[:rows, :rows]
-                                    - x * np.eye(rows))[-2:, -2:])
-        want.append(bool(np.sum(whole < x) == np.sum(window < x)))
-    rows, cuts = (np.array([point[i] for point in points]) for i in (2, 3))
-    return (np.array(bands), rows, cuts, np.array(blocks)), want
+        want.append(int(np.sum(whole < x)))
+    norms = np.array([band_norm(band) for band in bands])
+    return (np.array(bands), norms, np.array([x for *_, x in points])), want
 
 
 # one point of a count batch: omega_1, omega_2, g_1, g_2, parity, where
-# its window ends and which adjacent window levels its cut falls between,
-# as fractions, and where between them
+# the window that sets its cut ends, which adjacent window levels its cut
+# falls between, as fractions, and where between them
 _COUNT_POINT = st.tuples(st.floats(0.0, 40.0), st.floats(0.0, 40.0),
                          st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
                          st.sampled_from(Parity), st.floats(0.0, 1.0),
@@ -737,7 +731,7 @@ _COUNT_POINT = st.tuples(st.floats(0.0, 40.0), st.floats(0.0, 40.0),
 @given(n_max=st.integers(1, 40),
        batch=st.lists(_COUNT_POINT, min_size=1, max_size=4))
 # the g = 0 trap: the second cut lies above low gg levels at photons past
-# the window, so the count must reject it
+# the window, so the count must exceed the window's
 @example(n_max=40,
          batch=[(30.06, 29.94, 0.0, 0.0, Parity.EVEN, 0.5, 0.2, 0.5),
                 (30.06, 29.94, 0.0, 0.0, Parity.EVEN, 0.5, 0.6, 0.5)])
@@ -747,8 +741,15 @@ _COUNT_POINT = st.tuples(st.floats(0.0, 40.0), st.floats(0.0, 40.0),
                 (1.3, 0.0, 0.5, -0.5, Parity.EVEN, 0.7, 0.8, 0.3),
                 (0.0, 0.0, 1.2, 1.2, Parity.EVEN, 0.2, 0.5, 0.9),
                 (0.0, 0.0, 0.9, -0.9, Parity.ODD, 0.9, 0.3, 0.1)])
+# omega_1 1e250, where products of the pivots pass the float range unless
+# the chain is scaled first; the cut falls between two of the qubit
+# levels, which the photon ladder no longer splits in floats
+@example(n_max=20,
+         batch=[(1e250, 3e249, 0.2, 0.1, Parity.EVEN, 0.5, 0.5, 0.5),
+                (1.3, 0.7, 0.3, 0.4, Parity.ODD, 0.5, 0.5, 0.5)])
 def test_batched_count_matches_dense(n_max, batch):
-    # each point has its own window, of rows short of the whole chain
+    # each point's cut lies between two levels of its own window, of rows
+    # short of the whole chain, as the sweep's cuts do
     trunc = TruncationConfig(n_max)
     points = []
     for omega_1, omega_2, g_1, g_2, parity, end, level, place in batch:
@@ -757,12 +758,12 @@ def test_batched_count_matches_dense(n_max, batch):
         window = np.linalg.eigvalsh(
             _chain(params, parity, trunc)[:rows, :rows])
         i = int(level * (rows - 2))
-        points.append((params, parity, rows,
+        points.append((params, parity,
                        window[i] + place * (window[i + 1] - window[i])))
     counted = _count_batch(points, trunc, margin=1e-8)
     assume(counted is not None)
     inputs, want = counted
-    assert spectra._tail_positive(*inputs).tolist() == want
+    assert spectra._levels_below(*inputs).tolist() == want
 
 
 def test_batched_count_accepts_and_rejects_side_by_side():
@@ -770,10 +771,11 @@ def test_batched_count_accepts_and_rejects_side_by_side():
     # coupling, the g = 0 trap and deep in strong coupling; then, on one
     # window of 24 rows per parity, cuts 1e-6 below and above the seventh
     # chain level, which the window lacks (its own seventh level lies
-    # 5e-6 to 9e-6 higher), so that any error in the tail pivots shows
+    # 5e-6 to 9e-6 higher), so that any error in the pivots shows.  A
+    # window certifies where the count equals its own levels below the cut
     trunc = TruncationConfig(40)
     sweep = ModelParams(1.3, 0.7, 0.3, 0.4)
-    points = []
+    points, held = [], []
     for params, parity, rows, i in (
             (sweep, Parity.EVEN, 56, 16),
             (ModelParams(30.06, 29.94, 0.0, 0.0), Parity.EVEN, 40, 22),
@@ -781,29 +783,45 @@ def test_batched_count_accepts_and_rejects_side_by_side():
             (sweep, Parity.ODD, 16, 7)):
         window = np.linalg.eigvalsh(
             _chain(params, parity, trunc)[:rows, :rows])
-        points.append((params, parity, rows, 0.5 * (window[i]
-                                                    + window[i + 1])))
+        points.append((params, parity, 0.5 * (window[i] + window[i + 1])))
+        held.append(i + 1)
     for parity in Parity:
         level = np.linalg.eigvalsh(_chain(sweep, parity, trunc))[6]
         window = np.linalg.eigvalsh(_chain(sweep, parity, trunc)[:24, :24])
         assert window[5] < level - 1e-6 and level + 4e-6 < window[6]
-        points += [(sweep, parity, 24, level - 1e-6),
-                   (sweep, parity, 24, level + 1e-6)]
+        points += [(sweep, parity, level - 1e-6),
+                   (sweep, parity, level + 1e-6)]
+        held += [6, 6]
     inputs, want = _count_batch(points, trunc, margin=1e-7)
-    assert spectra._tail_positive(*inputs).tolist() == want == \
+    got = spectra._levels_below(*inputs).tolist()
+    assert got == want
+    assert [levels == k for levels, k in zip(got, held)] == \
         [True, False, False, True, True, False, True, False]
 
 
-def _random_block_band(rng, dim):
-    """A random symmetric 2 x 2-block tridiagonal matrix in the chain band
-    layout: full diagonal blocks and full coupling blocks, no Rabi
-    structure (band[3] joins only the first row of a block to the next
-    block's second, so its odd columns stay zero)."""
-    band = rng.uniform(-4.0, 4.0, (4, dim))
-    band[1, 1::2] = rng.uniform(-4.0, 4.0, dim // 2)
-    band[3, 1::2] = 0.0
-    for d in range(1, 4):
-        band[d, dim - d:] = 0.0
+def test_tie_across_the_cut_is_rejected_without_a_float_warning():
+    # the odd chain's third and fourth levels tie at 1, so a window's cut
+    # can land on a window level, where the pivots meet a singular block;
+    # no window certifies wrongly, and no float warning is raised
+    params = ModelParams(0, 0, -4.675842848598354e-22, -4.675842848598354e-22)
+    trunc = TruncationConfig(23)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values, _ = converged_parity_eigensystem(params, Parity.ODD, trunc, 3)
+    dense = np.linalg.eigvalsh(_chain(params, Parity.ODD, trunc))
+    assert dense[3] - dense[2] < 1e-12
+    assert np.allclose(values, dense[:3], rtol=0, atol=1e-12)
+
+
+def _random_chain_band(rng, dim):
+    """A random symmetric 2 x 2-block tridiagonal matrix of the chain's
+    shape in the chain band layout: random diagonal blocks diag(d0, d1)
+    and random couplings [[a_j, b_j], [b_j, a_j]], no Rabi structure."""
+    band = np.zeros((4, dim))
+    band[0] = rng.uniform(-4.0, 4.0, dim)
+    a, b = rng.uniform(-4.0, 4.0, (2, dim // 2 - 1))
+    band[2, 0:-2:2] = band[2, 1:-2:2] = a
+    band[3, 0:-2:2] = band[1, 1:-2:2] = b
     return band
 
 
@@ -812,35 +830,32 @@ def _random_block_band(rng, dim):
        points=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
                                  st.floats(0.0, 1.0)),
                        min_size=1, max_size=4))
-# a tail pivot with two negative eigenvalues (det > 0, s00 < 0): the
-# whole chain has two more levels below the cut than the window
+# a pivot with two negative eigenvalues (block 1 of 3): the chain has two
+# more levels below the cut than its first block
 @example(seed=18, blocks=3, points=[(0.0, 0.5, 0.5)])
 def test_batched_count_matches_dense_on_random_block_bands(seed, blocks,
                                                           points):
-    # the tail pivots of any symmetric block tridiagonal band, against a
-    # dense count; cuts within 1e-6 of a level of any leading block
-    # section (where a pivot is near singular) are skipped
+    # the pivots of random chain-shaped bands, against a dense count; cuts
+    # within 1e-6 of a level of any leading block section (where a pivot is
+    # near singular) are skipped
     rng = np.random.default_rng(seed)
     dim = 2 * blocks
-    bands, rows, cuts, g, want = [], [], [], [], []
+    bands, cuts, want = [], [], []
     for end, level, place in points:
-        band = _random_block_band(rng, dim)
+        band = _random_chain_band(rng, dim)
         h = expand_dense(band)
         n_rows = 2 * (1 + int(end * (blocks - 2)))
         window = np.linalg.eigvalsh(h[:n_rows, :n_rows])
         i = int(level * (n_rows - 2))
         x = window[i] + place * (window[i + 1] - window[i])
         assume(all(np.min(np.abs(np.linalg.eigvalsh(h[:k, :k]) - x)) > 1e-6
-                   for k in range(n_rows, dim + 1, 2)))
+                   for k in range(2, dim + 1, 2)))
         bands.append(band)
-        rows.append(n_rows)
         cuts.append(x)
-        g.append(np.linalg.inv(h[:n_rows, :n_rows]
-                               - x * np.eye(n_rows))[-2:, -2:])
-        whole = np.linalg.eigvalsh(h)
-        want.append(bool(np.sum(whole < x) == np.sum(window < x)))
-    got = spectra._tail_positive(np.array(bands), np.array(rows),
-                                 np.array(cuts), np.array(g))
+        want.append(int(np.sum(np.linalg.eigvalsh(h) < x)))
+    got = spectra._levels_below(np.array(bands),
+                                np.array([band_norm(b) for b in bands]),
+                                np.array(cuts))
     assert got.tolist() == want
 
 
