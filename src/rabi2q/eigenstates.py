@@ -17,13 +17,14 @@ R_j x_{j-1} of the decaying solution from the top end (the matrix
 continued fraction) and x_j = L_j x_{j+1} from photon 0, and the state is
 the null vector of the block where the two meet, spread outward with R
 and L (the block form of the twisted factorizations of Dhillon & Parlett,
-LAA 387, 1 (2004)).  A chain past 2^200 in norm is first scaled by a
-power of two (``numerics.pivot_shift``), so that the products the route
-forms stay finite.  Levels closer together than CLUSTER_GAP ||H|| are
-orthogonalized within their cluster; a member the route cannot resolve
-has no vector, and its residual is nan.  ``recurrence_eigenstate_la`` runs
-the recurrence forward from one block alone, which any error in its
-inputs defeats within a few dozen blocks: it is kept to show why.
+LAA 387, 1 (2004)), up to the block from which ``numerics.inert_tail``
+keeps every state below eps^2 (the rows past it are zeros).  A chain past
+2^200 in norm is first scaled by a power of two (``numerics.pivot_shift``)
+so that the products the route forms stay finite.  Levels closer than
+CLUSTER_GAP ||H|| are orthogonalized within their cluster; a member the
+route cannot resolve has no vector, and its residual is nan.
+``recurrence_eigenstate_la`` runs the recurrence forward from one block
+alone, which any error in its inputs defeats within a few dozen blocks.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from .errors import (ConfigError, OverflowDetected, SingularCoupling,
                      StepSingular)
 from .hamiltonian import build_parity_band
 from .model import ModelParams, Parity, TruncationConfig, basis_table
-from .numerics import (band_norm, block_pivots, padded_residuals,
-                       pivot_shift)
+from .numerics import (band_norm, block_pivots, inert_tail,
+                       padded_residuals, pivot_shift)
 from .spectra import converged_parity_eigensystem
 
 OVERFLOW_LIMIT = 1e300
@@ -151,28 +152,29 @@ def _coupling_lanes(band: np.ndarray, repeat: int):
                  for x in (a, b))
 
 
-def _twisted_states(band: np.ndarray, energies: np.ndarray):
-    """TWIST_CANDIDATES twisted states of each level: (twist blocks, chain
-    vectors) shaped (c, m) and (chain_dim, c, m).
+def _twisted_states(band: np.ndarray, energies: np.ndarray, blocks: int):
+    """TWIST_CANDIDATES twisted states of each level, zero past the chain's
+    first blocks blocks: twist blocks (c, m) and vectors (chain_dim, c, m).
 
     The Schur complements of H - E from photon 0 up, T_j = D_j - E - O_j
     T_(j-1)^-1 O_j, and from the top block down, B_j = D_j - E - O_(j+1)
     B_(j+1)^-1 O_(j+1), at every energy at once, are the pivots of one
     ``numerics.block_pivots`` call, whose downward lanes m.. hold block
-    n - 1 - s at step s; its pivot floor is (eps ||H||)^2.
+    n - 1 - s at step s; its pivot floor is the whole chain's (eps ||H||)^2.
     G_k = T_k + B_k - (D_k - E) is the Schur complement of block k in
     H - E.  The candidates are the blocks k of least smallest singular
-    value |det G_k| / ||G_k||, det G_k from det(H - E) = prod_(j < k) det
-    T_j det G_k prod_(j > k) det B_j = prod_j det T_j.  The null vector of
-    G_k is spread upward by x_j = -B_j^-1 O_j x_(j-1) and downward by x_j =
-    -T_j^-1 O_(j+1) x_(j+1), both in one loop whose lanes keep the null
-    vector until their spread starts.
+    value |det G_k| / ||G_k||, det G_k summed in logs from photon 0 by
+    det G_k = det G_(k-1) det B_k / det T_(k-1), G_0 = B_0.  The null
+    vector of G_k is spread upward by x_j = -B_j^-1 O_j x_(j-1) and
+    downward by x_j = -T_j^-1 O_(j+1) x_(j+1), both in one loop whose lanes
+    keep the null vector until their spread starts.
     """
+    floor = (np.finfo(float).eps * band_norm(band)) ** 2
+    dim, band = band.shape[1], band[:, :2 * blocks]
     diag = band[0].reshape(-1, 2)
     n, m = len(diag), len(energies)
     d0, d1 = (np.hstack((x, x[::-1])) for x in (diag[:, :1] - energies,
                                                 diag[:, 1:] - energies))
-    floor = (np.finfo(float).eps * band_norm(band)) ** 2
     (tp, tq, tr), factors, dets = block_pivots(
         d0, d1, *_coupling_lanes(band, m), floor)
     # block k of the downward complements is on lane m + level of step
@@ -181,12 +183,10 @@ def _twisted_states(band: np.ndarray, energies: np.ndarray):
     gq = tq[:, :m] + tq[::-1, m:]
     gr = tr[:, :m] + tr[::-1, m:] - d1[:, :m]
     logs = np.log(np.abs(dets))
-    upper = np.cumsum(logs[::-1, :m], axis=0)[::-1]
-    lower = np.cumsum(logs[:, m:], axis=0)[::-1]
+    up, down = logs[:, :m], logs[::-1, m:]
     with np.errstate(divide="ignore"):
         size = np.log(np.abs(0.5 * (gp + gr)) + np.hypot(0.5 * (gp - gr), gq))
-    smallest = np.minimum(size, upper - size
-                          - np.vstack((lower[1:], np.zeros((1, m)))))
+    smallest = np.minimum(size, np.cumsum(down - up, axis=0) + up - size)
     twist = np.argsort(smallest, axis=0, kind="stable")[:TWIST_CANDIDATES]
     k, lev = twist.ravel(), np.tile(np.arange(m), len(twist))
     # the null vector is normal to the larger row of G_k, a matrix of rank
@@ -224,8 +224,9 @@ def _twisted_states(band: np.ndarray, energies: np.ndarray):
         chain = np.where((np.arange(n)[:, None] >= k)[:, None],
                          path[:, :, len(k):], path[::-1, :, :len(k)])
         vectors = chain.reshape(2 * n, len(k))
-        vectors = vectors / np.linalg.norm(vectors, axis=0)
-    return twist, vectors.reshape(2 * n, *twist.shape)
+        vectors = np.pad(vectors / np.linalg.norm(vectors, axis=0),
+                         ((0, dim - 2 * n), (0, 0)))
+    return twist, vectors.reshape(dim, *twist.shape)
 
 
 def eigenstate_recurrences(params: ModelParams, parity: Parity, count: int,
@@ -246,9 +247,10 @@ def eigenstate_recurrences(params: ModelParams, parity: Parity, count: int,
     energies, _ = converged_parity_eigensystem(params, parity, trunc, count)
     band = build_parity_band(params, parity, trunc)
     hnorm = band_norm(band)
+    cut = inert_tail(band, energies[-1], hnorm)[2]
     shift = pivot_shift(hnorm)
     band, levels = np.ldexp(band, -shift), np.ldexp(energies, -shift)
-    twist, vectors = _twisted_states(band, levels)
+    twist, vectors = _twisted_states(band, levels, min(cut + 1, n_max + 1))
     res = padded_residuals(band, np.tile(levels, len(twist)),
                            vectors.reshape(len(band[0]), -1)
                            ).reshape(twist.shape)

@@ -130,18 +130,54 @@ def band_norm(band: np.ndarray) -> float:
                                     np.ones((band.shape[1], 1)))))
 
 
-def pivot_shift(norm: float) -> int:
+def pivot_shift(norm):
     """The power of two 2^-shift by which a chain of norm ``norm`` is scaled
     before ``block_pivots``, which multiplies up to four of its entries: a
     chain past 2^200 in norm goes to a norm near 1, which rounds only
     entries some 2^800 below the largest and leaves its states and its
     inertia as they are; any other chain keeps its scale (shift 0)."""
-    exponent = math.frexp(norm)[1]
-    return exponent if exponent > 200 else 0
+    exponent = np.frexp(norm)[1]
+    return np.where(exponent > 200, exponent, 0)
+
+
+def inert_tail(band: np.ndarray, x, norm):
+    """Where the 2 x 2 block pivots of H - x provably stay positive, for
+    chain bands (..., 4, chain_dim), each with its cut x and ||H||.
+
+    A band has D_j >= (j - w) I and ||O_j|| <= G sqrt(j), w the largest
+    j - d over the diagonal entries d of block j, G the largest (|a_j| +
+    |b_j|) / sqrt(j).  For M > G^2 a pivot >= M I (S_(j-1) from photon 0
+    or B_(j+1) from the top) makes the next >= nu_j I, nu_j = j - w - x -
+    G^2 (j + 1) / M, which grows with j and is >= M from a block j0 on
+    (least at M = G (G + sqrt(G^2 + max(w + x, 0) + 1)), formed without
+    G^2).  Past j0 the decaying solution at energies up to x has ||x_j||
+    <= (G sqrt(j) / nu_j) ||x_(j-1)||.  M and nu_j carry a rounding margin,
+    2^10 eps ||H||.  Returns j0, M and the first block from which the product
+    of those ratios from j0 stays below eps^2, each the number of blocks
+    where there is none or the band is past 2^200 in norm.
+    """
+    blocks, eps = np.arange(band.shape[-1] // 2), np.finfo(float).eps
+    wx = np.max(np.repeat(blocks, 2) - band[..., 0, :], axis=-1) + x
+    g = np.max((np.abs(band[..., 2, 0:-2:2]) + np.abs(band[..., 3, 0:-2:2]))
+               / np.sqrt(blocks[1:]), axis=-1)
+    root = np.hypot(g, np.sqrt(np.maximum(wx, 0) + 1))
+    margin = 2 ** 10 * eps * np.asarray(norm)
+    nu = (blocks - (wx + margin)[..., None]
+          - (g / (g + root))[..., None] * (blocks + 1))
+    with np.errstate(over="ignore"):
+        level = g * (g + root) + margin
+    inert = (nu >= level[..., None]) & (pivot_shift(norm) == 0)[..., None]
+    ratios = np.ones(nu.shape)
+    np.divide(g[..., None] * np.sqrt(blocks), nu, out=ratios, where=inert)
+    small = np.maximum.accumulate(np.cumprod(ratios, axis=-1)[..., ::-1],
+                                  axis=-1)[..., ::-1] < eps ** 2
+    start, cut = (np.where(mask.any(axis=-1), np.argmax(mask, axis=-1),
+                           len(blocks)) for mask in (inert, small))
+    return start, level, cut
 
 
 def block_pivots(d0: np.ndarray, d1: np.ndarray, a: np.ndarray,
-                 b: np.ndarray, floor):
+                 b: np.ndarray, floor, inert=(math.inf, None)):
     """The 2 x 2 pivots S_k = D_k - O_k S_(k-1)^-1 O_k, k = 0, 1, ..., of
     the block LDL^T factorization of symmetric block tridiagonal matrices,
     one matrix per lane, with diagonal blocks D_k = diag(d0[k], d1[k]) and
@@ -160,8 +196,10 @@ def block_pivots(d0: np.ndarray, d1: np.ndarray, a: np.ndarray,
     are floored at floor and at its root in magnitude, with their signs
     kept, as LAPACK dstein floors its pivots.  By Sylvester's law of
     inertia, a matrix has as many negative eigenvalues as its pivots have
-    negative l_b and l_s.  Returns the entries (p, q, r), the inverse
-    factors (c, s, 1 / l_b, 1 / l_s) and det S, each shaped (steps, lanes).
+    negative l_b and l_s.  For inert = (j0, M) of ``inert_tail`` the loop
+    ends after the first step k >= j0 - 1 with every lane's l_b, l_s >= M.
+    Returns the entries (p, q, r), the inverse factors (c, s, 1 / l_b,
+    1 / l_s) and det S, each shaped (steps run, lanes).
     """
     n, lanes = d0.shape
     product, det_o = d0 * d1, ((a - b) * (a + b)) ** 2
@@ -194,7 +232,10 @@ def block_pivots(d0: np.ndarray, d1: np.ndarray, a: np.ndarray,
         factors[0, k], factors[1, k] = cos, sin
         factors[2, k], factors[3, k] = inv_b, inv_s
         dets[k] = det
-    return entries, factors, dets
+        if k + 1 >= inert[0] and np.all((big >= inert[1])
+                                        & (det >= inert[1] * big)):
+            break
+    return entries[:, :k + 1], factors[:, :k + 1], dets[:k + 1]
 
 
 def laguerre_assoc(n: int, k: int, z: float) -> float:

@@ -17,9 +17,10 @@ BLAS threads fill every core), and the levels of every rung's candidate
 chains below their cuts are then counted in one batched, numpy only pass
 of the 2 x 2 block pivots of the whole chain from photon 0
 (``numerics.block_pivots``, the kernel of the recurrence eigenstates
-too).  Each window is one LAPACK call whichever thread makes it,
-so the results do not depend on the number of threads.  A point keeps
-only the k requested levels and its window's rows of their vectors.
+too), which ends where ``numerics.inert_tail`` proves every chain's rest
+free of negative pivots.  Each window is one LAPACK call whichever thread
+makes it, so the results do not depend on the number of threads.  A point
+keeps only the k requested levels and its window's rows of their vectors.
 When no window short of the whole chain certifies, the point is solved by
 dense ``eigh`` of the whole chain, whose reported eigenvalues pass a
 truncation guard: the eigenvector must carry less than ``GUARD_TOL``
@@ -41,7 +42,7 @@ from .errors import ConfigError, TruncationInsufficient
 from .hamiltonian import build_parity_band, build_rwa_band
 from .model import ModelParams, Parity, TruncationConfig
 from .numerics import (RESIDUAL_TOL, band_norm, block_pivots,
-                       displacement_element, eigh, expand_dense,
+                       displacement_element, eigh, expand_dense, inert_tail,
                        padded_residuals, photon_windows, pivot_shift)
 
 GUARD_TOL = 1e-8
@@ -66,17 +67,18 @@ def _levels_below(bands: np.ndarray, norms: np.ndarray,
     as many negative eigenvalues as the 2 x 2 pivots of its block LDL^T
     factorization from photon 0 (``numerics.block_pivots``, one lane per
     point, each chain scaled by its ``numerics.pivot_shift`` and its pivots
-    floored at (eps ||H||)^2) have.
+    floored at (eps ||H||)^2, and stopped by ``numerics.inert_tail``) have.
     """
-    shift = np.array([pivot_shift(norm) for norm in norms])
+    start, level, _ = inert_tail(bands, x, norms)
+    shift = pivot_shift(norms)
     bands = np.ldexp(bands, -shift[:, None, None])
     x, norms = np.ldexp(x, -shift), np.ldexp(norms, -shift)
     diag = bands[:, 0].T
     a, b = (np.vstack((np.zeros(len(bands)), bands[:, d, 0:-2:2].T))
             for d in (2, 3))
     floor = (np.finfo(float).eps * norms) ** 2
-    _, (_, _, inv_b, inv_s), _ = block_pivots(diag[0::2] - x,
-                                              diag[1::2] - x, a, b, floor)
+    _, (_, _, inv_b, inv_s), _ = block_pivots(
+        diag[0::2] - x, diag[1::2] - x, a, b, floor, (max(start), level))
     return np.sum(inv_b < 0, axis=0) + np.sum(inv_s < 0, axis=0)
 
 

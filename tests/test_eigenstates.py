@@ -6,6 +6,7 @@ import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -165,6 +166,100 @@ def test_refiner_at_the_criterion_05_crossing(g, index):
     assert max(res[:3] + res[5:]) <= ROUNDING * hnorm
 
 
+def _check_twist_cut(params, parity, count, n_max):
+    """Run ``eigenstate_recurrences`` as it is, whose twisted states end at
+    the cut of the tail bound, and with ``_twisted_states`` on the whole
+    chain, the oracle; check that the cut does not show, and return the
+    blocks kept and both routes' states.  A level lies in a cluster when
+    the nearest of count + 1 certified levels is within CLUSTER_GAP ||H||.
+
+    The cut states are zero on the dropped rows.  Outside a cluster both
+    routes pick the same twist block, the oracle's state is at most eps^2
+    on the dropped rows, and the states agree to rounding, up to a sign
+    that rounding sets where the couplings are near eps^2 and omega is 0,
+    and so their residuals within eps ||H|| (mostly bit for bit).  The
+    members of a cluster are fixed only to rounding over their gap (down
+    to 1e-60 here), so rounding alone can turn one from resolved to
+    flagged: they are held to the zero rows only.
+    """
+    kernel, blocks = eig_mod._twisted_states, []
+
+    def cut(band, levels, kept):
+        blocks.append(kept)
+        return kernel(band, levels, kept)
+
+    with mock.patch.object(eig_mod, "_twisted_states", cut):
+        states = eigenstate_recurrences(params, parity, count, n_max)
+    with mock.patch.object(eig_mod, "_twisted_states",
+                           lambda band, levels, kept: kernel(
+                               band, levels, band.shape[1] // 2)):
+        whole = eigenstate_recurrences(params, parity, count, n_max)
+    eps, rows = np.finfo(float).eps, 2 * blocks[0]
+    hnorm = _hnorm(params, parity, n_max)
+    values, _ = converged_parity_eigensystem(
+        params, parity, TruncationConfig(n_max), count + 1)
+    gaps = np.diff(values)
+    near = np.minimum(np.r_[np.inf, gaps[:-1]], gaps)
+    for state, oracle, gap in zip(states, whole, near):
+        assert np.isnan(state.v).all() or not state.v[rows:].any()
+        if gap <= CLUSTER_GAP * hnorm:
+            continue
+        assert state.twist == oracle.twist
+        assert np.max(np.abs(oracle.v[rows:]), initial=0) <= eps ** 2
+        sign = np.sign(state.v @ oracle.v)
+        assert np.max(np.abs(state.v - sign * oracle.v)) <= 4 * eps
+        got, want = (residual(params, parity, s) for s in (state, oracle))
+        assert abs(got - want) <= eps * hnorm
+    return blocks[0], states, whole
+
+
+@settings(max_examples=50, deadline=None)
+@given(omega_1=st.floats(0.0, 2.0), omega_2=st.floats(0.0, 2.0),
+       g_1=st.floats(-5.0, 5.0), g_2=st.floats(-5.0, 5.0),
+       tiny=st.sampled_from([0, 9, 30]), tie=st.sampled_from([0, 1, -1]),
+       same_omega=st.booleans(), parity=st.sampled_from(Parity),
+       n_max=st.integers(10, 120), count=st.integers(1, 10))
+# |g1| = |g2|, omega_1 = omega_2 and tiny couplings, the cases measured
+# when the cut was made (54, 71 and 11 of 101, 101 and 51 blocks kept)
+@example(omega_1=1.0, omega_2=1.0, g_1=0.3, g_2=0.0, tiny=0, tie=-1,
+         same_omega=True, parity=Parity.ODD, n_max=100, count=10)
+@example(omega_1=1.0, omega_2=1.0, g_1=0.5, g_2=0.0, tiny=0, tie=1,
+         same_omega=True, parity=Parity.EVEN, n_max=100, count=10)
+@example(omega_1=1.0, omega_2=1.0, g_1=1.0, g_2=2.0, tiny=9, tie=0,
+         same_omega=True, parity=Parity.EVEN, n_max=50, count=10)
+# equal diagonal entries and g1 = 0: a pivot's off-diagonal entry is
+# exactly zero at the cut and about 1e-28 on the whole chain, which turns
+# its eigenvectors by 45 degrees; the states still agree to rounding
+@example(omega_1=0.8897384019783703, omega_2=0.0, g_1=0.0, g_2=0.4375,
+         tiny=9, tie=0, same_omega=True, parity=Parity.EVEN, n_max=10,
+         count=1)
+# omega 0 with couplings 1e-9 and 1e-41: levels 1e-18 apart in clusters,
+# whose members the two routes resolve along vectors 6e-9 apart
+@example(omega_1=0.0, omega_2=0.0, g_1=1e-32, g_2=1.0, tiny=9, tie=0,
+         same_omega=True, parity=Parity.EVEN, n_max=10, count=3)
+def test_twist_cut_does_not_show(omega_1, omega_2, g_1, g_2, tiny, tie,
+                                 same_omega, parity, n_max, count):
+    g_1, g_2 = g_1 * 10.0 ** -tiny, g_2 * 10.0 ** -tiny
+    params = ModelParams(omega_1, omega_1 if same_omega else omega_2, g_1,
+                         tie * g_1 if tie else g_2)
+    try:
+        _check_twist_cut(params, parity, count, n_max)
+    except TruncationInsufficient:
+        assume(False)
+
+
+@pytest.mark.parametrize("parity", list(Parity))
+def test_readme_twisted_states_end_at_block_60(parity):
+    # the README states live on the first few dozen photons: the twisted
+    # states run on 58 of the 201 blocks, the residuals are the whole
+    # chain's bit for bit, and the states differ by less than eps^2
+    blocks, states, whole = _check_twist_cut(P, parity, 10, NMAX)
+    assert blocks <= 60
+    for state, oracle in zip(states, whole):
+        assert residual(P, parity, state) == residual(P, parity, oracle)
+        assert np.max(np.abs(state.v - oracle.v)) <= np.finfo(float).eps ** 2
+
+
 def test_unresolved_cluster_member_has_no_vector():
     # at g = 0 and omega_1 = omega_2 = 1 the even levels at E = 1 tie four
     # ways: two on one block, whose pivot vanishes in both directions
@@ -196,7 +291,7 @@ def _twisted_state(params, parity, n_max, xi):
     states, the one of least residual, as ``eigenstate_recurrences`` picks
     it outside a cluster."""
     band = build_parity_band(params, parity, TruncationConfig(n_max))
-    _, vectors = eig_mod._twisted_states(band, np.array([xi]))
+    _, vectors = eig_mod._twisted_states(band, np.array([xi]), n_max + 1)
     res = padded_residuals(band, xi, vectors[:, :, 0])
     return vectors[:, int(np.argmin(res)), 0]
 

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from rabi2q import spectra
+from rabi2q import eigenstates, spectra
 from rabi2q.errors import ConfigError, TruncationInsufficient
 from rabi2q.hamiltonian import build_parity_band
 from rabi2q.model import ModelParams, Parity, TruncationConfig, basis_table
 from rabi2q.numerics import (band_norm, displacement_element, eigh,
-                             expand_dense)
+                             expand_dense, inert_tail)
 from rabi2q.spectra import (CrossingKind, SpectrumSweep,
                             converged_parity_eigensystem, detect_crossings,
                             dsc_perturbative_spectrum, rwa_relative_error,
@@ -857,6 +857,80 @@ def test_batched_count_matches_dense_on_random_block_bands(seed, blocks,
                                 np.array([band_norm(b) for b in bands]),
                                 np.array(cuts))
     assert got.tolist() == want
+
+
+def test_count_of_the_readme_rung_stops_where_the_tail_is_inert(monkeypatch):
+    # on the first rung of the README sweep the pivots stop at most 80 of
+    # 301 blocks from photon 0 per parity (70 measured), and the count is
+    # the whole chain's: by the pivots run to the top on every point, and
+    # by dense eigvalsh on every 20th
+    calls, steps = [], []
+    count, pivots = spectra._levels_below, spectra.block_pivots
+
+    def record(*args):
+        got = count(*args)
+        calls.append((*args, got, steps[-1]))
+        return got
+
+    def spy(*args):
+        out = pivots(*args)
+        steps.append(len(out[2]))
+        return out
+
+    monkeypatch.setattr(spectra, "_levels_below", record)
+    monkeypatch.setattr(spectra, "block_pivots", spy)
+    g = np.arange(0, 2.0001, 0.01)
+    sweep_spectrum(TEMPLATE, g, g, TruncationConfig(300), 20)
+    # the first rung of each parity counts all 201 points
+    rungs = [call for call in calls if len(call[0]) == 201]
+    assert len(rungs) == 2
+    for bands, norms, x, got, run in rungs:
+        assert bands.shape == (201, 4, 602) and run <= 80
+        diag = bands[:, 0].T
+        a, b = (np.vstack((np.zeros(201), bands[:, d, 0:-2:2].T))
+                for d in (2, 3))
+        _, (_, _, inv_b, inv_s), _ = pivots(
+            diag[0::2] - x, diag[1::2] - x, a, b,
+            (np.finfo(float).eps * norms) ** 2)
+        assert len(inv_b) == 301
+        assert got.tolist() == (np.sum(inv_b < 0, axis=0)
+                                + np.sum(inv_s < 0, axis=0)).tolist()
+        for point in range(0, 201, 20):
+            dense = np.linalg.eigvalsh(expand_dense(bands[point]))
+            assert got[point] == np.sum(dense < x[point])
+
+
+def test_chains_past_2_200_in_norm_run_the_whole_chain(monkeypatch):
+    # such a chain is scaled before its pivots, so the bound is not taken
+    # for it: a count batch that holds one runs every block, although the
+    # other chain alone stops, and the twisted states at omega 1e200 keep
+    # every block
+    trunc = TruncationConfig(20)
+    bands = np.array([build_parity_band(params, Parity.EVEN, trunc)
+                      for params in (ModelParams(1e250, 3e249, 0.2, 0.1),
+                                     ModelParams(1.3, 0.7, 0.3, 0.4))])
+    norms = np.array([band_norm(band) for band in bands])
+    x = np.array([-6.5e249, 0.0])
+    start, _, cut = inert_tail(bands, x, norms)
+    assert start[0] == cut[0] == 21 and start[1] < 21
+    steps, pivots = [], spectra.block_pivots
+
+    def spy(*args):
+        out = pivots(*args)
+        steps.append(len(out[2]))
+        return out
+
+    monkeypatch.setattr(spectra, "block_pivots", spy)
+    spectra._levels_below(bands[1:], norms[1:], x[1:])
+    spectra._levels_below(bands, norms, x)
+    assert steps[0] < 21 and steps[1] == 21
+    blocks, twisted = [], eigenstates._twisted_states
+    monkeypatch.setattr(eigenstates, "_twisted_states",
+                        lambda band, levels, cut: blocks.append(cut)
+                        or twisted(band, levels, cut))
+    eigenstates.eigenstate_recurrences(ModelParams(1e200, 0.5, 0.2, 0.1),
+                                       Parity.EVEN, 3, 20)
+    assert blocks == [21]
 
 
 @pytest.mark.parametrize("g_1, g_2", [(2.0, 1.5), (3.0, 2.5)])
