@@ -6,8 +6,8 @@ win), energies are in units of the field frequency, and every CSV starts
 with a comment line carrying the tool version, the command and a hash of the
 resolved configuration so identical configs produce byte-identical files.
 No command solves a chain itself: ``eigenstate`` makes one
-``eigenstates.eigenstate_recurrences`` call per parity, which also checks
-``--count``.
+``eigenstates.eigenstates_by_parity`` call for all its parities, which
+also checks ``--count``, and one ``eigenstates.bargmann_residuals`` call.
 
 Exit codes: 0 success, 2 configuration error (a ConfigError, raised by the
 front end and by the input checks of the library, or a configuration too
@@ -285,25 +285,26 @@ def cmd_eigenstate(args) -> int:
     params = ModelParams(args.omega1, args.omega2, args.g1, args.g2)
     parities = ([Parity.EVEN, Parity.ODD] if args.parity == "both"
                 else [Parity.EVEN if args.parity == "even" else Parity.ODD])
+    found = eigenstates.eigenstates_by_parity(params, parities, args.count,
+                                              args.nmax)
     rows = []
     for parity in parities:
-        states = eigenstates.eigenstate_recurrences(params, parity,
-                                                    args.count, args.nmax)
-        for index, state in enumerate(states):
-            res_rec = eigenstates.residual(params, parity, state)
-            res_barg = ""
-            if args.bargmann:
-                try:
-                    res_barg = eigenstates.bargmann_reconstruction_residual(
-                        params, parity, state.xi, j_max=args.jmax,
-                        n_max=args.nmax)
-                except ConfigError:
-                    raise
-                except Rabi2qError as exc:
-                    print(f"eigenstate: bargmann route unavailable for "
-                          f"{parity.value} #{index}: {exc}", file=sys.stderr)
-            rows.append((parity.value, index, state.xi * args.omega_f,
-                         res_rec, res_barg))
+        states = found[parity]
+        res = eigenstates.chain_residual(
+            params, parity, np.array([state.xi for state in states]),
+            np.column_stack([state.v for state in states]))
+        rows += [(parity.value, index, state.xi * args.omega_f, float(r), "")
+                 for index, (state, r) in enumerate(zip(states, res))]
+    if args.bargmann:
+        levels = [(parity, state.xi) for parity in parities
+                  for state in found[parity]]
+        for i, res in enumerate(eigenstates.bargmann_residuals(
+                params, levels, args.jmax, args.nmax)):
+            if isinstance(res, Rabi2qError):
+                print(f"eigenstate: bargmann route unavailable for "
+                      f"{rows[i][0]} #{rows[i][1]}: {res}", file=sys.stderr)
+            else:
+                rows[i] = (*rows[i][:4], res)
     cfg_hash = _config_hash(vars(args))
     _write_csv(args.out, "eigenstate", cfg_hash,
                ("parity", "index", "energy", "residual_recurrence",

@@ -3,21 +3,22 @@
 One route per representation: the block recurrence of the parity chain,
 and the five-term recurrence of the parity-projected Bargmann functions,
 solved for the Fock amplitudes sqrt(j!) c_j of their power-series
-coefficients c_j as the null vector of its row matrix, which finds the
-minimal solution (forward recursion cannot).  Where alpha_0 vanishes
-(identical qubits) the five-term route raises StepSingular; a three-term
-recurrence covers that case.
+coefficients c_j as the null vector of its banded row matrix, which finds
+the minimal solution (forward recursion cannot).  Both run every
+requested level of every parity as one lane of numpy arrays, one pass for
+all.  Where alpha_0 vanishes (identical qubits) the five-term route
+raises StepSingular; a three-term recurrence covers that case.
 
 The chain's rows O_j x_{j-1} + (D_j - E) x_j + O_{j+1} x_{j+1} = 0 have a
-growing solution in each direction, so ``eigenstate_recurrences`` runs
-them from both ends, in float64, batched over the levels of one parity,
+growing solution in each direction, so ``eigenstates_by_parity`` runs
+them from both ends, in float64, batched over the levels of the parities,
 at the energies E of ``spectra.converged_parity_eigensystem``: the Schur
 complements of the chain above and below each block give the ratios x_j =
 R_j x_{j-1} of the decaying solution from the top end (the matrix
 continued fraction) and x_j = L_j x_{j+1} from photon 0, and the state is
 the null vector of the block where the two meet, spread outward with R
 and L (the block form of the twisted factorizations of Dhillon & Parlett,
-LAA 387, 1 (2004)), up to the block from which ``numerics.inert_tail``
+LAA 387, 1 (2004)), up to the block from which ``numerics.tail_cut``
 keeps every state below eps^2 (the rows past it are zeros).  A chain past
 2^200 in norm is first scaled by a power of two (``numerics.pivot_shift``)
 so that the products the route forms stay finite.  Levels closer than
@@ -39,7 +40,7 @@ from .errors import (ConfigError, OverflowDetected, SingularCoupling,
 from .hamiltonian import build_parity_band
 from .model import ModelParams, Parity, TruncationConfig, basis_table
 from .numerics import (band_norm, block_pivots, inert_tail,
-                       padded_residuals, pivot_shift)
+                       padded_residuals, pivot_shift, tail_cut)
 from .spectra import converged_parity_eigensystem
 
 OVERFLOW_LIMIT = 1e300
@@ -124,14 +125,14 @@ def recurrence_eigenstate_la(params: ModelParams, parity: Parity, xi, v0,
     return RecurrenceState(parity, xi, v / np.linalg.norm(v))
 
 
-def chain_residual(params: ModelParams, parity: Parity, xi: float,
-                   v: np.ndarray) -> float:
+def chain_residual(params: ModelParams, parity: Parity, xi, v: np.ndarray):
     """Relative residual ||(H - xi) v|| / ||v|| on the truncated chain, by
     ``numerics.padded_residuals``, so that it stays finite when xi is far
-    from the spectrum."""
+    from the spectrum; of each column of a 2-d v at its entry of xi."""
     band = build_parity_band(params, parity, TruncationConfig(len(v) // 2 - 1))
-    return float(padded_residuals(band, xi, v[:, None])[0]
-                 / np.linalg.norm(v))
+    res = padded_residuals(band, xi, v.reshape(len(v), -1)) / np.linalg.norm(
+        v, axis=0)
+    return res if v.ndim == 2 else float(res[0])
 
 
 def residual(params: ModelParams, parity: Parity,
@@ -139,44 +140,51 @@ def residual(params: ModelParams, parity: Parity,
     return chain_residual(params, parity, state.xi, state.v)
 
 
-def _coupling_lanes(band: np.ndarray, repeat: int):
+def _coupling_lanes(bands: np.ndarray, chains: np.ndarray):
     """The entries a = g1 sqrt(j) and b = g2 sqrt(j) of the coupling
-    blocks O_j = [[a, b], [b, a]] of a chain band, by step s of the pivots
-    in ``_twisted_states``: O_s on the first repeat lanes, which run up
-    from photon 0, and O_(n - s) on the last repeat lanes, which run down
-    from the top block n - 1.  O_0 and O_n are zero."""
-    n = band.shape[1] // 2
-    a, b = (np.concatenate(([0.0], band[d, 0:-2:2], [0.0])) for d in (2, 3))
-    return tuple(np.repeat(np.stack((x[:n], x[n:0:-1]), axis=1), repeat,
-                           axis=1)
+    blocks O_j = [[a, b], [b, a]] of chain bands (c, 4, 2 n), by step s of
+    the pivots in ``_twisted_states``, for lanes on the chains ``chains``:
+    O_s on the first len(chains) lanes, which run up from photon 0, and
+    O_(n - s) on the rest, which run down from the top block n - 1.  O_0
+    and O_n are zero."""
+    n, pad = bands.shape[-1] // 2, np.zeros((len(bands), 1))
+    a, b = (np.hstack((pad, bands[:, d, 0:-2:2], pad)) for d in (2, 3))
+    return tuple(np.hstack((x[chains, :n].T, x[chains, n:0:-1].T))
                  for x in (a, b))
 
 
-def _twisted_states(band: np.ndarray, energies: np.ndarray, blocks: int):
-    """TWIST_CANDIDATES twisted states of each level, zero past the chain's
-    first blocks blocks: twist blocks (c, m) and vectors (chain_dim, c, m).
+def _twisted_states(bands: np.ndarray, energies: np.ndarray, blocks: int):
+    """TWIST_CANDIDATES twisted states of each level, zero past the chains'
+    first blocks blocks: twist blocks (c, m) and vectors (chain_dim, c, m)
+    for c candidates of m levels.
 
-    The Schur complements of H - E from photon 0 up, T_j = D_j - E - O_j
-    T_(j-1)^-1 O_j, and from the top block down, B_j = D_j - E - O_(j+1)
-    B_(j+1)^-1 O_(j+1), at every energy at once, are the pivots of one
-    ``numerics.block_pivots`` call, whose downward lanes m.. hold block
-    n - 1 - s at step s; its pivot floor is the whole chain's (eps ||H||)^2.
-    G_k = T_k + B_k - (D_k - E) is the Schur complement of block k in
-    H - E.  The candidates are the blocks k of least smallest singular
-    value |det G_k| / ||G_k||, det G_k summed in logs from photon 0 by
-    det G_k = det G_(k-1) det B_k / det T_(k-1), G_0 = B_0.  The null
-    vector of G_k is spread upward by x_j = -B_j^-1 O_j x_(j-1) and
-    downward by x_j = -T_j^-1 O_(j+1) x_(j+1), both in one loop whose lanes
-    keep the null vector until their spread starts.
+    bands holds one chain band (4, chain_dim) or several (chains, 4,
+    chain_dim), and energies the levels of each, (chains, levels); every
+    level is one lane, with its own chain's diagonal, couplings and pivot
+    floor, the chain's (eps ||H||)^2.  The Schur complements of H - E from
+    photon 0 up, T_j = D_j - E - O_j T_(j-1)^-1 O_j, and from the top block
+    down, B_j = D_j - E - O_(j+1) B_(j+1)^-1 O_(j+1), of every lane are the
+    pivots of one ``numerics.block_pivots`` call, whose downward lanes m..
+    hold block n - 1 - s at step s.  G_k = T_k + B_k - (D_k - E) is the
+    Schur complement of block k in H - E.  The candidates are the blocks k
+    of least smallest singular value |det G_k| / ||G_k||, det G_k summed in
+    logs from photon 0 by det G_k = det G_(k-1) det B_k / det T_(k-1), G_0
+    = B_0.  The null vector of G_k is spread upward by x_j = -B_j^-1 O_j
+    x_(j-1) and downward by x_j = -T_j^-1 O_(j+1) x_(j+1), both in one loop
+    whose lanes keep the null vector until their spread starts.
     """
-    floor = (np.finfo(float).eps * band_norm(band)) ** 2
-    dim, band = band.shape[1], band[:, :2 * blocks]
-    diag = band[0].reshape(-1, 2)
-    n, m = len(diag), len(energies)
-    d0, d1 = (np.hstack((x, x[::-1])) for x in (diag[:, :1] - energies,
-                                                diag[:, 1:] - energies))
+    bands = bands.reshape(-1, *bands.shape[-2:])
+    floor = [(np.finfo(float).eps * band_norm(band)) ** 2 for band in bands]
+    dim, bands = bands.shape[-1], bands[..., :2 * blocks]
+    diag = bands[:, 0].reshape(len(bands), -1, 2)
+    chains = np.repeat(np.arange(len(bands)), energies.size // len(bands))
+    n, m = diag.shape[1], len(chains)
+    d0, d1 = (np.hstack((x, x[::-1])) for x in (
+        diag[chains, :, 0].T - energies.ravel(),
+        diag[chains, :, 1].T - energies.ravel()))
     (tp, tq, tr), factors, dets = block_pivots(
-        d0, d1, *_coupling_lanes(band, m), floor)
+        d0, d1, *_coupling_lanes(bands, chains),
+        np.tile(np.take(floor, chains), 2))
     # block k of the downward complements is on lane m + level of step
     # n - 1 - k
     gp = tp[:, :m] + tp[::-1, m:] - d0[:, :m]
@@ -206,7 +214,7 @@ def _twisted_states(band: np.ndarray, energies: np.ndarray, blocks: int):
     # and the coupling of step n - 1 - t
     cos, sin, inv_b, inv_s = (x[n - 2::-1, np.concatenate((lev, m + lev))]
                               for x in factors)
-    a, b = (x[n - 1:0:-1] for x in _coupling_lanes(band, len(k)))
+    a, b = (x[n - 1:0:-1] for x in _coupling_lanes(bands, chains[lev]))
     step = np.arange(1, n)[:, None]
     live = np.hstack((n - 1 - step < k, step > k))
     path = np.empty((n, 2, 2 * len(k)))
@@ -229,58 +237,74 @@ def _twisted_states(band: np.ndarray, energies: np.ndarray, blocks: int):
     return twist, vectors.reshape(dim, *twist.shape)
 
 
-def eigenstate_recurrences(params: ModelParams, parity: Parity, count: int,
-                           n_max: int) -> list[RecurrenceState]:
-    """Recurrence states of the count lowest converged levels of one parity.
-
-    One ``spectra.converged_parity_eigensystem`` call gives the energies,
-    and each level's state is, of its twisted states (``_twisted_states``),
-    the one of least residual.  Within a cluster of levels closer than
-    CLUSTER_GAP ||H|| to a neighbour, each member's candidates are first
-    orthogonalized against the states of the members below it and
-    normalized; a member whose candidates all lie in their span has an
-    all-nan vector.  The route raises ConfigError for count outside
-    [1, chain dimension] and TruncationInsufficient when fewer than count
-    levels converge.
+def eigenstates_by_parity(params: ModelParams, parities, count: int,
+                          n_max: int) -> dict:
+    """Recurrence states of the count lowest converged levels of each of
+    parities, by parity: the energies of one
+    ``spectra.converged_parity_eigensystem`` call per parity, the twisted
+    states of one ``_twisted_states`` call for all levels, on the blocks up
+    to the larger of the parities' ``numerics.tail_cut``, and for each
+    level the state of least residual.  Within a cluster of levels closer
+    than CLUSTER_GAP ||H|| to a neighbour, each member's candidates are
+    first orthogonalized against the states of the members below it; a
+    member whose candidates all lie in their span has an all-nan vector.
+    ConfigError for count outside [1, chain dimension],
+    TruncationInsufficient when fewer than count levels converge.
     """
     trunc = TruncationConfig(n_max)
-    energies, _ = converged_parity_eigensystem(params, parity, trunc, count)
-    band = build_parity_band(params, parity, trunc)
-    hnorm = band_norm(band)
-    cut = inert_tail(band, energies[-1], hnorm)[2]
-    shift = pivot_shift(hnorm)
-    band, levels = np.ldexp(band, -shift), np.ldexp(energies, -shift)
-    twist, vectors = _twisted_states(band, levels, min(cut + 1, n_max + 1))
-    res = padded_residuals(band, np.tile(levels, len(twist)),
-                           vectors.reshape(len(band[0]), -1)
-                           ).reshape(twist.shape)
-    gap = CLUSTER_GAP * hnorm
-    states, cluster = [], []
-    for i, xi in enumerate(energies.tolist()):
-        if i and xi - energies[i - 1] > gap:
-            cluster = []
-        candidates, score = vectors[:, :, i], res[:, i]
-        if cluster:
-            below, kept = np.column_stack(cluster), []
-            for _ in range(2):
-                candidates = candidates - below @ (below.T @ candidates)
-                kept.append(np.linalg.norm(candidates, axis=0))
-            with np.errstate(invalid="ignore", divide="ignore"):
-                candidates = candidates / kept[1]
-            # Kahan's test, twice is enough: a candidate that loses more
-            # than a factor sqrt 2 of its norm to the second pass lies in
-            # the span of the members below
-            score = np.where(2 * kept[1] ** 2 >= kept[0] ** 2,
-                             padded_residuals(band, levels[i], candidates),
-                             np.inf)
-        best = int(np.argmin(score))
-        v = candidates[:, best]
-        if np.isfinite(score[best]):
-            cluster.append(v)
-        else:
-            v = np.full_like(v, np.nan)
-        states.append(RecurrenceState(parity, xi, v, int(twist[best, i])))
-    return states
+    energies = np.array([converged_parity_eigensystem(params, parity, trunc,
+                                                      count)[0]
+                         for parity in parities])
+    bands = np.array([build_parity_band(params, parity, trunc)
+                      for parity in parities])
+    hnorms = np.array([band_norm(band) for band in bands])
+    cut = tail_cut(inert_tail(bands, energies[:, -1], hnorms)[2])
+    shift = pivot_shift(hnorms)[:, None]
+    bands = np.ldexp(bands, -shift[..., None])
+    levels = np.ldexp(energies, -shift)
+    twist, vectors = _twisted_states(bands, levels,
+                                     min(int(cut.max()) + 1, n_max + 1))
+    found = {}
+    for c, parity in enumerate(parities):
+        band, level = bands[c], levels[c]
+        lanes = slice(c * count, (c + 1) * count)
+        twists, vecs = twist[:, lanes], vectors[:, :, lanes]
+        res = padded_residuals(band, np.tile(level, len(twists)),
+                               vecs.reshape(len(band[0]), -1)
+                               ).reshape(twists.shape)
+        states, cluster = found.setdefault(parity, []), []
+        for i, xi in enumerate(energies[c].tolist()):
+            if i and xi - energies[c, i - 1] > CLUSTER_GAP * hnorms[c]:
+                cluster = []
+            candidates, score = vecs[:, :, i], res[:, i]
+            if cluster:
+                below, kept = np.column_stack(cluster), []
+                for _ in range(2):
+                    candidates = candidates - below @ (below.T @ candidates)
+                    kept.append(np.linalg.norm(candidates, axis=0))
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    candidates = candidates / kept[1]
+                # Kahan's test, twice is enough: a candidate that loses
+                # more than a factor sqrt 2 of its norm to the second pass
+                # lies in the span of the members below
+                score = np.where(2 * kept[1] ** 2 >= kept[0] ** 2,
+                                 padded_residuals(band, level[i], candidates),
+                                 np.inf)
+            best = int(np.argmin(score))
+            v = candidates[:, best]
+            if np.isfinite(score[best]):
+                cluster.append(v)
+            else:
+                v = np.full_like(v, np.nan)
+            states.append(RecurrenceState(parity, xi, v, int(twists[best, i])))
+    return found
+
+
+def eigenstate_recurrences(params: ModelParams, parity: Parity, count: int,
+                           n_max: int) -> list[RecurrenceState]:
+    """Recurrence states of the count lowest converged levels of one
+    parity: the one-parity call of ``eigenstates_by_parity``."""
+    return eigenstates_by_parity(params, [parity], count, n_max)[parity]
 
 
 # ---------------------------------------------------------------------------
@@ -343,23 +367,23 @@ class BargmannCoefficients:
     phi2: np.ndarray
 
 
-def _phi2_series(params: ModelParams, parity: Parity, chi: float,
+def _phi2_series(params: ModelParams, signs: np.ndarray, chi: np.ndarray,
                  v: np.ndarray) -> np.ndarray:
-    """Companion amplitudes from the two first-order relations.
+    """Companion amplitudes from the two first-order relations, one column
+    per column (lane) of v, each with its branch sign and chi.
 
     Amplitude k of the companion is ((k - chi) v_k + g_plus (sqrt(k)
     v_{k-1} + sqrt(k+1) v_{k+1})) divided by (w2 -+ w1)/2 for even/odd k
     per branch (omega_f = 1).
     """
-    s = _BRANCH_SIGN[parity]
     w1, w2 = params.omega_1, params.omega_2
-    gp = params.g_plus
-    k = np.arange(len(v))
-    root = np.sqrt(k)
-    below = np.concatenate(([0.0], root[1:] * v[:-1]))
-    above = np.concatenate((root[1:] * v[1:], [0.0]))
-    div = np.where(k % 2 == 0, 0.5 * (w2 - s * w1), 0.5 * (w2 + s * w1))
-    return ((k - chi) * v + gp * (below + above)) / div
+    k = np.arange(len(v))[:, None]
+    root, pad = np.sqrt(k), np.zeros((1, v.shape[1]))
+    below = np.concatenate((pad, root[1:] * v[:-1]))
+    above = np.concatenate((root[1:] * v[1:], pad))
+    div = np.where(k % 2 == 0, 0.5 * (w2 - signs * w1),
+                   0.5 * (w2 + signs * w1))
+    return ((k - chi) * v + params.g_plus * (below + above)) / div
 
 
 def _bargmann_rows(params: ModelParams, parity: Parity, chi: float,
@@ -389,36 +413,60 @@ def _bargmann_rows(params: ModelParams, parity: Parity, chi: float,
     return rows[keep] / scale[keep, None]
 
 
-def _least_singular_vector(matrix: np.ndarray):
-    """The right singular vector of a tall matrix M of least singular value,
-    and ||M v||, by inverse iteration on R^T R from the R factor of M.
-
-    A zero pivot of R is raised to eps ||R||, so that no solve meets an
-    exactly singular R.  From v = (1, ..., 1) / sqrt(n), each step solves
-    R^T R v' = v; the iteration stops when ||M v|| stops falling, after
+def _null_vectors(matrices):
+    """The right singular vectors v (n, lanes), v_0 >= 0, of least singular
+    value of tall matrices M (n wide, of bandwidth 2 on each side), one
+    lane each, and each ||M v||: inverse iteration on R^T R from the R
+    factor of one LAPACK QR per lane, of upper bandwidth 4.  A pivot of R
+    below eps ||R|| is raised to it, with its sign.  From v = (1, ..., 1) /
+    sqrt(n), each step solves R^T R v' = v by forward and back substitution
+    on the pivots and the four entries right of each, one row of every
+    live lane at a time; a lane stops when ||M v|| stops falling, after
     NULL_STEPS steps at most.
     """
-    r = np.linalg.qr(matrix, mode="r")
-    pivots = np.diagonal(r)
-    floor = np.finfo(float).eps * np.linalg.norm(r)
-    r[np.diag_indices_from(r)] = np.where(np.abs(pivots) < floor,
-                                          np.copysign(floor, pivots), pivots)
-    v = np.full(r.shape[1], 1 / math.sqrt(r.shape[1]))
-    least = np.linalg.norm(matrix @ v)
-    for _ in range(NULL_STEPS):
-        step = np.linalg.solve(r, np.linalg.solve(r.T, v))
-        step /= np.linalg.norm(step)
-        size = np.linalg.norm(matrix @ step)
-        if not size < least:
-            break
-        v, least = step, size
-    return v, float(least)
+    n, lanes = matrices[0].shape[1], len(matrices)
+    # right[i, d - 1] = R[i, i + d] and above[i, 4 - d] = R[i - d, i]
+    pivots, right, above = np.empty((n, lanes)), *np.zeros((2, n, 4, lanes))
+    for lane, matrix in enumerate(matrices):
+        r = np.linalg.qr(matrix, mode="r")
+        floor, pivot = np.finfo(float).eps * np.linalg.norm(r), np.diagonal(r)
+        pivots[:, lane] = np.where(np.abs(pivot) < floor,
+                                   np.copysign(floor, pivot), pivot)
+        for d in range(1, 5):
+            right[:n - d, d - 1, lane] = above[d:, 4 - d, lane] = np.diagonal(
+                r, d)
+
+    def sizes(v, live):
+        return np.array([np.linalg.norm(matrices[lane] @ column)
+                         for lane, column in zip(live, v.T)])
+
+    v, live = np.full((n, lanes), 1 / math.sqrt(n)), np.arange(lanes)
+    least = sizes(v, live)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(NULL_STEPS):
+            # row i of R^T R x = v is x[i + 4], with four zero rows each side
+            x, diag = np.zeros((n + 8, len(live))), pivots[:, live]
+            x[4:n + 4] = v[:, live]
+            for i, terms in enumerate(above[:, :, live]):
+                x[i + 4] = (x[i + 4] - (terms * x[i:i + 4]).sum(0)) / diag[i]
+            for i, terms in reversed(list(enumerate(right[:, :, live]))):
+                x[i + 4] = (x[i + 4] - (terms * x[i + 5:i + 9]).sum(0)
+                            ) / diag[i]
+            step = x[4:n + 4] / np.linalg.norm(x[4:n + 4], axis=0)
+            size = sizes(step, live)
+            better = size < least[live]
+            live = live[better]
+            v[:, live], least[live] = step[:, better], size[better]
+            if not len(live):
+                break
+    return np.where(v[0] < 0, -v, v), least
 
 
 def bargmann_minimal_coefficients(params: ModelParams, parity: Parity,
                                   chi: float, j_max: int):
     """Decaying Fock amplitudes of the five-term system: the least right
-    singular vector of the banded row matrix with a zero tail appended.
+    singular vector of the banded row matrix with a zero tail appended, by
+    the one-lane call of ``_null_vectors``.
 
     Forward evaluation cannot reach the minimal solution in fixed precision
     (growing solutions amplify roundoff by orders of magnitude per step).
@@ -430,12 +478,10 @@ def bargmann_minimal_coefficients(params: ModelParams, parity: Parity,
     """
     if j_max < 8:
         raise ConfigError("j_max must be >= 8")
-    v, size = _least_singular_vector(_bargmann_rows(params, parity, chi,
-                                                    j_max))
-    if v[0] < 0:
-        v = -v
-    phi2 = _phi2_series(params, parity, chi, v)
-    return BargmannCoefficients(parity, chi, v, phi2), size
+    v, size = _null_vectors([_bargmann_rows(params, parity, chi, j_max)])
+    phi2 = _phi2_series(params, np.array([_BRANCH_SIGN[parity]]), chi, v)
+    return (BargmannCoefficients(parity, chi, v[:, 0], phi2[:, 0]),
+            float(size[0]))
 
 
 @dataclass(frozen=True)
@@ -459,6 +505,22 @@ _ROTATION = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
 _PAIR_ROTATION = np.kron(_ROTATION, _ROTATION)
 
 
+def _chain_lanes(c: np.ndarray, phi2: np.ndarray, signs: np.ndarray,
+                 n_max: int) -> dict:
+    """The two parity chains, unnormalized and by parity, of the amplitudes
+    c and phi2 of ``bargmann_to_chain``, one column per lane, each with its
+    spinor sign."""
+    keep = min(len(c), n_max + 1)
+    flip = signs * (-1.0) ** np.arange(keep)[:, None]
+    c, phi2 = c[:keep], phi2[:keep]
+    trunc = TruncationConfig(max(n_max, 1))
+    full = np.zeros((trunc.n_max + 1, 4, c.shape[1]))
+    full[:keep] = sum(a[:, None] * w[:, None] for a, w in zip(
+        (c, phi2, flip * phi2, flip * c), _PAIR_ROTATION.T))
+    return {par: full.reshape(-1, c.shape[1])[idx]
+            for par, idx in basis_table(trunc).full_index.items()}
+
+
 def bargmann_to_chain(coeffs: BargmannCoefficients,
                       n_max: int) -> BargmannChainState:
     """Convert Bargmann amplitudes to a normalized parity-chain vector.
@@ -471,17 +533,9 @@ def bargmann_to_chain(coeffs: BargmannCoefficients,
     each chain is gathered from the product basis before normalization.
     """
     parity = coeffs.parity
-    sigma = _SPINOR_SIGN[parity]
-    keep = min(len(coeffs.c), n_max + 1)
-    v, phi2 = coeffs.c[:keep], coeffs.phi2[:keep]
-    signs = (-1.0) ** np.arange(keep)
-    rotated = (v, phi2, sigma * signs * phi2, sigma * signs * v)
-    trunc = TruncationConfig(max(n_max, 1))
-    full = np.zeros((trunc.n_max + 1, 4))
-    full[:keep] = sum(a[:, None] * w
-                      for a, w in zip(rotated, _PAIR_ROTATION.T))
-    chains = {par: full.ravel()[idx]
-              for par, idx in basis_table(trunc).full_index.items()}
+    chains = {par: x[:, 0] for par, x in _chain_lanes(
+        coeffs.c[:, None], coeffs.phi2[:, None],
+        np.array([_SPINOR_SIGN[parity]]), n_max).items()}
     own = np.linalg.norm(chains[parity])
     other = Parity.ODD if parity is Parity.EVEN else Parity.EVEN
     total = math.hypot(own, np.linalg.norm(chains[other]))
@@ -491,18 +545,60 @@ def bargmann_to_chain(coeffs: BargmannCoefficients,
                               float(np.linalg.norm(chains[other]) / total))
 
 
+def bargmann_residuals(params: ModelParams, levels, j_max: int,
+                       n_max: int) -> list:
+    """For each (parity, chi) of levels, the residual ||(H - chi) v|| /
+    ||v|| on the chain of n_max photons of the state v that its Bargmann
+    amplitudes reconstruct, or the Rabi2qError of a level the route cannot
+    serve (StepSingular where alpha_0 vanishes on a row, OverflowDetected
+    where v vanishes): the lanes of one ``_null_vectors`` call, companion
+    series and chain gather, then one ``numerics.padded_residuals`` call
+    per parity.  At rounding level (1e-14 to 1e-10 at the README and Fig.
+    3 couplings) at an eigenvalue whose state the j_max + 1 amplitudes
+    hold, about linear in the distance of chi from one.  ConfigError for
+    j_max < 8.
+    """
+    if j_max < 8:
+        raise ConfigError("j_max must be >= 8")
+    found, lanes, rows = [None] * len(levels), [], []
+    for i, (parity, chi) in enumerate(levels):
+        try:
+            rows.append(_bargmann_rows(params, parity, chi, j_max))
+            lanes.append(i)
+        except StepSingular as exc:
+            found[i] = exc
+    if not lanes:
+        return found
+    parities = [levels[i][0] for i in lanes]
+    chi = np.array([levels[i][1] for i in lanes])
+    v, _ = _null_vectors(rows)
+    phi2 = _phi2_series(params, np.array([_BRANCH_SIGN[p] for p in parities]),
+                        chi, v)
+    chains = _chain_lanes(v, phi2, np.array([_SPINOR_SIGN[p]
+                                             for p in parities]), n_max)
+    trunc = TruncationConfig(max(n_max, 1))
+    for parity in dict.fromkeys(parities):
+        cols = [col for col, par in enumerate(parities) if par is parity]
+        own = chains[parity][:, cols]
+        norms = np.linalg.norm(own, axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            res = padded_residuals(build_parity_band(params, parity, trunc),
+                                   chi[cols], own) / norms
+        for col, norm, value in zip(cols, norms, res.tolist()):
+            found[lanes[col]] = value if norm else OverflowDetected(
+                "reconstruction produced a null vector")
+    return found
+
+
 def bargmann_reconstruction_residual(params: ModelParams, parity: Parity,
                                      chi: float, j_max: int = 120,
                                      n_max: int = 200) -> float:
-    """Residual of the reconstructed chain state at energy chi.
-
-    At rounding level (1e-14 to 1e-10 at the README and Fig. 3 couplings)
-    at an eigenvalue of the given parity block whose state the j_max + 1
-    amplitudes hold, and about linear in the distance of chi from one.
-    """
-    coeffs, _ = bargmann_minimal_coefficients(params, parity, chi, j_max)
-    state = bargmann_to_chain(coeffs, n_max=n_max)
-    return chain_residual(params, parity, chi, state.v)
+    """Residual of the reconstructed chain state at energy chi: the
+    one-level call of ``bargmann_residuals``, raising its error."""
+    found, = bargmann_residuals(params, [(parity, chi)], j_max, n_max)
+    if isinstance(found, Exception):
+        raise found
+    return found
 
 
 # ---------------------------------------------------------------------------

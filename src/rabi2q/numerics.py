@@ -4,8 +4,8 @@ Dense symmetric eigendecomposition (LAPACK via numpy), the only
 eigensolver of the package, also on the ladder of leading photon windows
 of a chain band; band matvecs, norms and residuals; the 2 x 2 block
 pivots of a chain, which count its levels below a cut and build its
-recurrence eigenstates; associated Laguerre
-polynomials, displacement-operator matrix elements, and the level
+recurrence eigenstates; associated Laguerre polynomials and
+displacement-operator matrix elements, a table at a time, and the level
 selection, phases and real GEMMs (on the float view of the complex
 amplitudes) of spectral-decomposition time propagation.  Everything here
 is pure.
@@ -152,16 +152,16 @@ def inert_tail(band: np.ndarray, x, norm):
     (least at M = G (G + sqrt(G^2 + max(w + x, 0) + 1)), formed without
     G^2).  Past j0 the decaying solution at energies up to x has ||x_j||
     <= (G sqrt(j) / nu_j) ||x_(j-1)||.  M and nu_j carry a rounding margin,
-    2^10 eps ||H||.  Returns j0, M and the first block from which the product
-    of those ratios from j0 stays below eps^2, each the number of blocks
-    where there is none or the band is past 2^200 in norm.
+    2^10 eps ||H||.  Returns j0, the number of blocks where there is none
+    or the band is past 2^200 in norm, M, and those ratios past j0 (1 on
+    the other blocks), which ``tail_cut`` reads.
     """
-    blocks, eps = np.arange(band.shape[-1] // 2), np.finfo(float).eps
+    blocks = np.arange(band.shape[-1] // 2)
     wx = np.max(np.repeat(blocks, 2) - band[..., 0, :], axis=-1) + x
     g = np.max((np.abs(band[..., 2, 0:-2:2]) + np.abs(band[..., 3, 0:-2:2]))
                / np.sqrt(blocks[1:]), axis=-1)
     root = np.hypot(g, np.sqrt(np.maximum(wx, 0) + 1))
-    margin = 2 ** 10 * eps * np.asarray(norm)
+    margin = 2 ** 10 * np.finfo(float).eps * np.asarray(norm)
     nu = (blocks - (wx + margin)[..., None]
           - (g / (g + root))[..., None] * (blocks + 1))
     with np.errstate(over="ignore"):
@@ -169,11 +169,22 @@ def inert_tail(band: np.ndarray, x, norm):
     inert = (nu >= level[..., None]) & (pivot_shift(norm) == 0)[..., None]
     ratios = np.ones(nu.shape)
     np.divide(g[..., None] * np.sqrt(blocks), nu, out=ratios, where=inert)
-    small = np.maximum.accumulate(np.cumprod(ratios, axis=-1)[..., ::-1],
-                                  axis=-1)[..., ::-1] < eps ** 2
-    start, cut = (np.where(mask.any(axis=-1), np.argmax(mask, axis=-1),
-                           len(blocks)) for mask in (inert, small))
-    return start, level, cut
+    return first_index(inert), level, ratios
+
+
+def first_index(mask):
+    """The first index along the last axis where mask holds, else its
+    length."""
+    return np.where(mask.any(axis=-1), np.argmax(mask, axis=-1),
+                    mask.shape[-1])
+
+
+def tail_cut(ratios):
+    """The first block from which the product of the ratios of
+    ``inert_tail`` from j0 stays below eps^2, else the number of blocks."""
+    tail = np.maximum.accumulate(np.cumprod(ratios, axis=-1)[..., ::-1],
+                                 axis=-1)[..., ::-1]
+    return first_index(tail < np.finfo(float).eps ** 2)
 
 
 def block_pivots(d0: np.ndarray, d1: np.ndarray, a: np.ndarray,
@@ -238,49 +249,67 @@ def block_pivots(d0: np.ndarray, d1: np.ndarray, a: np.ndarray,
     return entries[:, :k + 1], factors[:, :k + 1], dets[:k + 1]
 
 
-def laguerre_assoc(n: int, k: int, z: float) -> float:
-    """Associated Laguerre polynomial L_n^(k)(z).
-
-    Evaluated by the three-term recurrence in the degree, which is stable
-    for z >= 0 and integer order k >= 0.
-    """
-    if n < 0:
+def laguerre_assoc(n, k, z: float):
+    """Associated Laguerre polynomials L_n^(k)(z), one per entry of the
+    broadcast integer arrays (or ints) n and k, by the three-term
+    recurrence in the degree, which is stable for z >= 0 and k >= 0."""
+    n, k = np.broadcast_arrays(n, k)
+    if np.any(n < 0):
         raise ValueError("degree must be >= 0")
-    if k < 0:
+    if np.any(k < 0):
         raise ValueError("order must be >= 0")
-    if n == 0:
-        return 1.0
-    prev = 1.0
-    cur = 1.0 + k - z
-    for i in range(1, n):
-        prev, cur = cur, ((2 * i + 1 + k - z) * cur - (i + k) * prev) / (i + 1)
-    return cur
+    k = k.astype(float)
+    prev, cur = 1.0, 1.0 + k - z
+    out = np.where(n == 0, 1.0, cur)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, int(n.max(initial=0))):
+            prev, cur = cur, ((2 * i + 1 + k - z) * cur
+                              - (i + k) * prev) / (i + 1)
+            out = np.where(n == i + 1, cur, out)
+    return out
 
 
-def displacement_element(m: int, n: int, x: float) -> float:
-    """Fock matrix element <m| D(2x) |n> of a real displacement by 2x.
+def displacement_elements(m, n, x: float) -> np.ndarray:
+    """Fock matrix elements <m| D(2x) |n> of a real displacement by 2x, one
+    per entry of the broadcast integer arrays (or ints) m and n.
 
     For m >= n this is sqrt(n!/m!) (2x)^(m-n) exp(-2x^2) L_n^(m-n)(4x^2);
     the m < n case follows from <m|D|n> = (-1)^(n-m) <n|D|m> for real
     arguments.  The factorial ratio is evaluated in log space so the formula
     stays finite well past m, n ~ 85.  Once the Gaussian factor underflows
     the element is 0, and where (2x)^(m-n) alone would overflow it is
-    applied in two halves, so no finite x raises.
+    applied in two halves, so no finite x raises.  Each entry is the
+    formula evaluated in Python floats, bit for bit: math.exp per entry and
+    Python float powers per order (numpy's exp and power differ from libm
+    in the last bit for a few percent of arguments), the rest IEEE
+    operations in the formula's order.
     """
-    if m < 0 or n < 0:
+    m, n, x = *np.broadcast_arrays(m, n), float(x)
+    if np.any(m < 0) or np.any(n < 0):
         raise ValueError("Fock indices must be >= 0")
-    if m < n:
-        return (-1) ** (n - m) * displacement_element(n, m, x)
-    d = m - n
-    log_ratio = 0.5 * (math.lgamma(n + 1) - math.lgamma(m + 1))
-    mag = math.exp(log_ratio - 2.0 * x * x) if abs(x) < 200 else 0.0
-    if mag == 0.0:
-        return 0.0
-    lag = laguerre_assoc(n, d, 4.0 * x * x)
-    if d * math.log(2.0 * abs(x) or 1.0) < 700.0:
-        return mag * (2.0 * x) ** d * lag
-    half = (2.0 * x) ** (d // 2)
-    return mag * half * half * (2.0 * x) ** (d % 2) * lag
+    low, high = np.minimum(m, n), np.maximum(m, n)
+    d = high - low
+    lgamma = np.array([math.lgamma(i + 1)
+                       for i in range(int(high.max(initial=0)) + 1)])
+    arg = 0.5 * (lgamma[low] - lgamma[high]) - 2.0 * x * x
+    mag = np.array([math.exp(t) if abs(x) < 200 else 0.0
+                    for t in arg.ravel().tolist()]).reshape(m.shape)
+    base, log_base = 2.0 * x, math.log(2.0 * abs(x) or 1.0)
+    whole, half, odd = np.ones((3, int(d.max(initial=0)) + 1))
+    for e in set(d[mag != 0].tolist()):
+        if e * log_base < 700.0:
+            whole[e] = base ** e
+        else:
+            half[e], odd[e] = base ** (e // 2), base ** (e % 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.where(mag == 0.0, 0.0, mag * whole[d] * half[d] * half[d]
+                         * odd[d] * laguerre_assoc(low, d, 4.0 * x * x))
+    return np.where((m < n) & (d % 2 == 1), -value, value)
+
+
+def displacement_element(m: int, n: int, x: float) -> float:
+    """<m| D(2x) |n>, one entry of ``displacement_elements``."""
+    return float(displacement_elements(m, n, x))
 
 
 # levels whose projections on a state weigh at most DROP_WEIGHT ||c0||^2

@@ -42,8 +42,9 @@ from .errors import ConfigError, TruncationInsufficient
 from .hamiltonian import build_parity_band, build_rwa_band
 from .model import ModelParams, Parity, TruncationConfig
 from .numerics import (RESIDUAL_TOL, band_norm, block_pivots,
-                       displacement_element, eigh, expand_dense, inert_tail,
-                       padded_residuals, photon_windows, pivot_shift)
+                       displacement_elements, eigh, expand_dense, first_index,
+                       inert_tail, padded_residuals, photon_windows,
+                       pivot_shift)
 
 GUARD_TOL = 1e-8
 
@@ -436,68 +437,66 @@ def _finite_square(x: float) -> float:
     return value
 
 
-def _second_order_shift(params: ModelParams, m: int, branch_sign: int,
-                        n_cut: int):
-    """Second-order shift of displaced-oscillator level m for one branch.
-
-    The intermediate states live on the other displaced ladder, offset by
-    4 g1 g2 (omega_f = 1); branch_sign +1 selects the g_plus ladder (the
-    denominator then reads (n-m) + 4 g1 g2), -1 the g_minus ladder.
-    Summation stops at n_cut or once the tail term drops below TAIL_STOP.
-    Returns (shift, resonant_n or None).
-    """
-    w1_sq, w2_sq = map(_finite_square, (params.omega_1, params.omega_2))
-    offset = 4.0 * params.g_1 * params.g_2
-    total = 0.0
-    small_run = 0
-    for n in range(n_cut + 1):
-        if n == m:
-            continue
-        den = n - m + branch_sign * offset
-        if abs(den) < SMALL_DENOMINATOR_TOL:
-            return np.nan, n
-        w = 0.25 * (w1_sq * displacement_element(m, n, params.g_1) ** 2
-                    + w2_sq * displacement_element(m, n, params.g_2) ** 2)
-        total += w / den
-        # displacement elements have isolated Laguerre zeros mid
-        # distribution, so one small term is not yet a converged tail
-        small_run = small_run + 1 if w / abs(den) < TAIL_STOP else 0
-        if n > m + 4 and small_run >= 3:
-            break
-    return total, None
-
-
 def dsc_perturbative_spectrum(params: ModelParams, m_max: int,
                               n_cut: int | None = None
                               ) -> PerturbativeSpectrum:
     """Perturbative branch energies for m = 0..m_max.
 
-    Near-resonant corrections (denominator below 1e-6 omega_f) are reported
-    as NaN entries rather than silently large numbers.  A squared
-    frequency or coupling term, or a shift, that is not finite raises
-    ConfigError.
+    The shift of displaced-oscillator level m sums over the levels n != m
+    of the other displaced ladder, offset by 4 g1 g2 (omega_f = 1), with
+    denominators (n - m) + 4 g1 g2 on branch 1 (the g_plus ladder) and
+    (n - m) - 4 g1 g2 on branch 2.  Every (branch, m) lane reads one table
+    of <m|D(2g)|n> per coupling (``numerics.displacement_elements``), which
+    widens only while a lane has neither stopped nor met its cut, and sums
+    its terms in order of n (one sequential ``np.cumsum``) up to n_cut
+    (default m + 80) or to the first n > m + 4 that ends three terms below
+    TAIL_STOP in a row: displacement elements have isolated Laguerre zeros
+    mid distribution, so one small term is not yet a converged tail.  A
+    denominator below 1e-6 omega_f before the stop makes the shift NaN,
+    reported rather than silently large.  A squared frequency or coupling
+    term, or a shift, that is not finite raises ConfigError.
     """
     if m_max < 0:
         raise ConfigError("m_max must be >= 0")
     if n_cut is not None and n_cut < 0:
         raise ConfigError("n_cut must be >= 0")
-    m_values = np.arange(m_max + 1)
-    z1 = m_values - _finite_square(params.g_plus)
-    z2 = m_values - _finite_square(params.g_minus)
-    s1 = np.empty(m_max + 1)
-    s2 = np.empty(m_max + 1)
-    resonant = []
-    for m in range(m_max + 1):
-        cut = n_cut if n_cut is not None else m + 80
-        for sign, out, label in ((+1, s1, 1), (-1, s2, 2)):
-            shift, bad_n = _second_order_shift(params, m, sign, cut)
-            if bad_n is not None:
-                resonant.append((label, m, bad_n))
-            elif not math.isfinite(shift):
-                raise ConfigError(f"branch {label}, m={m}: the second-order "
-                                  f"shift is not finite")
-            out[m] = shift
-    return PerturbativeSpectrum(z1, s1, z2, s2, tuple(resonant))
+    m = np.arange(m_max + 1)
+    z1 = m - _finite_square(params.g_plus)
+    z2 = m - _finite_square(params.g_minus)
+    w1_sq, w2_sq = map(_finite_square, (params.omega_1, params.omega_2))
+    cuts = (m + 80 if n_cut is None else np.full(m_max + 1, n_cut))[:, None]
+    m, width = m[:, None], min(int(cuts.max()), m_max + 80) + 1
+    while True:
+        n = np.arange(width)
+        # squared by Python's float ** (libm pow), which can differ from
+        # numpy's square in the last bit
+        w1, w2 = (np.array([e ** 2 for e in displacement_elements(
+            m, n, g).ravel().tolist()]).reshape(-1, width)
+                  for g in (params.g_1, params.g_2))
+        w = 0.25 * (w1_sq * w1 + w2_sq * w2)
+        den = n - m + np.array([1, -1])[:, None, None] * (
+            4.0 * params.g_1 * params.g_2)
+        live = (n <= cuts) & (n != m)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            terms, small = w / den, w / np.abs(den) < TAIL_STOP
+        run = small & np.roll(small, 1, -1) & np.roll(small, 2, -1)
+        end = np.minimum(first_index(live & (n > m + 4) & run), cuts[:, 0])
+        hit = first_index(live & (np.abs(den) < SMALL_DENOMINATOR_TOL))
+        if np.all(np.minimum(end, hit) < width):
+            break
+        width = min(2 * width, int(cuts.max()) + 1)
+    terms = np.where(live & (n <= end[..., None]), terms, 0.0)
+    # each sum starts from +0.0, which a leading -0.0 term would not keep
+    terms[..., 0] += 0.0
+    shifts = np.where(hit <= end, np.nan, np.cumsum(terms, axis=-1)[..., -1])
+    # the first lane, by m and then by branch, names the error
+    bad = np.argwhere(((hit > end) & ~np.isfinite(shifts)).T).tolist()
+    if bad:
+        raise ConfigError(f"branch {bad[0][1] + 1}, m={bad[0][0]}: the "
+                          f"second-order shift is not finite")
+    resonant = tuple((branch + 1, lane, int(hit[branch, lane])) for
+                     lane, branch in np.argwhere((hit <= end).T).tolist())
+    return PerturbativeSpectrum(z1, shifts[0], z2, shifts[1], resonant)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ import mpmath as mp
 import numpy as np
 
 from rabi2q.dynamics import QuarticCoefficients
-from rabi2q.errors import StepSingular
+from rabi2q.eigenstates import NULL_STEPS
+from rabi2q.errors import ConfigError, StepSingular
 from rabi2q.hamiltonian import build_rwa_excitation_block
 from rabi2q.model import Parity, QubitLevel, TruncationConfig, basis_table
 
@@ -284,6 +285,122 @@ def bargmann_chain_reference(coeffs, n_max):
                                   else Parity.EVEN])
     return (chains[coeffs.parity] / own,
             float(other / math.hypot(own, other)))
+
+
+def least_singular_vector_reference(matrix):
+    """The right singular vector of a tall matrix M of least singular value,
+    ||M v||, and every iterate formed with its ||M x||, by inverse
+    iteration on R^T R from the dense R factor of M, each step two LU
+    solves (``numpy.linalg.solve``).
+
+    A pivot of R below eps ||R|| is raised to it, with its sign.  From
+    v = (1, ..., 1) / sqrt(n), each step solves R^T R v' = v; the iteration
+    stops when ||M v|| stops falling, after NULL_STEPS steps at most.
+    """
+    r = np.linalg.qr(matrix, mode="r")
+    pivots = np.diagonal(r)
+    floor = np.finfo(float).eps * np.linalg.norm(r)
+    r[np.diag_indices_from(r)] = np.where(np.abs(pivots) < floor,
+                                          np.copysign(floor, pivots), pivots)
+    v = np.full(r.shape[1], 1 / math.sqrt(r.shape[1]))
+    least = np.linalg.norm(matrix @ v)
+    tried = [(v, least)]
+    for _ in range(NULL_STEPS):
+        step = np.linalg.solve(r, np.linalg.solve(r.T, v))
+        step /= np.linalg.norm(step)
+        size = np.linalg.norm(matrix @ step)
+        tried.append((step, size))
+        if not size < least:
+            break
+        v, least = step, size
+    return v, float(least), tried
+
+
+# ---------------------------------------------------------------------------
+# displacement elements and the perturbative sums, one scalar at a time
+# ---------------------------------------------------------------------------
+
+def laguerre_reference(n, k, z):
+    """L_n^(k)(z) by the three-term recurrence in the degree, in Python
+    floats."""
+    if n == 0:
+        return 1.0
+    prev, cur = 1.0, 1.0 + k - z
+    for i in range(1, n):
+        prev, cur = cur, ((2 * i + 1 + k - z) * cur - (i + k) * prev) / (i + 1)
+    return cur
+
+
+def displacement_reference(m, n, x):
+    """<m| D(2x) |n> in Python floats: sqrt(n!/m!) (2x)^(m-n) exp(-2x^2)
+    L_n^(m-n)(4x^2) for m >= n, the factorial ratio in logs, 0 once the
+    Gaussian factor underflows, (2x)^(m-n) in two halves where it alone
+    would overflow, and (-1)^(n-m) <n|D|m> for m < n."""
+    if m < n:
+        return (-1) ** (n - m) * displacement_reference(n, m, x)
+    d = m - n
+    log_ratio = 0.5 * (math.lgamma(n + 1) - math.lgamma(m + 1))
+    mag = math.exp(log_ratio - 2.0 * x * x) if abs(x) < 200 else 0.0
+    if mag == 0.0:
+        return 0.0
+    lag = laguerre_reference(n, d, 4.0 * x * x)
+    if d * math.log(2.0 * abs(x) or 1.0) < 700.0:
+        return mag * (2.0 * x) ** d * lag
+    half = (2.0 * x) ** (d // 2)
+    return mag * half * half * (2.0 * x) ** (d % 2) * lag
+
+
+def _square_reference(x):
+    value = x ** 2 if abs(x) < 1e154 else math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"frequency or coupling {x:g} is out of range for "
+                          f"the perturbative sums (its square is not finite)")
+    return value
+
+
+def second_order_shift_reference(params, m, branch_sign, n_cut):
+    """(shift, resonant n or None) of displaced-oscillator level m on one
+    branch, summed one intermediate level n at a time: n = m is skipped, a
+    denominator n - m +- 4 g1 g2 below 1e-6 makes the shift nan, and the
+    sum stops at n_cut or at the first n > m + 4 that ends a run of three
+    terms w / |den| below 1e-12."""
+    w1_sq, w2_sq = map(_square_reference, (params.omega_1, params.omega_2))
+    offset = 4.0 * params.g_1 * params.g_2
+    total, small_run = 0.0, 0
+    for n in range(n_cut + 1):
+        if n == m:
+            continue
+        den = n - m + branch_sign * offset
+        if abs(den) < 1e-6:
+            return math.nan, n
+        w = 0.25 * (w1_sq * displacement_reference(m, n, params.g_1) ** 2
+                    + w2_sq * displacement_reference(m, n, params.g_2) ** 2)
+        total += w / den
+        small_run = small_run + 1 if w / abs(den) < 1e-12 else 0
+        if n > m + 4 and small_run >= 3:
+            break
+    return total, None
+
+
+def dsc_reference(params, m_max, n_cut=None):
+    """(branch-1 shifts, branch-2 shifts, resonant (branch, m, n) tuples)
+    of ``spectra.dsc_perturbative_spectrum`` for m = 0..m_max, one level
+    and branch at a time, cut at n_cut or m + 80; ConfigError where a
+    square or a shift is not finite, in the package's order."""
+    _square_reference(params.g_plus)
+    _square_reference(params.g_minus)
+    shifts, resonant = ([], []), []
+    for m in range(m_max + 1):
+        for label, sign in ((1, +1), (2, -1)):
+            shift, bad_n = second_order_shift_reference(
+                params, m, sign, n_cut if n_cut is not None else m + 80)
+            if bad_n is not None:
+                resonant.append((label, m, bad_n))
+            elif not math.isfinite(shift):
+                raise ConfigError(f"branch {label}, m={m}: the second-order "
+                                  f"shift is not finite")
+            shifts[label - 1].append(shift)
+    return np.array(shifts[0]), np.array(shifts[1]), tuple(resonant)
 
 
 # ---------------------------------------------------------------------------

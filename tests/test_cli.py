@@ -492,6 +492,43 @@ def test_eigenstate_diagonalizes_each_chain_once(tmp_path, monkeypatch):
     assert rows and max(rows) < 2 * (200 + 1)
 
 
+README_EIGENSTATE = ["eigenstate", "--omega1", "1.3", "--omega2", "0.7",
+                     "--g1", "0.3", "--g2", "0.4", "--parity", "both",
+                     "--count", "10", "--nmax", "200", "--bargmann"]
+
+
+def test_readme_eigenstate_runs_its_levels_as_lanes(tmp_path, monkeypatch):
+    # the Bargmann null vectors of the 20 levels come from banded
+    # substitution, with no LU solve, and the twisted states of both
+    # parities from one block-pivot pass of 40 lanes (up and down)
+    import numpy as np
+    from rabi2q import eigenstates
+    solves, passes = [], []
+    solve, pivots = np.linalg.solve, eigenstates.block_pivots
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(
+        len(args[0])) or solve(*args))
+    monkeypatch.setattr(eigenstates, "block_pivots",
+                        lambda *args: passes.append(args[0].shape[1])
+                        or pivots(*args))
+    assert run(README_EIGENSTATE + ["--out", str(tmp_path / "e.csv")]) == 0
+    assert solves == [] and passes == [40]
+
+
+def test_readme_perturb_reads_one_table_per_coupling(tmp_path, monkeypatch):
+    # the README perturb makes no per-element displacement call: its sums
+    # read one table of <m|D(2g)|n> per coupling
+    from rabi2q import numerics, spectra
+    calls, element = [], numerics.displacement_element
+    for module in (numerics, spectra):
+        monkeypatch.setattr(module, "displacement_element",
+                            lambda *args: calls.append(args) or element(*args),
+                            raising=False)
+    assert run(["perturb", "--omega1", "1.3", "--omega2", "0.7", "--g1", "2",
+                "--g2", "2", "--mmax", "11",
+                "--out", str(tmp_path / "p.csv")]) == 0
+    assert calls == []
+
+
 def test_spectrum_has_no_jobs_flag():
     with pytest.raises(SystemExit) as info:
         run(["spectrum", "--jobs", "2"])

@@ -23,8 +23,8 @@ from rabi2q.eigenstates import (CLUSTER_GAP, RECURRENCE_RESIDUAL_TOL,
                                 bargmann_to_chain, chain_residual,
                                 eigenstate_recurrences,
                                 recurrence_eigenstate_la, residual)
-from rabi2q.errors import (OverflowDetected, SingularCoupling, StepSingular,
-                           TruncationInsufficient)
+from rabi2q.errors import (ConfigError, OverflowDetected, SingularCoupling,
+                           StepSingular, TruncationInsufficient)
 from rabi2q.hamiltonian import build_parity_band
 from rabi2q.model import ModelParams, Parity, TruncationConfig
 from rabi2q.numerics import band_norm, eigh, expand_dense, padded_residuals
@@ -33,7 +33,7 @@ from rabi2q.spectra import converged_parity_eigensystem
 from oracles import (G_CROSS, bargmann_chain_reference,
                      bargmann_rows_reference, chain_state,
                      exact_chain_residual, fixed_chain_rows, fixed_point,
-                     nearest)
+                     least_singular_vector_reference, nearest)
 
 P = ModelParams(1.3, 0.7, 0.3, 0.4)
 NMAX = 200
@@ -192,7 +192,7 @@ def _check_twist_cut(params, parity, count, n_max):
         states = eigenstate_recurrences(params, parity, count, n_max)
     with mock.patch.object(eig_mod, "_twisted_states",
                            lambda band, levels, kept: kernel(
-                               band, levels, band.shape[1] // 2)):
+                               band, levels, band.shape[-1] // 2)):
         whole = eigenstate_recurrences(params, parity, count, n_max)
     eps, rows = np.finfo(float).eps, 2 * blocks[0]
     hnorm = _hnorm(params, parity, n_max)
@@ -760,6 +760,94 @@ def test_bargmann_rows_match_scalar_oracle(omega_1, omega_2, g_1, g_2,
         return
     got = eig_mod._bargmann_rows(params, parity, chi, j_max)
     assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def _check_null_lanes(rows):
+    """Run every row matrix of rows as one lane of ``_null_vectors`` and
+    check each lane against the dense oracle, which solves with LU: ||M v||
+    is no larger than the oracle's, to rounding, and v is, to rounding, an
+    iterate of the oracle's whose ||M x|| ties with the oracle's last one
+    (its own, unless the stop rule met a tie that rounding broke the other
+    way).  Returns the oracle's number of steps per lane."""
+    v, sizes = eig_mod._null_vectors(rows)
+    eps, steps = np.finfo(float).eps, []
+    for lane, matrix in enumerate(rows):
+        _, least, tried = least_singular_vector_reference(matrix)
+        tie = 1e-12 * least + 16 * eps
+        assert sizes[lane] <= least + tie
+        assert any(np.max(np.abs(v[:, lane] - np.sign(v[:, lane] @ x) * x))
+                   <= 1e-12 and abs(size - least) <= tie
+                   for x, size in tried)
+        steps.append(len(tried))
+    return steps
+
+
+@settings(max_examples=25, deadline=None)
+@given(omega_1=st.floats(0.0, 3.0), omega_2=st.floats(0.0, 3.0),
+       g_1=st.floats(-5.0, 5.0), g_2=st.floats(-5.0, 5.0),
+       tiny=st.sampled_from([0, 3, 9]), j_max=st.integers(8, 200),
+       levels=st.lists(st.tuples(st.sampled_from(Parity),
+                                 st.floats(-30.0, 10.0)),
+                       min_size=1, max_size=6))
+# deep strong coupling: the stop rule ties at step 2 on one lane, which the
+# dense oracle takes to step 3
+@example(omega_1=0.8153553939086385, omega_2=1.7290742039899518,
+         g_1=3.0544861763085365, g_2=-2.3280841549873923, tiny=0, j_max=62,
+         levels=[(Parity.EVEN, 2.9792857580774808), (Parity.ODD, -3.2)])
+def test_null_vector_lanes_match_the_dense_oracle(omega_1, omega_2, g_1,
+                                                  g_2, tiny, j_max, levels):
+    # lanes of both parities, at tiny to deep strong couplings
+    params = ModelParams(omega_1, omega_2, g_1 * 10.0 ** -tiny,
+                         g_2 * 10.0 ** -tiny)
+    try:
+        rows = [eig_mod._bargmann_rows(params, parity, chi, j_max)
+                for parity, chi in levels]
+    except StepSingular:
+        assume(False)
+    _check_null_lanes(rows)
+
+
+def test_null_vector_lanes_stop_apart_and_floor_a_zero_pivot():
+    # the README levels of both parities, at which one step reaches
+    # rounding, share the lanes with levels off the spectrum, which run
+    # every step, and with a matrix of one zero column, whose R has a zero
+    # pivot: raised to eps ||R||, it makes that column the null vector
+    values = [(parity, float(xi)) for parity in Parity
+              for xi in converged_parity_eigensystem(
+                  P, parity, TruncationConfig(NMAX), 3)[0]]
+    levels = values + [(Parity.EVEN, 5.37), (Parity.ODD, -2.11)]
+    rows = [eig_mod._bargmann_rows(P, parity, chi, 120)
+            for parity, chi in levels]
+    band = np.random.default_rng(7).normal(size=(123, 121))
+    offsets = np.subtract.outer(np.arange(123), np.arange(121))
+    band[np.abs(offsets) > 2] = 0.0
+    band[:, 40] = 0.0
+    rows.append(band)
+    steps = _check_null_lanes(rows)
+    assert len(set(steps)) > 1
+    v, sizes = eig_mod._null_vectors(rows)
+    assert abs(v[40, -1]) == pytest.approx(1.0) and sizes[-1] <= 1e-14
+    assert np.linalg.qr(band, mode="r")[40, 40] == 0.0
+
+
+def test_bargmann_residuals_take_both_parities_and_report_each_level():
+    # one call serves the levels of both parities, each as its one-level
+    # call does to rounding; equal qubit frequencies make every level
+    # StepSingular, and j_max below 8 is a configuration error
+    levels = [(parity, float(xi)) for parity in Parity
+              for xi in converged_parity_eigensystem(
+                  P, parity, TruncationConfig(NMAX), 4)[0]]
+    found = eig_mod.bargmann_residuals(P, levels, 120, NMAX)
+    for (parity, chi), res in zip(levels, found):
+        alone = bargmann_reconstruction_residual(P, parity, chi, 120, NMAX)
+        assert res <= 1e-13 and abs(res - alone) <= 1e-14
+    same = ModelParams(0.9, 0.9, 0.3, 0.45)
+    found = eig_mod.bargmann_residuals(same, levels, 120, NMAX)
+    assert all(isinstance(res, StepSingular) for res in found)
+    with pytest.raises(StepSingular, match="alpha_0 vanishes"):
+        bargmann_reconstruction_residual(same, Parity.ODD, -0.5, 120, NMAX)
+    with pytest.raises(ConfigError):
+        eig_mod.bargmann_residuals(P, levels, 7, NMAX)
 
 
 def test_five_term_identical_qubits_step_singular():

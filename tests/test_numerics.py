@@ -3,14 +3,18 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from rabi2q import numerics
 from rabi2q.hamiltonian import build_parity_band
 from rabi2q.model import ModelParams, Parity, TruncationConfig
 from rabi2q.numerics import (EigenDecomposition, band_matvec, band_norm,
-                             displacement_element, eigh, expand_dense,
-                             laguerre_assoc, photon_windows, spectral_levels)
+                             displacement_element, displacement_elements,
+                             eigh, expand_dense, laguerre_assoc,
+                             photon_windows, spectral_levels)
+
+from oracles import displacement_reference
 
 
 def test_eigh_diagonal():
@@ -215,6 +219,27 @@ def test_displacement_large_power_with_live_gaussian():
     value = displacement_element(245, 0, 9.38)
     assert math.isfinite(value) and 0.0 < abs(value) <= 1.0
     assert displacement_element(0, 245, 9.38) == -value
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=st.one_of(st.floats(-25.0, 25.0),
+                   st.sampled_from([0.0, 200.0, -250.0, 1e200, 9.38])),
+       rows=st.lists(st.integers(0, 300), min_size=1, max_size=10),
+       cols=st.lists(st.integers(0, 300), min_size=1, max_size=30))
+# (2x)^245 in two halves, both ways round, next to small indices
+@example(x=9.38, rows=[245, 0, 3], cols=[0, 245, 1, 2])
+@example(x=-9.38, rows=[0, 244, 245], cols=[245, 0, 1])
+def test_displacement_table_is_the_scalar_formula_bit_for_bit(x, rows,
+                                                              cols):
+    # every entry of a table, and the one-entry call, equals the scalar
+    # formula in Python floats, signed zeros included: the Gaussian factor
+    # and the powers come from libm as there
+    got = displacement_elements(np.array(rows)[:, None], np.array(cols), x)
+    want = np.array([[displacement_reference(m, n, x) for n in cols]
+                     for m in rows])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    one = displacement_element(rows[0], cols[0], x)
+    assert np.float64(one).view(np.int64) == want[0, 0].view(np.int64)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -1,4 +1,5 @@
 import os
+import re
 import sys
 import threading
 import warnings
@@ -12,14 +13,14 @@ from rabi2q import eigenstates, spectra
 from rabi2q.errors import ConfigError, TruncationInsufficient
 from rabi2q.hamiltonian import build_parity_band
 from rabi2q.model import ModelParams, Parity, TruncationConfig, basis_table
-from rabi2q.numerics import (band_norm, displacement_element, eigh,
-                             expand_dense, inert_tail)
+from rabi2q.numerics import (band_norm, displacement_elements, eigh,
+                             expand_dense, inert_tail, tail_cut)
 from rabi2q.spectra import (CrossingKind, SpectrumSweep,
                             converged_parity_eigensystem, detect_crossings,
                             dsc_perturbative_spectrum, rwa_relative_error,
                             sweep_spectrum)
 
-from oracles import G_CROSS, chain_state, kronecker_reference
+from oracles import G_CROSS, chain_state, dsc_reference, kronecker_reference
 
 TEMPLATE = ModelParams(1.3, 0.7, 0.0, 0.0)
 
@@ -198,6 +199,69 @@ def test_perturbative_matches_numeric_at_moderate_coupling():
         pair = 0.5 * (vals[2 * m] + vals[2 * m + 1])
         assert abs(spec.branch1[m] - pair) < 0.02
         assert abs(spec.branch1[m] - pair) < abs(spec.branch1_zeroth[m] - pair)
+
+
+def _same_bits(got, want):
+    """Equal arrays bit for bit: nan in the same places, zeros of the same
+    sign."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return (got.shape == want.shape
+            and np.array_equal(got.view(np.int64), want.view(np.int64)))
+
+
+def _check_dsc_against_scalar_oracle(params, m_max, n_cut):
+    try:
+        want = dsc_reference(params, m_max, n_cut)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError, match=re.escape(str(exc))):
+            dsc_perturbative_spectrum(params, m_max, n_cut)
+        return None
+    got = dsc_perturbative_spectrum(params, m_max, n_cut)
+    assert _same_bits(got.branch1_shift, want[0])
+    assert _same_bits(got.branch2_shift, want[1])
+    assert got.resonant == want[2]
+    return got
+
+
+@settings(max_examples=40, deadline=None)
+@given(omega_1=st.floats(0.0, 3.0), omega_2=st.floats(0.0, 3.0),
+       g_1=st.floats(-4.0, 4.0), g_2=st.floats(-4.0, 4.0),
+       m_max=st.integers(0, 8),
+       n_cut=st.one_of(st.none(), st.integers(0, 120)))
+# the README: 4 g1 g2 = 16, branch 2 resonant at n = m + 16
+@example(omega_1=1.3, omega_2=0.7, g_1=2.0, g_2=2.0, m_max=11, n_cut=None)
+# 4 g1 g2 = -1: both branches meet resonances, branch 1 from m = 1 on
+@example(omega_1=1.3, omega_2=0.7, g_1=0.5, g_2=-0.5, m_max=4, n_cut=None)
+@example(omega_1=1.3, omega_2=0.7, g_1=0.3, g_2=0.4, m_max=0, n_cut=0)
+@example(omega_1=1.3, omega_2=0.7, g_1=0.3, g_2=0.4, m_max=3, n_cut=0)
+# every element is 0 (|g| >= 200) and every branch-2 denominator
+# negative: below the cut of m = 2 all terms are -0.0, and its shift is
+# +0.0, as a sum from +0.0 gives
+@example(omega_1=1.3, omega_2=0.7, g_1=300.0, g_2=300.0, m_max=2, n_cut=1)
+# couplings 4 and -3.3 spread the terms past n = 82: the table widens
+# once before every lane stops
+@example(omega_1=1.3, omega_2=0.7, g_1=4.0, g_2=-3.3, m_max=2, n_cut=400)
+def test_dsc_sums_match_the_scalar_oracle_bit_for_bit(omega_1, omega_2, g_1,
+                                                      g_2, m_max, n_cut):
+    # one displacement table per coupling and the vectorized stop give the
+    # shifts, the nan entries and the resonant tuples of the scalar loop
+    _check_dsc_against_scalar_oracle(ModelParams(omega_1, omega_2, g_1, g_2),
+                                     m_max, n_cut)
+
+
+@pytest.mark.parametrize("params", [
+    ModelParams(1.3, 0.7, 1e200, 1.0),
+    ModelParams(1.3, 0.7, 1e160, -1e160),
+    ModelParams(1e200, 0.7, 1.0, 2.0),
+    ModelParams(1.3, 1e160, 1.0, 2.0),
+    # the squares fit, but a term 1e-5 from resonance passes the float
+    # range: branch 2, m = 0 raises
+    ModelParams(1e153, 1e153, 0.5000025, 0.5000025),
+])
+def test_dsc_overflow_raises_as_the_scalar_oracle_does(params):
+    with pytest.raises(ConfigError, match="not finite"):
+        dsc_reference(params, 1)
+    _check_dsc_against_scalar_oracle(params, 1, None)
 
 
 def test_rwa_error_zero_at_zero_coupling():
@@ -911,7 +975,8 @@ def test_chains_past_2_200_in_norm_run_the_whole_chain(monkeypatch):
                                      ModelParams(1.3, 0.7, 0.3, 0.4))])
     norms = np.array([band_norm(band) for band in bands])
     x = np.array([-6.5e249, 0.0])
-    start, _, cut = inert_tail(bands, x, norms)
+    start, _, ratios = inert_tail(bands, x, norms)
+    cut = tail_cut(ratios)
     assert start[0] == cut[0] == 21 and start[1] < 21
     steps, pivots = [], spectra.block_pivots
 
@@ -964,9 +1029,8 @@ def _zeroth_order_miss(params, parity, vectors, trunc, m_max):
         weight = 0.0
         for s1, s2 in pair:
             x = s1 * params.g_1 + s2 * params.g_2
-            shift = np.array([[displacement_element(m, j, x / 2)
-                               for j in range(n[-1] + 1)]
-                              for m in range(m_max + 1)])
+            shift = displacement_elements(np.arange(m_max + 1)[:, None],
+                                          np.arange(n[-1] + 1), x / 2)
             qubits = 0.5 * np.where(sz1 < 0, s1, 1) * np.where(sz2 < 0, s2, 1)
             weight = weight + (shift[:, n] @ (qubits[:, None] * vectors)) ** 2
         best = np.maximum(best, np.max(weight, axis=0))
