@@ -249,7 +249,7 @@ def eigenstates_by_parity(params: ModelParams, parities, count: int,
     first orthogonalized against the states of the members below it; a
     member whose candidates all lie in their span has an all-nan vector.
     ConfigError for count outside [1, chain dimension],
-    TruncationInsufficient when fewer than count levels converge.
+    TruncationInsufficient when no rung certifies the count lowest.
     """
     trunc = TruncationConfig(n_max)
     energies = np.array([converged_parity_eigensystem(params, parity, trunc,

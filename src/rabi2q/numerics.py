@@ -52,7 +52,7 @@ def eigh(h: np.ndarray) -> EigenDecomposition:
 
 
 # a window level is certified when its zero-padded residual against the
-# whole chain is at most RESIDUAL_TOL * ||H||_inf
+# chain (one photon longer, for spectra) is at most RESIDUAL_TOL * ||H||_inf
 RESIDUAL_TOL = 1e-12
 # factor by which a photon window widens
 WINDOW_GROWTH = 1.5

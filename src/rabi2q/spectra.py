@@ -1,31 +1,25 @@
 """Parity-resolved spectra: coupling sweeps, crossing detection, the
 deep-strong-coupling perturbative branches, and RWA error metrics.
 
-Each parity chain gives its lowest levels by dense ``eigh`` of a leading
-photon window 0..n_w of the chain band, on the window ladder
-``numerics.photon_windows`` from a displaced-oscillator estimate.  The
-window is certified when the residual of its zero-padded vectors against
-the whole chain, which past the window is
-sqrt(n_w + 1) ||[[g1, g2], [g2, g1]] v_top|| (v_top: the window's last
-two entries), is within ``RESIDUAL_TOL`` ||H||, and when an inertia count
-shows that the whole chain has no more levels below the cut, midway to
-the window's next level, than the window has; otherwise it widens.  A
-sweep climbs the ladders of all its points together, one rung at a time.
-The rung's windows are solved and residual-tested on a thread pool sized
-to the cores that BLAS leaves idle (one thread, the calling one, when
-BLAS threads fill every core), and the levels of every rung's candidate
-chains below their cuts are then counted in one batched, numpy only pass
-of the 2 x 2 block pivots of the whole chain from photon 0
+Each parity chain gives its lowest levels by dense ``eigh`` on one ladder,
+the photon windows 0..n_w of ``numerics.photon_windows`` from a
+displaced-oscillator estimate up to the last short of the chain, and then
+the whole chain.  Every rung passes one certificate, that of
+``converged_parity_eigensystem``: the window levels up to the k-th, and
+those that tie with it, have residuals within ``RESIDUAL_TOL`` ||H||
+against the chain one photon longer, and an inertia count shows that the
+whole chain has no more levels below the cut past them.  A point whose
+ladder runs out raises ``TruncationInsufficient``.  A sweep climbs the
+ladders of all its points together, one rung at a time: the rung's
+windows are solved and residual-tested on a thread pool sized to the
+cores that BLAS leaves idle (one thread, the calling one, when BLAS
+threads fill every core), and then counted in one batched, numpy only
+pass of the 2 x 2 block pivots of the whole chain from photon 0
 (``numerics.block_pivots``, the kernel of the recurrence eigenstates
 too), which ends where ``numerics.inert_tail`` proves every chain's rest
 free of negative pivots.  Each window is one LAPACK call whichever thread
 makes it, so the results do not depend on the number of threads.  A point
 keeps only the k requested levels and its window's rows of their vectors.
-When no window short of the whole chain certifies, the point is solved by
-dense ``eigh`` of the whole chain, whose reported eigenvalues pass a
-truncation guard: the eigenvector must carry less than ``GUARD_TOL``
-weight on the top two photon levels, otherwise the level is considered
-unconverged at this cutoff.
 """
 
 from __future__ import annotations
@@ -109,50 +103,65 @@ def _pool_workers(points: int) -> int:
     return max(1, min(cpus // blas_threads, points))
 
 
-def _certified_windows(bands: np.ndarray, starts, count: int) -> list:
-    """The count lowest pairs of each chain band, solved on photons
-    0..n_w, or None for a point whose ladder runs out.
+def _ladder(band: np.ndarray, start: int, dim: int):
+    """``photon_windows`` of band from photon start up to the last window
+    short of its leading dim rows, the whole chain, and then that chain."""
+    yield from photon_windows(band, start, dim - 1)
+    yield dim, eigh(expand_dense(band[:, :dim]))
 
-    Each point climbs its own ladder of ``photon_windows`` from its start
-    window, at least count // 2 so that a window holds the level past the
-    cut, up to the last window short of the whole chain, until one passes
-    the certificate of ``converged_parity_eigensystem``.  Per rung, the
-    pending points' windows are solved on a thread pool made for the call,
-    of ``_pool_workers`` threads (numpy's LAPACK releases the GIL, so each
-    thread keeps one core busy); with one worker the rung runs on the
-    calling thread.  A task solves its point's window and tests its
-    residuals, and returns only what the certificate keeps: its count
-    values and a copy of their vector columns and its cut x, or a
-    rejection; so no more windows are alive than workers.  Then one
+
+# levels within TIE_TOL * RESIDUAL_TOL * ||H|| of the k-th tie with it
+TIE_TOL = 4.0
+
+
+def _certified_windows(bands: np.ndarray, starts, count: int) -> list:
+    """The count lowest pairs of each chain, solved on photons 0..n_w (the
+    values, and the vectors' window rows: the rows past them are zeros),
+    or None for a point whose ladder runs out.
+
+    bands holds each chain's band one photon longer, for the residuals
+    past the chain; ||H|| and the count are the chain's own.  Each point
+    climbs its own ``_ladder`` from its start window, at least count // 2
+    so that a window holds the level past the cut, until a rung passes the
+    certificate of ``converged_parity_eigensystem``.  Per rung, the
+    pending points' windows are solved and residual-tested on a thread
+    pool made for the call, of ``_pool_workers`` threads (numpy's LAPACK
+    releases the GIL); with one worker, on the calling thread.  A task
+    returns only what the certificate keeps, its cut x, the size of its
+    set and a copy of its count values and vector columns, or a
+    rejection, so no more windows are alive than workers.  Then one
     batched ``_levels_below`` on the calling thread counts the levels of
-    all of the rung's candidate chains below their cuts, and a candidate
-    certifies where that count is count.  Each window is still one LAPACK
-    call, and the rung's results are taken in point order, so the output
-    does not depend on the number of workers.
-    Returns the values and the window rows of the vectors (the rows past
-    the window are zeros).
+    the rung's candidate chains below their cuts, and a candidate
+    certifies where that count is its set's size.  The results are taken
+    in point order, so they do not depend on the number of workers.
     """
-    ladders = [photon_windows(band, max(start, count // 2),
-                              band.shape[1] - 1)
+    dim = bands.shape[2] - 2
+    chains = bands[..., :dim]
+    ladders = [_ladder(band, max(start, count // 2), dim)
                for band, start in zip(bands, starts)]
-    norms = np.array([band_norm(band) for band in bands])
+    norms = np.array([band_norm(chain) for chain in chains])
 
     def climb(point):
         """None when point's ladder has run out, False when its next window
-        fails the residual test, else (x, pair)."""
+        fails the residual test, else (x, held, pair)."""
         rung = next(ladders[point], None)
         if rung is None:
             return None
         _, (values, vectors) = rung
-        residual = padded_residuals(bands[point], values[:count],
-                                    vectors[:, :count])
-        top = values[count - 1]
-        x = 0.5 * (top + values[count])
-        if not (np.max(residual) <= RESIDUAL_TOL * norms[point]
+        tol = RESIDUAL_TOL * norms[point]
+        held = np.searchsorted(values, values[count - 1] + TIE_TOL * tol,
+                               side="right")
+        if held == len(values):     # no level past the set to cut below
+            return False
+        residual = padded_residuals(bands[point], values[:held],
+                                    vectors[:, :held])
+        top = values[held - 1]
+        x = 0.5 * (top + values[held])
+        if not (np.max(residual) <= tol
                 and math.hypot(*residual) < x - top):
             return False
         # copies, so the result owns only the count columns
-        return x, (values[:count].copy(), vectors[:, :count].copy())
+        return x, held, (values[:count].copy(), vectors[:, :count].copy())
 
     solved = [None] * len(bands)
     pending = range(len(bands))
@@ -172,12 +181,13 @@ def _certified_windows(bands: np.ndarray, starts, count: int) -> list:
                 elif outcome is not None:
                     found.append((point, *outcome))
             if found:
-                points, x, pairs = zip(*found)
+                points, x, held, pairs = zip(*found)
                 points = list(points)
-                below = _levels_below(bands[points], norms[points],
+                below = _levels_below(chains[points], norms[points],
                                       np.array(x))
-                for point, levels, pair in zip(points, below, pairs):
-                    if levels == count:
+                for point, levels, size, pair in zip(points, below, held,
+                                                     pairs):
+                    if levels == size:
                         solved[point] = pair
                     else:
                         widen.append(point)
@@ -192,59 +202,49 @@ def _converged_pairs(points, parity: Parity, trunc: TruncationConfig,
         raise ConfigError(f"{k} levels per chain is outside [1, "
                           f"{trunc.chain_dim}], the levels of a chain at "
                           f"n_max={trunc.n_max}")
-    bands = np.array([build_parity_band(params, parity, trunc)
+    longer = TruncationConfig(trunc.n_max + 1)
+    bands = np.array([build_parity_band(params, parity, longer)
                       for params in points])
     pairs = _certified_windows(
         bands, [_start_window(params, k) for params in points], k)
-    for point, pair in enumerate(pairs):
-        if pair is not None:
-            continue
-        values, vectors = eigh(expand_dense(bands[point]))
-        keep = np.flatnonzero(converged_mask(vectors, 4))[:k]
-        if len(keep) < k:
-            raise TruncationInsufficient(
-                f"only {len(keep)} of {k} requested eigenvalues "
-                f"converged at n_max={trunc.n_max} ({parity.value} parity)")
-        # index the kept columns directly so the result owns only its data
-        pairs[point] = values[keep], vectors[:, keep]
+    if any(pair is None for pair in pairs):
+        raise TruncationInsufficient(
+            f"no photon window up to the whole chain certifies the {k} "
+            f"lowest levels at n_max={trunc.n_max} ({parity.value} parity)")
     return pairs
 
 
 def converged_parity_eigensystem(params: ModelParams, parity: Parity,
                                  trunc: TruncationConfig, k: int):
-    """k lowest converged eigenpairs of one parity block.
+    """k lowest certified eigenpairs of one parity block.
 
-    First solves the lowest levels theta_i of photons 0..n_w only (the
-    leading block A of H), from the window ``_start_window(params, k)``.
-    The window is accepted when, for the cut x = (theta_k + theta_k+1) / 2
-    midway to A's next level,
-    - every one of the k vectors, zero-padded to the chain dimension, has a
-      residual ||H v - theta v|| against the whole chain of at most
+    Solves the lowest levels theta_i of photons 0..n_w (the leading block
+    A of H) on the windows from ``_start_window(params, k)`` up to the
+    whole chain.  The theta_i within TIE_TOL * RESIDUAL_TOL * ||H|| of
+    theta_k join the set, of m >= k levels, and a rung is accepted when,
+    for the cut x = (theta_m + theta_m+1) / 2 midway to A's next level,
+    - every one of the m vectors, zero-padded, has a residual
+      ||H v - theta v|| against the chain one photon longer of at most
       RESIDUAL_TOL * ||H|| (past the window that residual is
       sqrt(n_w + 1) ||[[g1, g2], [g2, g1]] v_top||, with v_top the
-      window's last two entries), and the residuals' joint norm is below
-      x - theta_k;
-    - the whole chain has no more levels below x than A has, which is k:
+      window's last two entries, and it is the same against every longer
+      chain), and the residuals' joint norm is below x - theta_m;
+    - the whole chain has no more levels below x than A has, which is m:
       ``_levels_below`` counts them as the negative eigenvalues of the
       2 x 2 block pivots of H - x from photon 0 (Sylvester's law of
       inertia), as bisection codes count levels below a shift.
     Each residual puts a distinct chain level within the residuals' joint
     norm of its theta (Kahan's bound for orthonormal vectors), all of them
     below x, so these are the chain's lowest levels, and Cauchy
-    interlacing keeps each at or below its theta.  Levels that tie inside
-    the k certify; a tie across the cut leaves no room below x.  A residual
-    alone would not do: at g1 = g2 = 0 every window has zero residual, yet
-    its first cuts can miss low levels that live at higher photon numbers.
-    Otherwise the window widens, up to the last window short of the whole
-    chain.  An accepted window returns only its own rows of the vectors;
-    the chain rows past them are exact zeros.  This is the one-point call
-    of the route that ``sweep_spectrum`` takes for all points at once, and
-    it seeds ``eigenstates.eigenstate_recurrences``.
-
-    When no window short of the whole chain certifies, solves the whole
-    chain by dense ``eigh`` and returns the first k levels of its spectrum
-    that pass the guard, with vectors over the whole chain.  ConfigError
-    for k outside [1, chain dimension].
+    interlacing keeps each at or below its theta.  A residual alone would
+    not do: at g1 = g2 = 0 every window has zero residual, yet its first
+    cuts can miss low levels that live at higher photon numbers.  Returns
+    the k lowest of the set, with only the window's own rows of the
+    vectors (the chain rows past them are exact zeros).  This is the
+    one-point call of the route that ``sweep_spectrum`` takes for all
+    points at once, and it seeds ``eigenstates.eigenstate_recurrences``.
+    TruncationInsufficient when no rung, the whole chain included,
+    certifies; ConfigError for k outside [1, chain dimension].
     """
     return _converged_pairs([params], parity, trunc, k)[0]
 
@@ -268,7 +268,7 @@ def _start_window(params: ModelParams, k: int) -> int:
 
 @dataclass(frozen=True)
 class SpectrumSweep:
-    """Converged low-lying spectra along a coupling schedule.
+    """Certified low-lying spectra along a coupling schedule.
 
     energies[parity] has shape (n_points, k); vectors[parity] is a list of
     (rows, k) eigenvector sets retained for crossing analysis, each holding
@@ -300,8 +300,8 @@ def sweep_spectrum(template: ModelParams, g1_values, g2_values,
     """Diagonalize both parity blocks at every point of a coupling schedule.
 
     g1_values and g2_values must have equal length; pass a constant array to
-    hold one coupling fixed.  Raises TruncationInsufficient if any point
-    yields fewer than k converged eigenvalues in either parity.
+    hold one coupling fixed.  Raises TruncationInsufficient where no rung
+    certifies the k lowest levels of a point in either parity.
     """
     g1_values = np.atleast_1d(np.asarray(g1_values, dtype=float))
     g2_values = np.atleast_1d(np.asarray(g2_values, dtype=float))

@@ -287,12 +287,29 @@ def test_eigenstate_serves_tiny_equal_and_deep_strong_couplings(
 
 
 def test_eigenstate_unconverged_levels_exit_3(tmp_path):
-    # at n_max = 6 none of the even levels passes the truncation guard
+    # at n_max = 6 none of the even levels certifies; at n_max = 20 level 5
+    # does not, so six levels exit 3 rather than print level 6 as index 5
     out = tmp_path / "e.csv"
-    code = run(["eigenstate", "--omega1", "1.3", "--omega2", "0.7",
-                "--g1", "0.9", "--g2", "0.4", "--parity", "even",
-                "--count", "8", "--nmax", "6", "--out", str(out)])
-    assert code == 3 and not out.exists()
+    for count, n_max in (("8", "6"), ("6", "20")):
+        code = run(["eigenstate", "--omega1", "1.3", "--omega2", "0.7",
+                    "--g1", "0.9", "--g2", "0.4", "--parity", "even",
+                    "--count", count, "--nmax", n_max, "--out", str(out)])
+        assert code == 3 and not out.exists()
+
+
+def test_spectrum_prints_only_certified_levels(tmp_path):
+    # at n_max = 120 no rung, the whole chain included, certifies the seven
+    # lowest even levels (an edge-weight guard passed branches 4-6 there,
+    # off by up to 1.1e-7); at n_max = 200 they print the digits that
+    # n_max = 400 prints
+    out = tmp_path / "s.csv"
+    argv = ["spectrum", "--omega1", "1.1", "--omega2", "0.3", "--g1", "3",
+            "--g2", "4", "--k", "7", "--out", str(out)]
+    assert run(argv + ["--nmax", "120"]) == 3 and not out.exists()
+    assert run(argv + ["--nmax", "200"]) == 0
+    _, rows = read_rows(out)
+    assert [row[4] for row in rows if row[2] == "even"][4:] == [
+        "-45.0039894836", "-44.0040350677", "-43.0040822506"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -415,7 +432,8 @@ def test_eigenstate_invalid_nmax_exits_2(tmp_path):
     # memory is touched
     ["dynamics", "--steps", str(10 ** 17)],
     ["spectrum", "--g1", "0:2:1e-13"],
-    ["eigenstate", "--bargmann", "--jmax", str(10 ** 17)],
+    # one level, which certifies at n_max 20 (the default five do not)
+    ["eigenstate", "--bargmann", "--count", "1", "--jmax", str(10 ** 17)],
     # crossing tolerances at which the swap test is vacuous
     ["spectrum", "--g1", "0:0.2:0.1", "--k", "4", "--gap-tol", "nan"],
     # checked before the sweep, whose 20 levels do not converge at n_max 10
@@ -719,6 +737,66 @@ def test_eigenstate_tie_across_the_cut_prints_nothing(tmp_path):
     _, rows = read_rows(tmp_path / "e.csv")
     assert [float(row[2]) for row in rows] == pytest.approx([0, 0, 1],
                                                            abs=1e-12)
+
+
+# per command: a quick run, and flags that each change an output of it
+_HASH_RUNS = {
+    "spectrum": (["--g1", "0.1", "--nmax", "20", "--k", "2"],
+                 [["--omega1", "1.2"], ["--omega2", "1.2"], ["--g1", "0.2"],
+                  ["--g2", "0.1"], ["--lock", "g2=g1"], ["--omega-f", "2"],
+                  ["--nmax", "21"], ["--k", "3"], ["--gap-tol", "0.1"],
+                  ["--overlap-tol", "0.3"]]),
+    "dynamics": (["--alpha", "1", "--nmax", "20", "--tmax", "2",
+                  "--steps", "4"],
+                 [["--omega1", "1.2"], ["--omega2", "1.2"], ["--g1", "0.1"],
+                  ["--g2", "0.1"], ["--omega-f", "2"], ["--nmax", "21"],
+                  ["--alpha", "0.5"], ["--qubits", "eg"], ["--tmax", "3"],
+                  ["--steps", "5"], ["--engine", "rwa"]]),
+    "perturb": (["--g1", "2", "--g2", "1.5", "--mmax", "2"],
+                [["--omega1", "1.2"], ["--omega2", "1.2"], ["--g1", "2.1"],
+                 ["--g2", "1.6"], ["--omega-f", "2"], ["--mmax", "3"],
+                 ["--ncut", "40"]]),
+    "rwa-compare": (["--g1", "0.1", "--nmax", "20", "--k", "4"],
+                    [["--omega1", "1.2"], ["--omega2", "1.2"],
+                     ["--g1", "0.2"], ["--g2", "0.1"], ["--omega-f", "2"],
+                     ["--nmax", "21"], ["--k", "5"]]),
+    "eigenstate": (["--omega1", "1.3", "--omega2", "0.7", "--g1", "0.3",
+                    "--g2", "0.4", "--count", "2", "--nmax", "40",
+                    "--jmax", "40"],
+                   [["--omega1", "1.2"], ["--omega2", "0.6"], ["--g1", "0.2"],
+                    ["--g2", "0.3"], ["--omega-f", "2"], ["--nmax", "41"],
+                    ["--parity", "even"], ["--count", "3"],
+                    ["--bargmann"], ["--bargmann", "--jmax", "41"]]),
+}
+
+
+def _header_hash(tmp_path, command, argv):
+    out = tmp_path / "h.csv"
+    assert run([command, *argv, "--out", str(out)]) == 0, argv
+    return out.read_text().split("\n", 1)[0].split()[-1]
+
+
+@pytest.mark.parametrize("command", sorted(_HASH_RUNS))
+def test_config_hash_follows_every_output_flag(command, tmp_path):
+    # each flag that changes an output changes the header hash, --nmax
+    # included; the output paths and a config file that only restates the
+    # flags do not
+    base, changes = _HASH_RUNS[command]
+    reference = _header_hash(tmp_path, command, base)
+    hashes = [_header_hash(tmp_path, command, base + flags)
+              for flags in changes]
+    assert reference not in hashes and len(set(hashes)) == len(hashes)
+    config = tmp_path / "restated.cfg"
+    config.write_text("\n".join(f"{flag[2:]}={value}" for flag, value
+                                in zip(base[0::2], base[1::2])) + "\n")
+    same = [base + ["--config", str(config)], ["--config", str(config)]]
+    if command in ("spectrum", "dynamics"):
+        same.append(base + ["--svg", str(tmp_path / "h.svg")])
+    assert [_header_hash(tmp_path, command, argv) for argv in same] == \
+        [reference] * len(same)
+    other = tmp_path / "elsewhere.csv"
+    assert run([command, *base, "--out", str(other)]) == 0
+    assert other.read_text().split("\n", 1)[0].split()[-1] == reference
 
 
 def test_importing_the_cli_does_not_import_scipy():

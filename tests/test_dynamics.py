@@ -157,6 +157,22 @@ def test_invalid_density_matrix_raises():
             dyn.concurrence(rho)
 
 
+def test_density_matrix_eigenvalue_bound_is_minus_1e_8():
+    # an eigenvalue of -2e-8 passes the bound and raises; one of -5e-9 is
+    # taken as rounding and clipped to 0
+    bad = np.diag([0.5 + 1e-8, 0.5 + 1e-8, -2e-8, 0.0])
+    with pytest.raises(InvalidDensityMatrix, match="-2.000e-08"):
+        dyn.von_neumann_entropy(bad)
+    with pytest.raises(InvalidDensityMatrix, match="-2.000e-08"):
+        dyn.concurrence(bad)
+    near = np.diag([0.5 + 2.5e-9, 0.5 + 2.5e-9, -5e-9, 0.0])
+    evals, _ = dyn._check_density_matrix(near)
+    assert np.min(evals) == 0.0
+    assert dyn.von_neumann_entropy(near) == pytest.approx(np.log(2),
+                                                          abs=1e-7)
+    assert dyn.concurrence(near) >= 0.0
+
+
 def test_concurrence_product_state_and_werner():
     for pair in ((E, G), (G, G), (E, E)):
         st = dyn.decompose_initial_state(0, *pair, T40)

@@ -358,8 +358,8 @@ def test_refined_pair_matches_dense(omega_1, omega_2, g_1, g_2, parity,
        count=st.integers(1, 4))
 @example(omega_1=0.0, omega_2=0.7, g_1=0.3, g_2=0.4, parity=Parity.ODD,
          n_max=40, count=4)
-# level 5 fails the guard, so no window certifies and the whole chain
-# gives the levels; count 7 has too few
+# level 5's residual past the chain fails the bound on every rung, the
+# whole chain included, so counts 6 and 7 raise
 @example(omega_1=1.3, omega_2=0.7, g_1=0.9, g_2=0.4, parity=Parity.EVEN,
          n_max=20, count=6)
 @example(omega_1=1.3, omega_2=0.7, g_1=0.9, g_2=0.4, parity=Parity.EVEN,
@@ -620,16 +620,18 @@ def test_index_outside_the_chain_rejected():
             eigenstate_recurrences(P, Parity.EVEN, count, 20)
 
 
-def test_index_counts_only_levels_that_pass_the_guard():
-    # at n_max = 20 the even levels 0-4 and 6 of this chain pass the
-    # truncation guard and level 5 does not: index 5 is level 6, as at
-    # n_max = 80, and index 6 has no level; at n_max = 6 none passes
+def test_index_counts_every_chain_level():
+    # at n_max = 20 the even level 5 of this chain has a residual past the
+    # chain above the bound, so six levels raise rather than skip it; at
+    # n_max = 40 index 5 is level 5, as at n_max = 80, and at n_max = 6 no
+    # level certifies
     p = ModelParams(1.3, 0.7, 0.9, 0.4)
     wide = eigh(chain_matrix(p, Parity.EVEN, 80))
-    state = eigenstate_recurrences(p, Parity.EVEN, 6, 20)[5]
-    assert state.xi == pytest.approx(wide.values[6], abs=1e-8)
-    for count, n_max in ((7, 20), (1, 6)):
-        with pytest.raises(TruncationInsufficient, match="converged"):
+    state = eigenstate_recurrences(p, Parity.EVEN, 6, 40)[5]
+    assert state.xi == pytest.approx(wide.values[5], abs=1e-8)
+    assert state.xi == pytest.approx(1.41273576, abs=1e-8)
+    for count, n_max in ((6, 20), (1, 6)):
+        with pytest.raises(TruncationInsufficient, match="certifies"):
             eigenstate_recurrences(p, Parity.EVEN, count, n_max)
 
 

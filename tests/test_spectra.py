@@ -8,13 +8,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from scipy.linalg import eigvals_banded
 
 from rabi2q import eigenstates, spectra
 from rabi2q.errors import ConfigError, TruncationInsufficient
 from rabi2q.hamiltonian import build_parity_band
 from rabi2q.model import ModelParams, Parity, TruncationConfig, basis_table
-from rabi2q.numerics import (band_norm, displacement_elements, eigh,
-                             expand_dense, inert_tail, tail_cut)
+from rabi2q.numerics import (RESIDUAL_TOL, band_norm, displacement_elements,
+                             eigh, expand_dense, inert_tail, padded_residuals,
+                             tail_cut)
 from rabi2q.spectra import (CrossingKind, SpectrumSweep,
                             converged_parity_eigensystem, detect_crossings,
                             dsc_perturbative_spectrum, rwa_relative_error,
@@ -354,8 +356,8 @@ def test_rwa_error_matches_full_basis_oracle(omega_1, omega_2, g_1, g_2,
 
 def test_converged_eigenvectors_own_only_their_columns():
     # g = 0.3/0.4 certifies a window of 28 photons, g = 0, whose tie lies
-    # inside the five levels, one of 10 photons (the whole-chain route is
-    # checked in test_tie_across_the_cut_falls_back_to_dense)
+    # inside the five levels, one of 10 photons (the whole-chain rung is
+    # checked in test_window_accepts_widens_or_reaches_chain_dimension)
     trunc = TruncationConfig(60)
     for p, rows in ((ModelParams(1.3, 0.7, 0.3, 0.4), 58),
                     (ModelParams(1.3, 0.7, 0.0, 0.0), 22)):
@@ -370,21 +372,68 @@ def test_converged_eigenvectors_own_only_their_columns():
 CLUSTER_TOL = 1e-8
 
 
-def _dense_converged(params, parity, trunc, k):
-    """The first k guard-passing pairs of dense eigh of the whole chain."""
-    dense = eigh(expand_dense(build_parity_band(params, parity, trunc)))
-    keep = np.flatnonzero(spectra.converged_mask(dense.vectors, 4))[:k]
-    return dense, keep
+def _dense(params, parity, trunc):
+    """Dense eigh of the whole chain."""
+    return eigh(expand_dense(build_parity_band(params, parity, trunc)))
+
+
+def _much_larger(trunc):
+    """A cutoff well past trunc, where the low levels have converged."""
+    return TruncationConfig(2 * trunc.n_max + 150)
 
 
 def _assert_matches_dense(vals, vecs, params, parity, trunc, k):
-    """The k converged pairs agree with dense eigh of the whole chain."""
-    dense, keep = _dense_converged(params, parity, trunc, k)
-    assert len(keep) == k
+    """The k pairs are the k lowest of dense eigh of the whole chain, and
+    certified: each vector's residual against the chain at a much larger
+    cutoff is within RESIDUAL_TOL ||H||, and the values lie within the
+    joint bound of the k lowest levels there (plus that solve's rounding).
+    """
+    assert len(vals) == k
     # a window solve returns only its own rows: the rest are zeros
     assert len(vecs) <= trunc.chain_dim
+    tol = RESIDUAL_TOL * band_norm(build_parity_band(params, parity, trunc))
+    wide = build_parity_band(params, parity, _much_larger(trunc))
+    assert np.max(padded_residuals(wide, vals, vecs)) <= tol
+    # LAPACK's banded solver (dsbevx), not the package's dense eigh
+    levels = eigvals_banded(wide, lower=True, select="i",
+                            select_range=(0, k - 1))
+    rounding = 64 * np.finfo(float).eps * band_norm(wide)
+    assert np.max(np.abs(vals - levels)) <= np.sqrt(k) * tol + rounding
     vecs = np.pad(vecs, ((0, trunc.chain_dim - len(vecs)), (0, 0)))
-    _assert_pairs_match(vals, vecs, dense, keep)
+    _assert_pairs_match(vals, vecs, _dense(params, parity, trunc),
+                        np.arange(k))
+
+
+def _whole_chain_fails(params, parity, trunc, k):
+    """Whether the whole chain's k lowest levels can fail the certificate:
+    k is the whole chain, one of their residuals against the chain one
+    photon longer passes half of RESIDUAL_TOL ||H||, or the next level lies
+    within CLUSTER_TOL ||H|| of the k-th, where it may join the set."""
+    if k == trunc.chain_dim:
+        return True
+    dense = _dense(params, parity, trunc)
+    norm = band_norm(build_parity_band(params, parity, trunc))
+    longer = build_parity_band(params, parity,
+                               TruncationConfig(trunc.n_max + 1))
+    res = padded_residuals(longer, dense.values[:k], dense.vectors[:, :k])
+    return (np.max(res) > 0.5 * RESIDUAL_TOL * norm
+            or dense.values[k] - dense.values[k - 1] <= CLUSTER_TOL * norm)
+
+
+def _assert_certified_or_unconverged(params, parity, trunc, k, solved=None):
+    """converged_parity_eigensystem, and solved from a window route when
+    given, return the k lowest levels of the chain at a much larger
+    cutoff, or TruncationInsufficient where the whole chain's own k lowest
+    fail the certificate."""
+    try:
+        pairs = [converged_parity_eigensystem(params, parity, trunc, k)]
+    except TruncationInsufficient:
+        assert solved is None
+        assert _whole_chain_fails(params, parity, trunc, k)
+        return
+    for vals, vecs in filter(None, [solved, *pairs]):
+        assert vecs.base is None or vecs.base.nbytes == vecs.nbytes
+        _assert_matches_dense(vals, vecs, params, parity, trunc, k)
 
 
 def _assert_pairs_match(vals, vecs, dense, keep):
@@ -401,7 +450,7 @@ def _assert_pairs_match(vals, vecs, dense, keep):
             assert abs(mine[:, 0] @ ref[:, 0]) > 1 - 1e-10
         elif mine.shape[1] == len(members):
             assert np.max(np.abs(mine @ mine.T - ref @ ref.T)) <= 1e-10
-        else:       # a cluster cut by the k-th level or by the guard
+        else:       # a cluster cut by the k-th level
             assert np.max(np.abs(mine - ref @ (ref.T @ mine))) <= 1e-10
 
 
@@ -460,77 +509,101 @@ def test_banded_path_matches_dense(omega_1, omega_2, g_1, g_2, parity,
     k = min(k, trunc.chain_dim)
     solved = None if window is None else _window(params, parity, trunc, k,
                                                  window)
-    _, keep = _dense_converged(params, parity, trunc, k)
-    if len(keep) < k:
-        assert solved is None
-        with pytest.raises(TruncationInsufficient):
-            converged_parity_eigensystem(params, parity, trunc, k)
-        return
-    for vals, vecs in filter(None, [
-            solved, converged_parity_eigensystem(params, parity, trunc, k)]):
-        assert vecs.base is None or vecs.base.nbytes == vecs.nbytes
-        _assert_matches_dense(vals, vecs, params, parity, trunc, k)
+    _assert_certified_or_unconverged(params, parity, trunc, k, solved)
+
+
+@settings(max_examples=60, deadline=None)
+@given(omega_1=st.floats(0.0, 2.0), omega_2=st.floats(0.0, 2.0),
+       g_1=st.floats(-5.0, 5.0), g_2=st.floats(-5.0, 5.0),
+       parity=st.sampled_from(Parity), n_max=st.integers(1, 40),
+       k=st.integers(1, 12))
+# the edge-weight guard passed branches 4-6 here, off by up to 1.1e-7
+@example(omega_1=1.1, omega_2=0.3, g_1=3.0, g_2=4.0, parity=Parity.EVEN,
+         n_max=120, k=7)
+# level 4's residual past the chain is 8.8e-10 at n_max = 20, above the
+# bound; at n_max = 24 the whole chain certifies
+@example(omega_1=1.3, omega_2=0.7, g_1=0.3, g_2=0.4, parity=Parity.EVEN,
+         n_max=20, k=5)
+@example(omega_1=1.3, omega_2=0.7, g_1=0.3, g_2=0.4, parity=Parity.EVEN,
+         n_max=24, k=5)
+def test_certified_levels_match_a_much_larger_cutoff(omega_1, omega_2, g_1,
+                                                     g_2, parity, n_max, k):
+    # every returned level, on a window or on the whole chain, is the
+    # same-index level of a much longer chain within the bound
+    params = ModelParams(omega_1, omega_2, g_1, g_2)
+    trunc = TruncationConfig(n_max)
+    _assert_certified_or_unconverged(params, parity, trunc,
+                                     min(k, trunc.chain_dim))
 
 
 def test_widening_reaches_chain_dimension():
-    # for g1 = g2 and omega_1 + omega_2 = 2 the level E = 1 decouples and
-    # passes the guard, while at n_max = 24 the nine levels below it fail
-    # it: the dense route returns the first converged level of the chain
+    # for g1 = g2 and omega_1 + omega_2 = 2 the level E = 1 decouples; at
+    # n_max = 24 the ladder widens to the whole chain, whose lowest level
+    # (-9.03, not 1) has a residual past the chain of 0.036, so the call
+    # raises; at n_max = 54 the whole chain is the rung that certifies
     p = ModelParams(1.3, 0.7, 1.5, 1.5)
-    trunc = TruncationConfig(24)
+    with pytest.raises(TruncationInsufficient, match="the 1 lowest levels"):
+        converged_parity_eigensystem(p, Parity.EVEN, TruncationConfig(24), 1)
+    trunc = TruncationConfig(54)
     vals, vecs = converged_parity_eigensystem(p, Parity.EVEN, trunc, 1)
-    assert vals[0] == pytest.approx(1.0, abs=1e-12)
+    assert vecs.shape == (trunc.chain_dim, 1)
+    assert vals[0] == pytest.approx(-9.031, abs=1e-3)
     _assert_matches_dense(vals, vecs, p, Parity.EVEN, trunc, 1)
-    with pytest.raises(TruncationInsufficient, match=r"^only 1 of 2"):
-        converged_parity_eigensystem(p, Parity.EVEN, trunc, 2)
 
 
 @settings(max_examples=60, deadline=None)
 @given(omega_2=st.floats(0.0, 2.0), g=st.floats(0.0, 2.0),
-       n_max=st.integers(20, 120), k=st.integers(1, 24))
+       n_max=st.integers(20, 200), k=st.integers(1, 24))
 # a second level lies 1.06e-9 away, inside the k levels; the windows up to
 # half the chain miss the residual bound, and one of 88 rows certifies
 @example(omega_2=0.7, g=G_CROSS, n_max=60, k=10)
 def test_dark_like_level_at_omega_f(omega_2, g, n_max, k):
     # for omega_1 + omega_2 = 2 omega_f and g1 = g2 the even chain has a
-    # level at exactly E = omega_f for every g
+    # level at exactly E = omega_f for every g; where it is among the whole
+    # chain's k lowest, it is among the certified levels, unless the whole
+    # chain fails the certificate
     params = ModelParams(2.0 - omega_2, omega_2, g, g)
     trunc = TruncationConfig(n_max)
     tol = 1e-12 * band_norm(build_parity_band(params, Parity.EVEN, trunc))
-    dense, keep = _dense_converged(params, Parity.EVEN, trunc, k)
-    assume(len(keep) == k
-           and np.min(np.abs(dense.values[keep] - 1.0)) <= tol)
-    vals, _ = converged_parity_eigensystem(params, Parity.EVEN, trunc, k)
+    dense = _dense(params, Parity.EVEN, trunc)
+    assume(np.min(np.abs(dense.values[:k] - 1.0)) <= tol)
+    try:
+        vals, _ = converged_parity_eigensystem(params, Parity.EVEN, trunc, k)
+    except TruncationInsufficient:
+        assert _whole_chain_fails(params, Parity.EVEN, trunc, k)
+        return
     assert np.min(np.abs(vals - 1.0)) <= tol
 
 
-def test_tie_across_the_cut_falls_back_to_dense(monkeypatch):
+def test_tie_across_the_cut_certifies_on_a_window(monkeypatch):
     # at zero coupling the even chain is diagonal with levels -1, 0.7, 1, 1,
     # 1.3, ...: for k = 3 the pair at 1 straddles the cut on every window,
-    # so the result is dense eigh's of the whole chain, bit for bit
+    # and so do pairs for the other k; the tied level joins the certified
+    # set, and the start window certifies, with no whole-chain solve
     calls = []
     monkeypatch.setattr(spectra, "eigh",
                         lambda h: calls.append(h.shape) or eigh(h))
     p = ModelParams(1.3, 0.7, 0.0, 0.0)
     trunc = TruncationConfig(40)
-    vals, vecs = converged_parity_eigensystem(p, Parity.EVEN, trunc, 3)
-    assert calls == [(trunc.chain_dim, trunc.chain_dim)]
-    assert vecs.base is None or vecs.base.nbytes == vecs.nbytes
-    direct = eigh(expand_dense(build_parity_band(p, Parity.EVEN, trunc)))
-    assert np.array_equal(vals, direct.values[:3])
-    assert np.array_equal(vecs, direct.vectors[:, :3])
-    calls.clear()
-    # a coupled point certifies on a window: no whole-chain solve
-    converged_parity_eigensystem(ModelParams(1.3, 0.7, 0.3, 0.4),
-                                 Parity.EVEN, TruncationConfig(60), 3)
-    assert calls == []
+    for parity, k in ((Parity.EVEN, 3), (Parity.EVEN, 7), (Parity.ODD, 5),
+                      (Parity.ODD, 9)):
+        dense = _dense(p, parity, trunc)
+        assert dense.values[k] == dense.values[k - 1]
+        vals, vecs = converged_parity_eigensystem(p, parity, trunc, k)
+        assert calls == [] and len(vecs) < trunc.chain_dim
+        assert vecs.base is None or vecs.base.nbytes == vecs.nbytes
+        _assert_matches_dense(vals, vecs, p, parity, trunc, k)
+        # a coupled point certifies on a window too
+        converged_parity_eigensystem(ModelParams(1.3, 0.7, 0.3, 0.4),
+                                     parity, TruncationConfig(60), k)
+        assert calls == []
 
 
 def test_overflowing_banded_solve_falls_back_without_warning():
     # couplings of 8e-168 put entries near the float underflow into the
-    # solve; the point is solved without a warning by dense eigh of the
-    # whole chain at n_max = 5 (the start window, 12 rows, is the whole
-    # chain) and on a window, inertia count included, at n_max = 20
+    # solve; the point is solved without a warning on the whole chain's
+    # rung at n_max = 5 (the start window, 12 rows, is the whole chain)
+    # and on a window at n_max = 20, inertia count included in both
     g = 8.183430930081774e-168
     for n_max in (5, 20):
         with warnings.catch_warnings():
@@ -541,13 +614,19 @@ def test_overflowing_banded_solve_falls_back_without_warning():
         assert vals.tolist() == [-0.25]
 
 
-def test_huge_coupling_goes_to_dense_without_overflow():
-    # the start window's square would overflow a float at this coupling
+def test_huge_coupling_goes_to_dense_without_overflow(monkeypatch):
+    # the start window's square would overflow a float at this coupling,
+    # so the ladder's only rung is the whole chain; its residuals past the
+    # chain, near 1e161, fail the bound, with no float warning
+    calls = []
+    monkeypatch.setattr(spectra, "eigh",
+                        lambda h: calls.append(h.shape) or eigh(h))
     p = ModelParams(1.0, 1.0, 1e160, 1e160)
     trunc = TruncationConfig(20)
     assert spectra._start_window(p, 2) >= trunc.n_max
-    vals, vecs = converged_parity_eigensystem(p, Parity.EVEN, trunc, 2)
-    _assert_matches_dense(vals, vecs, p, Parity.EVEN, trunc, 2)
+    with pytest.raises(TruncationInsufficient):
+        converged_parity_eigensystem(p, Parity.EVEN, trunc, 2)
+    assert calls == [(trunc.chain_dim, trunc.chain_dim)]
 
 
 def _window_dims(monkeypatch):
@@ -565,9 +644,10 @@ def _window_dims(monkeypatch):
 
 
 def _window(params, parity, trunc, k, n_window):
-    """The window route alone at one point, from the start window n_window:
-    None when no window short of the whole chain certifies."""
-    band = build_parity_band(params, parity, trunc)
+    """The ladder alone at one point, from the start window n_window: None
+    when no rung, the whole chain included, certifies."""
+    band = build_parity_band(params, parity,
+                             TruncationConfig(trunc.n_max + 1))
     return spectra._certified_windows(band[None], [n_window], k)[0]
 
 
@@ -589,16 +669,23 @@ def test_window_accepts_widens_or_reaches_chain_dimension(monkeypatch):
     _assert_matches_dense(vals, vecs, p, Parity.ODD, trunc, 20)
 
     # no window short of the whole chain certifies (the next, 64 rows,
-    # would pass its 50), so the point goes to dense eigh of the whole chain
+    # would pass its 50), and neither does the whole chain, the last rung
     dims.clear()
     p = ModelParams(1.3, 0.7, 1.5, 1.5)
     trunc = TruncationConfig(24)
     assert _window(p, Parity.EVEN, trunc, 1, 3) is None
     assert dims == [8, 12, 18, 28, 42]
+    with pytest.raises(TruncationInsufficient):
+        converged_parity_eigensystem(p, Parity.EVEN, trunc, 1)
+
+    # at n_max = 54 the whole chain certifies where no window does, and
+    # returns its own lowest pair bit for bit
+    trunc = TruncationConfig(54)
+    assert _window(p, Parity.EVEN, trunc, 1, 3) is not None
     vals, vecs = converged_parity_eigensystem(p, Parity.EVEN, trunc, 1)
-    dense, keep = _dense_converged(p, Parity.EVEN, trunc, 1)
-    assert np.array_equal(vals, dense.values[keep])
-    assert np.array_equal(vecs, dense.vectors[:, keep])
+    dense = _dense(p, Parity.EVEN, trunc)
+    assert np.array_equal(vals, dense.values[:1])
+    assert np.array_equal(vecs, dense.vectors[:, :1])
 
 
 @pytest.mark.parametrize("k,rows", [(4, 20), (10, 30)])
@@ -635,9 +722,8 @@ def test_moderate_cutoff_sweep_certifies_every_point_on_a_window(
                for v in sweep.vectors[parity]) < trunc.chain_dim
     for parity in Parity:
         for g, values in zip(gs, sweep.energies[parity]):
-            dense, keep = _dense_converged(ModelParams(1.3, 0.7, g, g),
-                                           parity, trunc, 12)
-            assert np.max(np.abs(values - dense.values[keep])) <= 1e-12
+            dense = _dense(ModelParams(1.3, 0.7, g, g), parity, trunc)
+            assert np.max(np.abs(values - dense.values[:12])) <= 1e-12
 
 
 def test_crossings_on_window_rows_match_zero_padded_vectors():
@@ -657,8 +743,8 @@ def test_crossings_on_window_rows_match_zero_padded_vectors():
                for r in detect_crossings(sweep, Parity.EVEN))
 
 
-# at n_max = 50 no window certifies at part of the points, so the sweep
-# mixes window and dense solves
+# at n_max = 50 no window short of the chain certifies at part of the
+# points, so the sweep mixes windows and whole-chain rungs
 @pytest.mark.parametrize("n_max", [120, 50])
 @pytest.mark.parametrize("order", [1, -1], ids=["increasing", "decreasing"])
 def test_windowed_sweep_matches_whole_chain_solves(order, n_max):
@@ -668,10 +754,8 @@ def test_windowed_sweep_matches_whole_chain_solves(order, n_max):
     pairs = {parity: [] for parity in Parity}
     for parity in Parity:
         for g in gs:
-            dense, keep = _dense_converged(ModelParams(1.3, 0.7, g, g),
-                                           parity, trunc, 12)
-            pairs[parity].append((dense.values[keep],
-                                  dense.vectors[:, keep]))
+            dense = _dense(ModelParams(1.3, 0.7, g, g), parity, trunc)
+            pairs[parity].append((dense.values[:12], dense.vectors[:, :12]))
     ref = SpectrumSweep(12, gs, gs,
                         {par: np.array([v for v, _ in pairs[par]])
                          for par in Parity},
