@@ -8,8 +8,7 @@ from .dynamics import (ParityDecomposedState, QuarticCoefficients,
                        mean_photon_number, population_inversion,
                        quartic_coefficients, quartic_roots,
                        reduced_density_matrix, von_neumann_entropy)
-from .eigenstates import (BargmannCoefficients, RecurrenceState,
-                          bargmann_identical_coefficients,
+from .eigenstates import (RecurrenceState, bargmann_identical_coefficients,
                           recurrence_eigenstate_la, residual)
 from .hamiltonian import (RwaExcitationBlock, build_parity_band,
                           build_rwa_band, build_rwa_excitation_block)
@@ -23,9 +22,8 @@ from .spectra import (CrossingKind, CrossingRecord, PerturbativeSpectrum,
 
 __all__ = [
     "__version__",
-    "BargmannCoefficients", "CrossingKind",
-    "CrossingRecord", "EigenDecomposition", "ModelParams", "Parity",
-    "ParityDecomposedState", "PerturbativeSpectrum",
+    "CrossingKind", "CrossingRecord", "EigenDecomposition", "ModelParams",
+    "Parity", "ParityDecomposedState", "PerturbativeSpectrum",
     "QuarticCoefficients", "QubitLevel", "RecurrenceState",
     "RwaErrorReport", "RwaExcitationBlock", "SpectrumSweep", "Trajectory",
     "TruncationConfig",

@@ -312,10 +312,11 @@ def eigenstate_recurrences(params: ModelParams, parity: Parity, count: int,
 # ---------------------------------------------------------------------------
 
 # The parity label selects the branch of the printed coefficient formulas.
-# Under the rotation conventions fixed in bargmann_to_chain (qubit basis
-# rotated so couplings become diagonal, reflection symmetry realized as
-# sigma_x sigma_x P_z), the even chain pairs with branch sign -1 and the odd
-# chain with +1; the pairing is pinned by the reconstruction oracle.
+# Under the rotation conventions fixed in _chain_lanes (qubit basis rotated
+# so couplings become diagonal, reflection symmetry realized as sigma_x
+# sigma_x P_z), the even chain pairs with branch sign -1 and the odd chain
+# with +1; the pairing is pinned by the residuals of the reconstructed
+# states.
 _BRANCH_SIGN = {Parity.EVEN: -1, Parity.ODD: +1}
 _SPINOR_SIGN = {Parity.EVEN: +1, Parity.ODD: -1}
 
@@ -349,22 +350,6 @@ def _bargmann_alphas(params: ModelParams, parity: Parity, chi: float,
 def _alpha0_scale(params: ModelParams, j: np.ndarray) -> np.ndarray:
     return (j * (j - 1) * abs(params.g_plus * params.g_minus)
             * (abs(params.omega_1) + abs(params.omega_2)))
-
-
-@dataclass(frozen=True)
-class BargmannCoefficients:
-    """Fock amplitudes v_j = sqrt(j!) c_j of the power-series coefficients
-    c_j of the parity-projected Bargmann functions of one parity at chi.
-
-    c interleaves the even-power series (slots 0, 2, ...) and the odd-power
-    series (slots 1, 3, ...); phi2 holds the companion function's amplitudes
-    (bargmann_minimal_coefficients; StepSingular when omega_1 = omega_2).
-    """
-
-    parity: Parity
-    chi: float
-    c: np.ndarray
-    phi2: np.ndarray
 
 
 def _phi2_series(params: ModelParams, signs: np.ndarray, chi: np.ndarray,
@@ -462,43 +447,6 @@ def _null_vectors(matrices):
     return np.where(v[0] < 0, -v, v), least
 
 
-def bargmann_minimal_coefficients(params: ModelParams, parity: Parity,
-                                  chi: float, j_max: int):
-    """Decaying Fock amplitudes of the five-term system: the least right
-    singular vector of the banded row matrix with a zero tail appended, by
-    the one-lane call of ``_null_vectors``.
-
-    Forward evaluation cannot reach the minimal solution in fixed precision
-    (growing solutions amplify roundoff by orders of magnitude per step).
-    Returns (BargmannCoefficients, ||M v||), M the row matrix; the second
-    is at rounding level at an eigenvalue whose state the amplitudes hold,
-    and grows with the distance of chi from one.
-    Raises StepSingular when alpha_0 vanishes on a row (omega_1 = omega_2,
-    where the companion series divides by zero, or g_plus g_minus = 0).
-    """
-    if j_max < 8:
-        raise ConfigError("j_max must be >= 8")
-    v, size = _null_vectors([_bargmann_rows(params, parity, chi, j_max)])
-    phi2 = _phi2_series(params, np.array([_BRANCH_SIGN[parity]]), chi, v)
-    return (BargmannCoefficients(parity, chi, v[:, 0], phi2[:, 0]),
-            float(size[0]))
-
-
-@dataclass(frozen=True)
-class BargmannChainState:
-    """Parity-chain vector reconstructed from Bargmann amplitudes.
-
-    v is the normalized chain vector of the given parity at energy xi;
-    other_chain_weight is the fraction of the reconstructed norm that fell
-    on the other parity chain.
-    """
-
-    parity: Parity
-    xi: float
-    v: np.ndarray
-    other_chain_weight: float
-
-
 # rotated-to-lab weights of the qubit pairs, rows and columns in the
 # product-basis pair order (ee, eg, ge, gg) of model.PAIR_ORDER
 _ROTATION = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
@@ -507,9 +455,17 @@ _PAIR_ROTATION = np.kron(_ROTATION, _ROTATION)
 
 def _chain_lanes(c: np.ndarray, phi2: np.ndarray, signs: np.ndarray,
                  n_max: int) -> dict:
-    """The two parity chains, unnormalized and by parity, of the amplitudes
-    c and phi2 of ``bargmann_to_chain``, one column per lane, each with its
-    spinor sign."""
+    """The two parity chains, unnormalized and by parity, of Bargmann
+    amplitudes c and their companion's phi2, one column per lane, each with
+    its spinor sign.
+
+    Amplitude k is the weight of the Fock state |k> (z^k <-> sqrt(k!) |k>).
+    The first function carries the diagonal coupling g_plus, the companion
+    g_minus, and the remaining two rotated components follow from the
+    reflection symmetry with the lane's sign.  The components of photon
+    levels up to n_max are rotated back to the lab qubit basis, and each
+    chain is gathered from the product basis.
+    """
     keep = min(len(c), n_max + 1)
     flip = signs * (-1.0) ** np.arange(keep)[:, None]
     c, phi2 = c[:keep], phi2[:keep]
@@ -519,30 +475,6 @@ def _chain_lanes(c: np.ndarray, phi2: np.ndarray, signs: np.ndarray,
         (c, phi2, flip * phi2, flip * c), _PAIR_ROTATION.T))
     return {par: full.reshape(-1, c.shape[1])[idx]
             for par, idx in basis_table(trunc).full_index.items()}
-
-
-def bargmann_to_chain(coeffs: BargmannCoefficients,
-                      n_max: int) -> BargmannChainState:
-    """Convert Bargmann amplitudes to a normalized parity-chain vector.
-
-    Amplitude k is the weight of the Fock state |k> (z^k <-> sqrt(k!) |k>).
-    The first function carries the diagonal coupling g_plus, the companion
-    g_minus, and the remaining two rotated components follow from the
-    reflection symmetry with the parity-dependent sign.  The components of
-    photon levels up to n_max are rotated back to the lab qubit basis, and
-    each chain is gathered from the product basis before normalization.
-    """
-    parity = coeffs.parity
-    chains = {par: x[:, 0] for par, x in _chain_lanes(
-        coeffs.c[:, None], coeffs.phi2[:, None],
-        np.array([_SPINOR_SIGN[parity]]), n_max).items()}
-    own = np.linalg.norm(chains[parity])
-    other = Parity.ODD if parity is Parity.EVEN else Parity.EVEN
-    total = math.hypot(own, np.linalg.norm(chains[other]))
-    if own == 0.0:
-        raise OverflowDetected("reconstruction produced a null vector")
-    return BargmannChainState(parity, coeffs.chi, chains[parity] / own,
-                              float(np.linalg.norm(chains[other]) / total))
 
 
 def bargmann_residuals(params: ModelParams, levels, j_max: int,
@@ -587,17 +519,6 @@ def bargmann_residuals(params: ModelParams, levels, j_max: int,
         for col, norm, value in zip(cols, norms, res.tolist()):
             found[lanes[col]] = value if norm else OverflowDetected(
                 "reconstruction produced a null vector")
-    return found
-
-
-def bargmann_reconstruction_residual(params: ModelParams, parity: Parity,
-                                     chi: float, j_max: int = 120,
-                                     n_max: int = 200) -> float:
-    """Residual of the reconstructed chain state at energy chi: the
-    one-level call of ``bargmann_residuals``, raising its error."""
-    found, = bargmann_residuals(params, [(parity, chi)], j_max, n_max)
-    if isinstance(found, Exception):
-        raise found
     return found
 
 

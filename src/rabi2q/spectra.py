@@ -515,32 +515,34 @@ def rwa_relative_error(params: ModelParams, trunc: TruncationConfig,
     """|E_RWA,i - E_full,i| / |E_full,i| for the k lowest levels.
 
     Neither Hamiltonian couples the two parities, so each spectrum merges
-    the levels of its two chains, each solved by dense eigh.  Each
-    model's k lowest merged levels must all pass the truncation guard,
-    otherwise TruncationInsufficient: skipping one would pair the levels
-    of different states.  ConfigError when k passes the levels of the
-    two chains.
+    the levels of its two chains.  The full model's are the min(k, chain
+    dimension) lowest of each chain that ``converged_parity_eigensystem``
+    certifies.  The RWA band's coupling blocks are not of the form [[a, b],
+    [b, a]] that the inertia count takes, so its chains are solved by dense
+    eigh, and its k lowest merged levels must all pass the truncation
+    guard, ``converged_mask``: skipping one would pair the levels of
+    different states.  TruncationInsufficient where either side fails,
+    ConfigError when k passes the levels of the two chains.
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
     if k > 2 * trunc.chain_dim:
         raise ConfigError(f"{k} levels pass the {2 * trunc.chain_dim} "
                           f"levels of the two chains at n_max={trunc.n_max}")
-    results = []
-    for model, builder in (("full", build_parity_band),
-                           ("RWA", build_rwa_band)):
-        chains = [eigh(expand_dense(builder(params, parity, trunc)))
-                  for parity in (Parity.EVEN, Parity.ODD)]
-        values = np.concatenate([vals for vals, _ in chains])
-        lowest = np.argsort(values)[:k]
-        passed = np.concatenate([converged_mask(vecs, 4)
-                                 for _, vecs in chains])[lowest]
-        if len(lowest) < k or not passed.all():
-            raise TruncationInsufficient(
-                f"only {np.sum(passed)} of the {k} lowest {model} "
-                f"eigenvalues converged at n_max={trunc.n_max}")
-        results.append(values[lowest])
-    e_full, e_rwa = results
+    e_full = np.sort(np.concatenate([converged_parity_eigensystem(
+        params, parity, trunc, min(k, trunc.chain_dim))[0]
+        for parity in (Parity.EVEN, Parity.ODD)]))[:k]
+    chains = [eigh(expand_dense(build_rwa_band(params, parity, trunc)))
+              for parity in (Parity.EVEN, Parity.ODD)]
+    values = np.concatenate([vals for vals, _ in chains])
+    lowest = np.argsort(values)[:k]
+    passed = np.concatenate([converged_mask(vecs, 4)
+                             for _, vecs in chains])[lowest]
+    if not passed.all():
+        raise TruncationInsufficient(
+            f"only {np.sum(passed)} of the {k} lowest RWA eigenvalues "
+            f"converged at n_max={trunc.n_max}")
+    e_rwa = values[lowest]
     diff = np.abs(e_rwa - e_full)
     with np.errstate(divide="ignore", invalid="ignore"):
         errors = np.divide(diff, np.abs(e_full),

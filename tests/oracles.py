@@ -5,6 +5,7 @@ direct assemblies can be checked against it.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -15,7 +16,8 @@ from rabi2q.dynamics import QuarticCoefficients
 from rabi2q.eigenstates import NULL_STEPS
 from rabi2q.errors import ConfigError, StepSingular
 from rabi2q.hamiltonian import build_rwa_excitation_block
-from rabi2q.model import Parity, QubitLevel, TruncationConfig, basis_table
+from rabi2q.model import (ModelParams, Parity, QubitLevel, TruncationConfig,
+                          basis_table)
 
 # the even-parity crossing of the criterion-05 sweep (omega = 1.3, 0.7,
 # g1 = g2, n_max = 300) between branches 3 and 4, located by minimizing the
@@ -100,6 +102,24 @@ def build_parity_operator(trunc: TruncationConfig) -> np.ndarray:
 def excitation_number_operator(trunc: TruncationConfig) -> np.ndarray:
     """Diagonal of N = a+a + (sz1+sz2)/2 + 1 in the product basis."""
     return np.diag(basis_table(trunc).excitation.astype(float))
+
+
+def exchanged(params):
+    """The qubits swapped, (omega_1, g_1) <-> (omega_2, g_2), which keeps
+    each parity chain's spectrum and the state |gg>."""
+    return ModelParams(params.omega_2, params.omega_1, params.g_2, params.g_1)
+
+
+def g1_flipped(params):
+    """g_1 -> -g_1, conjugation by sigma_z of qubit 1, which keeps each
+    parity chain's spectrum and the state |gg>."""
+    return replace(params, g_1=-params.g_1)
+
+
+def both_flipped(params):
+    """(g_1, g_2) -> (-g_1, -g_2), conjugation by the photon parity (or by
+    sigma_z of both qubits), which keeps each parity chain's spectrum."""
+    return replace(params, g_1=-params.g_1, g_2=-params.g_2)
 
 
 def kronecker_reference(params, trunc, rwa=False):
@@ -250,40 +270,41 @@ def bargmann_rows_reference(params, parity, chi, j_max):
     return np.array(rows)
 
 
-def bargmann_chain_reference(coeffs, n_max):
-    """(v, other_chain_weight) of bargmann_to_chain, built one amplitude at
-    a time.
+def bargmann_chain_reference(parity, c, phi2, n_max):
+    """(v, other_chain_weight) of the Bargmann amplitudes c and companion
+    amplitudes phi2 of one level of parity, built one amplitude at a time:
+    the normalized chain vector of parity, and the fraction of the norm
+    that falls on the other chain.
 
     The rotated components at photon level n are (c_n, phi2_n) and
     f (phi2_n, c_n), the amplitudes of the Fock state |n>, with
-    f = s (-1)^n and s = +1 for even coeffs.parity, -1 for odd.  Qubit
+    f = s (-1)^n and s = +1 for even parity, -1 for odd.  Qubit
     pair (a, b) takes sum_uv R[a, u] R[b, v] times component (u, v), in
     the package's term order, up to level min(j_max, n_max); each chain
     position is then read at the row the scalar maps above give it, not
     through basis_table.
     """
-    sigma = 1 if coeffs.parity is Parity.EVEN else -1
+    sigma = 1 if parity is Parity.EVEN else -1
     trunc = TruncationConfig(max(n_max, 1))
     lab = np.zeros((trunc.n_max + 1, 4))
-    for n, (c, phi2) in enumerate(zip(coeffs.c.tolist(),
-                                      coeffs.phi2.tolist())):
+    for n, (c_n, phi2_n) in enumerate(zip(c.tolist(), phi2.tolist())):
         if n > n_max:
             break
         flip = sigma * (-1.0) ** n
-        comp = ((c, phi2), (flip * phi2, flip * c))
+        comp = ((c_n, phi2_n), (flip * phi2_n, flip * c_n))
         for pair, (q1, q2) in enumerate(FULL_PAIRS):
             a, b = _LEVELS.index(q1), _LEVELS.index(q2)
             for u in range(2):
                 for v in range(2):
                     lab[n, pair] += (_ROTATION[a, u] * _ROTATION[b, v]
                                      * comp[u][v])
-    chains = {parity: np.array([lab.flat[full_basis_index(
-                  *chain_state(parity, j))] for j in range(trunc.chain_dim)])
-              for parity in Parity}
-    own = np.linalg.norm(chains[coeffs.parity])
-    other = np.linalg.norm(chains[Parity.ODD if coeffs.parity is Parity.EVEN
+    chains = {par: np.array([lab.flat[full_basis_index(
+                  *chain_state(par, j))] for j in range(trunc.chain_dim)])
+              for par in Parity}
+    own = np.linalg.norm(chains[parity])
+    other = np.linalg.norm(chains[Parity.ODD if parity is Parity.EVEN
                                   else Parity.EVEN])
-    return (chains[coeffs.parity] / own,
+    return (chains[parity] / own,
             float(other / math.hypot(own, other)))
 
 

@@ -312,6 +312,19 @@ def test_spectrum_prints_only_certified_levels(tmp_path):
         "-45.0039894836", "-44.0040350677", "-43.0040822506"]
 
 
+def test_rwa_compare_prints_only_certified_levels(tmp_path):
+    # the full model's levels take the certificate of spectrum: at n_max =
+    # 120 they carry less than 1e-8 on the top two photons yet are off by
+    # up to 1.07e-7
+    out = tmp_path / "r.csv"
+    argv = ["rwa-compare", "--omega1", "1.1", "--omega2", "0.3", "--g1", "3",
+            "--g2", "4", "--k", "14", "--out", str(out)]
+    assert run(argv + ["--nmax", "120"]) == 3 and not out.exists()
+    assert run(argv + ["--nmax", "200"]) == 0
+    _, rows = read_rows(out)
+    assert rows[13][1] == "-43.0040822506"
+
+
 @pytest.mark.parametrize("argv", [
     ["--g1", "0", "--g2", "0", "--count", "6", "--nmax", "20"],
     ["--omega1", "0", "--omega2", "0", "--g1", "1e-30", "--g2", "0",
@@ -691,7 +704,8 @@ commands = [
     ["dynamics", "--alpha", "1", "--nmax", "20", "--tmax", "2",
      "--steps", "4", "--engine", "rwa"],
     ["perturb", "--mmax", "2"],
-    ["rwa-compare", "--k", "4", "--nmax", "20"],
+    # the full model's 4 lowest levels certify from n_max = 25
+    ["rwa-compare", "--k", "4", "--nmax", "30"],
     ["eigenstate", "--bargmann", "--count", "2", "--nmax", "40",
      "--jmax", "40"],
     ["spectrum", "--nmax", "60", "--k", "2"],

@@ -13,7 +13,8 @@ from rabi2q.model import (PAIR_ORDER, ModelParams, Parity, QubitLevel,
 from rabi2q.numerics import (EigenDecomposition, band_matvec, band_norm,
                              eigh, expand_dense, padded_residuals)
 
-from oracles import (kronecker_reference, mp_concurrence,
+from oracles import (both_flipped, exchanged, g1_flipped,
+                     kronecker_reference, mp_concurrence,
                      propagate_reference, quartic_coefficients_from_block,
                      reduced_density_matrix_partial_trace,
                      zero_frequency_evolution)
@@ -859,3 +860,67 @@ def test_rwa_matches_full_model_at_weak_coupling():
         a, b = getattr(full, name), getattr(rwa, name)
         bound = 0.02 * max(1.0, float(np.max(np.abs(a))))
         assert np.max(np.abs(a - b)) <= bound, name
+
+
+# ---------------------------------------------------------------------------
+# symmetries of the model, from |alpha, gg>
+# ---------------------------------------------------------------------------
+
+ENGINES = [dyn.evolve_parity, dyn.evolve_rwa_closed_form]
+OBSERVABLES = ("mean_n", "s_z", "entropy", "concurrence")
+
+
+def _observed(engine, params, alpha, n_max, times):
+    """mean_n, s_z, entropy and concurrence (rows) from |alpha, gg>."""
+    trunc = TruncationConfig(n_max)
+    traj = engine(dyn.decompose_initial_state(("coherent", alpha), G, G,
+                                              trunc), params, times)
+    return np.array([getattr(traj, name) for name in OBSERVABLES])
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("params", [ModelParams(1.1, 0.3, 0.3, 0.4),
+                                    ModelParams(1.1, 0.3, 0.8, -0.5)])
+def test_dynamics_keep_the_qubit_symmetries(engine, params):
+    # exchange and g_1 -> -g_1 keep the four observables to 1e-12; (g_1,
+    # g_2) -> (-g_1, -g_2), conjugation by sigma_z of both qubits, keeps
+    # them bit for bit from alpha and from -alpha alike, and with alpha ->
+    # -alpha, conjugation by the photon parity, keeps them to 1e-12
+    alpha, times = np.sqrt(2.0), np.linspace(0.0, 10.0, 101)
+    seen = _observed(engine, params, alpha, 40, times)
+    for mirror in (exchanged, g1_flipped):
+        mirrored = _observed(engine, mirror(params), alpha, 40, times)
+        assert np.max(np.abs(seen - mirrored)) <= 1e-12
+    for sign in (1.0, -1.0):
+        assert np.array_equal(
+            _observed(engine, params, sign * alpha, 40, times),
+            _observed(engine, both_flipped(params), sign * alpha, 40, times))
+    parity = _observed(engine, both_flipped(params), -alpha, 40, times)
+    assert np.max(np.abs(seen - parity)) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(omega_1=strategies.floats(0.0, 2.0),
+       omega_2=strategies.floats(0.0, 2.0),
+       g_1=strategies.floats(-5.0, 5.0), g_2=strategies.floats(-5.0, 5.0),
+       alpha=strategies.floats(-1.5, 1.5), n_max=strategies.integers(20, 40),
+       engine=strategies.sampled_from(ENGINES),
+       mirror=strategies.sampled_from([exchanged, g1_flipped,
+                                       both_flipped]))
+def test_drawn_dynamics_keep_the_qubit_symmetries(omega_1, omega_2, g_1, g_2,
+                                                  alpha, n_max, engine,
+                                                  mirror):
+    # each symmetry keeps mean_n, s_z and the entropy to 1e-12, and the
+    # joint flip the concurrence too.  Near a pure state the float
+    # concurrence is off by up to about 3e-10 (against the 50-digit oracle,
+    # on the same rho), so exchange and g_1 -> -g_1 compare it only at the
+    # configurations above.  Draws past the cutoff are skipped
+    params = ModelParams(omega_1, omega_2, g_1, g_2)
+    times = np.linspace(0.0, 10.0, 21)
+    try:
+        seen, mirrored = (_observed(engine, p, alpha, n_max, times)
+                          for p in (params, mirror(params)))
+    except TruncationInsufficient:
+        return
+    rows = 4 if mirror is both_flipped else 3
+    assert np.max(np.abs(seen[:rows] - mirrored[:rows])) <= 1e-12

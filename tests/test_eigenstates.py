@@ -18,9 +18,7 @@ import rabi2q
 import rabi2q.eigenstates as eig_mod
 from rabi2q.eigenstates import (CLUSTER_GAP, RECURRENCE_RESIDUAL_TOL,
                                 bargmann_identical_coefficients,
-                                bargmann_minimal_coefficients,
-                                bargmann_reconstruction_residual,
-                                bargmann_to_chain, chain_residual,
+                                bargmann_residuals, chain_residual,
                                 eigenstate_recurrences,
                                 recurrence_eigenstate_la, residual)
 from rabi2q.errors import (ConfigError, OverflowDetected, SingularCoupling,
@@ -832,6 +830,32 @@ def test_null_vector_lanes_stop_apart_and_floor_a_zero_pivot():
     assert np.linalg.qr(band, mode="r")[40, 40] == 0.0
 
 
+def bargmann_residual(params, parity, chi, j_max=120, n_max=NMAX):
+    """The one-level call of ``bargmann_residuals``: a residual, or the
+    error of a level the route cannot serve."""
+    found, = bargmann_residuals(params, [(parity, chi)], j_max, n_max)
+    return found
+
+
+def bargmann_lane(params, parity, chi, j_max, n_max):
+    """One level on the lanes of ``bargmann_residuals``: its amplitudes,
+    the companion's, and ||M v|| (``_null_vectors`` and
+    ``_phi2_series``), with the chain vector of its parity that
+    ``_chain_lanes`` gathers, normalized, and the fraction of the norm
+    that falls on the other chain."""
+    v, size = eig_mod._null_vectors(
+        [eig_mod._bargmann_rows(params, parity, chi, j_max)])
+    phi2 = eig_mod._phi2_series(
+        params, np.array([eig_mod._BRANCH_SIGN[parity]]), chi, v)
+    chains = eig_mod._chain_lanes(
+        v, phi2, np.array([eig_mod._SPINOR_SIGN[parity]]), n_max)
+    own = np.linalg.norm(chains[parity][:, 0])
+    other = np.linalg.norm(chains[Parity.ODD if parity is Parity.EVEN
+                                  else Parity.EVEN][:, 0])
+    return (v[:, 0], phi2[:, 0], float(size[0]), chains[parity][:, 0] / own,
+            float(other / math.hypot(own, other)))
+
+
 def test_bargmann_residuals_take_both_parities_and_report_each_level():
     # one call serves the levels of both parities, each as its one-level
     # call does to rounding; equal qubit frequencies make every level
@@ -839,17 +863,18 @@ def test_bargmann_residuals_take_both_parities_and_report_each_level():
     levels = [(parity, float(xi)) for parity in Parity
               for xi in converged_parity_eigensystem(
                   P, parity, TruncationConfig(NMAX), 4)[0]]
-    found = eig_mod.bargmann_residuals(P, levels, 120, NMAX)
+    found = bargmann_residuals(P, levels, 120, NMAX)
     for (parity, chi), res in zip(levels, found):
-        alone = bargmann_reconstruction_residual(P, parity, chi, 120, NMAX)
+        alone = bargmann_residual(P, parity, chi)
         assert res <= 1e-13 and abs(res - alone) <= 1e-14
     same = ModelParams(0.9, 0.9, 0.3, 0.45)
-    found = eig_mod.bargmann_residuals(same, levels, 120, NMAX)
+    found = bargmann_residuals(same, levels, 120, NMAX)
     assert all(isinstance(res, StepSingular) for res in found)
-    with pytest.raises(StepSingular, match="alpha_0 vanishes"):
-        bargmann_reconstruction_residual(same, Parity.ODD, -0.5, 120, NMAX)
+    alone = bargmann_residual(same, Parity.ODD, -0.5)
+    assert isinstance(alone, StepSingular)
+    assert "alpha_0 vanishes" in str(alone)
     with pytest.raises(ConfigError):
-        eig_mod.bargmann_residuals(P, levels, 7, NMAX)
+        bargmann_residuals(P, levels, 7, NMAX)
 
 
 def test_five_term_identical_qubits_step_singular():
@@ -857,13 +882,13 @@ def test_five_term_identical_qubits_step_singular():
     p = ModelParams(0.9, 0.9, 0.3, 0.45)
     for parity in Parity:
         with pytest.raises(StepSingular, match="alpha_0 vanishes"):
-            bargmann_minimal_coefficients(p, parity, -0.5, 30)
+            eig_mod._bargmann_rows(p, parity, -0.5, 30)
 
 
 def test_five_term_zero_coupling_product_singular():
     p = ModelParams(1.3, 0.7, 0.3, 0.3)  # g_minus = 0
     with pytest.raises(StepSingular, match="alpha_0 vanishes"):
-        bargmann_minimal_coefficients(p, Parity.EVEN, -0.5, 30)
+        eig_mod._bargmann_rows(p, Parity.EVEN, -0.5, 30)
 
 
 def test_reconstruction_residual_small_at_eigenvalues():
@@ -871,9 +896,7 @@ def test_reconstruction_residual_small_at_eigenvalues():
     for parity in Parity:
         vals, _ = eigh(expand_dense(build_parity_band(PB, parity, trunc)))
         for index in (0, 3):
-            res = bargmann_reconstruction_residual(PB, parity,
-                                                   float(vals[index]),
-                                                   j_max=120, n_max=NMAX)
+            res = bargmann_residual(PB, parity, float(vals[index]))
             assert res <= 1e-4
 
 
@@ -881,18 +904,16 @@ def test_reconstruction_residual_large_off_eigenvalue():
     trunc = TruncationConfig(NMAX)
     vals, _ = eigh(expand_dense(build_parity_band(PB, Parity.EVEN, trunc)))
     chi_mid = 0.5 * (vals[1] + vals[2])
-    res = bargmann_reconstruction_residual(PB, Parity.EVEN, chi_mid,
-                                           j_max=120, n_max=NMAX)
+    res = bargmann_residual(PB, Parity.EVEN, chi_mid)
     assert res > 1e-2
 
 
 def test_reconstruction_stays_in_claimed_parity():
     trunc = TruncationConfig(NMAX)
     vals, _ = eigh(expand_dense(build_parity_band(PB, Parity.ODD, trunc)))
-    coeffs, s_min = bargmann_minimal_coefficients(PB, Parity.ODD,
-                                                  float(vals[1]), 120)
-    state = bargmann_to_chain(coeffs, n_max=NMAX)
-    assert state.other_chain_weight < 1e-12
+    _, _, s_min, _, other = bargmann_lane(PB, Parity.ODD, float(vals[1]),
+                                          120, NMAX)
+    assert other < 1e-12
     assert s_min < 1e-12
 
 
@@ -905,14 +926,11 @@ def test_bargmann_to_chain_matches_scalar_oracle(parity, n_max, case):
     # floor; the conversion keeps every level up to min(j_max, n_max)
     j_max = 400 if case == "sqrt(j_max!) overflows" else 40
     chi = float(eigh(chain_matrix(PB, parity, 60)).values[1])
-    coeffs, _ = bargmann_minimal_coefficients(PB, parity, chi, j_max)
-    assert (coeffs.parity, coeffs.chi) == (parity, chi)
-    got = bargmann_to_chain(coeffs, n_max=n_max)
-    v, other = bargmann_chain_reference(coeffs, n_max)
-    assert (got.parity, got.xi) == (parity, chi)
-    assert np.array_equal(got.v, v)
-    assert got.other_chain_weight == other
-    norm = np.hypot(coeffs.c, coeffs.phi2)
+    c, phi2, _, got, got_other = bargmann_lane(PB, parity, chi, j_max, n_max)
+    v, other = bargmann_chain_reference(parity, c, phi2, n_max)
+    assert np.array_equal(got, v)
+    assert got_other == other
+    norm = np.hypot(c, phi2)
     cut = int(np.argmax(norm < 1e-15 * norm.max()))
     assert {"n_max below the cut": n_max < cut,
             "cut below n_max <= j_max": 0 < cut < n_max <= j_max,
@@ -931,8 +949,7 @@ def _bargmann_against_window(params, parity, trunc, count, j_max):
     isolated = np.minimum(np.r_[np.inf, gaps[:-1]], gaps) > 1e-6
     out = []
     for xi, window, alone in zip(values.tolist(), vectors.T, isolated):
-        coeffs, _ = bargmann_minimal_coefficients(params, parity, xi, j_max)
-        v = bargmann_to_chain(coeffs, n_max=trunc.n_max).v
+        v = bargmann_lane(params, parity, xi, j_max, trunc.n_max)[3]
         out.append((chain_residual(params, parity, xi, v),
                     abs(v[:len(window)] @ window) if alone else 1.0))
     return out
@@ -1000,8 +1017,7 @@ def test_bargmann_residual_grows_with_the_distance_from_a_level(
     assume(20 * abs(delta) < gap)
 
     def residual_at(chi):
-        return bargmann_reconstruction_residual(params, parity, chi,
-                                                n_max=NMAX)
+        return bargmann_residual(params, parity, chi)
 
     assert residual_at(energy) <= 1e-13 * hnorm
     near, far = residual_at(energy + delta), residual_at(energy + 10 * delta)

@@ -22,7 +22,8 @@ from rabi2q.spectra import (CrossingKind, SpectrumSweep,
                             dsc_perturbative_spectrum, rwa_relative_error,
                             sweep_spectrum)
 
-from oracles import G_CROSS, chain_state, dsc_reference, kronecker_reference
+from oracles import (G_CROSS, both_flipped, chain_state, dsc_reference,
+                     exchanged, g1_flipped, kronecker_reference)
 
 TEMPLATE = ModelParams(1.3, 0.7, 0.0, 0.0)
 
@@ -285,6 +286,26 @@ def test_rwa_error_raises_when_unconverged():
                            TruncationConfig(10), k=44)
 
 
+def test_rwa_full_levels_are_certified():
+    # at n_max = 120 the 14 lowest even levels carry less than 1e-8 on the
+    # top two photons yet are off by up to 1.07e-7, and no rung certifies
+    # them, nor at 160; at 200 they are the levels of n_max = 400, and so
+    # are the errors
+    p = ModelParams(1.1, 0.3, 3.0, 4.0)
+    for n_max in (120, 160):
+        with pytest.raises(TruncationInsufficient, match="even parity"):
+            rwa_relative_error(p, TruncationConfig(n_max), 14)
+    trunc = TruncationConfig(200)
+    near = rwa_relative_error(p, trunc, 14)
+    far = rwa_relative_error(p, TruncationConfig(400), 14)
+    hnorm = max(band_norm(build_parity_band(p, parity, trunc))
+                for parity in Parity)
+    for side in ("e_full", "e_rwa"):
+        assert np.max(np.abs(getattr(near, side) - getattr(far, side))
+                      ) <= 1e-12 * hnorm
+    assert np.max(np.abs(near.errors - far.errors)) <= 1e-12
+
+
 def test_out_of_range_inputs_raise_value_error():
     p = ModelParams(1.3, 0.7, 0.3, 0.4)
     with pytest.raises(ValueError, match="k must be >= 1"):
@@ -299,15 +320,14 @@ def test_out_of_range_inputs_raise_value_error():
 
 
 def rwa_levels_full_basis(params, trunc, k):
-    """Of the k lowest levels of the full and of the RWA Hamiltonian, from
-    dense eigh of the Kronecker matrices, those that pass the 8-row edge
-    mask of the product basis (two photon levels of four qubit pairs)."""
-    out = []
-    for rwa in (False, True):
-        vals, vecs = np.linalg.eigh(kronecker_reference(params, trunc, rwa))
-        out.append(vals[:k][np.sum(vecs[-8:, :k] ** 2, axis=0)
-                            < spectra.GUARD_TOL])
-    return out
+    """The k lowest levels of the full Hamiltonian, and of the RWA
+    Hamiltonian's k lowest those that pass the 8-row edge mask of the
+    product basis (two photon levels of four qubit pairs), from dense eigh
+    of the Kronecker matrices."""
+    e_full = np.linalg.eigh(kronecker_reference(params, trunc, False))[0]
+    vals, vecs = np.linalg.eigh(kronecker_reference(params, trunc, True))
+    return e_full[:k], vals[:k][np.sum(vecs[-8:, :k] ** 2, axis=0)
+                                < spectra.GUARD_TOL]
 
 
 FREQ = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
@@ -336,16 +356,36 @@ FREQ = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
          n_max=16, k=8)
 def test_rwa_error_matches_full_basis_oracle(omega_1, omega_2, g_1, g_2,
                                              tie, n_max, k):
+    # the full model's levels are certified as the sweeps' are, and the
+    # RWA's pass the edge mask
     p = ModelParams(omega_1, omega_2, g_1, g_2 if tie is None else tie * g_1)
     trunc = TruncationConfig(n_max)
     e_full, e_rwa = rwa_levels_full_basis(p, trunc, k)
-    if min(len(e_full), len(e_rwa)) < k:
+    if len(e_rwa) < k:
         with pytest.raises(TruncationInsufficient):
             rwa_relative_error(p, trunc, k)
         return
-    report = rwa_relative_error(p, trunc, k)
+    per_chain = min(k, trunc.chain_dim)
+    try:
+        report = rwa_relative_error(p, trunc, k)
+    except TruncationInsufficient:
+        assert any(_whole_chain_fails(p, parity, trunc, per_chain)
+                   for parity in Parity)
+        return
     scale = max(1.0, float(np.max(np.abs(e_full))))
     assert np.max(np.abs(report.e_full - e_full)) <= 1e-12 * scale
+    # and they are the lowest of the chains at a much larger cutoff, within
+    # the certificate's joint bound
+    tol = RESIDUAL_TOL * max(band_norm(build_parity_band(p, parity, trunc))
+                             for parity in Parity)
+    wide = [build_parity_band(p, parity, _much_larger(trunc))
+            for parity in Parity]
+    levels = np.sort(np.concatenate([eigvals_banded(
+        band, lower=True, select="i", select_range=(0, per_chain - 1))
+        for band in wide]))[:k]
+    rounding = 64 * np.finfo(float).eps * max(map(band_norm, wide))
+    assert np.max(np.abs(report.e_full - levels)) <= (np.sqrt(k) * tol
+                                                      + rounding)
     assert np.max(np.abs(report.e_rwa - e_rwa)) <= 1e-12 * scale
     with np.errstate(divide="ignore", invalid="ignore"):
         ref = np.abs(e_rwa - e_full) / np.abs(e_full)
@@ -1160,3 +1200,114 @@ def test_mixed_dip_is_not_a_crossing():
              for tol in (0.2, 0.35)]
     assert kinds == [[CrossingKind.AVOIDED_OR_UNRESOLVED],
                      [CrossingKind.CROSSING]]
+
+
+# ---------------------------------------------------------------------------
+# symmetries: each maps a parity chain's spectrum onto itself
+# ---------------------------------------------------------------------------
+
+def _spectra_seen(params, trunc, k):
+    """By parity, the sweep energies at params and at params with both
+    couplings halved, and the energies of ``eigenstates_by_parity``, with
+    each state's residual relative to ||H|| (nan where the route resolved
+    no vector)."""
+    sweep = sweep_spectrum(params, [params.g_1, 0.5 * params.g_1],
+                           [params.g_2, 0.5 * params.g_2], trunc, k)
+    states = eigenstates.eigenstates_by_parity(params, list(Parity), k,
+                                               trunc.n_max)
+    seen = {}
+    for parity in Parity:
+        hnorm = band_norm(build_parity_band(params, parity, trunc))
+        seen[parity] = (sweep.energies[parity],
+                        np.array([state.xi for state in states[parity]]),
+                        np.array([eigenstates.residual(params, parity, state)
+                                  / hnorm if np.isfinite(state.v).all()
+                                  else np.nan for state in states[parity]]))
+    return seen
+
+
+SYMMETRY_TOL = 1e-13
+
+
+@settings(max_examples=30, deadline=None)
+@given(omega_1=st.floats(0.0, 2.0), omega_2=st.floats(0.0, 2.0),
+       g_1=st.floats(-5.0, 5.0), g_2=st.floats(-5.0, 5.0),
+       n_max=st.integers(8, 60), k=st.integers(1, 6),
+       mirror=st.sampled_from([exchanged, g1_flipped, both_flipped]))
+@example(omega_1=1.3, omega_2=0.7, g_1=0.3, g_2=0.4, n_max=60, k=6,
+         mirror=exchanged)
+@example(omega_1=1.3, omega_2=0.7, g_1=0.3, g_2=0.4, n_max=60, k=6,
+         mirror=g1_flipped)
+@example(omega_1=1.3, omega_2=0.7, g_1=2.1, g_2=-1.7, n_max=120, k=6,
+         mirror=both_flipped)
+def test_spectra_keep_the_coupling_symmetries(omega_1, omega_2, g_1, g_2,
+                                              n_max, k, mirror):
+    # each symmetry keeps every certified level, recurrence state energy and
+    # RWA error to 1e-13 ||H||, and on both sides a state that passes the
+    # residual bound of ``eigenstate`` is at rounding level.  Draws whose
+    # cutoff certifies no levels on either side are skipped
+    params = ModelParams(omega_1, omega_2, g_1, g_2)
+    trunc = TruncationConfig(n_max)
+    try:
+        seen = [_spectra_seen(p, trunc, k) for p in (params, mirror(params))]
+    except TruncationInsufficient:
+        return
+    tol = SYMMETRY_TOL * max(band_norm(build_parity_band(params, parity,
+                                                         trunc))
+                             for parity in Parity)
+    for parity in Parity:
+        (sweep, levels, res), (sweep_m, levels_m, res_m) = (
+            side[parity] for side in seen)
+        assert np.max(np.abs(sweep - sweep_m)) <= tol
+        assert np.max(np.abs(levels - levels_m)) <= tol
+        bound = eigenstates.RECURRENCE_RESIDUAL_TOL / band_norm(
+            build_parity_band(params, parity, trunc))
+        for side in (res, res_m):
+            assert np.max(side[side <= bound], initial=0.0) <= SYMMETRY_TOL
+    try:
+        reports = [rwa_relative_error(p, trunc, k)
+                   for p in (params, mirror(params))]
+    except TruncationInsufficient:
+        return
+    assert np.max(np.abs(reports[0].errors - reports[1].errors)) <= tol
+
+
+@pytest.mark.parametrize("params, n_max", [
+    (ModelParams(1.3, 0.7, 0.3, 0.4), 60),
+    (ModelParams(1.3, 0.7, 2.1, -1.7), 120),
+    (ModelParams(1.3, 0.7, 2.1, 1.7), 120)])
+def test_joint_coupling_flip_keeps_the_levels_bit_for_bit(params, n_max):
+    # (g_1, g_2) -> (-g_1, -g_2) flips the sign of every coupling block,
+    # which LAPACK's reduction carries exactly at these couplings.  Where a
+    # coupling is zero or tiny the levels agree to rounding only (4.9e-16
+    # at omega 0/0, g 0/0.03125), as the draws above check
+    trunc = TruncationConfig(n_max)
+    sweeps = [_spectra_seen(p, trunc, 6)
+              for p in (params, both_flipped(params))]
+    for parity in Parity:
+        for got, flipped in zip(sweeps[0][parity][:2], sweeps[1][parity][:2]):
+            assert np.array_equal(got, flipped)
+
+
+@settings(max_examples=20, deadline=None)
+@given(omega_1=st.floats(0.0, 2.0), omega_2=st.floats(0.0, 2.0),
+       g_1=st.floats(-5.0, 5.0), g_2=st.floats(-5.0, 5.0),
+       m_max=st.integers(0, 6))
+@example(omega_1=1.3, omega_2=0.7, g_1=2.1, g_2=1.7, m_max=6)
+def test_dsc_branches_keep_the_qubit_symmetries(omega_1, omega_2, g_1, g_2,
+                                                m_max):
+    # bit for bit: qubit exchange keeps both branches, and g_1 -> -g_1
+    # swaps branches 1 and 2, resonances included
+    params = ModelParams(omega_1, omega_2, g_1, g_2)
+    dsc = dsc_perturbative_spectrum(params, m_max)
+    swapped = dsc_perturbative_spectrum(exchanged(params), m_max)
+    flipped = dsc_perturbative_spectrum(g1_flipped(params), m_max)
+    for branch in (1, 2):
+        got = getattr(dsc, f"branch{branch}")
+        assert np.array_equal(got, getattr(swapped, f"branch{branch}"),
+                              equal_nan=True)
+        assert np.array_equal(got, getattr(flipped, f"branch{3 - branch}"),
+                              equal_nan=True)
+    assert set(dsc.resonant) == set(swapped.resonant)
+    assert set(dsc.resonant) == {(3 - branch, m, n)
+                                 for branch, m, n in flipped.resonant}
