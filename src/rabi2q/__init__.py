@@ -13,8 +13,7 @@ from .eigenstates import (RecurrenceState, bargmann_identical_coefficients,
 from .hamiltonian import (RwaExcitationBlock, build_parity_band,
                           build_rwa_band, build_rwa_excitation_block)
 from .model import ModelParams, Parity, QubitLevel, TruncationConfig
-from .numerics import (EigenDecomposition, displacement_element, eigh,
-                       expand_dense, laguerre_assoc)
+from .numerics import EigenDecomposition, eigh, expand_dense, laguerre_assoc
 from .spectra import (CrossingKind, CrossingRecord, PerturbativeSpectrum,
                       RwaErrorReport, SpectrumSweep, detect_crossings,
                       dsc_perturbative_spectrum, rwa_relative_error,
@@ -30,7 +29,7 @@ __all__ = [
     "bargmann_identical_coefficients",
     "build_parity_band", "build_rwa_band", "build_rwa_excitation_block",
     "concurrence",
-    "decompose_initial_state", "detect_crossings", "displacement_element",
+    "decompose_initial_state", "detect_crossings",
     "dsc_perturbative_spectrum", "eigh", "evolve_parity",
     "evolve_rwa_closed_form", "expand_dense", "laguerre_assoc",
     "mean_photon_number", "population_inversion",

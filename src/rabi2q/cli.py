@@ -7,7 +7,8 @@ with a comment line carrying the tool version, the command and a hash of the
 resolved configuration so identical configs produce byte-identical files.
 No command solves a chain itself: ``eigenstate`` makes one
 ``eigenstates.eigenstates_by_parity`` call for all its parities, which
-also checks ``--count``, and one ``eigenstates.bargmann_residuals`` call.
+also checks ``--count``, and one ``eigenstates.bargmann_residuals`` call,
+its series as long as the recurrence states' cut (at least 8 amplitudes).
 
 Exit codes: 0 success, 2 configuration error (a ConfigError, raised by the
 front end and by the input checks of the library, or a configuration too
@@ -299,7 +300,8 @@ def cmd_eigenstate(args) -> int:
         levels = [(parity, state.xi) for parity in parities
                   for state in found[parity]]
         for i, res in enumerate(eigenstates.bargmann_residuals(
-                params, levels, args.jmax, args.nmax)):
+                params, levels, max(8, found[parities[0]][0].cut),
+                args.nmax)):
             if isinstance(res, Rabi2qError):
                 print(f"eigenstate: bargmann route unavailable for "
                       f"{rows[i][0]} #{rows[i][1]}: {res}", file=sys.stderr)
@@ -383,8 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default="both")
     ei.add_argument("--count", type=int, default=5,
                     help="number of lowest states per parity")
-    ei.add_argument("--jmax", type=int, default=120,
-                    help="Bargmann series length")
     ei.add_argument("--bargmann", action="store_true",
                     help="also report Bargmann reconstruction residuals")
     ei.set_defaults(func=cmd_eigenstate)

@@ -215,14 +215,16 @@ def concurrence(rho: np.ndarray):
     matrix of a (..., 4, 4) stack.
 
     The lambda_i are the singular values of Phi^T (sigma_y x sigma_y) Phi,
-    rho = Phi Phi^dagger with Phi = U sqrt(Lambda) (Wootters, PRL 80, 2245
-    (1998)): accurate to about eps, where square roots of the eigenvalues
-    of rho rho~ would turn an eps near 0 into sqrt(eps).
+    rho = Phi Phi^dagger with Phi = U sqrt(Lambda), Lambda below 64 eps
+    max Lambda set to 0 (Wootters, PRL 80, 2245 (1998)): about eps off, or
+    1e-11 near a pure state, where roots of rho rho~ would give sqrt(eps).
     """
     return _concurrence(*_check_density_matrix(rho))
 
 
 def _concurrence(evals: np.ndarray, evecs: np.ndarray):
+    evals = np.where(evals < 64 * np.finfo(float).eps
+                     * evals.max(axis=-1, keepdims=True), 0.0, evals)
     phi = evecs * np.sqrt(evals)[..., None, :]
     tau = np.swapaxes(phi, -1, -2) @ _SPIN_FLIP @ phi
     lam = np.linalg.svd(tau, compute_uv=False)

@@ -66,15 +66,17 @@ class RecurrenceState:
     """Eigenstate of one parity chain from its block recurrence.
 
     v is the normalized chain vector at energy xi.  twist is the photon
-    block at which the two-sided route met (``eigenstate_recurrences``), or
-    None for a forward run (``recurrence_eigenstate_la``), whose blocks
-    past the first block of least norm are zeroed.
+    block at which the two-sided route met (``eigenstate_recurrences``),
+    and cut the block from which every state of its call is below eps^2;
+    both are None for a forward run (``recurrence_eigenstate_la``), whose
+    blocks past the first block of least norm are zeroed.
     """
 
     parity: Parity
     xi: float
     v: np.ndarray
     twist: int | None = None
+    cut: int | None = None
 
 
 def _check_couplings(params: ModelParams):
@@ -243,11 +245,12 @@ def eigenstates_by_parity(params: ModelParams, parities, count: int,
     parities, by parity: the energies of one
     ``spectra.converged_parity_eigensystem`` call per parity, the twisted
     states of one ``_twisted_states`` call for all levels, on the blocks up
-    to the larger of the parities' ``numerics.tail_cut``, and for each
-    level the state of least residual.  Within a cluster of levels closer
-    than CLUSTER_GAP ||H|| to a neighbour, each member's candidates are
-    first orthogonalized against the states of the members below it; a
-    member whose candidates all lie in their span has an all-nan vector.
+    to the larger of the parities' ``numerics.tail_cut`` (every state's
+    cut), and for each level the state of least residual.  Within a cluster
+    of levels closer than CLUSTER_GAP ||H|| to a neighbour, each member's
+    candidates are first orthogonalized against the states of the members
+    below it; a member whose candidates all lie in their span has an
+    all-nan vector.
     ConfigError for count outside [1, chain dimension],
     TruncationInsufficient when no rung certifies the count lowest.
     """
@@ -258,12 +261,11 @@ def eigenstates_by_parity(params: ModelParams, parities, count: int,
     bands = np.array([build_parity_band(params, parity, trunc)
                       for parity in parities])
     hnorms = np.array([band_norm(band) for band in bands])
-    cut = tail_cut(inert_tail(bands, energies[:, -1], hnorms)[2])
+    cut = int(tail_cut(inert_tail(bands, energies[:, -1], hnorms)[2]).max())
     shift = pivot_shift(hnorms)[:, None]
     bands = np.ldexp(bands, -shift[..., None])
     levels = np.ldexp(energies, -shift)
-    twist, vectors = _twisted_states(bands, levels,
-                                     min(int(cut.max()) + 1, n_max + 1))
+    twist, vectors = _twisted_states(bands, levels, min(cut + 1, n_max + 1))
     found = {}
     for c, parity in enumerate(parities):
         band, level = bands[c], levels[c]
@@ -296,7 +298,8 @@ def eigenstates_by_parity(params: ModelParams, parities, count: int,
                 cluster.append(v)
             else:
                 v = np.full_like(v, np.nan)
-            states.append(RecurrenceState(parity, xi, v, int(twists[best, i])))
+            states.append(RecurrenceState(parity, xi, v, int(twists[best, i]),
+                                          cut))
     return found
 
 
@@ -485,10 +488,10 @@ def bargmann_residuals(params: ModelParams, levels, j_max: int,
     serve (StepSingular where alpha_0 vanishes on a row, OverflowDetected
     where v vanishes): the lanes of one ``_null_vectors`` call, companion
     series and chain gather, then one ``numerics.padded_residuals`` call
-    per parity.  At rounding level (1e-14 to 1e-10 at the README and Fig.
-    3 couplings) at an eigenvalue whose state the j_max + 1 amplitudes
-    hold, about linear in the distance of chi from one.  ConfigError for
-    j_max < 8.
+    per parity.  At rounding level at an eigenvalue whose state the j_max +
+    1 amplitudes hold, as at max(8, cut) of its recurrence states, which
+    ``eigenstate`` takes; about linear in the distance of chi from one.
+    ConfigError for j_max < 8.
     """
     if j_max < 8:
         raise ConfigError("j_max must be >= 8")
@@ -512,7 +515,7 @@ def bargmann_residuals(params: ModelParams, levels, j_max: int,
     for parity in dict.fromkeys(parities):
         cols = [col for col, par in enumerate(parities) if par is parity]
         own = chains[parity][:, cols]
-        norms = np.linalg.norm(own, axis=0)
+        norms = np.hypot.reduce(own, axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
             res = padded_residuals(build_parity_band(params, parity, trunc),
                                    chi[cols], own) / norms

@@ -307,11 +307,6 @@ def displacement_elements(m, n, x: float) -> np.ndarray:
     return np.where((m < n) & (d % 2 == 1), -value, value)
 
 
-def displacement_element(m: int, n: int, x: float) -> float:
-    """<m| D(2x) |n>, one entry of ``displacement_elements``."""
-    return float(displacement_elements(m, n, x))
-
-
 # levels whose projections on a state weigh at most DROP_WEIGHT ||c0||^2
 # together are not propagated
 DROP_WEIGHT = 1e-30

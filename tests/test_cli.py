@@ -6,11 +6,17 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rabi2q
 from rabi2q import cli
 from rabi2q.cli import main
+from rabi2q.hamiltonian import build_parity_band
+from rabi2q.model import ModelParams, Parity, TruncationConfig
+from rabi2q.numerics import band_norm
+
+from oracles import both_flipped, exchanged, g1_flipped
 
 
 def run(args):
@@ -220,8 +226,8 @@ def test_eigenstate_command(tmp_path):
     out = tmp_path / "e.csv"
     code = run(["eigenstate", "--omega1", "1.3", "--omega2", "0.7",
                 "--g1", "0.3", "--g2", "0.4", "--parity", "even",
-                "--count", "2", "--nmax", "100", "--jmax", "80",
-                "--bargmann", "--out", str(out)])
+                "--count", "2", "--nmax", "100", "--bargmann",
+                "--out", str(out)])
     assert code == 0
     _, rows = read_rows(out)
     assert len(rows) == 2
@@ -229,19 +235,32 @@ def test_eigenstate_command(tmp_path):
     assert all(float(row[4]) < 1e-3 for row in rows)
 
 
-def test_eigenstate_bargmann_past_factorial_overflow(tmp_path):
-    # sqrt(j!) passes the largest float from j = 301 on
+def _bargmann_lengths(monkeypatch):
+    """The j_max of each ``eigenstates.bargmann_residuals`` call made."""
+    from rabi2q import eigenstates
+    lengths, residuals = [], eigenstates.bargmann_residuals
+    monkeypatch.setattr(eigenstates, "bargmann_residuals",
+                        lambda params, levels, j_max, n_max: lengths.append(
+                            j_max) or residuals(params, levels, j_max, n_max))
+    return lengths
+
+
+def test_eigenstate_bargmann_past_factorial_overflow(tmp_path, monkeypatch):
+    # sqrt(j!) passes the largest float from j = 301 on.  At lambda = 1.5
+    # (g 4.5/6) the series runs to the recurrence states' cut, 421
+    # amplitudes, where a fixed 120 read 170: every residual cell holds
+    lengths = _bargmann_lengths(monkeypatch)
     out = tmp_path / "e.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        code = run(["eigenstate", "--omega1", "1.3", "--omega2", "0.7",
-                    "--g1", "0.3", "--g2", "0.4", "--parity", "both",
-                    "--count", "2", "--nmax", "60", "--jmax", "400",
-                    "--bargmann", "--out", str(out)])
-    assert code == 0
+        code = run(["eigenstate", "--omega1", "1.1", "--omega2", "0.3",
+                    "--g1", "4.5", "--g2", "6", "--parity", "both",
+                    "--count", "10", "--nmax", "420", "--bargmann",
+                    "--out", str(out)])
+    assert code == 0 and lengths == [421]
     _, rows = read_rows(out)
-    assert len(rows) == 4
-    assert all(float(row[4]) < 1e-3 for row in rows)
+    assert len(rows) == 20
+    assert all(float(cell) <= 1e-6 for row in rows for cell in row[3:])
 
 
 def test_eigenstate_bargmann_equal_qubit_frequencies(tmp_path, capsys):
@@ -270,7 +289,7 @@ def test_eigenstate_bargmann_equal_qubit_frequencies(tmp_path, capsys):
     (["--omega1", "1.3", "--omega2", "0.7", "--g1", "0.3", "--g2", "0.3",
       "--count", "10", "--nmax", "100"], 10),
     (["--omega1", "1.1", "--omega2", "0.3", "--g1", "3", "--g2", "4",
-      "--nmax", "300", "--count", "10", "--bargmann", "--jmax", "200"], 10),
+      "--nmax", "300", "--count", "10", "--bargmann"], 10),
 ], ids=["tiny-coupling", "tiny-coupling-split-ladder", "equal-couplings",
         "equal-couplings-split-ladder", "fig3"])
 def test_eigenstate_serves_tiny_equal_and_deep_strong_couplings(
@@ -354,14 +373,21 @@ def test_eigenstate_loose_recurrence_residual_exits_3(tmp_path, capsys,
     assert err[-1].startswith("error: ")
 
 
-def test_eigenstate_loose_bargmann_residual_exits_3(tmp_path, capsys):
-    # nine Bargmann amplitudes cannot hold these levels: the recurrence
-    # states hold, and each row is named for its Bargmann residual alone
+def test_eigenstate_loose_bargmann_residual_exits_3(tmp_path, capsys,
+                                                    monkeypatch):
+    # nine Bargmann amplitudes, in place of the series to the recurrence
+    # states' cut, cannot hold these levels: the recurrence states hold,
+    # and each row is named for its Bargmann residual alone
+    from rabi2q import eigenstates
     from rabi2q.eigenstates import RECURRENCE_RESIDUAL_TOL
+    residuals = eigenstates.bargmann_residuals
+    monkeypatch.setattr(eigenstates, "bargmann_residuals",
+                        lambda params, levels, j_max, n_max: residuals(
+                            params, levels, 8, n_max))
     out = tmp_path / "e.csv"
     assert run(["eigenstate", "--omega1", "1.3", "--omega2", "0.7",
                 "--g1", "0.3", "--g2", "0.4", "--nmax", "200", "--count",
-                "5", "--parity", "even", "--bargmann", "--jmax", "8",
+                "5", "--parity", "even", "--bargmann",
                 "--out", str(out)]) == 3
     _, rows = read_rows(out)
     assert all(float(row[3]) <= RECURRENCE_RESIDUAL_TOL
@@ -416,7 +442,6 @@ def test_eigenstate_invalid_nmax_exits_2(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--k", "0"],
     ["perturb", "--mmax", "-1"],
-    ["eigenstate", "--bargmann", "--jmax", "5", "--count", "1"],
     ["rwa-compare", "--k", "0"],
     ["eigenstate", "--count", "50"],
     ["dynamics", "--fock", "-1", "--steps", "2"],
@@ -445,8 +470,6 @@ def test_eigenstate_invalid_nmax_exits_2(tmp_path):
     # memory is touched
     ["dynamics", "--steps", str(10 ** 17)],
     ["spectrum", "--g1", "0:2:1e-13"],
-    # one level, which certifies at n_max 20 (the default five do not)
-    ["eigenstate", "--bargmann", "--count", "1", "--jmax", str(10 ** 17)],
     # crossing tolerances at which the swap test is vacuous
     ["spectrum", "--g1", "0:0.2:0.1", "--k", "4", "--gap-tol", "nan"],
     # checked before the sweep, whose 20 levels do not converge at n_max 10
@@ -456,7 +479,7 @@ def test_eigenstate_invalid_nmax_exits_2(tmp_path):
     ["spectrum", "--g1", "0:0.2:0.1", "--k", "4", "--overlap-tol", "1"],
     # more levels than the two chains hold (42 each at n_max 20)
     ["rwa-compare", "--k", "85"],
-], ids=["spectrum-k", "perturb-mmax", "eigenstate-jmax", "rwa-compare-k",
+], ids=["spectrum-k", "perturb-mmax", "rwa-compare-k",
         "eigenstate-count", "dynamics-fock", "perturb-ncut",
         "dynamics-tmax-nan", "dynamics-tmax-inf", "dynamics-alpha-nan",
         "spectrum-stop-nan", "spectrum-step-nan", "spectrum-not-a-number",
@@ -467,7 +490,7 @@ def test_eigenstate_invalid_nmax_exits_2(tmp_path):
         "eigenstate-count-negative", "perturb-g-square-overflows",
         "perturb-omega-square-overflows", "perturb-rows-pass-float-range",
         "dynamics-phase-overflows", "dynamics-steps-too-large",
-        "spectrum-range-too-large", "eigenstate-jmax-too-large",
+        "spectrum-range-too-large",
         "spectrum-gap-tol-nan", "spectrum-gap-tol-before-the-sweep",
         "spectrum-gap-tol-negative",
         "spectrum-overlap-tol-nan", "spectrum-overlap-tol-1",
@@ -547,22 +570,29 @@ def test_readme_eigenstate_runs_its_levels_as_lanes(tmp_path, monkeypatch):
 
 def test_readme_perturb_reads_one_table_per_coupling(tmp_path, monkeypatch):
     # the README perturb makes no per-element displacement call: its sums
-    # read one table of <m|D(2g)|n> per coupling
-    from rabi2q import numerics, spectra
-    calls, element = [], numerics.displacement_element
-    for module in (numerics, spectra):
-        monkeypatch.setattr(module, "displacement_element",
-                            lambda *args: calls.append(args) or element(*args),
-                            raising=False)
+    # read one table of <m|D(2g)|n> per coupling, every branch m by every
+    # intermediate level n up to m_max + 80
+    from rabi2q import spectra
+    calls, table = [], spectra.displacement_elements
+    monkeypatch.setattr(spectra, "displacement_elements",
+                        lambda m, n, g: calls.append(
+                            (np.broadcast(m, n).shape, g)) or table(m, n, g))
     assert run(["perturb", "--omega1", "1.3", "--omega2", "0.7", "--g1", "2",
                 "--g2", "2", "--mmax", "11",
                 "--out", str(tmp_path / "p.csv")]) == 0
-    assert calls == []
+    assert calls == [((12, 92), 2.0)] * 2
 
 
 def test_spectrum_has_no_jobs_flag():
     with pytest.raises(SystemExit) as info:
         run(["spectrum", "--jobs", "2"])
+    assert info.value.code == 2
+
+
+def test_eigenstate_has_no_jmax_flag():
+    # the Bargmann series runs to the recurrence states' own cut
+    with pytest.raises(SystemExit) as info:
+        run(["eigenstate", "--bargmann", "--jmax", "120"])
     assert info.value.code == 2
 
 
@@ -706,8 +736,7 @@ commands = [
     ["perturb", "--mmax", "2"],
     # the full model's 4 lowest levels certify from n_max = 25
     ["rwa-compare", "--k", "4", "--nmax", "30"],
-    ["eigenstate", "--bargmann", "--count", "2", "--nmax", "40",
-     "--jmax", "40"],
+    ["eigenstate", "--bargmann", "--count", "2", "--nmax", "40"],
     ["spectrum", "--nmax", "60", "--k", "2"],
 ]
 for i, argv in enumerate(commands):
@@ -775,12 +804,11 @@ _HASH_RUNS = {
                      ["--g1", "0.2"], ["--g2", "0.1"], ["--omega-f", "2"],
                      ["--nmax", "21"], ["--k", "5"]]),
     "eigenstate": (["--omega1", "1.3", "--omega2", "0.7", "--g1", "0.3",
-                    "--g2", "0.4", "--count", "2", "--nmax", "40",
-                    "--jmax", "40"],
+                    "--g2", "0.4", "--count", "2", "--nmax", "40"],
                    [["--omega1", "1.2"], ["--omega2", "0.6"], ["--g1", "0.2"],
                     ["--g2", "0.3"], ["--omega-f", "2"], ["--nmax", "41"],
                     ["--parity", "even"], ["--count", "3"],
-                    ["--bargmann"], ["--bargmann", "--jmax", "41"]]),
+                    ["--bargmann"]]),
 }
 
 
@@ -817,3 +845,84 @@ def test_importing_the_cli_does_not_import_scipy():
     # scipy is not a runtime dependency, so a command's setup does not
     # pay for it
     _run_probe("import sys, rabi2q.cli; assert 'scipy' not in sys.modules")
+
+
+# ---------------------------------------------------------------------------
+# qubit symmetries at the command line
+# ---------------------------------------------------------------------------
+
+def _model_flags(params):
+    return [f"--{flag}={value!r}" for flag, value in (
+        ("omega1", params.omega_1), ("omega2", params.omega_2),
+        ("g1", params.g_1), ("g2", params.g_2))]
+
+
+def _mirrored_rows(tmp_path, command, params, mirror, argv):
+    """The rows of command at params and at mirror(params)."""
+    sides = []
+    for side, p in enumerate((params, mirror(params))):
+        out = tmp_path / f"{side}.csv"
+        assert run([command, *_model_flags(p), *argv, "--out", str(out)]) == 0
+        sides.append(read_rows(out)[1])
+    return sides
+
+
+def _chain_norm(params, n_max):
+    return max(band_norm(build_parity_band(params, parity,
+                                           TruncationConfig(n_max)))
+               for parity in Parity)
+
+
+# the library's tolerance, relative to ||H||
+SYMMETRY_TOL = 1e-13
+MIRRORS = pytest.mark.parametrize("mirror", [exchanged, g1_flipped,
+                                             both_flipped],
+                                  ids=["exchange", "g1-flip", "joint-flip"])
+
+
+@MIRRORS
+def test_eigenstate_keeps_the_qubit_symmetries(tmp_path, monkeypatch, mirror):
+    # at the README configuration each symmetry keeps every energy to 1e-13
+    # ||H||, every residual cell within the bound on both sides, and the
+    # Bargmann series length: the cut comes from w, G and the top level,
+    # which are all invariant
+    lengths = _bargmann_lengths(monkeypatch)
+    params = ModelParams(1.3, 0.7, 0.3, 0.4)
+    seen, mirrored = _mirrored_rows(
+        tmp_path, "eigenstate", params, mirror,
+        ["--count", "10", "--nmax", "200", "--bargmann"])
+    tol = SYMMETRY_TOL * _chain_norm(params, 200)
+    assert len(seen) == len(mirrored) == 20 and lengths == [57, 57]
+    for row, row_m in zip(seen, mirrored):
+        assert row[:2] == row_m[:2]
+        assert abs(float(row[2]) - float(row_m[2])) <= tol
+        assert all(float(cell) <= 1e-6 for cell in row[3:] + row_m[3:])
+
+
+@MIRRORS
+def test_perturb_keeps_the_qubit_symmetries(tmp_path, mirror):
+    # bit for bit, as in the library: exchange and the joint flip keep both
+    # branches, and g_1 -> -g_1 swaps branches 1 and 2
+    seen, mirrored = _mirrored_rows(tmp_path, "perturb",
+                                    ModelParams(1.3, 0.7, 2.1, 1.7), mirror,
+                                    ["--mmax", "11"])
+    swap = {"1": "2", "2": "1"} if mirror is g1_flipped else {}
+    assert len(seen) == 24
+    assert ({(m, swap.get(branch, branch)): cells
+             for m, branch, *cells in seen}
+            == {(m, branch): cells for m, branch, *cells in mirrored})
+
+
+@MIRRORS
+def test_rwa_compare_keeps_the_qubit_symmetries(tmp_path, mirror):
+    # at the README configuration each symmetry keeps every full and RWA
+    # level and every relative error to 1e-13 ||H||, as in the library
+    params = ModelParams(0.9, 1.1, 0.2, 0.2)
+    seen, mirrored = _mirrored_rows(tmp_path, "rwa-compare", params, mirror,
+                                    ["--k", "20", "--nmax", "60"])
+    tol = SYMMETRY_TOL * _chain_norm(params, 60)
+    assert len(seen) == len(mirrored) == 22
+    for row, row_m in zip(seen, mirrored):
+        assert row[0] == row_m[0]
+        for cell, cell_m in zip(row[1:], row_m[1:]):
+            assert cell == cell_m or abs(float(cell) - float(cell_m)) <= tol

@@ -744,6 +744,26 @@ def test_concurrence_matches_mpmath_oracle(ranks, seed):
         assert abs(conc[k] - mp_concurrence(rho)) <= 1e-14
 
 
+def test_concurrence_near_a_pure_state_matches_mpmath_oracle(monkeypatch):
+    # a nearly pure rho (eigenvalues -1.2e-16, 3e-21, 5.8e-7 and 1 at t =
+    # 1): square roots of its rounding-level eigenvalues put 1e-8 into Phi
+    # and moved the concurrence by 3.1e-10, against the 50-digit oracle on
+    # the same float rho
+    seen, check = [], dyn._check_density_matrix
+    monkeypatch.setattr(dyn, "_check_density_matrix",
+                        lambda rho: seen.append(rho.copy()) or check(rho))
+    trunc = TruncationConfig(41)
+    traj = dyn.evolve_rwa_closed_form(
+        dyn.decompose_initial_state(("coherent", 0.04890159351039358), G, G,
+                                    trunc),
+        ModelParams(0.7437618984189782, 1.530620617535395,
+                    -0.019200365603848635, 1.1356742438202385),
+        np.linspace(0.0, 10.0, 41))
+    want = [mp_concurrence(rho) for rho in np.concatenate(seen)]
+    assert abs(traj.concurrence[4] - want[4]) <= 1e-13
+    assert np.max(np.abs(traj.concurrence - want)) <= 1e-11
+
+
 # ---------------------------------------------------------------------------
 # quartic sector machinery
 # ---------------------------------------------------------------------------
@@ -911,10 +931,13 @@ def test_drawn_dynamics_keep_the_qubit_symmetries(omega_1, omega_2, g_1, g_2,
                                                   alpha, n_max, engine,
                                                   mirror):
     # each symmetry keeps mean_n, s_z and the entropy to 1e-12, and the
-    # joint flip the concurrence too.  Near a pure state the float
-    # concurrence is off by up to about 3e-10 (against the 50-digit oracle,
-    # on the same rho), so exchange and g_1 -> -g_1 compare it only at the
-    # configurations above.  Draws past the cutoff are skipped
+    # joint flip the concurrence too.  Near a pure state an eigenvalue of
+    # rho a little above its rounding floor (1.1e-13) still carries
+    # rounding that its square root magnifies: the float concurrence is off
+    # by up to about 1.3e-11 (against the 50-digit oracle, on the same rho)
+    # and g_1 -> -g_1 moves it by 2.1e-11 at omega 1.076/0.659, g
+    # 2.884/-1.968, alpha -0.14, so exchange and g_1 -> -g_1 compare it
+    # only at the configurations above.  Draws past the cutoff are skipped
     params = ModelParams(omega_1, omega_2, g_1, g_2)
     times = np.linspace(0.0, 10.0, 21)
     try:

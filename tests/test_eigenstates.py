@@ -19,7 +19,7 @@ import rabi2q.eigenstates as eig_mod
 from rabi2q.eigenstates import (CLUSTER_GAP, RECURRENCE_RESIDUAL_TOL,
                                 bargmann_identical_coefficients,
                                 bargmann_residuals, chain_residual,
-                                eigenstate_recurrences,
+                                eigenstate_recurrences, eigenstates_by_parity,
                                 recurrence_eigenstate_la, residual)
 from rabi2q.errors import (ConfigError, OverflowDetected, SingularCoupling,
                            StepSingular, TruncationInsufficient)
@@ -992,6 +992,45 @@ def test_bargmann_state_at_fig3_couplings():
                                          TruncationConfig(300), 10, 200)
         for res, overlap in pairs:
             assert res <= 1e-9 and overlap >= 1 - 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(omega_1=st.floats(0.0, 2.0), omega_2=st.floats(0.0, 2.0),
+       g_1=st.floats(-3.0, 3.0), g_2=st.floats(-3.0, 3.0),
+       n_max=st.integers(20, 60), count=st.integers(1, 5))
+# Fig. 3, where 120 amplitudes read up to 12
+@example(omega_1=1.1, omega_2=0.3, g_1=3.0, g_2=4.0, n_max=300, count=10)
+# companion amplitudes near 1e260, whose squares pass the float range
+@example(omega_1=0.0, omega_2=2.916839106925194e-260, g_1=0.0, g_2=0.5,
+         n_max=20, count=1)
+def test_bargmann_series_to_the_recurrence_cut_holds_every_passing_level(
+        omega_1, omega_2, g_1, g_2, n_max, count):
+    # the series of max(8, cut) amplitudes, cut the block from which every
+    # recurrence state of the call is below eps^2, holds each level whose
+    # recurrence residual passes: its Bargmann residual passes too,
+    # wherever a series twice the chain's length passes (tiny couplings or
+    # frequencies fail the route at every length).  Every state of the
+    # call carries the same cut.  Draws past the cutoff are skipped
+    params = ModelParams(omega_1, omega_2, g_1, g_2)
+    try:
+        found = eigenstates_by_parity(params, list(Parity), count, n_max)
+    except TruncationInsufficient:
+        return
+    cuts = {state.cut for states in found.values() for state in states}
+    assert len(cuts) == 1
+    levels, passing = [], []
+    for parity, states in found.items():
+        levels += [(parity, state.xi) for state in states]
+        passing += (chain_residual(
+            params, parity, np.array([state.xi for state in states]),
+            np.column_stack([state.v for state in states]))
+            <= RECURRENCE_RESIDUAL_TOL).tolist()
+    derived = bargmann_residuals(params, levels, max(8, *cuts), n_max)
+    longer = bargmann_residuals(params, levels, 2 * (n_max + 1), n_max)
+    for held, res, reference in zip(passing, derived, longer):
+        if held and isinstance(reference, float):
+            assert res <= RECURRENCE_RESIDUAL_TOL or not (
+                reference <= RECURRENCE_RESIDUAL_TOL)
 
 
 @settings(max_examples=12, deadline=None)

@@ -10,7 +10,7 @@ from rabi2q import numerics
 from rabi2q.hamiltonian import build_parity_band
 from rabi2q.model import ModelParams, Parity, TruncationConfig
 from rabi2q.numerics import (EigenDecomposition, band_matvec, band_norm,
-                             displacement_element, displacement_elements,
+                             displacement_elements,
                              eigh, expand_dense, laguerre_assoc,
                              photon_windows, spectral_levels)
 
@@ -163,28 +163,23 @@ def test_laguerre_l2_1_value():
 
 
 def test_displacement_simple_values():
+    # <0|D(2x)|0> = exp(-2 x^2) and <1|D(2x)|0> = 2x exp(-2 x^2)
     for x in (-1.2, 0.0, 0.5, 2.0):
-        assert displacement_element(0, 0, x) == pytest.approx(
-            math.exp(-2 * x * x))
-    assert displacement_element(1, 0, 0.5) == pytest.approx(math.exp(-0.5))
-
-
-def displacement_oracle(dim=200):
-    """<m| exp(2x(adag - a)) |n> by truncated matrix exponentiation."""
-    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
-
-    def element(m, n, x):
-        return expm(2.0 * x * (a.T - a))[m, n]
-
-    return element
+        table = displacement_elements(np.arange(2)[:, None], np.arange(2), x)
+        assert table[0, 0] == pytest.approx(math.exp(-2 * x * x))
+        assert table[1, 0] == pytest.approx(2 * x * math.exp(-2 * x * x))
 
 
 def test_displacement_against_operator_exponential():
-    oracle = displacement_oracle()
+    # each table <m|exp(2x(adag - a))|n>, m, n up to the case's indices,
+    # against truncated matrix exponentiation
+    a = np.diag(np.sqrt(np.arange(1.0, 200)), 1)
     for m, n, x in ((0, 0, 0.7), (1, 0, -0.4), (5, 2, 1.1), (2, 9, -1.8),
                     (12, 12, 2.2), (20, 15, 0.3)):
-        assert displacement_element(m, n, x) == pytest.approx(
-            oracle(m, n, x), abs=1e-10)
+        table = displacement_elements(np.arange(m + 1)[:, None],
+                                      np.arange(n + 1), x)
+        want = expm(2.0 * x * (a.T - a))[:m + 1, :n + 1]
+        assert np.max(np.abs(table - want)) <= 1e-10
 
 
 def test_displacement_unitarity_row():
@@ -193,32 +188,34 @@ def test_displacement_unitarity_row():
     # past that cutoff, so the wide-range check uses a deeper sum
     for n in (0, 3, 11):
         for x in (0.4, -0.9, 1.0):
-            total = sum(displacement_element(m, n, x) ** 2
-                        for m in range(n + 41))
-            assert total == pytest.approx(1.0, abs=1e-6)
+            column = displacement_elements(np.arange(n + 41), n, x)
+            assert np.sum(column ** 2) == pytest.approx(1.0, abs=1e-6)
         for x in (-1.3, 2.0):
-            total = sum(displacement_element(m, n, x) ** 2
-                        for m in range(300))
-            assert total == pytest.approx(1.0, abs=1e-9)
+            column = displacement_elements(np.arange(300), n, x)
+            assert np.sum(column ** 2) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_displacement_large_indices_finite():
-    assert math.isfinite(displacement_element(120, 100, 1.5))
+    table = displacement_elements(np.arange(121)[:, None], np.arange(101),
+                                  1.5)
+    assert np.isfinite(table).all()
 
 
 def test_displacement_far_displacement_is_zero():
     # at x = 1e200 the Gaussian factor is 0 and (2x)^(m - n) would overflow
-    for m, n in ((3, 1), (1, 3), (81, 0), (0, 0)):
-        assert displacement_element(m, n, 1e200) == 0.0
-        assert displacement_element(m, n, -1e200) == 0.0
+    rows, cols = np.array([3, 1, 81, 0]), np.array([1, 3, 0, 0])
+    for x in (1e200, -1e200):
+        assert displacement_elements(rows, cols, x).tolist() == [0.0] * 4
 
 
 def test_displacement_large_power_with_live_gaussian():
     # (2x)^245 passes the float range on its own, while the element, a
     # matrix element of a unitary, stays below 1
-    value = displacement_element(245, 0, 9.38)
+    table = displacement_elements(np.array([[245], [0]]), np.array([0, 245]),
+                                  9.38)
+    value = table[0, 0]
     assert math.isfinite(value) and 0.0 < abs(value) <= 1.0
-    assert displacement_element(0, 245, 9.38) == -value
+    assert table[1, 1] == -value
 
 
 @settings(max_examples=40, deadline=None)
@@ -231,15 +228,13 @@ def test_displacement_large_power_with_live_gaussian():
 @example(x=-9.38, rows=[0, 244, 245], cols=[245, 0, 1])
 def test_displacement_table_is_the_scalar_formula_bit_for_bit(x, rows,
                                                               cols):
-    # every entry of a table, and the one-entry call, equals the scalar
-    # formula in Python floats, signed zeros included: the Gaussian factor
-    # and the powers come from libm as there
+    # every entry of a table equals the scalar formula in Python floats,
+    # signed zeros included: the Gaussian factor and the powers come from
+    # libm as there
     got = displacement_elements(np.array(rows)[:, None], np.array(cols), x)
     want = np.array([[displacement_reference(m, n, x) for n in cols]
                      for m in rows])
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    one = displacement_element(rows[0], cols[0], x)
-    assert np.float64(one).view(np.int64) == want[0, 0].view(np.int64)
 
 
 @pytest.mark.parametrize("seed", range(4))

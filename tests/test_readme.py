@@ -63,8 +63,8 @@ for argv in json.loads(sys.argv[1]):
 
 def run_readme_commands(out_dir: Path) -> dict:
     """Run the README commands in one fresh process at one OpenBLAS thread,
-    writing into out_dir; the text of each file written, by name, less the
-    ``# rabi2q`` header line of a CSV."""
+    writing into out_dir; each file written, by name, as its ``# rabi2q``
+    header line (None for a file that is not a CSV) and its other lines."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
@@ -76,8 +76,9 @@ def run_readme_commands(out_dir: Path) -> dict:
     for path in sorted(out_dir.iterdir()):
         lines = path.read_text().splitlines()
         if lines[:1] and lines[0].startswith("# rabi2q "):
-            lines = lines[1:]
-        outputs[path.name] = lines
+            outputs[path.name] = lines[0], lines[1:]
+        else:
+            outputs[path.name] = None, lines
     return outputs
 
 
@@ -85,18 +86,22 @@ def _digest(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def reference_of(lines) -> dict:
-    """The pinned form of one output: its lines, or, past WHOLE_BYTES, its
-    line count, SHA-256 and every SAMPLE_STEP-th line by number."""
+def reference_of(header, lines) -> dict:
+    """The pinned form of one output: a CSV's header line, apart from its
+    other lines, and those lines, or, past WHOLE_BYTES, their count,
+    SHA-256 and every SAMPLE_STEP-th line by number."""
+    pinned = {} if header is None else {"header": header}
     if sum(len(line) + 1 for line in lines) <= WHOLE_BYTES:
-        return {"lines": lines}
-    return {"count": len(lines), "sha256": _digest(lines),
+        return {**pinned, "lines": lines}
+    return {**pinned, "count": len(lines), "sha256": _digest(lines),
             "sample": {str(i): lines[i]
                        for i in range(0, len(lines), SAMPLE_STEP)}}
 
 
-def mismatches(name, lines, reference) -> list:
+def mismatches(name, header, lines, reference) -> list:
     """How an output differs from its reference; empty when it does not."""
+    if header != reference.get("header"):
+        return [f"{name} header: {header!r} != {reference.get('header')!r}"]
     if "file" in reference:
         reference = {"lines": (GOLDEN / reference["file"]).read_text()
                      .splitlines()}
@@ -127,8 +132,9 @@ def readme_outputs(tmp_path_factory):
 def test_readme_outputs_match_their_references(readme_outputs):
     references = json.loads(REFERENCES.read_text())
     assert sorted(readme_outputs) == sorted(references)
-    assert [line for name, lines in readme_outputs.items()
-            for line in mismatches(name, lines, references[name])] == []
+    assert [line for name, (header, lines) in readme_outputs.items()
+            for line in mismatches(name, header, lines,
+                                   references[name])] == []
 
 
 def _last_digit_up(cell: str) -> str:
@@ -146,19 +152,34 @@ def test_reference_check_fails_on_one_changed_digit(readme_outputs, name,
     # the last printed digit of one cell, on a kept line, a sampled line
     # and a line only the hash covers
     references = json.loads(REFERENCES.read_text())
-    lines = list(readme_outputs[name])
+    header, lines = readme_outputs[name]
+    lines = list(lines)
     cells = lines[line].split(",")
     cells[-1] = _last_digit_up(cells[-1])
     lines[line] = ",".join(cells)
-    assert mismatches(name, lines, references[name])
+    assert mismatches(name, header, lines, references[name])
+
+
+def test_reference_check_pins_each_csv_header(readme_outputs):
+    # each CSV's header line, with its version, command and configuration
+    # hash, is pinned apart from the other lines: one changed hash digit,
+    # as a hash that left out a flag would show, is reported
+    references = json.loads(REFERENCES.read_text())
+    headers = {name: header for name, (header, _) in readme_outputs.items()}
+    assert [name for name, header in headers.items() if header is None] == [
+        "spectrum.svg"]
+    for name, (header, lines) in readme_outputs.items():
+        if header is not None:
+            moved = header[:-1] + ("1" if header[-1] == "0" else "0")
+            assert mismatches(name, moved, lines, references[name])
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         outputs = run_readme_commands(Path(tmp))
-    pinned = {name: reference_of(lines) for name, lines in outputs.items()}
+    pinned = {name: reference_of(*output) for name, output in outputs.items()}
     # the eigenstate output stays whole in its own golden file
-    (GOLDEN / "eigenstate_readme.csv").write_text(
-        "\n".join(outputs["states.csv"]) + "\n")
-    pinned["states.csv"] = {"file": "eigenstate_readme.csv"}
+    header, lines = outputs["states.csv"]
+    (GOLDEN / "eigenstate_readme.csv").write_text("\n".join(lines) + "\n")
+    pinned["states.csv"] = {"header": header, "file": "eigenstate_readme.csv"}
     REFERENCES.write_text(json.dumps(pinned, indent=1) + "\n")
