@@ -5,10 +5,13 @@ parameters arrive via flags (or an optional key=value config file; flags
 win), energies are in units of the field frequency, and every CSV starts
 with a comment line carrying the tool version, the command and a hash of the
 resolved configuration so identical configs produce byte-identical files.
-No command solves a chain itself: ``eigenstate`` makes one
-``eigenstates.eigenstates_by_parity`` call for all its parities, which
-also checks ``--count``, and one ``eigenstates.bargmann_residuals`` call,
-its series as long as the recurrence states' cut (at least 8 amplitudes).
+``main`` builds the parser of the one command it runs (``build_parser``,
+from the ``COMMANDS`` table); ``--help``, ``--version`` and a missing or
+unknown command get the parser of all five.  No command solves a chain
+itself: ``eigenstate`` makes one ``eigenstates.eigenstates_by_parity``
+call for all its parities, which also checks ``--count``, and one
+``eigenstates.bargmann_residuals`` call, its series as long as the
+recurrence states' cut (at least 8 amplitudes).
 
 Exit codes: 0 success, 2 configuration error (a ConfigError, raised by the
 front end and by the input checks of the library, or a configuration too
@@ -331,63 +334,86 @@ def cmd_eigenstate(args) -> int:
 # parser assembly
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def _spectrum_args(parser):
+    _add_common(parser, couplings="range")
+    parser.add_argument("--k", type=int, default=20,
+                        help="branches per parity")
+    parser.add_argument("--gap-tol", type=float, default=0.05,
+                        dest="gap_tol")
+    parser.add_argument("--overlap-tol", type=float, default=0.2,
+                        dest="overlap_tol")
+
+
+def _dynamics_args(parser):
+    _add_common(parser)
+    parser.add_argument("--alpha", type=float, default=None,
+                        help="coherent field amplitude")
+    parser.add_argument("--fock", type=int, default=None,
+                        help="Fock occupation (alternative to --alpha)")
+    parser.add_argument("--qubits", type=str, default="gg",
+                        help="initial qubit pair, e.g. gg, eg")
+    parser.add_argument("--tmax", type=float, default=100.0,
+                        help="final time in units of 1/omega_f")
+    parser.add_argument("--steps", type=int, default=1000)
+    parser.add_argument("--engine", choices=("full", "rwa"), default="full")
+
+
+def _perturb_args(parser):
+    _add_common(parser)
+    parser.add_argument("--mmax", type=int, default=11,
+                        help="highest branch index")
+    parser.add_argument("--ncut", type=int, default=None,
+                        help="correction sum cutoff (default m + 80)")
+
+
+def _rwa_compare_args(parser):
+    _add_common(parser)
+    parser.add_argument("--k", type=int, default=20)
+
+
+def _eigenstate_args(parser):
+    _add_common(parser)
+    parser.add_argument("--parity", choices=("even", "odd", "both"),
+                        default="both")
+    parser.add_argument("--count", type=int, default=5,
+                        help="number of lowest states per parity")
+    parser.add_argument("--bargmann", action="store_true",
+                        help="also report Bargmann reconstruction residuals")
+
+
+# command -> (help, the function that adds its arguments, the command)
+COMMANDS = {
+    "spectrum": ("parity-resolved coupling sweep", _spectrum_args,
+                 cmd_spectrum),
+    "dynamics": ("time evolution of observables", _dynamics_args,
+                 cmd_dynamics),
+    "perturb": ("deep-strong-coupling perturbative branches", _perturb_args,
+                cmd_perturb),
+    "rwa-compare": ("RWA vs full spectrum relative errors", _rwa_compare_args,
+                    cmd_rwa_compare),
+    "eigenstate": ("recurrence eigenstates and their residuals",
+                   _eigenstate_args, cmd_eigenstate),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of command alone, or of every command when None."""
     parser = argparse.ArgumentParser(
         prog="rabi2q",
         description="Two-qubit quantum Rabi model: spectra, eigenstates "
                     "and entanglement dynamics")
     parser.add_argument("--version", action="version",
                         version=f"rabi2q {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("spectrum", help="parity-resolved coupling sweep")
-    _add_common(sp, couplings="range")
-    sp.add_argument("--k", type=int, default=20,
-                    help="branches per parity")
-    sp.add_argument("--gap-tol", type=float, default=0.05, dest="gap_tol")
-    sp.add_argument("--overlap-tol", type=float, default=0.2,
-                    dest="overlap_tol")
-    sp.set_defaults(func=cmd_spectrum)
-
-    dy = sub.add_parser("dynamics", help="time evolution of observables")
-    _add_common(dy)
-    dy.add_argument("--alpha", type=float, default=None,
-                    help="coherent field amplitude")
-    dy.add_argument("--fock", type=int, default=None,
-                    help="Fock occupation (alternative to --alpha)")
-    dy.add_argument("--qubits", type=str, default="gg",
-                    help="initial qubit pair, e.g. gg, eg")
-    dy.add_argument("--tmax", type=float, default=100.0,
-                    help="final time in units of 1/omega_f")
-    dy.add_argument("--steps", type=int, default=1000)
-    dy.add_argument("--engine", choices=("full", "rwa"), default="full")
-    dy.set_defaults(func=cmd_dynamics)
-
-    pe = sub.add_parser("perturb",
-                        help="deep-strong-coupling perturbative branches")
-    _add_common(pe)
-    pe.add_argument("--mmax", type=int, default=11,
-                    help="highest branch index")
-    pe.add_argument("--ncut", type=int, default=None,
-                    help="correction sum cutoff (default m + 80)")
-    pe.set_defaults(func=cmd_perturb)
-
-    rc = sub.add_parser("rwa-compare",
-                        help="RWA vs full spectrum relative errors")
-    _add_common(rc)
-    rc.add_argument("--k", type=int, default=20)
-    rc.set_defaults(func=cmd_rwa_compare)
-
-    ei = sub.add_parser("eigenstate",
-                        help="recurrence eigenstates and their residuals")
-    _add_common(ei)
-    ei.add_argument("--parity", choices=("even", "odd", "both"),
-                    default="both")
-    ei.add_argument("--count", type=int, default=5,
-                    help="number of lowest states per parity")
-    ei.add_argument("--bargmann", action="store_true",
-                    help="also report Bargmann reconstruction residuals")
-    ei.set_defaults(func=cmd_eigenstate)
+    # the usage line of one command's parser names every command, as the
+    # full parser's does, so that an unknown flag's error reads the same
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
+    for name in COMMANDS if command is None else [command]:
+        help_text, add_arguments, func = COMMANDS[name]
+        command_parser = sub.add_parser(name, help=help_text)
+        add_arguments(command_parser)
+        command_parser.set_defaults(func=func)
     return parser
 
 
@@ -414,7 +440,9 @@ def _config_flags(path: str) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        parser = build_parser()
+        # --help, --version or no known command: the full parser
+        parser = build_parser(argv[0] if argv and argv[0] in COMMANDS
+                              else None)
         args = parser.parse_args(argv)
         if args.config is not None:
             # the file's flags go right after the subcommand, so explicit

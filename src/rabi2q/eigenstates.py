@@ -6,8 +6,9 @@ solved for the Fock amplitudes sqrt(j!) c_j of their power-series
 coefficients c_j as the null vector of its banded row matrix, which finds
 the minimal solution (forward recursion cannot).  Both run every
 requested level of every parity as one lane of numpy arrays, one pass for
-all.  Where alpha_0 vanishes (identical qubits) the five-term route
-raises StepSingular; a three-term recurrence covers that case.
+all.  Where alpha_0 vanishes on a row (identical qubits, or g_plus g_minus
+or omega_1 -+ omega_2 below BARGMANN_FLOOR) a level is StepSingular on the
+five-term route; a three-term recurrence covers identical qubits.
 
 The chain's rows O_j x_{j-1} + (D_j - E) x_j + O_{j+1} x_{j+1} = 0 have a
 growing solution in each direction, so ``eigenstates_by_parity`` runs
@@ -41,7 +42,7 @@ from .hamiltonian import build_parity_band
 from .model import ModelParams, Parity, TruncationConfig, basis_table
 from .numerics import (band_norm, block_pivots, inert_tail,
                        padded_residuals, pivot_shift, tail_cut)
-from .spectra import converged_parity_eigensystem
+from .spectra import _converged_pairs
 
 OVERFLOW_LIMIT = 1e300
 # a recurrence state whose relative residual ||(H - xi) v|| / ||v|| passes
@@ -55,6 +56,10 @@ CLUSTER_GAP = 1e-3
 TWIST_CANDIDATES = 2
 # inverse-iteration steps of the Bargmann route's null vector at most
 NULL_STEPS = 3
+# a Bargmann state is known to about eps / f, where f is the square root of
+# alpha_0's share of its row, or omega_1 -+ omega_2 over the row's energy
+# |chi| + j (measured); a level with f below this floor is StepSingular
+BARGMANN_FLOOR = np.finfo(float).eps / RECURRENCE_RESIDUAL_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +247,12 @@ def _twisted_states(bands: np.ndarray, energies: np.ndarray, blocks: int):
 def eigenstates_by_parity(params: ModelParams, parities, count: int,
                           n_max: int) -> dict:
     """Recurrence states of the count lowest converged levels of each of
-    parities, by parity: the energies of one
-    ``spectra.converged_parity_eigensystem`` call per parity, the twisted
-    states of one ``_twisted_states`` call for all levels, on the blocks up
-    to the larger of the parities' ``numerics.tail_cut`` (every state's
-    cut), and for each level the state of least residual.  Within a cluster
+    parities, by parity: the energies that
+    ``spectra.converged_parity_eigensystem`` certifies, of all parities in
+    one climb of their chains, the twisted states of one
+    ``_twisted_states`` call for all levels, on the blocks up to the
+    larger of the parities' ``numerics.tail_cut`` (every state's cut), and
+    for each level the state of least residual.  Within a cluster
     of levels closer than CLUSTER_GAP ||H|| to a neighbour, each member's
     candidates are first orthogonalized against the states of the members
     below it; a member whose candidates all lie in their span has an
@@ -255,9 +261,8 @@ def eigenstates_by_parity(params: ModelParams, parities, count: int,
     TruncationInsufficient when no rung certifies the count lowest.
     """
     trunc = TruncationConfig(n_max)
-    energies = np.array([converged_parity_eigensystem(params, parity, trunc,
-                                                      count)[0]
-                         for parity in parities])
+    energies = np.array([values for values, _ in _converged_pairs(
+        [(params, parity) for parity in parities], trunc, count)])
     bands = np.array([build_parity_band(params, parity, trunc)
                       for parity in parities])
     hnorms = np.array([band_norm(band) for band in bands])
@@ -324,37 +329,6 @@ _BRANCH_SIGN = {Parity.EVEN: -1, Parity.ODD: +1}
 _SPINOR_SIGN = {Parity.EVEN: +1, Parity.ODD: -1}
 
 
-def _bargmann_alphas(params: ModelParams, parity: Parity, chi: float,
-                     j: np.ndarray) -> np.ndarray:
-    """Coefficients alpha_0..alpha_4 (rows) of rows j of the five-term
-    recurrence, by the operations of the scalar formulas in their order.
-    br_m^2 and (chi - (j - 2))^2 are Python's float ** (libm pow), which
-    can differ from numpy's square in the last bit."""
-    s = _BRANCH_SIGN[parity]
-    w1, w2 = params.omega_1, params.omega_2
-    gp, gm = params.g_plus, params.g_minus
-
-    def branch(pj):
-        """(br_m, br_p, br_m^2) at (-1)^j = pj."""
-        br_m = w1 - s * pj * w2
-        return br_m, w1 + s * pj * w2, br_m ** 2
-
-    br_m, br_p, sq_m = (np.where(j % 2 == 1, odd, even)
-                        for even, odd in zip(branch(1), branch(-1)))
-    sq_c = np.array([(chi - (k - 2)) ** 2 for k in j.tolist()])
-    a0 = j * (j - 1) * gp * gm * br_m
-    a1 = (j - 1) * (gm * br_m * (j - 1 - chi) + gp * br_p * (chi - (j - 2)))
-    a2 = (2 * j - 3) * gp * gm * br_m + br_p * (0.25 * sq_m - sq_c)
-    a3 = gp * br_p * (chi - (j - 2)) - gm * br_m * (chi - (j - 3))
-    a4 = gp * gm * br_m
-    return np.array([a0, a1, a2, a3, a4])
-
-
-def _alpha0_scale(params: ModelParams, j: np.ndarray) -> np.ndarray:
-    return (j * (j - 1) * abs(params.g_plus * params.g_minus)
-            * (abs(params.omega_1) + abs(params.omega_2)))
-
-
 def _phi2_series(params: ModelParams, signs: np.ndarray, chi: np.ndarray,
                  v: np.ndarray) -> np.ndarray:
     """Companion amplitudes from the two first-order relations, one column
@@ -374,31 +348,52 @@ def _phi2_series(params: ModelParams, signs: np.ndarray, chi: np.ndarray,
     return ((k - chi) * v + params.g_plus * (below + above)) / div
 
 
-def _bargmann_rows(params: ModelParams, parity: Parity, chi: float,
-                   j_max: int) -> np.ndarray:
+def _bargmann_rows(params: ModelParams, signs: np.ndarray, chi: np.ndarray,
+                   j_max: int) -> list:
     """Rows j = 2..j_max + 4 of the five-term system in the amplitudes
-    v_0..v_j_max, built in one pass: alpha_k of row j multiplies v_(j - k)
-    times sqrt(j (j - 1) ... (j - k + 1)), and each row is divided by its
-    largest magnitude (rows with none are dropped).  Raises StepSingular at
-    the first row whose alpha_0 vanishes."""
+    v_0..v_j_max of each lane (branch sign signs, energy chi), all lanes in
+    one pass: alpha_k of row j, by the operations of the scalar formulas in
+    their order, multiplies v_(j - k) times sqrt(j (j - 1) ... (j - k + 1)),
+    and each row is divided by its largest magnitude (rows with none are
+    dropped).  br_m^2 and (chi - (j - 2))^2 are Python's float ** (libm
+    pow), which can differ from numpy's square in the last bit.  A lane
+    gets its matrix, or StepSingular at its first row where alpha_0 = j (j
+    - 1) g_plus g_minus br_m is below BARGMANN_FLOOR^2 of the row's largest
+    coefficient or br_m below BARGMANN_FLOOR (|chi| + j).
+    """
+    w1, w2 = params.omega_1, params.omega_2
+    gp, gm = params.g_plus, params.g_minus
     j = np.arange(2, j_max + 5)
-    alphas = _bargmann_alphas(params, parity, chi, j)
-    vanish = np.flatnonzero(np.abs(alphas[0])
-                            <= 1e-14 * _alpha0_scale(params, j))
-    if len(vanish):
-        raise StepSingular(
-            f"alpha_0 vanishes at step j={j[vanish[0]]} "
-            f"(omega_1 = -+(-1)^j omega_2 or g_plus g_minus = 0)")
+    r = j[:, None]      # j as a column: one row per j, one column per lane
+    sign = np.where(r % 2 == 1, -1, 1) * np.asarray(signs)     # s (-1)^j
+    br_m, br_p = w1 - sign * w2, w1 + sign * w2
+    sq_m = np.where(sign > 0, (w1 - w2) ** 2, (w1 + w2) ** 2)
+    sq_c = np.array([[(c - (k - 2)) ** 2 for k in j.tolist()]
+                     for c in chi.tolist()]).T
+    alphas = np.array([
+        r * (r - 1) * gp * gm * br_m,
+        (r - 1) * (gm * br_m * (r - 1 - chi) + gp * br_p * (chi - (r - 2))),
+        (2 * r - 3) * gp * gm * br_m + br_p * (0.25 * sq_m - sq_c),
+        gp * br_p * (chi - (r - 2)) - gm * br_m * (chi - (r - 3)),
+        gp * gm * br_m])
     # j! / (j - k)! for k = 0..4, zero where the column j - k is negative
     falling = np.cumprod([np.ones_like(j)] + [j - i for i in range(4)], 0)
+    coefficients = alphas * np.sqrt(falling)[..., None]
+    vanish = ((np.abs(alphas[0])
+               <= BARGMANN_FLOOR ** 2 * np.abs(coefficients).max(0))
+              | (np.abs(br_m) <= BARGMANN_FLOOR * (np.abs(chi) + r)))
     col = j - np.arange(5)[:, None]
     inside = (col >= 0) & (col <= j_max)
-    rows = np.zeros((len(j), j_max + 1))
-    rows[np.broadcast_to(j - 2, col.shape)[inside], col[inside]] = (
-        alphas[inside] * np.sqrt(falling[inside]))
-    scale = np.abs(rows).max(axis=1)
-    keep = scale > 0
-    return rows[keep] / scale[keep, None]
+    rows = np.zeros((len(chi), len(j), j_max + 1))
+    rows[:, np.broadcast_to(j - 2, col.shape)[inside], col[inside]] = (
+        coefficients[inside].T)
+    scale = np.abs(rows).max(axis=2)
+    with np.errstate(invalid="ignore"):
+        rows /= scale[..., None]
+    return [StepSingular(f"alpha_0 vanishes at step j={j[at]} (omega_1 = "
+                         f"-+(-1)^j omega_2 or g_plus g_minus = 0)")
+            if hit[at] else lane_rows[keep] for at, hit, lane_rows, keep
+            in zip(np.argmax(vanish, axis=0), vanish.T, rows, scale > 0)]
 
 
 def _null_vectors(matrices):
@@ -495,20 +490,15 @@ def bargmann_residuals(params: ModelParams, levels, j_max: int,
     """
     if j_max < 8:
         raise ConfigError("j_max must be >= 8")
-    found, lanes, rows = [None] * len(levels), [], []
-    for i, (parity, chi) in enumerate(levels):
-        try:
-            rows.append(_bargmann_rows(params, parity, chi, j_max))
-            lanes.append(i)
-        except StepSingular as exc:
-            found[i] = exc
+    signs = np.array([_BRANCH_SIGN[parity] for parity, _ in levels])
+    chi = np.array([chi for _, chi in levels], dtype=float)
+    found = _bargmann_rows(params, signs, chi, j_max)
+    lanes = [i for i, rows in enumerate(found) if isinstance(rows, np.ndarray)]
     if not lanes:
         return found
-    parities = [levels[i][0] for i in lanes]
-    chi = np.array([levels[i][1] for i in lanes])
-    v, _ = _null_vectors(rows)
-    phi2 = _phi2_series(params, np.array([_BRANCH_SIGN[p] for p in parities]),
-                        chi, v)
+    parities, chi = [levels[i][0] for i in lanes], chi[lanes]
+    v, _ = _null_vectors([found[i] for i in lanes])
+    phi2 = _phi2_series(params, signs[lanes], chi, v)
     chains = _chain_lanes(v, phi2, np.array([_SPINOR_SIGN[p]
                                              for p in parities]), n_max)
     trunc = TruncationConfig(max(n_max, 1))

@@ -8,18 +8,18 @@ the whole chain.  Every rung passes one certificate, that of
 ``converged_parity_eigensystem``: the window levels up to the k-th, and
 those that tie with it, have residuals within ``RESIDUAL_TOL`` ||H||
 against the chain one photon longer, and an inertia count shows that the
-whole chain has no more levels below the cut past them.  A point whose
-ladder runs out raises ``TruncationInsufficient``.  A sweep climbs the
-ladders of all its points together, one rung at a time: the rung's
-windows are solved and residual-tested on a thread pool sized to the
-cores that BLAS leaves idle (one thread, the calling one, when BLAS
-threads fill every core), and then counted in one batched, numpy only
-pass of the 2 x 2 block pivots of the whole chain from photon 0
-(``numerics.block_pivots``, the kernel of the recurrence eigenstates
-too), which ends where ``numerics.inert_tail`` proves every chain's rest
-free of negative pivots.  Each window is one LAPACK call whichever thread
-makes it, so the results do not depend on the number of threads.  A point
-keeps only the k requested levels and its window's rows of their vectors.
+whole chain has no more levels below the cut past them.  A chain whose
+ladder runs out raises ``TruncationInsufficient``.  The chains of a call,
+both parities of one point or the points of one parity in a sweep, climb
+their ladders together, one rung at a time: the rung's windows are solved
+and residual-tested on the calling thread, or on the sweep's thread pool
+sized to the cores that BLAS leaves idle, and then counted in one
+batched, numpy only pass of the 2 x 2 block pivots of the whole chain
+from photon 0 (``numerics.block_pivots``, the kernel of the recurrence
+eigenstates too), which ends where ``numerics.inert_tail`` proves every
+chain's rest free of negative pivots.  Each window is one LAPACK call
+whichever thread makes it, so the results do not depend on the number of
+threads.  A chain keeps only its k levels and its window's vector rows.
 """
 
 from __future__ import annotations
@@ -114,26 +114,26 @@ def _ladder(band: np.ndarray, start: int, dim: int):
 TIE_TOL = 4.0
 
 
-def _certified_windows(bands: np.ndarray, starts, count: int) -> list:
+def _certified_windows(bands: np.ndarray, starts, count: int,
+                       run=map) -> list:
     """The count lowest pairs of each chain, solved on photons 0..n_w (the
     values, and the vectors' window rows: the rows past them are zeros),
-    or None for a point whose ladder runs out.
+    or None for a chain whose ladder runs out.
 
     bands holds each chain's band one photon longer, for the residuals
-    past the chain; ||H|| and the count are the chain's own.  Each point
+    past the chain; ||H|| and the count are the chain's own.  Each chain
     climbs its own ``_ladder`` from its start window, at least count // 2
     so that a window holds the level past the cut, until a rung passes the
-    certificate of ``converged_parity_eigensystem``.  Per rung, the
-    pending points' windows are solved and residual-tested on a thread
-    pool made for the call, of ``_pool_workers`` threads (numpy's LAPACK
-    releases the GIL); with one worker, on the calling thread.  A task
-    returns only what the certificate keeps, its cut x, the size of its
-    set and a copy of its count values and vector columns, or a
-    rejection, so no more windows are alive than workers.  Then one
-    batched ``_levels_below`` on the calling thread counts the levels of
-    the rung's candidate chains below their cuts, and a candidate
-    certifies where that count is its set's size.  The results are taken
-    in point order, so they do not depend on the number of workers.
+    certificate of ``converged_parity_eigensystem``.  Per rung, run (a
+    map: the calling thread's, or a thread pool's, as numpy's LAPACK
+    releases the GIL) solves and residual-tests the pending chains'
+    windows.  A task returns only what the certificate keeps, its cut x,
+    the size of its set and a copy of its count values and vector columns,
+    or a rejection, so no more windows are alive than run has workers.
+    Then one batched ``_levels_below`` on the calling thread counts the
+    levels of the rung's candidate chains below their cuts, and a
+    candidate certifies where that count is its set's size.  The results
+    are taken in chain order, so they do not depend on run.
     """
     dim = bands.shape[2] - 2
     chains = bands[..., :dim]
@@ -165,52 +165,45 @@ def _certified_windows(bands: np.ndarray, starts, count: int) -> list:
 
     solved = [None] * len(bands)
     pending = range(len(bands))
-    workers = _pool_workers(len(bands))
-    with contextlib.ExitStack() as stack:
-        run = map
-        if workers > 1:
-            # imported here, so that a run that makes no pool does not pay
-            # for the import (about 6 ms, logging included)
-            from concurrent.futures import ThreadPoolExecutor
-            run = stack.enter_context(ThreadPoolExecutor(workers)).map
-        while pending:
-            widen, found = [], []
-            for point, outcome in zip(pending, run(climb, pending)):
-                if outcome is False:
+    while pending:
+        widen, found = [], []
+        for point, outcome in zip(pending, run(climb, pending)):
+            if outcome is False:
+                widen.append(point)
+            elif outcome is not None:
+                found.append((point, *outcome))
+        if found:
+            points, x, held, pairs = zip(*found)
+            points = list(points)
+            below = _levels_below(chains[points], norms[points],
+                                  np.array(x))
+            for point, levels, size, pair in zip(points, below, held, pairs):
+                if levels == size:
+                    solved[point] = pair
+                else:
                     widen.append(point)
-                elif outcome is not None:
-                    found.append((point, *outcome))
-            if found:
-                points, x, held, pairs = zip(*found)
-                points = list(points)
-                below = _levels_below(chains[points], norms[points],
-                                      np.array(x))
-                for point, levels, size, pair in zip(points, below, held,
-                                                     pairs):
-                    if levels == size:
-                        solved[point] = pair
-                    else:
-                        widen.append(point)
-            pending = sorted(widen)
+        pending = sorted(widen)
     return solved
 
 
-def _converged_pairs(points, parity: Parity, trunc: TruncationConfig,
-                     k: int) -> list:
-    """``converged_parity_eigensystem`` at every ModelParams of points."""
+def _converged_pairs(chains, trunc: TruncationConfig, k: int,
+                     run=map) -> list:
+    """``converged_parity_eigensystem`` of every (ModelParams, Parity) of
+    chains, in one climb (``_certified_windows``, with run)."""
     if not 1 <= k <= trunc.chain_dim:
         raise ConfigError(f"{k} levels per chain is outside [1, "
                           f"{trunc.chain_dim}], the levels of a chain at "
                           f"n_max={trunc.n_max}")
     longer = TruncationConfig(trunc.n_max + 1)
     bands = np.array([build_parity_band(params, parity, longer)
-                      for params in points])
+                      for params, parity in chains])
     pairs = _certified_windows(
-        bands, [_start_window(params, k) for params in points], k)
-    if any(pair is None for pair in pairs):
+        bands, [_start_window(params, k) for params, _ in chains], k, run)
+    failed = [parity for (_, parity), got in zip(chains, pairs) if got is None]
+    if failed:
         raise TruncationInsufficient(
-            f"no photon window up to the whole chain certifies the {k} "
-            f"lowest levels at n_max={trunc.n_max} ({parity.value} parity)")
+            f"no photon window up to the whole chain certifies the {k} lowest "
+            f"levels at n_max={trunc.n_max} ({failed[0].value} parity)")
     return pairs
 
 
@@ -241,12 +234,13 @@ def converged_parity_eigensystem(params: ModelParams, parity: Parity,
     cuts can miss low levels that live at higher photon numbers.  Returns
     the k lowest of the set, with only the window's own rows of the
     vectors (the chain rows past them are exact zeros).  This is the
-    one-point call of the route that ``sweep_spectrum`` takes for all
-    points at once, and it seeds ``eigenstates.eigenstate_recurrences``.
+    one-chain call of ``_converged_pairs``, which climbs both parities of
+    a point (``rwa_relative_error``, the recurrence eigenstates) or a
+    sweep's points, on the sweep's thread pool, together.
     TruncationInsufficient when no rung, the whole chain included,
     certifies; ConfigError for k outside [1, chain dimension].
     """
-    return _converged_pairs([params], parity, trunc, k)[0]
+    return _converged_pairs([(params, parity)], trunc, k)[0]
 
 
 def _start_window(params: ModelParams, k: int) -> int:
@@ -301,7 +295,9 @@ def sweep_spectrum(template: ModelParams, g1_values, g2_values,
 
     g1_values and g2_values must have equal length; pass a constant array to
     hold one coupling fixed.  Raises TruncationInsufficient where no rung
-    certifies the k lowest levels of a point in either parity.
+    certifies the k lowest levels of a point in either parity.  Both
+    parities' climbs share one pool of ``_pool_workers`` threads, if more
+    than one.
     """
     g1_values = np.atleast_1d(np.asarray(g1_values, dtype=float))
     g2_values = np.atleast_1d(np.asarray(g2_values, dtype=float))
@@ -313,10 +309,20 @@ def sweep_spectrum(template: ModelParams, g1_values, g2_values,
     points = [replace(template, g_1=float(g1), g_2=float(g2))
               for g1, g2 in zip(g1_values, g2_values)]
     energies, vectors = {}, {}
-    for parity in (Parity.EVEN, Parity.ODD):
-        pairs = _converged_pairs(points, parity, trunc, k)
-        energies[parity] = np.array([values for values, _ in pairs])
-        vectors[parity] = [vecs for _, vecs in pairs]
+    with contextlib.ExitStack() as stack:
+        run, workers = map, _pool_workers(len(points))
+        if workers > 1:
+            # imported here, so that a run that makes no pool does not pay
+            # for the import (about 6 ms, logging included)
+            from concurrent.futures import ThreadPoolExecutor
+            run = stack.enter_context(ThreadPoolExecutor(workers)).map
+        # one climb per parity: both in one would hold the bands of twice
+        # the chains at once
+        for parity in (Parity.EVEN, Parity.ODD):
+            pairs = _converged_pairs([(params, parity) for params in points],
+                                     trunc, k, run)
+            energies[parity] = np.array([values for values, _ in pairs])
+            vectors[parity] = [vecs for _, vecs in pairs]
     return SpectrumSweep(k, g1_values, g2_values, energies, vectors)
 
 
@@ -517,21 +523,22 @@ def rwa_relative_error(params: ModelParams, trunc: TruncationConfig,
     Neither Hamiltonian couples the two parities, so each spectrum merges
     the levels of its two chains.  The full model's are the min(k, chain
     dimension) lowest of each chain that ``converged_parity_eigensystem``
-    certifies.  The RWA band's coupling blocks are not of the form [[a, b],
-    [b, a]] that the inertia count takes, so its chains are solved by dense
-    eigh, and its k lowest merged levels must all pass the truncation
-    guard, ``converged_mask``: skipping one would pair the levels of
-    different states.  TruncationInsufficient where either side fails,
-    ConfigError when k passes the levels of the two chains.
+    certifies, both chains in one climb.  The RWA band's coupling blocks
+    are not of the form [[a, b], [b, a]] that the inertia count takes, so
+    its chains are solved by dense eigh, and its k lowest merged levels
+    must all pass the truncation guard, ``converged_mask``: skipping one
+    would pair the levels of different states.  TruncationInsufficient
+    where either side fails, ConfigError when k passes the levels of the
+    two chains.
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
     if k > 2 * trunc.chain_dim:
         raise ConfigError(f"{k} levels pass the {2 * trunc.chain_dim} "
                           f"levels of the two chains at n_max={trunc.n_max}")
-    e_full = np.sort(np.concatenate([converged_parity_eigensystem(
-        params, parity, trunc, min(k, trunc.chain_dim))[0]
-        for parity in (Parity.EVEN, Parity.ODD)]))[:k]
+    e_full = np.sort(np.concatenate([values for values, _ in _converged_pairs(
+        [(params, parity) for parity in (Parity.EVEN, Parity.ODD)], trunc,
+        min(k, trunc.chain_dim))]))[:k]
     chains = [eigh(expand_dense(build_rwa_band(params, parity, trunc)))
               for parity in (Parity.EVEN, Parity.ODD)]
     values = np.concatenate([vals for vals, _ in chains])

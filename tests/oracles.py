@@ -238,7 +238,8 @@ def bargmann_rows_reference(params, parity, chi, j_max):
     a time in Python floats, from the printed coefficient formulas: the
     entry of amplitude v_(j - k) in row j is alpha_k times sqrt(j!/(j -
     k)!), so the rows solve for v_j = sqrt(j!) c_j; raises StepSingular at
-    the first row whose alpha_0 vanishes."""
+    the first row whose alpha_0 vanishes: below (eps / 1e-6)^2 of the row's
+    largest coefficient, or with br_m below eps / 1e-6 of |chi| + j."""
     s = -1 if parity is Parity.EVEN else 1
     w1, w2 = params.omega_1, params.omega_2
     gp, gm = params.g_plus, params.g_minus
@@ -254,8 +255,11 @@ def bargmann_rows_reference(params, parity, chi, j_max):
               + br_p * (0.25 * br_m ** 2 - (chi - (j - 2)) ** 2)),
              gp * br_p * (chi - (j - 2)) - gm * br_m * (chi - (j - 3)),
              gp * gm * br_m)
-        if abs(a[0]) <= 1e-14 * (j * (j - 1) * abs(gp * gm)
-                                 * (abs(w1) + abs(w2))):
+        coefficients = [value * math.sqrt(math.prod(range(j - off + 1, j + 1)))
+                        for off, value in enumerate(a)]
+        floor = np.finfo(float).eps / 1e-6
+        if (abs(a[0]) <= floor ** 2 * max(map(abs, coefficients))
+                or abs(br_m) <= floor * (abs(chi) + j)):
             raise StepSingular(
                 f"alpha_0 vanishes at step j={j} "
                 f"(omega_1 = -+(-1)^j omega_2 or g_plus g_minus = 0)")

@@ -281,6 +281,40 @@ def test_eigenstate_bargmann_equal_qubit_frequencies(tmp_path, capsys):
     assert all("bargmann route unavailable" in line for line in err)
 
 
+@pytest.mark.parametrize("argv, served", [
+    (["--omega1", "0.9247", "--omega2", "0", "--g1=-7e-65", "--g2", "0",
+      "--nmax", "20"], False),
+    (["--omega1", "0.4837", "--omega2", "0", "--g1", "0", "--g2", "1e-12",
+      "--nmax", "69"], False),
+    (["--omega1", "1e-128", "--omega2", "0", "--g1=-0.2252",
+      "--g2", "1e-128", "--nmax", "20"], False),
+    (["--omega1", "0.9247", "--omega2", "0", "--g1=-1e-8", "--g2", "0",
+      "--nmax", "20"], True),
+    (["--omega1", "1e-8", "--omega2", "0", "--g1=-0.2252", "--g2", "1e-10",
+      "--nmax", "20"], True),
+], ids=["tiny-g-product", "tiny-g-minus", "tiny-frequencies",
+        "small-g-product", "small-frequencies"])
+def test_eigenstate_bargmann_route_below_and_above_its_floor(
+        tmp_path, capsys, argv, served):
+    # alpha_0 negligible against the rest of its row (g_plus g_minus or
+    # omega_1 -+ omega_2 tiny, not zero) leaves the null vector no state:
+    # the Bargmann cells stay empty, one line per row says so, and the
+    # good recurrence states exit 0.  Small but above the floor, every
+    # Bargmann cell holds a residual within the tolerance
+    out = tmp_path / "e.csv"
+    assert run(["eigenstate", *argv, "--count", "1", "--bargmann",
+                "--out", str(out)]) == 0
+    header, rows = read_rows(out)
+    cells = [row[header.index("residual_bargmann")] for row in rows]
+    assert len(rows) == 2 and all(float(row[3]) < 1e-8 for row in rows)
+    err = capsys.readouterr().err.splitlines()
+    if served:
+        assert all(float(cell) <= 1e-6 for cell in cells) and err == []
+    else:
+        assert cells == ["", ""] and len(err) == len(rows)
+        assert all("bargmann route unavailable" in line for line in err)
+
+
 @pytest.mark.parametrize("argv, count", [
     (["--g1", "1e-9", "--g2", "2e-9", "--count", "6", "--nmax", "50"], 6),
     (["--omega1", "1.3", "--omega2", "0.7", "--g1", "1e-9", "--g2", "2e-9",
@@ -527,14 +561,20 @@ def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
 
 
 def test_eigenstate_diagonalizes_each_chain_once(tmp_path, monkeypatch):
-    # at the README configuration each parity takes its levels from one
-    # certified window, and no whole chain is solved
+    # at the README configuration both parities climb their ladders in one
+    # call, whose first rung certifies both chains by one 2-lane inertia
+    # count, and no whole chain is solved
     from rabi2q import eigenstates, numerics, spectra
-    calls, rows = [], []
-    system = eigenstates.converged_parity_eigensystem
-    solve = numerics.eigh
-    monkeypatch.setattr(eigenstates, "converged_parity_eigensystem",
-                        lambda *args: calls.append(args[1]) or system(*args))
+    climbs, counts, rows = [], [], []
+    climb, count, solve = (eigenstates._converged_pairs,
+                           spectra._levels_below, numerics.eigh)
+    monkeypatch.setattr(eigenstates, "_converged_pairs",
+                        lambda chains, *args: climbs.append(
+                            [parity.value for _, parity in chains])
+                        or climb(chains, *args))
+    monkeypatch.setattr(spectra, "_levels_below",
+                        lambda bands, *args: counts.append(len(bands))
+                        or count(bands, *args))
     for module in (numerics, spectra):
         monkeypatch.setattr(module, "eigh",
                             lambda h: rows.append(len(h)) or solve(h))
@@ -542,7 +582,7 @@ def test_eigenstate_diagonalizes_each_chain_once(tmp_path, monkeypatch):
                 "--g1", "0.3", "--g2", "0.4", "--parity", "both",
                 "--count", "10", "--nmax", "200",
                 "--out", str(tmp_path / "e.csv")]) == 0
-    assert [parity.value for parity in calls] == ["even", "odd"]
+    assert climbs == [["even", "odd"]] and counts == [2]
     assert rows and max(rows) < 2 * (200 + 1)
 
 
@@ -839,6 +879,91 @@ def test_config_hash_follows_every_output_flag(command, tmp_path):
     other = tmp_path / "elsewhere.csv"
     assert run([command, *base, "--out", str(other)]) == 0
     assert other.read_text().split("\n", 1)[0].split()[-1] == reference
+
+
+def _parser_runs(command, tmp_path):
+    """The argvs of command's _HASH_RUNS, each also after a --config file
+    that restates its base run, raw and with the file's flags spliced in
+    as ``main`` does."""
+    base, changes = _HASH_RUNS[command]
+    config = tmp_path / "restated.cfg"
+    config.write_text("\n".join(f"{flag[2:]}={value}" for flag, value
+                                in zip(base[0::2], base[1::2])) + "\n")
+    runs = []
+    for argv in [base] + [base + flags for flags in changes]:
+        runs += [[command, *argv], [command, "--config", str(config), *argv],
+                 [command, *cli._config_flags(str(config)), *argv]]
+    return runs
+
+
+@pytest.mark.parametrize("command", sorted(_HASH_RUNS))
+def test_one_command_parser_parses_as_the_full_one(command, tmp_path,
+                                                   capsys):
+    # the parser built for one command gives the full parser's Namespace
+    # on every run, the same --help, and the same error for an unknown flag
+    alone, full = cli.build_parser(command), cli.build_parser()
+    for argv in _parser_runs(command, tmp_path):
+        assert alone.parse_args(argv) == full.parse_args(argv), argv
+    for extra in (["--help"], ["--not-a-flag"]):
+        outcomes = []
+        for parser in (alone, full):
+            with pytest.raises(SystemExit) as info:
+                parser.parse_args([command, *extra])
+            outcomes.append((info.value.code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == (0 if extra == ["--help"] else 2)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0), (["--version"], 0), ([], 2), (["no-such-command"], 2),
+    (["--omega1", "1", "spectrum"], 2)])
+def test_top_level_runs_get_the_full_parser(argv, code, capsys):
+    # --help lists all five commands, and an unknown or missing command is
+    # reported against all five, as the full parser does
+    with pytest.raises(SystemExit) as info:
+        run(argv)
+    got = (info.value.code, *capsys.readouterr())
+    with pytest.raises(SystemExit) as info:
+        cli.build_parser().parse_args(argv)
+    assert got == (info.value.code, *capsys.readouterr())
+    assert got[0] == code
+    if argv == ["--version"]:
+        assert got[1] == f"rabi2q {rabi2q.__version__}\n"
+    if argv in (["--help"], ["no-such-command"]):
+        assert all(name in got[1] + got[2] for name in cli.COMMANDS)
+
+
+_POOL_PROBE = """
+import sys
+from rabi2q import spectra
+from rabi2q.cli import main
+
+out = sys.argv[1]
+common = ["--omega1", "1.3", "--omega2", "0.7", "--g1", "0.3", "--g2", "0.4"]
+commands = [
+    ["dynamics", "--alpha", "1", "--nmax", "20", "--tmax", "2",
+     "--steps", "4"],
+    ["perturb", "--mmax", "2"],
+    ["rwa-compare", "--k", "4", "--nmax", "30"],
+    ["eigenstate", "--bargmann", "--count", "2", "--nmax", "40"],
+]
+for i, argv in enumerate(commands):
+    assert main(argv + common + ["--out", f"{out}/{i}.csv"]) == 0, argv
+assert "concurrent.futures" not in sys.modules
+# a sweep of three points, on as many cores as BLAS leaves idle
+assert main(["spectrum", "--lock", "g2=g1", "--g1", "0:0.2:0.1",
+             "--nmax", "20", "--k", "2", "--out", f"{out}/s.csv"]) == 0
+assert ("concurrent.futures" in sys.modules) == (
+    spectra._pool_workers(3) > 1)
+"""
+
+
+def test_only_the_sweep_makes_a_pool(tmp_path, monkeypatch):
+    # with one BLAS thread, each core may take a thread of its own; yet
+    # rwa-compare and eigenstate climb their two chains on the calling
+    # thread, and only spectrum makes (and imports) a thread pool
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    _run_probe(_POOL_PROBE, str(tmp_path))
 
 
 def test_importing_the_cli_does_not_import_scipy():

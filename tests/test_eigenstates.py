@@ -1,6 +1,5 @@
 import math
 import os
-import re
 import subprocess
 import sys
 import warnings
@@ -733,33 +732,60 @@ def test_mp_tables_match_the_mpf_operators(omega_1, omega_2, g_1, g_2,
 PB = ModelParams(1.3, 0.7, 0.3, 0.45)
 
 
+def bargmann_rows(params, levels, j_max):
+    """The row matrices of the (parity, chi) levels, one lane each, from
+    one ``_bargmann_rows`` pass; a lane's StepSingular is raised."""
+    found = eig_mod._bargmann_rows(
+        params, np.array([eig_mod._BRANCH_SIGN[parity] for parity, _ in
+                          levels]),
+        np.array([chi for _, chi in levels], dtype=float), j_max)
+    for rows in found:
+        if isinstance(rows, StepSingular):
+            raise rows
+    return found
+
+
 @settings(max_examples=20, deadline=None)
 @given(omega_1=st.floats(0.0, 3.0), omega_2=st.floats(0.0, 3.0),
        g_1=st.floats(-2.0, 2.0), g_2=st.floats(-2.0, 2.0),
-       parity=st.sampled_from(Parity), chi=st.floats(-5.0, 10.0),
+       levels=st.lists(st.tuples(st.sampled_from(Parity),
+                                 st.floats(-5.0, 10.0)),
+                       min_size=1, max_size=4),
        j_max=st.integers(8, 60))
 # the README's odd level 1: (chi - 31)^2 at j = 33 is one ulp off in
 # numpy's square
-@example(omega_1=1.3, omega_2=0.7, g_1=0.3, g_2=0.4, parity=Parity.ODD,
-         chi=-0.049425521010105423, j_max=120)
+@example(omega_1=1.3, omega_2=0.7, g_1=0.3, g_2=0.4,
+         levels=[(Parity.ODD, -0.049425521010105423)], j_max=120)
 # alpha_0 vanishes on every other row
-@example(omega_1=0.9, omega_2=0.9, g_1=0.3, g_2=0.45, parity=Parity.EVEN,
-         chi=-0.5, j_max=30)
-@example(omega_1=1.3, omega_2=0.7, g_1=0.3, g_2=0.3, parity=Parity.ODD,
-         chi=-0.5, j_max=30)
+@example(omega_1=0.9, omega_2=0.9, g_1=0.3, g_2=0.45,
+         levels=[(Parity.EVEN, -0.5)], j_max=30)
+@example(omega_1=1.3, omega_2=0.7, g_1=0.3, g_2=0.3,
+         levels=[(Parity.ODD, -0.5)], j_max=30)
+# alpha_0 negligible against its row, not against its own scale: a tiny
+# g_plus g_minus, and frequencies 1e-128 against row energies near 1
+@example(omega_1=0.9247, omega_2=0.0, g_1=-7e-65, g_2=0.0,
+         levels=[(Parity.EVEN, -0.46235), (Parity.ODD, -0.46235)],
+         j_max=21)
+@example(omega_1=1e-128, omega_2=0.0, g_1=-0.2252, g_2=1e-128,
+         levels=[(Parity.ODD, -0.05071504)], j_max=21)
 def test_bargmann_rows_match_scalar_oracle(omega_1, omega_2, g_1, g_2,
-                                          parity, chi, j_max):
-    # the one-pass row matrix against the rows built one at a time, bit
-    # for bit
+                                          levels, j_max):
+    # the row matrices of every lane of one pass against the rows of each
+    # level built one at a time, bit for bit, and each StepSingular lane
+    # against the oracle's error
     params = ModelParams(omega_1, omega_2, g_1, g_2)
-    try:
-        want = bargmann_rows_reference(params, parity, chi, j_max)
-    except StepSingular as exc:
-        with pytest.raises(StepSingular, match=re.escape(str(exc))):
-            eig_mod._bargmann_rows(params, parity, chi, j_max)
-        return
-    got = eig_mod._bargmann_rows(params, parity, chi, j_max)
-    assert got.shape == want.shape and np.array_equal(got, want)
+    found = eig_mod._bargmann_rows(
+        params, np.array([eig_mod._BRANCH_SIGN[parity] for parity, _ in
+                          levels]),
+        np.array([chi for _, chi in levels]), j_max)
+    assert len(found) == len(levels)
+    for (parity, chi), got in zip(levels, found):
+        try:
+            want = bargmann_rows_reference(params, parity, chi, j_max)
+        except StepSingular as exc:
+            assert isinstance(got, StepSingular) and str(got) == str(exc)
+            continue
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def _check_null_lanes(rows):
@@ -800,8 +826,7 @@ def test_null_vector_lanes_match_the_dense_oracle(omega_1, omega_2, g_1,
     params = ModelParams(omega_1, omega_2, g_1 * 10.0 ** -tiny,
                          g_2 * 10.0 ** -tiny)
     try:
-        rows = [eig_mod._bargmann_rows(params, parity, chi, j_max)
-                for parity, chi in levels]
+        rows = bargmann_rows(params, levels, j_max)
     except StepSingular:
         assume(False)
     _check_null_lanes(rows)
@@ -816,8 +841,7 @@ def test_null_vector_lanes_stop_apart_and_floor_a_zero_pivot():
               for xi in converged_parity_eigensystem(
                   P, parity, TruncationConfig(NMAX), 3)[0]]
     levels = values + [(Parity.EVEN, 5.37), (Parity.ODD, -2.11)]
-    rows = [eig_mod._bargmann_rows(P, parity, chi, 120)
-            for parity, chi in levels]
+    rows = bargmann_rows(P, levels, 120)
     band = np.random.default_rng(7).normal(size=(123, 121))
     offsets = np.subtract.outer(np.arange(123), np.arange(121))
     band[np.abs(offsets) > 2] = 0.0
@@ -844,7 +868,7 @@ def bargmann_lane(params, parity, chi, j_max, n_max):
     ``_chain_lanes`` gathers, normalized, and the fraction of the norm
     that falls on the other chain."""
     v, size = eig_mod._null_vectors(
-        [eig_mod._bargmann_rows(params, parity, chi, j_max)])
+        bargmann_rows(params, [(parity, chi)], j_max))
     phi2 = eig_mod._phi2_series(
         params, np.array([eig_mod._BRANCH_SIGN[parity]]), chi, v)
     chains = eig_mod._chain_lanes(
@@ -882,13 +906,13 @@ def test_five_term_identical_qubits_step_singular():
     p = ModelParams(0.9, 0.9, 0.3, 0.45)
     for parity in Parity:
         with pytest.raises(StepSingular, match="alpha_0 vanishes"):
-            eig_mod._bargmann_rows(p, parity, -0.5, 30)
+            bargmann_rows(p, [(parity, -0.5)], 30)
 
 
 def test_five_term_zero_coupling_product_singular():
     p = ModelParams(1.3, 0.7, 0.3, 0.3)  # g_minus = 0
     with pytest.raises(StepSingular, match="alpha_0 vanishes"):
-        eig_mod._bargmann_rows(p, Parity.EVEN, -0.5, 30)
+        bargmann_rows(p, [(Parity.EVEN, -0.5)], 30)
 
 
 def test_reconstruction_residual_small_at_eigenvalues():
