@@ -241,8 +241,7 @@ def cmd_dynamics(args) -> int:
 
 def cmd_perturb(args) -> int:
     params = ModelParams(args.omega1, args.omega2, args.g1, args.g2)
-    spectrum = spectra.dsc_perturbative_spectrum(params, args.mmax,
-                                                 n_cut=args.ncut)
+    spectrum = spectra.dsc_perturbative_spectrum(params, args.mmax)
     if spectrum.resonant:
         for branch, m, n in spectrum.resonant:
             print(f"perturb: branch {branch}, m={m} skipped "
@@ -362,8 +361,6 @@ def _perturb_args(parser):
     _add_common(parser)
     parser.add_argument("--mmax", type=int, default=11,
                         help="highest branch index")
-    parser.add_argument("--ncut", type=int, default=None,
-                        help="correction sum cutoff (default m + 80)")
 
 
 def _rwa_compare_args(parser):

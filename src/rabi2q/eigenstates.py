@@ -13,10 +13,10 @@ five-term route; a three-term recurrence covers identical qubits.
 The chain's rows O_j x_{j-1} + (D_j - E) x_j + O_{j+1} x_{j+1} = 0 have a
 growing solution in each direction, so ``eigenstates_by_parity`` runs
 them from both ends, in float64, batched over the levels of the parities,
-at the energies E of ``spectra.converged_parity_eigensystem``: the Schur
-complements of the chain above and below each block give the ratios x_j =
-R_j x_{j-1} of the decaying solution from the top end (the matrix
-continued fraction) and x_j = L_j x_{j+1} from photon 0, and the state is
+at the energies E of ``spectra.converged_pairs``: the Schur complements of
+the chain above and below each block give the ratios x_j = R_j x_{j-1} of
+the decaying solution from the top end (the matrix continued fraction)
+and x_j = L_j x_{j+1} from photon 0, and the state is
 the null vector of the block where the two meet, spread outward with R
 and L (the block form of the twisted factorizations of Dhillon & Parlett,
 LAA 387, 1 (2004)), up to the block from which ``numerics.tail_cut``
@@ -42,7 +42,7 @@ from .hamiltonian import build_parity_band
 from .model import ModelParams, Parity, TruncationConfig, basis_table
 from .numerics import (band_norm, block_pivots, inert_tail,
                        padded_residuals, pivot_shift, tail_cut)
-from .spectra import _converged_pairs
+from .spectra import converged_pairs
 
 OVERFLOW_LIMIT = 1e300
 # a recurrence state whose relative residual ||(H - xi) v|| / ||v|| passes
@@ -247,12 +247,11 @@ def _twisted_states(bands: np.ndarray, energies: np.ndarray, blocks: int):
 def eigenstates_by_parity(params: ModelParams, parities, count: int,
                           n_max: int) -> dict:
     """Recurrence states of the count lowest converged levels of each of
-    parities, by parity: the energies that
-    ``spectra.converged_parity_eigensystem`` certifies, of all parities in
-    one climb of their chains, the twisted states of one
-    ``_twisted_states`` call for all levels, on the blocks up to the
-    larger of the parities' ``numerics.tail_cut`` (every state's cut), and
-    for each level the state of least residual.  Within a cluster
+    parities, by parity: the energies that ``spectra.converged_pairs``
+    certifies, of all parities in one climb of their chains, the twisted
+    states of one ``_twisted_states`` call for all levels, on the blocks up
+    to the larger of the parities' ``numerics.tail_cut`` (every state's
+    cut), and for each level the state of least residual.  Within a cluster
     of levels closer than CLUSTER_GAP ||H|| to a neighbour, each member's
     candidates are first orthogonalized against the states of the members
     below it; a member whose candidates all lie in their span has an
@@ -261,7 +260,7 @@ def eigenstates_by_parity(params: ModelParams, parities, count: int,
     TruncationInsufficient when no rung certifies the count lowest.
     """
     trunc = TruncationConfig(n_max)
-    energies = np.array([values for values, _ in _converged_pairs(
+    energies = np.array([values for values, _ in converged_pairs(
         [(params, parity) for parity in parities], trunc, count)])
     bands = np.array([build_parity_band(params, parity, trunc)
                       for parity in parities])

@@ -273,16 +273,18 @@ def displacement_elements(m, n, x: float) -> np.ndarray:
     """Fock matrix elements <m| D(2x) |n> of a real displacement by 2x, one
     per entry of the broadcast integer arrays (or ints) m and n.
 
-    For m >= n this is sqrt(n!/m!) (2x)^(m-n) exp(-2x^2) L_n^(m-n)(4x^2);
-    the m < n case follows from <m|D|n> = (-1)^(n-m) <n|D|m> for real
-    arguments.  The factorial ratio is evaluated in log space so the formula
-    stays finite well past m, n ~ 85.  Once the Gaussian factor underflows
-    the element is 0, and where (2x)^(m-n) alone would overflow it is
-    applied in two halves, so no finite x raises.  Each entry is the
-    formula evaluated in Python floats, bit for bit: math.exp per entry and
-    Python float powers per order (numpy's exp and power differ from libm
-    in the last bit for a few percent of arguments), the rest IEEE
-    operations in the formula's order.
+    With low, high = min, max(m, n) and d = high - low, this is
+    exp(ln sqrt(low!/high!) - 2x^2 + d ln|2x|) L_low^(d)(4x^2), the whole
+    magnitude formed in logs, so that no factor overflows or underflows on
+    its own where the element does not, and no finite x raises (d ln|2x|
+    is 0 at d = 0 and -inf at x = 0 < d).  The sign is (-1)^d for x < 0,
+    and (-1)^d again for m < n, as <m|D|n> = (-1)^(n-m) <n|D|m> for real
+    arguments; an entry whose exponential underflows is +0.0 before those
+    signs.  Each entry is the formula evaluated in Python floats, bit for
+    bit: math.exp per entry (numpy's exp differs from libm in the last bit
+    for a few percent of arguments), the rest IEEE operations in the
+    formula's order.  The logs cost an entry a relative error of a few eps
+    times its largest term, about high ln(high).
     """
     m, n, x = *np.broadcast_arrays(m, n), float(x)
     if np.any(m < 0) or np.any(n < 0):
@@ -291,20 +293,17 @@ def displacement_elements(m, n, x: float) -> np.ndarray:
     d = high - low
     lgamma = np.array([math.lgamma(i + 1)
                        for i in range(int(high.max(initial=0)) + 1)])
-    arg = 0.5 * (lgamma[low] - lgamma[high]) - 2.0 * x * x
-    mag = np.array([math.exp(t) if abs(x) < 200 else 0.0
-                    for t in arg.ravel().tolist()]).reshape(m.shape)
-    base, log_base = 2.0 * x, math.log(2.0 * abs(x) or 1.0)
-    whole, half, odd = np.ones((3, int(d.max(initial=0)) + 1))
-    for e in set(d[mag != 0].tolist()):
-        if e * log_base < 700.0:
-            whole[e] = base ** e
-        else:
-            half[e], odd[e] = base ** (e // 2), base ** (e % 2)
+    # ln 2 apart, so that 2|x| cannot overflow
+    log_2x = math.log(2.0) + math.log(abs(x)) if x else -math.inf
+    with np.errstate(invalid="ignore"):
+        power = np.where(d == 0, 0.0, d * log_2x)
+    arg = 0.5 * (lgamma[low] - lgamma[high]) - 2.0 * x * x + power
+    mag = np.array([math.exp(t) for t in arg.ravel().tolist()]
+                   ).reshape(m.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        value = np.where(mag == 0.0, 0.0, mag * whole[d] * half[d] * half[d]
-                         * odd[d] * laguerre_assoc(low, d, 4.0 * x * x))
-    return np.where((m < n) & (d % 2 == 1), -value, value)
+        value = np.where(mag == 0.0, 0.0,
+                         mag * laguerre_assoc(low, d, 4.0 * x * x))
+    return np.where((d % 2 == 1) & ((x < 0) != (m < n)), -value, value)
 
 
 # levels whose projections on a state weigh at most DROP_WEIGHT ||c0||^2

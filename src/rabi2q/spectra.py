@@ -5,21 +5,24 @@ Each parity chain gives its lowest levels by dense ``eigh`` on one ladder,
 the photon windows 0..n_w of ``numerics.photon_windows`` from a
 displaced-oscillator estimate up to the last short of the chain, and then
 the whole chain.  Every rung passes one certificate, that of
-``converged_parity_eigensystem``: the window levels up to the k-th, and
-those that tie with it, have residuals within ``RESIDUAL_TOL`` ||H||
-against the chain one photon longer, and an inertia count shows that the
-whole chain has no more levels below the cut past them.  A chain whose
-ladder runs out raises ``TruncationInsufficient``.  The chains of a call,
-both parities of one point or the points of one parity in a sweep, climb
-their ladders together, one rung at a time: the rung's windows are solved
-and residual-tested on the calling thread, or on the sweep's thread pool
-sized to the cores that BLAS leaves idle, and then counted in one
-batched, numpy only pass of the 2 x 2 block pivots of the whole chain
-from photon 0 (``numerics.block_pivots``, the kernel of the recurrence
-eigenstates too), which ends where ``numerics.inert_tail`` proves every
-chain's rest free of negative pivots.  Each window is one LAPACK call
-whichever thread makes it, so the results do not depend on the number of
-threads.  A chain keeps only its k levels and its window's vector rows.
+``converged_pairs``, the one public entry to the climb: the window levels
+up to the k-th, and those that tie with it, have residuals within
+``RESIDUAL_TOL`` ||H|| against the chain one photon longer, and an inertia
+count shows that the whole chain has no more levels below the cut past
+them.  A chain whose ladder runs out raises ``TruncationInsufficient``.
+The chains of a call, both parities of one point or the points of one
+parity in a sweep, climb their ladders together, one rung at a time: the
+rung's windows are solved and residual-tested on the calling thread, or
+on the sweep's thread pool sized to the cores that BLAS leaves idle, and
+then counted in one batched, numpy only pass of the 2 x 2 block pivots of
+the whole chain from photon 0 (``numerics.block_pivots``, the kernel of
+the recurrence eigenstates too), which ends where ``numerics.inert_tail``
+proves every chain's rest free of negative pivots.  Each window is one
+LAPACK call whichever thread makes it, so the results do not depend on the
+number of threads.  A chain keeps only its k levels and its window's
+vector rows.  The perturbative sums run over one displacement table per
+coupling, as wide as the displaced oscillators reach, whose rows' unit
+norm checks it.
 """
 
 from __future__ import annotations
@@ -124,12 +127,12 @@ def _certified_windows(bands: np.ndarray, starts, count: int,
     past the chain; ||H|| and the count are the chain's own.  Each chain
     climbs its own ``_ladder`` from its start window, at least count // 2
     so that a window holds the level past the cut, until a rung passes the
-    certificate of ``converged_parity_eigensystem``.  Per rung, run (a
-    map: the calling thread's, or a thread pool's, as numpy's LAPACK
-    releases the GIL) solves and residual-tests the pending chains'
-    windows.  A task returns only what the certificate keeps, its cut x,
-    the size of its set and a copy of its count values and vector columns,
-    or a rejection, so no more windows are alive than run has workers.
+    certificate of ``converged_pairs``.  Per rung, run (a map: the calling
+    thread's, or a thread pool's, as numpy's LAPACK releases the GIL)
+    solves and residual-tests the pending chains' windows.  A task returns
+    only what the certificate keeps, its cut x, the size of its set and a
+    copy of its count values and vector columns, or a rejection, so no
+    more windows are alive than run has workers.
     Then one batched ``_levels_below`` on the calling thread counts the
     levels of the rung's candidate chains below their cuts, and a
     candidate certifies where that count is its set's size.  The results
@@ -186,34 +189,15 @@ def _certified_windows(bands: np.ndarray, starts, count: int,
     return solved
 
 
-def _converged_pairs(chains, trunc: TruncationConfig, k: int,
-                     run=map) -> list:
-    """``converged_parity_eigensystem`` of every (ModelParams, Parity) of
-    chains, in one climb (``_certified_windows``, with run)."""
-    if not 1 <= k <= trunc.chain_dim:
-        raise ConfigError(f"{k} levels per chain is outside [1, "
-                          f"{trunc.chain_dim}], the levels of a chain at "
-                          f"n_max={trunc.n_max}")
-    longer = TruncationConfig(trunc.n_max + 1)
-    bands = np.array([build_parity_band(params, parity, longer)
-                      for params, parity in chains])
-    pairs = _certified_windows(
-        bands, [_start_window(params, k) for params, _ in chains], k, run)
-    failed = [parity for (_, parity), got in zip(chains, pairs) if got is None]
-    if failed:
-        raise TruncationInsufficient(
-            f"no photon window up to the whole chain certifies the {k} lowest "
-            f"levels at n_max={trunc.n_max} ({failed[0].value} parity)")
-    return pairs
+def converged_pairs(chains, trunc: TruncationConfig, k: int,
+                    run=map) -> list:
+    """The k lowest certified eigenpairs of each parity block of chains, a
+    list of (ModelParams, Parity), climbed together (``_certified_windows``,
+    with run: a sweep's thread pool, else the calling thread).
 
-
-def converged_parity_eigensystem(params: ModelParams, parity: Parity,
-                                 trunc: TruncationConfig, k: int):
-    """k lowest certified eigenpairs of one parity block.
-
-    Solves the lowest levels theta_i of photons 0..n_w (the leading block
-    A of H) on the windows from ``_start_window(params, k)`` up to the
-    whole chain.  The theta_i within TIE_TOL * RESIDUAL_TOL * ||H|| of
+    A chain solves the lowest levels theta_i of photons 0..n_w (the leading
+    block A of H) on the windows from ``_start_window(params, k)`` up to
+    the whole chain.  The theta_i within TIE_TOL * RESIDUAL_TOL * ||H|| of
     theta_k join the set, of m >= k levels, and a rung is accepted when,
     for the cut x = (theta_m + theta_m+1) / 2 midway to A's next level,
     - every one of the m vectors, zero-padded, has a residual
@@ -232,15 +216,26 @@ def converged_parity_eigensystem(params: ModelParams, parity: Parity,
     interlacing keeps each at or below its theta.  A residual alone would
     not do: at g1 = g2 = 0 every window has zero residual, yet its first
     cuts can miss low levels that live at higher photon numbers.  Returns
-    the k lowest of the set, with only the window's own rows of the
-    vectors (the chain rows past them are exact zeros).  This is the
-    one-chain call of ``_converged_pairs``, which climbs both parities of
-    a point (``rwa_relative_error``, the recurrence eigenstates) or a
-    sweep's points, on the sweep's thread pool, together.
-    TruncationInsufficient when no rung, the whole chain included,
-    certifies; ConfigError for k outside [1, chain dimension].
+    per chain the k lowest of the set, with only the window's own rows of
+    the vectors (the chain rows past them are exact zeros).
+    TruncationInsufficient when no rung of a chain, the whole chain
+    included, certifies; ConfigError for k outside [1, chain dimension].
     """
-    return _converged_pairs([(params, parity)], trunc, k)[0]
+    if not 1 <= k <= trunc.chain_dim:
+        raise ConfigError(f"{k} levels per chain is outside [1, "
+                          f"{trunc.chain_dim}], the levels of a chain at "
+                          f"n_max={trunc.n_max}")
+    longer = TruncationConfig(trunc.n_max + 1)
+    bands = np.array([build_parity_band(params, parity, longer)
+                      for params, parity in chains])
+    pairs = _certified_windows(
+        bands, [_start_window(params, k) for params, _ in chains], k, run)
+    failed = [parity for (_, parity), got in zip(chains, pairs) if got is None]
+    if failed:
+        raise TruncationInsufficient(
+            f"no photon window up to the whole chain certifies the {k} lowest "
+            f"levels at n_max={trunc.n_max} ({failed[0].value} parity)")
+    return pairs
 
 
 def _start_window(params: ModelParams, k: int) -> int:
@@ -319,8 +314,8 @@ def sweep_spectrum(template: ModelParams, g1_values, g2_values,
         # one climb per parity: both in one would hold the bands of twice
         # the chains at once
         for parity in (Parity.EVEN, Parity.ODD):
-            pairs = _converged_pairs([(params, parity) for params in points],
-                                     trunc, k, run)
+            pairs = converged_pairs([(params, parity) for params in points],
+                                    trunc, k, run)
             energies[parity] = np.array([values for values, _ in pairs])
             vectors[parity] = [vecs for _, vecs in pairs]
     return SpectrumSweep(k, g1_values, g2_values, energies, vectors)
@@ -411,8 +406,10 @@ class PerturbativeSpectrum:
     """Deep-strong-coupling branch energies with second-order shifts.
 
     Each branch m has zeroth-order energy m - g_pm^2 (omega_f = 1) and a
-    second-order shift; entries whose correction sum hits a near-resonant
-    denominator are NaN and listed in ``resonant`` as (branch, m, n).
+    second-order shift, summed over every intermediate level of the
+    displacement table; entries whose table holds a near-resonant
+    denominator are NaN and listed in ``resonant`` as (branch, m, n), n
+    the first such level.
     """
 
     branch1_zeroth: np.ndarray
@@ -431,7 +428,9 @@ class PerturbativeSpectrum:
 
 
 SMALL_DENOMINATOR_TOL = 1e-6
-TAIL_STOP = 1e-12
+# the norm a displacement row may miss past its table, the table's reach
+# past the displaced oscillators' spread (in the root), and its most entries
+TAIL_STOP, REACH, MAX_TABLE = 1e-12, 4.0, 10 ** 6
 
 
 def _finite_square(x: float) -> float:
@@ -443,65 +442,68 @@ def _finite_square(x: float) -> float:
     return value
 
 
-def dsc_perturbative_spectrum(params: ModelParams, m_max: int,
-                              n_cut: int | None = None
-                              ) -> PerturbativeSpectrum:
+def dsc_perturbative_spectrum(params: ModelParams,
+                              m_max: int) -> PerturbativeSpectrum:
     """Perturbative branch energies for m = 0..m_max.
 
     The shift of displaced-oscillator level m sums over the levels n != m
     of the other displaced ladder, offset by 4 g1 g2 (omega_f = 1), with
     denominators (n - m) + 4 g1 g2 on branch 1 (the g_plus ladder) and
-    (n - m) - 4 g1 g2 on branch 2.  Every (branch, m) lane reads one table
-    of <m|D(2g)|n> per coupling (``numerics.displacement_elements``), which
-    widens only while a lane has neither stopped nor met its cut, and sums
-    its terms in order of n (one sequential ``np.cumsum``) up to n_cut
-    (default m + 80) or to the first n > m + 4 that ends three terms below
-    TAIL_STOP in a row: displacement elements have isolated Laguerre zeros
-    mid distribution, so one small term is not yet a converged tail.  A
-    denominator below 1e-6 omega_f before the stop makes the shift NaN,
-    reported rather than silently large.  A squared frequency or coupling
-    term, or a shift, that is not finite raises ConfigError.
+    (n - m) - 4 g1 g2 on branch 2.  Every (branch, m) lane sums, in order
+    of n (one sequential ``np.cumsum``), all n < W = ceil((2 max|g_j| +
+    sqrt(m_max) + REACH)^2), the displaced oscillators' reach (as in
+    ``_start_window``), of one table of <m|D(2g)|n> per coupling
+    (``numerics.displacement_elements``).  D is unitary, so a row that
+    misses more of its unit norm than TAIL_STOP and the rounding of its
+    entries and sum, 4 eps W ln W, raises TruncationInsufficient.  A
+    denominator below SMALL_DENOMINATOR_TOL in the table makes the shift
+    NaN, reported rather than silently large.  A squared frequency or
+    coupling, or a shift, that is not finite, or a table past MAX_TABLE
+    entries, raises ConfigError.
     """
     if m_max < 0:
         raise ConfigError("m_max must be >= 0")
-    if n_cut is not None and n_cut < 0:
-        raise ConfigError("n_cut must be >= 0")
     m = np.arange(m_max + 1)
     z1 = m - _finite_square(params.g_plus)
     z2 = m - _finite_square(params.g_minus)
     w1_sq, w2_sq = map(_finite_square, (params.omega_1, params.omega_2))
-    cuts = (m + 80 if n_cut is None else np.full(m_max + 1, n_cut))[:, None]
-    m, width = m[:, None], min(int(cuts.max()), m_max + 80) + 1
-    while True:
-        n = np.arange(width)
-        # squared by Python's float ** (libm pow), which can differ from
-        # numpy's square in the last bit
-        w1, w2 = (np.array([e ** 2 for e in displacement_elements(
-            m, n, g).ravel().tolist()]).reshape(-1, width)
-                  for g in (params.g_1, params.g_2))
-        w = 0.25 * (w1_sq * w1 + w2_sq * w2)
-        den = n - m + np.array([1, -1])[:, None, None] * (
-            4.0 * params.g_1 * params.g_2)
-        live = (n <= cuts) & (n != m)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            terms, small = w / den, w / np.abs(den) < TAIL_STOP
-        run = small & np.roll(small, 1, -1) & np.roll(small, 2, -1)
-        end = np.minimum(first_index(live & (n > m + 4) & run), cuts[:, 0])
-        hit = first_index(live & (np.abs(den) < SMALL_DENOMINATOR_TOL))
-        if np.all(np.minimum(end, hit) < width):
-            break
-        width = min(2 * width, int(cuts.max()) + 1)
-    terms = np.where(live & (n <= end[..., None]), terms, 0.0)
+    top = max(params.g_1, params.g_2, key=abs)
+    reach = (2 * abs(top) + math.sqrt(m_max) + REACH) ** 2
+    if (m_max + 1) * reach > MAX_TABLE:
+        raise ConfigError(f"coupling {top:g} at m_max={m_max} is out of range "
+                          f"for the perturbative sums: its displacement "
+                          f"table would pass {MAX_TABLE:.0e} entries")
+    width = math.ceil(reach)
+    m, n = m[:, None], np.arange(width)
+    # squared by Python's float ** (libm pow), which can differ from
+    # numpy's square in the last bit
+    w1, w2 = (np.array([e ** 2 for e in displacement_elements(
+        m, n, g).ravel().tolist()]).reshape(-1, width)
+              for g in (params.g_1, params.g_2))
+    tol = TAIL_STOP + 4 * np.finfo(float).eps * width * math.log(width)
+    short = 1 - np.sum(np.stack((w1, w2)), axis=-1)
+    if np.max(short) > tol:
+        coupling, lane = np.unravel_index(np.argmax(short), short.shape)
+        raise TruncationInsufficient(
+            f"row m={lane} of the displacement table of g{coupling + 1} "
+            f"misses {short[coupling, lane]:.2g} of its unit norm on "
+            f"{width} levels (allowed {tol:.2g})")
+    w = 0.25 * (w1_sq * w1 + w2_sq * w2)
+    den = n - m + np.array([1, -1])[:, None, None] * (
+        4.0 * params.g_1 * params.g_2)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        terms = np.where(n != m, w / den, 0.0)
     # each sum starts from +0.0, which a leading -0.0 term would not keep
     terms[..., 0] += 0.0
-    shifts = np.where(hit <= end, np.nan, np.cumsum(terms, axis=-1)[..., -1])
+    hit = first_index((n != m) & (np.abs(den) < SMALL_DENOMINATOR_TOL))
+    shifts = np.where(hit < width, np.nan, np.cumsum(terms, axis=-1)[..., -1])
     # the first lane, by m and then by branch, names the error
-    bad = np.argwhere(((hit > end) & ~np.isfinite(shifts)).T).tolist()
+    bad = np.argwhere(((hit == width) & ~np.isfinite(shifts)).T).tolist()
     if bad:
         raise ConfigError(f"branch {bad[0][1] + 1}, m={bad[0][0]}: the "
                           f"second-order shift is not finite")
     resonant = tuple((branch + 1, lane, int(hit[branch, lane])) for
-                     lane, branch in np.argwhere((hit <= end).T).tolist())
+                     lane, branch in np.argwhere((hit < width).T).tolist())
     return PerturbativeSpectrum(z1, shifts[0], z2, shifts[1], resonant)
 
 
@@ -522,7 +524,7 @@ def rwa_relative_error(params: ModelParams, trunc: TruncationConfig,
 
     Neither Hamiltonian couples the two parities, so each spectrum merges
     the levels of its two chains.  The full model's are the min(k, chain
-    dimension) lowest of each chain that ``converged_parity_eigensystem``
+    dimension) lowest of each chain that ``converged_pairs``
     certifies, both chains in one climb.  The RWA band's coupling blocks
     are not of the form [[a, b], [b, a]] that the inertia count takes, so
     its chains are solved by dense eigh, and its k lowest merged levels
@@ -536,7 +538,7 @@ def rwa_relative_error(params: ModelParams, trunc: TruncationConfig,
     if k > 2 * trunc.chain_dim:
         raise ConfigError(f"{k} levels pass the {2 * trunc.chain_dim} "
                           f"levels of the two chains at n_max={trunc.n_max}")
-    e_full = np.sort(np.concatenate([values for values, _ in _converged_pairs(
+    e_full = np.sort(np.concatenate([values for values, _ in converged_pairs(
         [(params, parity) for parity in (Parity.EVEN, Parity.ODD)], trunc,
         min(k, trunc.chain_dim))]))[:k]
     chains = [eigh(expand_dense(build_rwa_band(params, parity, trunc)))

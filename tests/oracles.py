@@ -357,22 +357,22 @@ def laguerre_reference(n, k, z):
 
 
 def displacement_reference(m, n, x):
-    """<m| D(2x) |n> in Python floats: sqrt(n!/m!) (2x)^(m-n) exp(-2x^2)
-    L_n^(m-n)(4x^2) for m >= n, the factorial ratio in logs, 0 once the
-    Gaussian factor underflows, (2x)^(m-n) in two halves where it alone
-    would overflow, and (-1)^(n-m) <n|D|m> for m < n."""
+    """<m| D(2x) |n> in Python floats: exp(ln sqrt(n!/m!) - 2x^2
+    + (m - n) ln|2x|) L_n^(m-n)(4x^2) for m >= n, the whole magnitude in
+    logs and ln|2x| as ln 2 + ln|x| (the power's log 0 at m = n and -inf
+    at x = 0 < m - n), +0.0 where the exponential underflows, times
+    (-1)^(m-n) for x < 0; and (-1)^(n-m) <n|D|m> for m < n."""
     if m < n:
         return (-1) ** (n - m) * displacement_reference(n, m, x)
     d = m - n
-    log_ratio = 0.5 * (math.lgamma(n + 1) - math.lgamma(m + 1))
-    mag = math.exp(log_ratio - 2.0 * x * x) if abs(x) < 200 else 0.0
-    if mag == 0.0:
-        return 0.0
-    lag = laguerre_reference(n, d, 4.0 * x * x)
-    if d * math.log(2.0 * abs(x) or 1.0) < 700.0:
-        return mag * (2.0 * x) ** d * lag
-    half = (2.0 * x) ** (d // 2)
-    return mag * half * half * (2.0 * x) ** (d % 2) * lag
+    if d == 0:
+        power = 0.0
+    else:
+        power = d * (math.log(2.0) + math.log(abs(x)) if x else -math.inf)
+    mag = math.exp(0.5 * (math.lgamma(n + 1) - math.lgamma(m + 1))
+                   - 2.0 * x * x + power)
+    value = 0.0 if mag == 0.0 else mag * laguerre_reference(n, d, 4.0 * x * x)
+    return -value if x < 0 and d % 2 else value
 
 
 def _square_reference(x):
@@ -383,16 +383,22 @@ def _square_reference(x):
     return value
 
 
-def second_order_shift_reference(params, m, branch_sign, n_cut):
+def dsc_width_reference(params, m_max):
+    """The intermediate levels n < W of every perturbative sum, W =
+    ceil((2 max|g_j| + sqrt(m_max) + 4)^2)."""
+    g = max(abs(params.g_1), abs(params.g_2))
+    return math.ceil((2 * g + math.sqrt(m_max) + 4.0) ** 2)
+
+
+def second_order_shift_reference(params, m, branch_sign, width):
     """(shift, resonant n or None) of displaced-oscillator level m on one
-    branch, summed one intermediate level n at a time: n = m is skipped, a
-    denominator n - m +- 4 g1 g2 below 1e-6 makes the shift nan, and the
-    sum stops at n_cut or at the first n > m + 4 that ends a run of three
-    terms w / |den| below 1e-12."""
+    branch, summed one intermediate level n < width at a time: n = m is
+    skipped, and a denominator n - m +- 4 g1 g2 below 1e-6 makes the
+    shift nan."""
     w1_sq, w2_sq = map(_square_reference, (params.omega_1, params.omega_2))
     offset = 4.0 * params.g_1 * params.g_2
-    total, small_run = 0.0, 0
-    for n in range(n_cut + 1):
+    total = 0.0
+    for n in range(width):
         if n == m:
             continue
         den = n - m + branch_sign * offset
@@ -401,24 +407,22 @@ def second_order_shift_reference(params, m, branch_sign, n_cut):
         w = 0.25 * (w1_sq * displacement_reference(m, n, params.g_1) ** 2
                     + w2_sq * displacement_reference(m, n, params.g_2) ** 2)
         total += w / den
-        small_run = small_run + 1 if w / abs(den) < 1e-12 else 0
-        if n > m + 4 and small_run >= 3:
-            break
     return total, None
 
 
-def dsc_reference(params, m_max, n_cut=None):
+def dsc_reference(params, m_max):
     """(branch-1 shifts, branch-2 shifts, resonant (branch, m, n) tuples)
     of ``spectra.dsc_perturbative_spectrum`` for m = 0..m_max, one level
-    and branch at a time, cut at n_cut or m + 80; ConfigError where a
+    and branch at a time over ``dsc_width_reference``; ConfigError where a
     square or a shift is not finite, in the package's order."""
     _square_reference(params.g_plus)
     _square_reference(params.g_minus)
+    width = dsc_width_reference(params, m_max)
     shifts, resonant = ([], []), []
     for m in range(m_max + 1):
         for label, sign in ((1, +1), (2, -1)):
-            shift, bad_n = second_order_shift_reference(
-                params, m, sign, n_cut if n_cut is not None else m + 80)
+            shift, bad_n = second_order_shift_reference(params, m, sign,
+                                                        width)
             if bad_n is not None:
                 resonant.append((label, m, bad_n))
             elif not math.isfinite(shift):

@@ -1,4 +1,3 @@
-import math
 import os
 import subprocess
 import sys
@@ -176,16 +175,6 @@ def test_signed_zero_cells_are_written_0(tmp_path):
         header, rows = read_rows(path)
         assert rows and all(row[header.index(column)] == "0" for row in rows)
         assert "-0" not in {cell for row in rows for cell in row}
-
-
-def test_perturb_huge_equal_couplings_write_finite_rows(tmp_path):
-    out = tmp_path / "p.csv"
-    code = run(["perturb", "--g1", "1e150", "--g2", "1e150", "--mmax", "1",
-                "--out", str(out)])
-    assert code == 0
-    _, rows = read_rows(out)
-    assert len(rows) == 4
-    assert all(math.isfinite(float(v)) for row in rows for v in row[2:])
 
 
 def test_rwa_compare_zero_coupling(tmp_path):
@@ -479,7 +468,6 @@ def test_eigenstate_invalid_nmax_exits_2(tmp_path):
     ["rwa-compare", "--k", "0"],
     ["eigenstate", "--count", "50"],
     ["dynamics", "--fock", "-1", "--steps", "2"],
-    ["perturb", "--ncut", "-5", "--mmax", "1"],
     ["dynamics", "--tmax", "nan", "--steps", "2"],
     ["dynamics", "--tmax", "inf", "--steps", "2"],
     ["dynamics", "--alpha", "nan", "--steps", "2"],
@@ -496,8 +484,8 @@ def test_eigenstate_invalid_nmax_exits_2(tmp_path):
     ["eigenstate", "--count", "-2"],
     ["perturb", "--g1", "1e200", "--g2", "1", "--mmax", "1"],
     ["perturb", "--omega1", "1e200", "--g1", "1", "--g2", "2", "--mmax", "1"],
-    ["perturb", "--g1", "1e150", "--g2", "1e150", "--mmax", "1",
-     "--omega-f", "1e10"],
+    ["perturb", "--g1", "10.3", "--g2", "9.9", "--mmax", "1",
+     "--omega-f", "1e306"],
     # E t passes the float range
     ["dynamics", "--tmax", "1e308", "--steps", "2"],
     # arrays far past the address space: numpy refuses them before any
@@ -514,7 +502,7 @@ def test_eigenstate_invalid_nmax_exits_2(tmp_path):
     # more levels than the two chains hold (42 each at n_max 20)
     ["rwa-compare", "--k", "85"],
 ], ids=["spectrum-k", "perturb-mmax", "rwa-compare-k",
-        "eigenstate-count", "dynamics-fock", "perturb-ncut",
+        "eigenstate-count", "dynamics-fock",
         "dynamics-tmax-nan", "dynamics-tmax-inf", "dynamics-alpha-nan",
         "spectrum-stop-nan", "spectrum-step-nan", "spectrum-not-a-number",
         "dynamics-omega-f-0",
@@ -566,9 +554,9 @@ def test_eigenstate_diagonalizes_each_chain_once(tmp_path, monkeypatch):
     # count, and no whole chain is solved
     from rabi2q import eigenstates, numerics, spectra
     climbs, counts, rows = [], [], []
-    climb, count, solve = (eigenstates._converged_pairs,
+    climb, count, solve = (eigenstates.converged_pairs,
                            spectra._levels_below, numerics.eigh)
-    monkeypatch.setattr(eigenstates, "_converged_pairs",
+    monkeypatch.setattr(eigenstates, "converged_pairs",
                         lambda chains, *args: climbs.append(
                             [parity.value for _, parity in chains])
                         or climb(chains, *args))
@@ -611,7 +599,7 @@ def test_readme_eigenstate_runs_its_levels_as_lanes(tmp_path, monkeypatch):
 def test_readme_perturb_reads_one_table_per_coupling(tmp_path, monkeypatch):
     # the README perturb makes no per-element displacement call: its sums
     # read one table of <m|D(2g)|n> per coupling, every branch m by every
-    # intermediate level n up to m_max + 80
+    # intermediate level n below W = ceil((2 * 2 + sqrt(11) + 4)^2) = 129
     from rabi2q import spectra
     calls, table = [], spectra.displacement_elements
     monkeypatch.setattr(spectra, "displacement_elements",
@@ -620,7 +608,31 @@ def test_readme_perturb_reads_one_table_per_coupling(tmp_path, monkeypatch):
     assert run(["perturb", "--omega1", "1.3", "--omega2", "0.7", "--g1", "2",
                 "--g2", "2", "--mmax", "11",
                 "--out", str(tmp_path / "p.csv")]) == 0
-    assert calls == [((12, 92), 2.0)] * 2
+    assert calls == [((12, 129), 2.0)] * 2
+
+
+def test_perturb_has_no_ncut_flag():
+    # the sums run over the table that the couplings and --mmax size
+    with pytest.raises(SystemExit) as info:
+        run(["perturb", "--ncut", "40"])
+    assert info.value.code == 2
+
+
+def test_perturb_table_bound_names_the_coupling(tmp_path, capsys):
+    # 12 rows of ceil((2 * 141 + sqrt(11) + 4)^2) = 83,705 levels pass 10^6
+    # entries, and so does g = 1e150, whose squares fit; at g 140 (82,551
+    # levels) they do not, and every row of that largest table holds its
+    # unit norm
+    for g1, g2, mmax in (("0.5", "-141", "11"), ("1e150", "1e150", "1")):
+        assert run(["perturb", "--g1", g1, "--g2", g2, "--mmax", mmax,
+                    "--out", str(tmp_path / "p.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: coupling {float(g2):g} at m_max={mmax} is out of range "
+            f"for the perturbative sums: its displacement table would pass "
+            f"1e+06 entries\n")
+    assert not list(tmp_path.iterdir())
+    assert run(["perturb", "--g1", "0.5", "--g2", "-140", "--mmax", "11",
+                "--out", str(tmp_path / "p.csv")]) == 0
 
 
 def test_spectrum_has_no_jobs_flag():
@@ -837,8 +849,7 @@ _HASH_RUNS = {
                   ["--steps", "5"], ["--engine", "rwa"]]),
     "perturb": (["--g1", "2", "--g2", "1.5", "--mmax", "2"],
                 [["--omega1", "1.2"], ["--omega2", "1.2"], ["--g1", "2.1"],
-                 ["--g2", "1.6"], ["--omega-f", "2"], ["--mmax", "3"],
-                 ["--ncut", "40"]]),
+                 ["--g2", "1.6"], ["--omega-f", "2"], ["--mmax", "3"]]),
     "rwa-compare": (["--g1", "0.1", "--nmax", "20", "--k", "4"],
                     [["--omega1", "1.2"], ["--omega2", "1.2"],
                      ["--g1", "0.2"], ["--g2", "0.1"], ["--omega-f", "2"],

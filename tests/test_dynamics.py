@@ -77,6 +77,12 @@ def test_coherent_leakage_guard():
     with pytest.raises(TruncationInsufficient):
         dyn.decompose_initial_state(("coherent", 4.0), G, G,
                                     TruncationConfig(12))
+    # either side of the 1e-12 bound at n_max 20: alpha 1.7 leaks 6.0e-12
+    # and raises, alpha 1.6 leaks 6.4e-13 and passes
+    with pytest.raises(TruncationInsufficient, match="leaks 5.97e-12"):
+        dyn.decompose_initial_state(("coherent", 1.7), G, G,
+                                    TruncationConfig(20))
+    dyn.decompose_initial_state(("coherent", 1.6), G, G, TruncationConfig(20))
     with pytest.raises(TruncationInsufficient):
         dyn.decompose_initial_state(50, G, G, T40)
 
@@ -293,6 +299,19 @@ def test_phases_past_the_float_range_are_a_config_error():
     for evolve in (dyn.evolve_parity, dyn.evolve_rwa_closed_form):
         with pytest.raises(ConfigError, match="float range"):
             evolve(st, params, [0.0, 1e308])
+
+
+def test_edge_guard_sits_at_1e_6():
+    # the vacuum spreads up a short chain: by t = 0.6 the top two photon
+    # levels hold 4.9e-7 and the run passes, by t = 0.7 they hold 2.0e-6
+    # and it raises
+    trunc = TruncationConfig(6)
+    st = dyn.decompose_initial_state(0, G, G, trunc)
+    params = ModelParams(1.0, 1.0, 0.4, 0.3)
+    assert dyn.evolve_parity(st, params, [0.0, 0.6]).max_edge_weight < 5e-7
+    with pytest.raises(TruncationInsufficient, match="weight 1.99e-06 .* at "
+                       "t=0.7;"):
+        dyn.evolve_parity(st, params, [0.0, 0.7])
 
 
 def test_guard_names_first_offending_time():

@@ -25,7 +25,7 @@ from rabi2q.errors import (ConfigError, OverflowDetected, SingularCoupling,
 from rabi2q.hamiltonian import build_parity_band
 from rabi2q.model import ModelParams, Parity, TruncationConfig
 from rabi2q.numerics import band_norm, eigh, expand_dense, padded_residuals
-from rabi2q.spectra import converged_parity_eigensystem
+from rabi2q.spectra import converged_pairs
 
 from oracles import (G_CROSS, bargmann_chain_reference,
                      bargmann_rows_reference, chain_state,
@@ -58,8 +58,7 @@ def _hnorm(params, parity, n_max):
 def test_recurrence_states_are_the_readme_eigenstates(parity):
     # at the certified window energies, bit for bit, each state has a
     # residual at rounding level and is dense eigh's vector
-    values, _ = converged_parity_eigensystem(P, parity,
-                                             TruncationConfig(NMAX), 10)
+    values, _ = converged_pairs([(P, parity)], TruncationConfig(NMAX), 10)[0]
     states = eigenstate_recurrences(P, parity, 10, NMAX)
     dense = eigh(chain_matrix(P, parity, NMAX))
     hnorm = _hnorm(P, parity, NMAX)
@@ -75,8 +74,8 @@ def _pairs(params, parity, count, n_max):
     """(state, residual, window vector, distance to the nearest other
     level) of the count lowest levels, the distance taken over count + 1
     certified levels."""
-    values, vectors = converged_parity_eigensystem(
-        params, parity, TruncationConfig(n_max), count + 1)
+    values, vectors = converged_pairs([(params, parity)],
+                                      TruncationConfig(n_max), count + 1)[0]
     states = eigenstate_recurrences(params, parity, count, n_max)
     gaps = np.diff(values)
     near = np.minimum(np.r_[np.inf, gaps[:-1]], gaps)
@@ -193,8 +192,8 @@ def _check_twist_cut(params, parity, count, n_max):
         whole = eigenstate_recurrences(params, parity, count, n_max)
     eps, rows = np.finfo(float).eps, 2 * blocks[0]
     hnorm = _hnorm(params, parity, n_max)
-    values, _ = converged_parity_eigensystem(
-        params, parity, TruncationConfig(n_max), count + 1)
+    values, _ = converged_pairs([(params, parity)], TruncationConfig(n_max),
+                                count + 1)[0]
     gaps = np.diff(values)
     near = np.minimum(np.r_[np.inf, gaps[:-1]], gaps)
     for state, oracle, gap in zip(states, whole, near):
@@ -838,8 +837,8 @@ def test_null_vector_lanes_stop_apart_and_floor_a_zero_pivot():
     # every step, and with a matrix of one zero column, whose R has a zero
     # pivot: raised to eps ||R||, it makes that column the null vector
     values = [(parity, float(xi)) for parity in Parity
-              for xi in converged_parity_eigensystem(
-                  P, parity, TruncationConfig(NMAX), 3)[0]]
+              for xi in converged_pairs([(P, parity)], TruncationConfig(NMAX),
+                                        3)[0][0]]
     levels = values + [(Parity.EVEN, 5.37), (Parity.ODD, -2.11)]
     rows = bargmann_rows(P, levels, 120)
     band = np.random.default_rng(7).normal(size=(123, 121))
@@ -885,8 +884,8 @@ def test_bargmann_residuals_take_both_parities_and_report_each_level():
     # call does to rounding; equal qubit frequencies make every level
     # StepSingular, and j_max below 8 is a configuration error
     levels = [(parity, float(xi)) for parity in Parity
-              for xi in converged_parity_eigensystem(
-                  P, parity, TruncationConfig(NMAX), 4)[0]]
+              for xi in converged_pairs([(P, parity)], TruncationConfig(NMAX),
+                                        4)[0][0]]
     found = bargmann_residuals(P, levels, 120, NMAX)
     for (parity, chi), res in zip(levels, found):
         alone = bargmann_residual(P, parity, chi)
@@ -967,8 +966,7 @@ def _bargmann_against_window(params, parity, trunc, count, j_max):
     Bargmann state at each of the lowest count certified levels; the
     overlap is 1 at a level within 1e-6 of a neighbour, whose vector is not
     unique."""
-    values, vectors = converged_parity_eigensystem(params, parity, trunc,
-                                                   count + 1)
+    values, vectors = converged_pairs([(params, parity)], trunc, count + 1)[0]
     gaps = np.diff(values)
     isolated = np.minimum(np.r_[np.inf, gaps[:-1]], gaps) > 1e-6
     out = []
@@ -1071,8 +1069,7 @@ def test_bargmann_residual_grows_with_the_distance_from_a_level(
     assume(abs(abs(g_1) - abs(g_2)) >= 1e-3)
     params = ModelParams(omega_1, omega_2, g_1, g_2)
     trunc = TruncationConfig(NMAX)
-    values, _ = converged_parity_eigensystem(params, parity, trunc,
-                                             level + 2)
+    values, _ = converged_pairs([(params, parity)], trunc, level + 2)[0]
     hnorm = band_norm(build_parity_band(params, parity, trunc))
     energy = float(values[level])
     delta = sign * 10.0 ** scale * hnorm

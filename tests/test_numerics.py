@@ -193,6 +193,16 @@ def test_displacement_unitarity_row():
         for x in (-1.3, 2.0):
             column = displacement_elements(np.arange(300), n, x)
             assert np.sum(column ** 2) == pytest.approx(1.0, abs=1e-9)
+    # far out, rows m <= 20 on the levels of a perturbative table, n < W =
+    # ceil((2|x| + sqrt(20) + 4)^2), hold their unit norm to the table's
+    # check, 1e-12 and 4 eps W ln W of rounding: with (2x)^(m-n) outside
+    # the logs, row 11 summed to 0.766 at x = 7
+    for x in (7.0, -9.5, 13.0, -16.25, 20.0):
+        width = math.ceil((2 * abs(x) + math.sqrt(20) + 4) ** 2)
+        rows = displacement_elements(np.arange(21)[:, None],
+                                     np.arange(width), x)
+        tol = 1e-12 + 4 * np.finfo(float).eps * width * math.log(width)
+        assert np.max(np.abs(1 - np.sum(rows ** 2, axis=1))) <= tol
 
 
 def test_displacement_large_indices_finite():
@@ -202,9 +212,10 @@ def test_displacement_large_indices_finite():
 
 
 def test_displacement_far_displacement_is_zero():
-    # at x = 1e200 the Gaussian factor is 0 and (2x)^(m - n) would overflow
+    # at x = 1e200 the Gaussian factor is 0 and (2x)^(m - n) would overflow,
+    # and at x = 1.7e308 so would 2x
     rows, cols = np.array([3, 1, 81, 0]), np.array([1, 3, 0, 0])
-    for x in (1e200, -1e200):
+    for x in (1e200, -1e200, 1.7e308, -1.7e308):
         assert displacement_elements(rows, cols, x).tolist() == [0.0] * 4
 
 
@@ -223,14 +234,14 @@ def test_displacement_large_power_with_live_gaussian():
                    st.sampled_from([0.0, 200.0, -250.0, 1e200, 9.38])),
        rows=st.lists(st.integers(0, 300), min_size=1, max_size=10),
        cols=st.lists(st.integers(0, 300), min_size=1, max_size=30))
-# (2x)^245 in two halves, both ways round, next to small indices
+# (2x)^245 past the float range, both ways round, next to small indices
 @example(x=9.38, rows=[245, 0, 3], cols=[0, 245, 1, 2])
 @example(x=-9.38, rows=[0, 244, 245], cols=[245, 0, 1])
 def test_displacement_table_is_the_scalar_formula_bit_for_bit(x, rows,
                                                               cols):
     # every entry of a table equals the scalar formula in Python floats,
-    # signed zeros included: the Gaussian factor and the powers come from
-    # libm as there
+    # signed zeros included: the exponential of the logs comes from libm as
+    # there
     got = displacement_elements(np.array(rows)[:, None], np.array(cols), x)
     want = np.array([[displacement_reference(m, n, x) for n in cols]
                      for m in rows])

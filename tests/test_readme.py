@@ -1,9 +1,11 @@
 """The examples of README.md run as written, and its CLI commands write
 the pinned outputs.
 
-``python tests/test_readme.py`` rewrites ``tests/golden/readme_outputs.json``
-from the current program; a change that moves an output on purpose does
-so and lists the changed values.
+``python tests/test_readme.py`` prints each reference line that the
+current program moves, old -> new, and then rewrites
+``tests/golden/readme_outputs.json`` (and the eigenstate golden file)
+from it; a change that moves an output on purpose does so and lists the
+printed lines.
 """
 
 import hashlib
@@ -99,26 +101,27 @@ def reference_of(header, lines) -> dict:
 
 
 def mismatches(name, header, lines, reference) -> list:
-    """How an output differs from its reference; empty when it does not."""
+    """How an output differs from its reference, each line as reference ->
+    output; empty when it does not."""
     if header != reference.get("header"):
-        return [f"{name} header: {header!r} != {reference.get('header')!r}"]
+        return [f"{name} header: {reference.get('header')!r} -> {header!r}"]
     if "file" in reference:
         reference = {"lines": (GOLDEN / reference["file"]).read_text()
                      .splitlines()}
     if "lines" in reference:
         want = reference["lines"]
-        diff = [f"{name} line {i}: {got!r} != {ref!r}"
+        diff = [f"{name} line {i}: {ref!r} -> {got!r}"
                 for i, (got, ref) in enumerate(zip(lines, want))
                 if got != ref]
         if len(lines) != len(want):
-            diff.append(f"{name}: {len(lines)} lines, expected {len(want)}")
+            diff.append(f"{name}: {len(want)} lines -> {len(lines)}")
         return diff
-    diff = [f"{name} line {i}: {lines[int(i)]!r} != {ref!r}"
+    diff = [f"{name} line {i}: {ref!r} -> "
+            f"{lines[int(i)] if int(i) < len(lines) else None!r}"
             for i, ref in reference["sample"].items()
             if int(i) >= len(lines) or lines[int(i)] != ref]
     if len(lines) != reference["count"]:
-        diff.append(f"{name}: {len(lines)} lines, expected "
-                    f"{reference['count']}")
+        diff.append(f"{name}: {reference['count']} lines -> {len(lines)}")
     elif _digest(lines) != reference["sha256"]:
         diff.append(f"{name}: SHA-256 differs off the sampled lines")
     return diff
@@ -177,6 +180,12 @@ def test_reference_check_pins_each_csv_header(readme_outputs):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         outputs = run_readme_commands(Path(tmp))
+    # each reference line that moves, old -> new, before the rewrite
+    old = json.loads(REFERENCES.read_text())
+    for name, (header, lines) in outputs.items():
+        for change in (mismatches(name, header, lines, old[name])
+                       if name in old else [f"{name}: new output"]):
+            print(change)
     pinned = {name: reference_of(*output) for name, output in outputs.items()}
     # the eigenstate output stays whole in its own golden file
     header, lines = outputs["states.csv"]

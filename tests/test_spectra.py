@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import sys
@@ -18,7 +19,7 @@ from rabi2q.numerics import (RESIDUAL_TOL, band_norm, displacement_elements,
                              eigh, expand_dense, inert_tail, padded_residuals,
                              tail_cut)
 from rabi2q.spectra import (CrossingKind, SpectrumSweep,
-                            converged_parity_eigensystem, detect_crossings,
+                            converged_pairs, detect_crossings,
                             dsc_perturbative_spectrum, rwa_relative_error,
                             sweep_spectrum)
 
@@ -182,12 +183,30 @@ def test_perturbative_out_of_float_range_is_a_config_error(params):
         dsc_perturbative_spectrum(params, 1)
 
 
-def test_perturbative_huge_equal_couplings_stay_finite():
-    # g = 1e150: the squares fit, and every displacement element is 0
-    spec = dsc_perturbative_spectrum(ModelParams(1.3, 0.7, 1e150, 1e150), 1)
-    for values in (spec.branch1, spec.branch2):
-        assert np.all(np.isfinite(values))
-    assert not spec.resonant
+def test_perturbative_huge_couplings_are_out_of_range():
+    # the table holds (m_max + 1) W entries, W = ceil((2 max|g_j|
+    # + sqrt(m_max) + 4)^2): at g = 1e150 the squares fit, but the table
+    # would not, nor 41 x 25,067 at |g| = 74, nor 1,000,001 x 1,008,016 at
+    # g = 0 and m_max = 10^6
+    for params, m_max, named in (
+            (ModelParams(1.3, 0.7, 1e150, 1e150), 1, "1e[+]150 at m_max=1"),
+            (ModelParams(0.0, 0.0, 0.3, -74.0), 40, "-74 at m_max=40"),
+            (ModelParams(1.0, 1.0, 0.0, 0.0), 10 ** 6, "0 at m_max=1000000")):
+        with pytest.raises(ConfigError, match=f"coupling {named} is out of "
+                           f"range for the perturbative sums"):
+            dsc_perturbative_spectrum(params, m_max)
+
+
+def test_perturbative_short_table_fails_its_unit_norm(monkeypatch):
+    # a table cut REACH = 2 past the displaced oscillators' spread, not 4,
+    # leaves 7.4e-11 of row m = 3's norm out: the run fails, rather than
+    # print the sums of a truncated table
+    p = ModelParams(1.1, 0.3, 3.0, 4.0)
+    dsc_perturbative_spectrum(p, 3)
+    monkeypatch.setattr(spectra, "REACH", 2.0)
+    with pytest.raises(TruncationInsufficient, match="row m=3 of the "
+                       "displacement table of g2 misses 7.4e-11"):
+        dsc_perturbative_spectrum(p, 3)
 
 
 def test_perturbative_matches_numeric_at_moderate_coupling():
@@ -212,14 +231,14 @@ def _same_bits(got, want):
             and np.array_equal(got.view(np.int64), want.view(np.int64)))
 
 
-def _check_dsc_against_scalar_oracle(params, m_max, n_cut):
+def _check_dsc_against_scalar_oracle(params, m_max):
     try:
-        want = dsc_reference(params, m_max, n_cut)
+        want = dsc_reference(params, m_max)
     except ConfigError as exc:
         with pytest.raises(ConfigError, match=re.escape(str(exc))):
-            dsc_perturbative_spectrum(params, m_max, n_cut)
+            dsc_perturbative_spectrum(params, m_max)
         return None
-    got = dsc_perturbative_spectrum(params, m_max, n_cut)
+    got = dsc_perturbative_spectrum(params, m_max)
     assert _same_bits(got.branch1_shift, want[0])
     assert _same_bits(got.branch2_shift, want[1])
     assert got.resonant == want[2]
@@ -229,27 +248,24 @@ def _check_dsc_against_scalar_oracle(params, m_max, n_cut):
 @settings(max_examples=40, deadline=None)
 @given(omega_1=st.floats(0.0, 3.0), omega_2=st.floats(0.0, 3.0),
        g_1=st.floats(-4.0, 4.0), g_2=st.floats(-4.0, 4.0),
-       m_max=st.integers(0, 8),
-       n_cut=st.one_of(st.none(), st.integers(0, 120)))
+       m_max=st.integers(0, 8))
 # the README: 4 g1 g2 = 16, branch 2 resonant at n = m + 16
-@example(omega_1=1.3, omega_2=0.7, g_1=2.0, g_2=2.0, m_max=11, n_cut=None)
+@example(omega_1=1.3, omega_2=0.7, g_1=2.0, g_2=2.0, m_max=11)
 # 4 g1 g2 = -1: both branches meet resonances, branch 1 from m = 1 on
-@example(omega_1=1.3, omega_2=0.7, g_1=0.5, g_2=-0.5, m_max=4, n_cut=None)
-@example(omega_1=1.3, omega_2=0.7, g_1=0.3, g_2=0.4, m_max=0, n_cut=0)
-@example(omega_1=1.3, omega_2=0.7, g_1=0.3, g_2=0.4, m_max=3, n_cut=0)
-# every element is 0 (|g| >= 200) and every branch-2 denominator
-# negative: below the cut of m = 2 all terms are -0.0, and its shift is
-# +0.0, as a sum from +0.0 gives
-@example(omega_1=1.3, omega_2=0.7, g_1=300.0, g_2=300.0, m_max=2, n_cut=1)
-# couplings 4 and -3.3 spread the terms past n = 82: the table widens
-# once before every lane stops
-@example(omega_1=1.3, omega_2=0.7, g_1=4.0, g_2=-3.3, m_max=2, n_cut=400)
+@example(omega_1=1.3, omega_2=0.7, g_1=0.5, g_2=-0.5, m_max=4)
+# the paper's Fig. 3 couplings: the bulk of the terms lies near n = 100
+@example(omega_1=1.1, omega_2=0.3, g_1=3.0, g_2=4.0, m_max=3)
+@example(omega_1=1.3, omega_2=0.7, g_1=4.0, g_2=-3.3, m_max=2)
+# every element is 0 (g = 0 off the diagonal) and every branch-2
+# denominator negative: the terms are -0.0, and the shift is +0.0, as a
+# sum from +0.0 gives
+@example(omega_1=1.3, omega_2=0.7, g_1=0.0, g_2=0.0, m_max=2)
 def test_dsc_sums_match_the_scalar_oracle_bit_for_bit(omega_1, omega_2, g_1,
-                                                      g_2, m_max, n_cut):
-    # one displacement table per coupling and the vectorized stop give the
-    # shifts, the nan entries and the resonant tuples of the scalar loop
+                                                      g_2, m_max):
+    # one displacement table per coupling gives the shifts, the nan
+    # entries and the resonant tuples of the scalar loop
     _check_dsc_against_scalar_oracle(ModelParams(omega_1, omega_2, g_1, g_2),
-                                     m_max, n_cut)
+                                     m_max)
 
 
 @pytest.mark.parametrize("params", [
@@ -264,7 +280,7 @@ def test_dsc_sums_match_the_scalar_oracle_bit_for_bit(omega_1, omega_2, g_1,
 def test_dsc_overflow_raises_as_the_scalar_oracle_does(params):
     with pytest.raises(ConfigError, match="not finite"):
         dsc_reference(params, 1)
-    _check_dsc_against_scalar_oracle(params, 1, None)
+    _check_dsc_against_scalar_oracle(params, 1)
 
 
 def test_rwa_error_zero_at_zero_coupling():
@@ -312,11 +328,8 @@ def test_out_of_range_inputs_raise_value_error():
         rwa_relative_error(p, TruncationConfig(10), k=0)
     with pytest.raises(ConfigError, match="45 levels pass the 44 levels"):
         rwa_relative_error(p, TruncationConfig(10), k=45)
-    with pytest.raises(ValueError, match="n_cut must be >= 0"):
-        dsc_perturbative_spectrum(p, 2, n_cut=-5)
-    # at n_cut = 0 the only intermediate level of m = 0 is m itself
-    spec = dsc_perturbative_spectrum(p, 2, n_cut=0)
-    assert spec.branch1_shift[0] == spec.branch2_shift[0] == 0.0
+    with pytest.raises(ValueError, match="m_max must be >= 0"):
+        dsc_perturbative_spectrum(p, -1)
 
 
 def rwa_levels_full_basis(params, trunc, k):
@@ -401,7 +414,7 @@ def test_converged_eigenvectors_own_only_their_columns():
     trunc = TruncationConfig(60)
     for p, rows in ((ModelParams(1.3, 0.7, 0.3, 0.4), 58),
                     (ModelParams(1.3, 0.7, 0.0, 0.0), 22)):
-        vals, vecs = converged_parity_eigensystem(p, Parity.EVEN, trunc, 5)
+        vals, vecs = converged_pairs([(p, Parity.EVEN)], trunc, 5)[0]
         assert vecs.shape == (rows, 5)
         assert vecs.base is None or vecs.base.nbytes == vecs.nbytes
         _assert_matches_dense(vals, vecs, p, Parity.EVEN, trunc, 5)
@@ -461,12 +474,12 @@ def _whole_chain_fails(params, parity, trunc, k):
 
 
 def _assert_certified_or_unconverged(params, parity, trunc, k, solved=None):
-    """converged_parity_eigensystem, and solved from a window route when
-    given, return the k lowest levels of the chain at a much larger
-    cutoff, or TruncationInsufficient where the whole chain's own k lowest
-    fail the certificate."""
+    """converged_pairs, and solved from a window route when given, return
+    the k lowest levels of the chain at a much larger cutoff, or
+    TruncationInsufficient where the whole chain's own k lowest fail the
+    certificate."""
     try:
-        pairs = [converged_parity_eigensystem(params, parity, trunc, k)]
+        pairs = converged_pairs([(params, parity)], trunc, k)
     except TruncationInsufficient:
         assert solved is None
         assert _whole_chain_fails(params, parity, trunc, k)
@@ -583,9 +596,9 @@ def test_widening_reaches_chain_dimension():
     # raises; at n_max = 54 the whole chain is the rung that certifies
     p = ModelParams(1.3, 0.7, 1.5, 1.5)
     with pytest.raises(TruncationInsufficient, match="the 1 lowest levels"):
-        converged_parity_eigensystem(p, Parity.EVEN, TruncationConfig(24), 1)
+        converged_pairs([(p, Parity.EVEN)], TruncationConfig(24), 1)[0]
     trunc = TruncationConfig(54)
-    vals, vecs = converged_parity_eigensystem(p, Parity.EVEN, trunc, 1)
+    vals, vecs = converged_pairs([(p, Parity.EVEN)], trunc, 1)[0]
     assert vecs.shape == (trunc.chain_dim, 1)
     assert vals[0] == pytest.approx(-9.031, abs=1e-3)
     _assert_matches_dense(vals, vecs, p, Parity.EVEN, trunc, 1)
@@ -608,7 +621,7 @@ def test_dark_like_level_at_omega_f(omega_2, g, n_max, k):
     dense = _dense(params, Parity.EVEN, trunc)
     assume(np.min(np.abs(dense.values[:k] - 1.0)) <= tol)
     try:
-        vals, _ = converged_parity_eigensystem(params, Parity.EVEN, trunc, k)
+        vals, _ = converged_pairs([(params, Parity.EVEN)], trunc, k)[0]
     except TruncationInsufficient:
         assert _whole_chain_fails(params, Parity.EVEN, trunc, k)
         return
@@ -629,13 +642,13 @@ def test_tie_across_the_cut_certifies_on_a_window(monkeypatch):
                       (Parity.ODD, 9)):
         dense = _dense(p, parity, trunc)
         assert dense.values[k] == dense.values[k - 1]
-        vals, vecs = converged_parity_eigensystem(p, parity, trunc, k)
+        vals, vecs = converged_pairs([(p, parity)], trunc, k)[0]
         assert calls == [] and len(vecs) < trunc.chain_dim
         assert vecs.base is None or vecs.base.nbytes == vecs.nbytes
         _assert_matches_dense(vals, vecs, p, parity, trunc, k)
         # a coupled point certifies on a window too
-        converged_parity_eigensystem(ModelParams(1.3, 0.7, 0.3, 0.4),
-                                     parity, TruncationConfig(60), k)
+        converged_pairs([(ModelParams(1.3, 0.7, 0.3, 0.4), parity)],
+                        TruncationConfig(60), k)
         assert calls == []
 
 
@@ -648,9 +661,9 @@ def test_overflowing_banded_solve_falls_back_without_warning():
     for n_max in (5, 20):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            vals, _ = converged_parity_eigensystem(
-                ModelParams(0.0, 0.5, g, g), Parity.EVEN,
-                TruncationConfig(n_max), 1)
+            vals, _ = converged_pairs(
+                [(ModelParams(0.0, 0.5, g, g), Parity.EVEN)],
+                TruncationConfig(n_max), 1)[0]
         assert vals.tolist() == [-0.25]
 
 
@@ -665,7 +678,7 @@ def test_huge_coupling_goes_to_dense_without_overflow(monkeypatch):
     trunc = TruncationConfig(20)
     assert spectra._start_window(p, 2) >= trunc.n_max
     with pytest.raises(TruncationInsufficient):
-        converged_parity_eigensystem(p, Parity.EVEN, trunc, 2)
+        converged_pairs([(p, Parity.EVEN)], trunc, 2)[0]
     assert calls == [(trunc.chain_dim, trunc.chain_dim)]
 
 
@@ -716,13 +729,13 @@ def test_window_accepts_widens_or_reaches_chain_dimension(monkeypatch):
     assert _window(p, Parity.EVEN, trunc, 1, 3) is None
     assert dims == [8, 12, 18, 28, 42]
     with pytest.raises(TruncationInsufficient):
-        converged_parity_eigensystem(p, Parity.EVEN, trunc, 1)
+        converged_pairs([(p, Parity.EVEN)], trunc, 1)[0]
 
     # at n_max = 54 the whole chain certifies where no window does, and
     # returns its own lowest pair bit for bit
     trunc = TruncationConfig(54)
     assert _window(p, Parity.EVEN, trunc, 1, 3) is not None
-    vals, vecs = converged_parity_eigensystem(p, Parity.EVEN, trunc, 1)
+    vals, vecs = converged_pairs([(p, Parity.EVEN)], trunc, 1)[0]
     dense = _dense(p, Parity.EVEN, trunc)
     assert np.array_equal(vals, dense.values[:1])
     assert np.array_equal(vecs, dense.vectors[:, :1])
@@ -738,7 +751,7 @@ def test_ties_inside_the_cut_certify_on_a_window(monkeypatch, k, rows):
                         lambda h: calls.append(h.shape) or eigh(h))
     p = ModelParams(1.3, 0.7, 0.0, 0.0)
     trunc = TruncationConfig(40)
-    vals, vecs = converged_parity_eigensystem(p, Parity.EVEN, trunc, k)
+    vals, vecs = converged_pairs([(p, Parity.EVEN)], trunc, k)[0]
     assert dims == [rows] and calls == []
     assert vecs.shape == (rows, k)
     _assert_matches_dense(vals, vecs, p, Parity.EVEN, trunc, k)
@@ -840,8 +853,8 @@ def test_sweep_pool_matches_one_point_solves_bit_for_bit(monkeypatch, n_max,
     assert threads and threading.get_ident() not in threads
     for parity in Parity:
         for i, g in enumerate(gs):
-            values, vectors = converged_parity_eigensystem(
-                ModelParams(1.3, 0.7, g, g), parity, trunc, k)
+            values, vectors = converged_pairs(
+                [(ModelParams(1.3, 0.7, g, g), parity)], trunc, k)[0]
             assert np.array_equal(sweep.energies[parity][i], values)
             assert np.array_equal(sweep.vectors[parity][i], vectors)
 
@@ -995,7 +1008,7 @@ def test_tie_across_the_cut_is_rejected_without_a_float_warning():
     trunc = TruncationConfig(23)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        values, _ = converged_parity_eigensystem(params, Parity.ODD, trunc, 3)
+        values, _ = converged_pairs([(params, Parity.ODD)], trunc, 3)[0]
     dense = np.linalg.eigvalsh(_chain(params, Parity.ODD, trunc))
     assert dense[3] - dense[2] < 1e-12
     assert np.allclose(values, dense[:3], rtol=0, atol=1e-12)
@@ -1132,9 +1145,31 @@ def test_second_order_shift_at_unequal_couplings(g_1, g_2):
     shift = spec.branch1_shift[0]
     assert shift > 0.005 and all(branch == 2 for branch, *_ in spec.resonant)
     for parity in Parity:
-        ground = converged_parity_eigensystem(params, parity,
-                                              TruncationConfig(260), 1)[0][0]
+        ground = converged_pairs([(params, parity)], TruncationConfig(260),
+                                 1)[0][0][0]
         assert abs((spec.branch1_zeroth[0] - ground) - shift) <= 0.01 * shift
+
+
+@settings(max_examples=15, deadline=None)
+@given(omega_1=st.floats(0.0, 1.5), omega_2=st.floats(0.0, 1.5),
+       g=st.floats(2.5, 5.0))
+# the paper's Fig. 3 couplings, g 3/4, and g 3.5, where sums that stopped
+# on small leading terms or inside the bulk of the terms read 1e-5 to 6e-3
+# off
+@example(omega_1=1.1, omega_2=0.3, g=None)
+@example(omega_1=1.3, omega_2=0.7, g=3.5)
+def test_dsc_branch1_matches_the_certified_levels(omega_1, omega_2, g):
+    # deep in strong coupling the m-th level of each parity lies on branch
+    # 1 (4 g^2 > 3), within 1e-5 of its second-order total for m <= 3
+    # (measured: 2.5e-6 at g = 2.5, 1.5e-9 at g = 5)
+    params = (ModelParams(omega_1, omega_2, 3.0, 4.0) if g is None
+              else ModelParams(omega_1, omega_2, g, g))
+    top = max(params.g_1, params.g_2)
+    trunc = TruncationConfig(math.ceil(8 * top ** 2) + 100)
+    spec = dsc_perturbative_spectrum(params, 3)
+    for values, _ in converged_pairs([(params, parity) for parity in Parity],
+                                     trunc, 4):
+        assert np.max(np.abs(spec.branch1 - values)) <= 1e-5
 
 
 def _zeroth_order_miss(params, parity, vectors, trunc, m_max):
@@ -1172,8 +1207,7 @@ def test_deep_strong_coupling_states_keep_their_zeroth_order_weight():
         params = ModelParams(1.1, 0.3, 3 * lam, 4 * lam)
         levels = []
         for parity in Parity:
-            values, vectors = converged_parity_eigensystem(params, parity,
-                                                           trunc, 12)
+            values, vectors = converged_pairs([(params, parity)], trunc, 12)[0]
             levels += zip(values, _zeroth_order_miss(params, parity, vectors,
                                                      trunc, 15))
         worst[lam] = max(miss for _, miss in sorted(levels)[:12])
@@ -1200,6 +1234,21 @@ def test_mixed_dip_is_not_a_crossing():
              for tol in (0.2, 0.35)]
     assert kinds == [[CrossingKind.AVOIDED_OR_UNRESOLVED],
                      [CrossingKind.CROSSING]]
+
+
+def test_dip_at_the_sweep_start_is_unresolved():
+    # the gap is least at the first point, which has no point before it:
+    # the dip is unresolved and spans points 0 and 1, though the last
+    # point's vectors against point 1's would read as a swap
+    gs = np.array([0.0, 0.1, 0.2])
+    energies = np.array([[0.0, 0.01], [0.0, 0.2], [0.0, 0.3]])
+    same, swapped = np.eye(2), np.eye(2)[:, ::-1]
+    sweep = SpectrumSweep(2, gs, gs, {Parity.EVEN: energies},
+                          {Parity.EVEN: [same, swapped, same]})
+    [record] = detect_crossings(sweep, Parity.EVEN)
+    assert (record.index_lo, record.index_hi, record.g_lo, record.g_hi,
+            record.min_gap, record.kind) == (
+        0, 1, 0.0, 0.1, 0.01, CrossingKind.AVOIDED_OR_UNRESOLVED)
 
 
 # ---------------------------------------------------------------------------
