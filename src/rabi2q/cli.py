@@ -122,8 +122,6 @@ def _add_common(parser: argparse.ArgumentParser, couplings: str = "value"):
                         help="key=value file with defaults; flags win")
     parser.add_argument("--out", type=str, default=None,
                         help="CSV output path (stdout if omitted)")
-    parser.add_argument("--svg", type=str, default=None,
-                        help="optional SVG plot path")
     parser.add_argument("--seed", type=str, default=None,
                         help=argparse.SUPPRESS)
 
@@ -335,6 +333,8 @@ def cmd_eigenstate(args) -> int:
 
 def _spectrum_args(parser):
     _add_common(parser, couplings="range")
+    parser.add_argument("--svg", type=str, default=None,
+                        help="optional SVG plot path")
     parser.add_argument("--k", type=int, default=20,
                         help="branches per parity")
     parser.add_argument("--gap-tol", type=float, default=0.05,
@@ -345,6 +345,8 @@ def _spectrum_args(parser):
 
 def _dynamics_args(parser):
     _add_common(parser)
+    parser.add_argument("--svg", type=str, default=None,
+                        help="optional SVG plot path")
     parser.add_argument("--alpha", type=float, default=None,
                         help="coherent field amplitude")
     parser.add_argument("--fock", type=int, default=None,

@@ -16,8 +16,8 @@ entanglement measures derived from it (von Neumann entropy, Wootters
 concurrence).  A state may hold one column of amplitudes per output time,
 and every observable broadcasts over that axis.  A trajectory keeps only
 each chain's propagated levels and takes each block of TIME_BLOCK output
-times in one pass: its amplitudes give every observable and are freed,
-so a run holds only its scalar columns per output time.
+times in one pass on its widest window's photons: its amplitudes give
+every observable and are freed, so a run holds only its scalar columns.
 """
 
 from __future__ import annotations
@@ -371,12 +371,14 @@ def _evolve(state: ParityDecomposedState, params: ModelParams, times,
     each chain band that ``_window_levels`` solves, a chain where the state
     has zero weight is not solved, and only the ChainLevels of each chain
     are kept.  The output times are then taken TIME_BLOCK at a time, in one
-    pass: each block's amplitudes give its energy, edge and parity weights,
-    mean_n, s_z, and the entropy and concurrence of its checked rho, and
-    are freed before the next block.  ConfigError when a phase E t of a
-    level is not finite; InvalidDensityMatrix at the first block with an
-    invalid rho; on_guard="raise" raises at the first block whose edge
-    weight passes EDGE_WEIGHT_TOL, naming the first such time."""
+    pass, on photons 0..n_w of the widest window (the rows past it are
+    zeros; at least two photons): each block's amplitudes give its energy,
+    edge and parity weights, mean_n, s_z, and the entropy and concurrence
+    of its checked rho, and are freed before the next block.  ConfigError
+    when a phase E t of a level is not finite; InvalidDensityMatrix at the
+    first block with an invalid rho; on_guard="raise" raises at the first
+    block whose edge weight passes EDGE_WEIGHT_TOL, naming the first such
+    time."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.ndim != 1 or not times.size or not np.isfinite(times).all():
         raise ConfigError("times must be finite, 1-d and not empty")
@@ -402,20 +404,22 @@ def _evolve(state: ParityDecomposedState, params: ModelParams, times,
         # wrong eigenvectors leave V^T H V off diagonal and show as drift
         h_proj = vectors.T @ band_matvec(band[:, :vectors.shape[0]], vectors)
         levels[parity] = ChainLevels(values, vectors, proj, h_proj)
-    table = basis_table(trunc)
+    solved = TruncationConfig(max(*photons.values(), 2) - 1)
+    table = basis_table(solved)
     inversion = _inversion(table)
     n_t = len(times)
     (energy, edge, w_even, w_odd, mean_n, s_z, entropy,
      concurrence_) = (np.zeros(n_t) for _ in range(8))
     # each block array is dropped once read, so the peak holds one of them
     for cols in _time_blocks(n_t):
-        block, amps = _propagate(levels, trunc, times[cols])
+        block, amps = _propagate(levels, solved, times[cols])
         for parity, a in amps.items():
             energy[cols] += np.sum(a * (levels[parity].h_proj @ a),
                                    axis=0).reshape(-1, 2).sum(axis=1)
         del amps
         probs = _probabilities(block)
-        edge[cols] = sum(prob[:, -4:].sum(axis=1) for prob in probs.values())
+        edge[cols] = sum(prob[:, trunc.chain_dim - 4:].sum(axis=1)
+                         for prob in probs.values())
         over = np.flatnonzero(edge[cols] > EDGE_WEIGHT_TOL)
         if over.size and on_guard == "raise":
             first = cols.start + int(over[0])

@@ -22,7 +22,7 @@ LAPACK call whichever thread makes it, so the results do not depend on the
 number of threads.  A chain keeps only its k levels and its window's
 vector rows.  The perturbative sums run over one displacement table per
 coupling, as wide as the displaced oscillators reach, whose rows' unit
-norm checks it.
+norm checks it.  The RWA levels are exact, from the excitation sectors.
 """
 
 from __future__ import annotations
@@ -36,25 +36,12 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, TruncationInsufficient
-from .hamiltonian import build_parity_band, build_rwa_band
+from .hamiltonian import build_parity_band, build_rwa_excitation_block
 from .model import ModelParams, Parity, TruncationConfig
 from .numerics import (RESIDUAL_TOL, band_norm, block_pivots,
                        displacement_elements, eigh, expand_dense, first_index,
                        inert_tail, padded_residuals, photon_windows,
                        pivot_shift)
-
-GUARD_TOL = 1e-8
-
-
-def converged_mask(vectors: np.ndarray, edge_dim: int) -> np.ndarray:
-    """True for columns with < GUARD_TOL weight on the last edge_dim rows.
-
-    edge_dim is 4 for a parity chain and 8 for the full product basis
-    (two qubit pairs per photon level vs four).
-    """
-    edge_weight = np.sum(vectors[-edge_dim:, :] ** 2, axis=0)
-    return edge_weight < GUARD_TOL
-
 
 def _levels_below(bands: np.ndarray, norms: np.ndarray,
                   x: np.ndarray) -> np.ndarray:
@@ -518,20 +505,36 @@ class RwaErrorReport:
     ground_error: float
 
 
+def _rwa_levels(params: ModelParams, k: int) -> np.ndarray:
+    """The k lowest RWA levels, exact: N - 1 plus the eigenvalues of
+    excitation sector N's ``build_rwa_excitation_block`` (omega_f = 1),
+    for N = 0, 1, ... until the sectors hold k levels, N >= c^2 and
+    N - 1 - d - 2 c sqrt(N) lies above the k-th.  By Gershgorin that
+    bounds every level of sector N from below (d = (|omega_1 - 1| +
+    |omega_2 - 1|) / 2, c = |g_1| + |g_2|), and it grows for N >= c^2.
+    """
+    d = 0.5 * (abs(params.omega_1 - 1.0) + abs(params.omega_2 - 1.0))
+    c = abs(params.g_1) + abs(params.g_2)
+    levels, n = np.empty(0), 0
+    while not (len(levels) == k and n >= c * c
+               and n - 1 - d - 2 * c * math.sqrt(n) > levels[-1]):
+        levels = np.sort(np.append(levels, n - 1 + np.linalg.eigvalsh(
+            build_rwa_excitation_block(params, n).matrix)))[:k]
+        n += 1
+    return levels
+
+
 def rwa_relative_error(params: ModelParams, trunc: TruncationConfig,
                        k: int) -> RwaErrorReport:
-    """|E_RWA,i - E_full,i| / |E_full,i| for the k lowest levels.
+    """|E_RWA,i - E_full,i| / |E_full,i| for the k lowest levels, paired
+    in ascending order.
 
-    Neither Hamiltonian couples the two parities, so each spectrum merges
-    the levels of its two chains.  The full model's are the min(k, chain
-    dimension) lowest of each chain that ``converged_pairs``
-    certifies, both chains in one climb.  The RWA band's coupling blocks
-    are not of the form [[a, b], [b, a]] that the inertia count takes, so
-    its chains are solved by dense eigh, and its k lowest merged levels
-    must all pass the truncation guard, ``converged_mask``: skipping one
-    would pair the levels of different states.  TruncationInsufficient
-    where either side fails, ConfigError when k passes the levels of the
-    two chains.
+    The full model's are the min(k, chain dimension) lowest of each parity
+    chain that ``converged_pairs`` certifies, both in one climb, merged
+    (neither Hamiltonian couples the parities); the RWA's are exact, from
+    its excitation sectors (``_rwa_levels``), whatever trunc.
+    TruncationInsufficient where the full side fails, ConfigError when k
+    passes the levels of the two chains.
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
@@ -541,17 +544,7 @@ def rwa_relative_error(params: ModelParams, trunc: TruncationConfig,
     e_full = np.sort(np.concatenate([values for values, _ in converged_pairs(
         [(params, parity) for parity in (Parity.EVEN, Parity.ODD)], trunc,
         min(k, trunc.chain_dim))]))[:k]
-    chains = [eigh(expand_dense(build_rwa_band(params, parity, trunc)))
-              for parity in (Parity.EVEN, Parity.ODD)]
-    values = np.concatenate([vals for vals, _ in chains])
-    lowest = np.argsort(values)[:k]
-    passed = np.concatenate([converged_mask(vecs, 4)
-                             for _, vecs in chains])[lowest]
-    if not passed.all():
-        raise TruncationInsufficient(
-            f"only {np.sum(passed)} of the {k} lowest RWA eigenvalues "
-            f"converged at n_max={trunc.n_max}")
-    e_rwa = values[lowest]
+    e_rwa = _rwa_levels(params, k)
     diff = np.abs(e_rwa - e_full)
     with np.errstate(divide="ignore", invalid="ignore"):
         errors = np.divide(diff, np.abs(e_full),

@@ -122,6 +122,21 @@ def both_flipped(params):
     return replace(params, g_1=-params.g_1, g_2=-params.g_2)
 
 
+# the truncation guard of the dense checks: a level converged when its
+# vector carries less than this weight on the top two photon levels
+GUARD_TOL = 1e-8
+
+
+def converged_mask(vectors: np.ndarray, edge_dim: int) -> np.ndarray:
+    """True for columns with < GUARD_TOL weight on the last edge_dim rows.
+
+    edge_dim is 4 for a parity chain and 8 for the full product basis
+    (two qubit pairs per photon level vs four).
+    """
+    edge_weight = np.sum(vectors[-edge_dim:, :] ** 2, axis=0)
+    return edge_weight < GUARD_TOL
+
+
 def kronecker_reference(params, trunc, rwa=False):
     """Hamiltonian from Kronecker products of the field and qubit operators.
 

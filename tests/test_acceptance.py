@@ -22,11 +22,12 @@ from rabi2q.errors import SingularCoupling
 from rabi2q.hamiltonian import build_parity_band, build_rwa_excitation_block
 from rabi2q.model import ModelParams, Parity, QubitLevel, TruncationConfig
 from rabi2q.numerics import displacement_elements, eigh, expand_dense
-from rabi2q.spectra import (CrossingKind, converged_mask, detect_crossings,
+from rabi2q.spectra import (CrossingKind, detect_crossings,
                             dsc_perturbative_spectrum, rwa_relative_error,
                             sweep_spectrum)
 
-from oracles import (kronecker_reference, quartic_coefficients_from_block,
+from oracles import (converged_mask, kronecker_reference,
+                     quartic_coefficients_from_block,
                      reduced_density_matrix_partial_trace)
 
 G = QubitLevel.G

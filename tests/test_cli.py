@@ -892,6 +892,27 @@ def test_config_hash_follows_every_output_flag(command, tmp_path):
     assert other.read_text().split("\n", 1)[0].split()[-1] == reference
 
 
+@pytest.mark.parametrize("command", sorted(_HASH_RUNS))
+def test_svg_is_taken_only_where_a_plot_is_drawn(command, tmp_path):
+    # spectrum and dynamics draw the plot; the other commands reject
+    # --svg, given as a flag or in a config file, and write nothing
+    base = _HASH_RUNS[command][0]
+    out, svg = tmp_path / "s.csv", tmp_path / "s.svg"
+    config = tmp_path / "plot.cfg"
+    config.write_text(f"svg={svg}\n")
+    for extra in (["--svg", str(svg)], ["--config", str(config)]):
+        argv = [command, *base, *extra, "--out", str(out)]
+        if command in ("spectrum", "dynamics"):
+            assert run(argv) == 0
+            assert svg.read_text().startswith("<svg")
+            svg.unlink()
+        else:
+            with pytest.raises(SystemExit) as info:
+                run(argv)
+            assert info.value.code == 2
+            assert not out.exists() and not svg.exists()
+
+
 def _parser_runs(command, tmp_path):
     """The argvs of command's _HASH_RUNS, each also after a --config file
     that restates its base run, raw and with the file's flags spliced in

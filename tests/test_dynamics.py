@@ -578,6 +578,34 @@ def test_streamed_observables_match_the_whole_stack(n_times, build_band,
             1.0, np.max(np.abs(want))), name
 
 
+@pytest.mark.parametrize("build_band, params, field, n_max, photons", [
+    # Fig. 2 at its cutoff: windows of 84 and 37 photons of 301
+    (build_parity_band, ModelParams(1.1, 0.3, 0.3, 0.4),
+     ("coherent", 1.41421356), 300, 84),
+    (build_rwa_band, ModelParams(1.1, 0.3, 0.3, 0.4),
+     ("coherent", 1.41421356), 300, 37),
+    # |0, gg> at g = 0: a one-photon window, and an empty odd chain
+    (build_parity_band, ModelParams(1.1, 0.3, 0.0, 0.0), 0, 40, 1),
+    (build_rwa_band, ModelParams(1.1, 0.3, 0.3, 0.4), 0, 40, 1)])
+def test_windowed_observables_take_only_the_solved_photons(
+        build_band, params, field, n_max, photons):
+    # the observables run on the photons of the widest solved window, yet
+    # every column is that of the public observables of the whole state,
+    # and the edge weight on photons past the window is exactly 0
+    st = dyn.decompose_initial_state(field, G, G, TruncationConfig(n_max))
+    times = np.linspace(0.0, 25.0, dyn.TIME_BLOCK + 72)
+    traj = dyn._evolve(st, params, times, build_band, "record")
+    assert max(traj.photons.values()) == photons
+    state = traj.state
+    assert state.c_even.shape == (2 * (n_max + 1), len(times))
+    want = _stack_observables(state, params, build_band)
+    assert traj.max_edge_weight == 0.0 == want.pop("max_edge_weight")
+    del want["energy"]      # a band product here, not an observable
+    for name, column in want.items():
+        assert np.max(np.abs(getattr(traj, name) - column)) <= 1e-15 * max(
+            1.0, np.max(np.abs(column))), name
+
+
 @pytest.mark.parametrize("build_band,level,qubits,t_max", [
     (build_parity_band, 0, (G, G), 1.0), (build_rwa_band, 3, (E, E), 0.1)])
 def test_guard_in_a_later_block_names_the_first_time(build_band, level,

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import eigvals_banded
 
-from rabi2q import eigenstates, spectra
+from rabi2q import eigenstates, numerics, spectra
 from rabi2q.errors import ConfigError, TruncationInsufficient
-from rabi2q.hamiltonian import build_parity_band
+from rabi2q.hamiltonian import build_parity_band, build_rwa_excitation_block
 from rabi2q.model import ModelParams, Parity, TruncationConfig, basis_table
 from rabi2q.numerics import (RESIDUAL_TOL, band_norm, displacement_elements,
                              eigh, expand_dense, inert_tail, padded_residuals,
@@ -23,8 +23,8 @@ from rabi2q.spectra import (CrossingKind, SpectrumSweep,
                             dsc_perturbative_spectrum, rwa_relative_error,
                             sweep_spectrum)
 
-from oracles import (G_CROSS, both_flipped, chain_state, dsc_reference,
-                     exchanged, g1_flipped, kronecker_reference)
+from oracles import (G_CROSS, GUARD_TOL, both_flipped, chain_state,
+                     dsc_reference, exchanged, g1_flipped, kronecker_reference)
 
 TEMPLATE = ModelParams(1.3, 0.7, 0.0, 0.0)
 
@@ -322,6 +322,88 @@ def test_rwa_full_levels_are_certified():
     assert np.max(np.abs(near.errors - far.errors)) <= 1e-12
 
 
+# past every sector that can hold one of the 20 lowest RWA levels at
+# omega_j in [0, 2] and |g_j| <= 3: sectors 0..6 hold 24 levels, all below
+# 5 + 1 + 6 sqrt(6) = 20.7 (Gershgorin, radius c sqrt(M) with c <= 6), and
+# every level of sector M is at least M - 2 - 6 sqrt(M), above 20.7 from
+# M = 75; the cut sectors 101 and 102 lie higher still
+RWA_CUTOFF = TruncationConfig(100)
+
+
+@settings(max_examples=30, deadline=None)
+@given(omega_1=st.floats(0.0, 2.0), omega_2=st.floats(0.0, 2.0),
+       g_1=st.floats(-3.0, 3.0), g_2=st.floats(-3.0, 3.0),
+       k=st.integers(1, 20))
+@example(omega_1=0.9, omega_2=1.1, g_1=3.0, g_2=3.0, k=20)
+@example(omega_1=0.0, omega_2=2.0, g_1=-3.0, g_2=3.0, k=20)
+@example(omega_1=1.0, omega_2=1.0, g_1=0.0, g_2=0.0, k=20)
+def test_rwa_sector_levels_match_a_dense_solve(omega_1, omega_2, g_1, g_2,
+                                               k):
+    # the excitation sectors give the RWA's k lowest levels with no
+    # cutoff; the Kronecker RWA Hamiltonian at a cutoff past their sectors
+    # (its cut sectors lie higher still) has the same lowest levels
+    p = ModelParams(omega_1, omega_2, g_1, g_2)
+    h = kronecker_reference(p, RWA_CUTOFF, rwa=True)
+    want = np.linalg.eigvalsh(h)[:k]
+    got = spectra._rwa_levels(p, k)
+    assert got.shape == (k,)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(
+        np.sum(np.abs(h), axis=1))
+
+
+@pytest.mark.parametrize("params, sectors", [
+    # the 20th level sits in sector 18, and the bound passes it at 67
+    (ModelParams(0.9, 1.1, 2.0, 2.0), 67),
+    # c = 0: sectors 0..5 hold the 20 lowest, sector N's lowest is N - 1.3
+    (ModelParams(1.3, 0.7, 0.0, 0.0), 6)])
+def test_rwa_sectors_stop_where_the_bound_passes_the_kth_level(
+        params, sectors, monkeypatch):
+    taken = []
+
+    def block(p, n):
+        taken.append(n)
+        return build_rwa_excitation_block(p, n)
+
+    monkeypatch.setattr(spectra, "build_rwa_excitation_block", block)
+    levels = spectra._rwa_levels(params, 20)
+    assert taken == list(range(sectors))
+    # the stop: N >= c^2 and sector N's Gershgorin bound past the 20th
+    d = 0.5 * (abs(params.omega_1 - 1) + abs(params.omega_2 - 1))
+    c = abs(params.g_1) + abs(params.g_2)
+
+    def bound(n):
+        return n - 1 - d - 2 * c * math.sqrt(n)
+
+    assert sectors >= c * c and bound(sectors) > levels[-1]
+    # and it failed one sector earlier: sectors 0..N-1 hold 4 N - 4 levels
+    fewer = sectors - 1
+    assert (4 * fewer - 4 < 20 or fewer < c * c
+            or bound(fewer) <= levels[-1])
+
+
+def test_rwa_compare_solves_only_full_model_windows(monkeypatch):
+    # every dense solve of rwa_relative_error is a leading window, or the
+    # whole, of a full-model chain: the RWA side solves no chain
+    p, trunc = ModelParams(0.9, 1.1, 0.2, 0.2), TruncationConfig(60)
+    chains = [expand_dense(build_parity_band(p, parity, trunc))
+              for parity in Parity]
+    solved = []
+
+    def spy(h):
+        solved.append(h)
+        return eigh(h)
+
+    for module in (spectra, numerics):
+        monkeypatch.setattr(module, "eigh", spy)
+    rwa_relative_error(p, trunc, 20)
+    assert solved
+    for h in solved:
+        rows = len(h)
+        assert any(np.array_equal(h, chain[:rows, :rows]) for chain in chains)
+    for name in ("build_rwa_band", "converged_mask", "GUARD_TOL"):
+        assert not hasattr(spectra, name)
+
+
 def test_out_of_range_inputs_raise_value_error():
     p = ModelParams(1.3, 0.7, 0.3, 0.4)
     with pytest.raises(ValueError, match="k must be >= 1"):
@@ -340,7 +422,7 @@ def rwa_levels_full_basis(params, trunc, k):
     e_full = np.linalg.eigh(kronecker_reference(params, trunc, False))[0]
     vals, vecs = np.linalg.eigh(kronecker_reference(params, trunc, True))
     return e_full[:k], vals[:k][np.sum(vecs[-8:, :k] ** 2, axis=0)
-                                < spectra.GUARD_TOL]
+                                < GUARD_TOL]
 
 
 FREQ = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
