@@ -92,13 +92,7 @@ def _parse_range(text: str) -> np.ndarray:
 _QUBITS = {"g": QubitLevel.G, "e": QubitLevel.E}
 
 
-def _parse_qubits(text: str):
-    if len(text) != 2 or any(c not in _QUBITS for c in text):
-        raise ConfigError(f"--qubits must be two of 'g'/'e', got {text!r}")
-    return _QUBITS[text[0]], _QUBITS[text[1]]
-
-
-def _add_common(parser: argparse.ArgumentParser, couplings: str = "value"):
+def _add_common(parser, couplings="value", nmax=True):
     parser.add_argument("--omega1", type=float, default=1.0,
                         help="qubit-1 frequency in units of omega_f")
     parser.add_argument("--omega2", type=float, default=1.0,
@@ -116,8 +110,9 @@ def _add_common(parser: argparse.ArgumentParser, couplings: str = "value"):
     parser.add_argument("--omega-f", type=float, default=1.0, dest="omega_f",
                         help="display unit: energies are multiplied by this "
                              "on output (internal computations are unitless)")
-    parser.add_argument("--nmax", type=int, default=300,
-                        help="photon-number cutoff")
+    if nmax:    # perturb reads no chain
+        parser.add_argument("--nmax", type=int, default=300,
+                            help="photon-number cutoff")
     parser.add_argument("--config", type=str, default=None,
                         help="key=value file with defaults; flags win")
     parser.add_argument("--out", type=str, default=None,
@@ -194,7 +189,10 @@ def cmd_spectrum(args) -> int:
 
 
 def _initial_state(args, trunc):
-    q1, q2 = _parse_qubits(args.qubits)
+    if len(args.qubits) != 2 or any(c not in _QUBITS for c in args.qubits):
+        raise ConfigError(f"--qubits must be two of 'g'/'e', got "
+                          f"{args.qubits!r}")
+    q1, q2 = (_QUBITS[c] for c in args.qubits)
     if args.fock is not None and args.alpha is not None:
         raise ConfigError("give either --alpha or --fock, not both")
     if args.fock is not None:
@@ -360,7 +358,7 @@ def _dynamics_args(parser):
 
 
 def _perturb_args(parser):
-    _add_common(parser)
+    _add_common(parser, nmax=False)
     parser.add_argument("--mmax", type=int, default=11,
                         help="highest branch index")
 

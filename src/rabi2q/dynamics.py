@@ -6,8 +6,9 @@ the same energy and observables; only the chain band, full or RWA,
 differs.  Each chain is solved by dense ``eigh`` of a leading photon
 window on the ladder ``numerics.photon_windows`` from the state's highest
 photon, certified by its zero-padded residuals against the whole chain,
-or of the whole chain when no window up to half of it holds the state;
-an empty chain is not solved.
+or of the whole chain when no window up to half of it holds the state,
+at one OpenBLAS thread (``numerics.one_blas_thread``); an empty chain is
+not solved.
 Projections and propagation are real GEMMs on the float view of the
 complex amplitudes, and the energy is a(t)^dagger (V^T H V) a(t) on the
 K propagated levels.  The observables are the mean photon number, the
@@ -34,8 +35,8 @@ from .hamiltonian import build_parity_band, build_rwa_band
 from .model import (PAIR_ORDER, ModelParams, Parity, QubitLevel,
                     TruncationConfig, basis_table)
 from .numerics import (RESIDUAL_TOL, band_matvec, band_norm, eigh,
-                       expand_dense, padded_residuals, phase_coefficients,
-                       photon_windows, spectral_levels)
+                       expand_dense, one_blas_thread, padded_residuals,
+                       phase_coefficients, photon_windows, spectral_levels)
 
 EDGE_WEIGHT_TOL = 1e-6
 COHERENT_LEAKAGE_TOL = 1e-12
@@ -392,8 +393,9 @@ def _evolve(state: ParityDecomposedState, params: ModelParams, times,
         if not np.vdot(c0, c0).real:
             continue
         band = build_band(params, parity, trunc)
-        (values, vectors, proj, dropped[parity]), photons[parity] = (
-            _window_levels(band, c0))
+        with one_blas_thread():
+            (values, vectors, proj, dropped[parity]), photons[parity] = (
+                _window_levels(band, c0))
         # E t past the float range would turn every phase into nan
         e_max = float(np.max(np.abs(values)))
         if not math.isfinite(e_max * t_max):

@@ -7,18 +7,25 @@ pivots of a chain, which count its levels below a cut and build its
 recurrence eigenstates; associated Laguerre polynomials and
 displacement-operator matrix elements, a table at a time, and the level
 selection, phases and real GEMMs (on the float view of the complex
-amplitudes) of spectral-decomposition time propagation.  Everything here
-is pure.
+amplitudes) of spectral-decomposition time propagation; and the hold
+``one_blas_thread`` of one OpenBLAS thread.  The rest is pure.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import os
+import threading
+from ctypes import CDLL, CFUNCTYPE, c_int
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceFailure
+
+_BLAS_HOLD = threading.RLock()      # holds of one thread at a time
 
 
 class EigenDecomposition(NamedTuple):
@@ -51,6 +58,34 @@ def eigh(h: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(values, vectors)
 
 
+@functools.cache
+def _blas_threads():
+    """The (get, set) thread-count pair of the OpenBLAS that numpy's LAPACK
+    calls, found through its linalg extension, or None (MKL, Accelerate)."""
+    lib = CDLL(np.linalg._umath_linalg.__file__)
+    for name in "scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads":
+        if hasattr(lib, name.format("set")):
+            return (CFUNCTYPE(c_int)((name.format("get"), lib)),
+                    CFUNCTYPE(None, c_int)((name.format("set"), lib)))
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread, and then restore the count it
+    found.  Yields the threads that may solve at once: the process's
+    cores, or 1, changing nothing, where no setter is found.  Holds on
+    other threads wait; never hold it in a task of a holder's pool."""
+    pair = _blas_threads()
+    if pair is None:
+        yield 1
+        return
+    with _BLAS_HOLD, contextlib.ExitStack() as stack:
+        stack.callback(pair[1], pair[0]())
+        pair[1](1)
+        yield (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+
+
 # a window level is certified when its zero-padded residual against the
 # chain (one photon longer, for spectra) is at most RESIDUAL_TOL * ||H||_inf
 RESIDUAL_TOL = 1e-12
@@ -68,26 +103,21 @@ def expand_dense(band: np.ndarray) -> np.ndarray:
     return h
 
 
-def next_photon_window(n_window: int) -> int:
-    """The photon window after 0..n_window on the ladder: WINDOW_GROWTH
-    times as wide, and at least one photon wider."""
-    return int(WINDOW_GROWTH * n_window) + 1
-
-
 def photon_windows(band: np.ndarray, n_start: int, max_rows: int):
     """Dense ``eigh`` of the leading photon windows 0..n_w of a chain band.
 
-    From n_w = n_start, the window widens by WINDOW_GROWTH while it holds
-    at most max_rows rows.  Yields (rows, decomposition) of the leading
-    rows = 2 (n_w + 1) rows and columns; no entry that reaches past them is
-    read.  The ladder keeps no reference to a window it has yielded, so a
-    caller that drops a rejected window frees it before the next solve.
+    From n_w = n_start, the window widens by WINDOW_GROWTH, and by at least
+    one photon, while it holds at most max_rows rows.  Yields (rows,
+    decomposition) of the leading rows = 2 (n_w + 1) rows and columns; no
+    entry that reaches past them is read.  The ladder keeps no reference to
+    a window it has yielded, so a caller that drops a rejected window frees
+    it before the next solve.
     """
     n_window = n_start
     while 2 * (n_window + 1) <= max_rows:
         rows = 2 * (n_window + 1)
         yield rows, eigh(expand_dense(band[:, :rows]))
-        n_window = next_photon_window(n_window)
+        n_window = int(WINDOW_GROWTH * n_window) + 1
 
 
 def band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -13,23 +13,22 @@ them.  A chain whose ladder runs out raises ``TruncationInsufficient``.
 The chains of a call, both parities of one point or the points of one
 parity in a sweep, climb their ladders together, one rung at a time: the
 rung's windows are solved and residual-tested on the calling thread, or
-on the sweep's thread pool sized to the cores that BLAS leaves idle, and
-then counted in one batched, numpy only pass of the 2 x 2 block pivots of
-the whole chain from photon 0 (``numerics.block_pivots``, the kernel of
-the recurrence eigenstates too), which ends where ``numerics.inert_tail``
-proves every chain's rest free of negative pivots.  Each window is one
-LAPACK call whichever thread makes it, so the results do not depend on the
-number of threads.  A chain keeps only its k levels and its window's
-vector rows.  The perturbative sums run over one displacement table per
-coupling, as wide as the displaced oscillators reach, whose rows' unit
-norm checks it.  The RWA levels are exact, from the excitation sectors.
+on the sweep's pool of a thread per core, and then counted in one
+batched, numpy only pass of the 2 x 2 block pivots of the whole chain
+from photon 0 (``numerics.block_pivots``, the kernel of the recurrence
+eigenstates too), which ends where ``numerics.inert_tail`` proves every
+chain's rest free of negative pivots.  Climbs run at one OpenBLAS thread
+(``numerics.one_blas_thread``), so no thread count changes a result.  A
+chain keeps only its k levels and its window's vector rows.  The
+perturbative sums run over one displacement table per coupling, as wide
+as the displaced oscillators reach, whose rows' unit norm checks it.  The
+RWA levels are exact, from the excitation sectors.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-import os
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -40,8 +39,8 @@ from .hamiltonian import build_parity_band, build_rwa_excitation_block
 from .model import ModelParams, Parity, TruncationConfig
 from .numerics import (RESIDUAL_TOL, band_norm, block_pivots,
                        displacement_elements, eigh, expand_dense, first_index,
-                       inert_tail, padded_residuals, photon_windows,
-                       pivot_shift)
+                       inert_tail, one_blas_thread, padded_residuals,
+                       photon_windows, pivot_shift)
 
 def _levels_below(bands: np.ndarray, norms: np.ndarray,
                   x: np.ndarray) -> np.ndarray:
@@ -65,32 +64,6 @@ def _levels_below(bands: np.ndarray, norms: np.ndarray,
     _, (_, _, inv_b, inv_s), _ = block_pivots(
         diag[0::2] - x, diag[1::2] - x, a, b, floor, (max(start), level))
     return np.sum(inv_b < 0, axis=0) + np.sum(inv_s < 0, axis=0)
-
-
-def _pool_workers(points: int) -> int:
-    """Threads for the window solves of points sweep points: the cores that
-    BLAS leaves idle, max(1, cpus // blas_threads), at most points.
-
-    cpus is the process's CPU affinity (else ``os.cpu_count()``), and
-    blas_threads is ``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``,
-    where set to a positive integer, else cpus, which is OpenBLAS's own
-    default.  So with both unset a sweep runs on one thread, as OpenBLAS
-    already fills every core.  The settings are only read, never changed.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:      # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            blas_threads = int(os.environ[name])
-        except (KeyError, ValueError):
-            continue
-        if blas_threads > 0:
-            break
-    else:
-        blas_threads = cpus
-    return max(1, min(cpus // blas_threads, points))
 
 
 def _ladder(band: np.ndarray, start: int, dim: int):
@@ -215,8 +188,9 @@ def converged_pairs(chains, trunc: TruncationConfig, k: int,
     longer = TruncationConfig(trunc.n_max + 1)
     bands = np.array([build_parity_band(params, parity, longer)
                       for params, parity in chains])
-    pairs = _certified_windows(
-        bands, [_start_window(params, k) for params, _ in chains], k, run)
+    with one_blas_thread():
+        pairs = _certified_windows(
+            bands, [_start_window(params, k) for params, _ in chains], k, run)
     failed = [parity for (_, parity), got in zip(chains, pairs) if got is None]
     if failed:
         raise TruncationInsufficient(
@@ -278,8 +252,8 @@ def sweep_spectrum(template: ModelParams, g1_values, g2_values,
     g1_values and g2_values must have equal length; pass a constant array to
     hold one coupling fixed.  Raises TruncationInsufficient where no rung
     certifies the k lowest levels of a point in either parity.  Both
-    parities' climbs share one pool of ``_pool_workers`` threads, if more
-    than one.
+    parities' climbs share one pool, a thread per core and point, while
+    ``numerics.one_blas_thread`` holds; none where it finds no setter.
     """
     g1_values = np.atleast_1d(np.asarray(g1_values, dtype=float))
     g2_values = np.atleast_1d(np.asarray(g2_values, dtype=float))
@@ -292,7 +266,8 @@ def sweep_spectrum(template: ModelParams, g1_values, g2_values,
               for g1, g2 in zip(g1_values, g2_values)]
     energies, vectors = {}, {}
     with contextlib.ExitStack() as stack:
-        run, workers = map, _pool_workers(len(points))
+        run = map
+        workers = min(stack.enter_context(one_blas_thread()), len(points))
         if workers > 1:
             # imported here, so that a run that makes no pool does not pay
             # for the import (about 6 ms, logging included)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import rabi2q
-from rabi2q import cli
+from rabi2q import cli, numerics, spectra
 from rabi2q.cli import main
 from rabi2q.hamiltonian import build_parity_band
 from rabi2q.model import ModelParams, Parity, TruncationConfig
@@ -45,7 +46,9 @@ def test_missing_command_exits_2():
 @pytest.mark.parametrize("command", ["spectrum", "dynamics", "perturb",
                                      "rwa-compare", "eigenstate"])
 def test_seed_rejected(command, tmp_path, capsys):
-    code = run([command, "--seed", "7", "--nmax", "4",
+    # perturb reads no chain and takes no --nmax
+    cutoff = [] if command == "perturb" else ["--nmax", "4"]
+    code = run([command, "--seed", "7", *cutoff,
                 "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "--seed is rejected" in capsys.readouterr().err
@@ -518,14 +521,65 @@ def test_eigenstate_invalid_nmax_exits_2(tmp_path):
         "spectrum-overlap-tol-nan", "spectrum-overlap-tol-1",
         "rwa-compare-k-past-the-chains"])
 def test_out_of_range_input_exits_2(argv, tmp_path, capsys):
-    # the flags of argv come last, so they win over the defaults here
-    code = run(argv[:1] + ["--g1", "0.3", "--g2", "0.4", "--nmax", "20",
+    # the flags of argv come last, so they win over the defaults here;
+    # perturb reads no chain and takes no --nmax
+    cutoff = [] if argv[0] == "perturb" else ["--nmax", "20"]
+    code = run(argv[:1] + ["--g1", "0.3", "--g2", "0.4", *cutoff,
                            "--out", str(tmp_path / "x.csv")] + argv[1:])
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     # no file at all: neither x.csv nor the crossings table beside it
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dynamics", "--steps", "0"], "--steps must be >= 1"),
+    (["dynamics", "--tmax", "0", "--steps", "2"], "--tmax positive"),
+    (["spectrum", "--g1", "1:0.95:0.1"], "STOP must be >= START"),
+    (["spectrum", "--g1", "0:1:0"], "STEP must be positive"),
+    (["spectrum", "--g1", "0:1"], "expected VALUE or START:STOP:STEP"),
+    (["spectrum", "--g1", "0:1:0.5", "--g2", "0:1:0.25"], "equal length"),
+    (["spectrum", "--g1", "0:1:0.5", "--lock", "g1=g3"], "--lock accepts"),
+    (["dynamics", "--fock", "1", "--alpha", "1", "--steps", "2"],
+     "either --alpha or --fock"),
+    (["dynamics", "--qubits", "ggg", "--steps", "2"], "--qubits must be two"),
+    (["dynamics", "--qubits", "g", "--steps", "2"], "--qubits must be two"),
+    (["spectrum", "--seed="], "--seed is rejected"),
+    (["perturb", "--config", "missing.cfg"], "cannot read config file"),
+], ids=["dynamics-steps-0", "dynamics-tmax-0", "spectrum-stop-below-start",
+        "spectrum-step-0", "spectrum-two-part-range",
+        "spectrum-unequal-ranges", "spectrum-bad-lock",
+        "dynamics-fock-and-alpha", "dynamics-three-qubits",
+        "dynamics-one-qubit", "spectrum-empty-seed", "perturb-missing-config"])
+def test_malformed_input_exits_2_naming_it(argv, message, tmp_path, capsys,
+                                           monkeypatch):
+    # each check at its boundary: the least bad value exits 2 with one
+    # error line that names the check, and writes nothing
+    monkeypatch.chdir(tmp_path)
+    assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert message in err[0]
+    assert not list(tmp_path.iterdir())
+
+
+def test_eigenstate_residual_at_the_tolerance_passes(tmp_path, monkeypatch,
+                                                     capsys):
+    # the residual verdict is strict: exactly RECURRENCE_RESIDUAL_TOL
+    # passes, the next float up exits 3 naming each row
+    from rabi2q import eigenstates
+    tol = eigenstates.RECURRENCE_RESIDUAL_TOL
+    argv = ["eigenstate", "--omega1", "1.3", "--omega2", "0.7", "--g1", "0.3",
+            "--g2", "0.4", "--count", "2", "--nmax", "40",
+            "--out", str(tmp_path / "e.csv")]
+    for res, code in ((tol, 0), (np.nextafter(tol, 1), 3)):
+        monkeypatch.setattr(eigenstates, "chain_residual",
+                            lambda params, parity, xi, v, res=res:
+                            np.full(len(xi), res))
+        assert run(argv) == code
+        assert len(capsys.readouterr().err.splitlines()) == (
+            0 if code == 0 else 5)
 
 
 @pytest.mark.parametrize("text, points", [
@@ -663,20 +717,24 @@ def test_dynamics_rwa_engine(tmp_path):
 
 
 def _outputs_at_blas_threads(commands, tmp_path):
-    """Run each command in a fresh process under one and under two OpenBLAS
-    threads; for each thread count, the bytes of every file written."""
-    env = dict(os.environ)
+    """Run each command in a fresh process with both thread variables
+    unset, and under one and under two OpenBLAS threads; for each setting,
+    the bytes of every file written."""
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     src = str(Path(rabi2q.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     outputs = []
-    for threads in ("1", "2"):
+    for threads in ("unset", "1", "2"):
         out_dir = tmp_path / threads
         out_dir.mkdir()
+        setting = {} if threads == "unset" else {
+            "OPENBLAS_NUM_THREADS": threads}
         for k, argv in enumerate(commands):
             subprocess.run([sys.executable, "-m", "rabi2q.cli", *argv,
                             "--out", str(out_dir / f"{k}.csv")],
-                           env=dict(env, OPENBLAS_NUM_THREADS=threads),
+                           env=dict(env, **setting),
                            check=True, capture_output=True)
         outputs.append({path.name: path.read_bytes()
                         for path in sorted(out_dir.iterdir())})
@@ -684,21 +742,23 @@ def _outputs_at_blas_threads(commands, tmp_path):
 
 
 def test_dynamics_does_not_depend_on_blas_threads(tmp_path):
-    # both engines at the Fig. 2 parameters, shortened, under one and two
-    # OpenBLAS threads: their chains are solved on certified photon windows
+    # both engines at the Fig. 2 parameters, shortened, with the thread
+    # variables unset and under one and two OpenBLAS threads
     argv = ["dynamics", "--omega1", "1.1", "--omega2", "0.3", "--g1", "0.3",
             "--g2", "0.4", "--alpha", "1.41421356", "--qubits", "gg",
             "--nmax", "300", "--tmax", "30", "--steps", "300", "--engine"]
     outs = _outputs_at_blas_threads([argv + ["full"], argv + ["rwa"]],
                                     tmp_path)
     assert sorted(outs[0]) == ["0.csv", "1.csv"]
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_readme_commands_do_not_depend_on_blas_threads(tmp_path):
-    # the README spectrum (on a coarser g grid), perturb, rwa-compare and
-    # eigenstate (fewer levels) runs write the same bytes, crossings file
-    # included, at one and at two OpenBLAS threads
+    # the README spectrum (on a coarser g grid), perturb, rwa-compare,
+    # eigenstate (fewer levels) and Fig. 3 dynamics (200 steps, whose whole
+    # chains took two OpenBLAS threads at the default setting before every
+    # solve held one) runs write the same bytes, crossings file included,
+    # with the thread variables unset and at one and at two threads
     commands = [
         ["spectrum", "--omega1", "1.3", "--omega2", "0.7", "--lock", "g2=g1",
          "--g1", "0:2:0.1", "--nmax", "300", "--k", "20"],
@@ -709,12 +769,15 @@ def test_readme_commands_do_not_depend_on_blas_threads(tmp_path):
         ["eigenstate", "--omega1", "1.3", "--omega2", "0.7", "--g1", "0.3",
          "--g2", "0.4", "--parity", "both", "--count", "3", "--nmax", "200",
          "--bargmann"],
+        ["dynamics", "--omega1", "1.1", "--omega2", "0.3", "--g1", "3",
+         "--g2", "4", "--alpha", "1.41421356", "--qubits", "gg", "--nmax",
+         "340", "--steps", "200"],
     ]
     outs = _outputs_at_blas_threads(commands, tmp_path)
     assert sorted(outs[0]) == ["0.crossings.csv", "0.csv", "1.csv", "2.csv",
-                               "3.csv"]
+                               "3.csv", "4.csv"]
     for name, data in outs[0].items():
-        assert data == outs[1][name], name
+        assert data == outs[1][name] == outs[2][name], name
 
 
 def test_omega_f_rescales_output(tmp_path):
@@ -913,6 +976,27 @@ def test_svg_is_taken_only_where_a_plot_is_drawn(command, tmp_path):
             assert not out.exists() and not svg.exists()
 
 
+@pytest.mark.parametrize("command", sorted(_HASH_RUNS))
+def test_nmax_is_taken_only_where_a_chain_is_read(command, tmp_path):
+    # perturb reads no chain, so --nmax would only move its config hash:
+    # given as a flag or in a config file it exits 2 and writes nothing;
+    # the other four commands take it
+    base = _HASH_RUNS[command][0]
+    out = tmp_path / "n.csv"
+    config = tmp_path / "cutoff.cfg"
+    config.write_text("nmax=21\n")
+    for extra in (["--nmax", "21"], ["--config", str(config)]):
+        argv = [command, *base, *extra, "--out", str(out)]
+        if command != "perturb":
+            assert run(argv) == 0
+            out.unlink()
+        else:
+            with pytest.raises(SystemExit) as info:
+                run(argv)
+            assert info.value.code == 2
+            assert not out.exists()
+
+
 def _parser_runs(command, tmp_path):
     """The argvs of command's _HASH_RUNS, each also after a --config file
     that restates its base run, raw and with the file's flags spliced in
@@ -967,7 +1051,7 @@ def test_top_level_runs_get_the_full_parser(argv, code, capsys):
 
 _POOL_PROBE = """
 import sys
-from rabi2q import spectra
+from rabi2q import numerics
 from rabi2q.cli import main
 
 out = sys.argv[1]
@@ -982,20 +1066,38 @@ commands = [
 for i, argv in enumerate(commands):
     assert main(argv + common + ["--out", f"{out}/{i}.csv"]) == 0, argv
 assert "concurrent.futures" not in sys.modules
-# a sweep of three points, on as many cores as BLAS leaves idle
+# a sweep of three points, a thread per core and point under the hold
 assert main(["spectrum", "--lock", "g2=g1", "--g1", "0:0.2:0.1",
              "--nmax", "20", "--k", "2", "--out", f"{out}/s.csv"]) == 0
-assert ("concurrent.futures" in sys.modules) == (
-    spectra._pool_workers(3) > 1)
+with numerics.one_blas_thread() as cores:
+    assert ("concurrent.futures" in sys.modules) == (min(cores, 3) > 1)
 """
 
 
-def test_only_the_sweep_makes_a_pool(tmp_path, monkeypatch):
-    # with one BLAS thread, each core may take a thread of its own; yet
-    # rwa-compare and eigenstate climb their two chains on the calling
-    # thread, and only spectrum makes (and imports) a thread pool
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+def test_only_the_sweep_makes_a_pool(tmp_path):
+    # under the hold of one BLAS thread each core may take a thread of its
+    # own; yet rwa-compare and eigenstate climb their two chains on the
+    # calling thread, and only spectrum makes (and imports) a thread pool
     _run_probe(_POOL_PROBE, str(tmp_path))
+
+
+def test_sweep_without_a_blas_setter_runs_on_the_calling_thread(
+        tmp_path, monkeypatch):
+    # where numpy's LAPACK has no OpenBLAS thread setter (MKL, Accelerate)
+    # the sweep makes no pool, and writes the same bytes
+    argv = ["spectrum", "--omega1", "1.3", "--omega2", "0.7", "--lock",
+            "g2=g1", "--g1", "0:2:0.5", "--nmax", "300", "--k", "20"]
+    assert run(argv + ["--out", str(tmp_path / "held.csv")]) == 0
+    monkeypatch.setattr(numerics, "_blas_threads", lambda: None)
+    threads = set()
+    residuals = spectra.padded_residuals
+    monkeypatch.setattr(spectra, "padded_residuals", lambda *args: (
+        threads.add(threading.get_ident()) or residuals(*args)))
+    assert run(argv + ["--out", str(tmp_path / "none.csv")]) == 0
+    assert threads == {threading.get_ident()}
+    for name in ("held.csv", "held.crossings.csv"):
+        assert ((tmp_path / name).read_bytes()
+                == (tmp_path / name.replace("held", "none")).read_bytes())
 
 
 def test_importing_the_cli_does_not_import_scipy():

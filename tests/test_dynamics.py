@@ -180,6 +180,32 @@ def test_density_matrix_eigenvalue_bound_is_minus_1e_8():
     assert dyn.concurrence(near) >= 0.0
 
 
+def test_density_matrix_eigenvalue_at_minus_1e_8_passes():
+    # the bound is strict: an eigenvalue of exactly -1e-8 is rounding and
+    # passes, the next float below it raises
+    at = np.diag([0.5 + 5e-9, 0.5 + 5e-9, -1e-8, 0.0])
+    assert dyn.von_neumann_entropy(at) == pytest.approx(np.log(2), abs=1e-7)
+    below = np.diag([0.5 + 5e-9, 0.5 + 5e-9, np.nextafter(-1e-8, -1), 0.0])
+    with pytest.raises(InvalidDensityMatrix):
+        dyn.von_neumann_entropy(below)
+
+
+def test_density_matrix_is_taken_by_its_hermitian_part():
+    # LAPACK reads one triangle of a matrix; the observables read the
+    # hermitian part (rho + rho^dagger) / 2 of what they are given, so an
+    # anti-hermitian error leaves entropy and concurrence as they were,
+    # where the lower triangle alone would move both
+    phi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
+    werner = 0.8 * np.outer(phi, phi) + 0.05 * np.eye(4)
+    skew = np.zeros((4, 4), dtype=complex)
+    skew[0, 3], skew[3, 0] = 0.1 + 0.05j, -0.1 + 0.05j
+    given_ = werner + skew
+    lower = np.tril(given_) + np.tril(given_, -1).conj().T
+    for f in (dyn.von_neumann_entropy, dyn.concurrence):
+        assert f(given_) == pytest.approx(f(werner), abs=1e-15)
+        assert abs(f(lower) - f(werner)) > 1e-3
+
+
 def test_concurrence_product_state_and_werner():
     for pair in ((E, G), (G, G), (E, E)):
         st = dyn.decompose_initial_state(0, *pair, T40)
@@ -299,6 +325,36 @@ def test_phases_past_the_float_range_are_a_config_error():
     for evolve in (dyn.evolve_parity, dyn.evolve_rwa_closed_form):
         with pytest.raises(ConfigError, match="float range"):
             evolve(st, params, [0.0, 1e308])
+
+
+def test_edge_guard_is_strict_at_1e_6():
+    # decoupled, the chains are diagonal, so at t = 0 the propagated state
+    # is c0 to the bit: 0.001^2 is 1e-6 exactly on the top photon level,
+    # which passes; the next float up raises
+    trunc = TruncationConfig(6)
+    params = ModelParams(1.3, 0.7, 0.0, 0.0)
+    for top, raises in ((0.001, False), (np.nextafter(0.001, 1), True)):
+        c_even = np.zeros(trunc.chain_dim, dtype=complex)
+        c_even[0], c_even[-1] = 1.0, top
+        st = dyn.ParityDecomposedState(c_even, np.zeros_like(c_even), trunc)
+        if raises:
+            with pytest.raises(TruncationInsufficient):
+                dyn.evolve_parity(st, params, [0.0])
+        else:
+            traj = dyn.evolve_parity(st, params, [0.0])
+            assert traj.max_edge_weight == dyn.EDGE_WEIGHT_TOL
+
+
+def test_norms_are_the_state_norm_not_its_square():
+    # an initial state of norm 2 keeps norm 2 (weights summing to 4)
+    st = dyn.decompose_initial_state(("coherent", np.sqrt(2)), G, G,
+                                     TruncationConfig(60))
+    double = dyn.ParityDecomposedState(2 * st.c_even, 2 * st.c_odd,
+                                       st.trunc)
+    traj = dyn.evolve_parity(double, ModelParams(1.1, 0.3, 0.3, 0.4),
+                             np.linspace(0, 5, 11))
+    assert np.max(np.abs(traj.norms - 2.0)) < 1e-12
+    assert np.max(np.abs(traj.weight_even + traj.weight_odd - 4.0)) < 1e-12
 
 
 def test_edge_guard_sits_at_1e_6():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 import re
@@ -23,8 +24,8 @@ from rabi2q.spectra import (CrossingKind, SpectrumSweep,
                             dsc_perturbative_spectrum, rwa_relative_error,
                             sweep_spectrum)
 
-from oracles import (G_CROSS, GUARD_TOL, both_flipped, chain_state,
-                     dsc_reference, exchanged, g1_flipped, kronecker_reference)
+from oracles import (G_CROSS, both_flipped, chain_state, dsc_reference,
+                     exchanged, g1_flipped, kronecker_reference)
 
 TEMPLATE = ModelParams(1.3, 0.7, 0.0, 0.0)
 
@@ -415,14 +416,13 @@ def test_out_of_range_inputs_raise_value_error():
 
 
 def rwa_levels_full_basis(params, trunc, k):
-    """The k lowest levels of the full Hamiltonian, and of the RWA
-    Hamiltonian's k lowest those that pass the 8-row edge mask of the
-    product basis (two photon levels of four qubit pairs), from dense eigh
-    of the Kronecker matrices."""
-    e_full = np.linalg.eigh(kronecker_reference(params, trunc, False))[0]
-    vals, vecs = np.linalg.eigh(kronecker_reference(params, trunc, True))
-    return e_full[:k], vals[:k][np.sum(vecs[-8:, :k] ** 2, axis=0)
-                                < GUARD_TOL]
+    """The k lowest levels of the full Hamiltonian at trunc, and of the RWA
+    Hamiltonian at RWA_CUTOFF, past the sectors of its k lowest, from dense
+    eigh of the Kronecker matrices; and ||H||_inf of the latter."""
+    e_full = np.linalg.eigvalsh(kronecker_reference(params, trunc, False))
+    h = kronecker_reference(params, RWA_CUTOFF, True)
+    return (e_full[:k], np.linalg.eigvalsh(h)[:k],
+            np.max(np.sum(np.abs(h), axis=1)))
 
 
 FREQ = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
@@ -444,22 +444,18 @@ FREQ = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
          n_max=30, k=8)                                 # omega_1 = 0
 @example(omega_1=1.0, omega_2=1.0, g_1=0.2 / 1.7, g_2=0.6 / 1.7, tie=None,
          n_max=30, k=8)                                 # omega_j = omega_f
-# the full model's 8 lowest levels hold one that fails the guard and the
-# RWA's do not: pairing the levels that pass would cross states
+# at n_max = 16 no rung certifies the full model's 8 lowest even levels,
+# so the full side raises, and only there
 @example(omega_1=1.7051046158124996, omega_2=0.6062301963992849,
          g_1=-0.49969881222248347, g_2=0.5633258863243058, tie=None,
          n_max=16, k=8)
 def test_rwa_error_matches_full_basis_oracle(omega_1, omega_2, g_1, g_2,
                                              tie, n_max, k):
     # the full model's levels are certified as the sweeps' are, and the
-    # RWA's pass the edge mask
+    # RWA's are those of its Kronecker matrix with no cutoff in reach
     p = ModelParams(omega_1, omega_2, g_1, g_2 if tie is None else tie * g_1)
     trunc = TruncationConfig(n_max)
-    e_full, e_rwa = rwa_levels_full_basis(p, trunc, k)
-    if len(e_rwa) < k:
-        with pytest.raises(TruncationInsufficient):
-            rwa_relative_error(p, trunc, k)
-        return
+    e_full, e_rwa, rwa_norm = rwa_levels_full_basis(p, trunc, k)
     per_chain = min(k, trunc.chain_dim)
     try:
         report = rwa_relative_error(p, trunc, k)
@@ -481,7 +477,7 @@ def test_rwa_error_matches_full_basis_oracle(omega_1, omega_2, g_1, g_2,
     rounding = 64 * np.finfo(float).eps * max(map(band_norm, wide))
     assert np.max(np.abs(report.e_full - levels)) <= (np.sqrt(k) * tol
                                                       + rounding)
-    assert np.max(np.abs(report.e_rwa - e_rwa)) <= 1e-12 * scale
+    assert np.max(np.abs(report.e_rwa - e_rwa)) <= 1e-13 * rwa_norm
     with np.errstate(divide="ignore", invalid="ignore"):
         ref = np.abs(e_rwa - e_full) / np.abs(e_full)
     sure = np.abs(e_full) > 1e-3 * scale
@@ -915,12 +911,12 @@ def test_windowed_sweep_matches_whole_chain_solves(order, n_max):
                                           (50, 12, [0.0, 0.51, 0.9])])
 def test_sweep_pool_matches_one_point_solves_bit_for_bit(monkeypatch, n_max,
                                                          k, gs):
-    # the sweep's windows, solved on a pool of four threads that switch
-    # every microsecond, against one call per point, which solves on the
-    # calling thread
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    # the sweep's windows, solved on a pool of a thread per point (four
+    # cores) that switch every microsecond, against one call per point,
+    # which solves on the calling thread
+    if numerics._blas_threads() is None:
+        pytest.skip("no OpenBLAS thread setter: sweeps make no pool")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
-    assert spectra._pool_workers(len(gs)) == min(4, len(gs))
     threads = set()
     residuals = spectra.padded_residuals
     monkeypatch.setattr(spectra, "padded_residuals", lambda *args: (
@@ -941,8 +937,35 @@ def test_sweep_pool_matches_one_point_solves_bit_for_bit(monkeypatch, n_max,
             assert np.array_equal(sweep.vectors[parity][i], vectors)
 
 
-@pytest.mark.parametrize("openblas, omp, cpus, points, workers", [
-    (None, None, 2, 201, 1),        # OpenBLAS already fills the cores
+class _Stop(Exception):
+    pass
+
+
+def _sweep_pool(monkeypatch, points):
+    """The threads of the pool that a sweep of points makes (1: none), and
+    the OpenBLAS count that its climbs see, stopped before they start."""
+    made = []
+    pool = concurrent.futures.ThreadPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        lambda workers: made.append(workers) or pool(workers))
+
+    def stop(chains, trunc, k, run):
+        pair = numerics._blas_threads()
+        raise _Stop(run is map, pair and pair[0]())
+
+    monkeypatch.setattr(spectra, "converged_pairs", stop)
+    gs = np.zeros(points)
+    with pytest.raises(_Stop) as info:
+        sweep_spectrum(TEMPLATE, gs, gs, TruncationConfig(4), 1)
+    calling_thread, blas = info.value.args
+    assert calling_thread == (not made) and len(made) <= 1
+    return (made or [1])[0], blas
+
+
+# the thread variables, the cores, the points and the pool that the rule
+# of earlier versions gave, which read the variables
+@pytest.mark.parametrize("openblas, omp, cpus, points, old_rule", [
+    (None, None, 2, 201, 1),        # OpenBLAS filled the cores
     (None, None, 16, 201, 1),
     ("1", None, 2, 201, 2),
     ("1", None, 16, 201, 16),
@@ -951,34 +974,101 @@ def test_sweep_pool_matches_one_point_solves_bit_for_bit(monkeypatch, n_max,
     ("1", None, 1, 201, 1),
     ("2", None, 16, 201, 8),
     ("2", None, 3, 201, 1),
-    ("4", "1", 16, 201, 4),         # OPENBLAS_NUM_THREADS comes first
+    ("4", "1", 16, 201, 4),         # OPENBLAS_NUM_THREADS came first
     (None, "1", 4, 201, 4),
     (None, "2", 4, 201, 2),
-    ("abc", "1", 4, 201, 4),        # garbage falls through to OMP
+    ("abc", "1", 4, 201, 4),        # garbage fell through to OMP
     ("abc", None, 4, 201, 1),       # ... and then to cpus
     ("1.5", "x", 4, 201, 1),
-    ("0", "2", 4, 201, 2),          # not positive: falls through
+    ("0", "2", 4, 201, 2),          # not positive: fell through
     ("-1", None, 4, 201, 1),
     ("", None, 4, 201, 1),
 ])
 def test_pool_workers_fill_the_cores_blas_leaves_idle(monkeypatch, openblas,
                                                       omp, cpus, points,
-                                                      workers):
+                                                      old_rule):
+    # the climbs hold OpenBLAS at one thread, so it leaves every core idle:
+    # the pool takes min(cores, points) threads, whatever the variables
+    # say, never fewer than the old rule gave, and the count is restored
     for name, value in (("OPENBLAS_NUM_THREADS", openblas),
                         ("OMP_NUM_THREADS", omp)):
         if value is None:
             monkeypatch.delenv(name, raising=False)
         else:
             monkeypatch.setenv(name, value)
+    counts = [3]
+    monkeypatch.setattr(numerics, "_blas_threads",
+                        lambda: (lambda: counts[-1], counts.append))
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(cpus)))
-    assert spectra._pool_workers(points) == workers
+    workers = min(cpus, points)
+    assert _sweep_pool(monkeypatch, points) == (workers, 1)
+    assert workers >= old_rule and counts[-1] == 3
     # without an affinity call, the count of os.cpu_count() is used
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    assert spectra._pool_workers(points) == workers
+    assert _sweep_pool(monkeypatch, points) == (workers, 1)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert spectra._pool_workers(points) == 1
+    assert _sweep_pool(monkeypatch, points) == (1, 1)
+    # where no setter is found, the sweep runs on the calling thread
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(numerics, "_blas_threads", lambda: None)
+    assert _sweep_pool(monkeypatch, points) == (1, None)
+    assert counts[-1] == 3
+
+
+def test_blas_hold_restores_the_count_it_found():
+    pair = numerics._blas_threads()
+    if pair is None:
+        pytest.skip("numpy's LAPACK has no OpenBLAS thread setter")
+    get, put = pair
+    found = get()
+    try:
+        for count in (2, 1):
+            put(count)
+            with numerics.one_blas_thread() as cores:
+                assert get() == 1 and cores >= 1
+                with numerics.one_blas_thread():
+                    assert get() == 1
+                assert get() == 1
+            assert get() == count
+        put(2)
+        with pytest.raises(ZeroDivisionError):
+            with numerics.one_blas_thread():
+                1 / 0
+        assert get() == 2
+    finally:
+        put(found)
+    assert get() == found
+
+
+def test_blas_holds_on_two_threads_take_turns(monkeypatch):
+    # the count is process-wide: a hold on another thread waits for the
+    # open one to close, so it never runs at a count that hold restored,
+    # and the count found first is the one left
+    counts = [2]
+    monkeypatch.setattr(numerics, "_blas_threads",
+                        lambda: (lambda: counts[-1], counts.append))
+    seen = []
+
+    def second():
+        with numerics.one_blas_thread():
+            seen.append(counts[-1])
+
+    with numerics.one_blas_thread():
+        worker = threading.Thread(target=second)
+        worker.start()
+        worker.join(0.2)
+        assert worker.is_alive() and not seen
+    worker.join(10)
+    assert not worker.is_alive()
+    assert seen == [1] and counts[-1] == 2
+
+
+def test_blas_hold_without_a_setter_changes_nothing(monkeypatch):
+    monkeypatch.setattr(numerics, "_blas_threads", lambda: None)
+    with numerics.one_blas_thread() as cores:
+        assert cores == 1
 
 
 def _chain(params, parity, trunc):
